@@ -27,68 +27,52 @@ _TAIL_TOL = 1e-10
 
 def deltas_fn(grid: OrbitGrid) -> GridFunction:
     """The step function x - tau(x) sampled on the grid (last index invalid)."""
-    vals, valid = [], []
-    for b in grid.branches:
-        v = np.zeros(len(b), dtype=complex)
-        v[:-1] = b.deltas
-        m = np.ones(len(b), dtype=bool)
-        m[-1] = False
-        vals.append(v)
-        valid.append(m)
-    return GridFunction(grid, tuple(vals), tuple(valid), label="x-tau(x)")
+    return GridFunction(grid, grid.deltas, grid.has_next, label="x-tau(x)")
 
 
 def dtau_inverse_fn(grid: OrbitGrid) -> GridFunction:
     """The tau-derivative of the inverse map: delta_{n-1}/delta_n on the grid."""
-    vals, valid = [], []
-    for b in grid.branches:
-        v = np.zeros(len(b), dtype=complex)
-        d = b.deltas
-        v[1:-1] = d[:-1] / d[1:]
-        m = np.zeros(len(b), dtype=bool)
-        m[1:-1] = True
-        vals.append(v)
-        valid.append(m)
-    return GridFunction(grid, tuple(vals), tuple(valid), label="dtau(tau^-1)")
+    inner = grid.interior()
+    n = np.flatnonzero(inner)
+    out = np.zeros(grid.size, dtype=complex)
+    out[n] = grid.deltas[n - 1] / grid.deltas[n]
+    return GridFunction(grid, out, inner, label="dtau(tau^-1)")
 
 
 def shift(f: GridFunction, steps: int = 1) -> GridFunction:
     """Composition with tau^steps: out[n] = f[n+steps], mask shrinking."""
-    vals, valid = [], []
-    for v, m in zip(f.values, f.valid):
-        n = len(v)
-        if abs(steps) >= n:
-            raise GridMismatch(f"|steps|={abs(steps)} exceeds branch depth {n}")
-        out = np.zeros(n, dtype=complex)
-        mask = np.zeros(n, dtype=bool)
-        if steps >= 0:
-            out[: n - steps] = v[steps:]
-            mask[: n - steps] = m[steps:]
-        else:
-            out[-steps:] = v[:steps]
-            mask[-steps:] = m[:steps]
-        vals.append(out)
-        valid.append(mask)
-    return GridFunction(f.grid, tuple(vals), tuple(valid), label=f.label)
+    grid = f.grid
+    depth = min(len(b) for b in grid.branches)
+    if abs(steps) >= depth:
+        raise GridMismatch(f"|steps|={abs(steps)} exceeds branch depth {depth}")
+    n = np.flatnonzero(grid.neighbour_mask(steps))
+    out = np.zeros(grid.size, dtype=complex)
+    mask = np.zeros(grid.size, dtype=bool)
+    out[n] = f.flat[n + steps]
+    mask[n] = f.flat_valid[n + steps]
+    return GridFunction(grid, out, mask, label=f.label)
+
+
+def step_quotient(num: GridFunction, label: str = "") -> GridFunction:
+    """num/(x - tau(x)) on every point with an orbit successor.
+
+    The last index of each branch has no step and turns invalid (value 0).
+    """
+    grid = num.grid
+    n = np.flatnonzero(grid.has_next)
+    out = np.zeros(grid.size, dtype=complex)
+    out[n] = num.flat[n] / grid.deltas[n]
+    return GridFunction(grid, out, num.flat_valid & grid.has_next, label=label)
 
 
 def tau_derivative(f: GridFunction) -> GridFunction:
     """Divided difference (f - Tf)/(x - tau(x)); the last index turns invalid."""
-    vals, valid = [], []
-    for b, v, m in zip(f.grid.branches, f.values, f.valid):
-        out = np.zeros(len(v), dtype=complex)
-        out[:-1] = (v[:-1] - v[1:]) / b.deltas
-        mask = np.zeros(len(v), dtype=bool)
-        mask[:-1] = m[:-1] & m[1:]
-        vals.append(out)
-        valid.append(mask)
-    return GridFunction(f.grid, tuple(vals), tuple(valid),
-                        label=f"d({f.label})" if f.label else "")
+    return step_quotient(f - shift(f), label=f"d({f.label})" if f.label else "")
 
 
-def _branch_integral(branch, v, m, tol, check_tail):
-    d = branch.deltas
-    terms = d * v[:-1]
+def _branch_integral(f: GridFunction, s: slice, tol, check_tail):
+    v, m = f.flat[s], f.flat_valid[s]
+    terms = f.grid.deltas[s][:-1] * v[:-1]
     terms = np.where(m[:-1], terms, 0.0)
     total = complex(np.sum(terms))
     if check_tail:
@@ -109,48 +93,43 @@ def tau_integral(f: GridFunction, tol: float = _TAIL_TOL,
     """
     grid = f.grid
     if grid.mode in (SEMIGROUP, GROUP):
-        (b,), (v,), (m,) = grid.branches, f.values, f.valid
-        total = _branch_integral(b, v, m, tol, check_tail)
+        total = _branch_integral(f, grid.slices[0], tol, check_tail)
         if grid.mode == GROUP and check_tail:
             # Backward tail sits at the start of the branch.
-            terms = np.abs(b.deltas[:3] * v[:3])
+            terms = np.abs(grid.deltas[:3] * f.flat[:3])
             scale = max(1.0, f.max_abs())
             if np.any(terms > tol * scale):
                 raise TailNotConverged(f"backward tail terms {terms} too large")
         return total
     if grid.mode == INTERVAL:
-        br_a, br_b = grid.branch("a"), grid.branch("b")
-        ia = grid.branches.index(br_a)
-        ib = grid.branches.index(br_b)
-        int_b = _branch_integral(br_b, f.values[ib], f.valid[ib], tol, check_tail)
-        int_a = _branch_integral(br_a, f.values[ia], f.valid[ia], tol, check_tail)
+        ia, ib = (grid.branches.index(grid.branch(r)) for r in ("a", "b"))
+        int_b = _branch_integral(f, grid.slices[ib], tol, check_tail)
+        int_a = _branch_integral(f, grid.slices[ia], tol, check_tail)
         return int_b - int_a
     raise GridMismatch(f"unsupported grid mode {grid.mode}")
+
+
+def _suffix_valid(f: GridFunction) -> np.ndarray:
+    """True where f is valid at this and every deeper point of the branch;
+    the last point of a branch (the limit end) counts as valid."""
+    return f.grid.suffix_scan(np.logical_and, f.flat_valid | ~f.grid.has_next)
 
 
 def tau_antiderivative(f: GridFunction, tol: float = _TAIL_TOL,
                        check_tail: bool = True) -> GridFunction:
     """Per-branch suffix sums: out[n] = integral of f from the limit to x_n."""
-    vals, valid = [], []
-    for b, v, m in zip(f.grid.branches, f.values, f.valid):
-        terms = np.zeros(len(v), dtype=complex)
-        terms[:-1] = b.deltas * v[:-1]
-        # out[n] = sum_{m>=n} terms[m], summed tail-first for accuracy.
-        out = np.cumsum(terms[::-1])[::-1]
-        mask = np.zeros(len(v), dtype=bool)
-        ok = True
-        for i in range(len(v) - 1, -1, -1):
-            ok = ok and (m[i] or i == len(v) - 1)
-            mask[i] = ok
-        mask[-1] = True
-        if check_tail and len(v) >= 4:
-            scale = max(1.0, f.max_abs())
-            tail = np.abs(terms[-4:-1])
-            if np.any(tail > tol * scale):
+    grid = f.grid
+    n = np.flatnonzero(grid.has_next)
+    terms = np.zeros(grid.size, dtype=complex)
+    terms[n] = grid.deltas[n] * f.flat[n]
+    if check_tail:
+        scale = max(1.0, f.max_abs())
+        for s in grid.slices:
+            tail = np.abs(terms[s][-4:-1])
+            if s.stop - s.start >= 4 and np.any(tail > tol * scale):
                 raise TailNotConverged(f"antiderivative tail terms {tail} too large")
-        vals.append(out)
-        valid.append(mask)
-    return GridFunction(f.grid, tuple(vals), tuple(valid),
+    # out[n] = sum_{m>=n} terms[m], summed tail-first for accuracy.
+    return GridFunction(grid, grid.suffix_scan(np.add, terms), _suffix_valid(f),
                         label=f"int({f.label})" if f.label else "")
 
 
@@ -165,12 +144,6 @@ def _positive_real(arr: np.ndarray, what: str) -> np.ndarray:
     return re
 
 
-def _suffix_product(factors: np.ndarray) -> np.ndarray:
-    """out[n] = prod_{m >= n} factors[m], out[len] dropped (empty product = 1)."""
-    rev = np.cumprod(factors[::-1])[::-1]
-    return rev
-
-
 def tau_exponential(grid: OrbitGrid, warn_contraction: bool = True) -> GridFunction:
     """Product solution of d_tau(e) = e with e = 1 at the orbit limit."""
     if warn_contraction:
@@ -178,16 +151,11 @@ def tau_exponential(grid: OrbitGrid, warn_contraction: bool = True) -> GridFunct
         if est >= 1.0:
             warnings.warn(f"contraction estimate {est} >= 1; product may diverge",
                           NotContractingWarning, stacklevel=2)
-    vals, valid = [], []
-    for b in grid.branches:
-        fac = 1.0 - b.deltas
-        if np.any(np.abs(fac) < 1e-14):
-            raise FactorZero("factor 1 - (x - tau(x)) vanishes on the orbit")
-        out = np.ones(len(b), dtype=complex)
-        out[:-1] = _suffix_product(1.0 / fac)
-        vals.append(out)
-        valid.append(np.ones(len(b), dtype=bool))
-    return GridFunction(grid, tuple(vals), tuple(valid), label="exp_tau")
+    fac = 1.0 - grid.deltas  # 1 at the branch ends: the empty product
+    if np.any(np.abs(fac) < 1e-14):
+        raise FactorZero("factor 1 - (x - tau(x)) vanishes on the orbit")
+    return GridFunction(grid, grid.suffix_scan(np.multiply, 1.0 / fac),
+                        label="exp_tau")
 
 
 def product_integral(F: GridFunction, rel_tol: float = 1e-10) -> complex:
@@ -199,10 +167,8 @@ def product_integral(F: GridFunction, rel_tol: float = 1e-10) -> complex:
     """
     if len(F.grid.branches) != 1:
         raise GridMismatch("product integral needs a single-orbit grid")
-    v, m = F.values[0], F.valid[0]
-    use = m.copy()
-    use[-1] = False  # pair each factor with an orbit step
-    fac = _positive_real(v[use], "product factor")
+    # pair each factor with an orbit step
+    fac = _positive_real(F.flat[F.flat_valid & F.grid.has_next], "product factor")
     direct = float(np.prod(fac))
     via_log = float(np.exp(np.sum(np.log(fac))))
     agreement = abs(direct - via_log) / max(1.0, abs(direct))
@@ -218,21 +184,12 @@ def solve_linear_first_order(f: GridFunction, init: complex = 1.0) -> GridFuncti
     The suffix product psi[n] = init * prod_{m>=n} 1/(1 - delta_m f[m])
     satisfies the divided-difference equation exactly.
     """
-    vals, valid = [], []
-    for b, v, m in zip(f.grid.branches, f.values, f.valid):
-        fac = 1.0 - b.deltas * v[:-1]
-        fac = _positive_real(np.where(m[:-1], fac, 1.0), "first-order factor")
-        out = np.full(len(v), complex(init))
-        out[:-1] = init * _suffix_product(1.0 / fac.astype(complex))
-        mask = np.zeros(len(v), dtype=bool)
-        ok = True
-        for i in range(len(v) - 1, -1, -1):
-            ok = ok and (m[i] or i == len(v) - 1)
-            mask[i] = ok
-        mask[-1] = True
-        vals.append(out)
-        valid.append(mask)
-    psi = GridFunction(f.grid, tuple(vals), tuple(valid), label="psi")
+    grid = f.grid
+    use = f.flat_valid & grid.has_next
+    fac = _positive_real(np.where(use, 1.0 - grid.deltas * f.flat, 1.0),
+                         "first-order factor")
+    out = init * grid.suffix_scan(np.multiply, 1.0 / fac.astype(complex))
+    psi = GridFunction(grid, out, _suffix_valid(f), label="psi")
     _verify_first_order(psi, f)
     return psi
 
@@ -240,21 +197,19 @@ def solve_linear_first_order(f: GridFunction, init: complex = 1.0) -> GridFuncti
 def _verify_first_order(psi: GridFunction, f: GridFunction) -> None:
     # step form psi[n] (1 - delta f[n]) = psi[n+1]: unlike the divided
     # difference it does not amplify rounding by 1/delta at the tail
-    for b, pv, fv, pm, fm in zip(psi.grid.branches, psi.values, f.values,
-                                 psi.valid, f.valid):
-        sel = pm[:-1] & pm[1:] & fm[:-1]
-        if not sel.any():
-            continue
-        lhs = (pv[:-1] * (1.0 - b.deltas * fv[:-1]))[sel]
-        rhs = pv[1:][sel]
-        scale = max(1.0, float(np.max(np.abs(rhs))))
-        res = float(np.max(np.abs(lhs - rhs))) / scale
-        if res > 1e-10:
-            raise TailNotConverged(f"first-order solve residual {res} > 1e-10")
+    grid = psi.grid
+    lhs, rhs = psi * (1.0 - deltas_fn(grid) * f), shift(psi)
+    sel = lhs.flat_valid & rhs.flat_valid
+    if not sel.any():
+        return
+    scale = np.fmax(1.0, grid.branch_max(np.where(sel, np.abs(rhs.flat), 0.0)))
+    res = float(np.max(np.abs(lhs.flat[sel] - rhs.flat[sel]) / scale[sel]))
+    if res > 1e-10:
+        raise TailNotConverged(f"first-order solve residual {res} > 1e-10")
 
 
 __all__ = [
-    "deltas_fn", "dtau_inverse_fn", "shift", "tau_derivative", "tau_integral",
-    "tau_antiderivative", "tau_exponential", "product_integral",
+    "deltas_fn", "dtau_inverse_fn", "shift", "step_quotient", "tau_derivative",
+    "tau_integral", "tau_antiderivative", "tau_exponential", "product_integral",
     "solve_linear_first_order",
 ]

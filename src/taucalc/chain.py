@@ -23,16 +23,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
-from .calculus import deltas_fn, shift
-from .errors import (FactorZero, GridMismatch, InconsistentWeights,
-                     NonPositiveFactor, RiccatiBlowup, SingularLimit, ZeroAlpha,
-                     ZeroDivisor, ZeroEigenvalue, ZeroLift)
-from .grid import GROUP, OrbitGrid
+from .calculus import deltas_fn, shift, step_quotient
+from .errors import (GridMismatch, InconsistentWeights, NonPositiveFactor,
+                     RiccatiBlowup, SingularLimit, ZeroAlpha, ZeroDivisor,
+                     ZeroEigenvalue, ZeroLift)
+from .grid import OrbitGrid
 from .gridfn import GridFunction, joint_scale, max_abs_diff
-from .hilbert import (PearsonTriple, WeightedGrid, adjoint_shift, inner_product,
-                      norm, pearson_residual, weight_from_pearson, weighted_grid)
+from .hilbert import (PearsonTriple, WeightedGrid, adjoint_shift, norm,
+                      weight_from_pearson, weighted_grid)
 
 _ZERO_TOL = 1e-280
 
@@ -113,18 +112,15 @@ def apply_A(level: ChainLevel, psi: GridFunction) -> GridFunction:
     """The lowering operator: h * d_tau(psi) + f * psi."""
     if psi.grid is not level.grid:
         raise GridMismatch("function lives on a different grid")
-    vals, valid = [], []
-    for br, pv, pm, hv, hm, fv, fm in zip(
-            level.grid.branches, psi.values, psi.valid, level.h.values,
-            level.h.valid, level.f.values, level.f.valid):
-        out = np.zeros(len(br), dtype=complex)
-        d = br.deltas
-        out[:-1] = (hv[:-1] / d + fv[:-1]) * pv[:-1] - (hv[:-1] / d) * pv[1:]
-        mask = np.zeros(len(br), dtype=bool)
-        mask[:-1] = pm[:-1] & pm[1:] & hm[:-1] & fm[:-1]
-        vals.append(out)
-        valid.append(mask)
-    return GridFunction(level.grid, tuple(vals), tuple(valid), label="A psi")
+    grid = level.grid
+    n = np.flatnonzero(grid.has_next)
+    p, pm = psi.flat, psi.flat_valid
+    h_d = level.h.flat[n] / grid.deltas[n]
+    out = np.zeros(grid.size, dtype=complex)
+    mask = np.zeros(grid.size, dtype=bool)
+    out[n] = (h_d + level.f.flat[n]) * p[n] - h_d * p[n + 1]
+    mask[n] = pm[n] & pm[n + 1] & level.h.flat_valid[n] & level.f.flat_valid[n]
+    return GridFunction(grid, out, mask, label="A psi")
 
 
 def apply_Astar(level: ChainLevel, psi: GridFunction) -> GridFunction:
@@ -136,19 +132,9 @@ def apply_Astar(level: ChainLevel, psi: GridFunction) -> GridFunction:
     """
     if psi.grid is not level.grid:
         raise GridMismatch("function lives on a different grid")
-    vals, valid = [], []
-    for br, pv, pm, hv, hm, ev, em in zip(
-            level.grid.branches, psi.values, psi.valid, level.h.values,
-            level.h.valid, level.eta.values, level.eta.valid):
-        core = np.zeros(len(br), dtype=complex)
-        core[:-1] = ev[:-1] * hv[:-1] * pv[:-1] / br.deltas
-        cm = np.zeros(len(br), dtype=bool)
-        cm[:-1] = em[:-1] & hm[:-1] & pm[:-1]
-        vals.append(core)
-        valid.append(cm)
-    core_fn = GridFunction(level.grid, tuple(vals), tuple(valid))
-    return (level.eta * level.f * psi + core_fn
-            - adjoint_shift(core_fn, level.w))
+    core = step_quotient(level.eta * level.h * psi)
+    return (level.eta * level.f * psi + core
+            - adjoint_shift(core, level.w))
 
 
 def advance_level(level: ChainLevel, h_next: GridFunction,
@@ -180,6 +166,35 @@ def advance_level(level: ChainLevel, h_next: GridFunction,
                       h=h_next, f=f_next, phi=phi_next)
 
 
+def _step_terms(level: ChainLevel, h_next: GridFunction, g: GridFunction,
+                d: complex):
+    """Both sides of the level-step consistency equation at interior points.
+
+    Returns ``(t1, t2, rhs, scale, ok)`` over the indices n with n-1 and
+    n+2 on the same branch: the equation reads t1 - t2 + c = rhs,
+    ``scale`` is the constituent-term magnitude max(1, |t1|, |t2|) and
+    ``ok`` marks the points where every input is valid.
+    """
+    grid = level.grid
+    n = np.flatnonzero(grid.neighbour_mask(-1) & grid.neighbour_mask(2))
+    dlt = grid.deltas
+    dn, dm1, dp1 = dlt[n], dlt[n - 1], dlt[n + 1]
+    Bv, ev, hv, h2v, pv, gv = (fn.flat for fn in (
+        level.B, level.eta, level.h, h_next, level.phi, g))
+    Bm, em, hm, h2m, pm, gm = (fn.flat_valid for fn in (
+        level.B, level.eta, level.h, h_next, level.phi, g))
+    t1 = d * gv[n] * Bv[n] * h2v[n - 1] ** 2 / (dn * dm1)
+    t2 = pv[n] ** 2 * ev[n]
+    rhs = (1.0 / (d * gv[n + 1])) * (
+        d * gv[n + 1] * Bv[n + 1] * hv[n] ** 2 / (dp1 * dn)
+        - pv[n + 1] ** 2 * ev[n + 1] * hv[n] ** 2 / h2v[n] ** 2)
+    ok = (Bm[n] & Bm[n + 1] & em[n] & em[n + 1] & hm[n]
+          & h2m[n - 1] & h2m[n] & pm[n] & pm[n + 1]
+          & gm[n] & gm[n + 1])
+    scale = np.maximum(1.0, np.maximum(np.abs(t1), np.abs(t2)))
+    return t1, t2, rhs, scale, ok
+
+
 def chain_equation_residual(level: ChainLevel, h_next: GridFunction,
                             g: GridFunction, c: complex, d: complex) -> float:
     """Pointwise residual of the consistency equation tying (g, h_next, c, d).
@@ -191,32 +206,11 @@ def chain_equation_residual(level: ChainLevel, h_next: GridFunction,
     its own constituent-term magnitude (a global scale would mask real
     O(1) inconsistencies at moderate depths).
     """
-    worst = 0.0
-    for br, Bv, Bm, ev, em, hv, hm, h2v, h2m, pv, pm, gv, gm in zip(
-            level.grid.branches, level.B.values, level.B.valid,
-            level.eta.values, level.eta.valid, level.h.values, level.h.valid,
-            h_next.values, h_next.valid, level.phi.values, level.phi.valid,
-            g.values, g.valid):
-        n = len(br)
-        if n < 4:
-            continue
-        dlt = br.deltas
-        idx = np.arange(1, n - 2)
-        dn, dm1, dp1 = dlt[idx], dlt[idx - 1], dlt[idx + 1]
-        t1 = d * gv[idx] * Bv[idx] * h2v[idx - 1] ** 2 / (dn * dm1)
-        t2 = pv[idx] ** 2 * ev[idx]
-        lhs = t1 - t2 + c
-        rhs = (1.0 / (d * gv[idx + 1])) * (
-            d * gv[idx + 1] * Bv[idx + 1] * hv[idx] ** 2 / (dp1 * dn)
-            - pv[idx + 1] ** 2 * ev[idx + 1] * hv[idx] ** 2 / h2v[idx] ** 2)
-        ok = (Bm[idx] & Bm[idx + 1] & em[idx] & em[idx + 1] & hm[idx]
-              & h2m[idx - 1] & h2m[idx] & pm[idx] & pm[idx + 1]
-              & gm[idx] & gm[idx + 1])
-        if ok.any():
-            point_scale = np.maximum(1.0, np.maximum(np.abs(t1), np.abs(t2)))
-            worst = max(worst, float(np.max(
-                np.abs(lhs[ok] - rhs[ok]) / point_scale[ok])))
-    return worst
+    t1, t2, rhs, scale, ok = _step_terms(level, h_next, g, d)
+    if not ok.any():
+        return 0.0
+    lhs = t1 - t2 + c
+    return float(np.max(np.abs(lhs[ok] - rhs[ok]) / scale[ok]))
 
 
 def solve_step_constant(level: ChainLevel, h_next: GridFunction,
@@ -229,33 +223,11 @@ def solve_step_constant(level: ChainLevel, h_next: GridFunction,
     do not agree to ``tol`` against the constituent-term magnitude
     (i.e. when no constant c can close the step).
     """
-    c_vals = []
-    scales = []
-    for br, Bv, Bm, ev, em, hv, hm, h2v, h2m, pv, pm, gv, gm in zip(
-            level.grid.branches, level.B.values, level.B.valid,
-            level.eta.values, level.eta.valid, level.h.values, level.h.valid,
-            h_next.values, h_next.valid, level.phi.values, level.phi.valid,
-            g.values, g.valid):
-        n = len(br)
-        if n < 4:
-            continue
-        dlt = br.deltas
-        idx = np.arange(1, n - 2)
-        dn, dm1, dp1 = dlt[idx], dlt[idx - 1], dlt[idx + 1]
-        t1 = d * gv[idx] * Bv[idx] * h2v[idx - 1] ** 2 / (dn * dm1)
-        t2 = pv[idx] ** 2 * ev[idx]
-        rhs = (1.0 / (d * gv[idx + 1])) * (
-            d * gv[idx + 1] * Bv[idx + 1] * hv[idx] ** 2 / (dp1 * dn)
-            - pv[idx + 1] ** 2 * ev[idx + 1] * hv[idx] ** 2 / h2v[idx] ** 2)
-        ok = (Bm[idx] & Bm[idx + 1] & em[idx] & em[idx + 1] & hm[idx]
-              & h2m[idx - 1] & h2m[idx] & pm[idx] & pm[idx + 1]
-              & gm[idx] & gm[idx + 1])
-        c_vals.append((rhs - t1 + t2)[ok])
-        scales.append(np.maximum(1.0, np.maximum(np.abs(t1), np.abs(t2)))[ok])
-    if not c_vals:
+    t1, t2, rhs, scale, ok = _step_terms(level, h_next, g, d)
+    if ok.size == 0:
         raise GridMismatch("orbit too short to determine the step constant")
-    cs = np.concatenate(c_vals)
-    sc = np.concatenate(scales)
+    cs = (rhs - t1 + t2)[ok]
+    sc = scale[ok]
     # Toward the orbit limit the constituent terms grow like 1/delta^2
     # and an O(1) constant becomes numerically invisible there, so the
     # estimate is taken from the best-conditioned points only; the
@@ -269,61 +241,58 @@ def solve_step_constant(level: ChainLevel, h_next: GridFunction,
     return c
 
 
-def _bands_AstarA(level: ChainLevel):
-    """Per-branch (sub, diag, super) of A*A from the closed band formulas."""
-    out = []
-    for br, Bv, ev, hv, pv in zip(level.grid.branches, level.B.values,
-                                  level.eta.values, level.h.values,
-                                  level.phi.values):
-        n = len(br)
-        d = br.deltas
-        diag = np.zeros(n, dtype=complex)
-        sup = np.zeros(n, dtype=complex)
-        sub = np.zeros(n, dtype=complex)
-        diag[:-1] = ev[:-1] * pv[:-1] ** 2
-        diag[1:-1] += Bv[1:-1] * hv[:-2] ** 2 / (d[1:] * d[:-1])
-        sup[:-1] = -ev[:-1] * pv[:-1] * hv[:-1] / d
-        sub[1:-1] = -Bv[1:-1] * hv[:-2] * pv[:-2] / d[1:]
-        out.append((sub, diag, sup))
-    return out
+def bands_AstarA(level: ChainLevel):
+    """Flat (sub, diag, super) bands of A*A from the closed band formulas."""
+    grid = level.grid
+    Bv, ev, hv, pv = (fn.flat for fn in (level.B, level.eta, level.h, level.phi))
+    d = grid.deltas
+    n = np.flatnonzero(grid.has_next)
+    m = np.flatnonzero(grid.interior())
+    diag = np.zeros(grid.size, dtype=complex)
+    sup = np.zeros(grid.size, dtype=complex)
+    sub = np.zeros(grid.size, dtype=complex)
+    diag[n] = ev[n] * pv[n] ** 2
+    diag[m] += Bv[m] * hv[m - 1] ** 2 / (d[m] * d[m - 1])
+    sup[n] = -ev[n] * pv[n] * hv[n] / d[n]
+    sub[m] = -Bv[m] * hv[m - 1] * pv[m - 1] / d[m]
+    return sub, diag, sup
 
 
-def _bands_AAstar(level: ChainLevel):
-    """Per-branch (sub, diag, super) of A A* from the closed band formulas."""
-    out = []
-    for br, Bv, ev, hv, pv in zip(level.grid.branches, level.B.values,
-                                  level.eta.values, level.h.values,
-                                  level.phi.values):
-        n = len(br)
-        d = br.deltas
-        diag = np.zeros(n, dtype=complex)
-        sup = np.zeros(n, dtype=complex)
-        sub = np.zeros(n, dtype=complex)
-        diag[:-2] = (pv[:-2] ** 2 * ev[:-2]
-                     + hv[:-2] ** 2 * Bv[1:-1] / (d[:-1] * d[1:]))
-        sup[:-2] = -(hv[:-2] / d[:-1]) * ev[1:-1] * pv[1:-1]
-        sub[1:-1] = -pv[1:-1] * hv[:-2] * Bv[1:-1] / d[1:]
-        out.append((sub, diag, sup))
-    return out
+def bands_AAstar(level: ChainLevel):
+    """Flat (sub, diag, super) bands of A A* from the closed band formulas."""
+    grid = level.grid
+    Bv, ev, hv, pv = (fn.flat for fn in (level.B, level.eta, level.h, level.phi))
+    d = grid.deltas
+    n = np.flatnonzero(grid.neighbour_mask(2))
+    m = np.flatnonzero(grid.interior())
+    diag = np.zeros(grid.size, dtype=complex)
+    sup = np.zeros(grid.size, dtype=complex)
+    sub = np.zeros(grid.size, dtype=complex)
+    diag[n] = pv[n] ** 2 * ev[n] + hv[n] ** 2 * Bv[n + 1] / (d[n] * d[n + 1])
+    sup[n] = -(hv[n] / d[n]) * ev[n + 1] * pv[n + 1]
+    sub[m] = -pv[m] * hv[m - 1] * Bv[m] / d[m]
+    return sub, diag, sup
 
 
-def _tridiag_apply(bands, psi: GridFunction, margin: int = 2) -> GridFunction:
-    vals, valid = [], []
-    for (sub, diag, sup), br, pv, pm in zip(bands, psi.grid.branches,
-                                            psi.values, psi.valid):
-        n = len(br)
-        out = np.zeros(n, dtype=complex)
-        out += diag * pv
-        out[:-1] += sup[:-1] * pv[1:]
-        out[1:] += sub[1:] * pv[:-1]
-        mask = np.zeros(n, dtype=bool)
-        inner = pm.copy()
-        inner[:-1] &= pm[1:]
-        inner[1:] &= pm[:-1]
-        mask[margin:n - margin] = inner[margin:n - margin]
-        vals.append(out)
-        valid.append(mask)
-    return GridFunction(psi.grid, tuple(vals), tuple(valid))
+def tridiag_apply(bands, psi: GridFunction, margin: int = 2) -> GridFunction:
+    """Apply flat (sub, diag, super) bands to psi within each branch.
+
+    The result is valid where psi and its branch neighbours are, at
+    least ``margin`` indices away from both branch ends.
+    """
+    sub, diag, sup = bands
+    grid = psi.grid
+    p, pm = psi.flat, psi.flat_valid
+    n = np.flatnonzero(grid.has_next)
+    m = np.flatnonzero(grid.neighbour_mask(-1))
+    out = np.zeros(grid.size, dtype=complex)
+    out += diag * p
+    out[n] += sup[n] * p[n + 1]
+    out[m] += sub[m] * p[m - 1]
+    inner = pm.copy()
+    inner[n] &= pm[n + 1]
+    inner[m] &= pm[m - 1]
+    return GridFunction(grid, out, inner & grid.interior(margin))
 
 
 def factorization_residual(level: ChainLevel, level_next: ChainLevel,
@@ -338,17 +307,16 @@ def factorization_residual(level: ChainLevel, level_next: ChainLevel,
         raise ValueError("need probes >= 1")
     rng = np.random.default_rng(rng)
     c, d = level.c, level.d
-    bands_lhs = _bands_AAstar(level)
-    bands_rhs = _bands_AstarA(level_next)
+    bands_lhs = bands_AAstar(level)
+    bands_rhs = bands_AstarA(level_next)
     worst = 0.0
     for _ in range(probes):
-        psi = GridFunction(level.grid, tuple(
-            rng.standard_normal(len(b)) + 0j for b in level.grid.branches))
-        psi = psi.window(5)
+        psi = GridFunction(level.grid,
+                           rng.standard_normal(level.grid.size) + 0j).window(5)
         lhs_op = apply_A(level, apply_Astar(level, psi))
         rhs_op = d * apply_Astar(level_next, apply_A(level_next, psi)) + c * psi
-        lhs_bd = _tridiag_apply(bands_lhs, psi)
-        rhs_bd = _tridiag_apply(bands_rhs, psi) * d + c * psi
+        lhs_bd = tridiag_apply(bands_lhs, psi)
+        rhs_bd = tridiag_apply(bands_rhs, psi) * d + c * psi
         scale = joint_scale(lhs_op, rhs_op)
         worst = max(worst,
                     max_abs_diff(lhs_op, rhs_op) / scale,
@@ -360,29 +328,20 @@ def factorization_residual(level: ChainLevel, level_next: ChainLevel,
 
 def to_coefficients(level: ChainLevel, value: complex = 0.0) -> CoefficientTriple:
     """Expand A*A into the three-point form alpha T + beta + gamma T^-1."""
-    bands = _bands_AstarA(level)
-    a_vals, b_vals, g_vals = [], [], []
-    a_valid, b_valid, g_valid = [], [], []
-    for (sub, diag, sup), br, mB, me, mh, mp in zip(
-            bands, level.grid.branches, level.B.valid, level.eta.valid,
-            level.h.valid, level.phi.valid):
-        n = len(br)
-        interior = np.zeros(n, dtype=bool)
-        interior[1:-1] = (mB[1:-1] & me[1:-1] & mh[1:-1] & mh[:-2]
-                          & mp[1:-1] & mp[:-2])
-        edge = np.zeros(n, dtype=bool)
-        edge[:-1] = me[:-1] & mp[:-1] & mh[:-1]
-        a_vals.append(sup)
-        a_valid.append(edge)
-        b_vals.append(diag)
-        b_valid.append(interior)
-        g_vals.append(sub)
-        g_valid.append(interior)
+    sub, diag, sup = bands_AstarA(level)
     grid = level.grid
+    mB, me, mh, mp = (fn.flat_valid for fn in (level.B, level.eta, level.h,
+                                               level.phi))
+    n = np.flatnonzero(grid.has_next)
+    m = np.flatnonzero(grid.interior())
+    interior = np.zeros(grid.size, dtype=bool)
+    interior[m] = mB[m] & me[m] & mh[m] & mh[m - 1] & mp[m] & mp[m - 1]
+    edge = np.zeros(grid.size, dtype=bool)
+    edge[n] = me[n] & mp[n] & mh[n]
     return CoefficientTriple(
-        alpha=GridFunction(grid, tuple(a_vals), tuple(a_valid), label="alpha"),
-        beta=GridFunction(grid, tuple(b_vals), tuple(b_valid), label="beta"),
-        gamma=GridFunction(grid, tuple(g_vals), tuple(g_valid), label="gamma"),
+        alpha=GridFunction(grid, sup, edge, label="alpha"),
+        beta=GridFunction(grid, diag, interior, label="beta"),
+        gamma=GridFunction(grid, sub, interior, label="gamma"),
         value=value)
 
 
@@ -411,18 +370,16 @@ def from_coefficients(coef: CoefficientTriple, h0: GridFunction,
         seeds = [complex(s) for s in seed]
         if len(seeds) != len(grid.branches):
             raise GridMismatch("need one ratio seed per grid branch")
-    r_vals, r_valid = [], []
-    for br, seed_i, av, am, bv, bm, gv, gm in zip(
-            grid.branches, seeds, coef.alpha.values, coef.alpha.valid,
-            coef.beta.values, coef.beta.valid, coef.gamma.values,
-            coef.gamma.valid):
-        n = len(br)
-        d = br.deltas
-        r = np.zeros(n, dtype=complex)
-        mask = np.zeros(n, dtype=bool)
-        r[0] = seed_i
-        mask[0] = True
-        for j in range(0, n - 2):
+    av, am = coef.alpha.flat, coef.alpha.flat_valid
+    bv, bm = coef.beta.flat, coef.beta.flat_valid
+    gv, gm = coef.gamma.flat, coef.gamma.flat_valid
+    d = grid.deltas
+    r = np.zeros(grid.size, dtype=complex)
+    mask = np.zeros(grid.size, dtype=bool)
+    for s, seed_i in zip(grid.slices, seeds):
+        r[s.start] = seed_i
+        mask[s.start] = True
+        for j in range(s.start, s.stop - 2):
             if not (mask[j] and am[j + 1] and bm[j + 1] and gm[j + 1]):
                 continue
             if abs(av[j + 1]) < _ZERO_TOL:
@@ -430,33 +387,23 @@ def from_coefficients(coef: CoefficientTriple, h0: GridFunction,
             den = r[j] * av[j + 1] * d[j + 1]
             num = -gv[j + 1] / d[j] - r[j] * bv[j + 1]
             if abs(den) < _ZERO_TOL * max(1.0, abs(num)):
-                raise RiccatiBlowup(
-                    f"ratio recursion denominator vanished at index {j + 1}")
+                raise RiccatiBlowup("ratio recursion denominator vanished at "
+                                    f"index {j + 1 - s.start}")
             r[j + 1] = num / den
             mask[j + 1] = True
-        r_vals.append(r)
-        r_valid.append(mask)
-    r_fn = GridFunction(grid, tuple(r_vals), tuple(r_valid), label="phi0/h0")
+    r_fn = GridFunction(grid, r, mask, label="phi0/h0")
     phi0 = r_fn * h0
     dlt = deltas_fn(grid)
     f0 = phi0 - h0 / dlt
     eta0 = -(dlt * coef.alpha) / (phi0 * h0)
     # B_0[n] = delta_n delta_{n-1} / h0[n-1]^2 * (beta[n] + delta_n alpha[n] r[n])
-    B_vals, B_valid = [], []
-    for br, bv, bm, av, am, rv, rm, hv, hm in zip(
-            grid.branches, coef.beta.values, coef.beta.valid,
-            coef.alpha.values, coef.alpha.valid, r_fn.values, r_fn.valid,
-            h0.values, h0.valid):
-        n = len(br)
-        d = br.deltas
-        B = np.zeros(n, dtype=complex)
-        mask = np.zeros(n, dtype=bool)
-        B[1:-1] = (d[1:] * d[:-1] / hv[:-2] ** 2
-                   * (bv[1:-1] + d[1:] * av[1:-1] * rv[1:-1]))
-        mask[1:-1] = bm[1:-1] & am[1:-1] & rm[1:-1] & hm[:-2]
-        B_vals.append(B)
-        B_valid.append(mask)
-    B0 = GridFunction(grid, tuple(B_vals), tuple(B_valid), label="B0")
+    hv, hm = h0.flat, h0.flat_valid
+    n = np.flatnonzero(grid.interior())
+    B = np.zeros(grid.size, dtype=complex)
+    B_mask = np.zeros(grid.size, dtype=bool)
+    B[n] = d[n] * d[n - 1] / hv[n - 1] ** 2 * (bv[n] + d[n] * av[n] * r[n])
+    B_mask[n] = bm[n] & am[n] & mask[n] & hm[n - 1]
+    B0 = GridFunction(grid, B, B_mask, label="B0")
     return make_level(grid, B0, eta0, h0, f0, base_value=base_value)
 
 
@@ -497,15 +444,13 @@ def eigen_residual(level: ChainLevel, pair: EigenPair) -> float:
     psi_max = pair.psi.max_abs()
     if psi_max == 0.0:
         raise ZeroDivisor("zero eigenfunction")
-    bands = _bands_AstarA(level)
-    worst = 0.0
-    for (sub, diag, sup), v, m in zip(bands, res.values, res.valid):
-        if not m.any():
-            continue
-        rowscale = (np.abs(sub) + np.abs(diag) + np.abs(sup)
-                    + abs(pair.value) + 1.0)
-        worst = max(worst, float(np.max(np.abs(v[m]) / rowscale[m])))
-    return worst / psi_max
+    m = res.flat_valid
+    if not m.any():
+        return 0.0
+    sub, diag, sup = bands_AstarA(level)
+    rowscale = (np.abs(sub) + np.abs(diag) + np.abs(sup)
+                + abs(pair.value) + 1.0)
+    return float(np.max(np.abs(res.flat[m]) / rowscale[m])) / psi_max
 
 
 def eigen_residual_norm(level: ChainLevel, pair: EigenPair,
@@ -527,14 +472,16 @@ def eigen_residual_norm(level: ChainLevel, pair: EigenPair,
     return norm(res, level.w) / denom
 
 
-def _edge_value(fn: GridFunction, i: int) -> float:
-    """Value at the last branch point, falling back to the deepest valid one."""
-    v, m = fn.values[i], fn.valid[i]
-    if m[-1]:
-        return float(v[-1].real)
-    if not m.any():
+def _edge_values(fn: GridFunction) -> np.ndarray:
+    """Real value at the last point of each branch, falling back to the
+    deepest valid one."""
+    grid = fn.grid
+    idx = np.arange(grid.size)
+    deepest = np.maximum.accumulate(np.where(fn.flat_valid, idx, -1))
+    pick = deepest[~grid.has_next]
+    if np.any(pick < [s.start for s in grid.slices]):
         raise GridMismatch("no valid values on a branch")
-    return float(v[m][-1].real)
+    return fn.flat[pick].real
 
 
 def _assemble_factor(level: ChainLevel):
@@ -549,61 +496,37 @@ def _assemble_factor(level: ChainLevel):
     the two branches of an interval grid, which is what selects the
     interval spectrum rather than two decoupled half-orbit spectra.
     """
-    tau = level.grid.tau
-    sizes = [len(br) for br in level.grid.branches]
-    total = sum(sizes)
+    grid = level.grid
+    total = grid.size
+    ends = np.flatnonzero(~grid.has_next)
+    d = grid.deltas.copy()
+    d[ends] = [x - grid.tau.forward(x) for x in grid.points[ends]]
+    underflow = ends[d[ends] == 0.0]
+    d[underflow] = d[underflow - 1]
+    rv = level.w.rho.flat.real.copy()
+    ev = level.eta.flat.real.copy()
+    hv = level.h.flat.real.copy()
+    pv = level.phi.flat.real.copy()
+    ev[ends] = _edge_values(level.eta)
+    hv[ends] = _edge_values(level.h)
+    pv[ends] = _edge_values(level.f) + hv[ends] / d[ends]
+    w1 = grid.measure_sign * d * ev * rv
+    w0 = grid.measure_sign * d * rv
+    if np.any(w1 < 0) or np.any(w0 <= 0):
+        raise NonPositiveFactor("eigen-solve needs positive branch weights")
+    sq1 = np.sqrt(w1)
     G_full = np.zeros((total, total + 1))
-    w0_all = np.zeros(total)
-    off = 0
-    for i, br in enumerate(level.grid.branches):
-        P = len(br)
-        d = np.empty(P)
-        d[:P - 1] = br.deltas
-        d[P - 1] = br.points[-1] - tau.forward(br.points[-1])
-        if d[P - 1] == 0.0:
-            d[P - 1] = d[P - 2]
-        sign = -1.0 if br.role == "a" else 1.0  # subtracted branch measure
-        rv = level.w.rho.values[i].real.copy()
-        ev = level.eta.values[i].real.copy()
-        hv = level.h.values[i].real.copy()
-        if not level.eta.valid[i][-1]:
-            ev[-1] = _edge_value(level.eta, i)
-        if not level.h.valid[i][-1]:
-            hv[-1] = _edge_value(level.h, i)
-        fv_last = _edge_value(level.f, i)
-        pv = level.phi.values[i].real.copy()
-        pv[-1] = fv_last + hv[-1] / d[-1]
-        w1 = sign * d * ev * rv
-        w0 = sign * d * rv
-        if np.any(w1 < 0) or np.any(w0 <= 0):
-            raise NonPositiveFactor("eigen-solve needs positive branch weights")
-        sq1 = np.sqrt(w1)
-        idx = np.arange(P)
-        G_full[off + idx, off + idx] = sq1 * pv
-        G_full[off + idx[:-1], off + idx[:-1] + 1] = -sq1[:-1] * hv[:-1] / d[:-1]
-        G_full[off + P - 1, total] = -sq1[P - 1] * hv[P - 1] / d[P - 1]
-        w0_all[off:off + P] = w0
-        off += P
+    idx = np.arange(total)
+    n = np.flatnonzero(grid.has_next)
+    G_full[idx, idx] = sq1 * pv
+    G_full[n, n + 1] = -sq1[n] * hv[n] / d[n]
+    G_full[ends, total] = -sq1[ends] * hv[ends] / d[ends]
     g_col = G_full[:, total]
-    G_psi = G_full[:, :total] / np.sqrt(w0_all)[None, :]
+    G_psi = G_full[:, :total] / np.sqrt(w0)[None, :]
     gg = float(g_col @ g_col)
     if gg > 0.0:
         G_psi = G_psi - np.outer(g_col, (g_col @ G_psi) / gg)
-    return G_psi, w0_all
-
-
-def hamiltonian_matrix(level: ChainLevel, lambda_shift: complex = 0.0):
-    """The matrix of A*A (plus a shift) over concatenated branch indices.
-
-    Assembled as the exact product W0^-1 A^T W1 A of the bidiagonal
-    derivative factors, so self-adjointness with respect to the weighted
-    inner product is preserved to rounding.
-    """
-    G, w0 = _assemble_factor(level)
-    S = G.T @ G
-    # M = W0^(-1/2) S W0^(1/2) is the matrix in function coordinates.
-    M = S / np.sqrt(w0)[:, None] * np.sqrt(w0)[None, :]
-    return scipy.sparse.csr_matrix(M + lambda_shift * np.eye(len(w0)))
+    return G_psi, w0
 
 
 def chain_eigenvalues(level: ChainLevel, count: int | None = None) -> np.ndarray:
@@ -641,69 +564,54 @@ def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0,
     if level.c != 0:
         raise GridMismatch("closed-form gauge solution needs c = 0")
     grid = level.grid
-    xi_vals, xi_valid = [], []
-    for br, Bv, Bm, pv, pm, ev, em in zip(
-            grid.branches, level.B.values, level.B.valid, level.phi.values,
-            level.phi.valid, level.eta.values, level.eta.valid):
-        n = len(br)
-        dlt = br.deltas
-        xi = np.zeros(n, dtype=complex)
-        mask = np.zeros(n, dtype=bool)
-        xi[0] = xi0
-        mask[0] = True
-        for j in range(n - 2):
+    dlt = grid.deltas
+    Bv, pv, ev = level.B.flat, level.phi.flat, level.eta.flat
+    Bm, pm, em = level.B.flat_valid, level.phi.flat_valid, level.eta.flat_valid
+    xi = np.zeros(grid.size, dtype=complex)
+    mask = np.zeros(grid.size, dtype=bool)
+    for s in grid.slices:
+        xi[s.start] = xi0
+        mask[s.start] = True
+        for j in range(s.start, s.stop - 2):
             if not (mask[j] and Bm[j + 1] and pm[j + 1] and em[j + 1]):
                 continue
             step = Bv[j + 1] / (dlt[j] * dlt[j + 1])
             den = xi[j] + step
             if abs(den) < 1e-13 * max(abs(xi[j]), abs(step), 1.0):
-                raise ZeroDivisor(
-                    f"integration constant hits a pole at index {j + 1}")
+                raise ZeroDivisor("integration constant hits a pole at "
+                                  f"index {j + 1 - s.start}")
             xi[j + 1] = xi[j] * pv[j + 1] ** 2 * ev[j + 1] / den
             mask[j + 1] = True
-        if mask.sum() < 4:
+        if mask[s].sum() < 4:
             raise SingularLimit("orbit too short for the gauge solution")
-        xi_vals.append(xi)
-        xi_valid.append(mask)
-    xi_fn = GridFunction(grid, tuple(xi_vals), tuple(xi_valid), label="xi")
+    xi_fn = GridFunction(grid, xi, mask, label="xi")
     _check_xi_recursion(level, xi_fn, tol=tail_tol)
     # g = (phi^2 eta - xi) (id-tau)(tau^-1 - id) / (d B)
-    g_vals, g_valid = [], []
-    for br, Bv, Bm, pv, ev, xv, xm in zip(
-            grid.branches, level.B.values, level.B.valid, level.phi.values,
-            level.eta.values, xi_fn.values, xi_fn.valid):
-        n = len(br)
-        dlt = br.deltas
-        g = np.zeros(n, dtype=complex)
-        g[1:-1] = ((pv[1:-1] ** 2 * ev[1:-1] - xv[1:-1])
-                   * dlt[1:] * dlt[:-1] / (d * Bv[1:-1]))
-        mask = np.zeros(n, dtype=bool)
-        mask[1:-1] = xm[1:-1] & Bm[1:-1]
-        g_vals.append(g)
-        g_valid.append(mask)
-    g_fn = GridFunction(grid, tuple(g_vals), tuple(g_valid), label="g")
-    return xi_fn, g_fn
+    n = np.flatnonzero(grid.interior())
+    g = np.zeros(grid.size, dtype=complex)
+    g_mask = np.zeros(grid.size, dtype=bool)
+    g[n] = (pv[n] ** 2 * ev[n] - xi[n]) * dlt[n] * dlt[n - 1] / (d * Bv[n])
+    g_mask[n] = mask[n] & Bm[n]
+    return xi_fn, GridFunction(grid, g, g_mask, label="g")
 
 
 def _check_xi_recursion(level: ChainLevel, xi_fn: GridFunction,
                         tol: float = 1e-8) -> None:
-    worst = 0.0
-    scale = 1.0
-    for br, Bv, pv, ev, xv, xm in zip(
-            level.grid.branches, level.B.values, level.phi.values,
-            level.eta.values, xi_fn.values, xi_fn.valid):
-        n = len(br)
-        dlt = br.deltas
-        idx = np.arange(n - 2)
-        ok = xm[idx] & xm[idx + 1]
-        ae = pv[idx + 1] ** 2 * ev[idx + 1]
-        # masked slots may hold 0/0; they are excluded by ``ok`` below
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rhs = (Bv[idx + 1] / (dlt[idx + 1] * dlt[idx])) * xv[idx + 1] / (
-                ae - xv[idx + 1])
-        if ok.any():
-            worst = max(worst, float(np.max(np.abs(xv[idx] - rhs)[ok])))
-            scale = max(scale, float(np.max(np.abs(xv[idx][ok]))))
+    grid = level.grid
+    dlt = grid.deltas
+    Bv, pv, ev = level.B.flat, level.phi.flat, level.eta.flat
+    xv, xm = xi_fn.flat, xi_fn.flat_valid
+    n = np.flatnonzero(grid.neighbour_mask(2))
+    ok = xm[n] & xm[n + 1]
+    if not ok.any():
+        return
+    ae = pv[n + 1] ** 2 * ev[n + 1]
+    # masked slots may hold 0/0; they are excluded by ``ok`` below
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rhs = (Bv[n + 1] / (dlt[n + 1] * dlt[n])) * xv[n + 1] / (
+            ae - xv[n + 1])
+    worst = float(np.max(np.abs(xv[n] - rhs)[ok]))
+    scale = max(1.0, float(np.max(np.abs(xv[n][ok]))))
     if worst / scale > tol:
         raise SingularLimit(
             f"closed-form xi violates its recursion: residual {worst / scale}")
@@ -712,9 +620,8 @@ def _check_xi_recursion(level: ChainLevel, xi_fn: GridFunction,
 __all__ = [
     "ChainLevel", "EigenPair", "CoefficientTriple", "make_level", "with_step",
     "apply_A", "apply_Astar", "advance_level", "chain_equation_residual",
-    "solve_step_constant",
+    "solve_step_constant", "bands_AstarA", "bands_AAstar", "tridiag_apply",
     "factorization_residual", "to_coefficients", "apply_coefficients",
     "from_coefficients", "lift", "descend", "eigen_residual",
-    "eigen_residual_norm", "hamiltonian_matrix", "chain_eigenvalues",
-    "particular_gauge_xi",
+    "eigen_residual_norm", "chain_eigenvalues", "particular_gauge_xi",
 ]

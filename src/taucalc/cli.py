@@ -133,7 +133,7 @@ def _build_grid(config: dict, depth_override: int | None):
 def _grid_fn(grid, expr: str, label: str) -> GridFunction:
     fn = parse_expression(expr)
     out = GridFunction.from_callable(grid, fn, label=label)
-    if not all(np.all(np.isfinite(v)) for v in out.values):
+    if not np.all(np.isfinite(out.flat)):
         raise ConfigError(
             f"expression for {label!r} is not finite on the grid")
     return out

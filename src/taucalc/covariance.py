@@ -103,31 +103,29 @@ def transport_grid(grid: OrbitGrid, ch: VariableChange,
     """
     if tau_new is None:
         tau_new = conjugate_map(grid.tau, ch)
-    branches = []
-    for br in grid.branches:
-        pts = np.array([ch.kappa(x) for x in br.points])
-        branches.append(OrbitBranch(points=pts, limit=float(ch.kappa(br.limit)),
-                                    role=br.role, base_index=br.base_index))
-    return OrbitGrid(tau_new, grid.mode, tuple(branches), grid.tol)
+    pts = np.array([ch.kappa(x) for x in grid.points])
+    branches = tuple(OrbitBranch(points=pts[s], limit=float(ch.kappa(br.limit)),
+                                 role=br.role, base_index=br.base_index)
+                     for br, s in zip(grid.branches, grid.slices))
+    return OrbitGrid(tau_new, grid.mode, branches, grid.tol)
 
 
 def _check_correspondence(source: OrbitGrid, ch: VariableChange,
                           target: OrbitGrid) -> None:
     if len(source.branches) != len(target.branches):
         raise GridMismatch("branch counts differ")
-    for sb, tb in zip(source.branches, target.branches):
-        if len(sb) != len(tb):
-            raise GridMismatch("branch lengths differ")
-        img = np.array([ch.kappa(x) for x in sb.points])
-        if np.max(np.abs(img - tb.points) / (1.0 + np.abs(img))) > 1e-12:
-            raise GridMismatch("target grid is not the kappa-image of the source")
+    if source.slices != target.slices:
+        raise GridMismatch("branch lengths differ")
+    img = np.array([ch.kappa(x) for x in source.points])
+    if np.max(np.abs(img - target.points) / (1.0 + np.abs(img))) > 1e-12:
+        raise GridMismatch("target grid is not the kappa-image of the source")
 
 
 def transport_function(f: GridFunction, ch: VariableChange,
                        target_grid: OrbitGrid) -> GridFunction:
     """Carry values across: (K f)(y) = f(kappa^{-1} y), index-aligned."""
     _check_correspondence(f.grid, ch, target_grid)
-    return GridFunction(target_grid, f.values, f.valid, f.label)
+    return GridFunction(target_grid, f.flat, f.flat_valid, f.label)
 
 
 transport_solution = transport_function
@@ -139,16 +137,10 @@ def _delta_ratio(source: OrbitGrid, target: OrbitGrid) -> GridFunction:
     This is the grid sampling of the derivative of kappa^{-1} along the
     image orbit, d_tau~ kappa^{-1}(y_n).
     """
-    vals, valid = [], []
-    for sb, tb in zip(source.branches, target.branches):
-        n = len(sb)
-        out = np.ones(n, dtype=complex)
-        out[:-1] = sb.deltas / tb.deltas
-        m = np.ones(n, dtype=bool)
-        m[-1] = False
-        vals.append(out)
-        valid.append(m)
-    return GridFunction(target, tuple(vals), tuple(valid), label="dx/dy")
+    n = np.flatnonzero(target.has_next)
+    out = np.ones(target.size, dtype=complex)
+    out[n] = source.deltas[n] / target.deltas[n]
+    return GridFunction(target, out, target.has_next, label="dx/dy")
 
 
 def transport_level(level: ChainLevel, ch: VariableChange,
@@ -165,25 +157,19 @@ def transport_level(level: ChainLevel, ch: VariableChange,
     r = _delta_ratio(level.grid, target_grid)
 
     def carry(f: GridFunction) -> GridFunction:
-        return GridFunction(target_grid, f.values, f.valid, f.label)
+        return GridFunction(target_grid, f.flat, f.flat_valid, f.label)
 
     eta_t = carry(level.eta)
     f_t = carry(level.f)
     h_t = carry(level.h) / r
     # B~[n] = B[n] * (dx_{n-1}/dy_{n-1}) / (dx_n/dy_n)
-    B_vals, B_valid = [], []
-    for i, (sb, tb) in enumerate(zip(level.grid.branches, target_grid.branches)):
-        n = len(sb)
-        Bv = level.B.values[i]
-        Bm = level.B.valid[i]
-        rv = r.values[i]
-        out = np.zeros(n, dtype=complex)
-        out[1:] = Bv[1:] * rv[:-1] / rv[1:]
-        m = np.zeros(n, dtype=bool)
-        m[1:] = Bm[1:] & r.valid[i][:-1] & r.valid[i][1:]
-        B_vals.append(out)
-        B_valid.append(m)
-    B_t = GridFunction(target_grid, tuple(B_vals), tuple(B_valid), label="B")
+    n = np.flatnonzero(target_grid.neighbour_mask(-1))
+    rv, rm = r.flat, r.flat_valid
+    B = np.zeros(target_grid.size, dtype=complex)
+    B_mask = np.zeros(target_grid.size, dtype=bool)
+    B[n] = level.B.flat[n] * rv[n - 1] / rv[n]
+    B_mask[n] = level.B.flat_valid[n] & rm[n - 1] & rm[n]
+    B_t = GridFunction(target_grid, B, B_mask, label="B")
     out = make_level(target_grid, B_t, eta_t, h_t, f_t, k=level.k)
     if level.g is not None:
         out = with_step(out, g=carry(level.g), c=level.c, d=level.d)
@@ -195,7 +181,7 @@ def transport_weight(rho: GridFunction, ch: VariableChange,
     """rho~ = (dx/dy) * (rho o kappa^{-1}) on the image grid."""
     _check_correspondence(rho.grid, ch, target_grid)
     r = _delta_ratio(rho.grid, target_grid)
-    return GridFunction(target_grid, rho.values, rho.valid, rho.label) * r
+    return GridFunction(target_grid, rho.flat, rho.flat_valid, rho.label) * r
 
 
 def equivalence_obstruction(map_a: TauMap, map_b: TauMap,

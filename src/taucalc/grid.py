@@ -12,7 +12,7 @@ Three modes are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -58,12 +58,42 @@ class OrbitBranch:
 
 @dataclass(frozen=True, eq=False)
 class OrbitGrid:
-    """One or two truncated orbits of a bijection, plus the shared limit."""
+    """One or two truncated orbits of a bijection, plus the shared limit.
+
+    The points of all branches are stored once, concatenated in branch
+    order: ``points`` and ``deltas`` are flat arrays, ``slices[i]`` picks
+    branch ``i`` out of them, and each ``branches[i].points`` is a
+    read-only view of its slice.  ``deltas[n]`` is x_n - x_{n+1} where
+    ``has_next[n]`` holds and 0 at the last index of each branch.
+    """
 
     tau: TauMap
     mode: str
     branches: tuple[OrbitBranch, ...]
     tol: float
+    points: np.ndarray = field(init=False, repr=False)
+    deltas: np.ndarray = field(init=False, repr=False)
+    has_next: np.ndarray = field(init=False, repr=False)
+    slices: tuple[slice, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        points = np.concatenate([b.points for b in self.branches])
+        stops = np.cumsum([len(b) for b in self.branches]).tolist()
+        slices = tuple(slice(stop - len(b), stop)
+                       for b, stop in zip(self.branches, stops))
+        set_ = object.__setattr__
+        set_(self, "points", points)
+        set_(self, "slices", slices)
+        set_(self, "branches", tuple(replace(b, points=points[s])
+                                     for b, s in zip(self.branches, slices)))
+        has_next = self.neighbour_mask(1)
+        n = np.flatnonzero(has_next)
+        deltas = np.zeros(len(points))
+        deltas[n] = points[n] - points[n + 1]
+        for name, arr in (("points", points), ("has_next", has_next),
+                          ("deltas", deltas)):
+            arr.setflags(write=False)
+            set_(self, name, arr)
 
     @property
     def limit(self) -> float:
@@ -73,11 +103,66 @@ class OrbitGrid:
     def depth(self) -> int:
         return max(len(b) for b in self.branches)
 
+    @property
+    def size(self) -> int:
+        """Number of points over all branches."""
+        return len(self.points)
+
     def branch(self, role: str) -> OrbitBranch:
         for b in self.branches:
             if b.role == role:
                 return b
         raise KeyError(role)
+
+    def neighbour_mask(self, steps: int) -> np.ndarray:
+        """True at each flat index n whose neighbour n + steps is on n's branch.
+
+        This is the one place that decides where an orbit ends; shifts,
+        differences and band formulas take their masks from here, so a
+        value never leaks across the seam between two branches.
+        """
+        out = np.zeros(self.size, dtype=bool)
+        for s in self.slices:
+            lo, hi = s.start + max(0, -steps), s.stop - max(0, steps)
+            if hi > lo:
+                out[lo:hi] = True
+        return out
+
+    def interior(self, margin: int = 1) -> np.ndarray:
+        """True at indices at least ``margin`` steps from both branch ends."""
+        return self.neighbour_mask(-margin) & self.neighbour_mask(margin)
+
+    def per_point(self, per_branch) -> np.ndarray:
+        """Spread one value per branch over that branch's points."""
+        return np.repeat(np.asarray(per_branch),
+                         [s.stop - s.start for s in self.slices])
+
+    @property
+    def measure_sign(self) -> np.ndarray:
+        """-1 on the subtracted branch of an interval grid, +1 elsewhere."""
+        return self.per_point([-1.0 if b.role == "a" else 1.0
+                               for b in self.branches])
+
+    def branch_max(self, arr: np.ndarray) -> np.ndarray:
+        """Each point's value of the maximum of ``arr`` over its branch."""
+        return self.per_point(np.maximum.reduceat(
+            arr, [s.start for s in self.slices]))
+
+    def suffix_scan(self, ufunc: np.ufunc, arr: np.ndarray) -> np.ndarray:
+        """Segmented suffix scan: out[n] = arr[n] op arr[n+1] op ... op arr[end].
+
+        The scan runs tail-first within each branch (``np.add`` gives
+        suffix sums, ``np.multiply`` suffix products, ``np.logical_and``
+        the mask of points with every deeper point set).  Like
+        ``np.cumsum(arr[::-1])[::-1]`` the result is a reversed view.
+        """
+        rev = arr[::-1]
+        out = np.empty_like(rev)
+        n = len(arr)
+        for s in self.slices:
+            seg = slice(n - s.stop, n - s.start)
+            ufunc.accumulate(rev[seg], out=out[seg])
+        return out[::-1]
 
 
 def _forward_orbit(tau: TauMap, base: float, limit: float, delta_tol: float,

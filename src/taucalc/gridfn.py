@@ -2,13 +2,16 @@
 
 Shifting and differencing consume indices at the truncated end of an
 orbit; instead of padding with zeros, every operation carries a boolean
-validity mask per branch and shrinks it.  Arithmetic is pointwise and
-only allowed between functions living on the same grid object.
+validity mask and shrinks it.  Values and mask are stored flat over the
+concatenated branches of the grid, so an operator is one whole-array
+expression; ``values`` and ``valid`` are read-only per-branch views of
+that storage.  Arithmetic is pointwise and only allowed between
+functions living on the same grid object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
 from numbers import Number
 from typing import Callable
 
@@ -18,83 +21,83 @@ from .errors import GridMismatch
 from .grid import OrbitGrid
 
 
-def _as_value_arrays(grid: OrbitGrid, values) -> tuple[np.ndarray, ...]:
-    if isinstance(values, (list, tuple)) and len(values) == len(grid.branches):
-        out = tuple(np.asarray(v, dtype=complex) for v in values)
-    else:
-        if len(grid.branches) != 1:
-            raise GridMismatch("need one value array per grid branch")
-        out = (np.asarray(values, dtype=complex),)
-    for arr, br in zip(out, grid.branches):
-        if arr.shape != br.points.shape:
-            raise GridMismatch(
-                f"value array length {arr.shape} != branch length {br.points.shape}")
-    return out
+def _flat(grid: OrbitGrid, arrays, dtype, what: str) -> np.ndarray:
+    """One flat array from an array of grid size or from one array per branch."""
+    if isinstance(arrays, (list, tuple)) and len(arrays) == len(grid.branches):
+        parts = [np.asarray(a, dtype=dtype) for a in arrays]
+        for arr, br in zip(parts, grid.branches):
+            if arr.shape != br.points.shape:
+                raise GridMismatch(f"{what} array length {arr.shape} != "
+                                   f"branch length {br.points.shape}")
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    arr = np.asarray(arrays, dtype=dtype)
+    if arr.shape != grid.points.shape:
+        raise GridMismatch(f"need one {what} array per grid branch or one of "
+                           f"grid length {grid.points.shape}, got {arr.shape}")
+    return arr
 
 
-@dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Complex values sampled on every point of an :class:`OrbitGrid`."""
+    """Complex values sampled on every point of an :class:`OrbitGrid`.
 
-    grid: OrbitGrid
-    values: tuple[np.ndarray, ...]
-    valid: tuple[np.ndarray, ...] = field(default=())
-    label: str = ""
+    ``flat`` holds the values of all branches, concatenated in branch
+    order, and ``flat_valid`` the validity mask; both are read-only.
+    The constructor takes the values (and optionally the mask) either as
+    one array of grid length or as one array per branch.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_value_arrays(self.grid, self.values))
-        if not self.valid:
-            object.__setattr__(
-                self, "valid",
-                tuple(np.ones(len(b), dtype=bool) for b in self.grid.branches))
+    __slots__ = ("grid", "flat", "flat_valid", "label")
+
+    def __init__(self, grid: OrbitGrid, values, valid=(), label: str = ""):
+        flat = _flat(grid, values, complex, "value")
+        if valid is None or (isinstance(valid, (list, tuple)) and not valid):
+            mask = np.ones(grid.size, dtype=bool)
         else:
-            object.__setattr__(
-                self, "valid",
-                tuple(np.asarray(m, dtype=bool) for m in self.valid))
-        for arr in (*self.values, *self.valid):
-            arr.setflags(write=False)
+            mask = _flat(grid, valid, bool, "mask")
+        flat.setflags(write=False)
+        mask.setflags(write=False)
+        self.grid = grid
+        self.flat = flat
+        self.flat_valid = mask
+        self.label = label
+
+    @property
+    def values(self) -> tuple[np.ndarray, ...]:
+        """Per-branch read-only views of the values."""
+        return tuple(self.flat[s] for s in self.grid.slices)
+
+    @property
+    def valid(self) -> tuple[np.ndarray, ...]:
+        """Per-branch read-only views of the validity mask."""
+        return tuple(self.flat_valid[s] for s in self.grid.slices)
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def from_callable(cls, grid: OrbitGrid, fn: Callable[[np.ndarray], np.ndarray],
                       label: str = "") -> "GridFunction":
-        vals = tuple(np.asarray(fn(b.points), dtype=complex) + np.zeros(len(b))
-                     for b in grid.branches)
+        vals = np.asarray(fn(grid.points), dtype=complex) + np.zeros(grid.size)
         return cls(grid, vals, label=label)
 
     @classmethod
     def constant(cls, grid: OrbitGrid, c: complex, label: str = "") -> "GridFunction":
-        return cls(grid, tuple(np.full(len(b), c, dtype=complex)
-                               for b in grid.branches), label=label)
+        return cls(grid, np.full(grid.size, c, dtype=complex), label=label)
 
     @classmethod
     def identity(cls, grid: OrbitGrid, label: str = "x") -> "GridFunction":
-        return cls(grid, tuple(b.points.astype(complex) for b in grid.branches),
-                   label=label)
+        return cls(grid, grid.points.astype(complex), label=label)
 
     # -- structure ------------------------------------------------------
     def check_same_grid(self, other: "GridFunction") -> None:
         if self.grid is not other.grid:
             raise GridMismatch("operands live on different grids")
 
-    def with_values(self, values, valid=None, label: str = "") -> "GridFunction":
-        return GridFunction(self.grid, values, valid if valid is not None else self.valid,
-                            label or self.label)
-
     @property
     def is_real(self) -> bool:
-        return all(np.allclose(v.imag, 0.0, atol=0.0) for v in self.values)
-
-    def real_values(self) -> tuple[np.ndarray, ...]:
-        return tuple(v.real for v in self.values)
+        return bool(np.allclose(self.flat.imag, 0.0, atol=0.0))
 
     def max_abs(self, valid_only: bool = True) -> float:
-        worst = 0.0
-        for v, m in zip(self.values, self.valid):
-            sel = np.abs(v[m]) if valid_only else np.abs(v)
-            if sel.size:
-                worst = max(worst, float(np.max(sel)))
-        return worst
+        sel = np.abs(self.flat[self.flat_valid] if valid_only else self.flat)
+        return float(np.max(sel)) if sel.size else 0.0
 
     def scale(self) -> float:
         """max(1, sup|values|) over the valid window."""
@@ -106,56 +109,50 @@ class GridFunction:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             if isinstance(other, GridFunction):
                 self.check_same_grid(other)
-                vals = tuple(op(a, b) for a, b in zip(self.values, other.values))
-                valid = tuple(m & n for m, n in zip(self.valid, other.valid))
+                vals = op(self.flat, other.flat)
+                valid = self.flat_valid & other.flat_valid
             elif isinstance(other, Number):
-                vals = tuple(op(a, other) for a in self.values)
-                valid = self.valid
+                vals, valid = op(self.flat, other), self.flat_valid
             else:
                 return NotImplemented
         return GridFunction(self.grid, vals, valid)
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._binary(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._binary(other, operator.sub)
 
     def __rsub__(self, other):
         return self._binary(other, lambda a, b: b - a)
 
     def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
+        return self._binary(other, operator.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self._binary(other, lambda a, b: a / b)
-        return out
+        return self._binary(other, operator.truediv)
 
     def __rtruediv__(self, other):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self._binary(other, lambda a, b: b / a)
+        return self._binary(other, lambda a, b: b / a)
 
     def __abs__(self):
-        return GridFunction(self.grid,
-                            tuple(np.abs(a).astype(complex) for a in self.values),
-                            self.valid)
+        return GridFunction(self.grid, np.abs(self.flat).astype(complex),
+                            self.flat_valid)
 
     def __pow__(self, other):
         if not isinstance(other, Number):
             return NotImplemented
-        return self._binary(other, lambda a, b: a ** b)
+        return self._binary(other, operator.pow)
 
     def __neg__(self):
-        return GridFunction(self.grid, tuple(-a for a in self.values), self.valid)
+        return GridFunction(self.grid, -self.flat, self.flat_valid)
 
     def conj(self) -> "GridFunction":
-        return GridFunction(self.grid, tuple(np.conj(a) for a in self.values),
-                            self.valid)
+        return GridFunction(self.grid, np.conj(self.flat), self.flat_valid)
 
     def window(self, margin: int) -> "GridFunction":
         """Zero the values on ``margin`` indices at each end of every branch.
@@ -164,36 +161,24 @@ class GridFunction:
         genuinely interior-supported function (summation-by-parts tests
         need actual zeros, not masked-out entries).
         """
-        vals = []
-        for v in self.values:
-            vv = v.copy()
-            if margin > 0:
-                vv[:margin] = 0.0
-                vv[len(vv) - margin:] = 0.0
-            vals.append(vv)
-        return GridFunction(self.grid, tuple(vals), self.valid, self.label)
+        keep = self.grid.interior(max(margin, 0))
+        return GridFunction(self.grid, np.where(keep, self.flat, 0.0),
+                            self.flat_valid, self.label)
 
     def restrict(self, margin: int) -> "GridFunction":
         """Invalidate ``margin`` indices at each end of every branch."""
-        masks = []
-        for m in self.valid:
-            mm = m.copy()
-            if margin > 0:
-                mm[:margin] = False
-                mm[len(mm) - margin:] = False
-            masks.append(mm)
-        return GridFunction(self.grid, self.values, tuple(masks), self.label)
+        keep = self.grid.interior(max(margin, 0))
+        return GridFunction(self.grid, self.flat, self.flat_valid & keep,
+                            self.label)
 
 
 def max_abs_diff(f: GridFunction, g: GridFunction) -> float:
     """Largest pointwise |f - g| on the common valid window."""
     f.check_same_grid(g)
-    worst = 0.0
-    for a, b, m, n in zip(f.values, g.values, f.valid, g.valid):
-        sel = m & n
-        if sel.any():
-            worst = max(worst, float(np.max(np.abs(a[sel] - b[sel]))))
-    return worst
+    sel = f.flat_valid & g.flat_valid
+    if not sel.any():
+        return 0.0
+    return float(np.max(np.abs(f.flat[sel] - g.flat[sel])))
 
 
 def joint_scale(*fns: GridFunction) -> float:

@@ -16,10 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import shift, tau_derivative, tau_integral
+from .calculus import shift, step_quotient, tau_derivative, tau_integral
 from .errors import (GridMismatch, InconsistentWeights, PositivityWarning,
                      UnboundedShiftWarning, ZeroDivisor, ZeroWeight)
-from .grid import GROUP, INTERVAL, SEMIGROUP, OrbitGrid
+from .grid import GROUP, OrbitGrid
 from .gridfn import GridFunction, joint_scale
 
 _POSITIVITY_TOL = 1e-12
@@ -34,15 +34,15 @@ class WeightedGrid:
 
     Positivity of the measure requires ``delta_n rho[n] >= 0`` on a
     forward orbit entering positively and ``<= 0`` on the subtracted
-    branch of an interval grid.
+    branch of an interval grid.  ``positivity`` is flat over the grid.
     """
 
     grid: OrbitGrid
     rho: GridFunction
-    positivity: tuple[np.ndarray, ...]
+    positivity: np.ndarray
 
     def positivity_ok(self) -> bool:
-        return all(bool(p.all()) for p in self.positivity)
+        return bool(self.positivity.all())
 
 
 def weighted_grid(grid: OrbitGrid, rho: GridFunction,
@@ -50,20 +50,14 @@ def weighted_grid(grid: OrbitGrid, rho: GridFunction,
     """Attach a weight to a grid, checking measure positivity per branch."""
     if rho.grid is not grid:
         raise GridMismatch("weight sampled on a different grid")
-    flags = []
-    for br, v, m in zip(grid.branches, rho.values, rho.valid):
-        terms = (br.deltas * v[:-1]).real
-        scale = max(1.0, float(np.max(np.abs(v[m]))) if m.any() else 1.0)
-        ok = np.ones(len(br), dtype=bool)
-        if br.role == "a":
-            bad = terms > _POSITIVITY_TOL * scale
-        else:
-            bad = terms < -_POSITIVITY_TOL * scale
-        ok[:-1] = ~(bad & m[:-1])
-        flags.append(ok)
-    w = WeightedGrid(grid, rho, tuple(flags))
+    v, m = rho.flat, rho.flat_valid
+    terms = (grid.deltas * v).real
+    scale = np.fmax(1.0, grid.branch_max(np.where(m, np.abs(v), 0.0)))
+    bad = grid.measure_sign * terms < -_POSITIVITY_TOL * scale
+    flags = ~(bad & m & grid.has_next)
+    w = WeightedGrid(grid, rho, flags)
     if warn and not w.positivity_ok():
-        n_bad = sum(int((~p).sum()) for p in flags)
+        n_bad = int((~flags).sum())
         warnings.warn(f"measure not positive at {n_bad} grid points",
                       PositivityWarning, stacklevel=2)
     return w
@@ -85,19 +79,18 @@ def norm(phi: GridFunction, w: WeightedGrid) -> float:
 
 def mu_from_rho(w: WeightedGrid) -> GridFunction:
     """The backward-shift multiplier mu[n] = (delta_{n-1}/delta_n) rho[n-1]/rho[n]."""
-    vals, valid = [], []
-    for br, v, m in zip(w.grid.branches, w.rho.values, w.rho.valid):
-        if np.any(m & (np.abs(v) < _ZERO_TOL)):
-            raise ZeroWeight("weight vanishes at a grid point; split the orbit")
-        d = br.deltas
-        out = np.zeros(len(br), dtype=complex)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out[1:-1] = (d[:-1] / d[1:]) * v[:-2] / v[1:-1]
-        mask = np.zeros(len(br), dtype=bool)
-        mask[1:-1] = m[:-2] & m[1:-1]
-        vals.append(out)
-        valid.append(mask)
-    return GridFunction(w.grid, tuple(vals), tuple(valid), label="mu")
+    grid = w.grid
+    v, m = w.rho.flat, w.rho.flat_valid
+    if np.any(m & (np.abs(v) < _ZERO_TOL)):
+        raise ZeroWeight("weight vanishes at a grid point; split the orbit")
+    n = np.flatnonzero(grid.interior())
+    d = grid.deltas
+    out = np.zeros(grid.size, dtype=complex)
+    mask = np.zeros(grid.size, dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out[n] = (d[n - 1] / d[n]) * v[n - 1] / v[n]
+    mask[n] = m[n - 1] & m[n]
+    return GridFunction(grid, out, mask, label="mu")
 
 
 def adjoint_shift(phi: GridFunction, w: WeightedGrid) -> GridFunction:
@@ -109,20 +102,18 @@ def adjoint_shift(phi: GridFunction, w: WeightedGrid) -> GridFunction:
     """
     if phi.grid is not w.grid:
         raise GridMismatch("function and weight live on different grids")
+    grid = phi.grid
     mu = mu_from_rho(w)
-    vals, valid = [], []
-    for br, pv, pm, mv, mm in zip(phi.grid.branches, phi.values, phi.valid,
-                                  mu.values, mu.valid):
-        out = np.zeros(len(br), dtype=complex)
-        out[1:] = mv[1:] * pv[:-1]
-        mask = np.zeros(len(br), dtype=bool)
-        mask[1:] = mm[1:] & pm[:-1]
-        if br.role in ("a", "b"):
-            out[0] = 0.0
-            mask[0] = pm[0]  # boundary row: T* truncates to zero there
-        vals.append(out)
-        valid.append(mask)
-    return GridFunction(phi.grid, tuple(vals), tuple(valid), label="T*phi")
+    has_prev = grid.neighbour_mask(-1)
+    n = np.flatnonzero(has_prev)
+    out = np.zeros(grid.size, dtype=complex)
+    mask = np.zeros(grid.size, dtype=bool)
+    out[n] = mu.flat[n] * phi.flat[n - 1]
+    mask[n] = mu.flat_valid[n] & phi.flat_valid[n - 1]
+    if grid.mode != GROUP:
+        # boundary row: T* truncates to zero at each branch base
+        mask[~has_prev] = phi.flat_valid[~has_prev]
+    return GridFunction(grid, out, mask, label="T*phi")
 
 
 def shift_norm(w: WeightedGrid, warn: bool = True) -> float:
@@ -130,8 +121,8 @@ def shift_norm(w: WeightedGrid, warn: bool = True) -> float:
     mu = mu_from_rho(w)
     worst = mu.max_abs()
     if warn:
-        for mv, mm in zip(mu.values, mu.valid):
-            tail = np.abs(mv[mm])[-6:]
+        for s in mu.grid.slices:
+            tail = np.abs(mu.flat[s][mu.flat_valid[s]])[-6:]
             if len(tail) == 6 and np.all(np.diff(tail) > 0):
                 warnings.warn("shift multiplier grows along the truncated tail",
                               UnboundedShiftWarning, stacklevel=2)
@@ -151,17 +142,7 @@ class PearsonTriple:
     @classmethod
     def from_B_eta(cls, B: GridFunction, eta: GridFunction) -> "PearsonTriple":
         B.check_same_grid(eta)
-        vals, valid = [], []
-        for br, bv, ev, bm, em in zip(B.grid.branches, B.values, eta.values,
-                                      B.valid, eta.valid):
-            out = np.zeros(len(br), dtype=complex)
-            out[:-1] = (bv[:-1] - ev[:-1]) / br.deltas
-            mask = np.zeros(len(br), dtype=bool)
-            mask[:-1] = bm[:-1] & em[:-1]
-            vals.append(out)
-            valid.append(mask)
-        A = GridFunction(B.grid, tuple(vals), tuple(valid), label="A")
-        return cls(B, eta, A)
+        return cls(B, eta, step_quotient(B - eta, label="A"))
 
 
 def weight_from_pearson(p: PearsonTriple, grid: OrbitGrid,
@@ -171,37 +152,32 @@ def weight_from_pearson(p: PearsonTriple, grid: OrbitGrid,
         raise GridMismatch("Pearson data sampled on a different grid")
     if base_value <= 0.0:
         raise ValueError("base_value must be positive")
-    vals, valid = [], []
-    for i, br in enumerate(grid.branches):
-        bv, ev = p.B.values[i], p.eta.values[i]
-        bm, em = p.B.valid[i], p.eta.valid[i]
-        n = len(br)
-        rho = np.zeros(n, dtype=complex)
-        mask = np.zeros(n, dtype=bool)
-        k0 = br.base_index
+    bv, ev = p.B.flat, p.eta.flat
+    bm, em = p.B.flat_valid, p.eta.flat_valid
+    rho = np.zeros(grid.size, dtype=complex)
+    mask = np.zeros(grid.size, dtype=bool)
+    for br, s in zip(grid.branches, grid.slices):
+        k0 = s.start + br.base_index
         rho[k0] = base_value
         mask[k0] = True
-        for j in range(k0, n - 1):
+        for j in range(k0, s.stop - 1):
             if not (mask[j] and em[j] and bm[j + 1]):
-                mask[j + 1] = False
                 continue
             if abs(bv[j + 1]) < _ZERO_TOL:
                 raise ZeroDivisor(
-                    f"B vanishes at interior orbit point index {j + 1}")
+                    f"B vanishes at interior orbit point index {j + 1 - s.start}")
             rho[j + 1] = ev[j] * rho[j] / bv[j + 1]
             mask[j + 1] = True
-        for j in range(k0 - 1, -1, -1):
+        for j in range(k0 - 1, s.start - 1, -1):
             # Backward leg of a group orbit: rho[j] = rho[j+1] B[j+1]/eta[j].
             if not (mask[j + 1] and em[j] and bm[j + 1]):
-                mask[j] = False
                 continue
             if abs(ev[j]) < _ZERO_TOL:
-                raise ZeroDivisor(f"eta vanishes at orbit point index {j}")
+                raise ZeroDivisor(
+                    f"eta vanishes at orbit point index {j - s.start}")
             rho[j] = rho[j + 1] * bv[j + 1] / ev[j]
             mask[j] = True
-        vals.append(rho)
-        valid.append(mask)
-    rho_fn = GridFunction(grid, tuple(vals), tuple(valid), label="rho")
+    rho_fn = GridFunction(grid, rho, mask, label="rho")
     w = weighted_grid(grid, rho_fn)
     res = pearson_residual(p, w)
     if res.shift > 1e-11:
@@ -227,38 +203,6 @@ def pearson_residual(p: PearsonTriple, w: WeightedGrid) -> PearsonResidual:
                            shift=shf.max_abs() / scale)
 
 
-def boundary_residual(p: PearsonTriple, w: WeightedGrid) -> float:
-    """max |B rho| at the interval base points, scaled (interval mode only)."""
-    if w.grid.mode != INTERVAL:
-        raise GridMismatch("boundary condition applies to interval grids")
-    Brho = p.B * w.rho
-    scale = Brho.scale()
-    worst = 0.0
-    for v, m in zip(Brho.values, Brho.valid):
-        if m[0]:
-            worst = max(worst, abs(v[0]))
-    return worst / scale
-
-
-def adjoint_mu_k(B: GridFunction, eta: GridFunction) -> GridFunction:
-    """mu from the Pearson pair directly: (delta_{n-1}/delta_n) B[n]/eta[n-1]."""
-    B.check_same_grid(eta)
-    vals, valid = [], []
-    for br, bv, ev, bm, em in zip(B.grid.branches, B.values, eta.values,
-                                  B.valid, eta.valid):
-        d = br.deltas
-        out = np.zeros(len(br), dtype=complex)
-        mask = np.zeros(len(br), dtype=bool)
-        den = ev[:-2]
-        if np.any(em[:-2] & (np.abs(den) < _ZERO_TOL)):
-            raise ZeroDivisor("eta vanishes where the shift multiplier needs it")
-        out[1:-1] = (d[:-1] / d[1:]) * bv[1:-1] / den
-        mask[1:-1] = bm[1:-1] & em[:-2]
-        vals.append(out)
-        valid.append(mask)
-    return GridFunction(B.grid, tuple(vals), tuple(valid), label="mu_k")
-
-
 def adjoint_tau_derivative(psi: GridFunction, w_k: WeightedGrid,
                            eta: GridFunction) -> GridFunction:
     """Adjoint of d_tau across levels: (1 - T*) applied to eta psi/(id - tau).
@@ -267,22 +211,12 @@ def adjoint_tau_derivative(psi: GridFunction, w_k: WeightedGrid,
     rho side; summation by parts shows the backward-shift multiplier is
     the one of ``w_k`` itself.
     """
-    vals, valid = [], []
-    for br, pv, pm, ev, em in zip(psi.grid.branches, psi.values, psi.valid,
-                                  eta.values, eta.valid):
-        g = np.zeros(len(br), dtype=complex)
-        g[:-1] = ev[:-1] * pv[:-1] / br.deltas
-        gm = np.zeros(len(br), dtype=bool)
-        gm[:-1] = em[:-1] & pm[:-1]
-        vals.append(g)
-        valid.append(gm)
-    core = GridFunction(psi.grid, tuple(vals), tuple(valid))
+    core = step_quotient(eta * psi)
     return core - adjoint_shift(core, w_k)
 
 
 __all__ = [
     "WeightedGrid", "weighted_grid", "inner_product", "norm", "mu_from_rho",
     "adjoint_shift", "shift_norm", "PearsonTriple", "weight_from_pearson",
-    "PearsonResidual", "pearson_residual", "boundary_residual",
-    "adjoint_mu_k", "adjoint_tau_derivative",
+    "PearsonResidual", "pearson_residual", "adjoint_tau_derivative",
 ]

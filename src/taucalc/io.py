@@ -16,8 +16,6 @@ import numpy as np
 from .chain import ChainLevel
 from .grid import OrbitGrid
 from .gridfn import GridFunction
-from .hilbert import WeightedGrid
-from .riccati import ResolventResult, TwoByTwoSystem
 
 
 def _fmt(v: float) -> str:
@@ -28,17 +26,22 @@ def _writer(path: Path):
     return open(path, "w", newline="", encoding="utf-8")
 
 
+def _labels(grid: OrbitGrid):
+    """(flat index, branch index, index within the branch) of every point."""
+    for bi, s in enumerate(grid.slices):
+        for n in range(s.stop - s.start):
+            yield s.start + n, bi, n
+
+
 def write_grid_csv(grid: OrbitGrid, path: str | Path) -> Path:
     """Columns: branch, n, point, delta (delta empty on the last row)."""
     path = Path(path)
     with _writer(path) as fh:
         out = csv.writer(fh)
         out.writerow(["branch", "n", "point", "delta"])
-        for bi, br in enumerate(grid.branches):
-            deltas = br.deltas
-            for n, p in enumerate(br.points):
-                d = _fmt(deltas[n]) if n < len(deltas) else ""
-                out.writerow([bi, n, _fmt(p), d])
+        for k, bi, n in _labels(grid):
+            d = _fmt(grid.deltas[k]) if grid.has_next[k] else ""
+            out.writerow([bi, n, _fmt(grid.points[k]), d])
     return path
 
 
@@ -58,42 +61,27 @@ def grid_diagnostics(grid: OrbitGrid) -> dict:
 def write_function_csv(f: GridFunction, path: str | Path) -> Path:
     """Columns: branch, n, x, re, im, valid."""
     path = Path(path)
+    grid = f.grid
     with _writer(path) as fh:
         out = csv.writer(fh)
         out.writerow(["branch", "n", "x", "re", "im", "valid"])
-        for bi, (br, v, m) in enumerate(zip(f.grid.branches, f.values, f.valid)):
-            for n, p in enumerate(br.points):
-                out.writerow([bi, n, _fmt(p), _fmt(v[n].real), _fmt(v[n].imag),
-                              int(m[n])])
+        for k, bi, n in _labels(grid):
+            v = f.flat[k]
+            out.writerow([bi, n, _fmt(grid.points[k]), _fmt(v.real), _fmt(v.imag),
+                          int(f.flat_valid[k])])
     return path
 
 
 def read_function_csv(grid: OrbitGrid, path: str | Path) -> GridFunction:
     """Inverse of :func:`write_function_csv` onto an existing grid object."""
-    vals = [np.zeros(len(br), dtype=complex) for br in grid.branches]
-    valid = [np.zeros(len(br), dtype=bool) for br in grid.branches]
+    vals = np.zeros(grid.size, dtype=complex)
+    valid = np.zeros(grid.size, dtype=bool)
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            bi, n = int(row["branch"]), int(row["n"])
-            vals[bi][n] = float(row["re"]) + 1j * float(row["im"])
-            valid[bi][n] = bool(int(row["valid"]))
-    return GridFunction(grid, tuple(vals), tuple(valid))
-
-
-def write_weight_csv(w: WeightedGrid, path: str | Path) -> Path:
-    """Columns: branch, n, x, rho, delta, positive."""
-    path = Path(path)
-    with _writer(path) as fh:
-        out = csv.writer(fh)
-        out.writerow(["branch", "n", "x", "rho", "delta", "positive"])
-        for bi, (br, v, m) in enumerate(zip(w.grid.branches, w.rho.values,
-                                            w.rho.valid)):
-            deltas = br.deltas
-            for n, p in enumerate(br.points):
-                d = _fmt(deltas[n]) if n < len(deltas) else ""
-                out.writerow([bi, n, _fmt(p), _fmt(v[n].real), d,
-                              int(bool(m[n]) and v[n].real > 0)])
-    return path
+            k = grid.slices[int(row["branch"])].start + int(row["n"])
+            vals[k] = float(row["re"]) + 1j * float(row["im"])
+            valid[k] = bool(int(row["valid"]))
+    return GridFunction(grid, vals, valid)
 
 
 def write_level_csv(level: ChainLevel, path: str | Path) -> Path:
@@ -104,13 +92,10 @@ def write_level_csv(level: ChainLevel, path: str | Path) -> Path:
     with _writer(path) as fh:
         out = csv.writer(fh)
         out.writerow(["branch", "n", "x"] + list(fields))
-        for bi, br in enumerate(level.grid.branches):
-            for n, p in enumerate(br.points):
-                row = [bi, n, _fmt(p)]
-                for fn in fields.values():
-                    row.append(_fmt(fn.values[bi][n].real)
-                               if fn.valid[bi][n] else "")
-                out.writerow(row)
+        for k, bi, n in _labels(level.grid):
+            out.writerow([bi, n, _fmt(level.grid.points[k])]
+                         + [_fmt(fn.flat[k].real) if fn.flat_valid[k] else ""
+                            for fn in fields.values()])
     return path
 
 
@@ -145,33 +130,6 @@ def write_chain(levels, out_dir: str | Path, manifest_extra: dict | None = None,
     return path
 
 
-def write_system_csv(sys: TwoByTwoSystem, path: str | Path) -> Path:
-    """Columns: branch, n, x, a, b, c, d (real parts)."""
-    path = Path(path)
-    grid = sys.a.grid
-    with _writer(path) as fh:
-        out = csv.writer(fh)
-        out.writerow(["branch", "n", "x", "a", "b", "c", "d"])
-        for bi, br in enumerate(grid.branches):
-            for n, p in enumerate(br.points):
-                row = [bi, n, _fmt(p)]
-                for fn in (sys.a, sys.b, sys.c, sys.d):
-                    row.append(_fmt(fn.values[bi][n].real)
-                               if fn.valid[bi][n] else "")
-                out.writerow(row)
-    return path
-
-
-def resolvent_diagnostics(res: ResolventResult) -> dict:
-    """JSON-ready convergence report of a resolvent computation."""
-    return {
-        "converged": bool(res.converged),
-        "criterion_sum": float(res.criterion_sum),
-        "steps": int(res.steps),
-        "cauchy_gap": float(res.cauchy_gap),
-    }
-
-
 def write_json(data: dict, path: str | Path) -> Path:
     path = Path(path)
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
@@ -181,6 +139,5 @@ def write_json(data: dict, path: str | Path) -> Path:
 
 __all__ = [
     "write_grid_csv", "grid_diagnostics", "write_function_csv",
-    "read_function_csv", "write_weight_csv", "write_level_csv",
-    "write_chain", "write_system_csv", "resolvent_diagnostics", "write_json",
+    "read_function_csv", "write_level_csv", "write_chain", "write_json",
 ]

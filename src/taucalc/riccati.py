@@ -38,12 +38,22 @@ def _maxnorm(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
-def _deepest_valid(mask: np.ndarray) -> int:
-    """Index of the deepest point where all system entries are valid."""
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
+def _live(grid: OrbitGrid, mask: np.ndarray) -> np.ndarray:
+    """True up to and including the deepest valid point of each branch."""
+    live = grid.suffix_scan(np.logical_or, mask)
+    if not live[[s.start for s in grid.slices]].all():
         raise GridMismatch("system has no valid points on a branch")
-    return int(idx[-1])
+    return live
+
+
+def _criterion_sum(grid: OrbitGrid, tildes) -> float:
+    """sum |delta_n| * max-norm of the valid derivative-form entries."""
+    tn = np.zeros(grid.size)
+    for f in tildes:
+        sel = f.flat_valid
+        tn[sel] = np.maximum(tn[sel], np.abs(f.flat[sel]))
+    terms = np.abs(grid.deltas) * tn
+    return sum(float(np.sum(terms[s])) for s in grid.slices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +74,7 @@ class TwoByTwoSystem:
         # pointwise scale: entries may span many orders along the orbit
         size = (abs(self.a) * abs(self.d) + abs(self.b) * abs(self.c) + 1e-300)
         rel = det / size
-        if any(np.any(np.abs(v[m]) < 1e-14)
-               for v, m in zip(rel.values, rel.valid)):
+        if np.any(np.abs(rel.flat[rel.flat_valid]) < 1e-14):
             raise DegenerateSystem("step matrix is singular at a grid point")
 
     @property
@@ -85,41 +94,49 @@ class TwoByTwoSystem:
         return ((1.0 - self.a) / dlt, -self.b / dlt,
                 -self.c / dlt, (1.0 - self.d) / dlt)
 
-    def entry_arrays(self, i: int) -> np.ndarray:
-        """The 2x2 matrices at every point of branch ``i``, shape (n, 2, 2)."""
-        n = len(self.grid.branches[i])
-        out = np.empty((n, 2, 2), dtype=complex)
-        out[:, 0, 0] = self.a.values[i]
-        out[:, 0, 1] = self.b.values[i]
-        out[:, 1, 0] = self.c.values[i]
-        out[:, 1, 1] = self.d.values[i]
+    def entry_arrays(self) -> np.ndarray:
+        """The 2x2 matrices at every grid point, shape (N, 2, 2)."""
+        out = np.empty((self.grid.size, 2, 2), dtype=complex)
+        out[:, 0, 0] = self.a.flat
+        out[:, 0, 1] = self.b.flat
+        out[:, 1, 0] = self.c.flat
+        out[:, 1, 1] = self.d.flat
         return out
 
-    def valid_mask(self, i: int) -> np.ndarray:
-        return (self.a.valid[i] & self.b.valid[i]
-                & self.c.valid[i] & self.d.valid[i])
+    def valid_mask(self) -> np.ndarray:
+        return (self.a.flat_valid & self.b.flat_valid
+                & self.c.flat_valid & self.d.flat_valid)
 
 
 @dataclass(frozen=True, eq=False)
 class ResolventResult:
     """The orbit-infinite left product of step matrices and its diagnostics.
 
-    ``matrices[i][n]`` approximates the product Lambda(tau^N x) ...
-    Lambda(x_n) on branch i, i.e. the resolvent evaluated at the n-th
-    grid point; ``matrix`` is its value at the base of the first branch.
-    ``criterion_sum`` is the scalar convergence functional
-    sum |delta_n| * ||LambdaTilde(tau^n x)|| (max-norm).
+    ``flat[k]`` approximates the product Lambda(tau^N x) ... Lambda(x_k)
+    at flat grid index k, i.e. the resolvent evaluated at that point;
+    ``matrices[i]`` is the read-only view of branch i and ``matrix`` the
+    value at the base of the first branch.  ``criterion_sum`` is the
+    scalar convergence functional sum |delta_n| * ||LambdaTilde(tau^n x)||
+    (max-norm).
     """
 
-    matrices: tuple[np.ndarray, ...]
+    grid: OrbitGrid
+    flat: np.ndarray
     converged: bool
     criterion_sum: float
     steps: int
     cauchy_gap: float
 
+    def __post_init__(self) -> None:
+        self.flat.setflags(write=False)
+
+    @property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.flat[s] for s in self.grid.slices)
+
     @property
     def matrix(self) -> np.ndarray:
-        return self.matrices[0][0]
+        return self.flat[0]
 
 
 def system_from_second_order(coef) -> TwoByTwoSystem:
@@ -132,8 +149,7 @@ def system_from_second_order(coef) -> TwoByTwoSystem:
     alpha, beta, gamma = coef.alpha, coef.beta, coef.gamma
     lam = coef.value
     scale = joint_scale(alpha)
-    if any(np.any(np.abs(v[m]) < 1e-14 * scale)
-           for v, m in zip(alpha.values, alpha.valid)):
+    if np.any(np.abs(alpha.flat[alpha.flat_valid]) < 1e-14 * scale):
         raise ZeroAlpha("forward coefficient vanishes at a grid point")
     grid = alpha.grid
     one = GridFunction.constant(grid, 1.0)
@@ -150,46 +166,35 @@ def resolvent(sys: TwoByTwoSystem, cauchy_tol: float = 1e-12) -> ResolventResult
     sum |delta| * ||LambdaTilde|| is reported; both must be finite/small
     for ``converged``.  Nothing is raised on failure — callers decide.
     """
-    at, bt, ct, dt = sys.tilde()
-    criterion = 0.0
-    matrices = []
+    grid = sys.grid
+    lam = sys.entry_arrays()
+    live = _live(grid, sys.valid_mask())
+    full = np.empty((grid.size, 2, 2), dtype=complex)
     gap = 0.0
-    steps = 0
-    for i, br in enumerate(sys.grid.branches):
-        n = len(br)
-        lam = sys.entry_arrays(i)
-        mask = sys.valid_mask(i)
-        last = _deepest_valid(mask)
+    for s in grid.slices:
+        lam_b, S = lam[s], full[s]
+        last = int(np.count_nonzero(live[s])) - 1
         # suffix products S[k] = Lambda(x_last) ... Lambda(x_k)
-        S = np.empty((last + 1, 2, 2), dtype=complex)
-        S[last] = lam[last]
+        S[last] = lam_b[last]
         for k in range(last - 1, -1, -1):
-            S[k] = S[k + 1] @ lam[k]
-        full = np.empty((n, 2, 2), dtype=complex)
-        full[:last + 1] = S
-        full[last + 1:] = np.eye(2)
-        matrices.append(full)
+            S[k] = S[k + 1] @ lam_b[k]
+        S[last + 1:] = np.eye(2)
         # Cauchy gap of the base-point partial products: the last three
         # prefix products differ from the full one by tail factors.
         if last >= 2:
             # partial products at the base: P_k = Lambda(x_k)...Lambda(x_0);
             # peel the deepest left factors off P_last to recover P_{last-1,2}
             p_full = S[0]
-            drop1 = np.linalg.solve(lam[last], p_full) \
-                if abs(np.linalg.det(lam[last])) > _ZERO_TOL else p_full
-            drop2 = np.linalg.solve(lam[last - 1], drop1) \
-                if abs(np.linalg.det(lam[last - 1])) > _ZERO_TOL else drop1
+            drop1 = np.linalg.solve(lam_b[last], p_full) \
+                if abs(np.linalg.det(lam_b[last])) > _ZERO_TOL else p_full
+            drop2 = np.linalg.solve(lam_b[last - 1], drop1) \
+                if abs(np.linalg.det(lam_b[last - 1])) > _ZERO_TOL else drop1
             gap = max(gap, _maxnorm(p_full - drop1), _maxnorm(drop1 - drop2))
-        steps += last + 1
-        tn = np.zeros(n)
-        for f in (at, bt, ct, dt):
-            sel = f.valid[i]
-            tn[sel] = np.maximum(tn[sel], np.abs(f.values[i][sel]))
-        criterion += float(np.sum(np.abs(np.append(br.deltas, 0.0)) * tn))
+    criterion = _criterion_sum(grid, sys.tilde())
     converged = bool(np.isfinite(criterion)) and gap < cauchy_tol
-    return ResolventResult(matrices=tuple(matrices), converged=converged,
-                           criterion_sum=criterion, steps=steps,
-                           cauchy_gap=gap)
+    return ResolventResult(grid=grid, flat=full, converged=converged,
+                           criterion_sum=criterion,
+                           steps=int(np.count_nonzero(live)), cauchy_gap=gap)
 
 
 def solve_system(sys: TwoByTwoSystem, boundary,
@@ -203,21 +208,18 @@ def solve_system(sys: TwoByTwoSystem, boundary,
     if res is None:
         res = resolvent(sys)
     bvec = np.asarray(boundary, dtype=complex).reshape(2)
-    psi_vals, phi_vals, valid = [], [], []
-    for i, br in enumerate(sys.grid.branches):
-        mats = res.matrices[i]
-        mask = sys.valid_mask(i)
-        dets = np.linalg.det(mats)
-        scale = float(np.max(np.abs(mats))) or 1.0
-        if np.any(np.abs(dets[mask]) < 1e-14 * scale ** 2):
-            raise SingularResolvent("resolvent is singular at a grid point")
-        rhs = np.broadcast_to(bvec[:, None], (len(br), 2, 1))
-        sol = np.linalg.solve(mats, rhs)[:, :, 0]
-        psi_vals.append(sol[:, 0])
-        phi_vals.append(sol[:, 1])
-        valid.append(mask)
-    psi = GridFunction(sys.grid, tuple(psi_vals), tuple(valid), label="psi")
-    phi = GridFunction(sys.grid, tuple(phi_vals), tuple(valid), label="phi")
+    grid = sys.grid
+    mats = res.flat
+    mask = sys.valid_mask()
+    dets = np.linalg.det(mats)
+    size = grid.branch_max(np.max(np.abs(mats), axis=(1, 2)))
+    scale = np.where(size > 0.0, size, 1.0)
+    if np.any(np.abs(dets[mask]) < 1e-14 * scale[mask] ** 2):
+        raise SingularResolvent("resolvent is singular at a grid point")
+    rhs = np.broadcast_to(bvec[:, None], (grid.size, 2, 1))
+    sol = np.linalg.solve(mats, rhs)[:, :, 0]
+    psi = GridFunction(grid, sol[:, 0], mask, label="psi")
+    phi = GridFunction(grid, sol[:, 1], mask, label="phi")
     worst = step_residual(sys, psi, phi)
     if worst > check_tol:
         raise SingularResolvent(
@@ -235,10 +237,6 @@ def step_residual(sys: TwoByTwoSystem, psi: GridFunction,
     return max(max_abs_diff(lhs1, rhs1), max_abs_diff(lhs2, rhs2)) / scale
 
 
-def _suffix_sums(arr: np.ndarray) -> np.ndarray:
-    return np.cumsum(arr[::-1])[::-1]
-
-
 def triangular_resolvent(sys: TwoByTwoSystem) -> ResolventResult:
     """Closed-form resolvent for an upper-triangular system (c = 0).
 
@@ -251,44 +249,33 @@ def triangular_resolvent(sys: TwoByTwoSystem) -> ResolventResult:
     scale = joint_scale(sys.a, sys.b, sys.c, sys.d)
     if sys.c.max_abs() > 1e-14 * scale:
         raise NotTriangular("closed-form resolvent needs c = 0")
-    matrices = []
-    criterion = 0.0
-    steps = 0
+    grid = sys.grid
+    live = _live(grid, sys.valid_mask())
+    av, dv = sys.a.flat.real[live], sys.d.flat.real[live]
+    if np.any(np.abs(av) < _ZERO_TOL) or np.any(np.abs(dv) < _ZERO_TOL):
+        raise ZeroDivisor("diagonal entry vanishes on the orbit")
+    if np.any(av <= 0) or np.any(dv <= 0):
+        raise NonPositiveFactor(
+            "closed-form resolvent needs positive diagonal entries")
+    # ln prod_{m>=n} a[m] = integral of ln(a)/(t - tau t) from limit to x_n;
+    # past the deepest valid point every term is the empty sum 0
+    log_a, log_d = np.zeros(grid.size), np.zeros(grid.size)
+    log_a[live], log_d[live] = np.log(av), np.log(dv)
+    a_inf = np.exp(grid.suffix_scan(np.add, log_a))
+    d_inf = np.exp(grid.suffix_scan(np.add, log_d))
+    ratio = grid.suffix_scan(np.add, log_a - log_d)
+    corner = np.zeros(grid.size, dtype=complex)
+    corner[live] = sys.b.flat[live] / av * np.exp(ratio)[live]
+    F = d_inf * grid.suffix_scan(np.add, corner)
+    full = np.zeros((grid.size, 2, 2), dtype=complex)
+    full[:, 0, 0] = full[:, 1, 1] = 1.0
+    full[live, 0, 0] = a_inf[live]
+    full[live, 0, 1] = F[live]
+    full[live, 1, 1] = d_inf[live]
     at, bt, _, dt = sys.tilde()
-    for i, br in enumerate(sys.grid.branches):
-        n = len(br)
-        mask = sys.valid_mask(i)
-        last = _deepest_valid(mask)
-        av = sys.a.values[i][:last + 1].real
-        bv = sys.b.values[i][:last + 1]
-        dv = sys.d.values[i][:last + 1].real
-        if np.any(np.abs(av) < _ZERO_TOL) or np.any(np.abs(dv) < _ZERO_TOL):
-            raise ZeroDivisor("diagonal entry vanishes on the orbit")
-        if np.any(av <= 0) or np.any(dv <= 0):
-            raise NonPositiveFactor(
-                "closed-form resolvent needs positive diagonal entries")
-        # ln prod_{m>=n} a[m] = integral of ln(a)/(t - tau t) from limit to x_n
-        la = _suffix_sums(np.log(av))
-        ld = _suffix_sums(np.log(dv))
-        a_inf = np.exp(la)
-        d_inf = np.exp(ld)
-        ratio = _suffix_sums(np.log(av) - np.log(dv))
-        F = d_inf * _suffix_sums(bv / av * np.exp(ratio))
-        full = np.zeros((n, 2, 2), dtype=complex)
-        full[:, 0, 0] = full[:, 1, 1] = 1.0
-        full[:last + 1, 0, 0] = a_inf
-        full[:last + 1, 0, 1] = F
-        full[:last + 1, 1, 1] = d_inf
-        matrices.append(full)
-        steps += last + 1
-        tn = np.zeros(n)
-        for f in (at, bt, dt):
-            sel = f.valid[i]
-            tn[sel] = np.maximum(tn[sel], np.abs(f.values[i][sel]))
-        criterion += float(np.sum(np.abs(np.append(br.deltas, 0.0)) * tn))
-    return ResolventResult(matrices=tuple(matrices), converged=True,
-                           criterion_sum=criterion, steps=steps,
-                           cauchy_gap=0.0)
+    return ResolventResult(grid=grid, flat=full, converged=True,
+                           criterion_sum=_criterion_sum(grid, (at, bt, dt)),
+                           steps=int(np.count_nonzero(live)), cauchy_gap=0.0)
 
 
 def _as_matrix_fn(D, grid: OrbitGrid):
@@ -319,8 +306,7 @@ def darboux(sys: TwoByTwoSystem, D) -> TwoByTwoSystem:
     d11, d12, d21, d22 = _as_matrix_fn(D, sys.grid)
     det = d11 * d22 - d12 * d21
     scale = joint_scale(d11, d12, d21, d22)
-    if any(np.any(np.abs(v[m]) < 1e-14 * scale)
-           for v, m in zip(det.values, det.valid)):
+    if np.any(np.abs(det.flat[det.flat_valid]) < 1e-14 * scale):
         raise SingularGauge("gauge matrix is singular at a grid point")
     # rows of D(tau x)^{-1}: adj(TD)/det(TD)
     t11, t12, t21, t22 = (shift(f) for f in (d11, d12, d21, d22))
@@ -347,8 +333,9 @@ def darboux_solution(D, psi: GridFunction, phi: GridFunction
 
 
 def _limit_distance(grid: OrbitGrid) -> GridFunction:
-    vals = tuple(br.points.astype(complex) - br.limit for br in grid.branches)
-    return GridFunction(grid, vals, label="x - limit")
+    limits = grid.per_point([br.limit for br in grid.branches])
+    return GridFunction(grid, grid.points.astype(complex) - limits,
+                        label="x - limit")
 
 
 def singular_darboux(sys: TwoByTwoSystem, delta1: float,
@@ -368,45 +355,21 @@ def singular_darboux(sys: TwoByTwoSystem, delta1: float,
                           c=sys.c * s1 / t2, d=sys.d * s2 / t2)
 
 
-def singular_solution_factor(grid: OrbitGrid, delta1: float,
-                             delta2: float) -> GridFunction:
-    """The factor s^(d1-d2) carrying ratio solutions across the gauge."""
-    return _pow(_limit_distance(grid), delta1 - delta2)
-
-
 def _pow(f: GridFunction, e: float) -> GridFunction:
     """f^e; integer exponents work for any sign, real ones need f > 0."""
     if float(e).is_integer():
         return f ** int(e)
-    vals = []
-    for v, m in zip(f.values, f.valid):
-        if np.any(v.real[m] <= 0):
-            raise NegativeBaseRealExponent(
-                "real-power gauge needs a positive base")
-        base = np.where(m, v.real, 1.0)  # masked entries are never read
-        vals.append(np.power(base, e).astype(complex))
-    return GridFunction(f.grid, tuple(vals), f.valid)
+    v, m = f.flat.real, f.flat_valid
+    if np.any(v[m] <= 0):
+        raise NegativeBaseRealExponent("real-power gauge needs a positive base")
+    base = np.where(m, v, 1.0)  # masked entries are never read
+    return GridFunction(f.grid, np.power(base, e).astype(complex), m)
 
 
 def rhom_residual(sys: TwoByTwoSystem, u: GridFunction) -> float:
     """Residual of the step form u(tau x) (b u + a) = d u + c, scale-relative."""
     lhs = shift(u) * (sys.b * u + sys.a)
     rhs = sys.d * u + sys.c
-    return max_abs_diff(lhs, rhs) / joint_scale(lhs, rhs)
-
-
-def riccati_residual(sys: TwoByTwoSystem, u: GridFunction) -> float:
-    """Residual of the derivative form of the homographic recursion.
-
-    d_tau u = ct + dt*u - at*u(tau x) - bt*u*u(tau x), written with the
-    derivative-form entries; algebraically equivalent to the step form
-    and evaluated independently of it.
-    """
-    at, bt, ct, dt = sys.tilde()
-    dlt = deltas_fn(sys.grid)
-    ut = shift(u)
-    lhs = (u - ut) / dlt
-    rhs = ct + dt * u - at * ut - bt * u * ut
     return max_abs_diff(lhs, rhs) / joint_scale(lhs, rhs)
 
 
@@ -435,31 +398,32 @@ def general_solution(sys: TwoByTwoSystem, u0: GridFunction, t: float,
     u0_tau = shift(u0)
     den_a = sys.a + sys.b * u0          # a + b u0
     den_d = sys.d - sys.b * u0_tau      # -b u0(tau x) + d
-    u_vals, u_valid = [], []
-    for i, br in enumerate(sys.grid.branches):
-        mask = den_a.valid[i] & den_d.valid[i] & u0.valid[i]
-        last = int(np.max(np.nonzero(mask)[0])) if mask.any() else -1
-        if last < 2:
-            raise GridMismatch("orbit too short for the solution family")
-        av = den_a.values[i][:last + 1]
-        dv = den_d.values[i][:last + 1]
-        bv = sys.b.values[i][:last + 1]
-        scale = max(np.max(np.abs(av)), np.max(np.abs(dv)), 1.0)
-        if np.any(np.abs(av) < 1e-14 * scale) or np.any(np.abs(dv) < 1e-14 * scale):
-            raise NonPositiveFactor(
-                "solution family needs nonvanishing denominators")
-        E = np.cumprod((av / dv)[::-1])[::-1]
-        S = _suffix_sums((bv / av) * E)
-        den = 1.0 - t * S
-        if np.any(np.abs(den) < 1e-13 * (1.0 + abs(t) * np.abs(S))):
-            raise ZeroDivisor("parameter t hits a pole of the family")
-        u = u0.values[i].copy()
-        u[:last + 1] = u[:last + 1] + t * E / den
-        u_vals.append(u)
-        m = np.zeros(len(br), dtype=bool)
-        m[:last + 1] = mask[:last + 1]
-        u_valid.append(m)
-    u_fn = GridFunction(sys.grid, tuple(u_vals), tuple(u_valid), label="u^t")
+    grid = sys.grid
+    mask = den_a.flat_valid & den_d.flat_valid & u0.flat_valid
+    live = grid.suffix_scan(np.logical_or, mask)
+    points_per_branch = np.add.reduceat(live, [s.start for s in grid.slices])
+    if np.any(points_per_branch < 3):
+        raise GridMismatch("orbit too short for the solution family")
+    av, dv, bv = den_a.flat[live], den_d.flat[live], sys.b.flat[live]
+    size = np.zeros(grid.size)
+    size[live] = np.maximum(np.abs(av), np.abs(dv))
+    scale = np.fmax(grid.branch_max(size), 1.0)[live]
+    if np.any(np.abs(av) < 1e-14 * scale) or np.any(np.abs(dv) < 1e-14 * scale):
+        raise NonPositiveFactor(
+            "solution family needs nonvanishing denominators")
+    # past the deepest valid point: empty products 1 and empty sums 0
+    ratio = np.ones(grid.size, dtype=complex)
+    ratio[live] = av / dv
+    E = grid.suffix_scan(np.multiply, ratio)
+    weighted = np.zeros(grid.size, dtype=complex)
+    weighted[live] = (bv / av) * E[live]
+    S = grid.suffix_scan(np.add, weighted)[live]
+    den = 1.0 - t * S
+    if np.any(np.abs(den) < 1e-13 * (1.0 + abs(t) * np.abs(S))):
+        raise ZeroDivisor("parameter t hits a pole of the family")
+    u = u0.flat.copy()
+    u[live] = u[live] + t * E[live] / den
+    u_fn = GridFunction(grid, u, mask & live, label="u^t")
     return RiccatiSolution(u=u_fn, t=float(t), u0=u0,
                            residual=rhom_residual(sys, u_fn))
 
@@ -480,6 +444,5 @@ __all__ = [
     "TwoByTwoSystem", "ResolventResult", "RiccatiSolution",
     "system_from_second_order", "resolvent", "solve_system", "step_residual",
     "triangular_resolvent", "darboux", "darboux_solution", "singular_darboux",
-    "singular_solution_factor", "rhom_residual", "riccati_residual",
-    "general_solution", "cross_ratio",
+    "rhom_residual", "general_solution", "cross_ratio",
 ]

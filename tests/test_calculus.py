@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taucalc import (GridFunction, SEMIGROUP, build_grid, linear_map, shift,
-                     solve_linear_first_order, tau_antiderivative,
-                     tau_derivative, tau_exponential, tau_integral)
-from taucalc.calculus import product_integral
+from taucalc import (GROUP, INTERVAL, GridFunction, SEMIGROUP, build_grid,
+                     linear_map, shift, solve_linear_first_order,
+                     tau_antiderivative, tau_derivative, tau_exponential,
+                     tau_integral, weighted_grid)
+from taucalc.calculus import deltas_fn, dtau_inverse_fn, product_integral
+from taucalc.hilbert import adjoint_shift
 from taucalc.gridfn import max_abs_diff
 
 from qcalc_oracle import horner, jackson_integral_exact, q_derivative
@@ -116,3 +118,95 @@ def test_product_integral_agreement(qgrid):
     val = product_integral(F)
     direct = np.prod(1.0 + 0.5 * qgrid.branches[0].points[:-1])
     assert abs(val) == pytest.approx(direct, rel=1e-10)
+
+
+# -- branch ends on multi-branch and two-sided grids ----------------------
+
+def _interval_grid():
+    return build_grid(linear_map(0.8), mode=INTERVAL, bases=(-1.0, 1.0),
+                      max_depth=40)
+
+
+def _group_grid():
+    return build_grid(linear_map(0.5), mode=GROUP, bases=1.0, max_depth=20)
+
+
+def _forward(v):
+    out = np.zeros_like(v)
+    out[:-1] = v[1:]
+    return out
+
+
+def _backward(v):
+    out = np.zeros_like(v)
+    out[1:] = v[:-1]
+    return out
+
+
+def _ends(n, first, last):
+    """A length-n mask, all set except possibly the first and last index."""
+    m = np.ones(n, dtype=bool)
+    m[0], m[-1] = first, last
+    return m
+
+
+def _reference(name, br, v, rho):
+    """Plain per-branch numpy value and validity of one operator."""
+    x, n = br.points, len(br)
+    d = np.append(x[:-1] - x[1:], 0.0)
+    if name == "shift+1":
+        return _forward(v), _ends(n, True, False)
+    if name == "shift-1":
+        return _backward(v), _ends(n, False, True)
+    if name == "tau_derivative":
+        return np.append((v[:-1] - v[1:]) / d[:-1], 0.0), _ends(n, True, False)
+    if name == "tau_antiderivative":
+        return np.cumsum((d * v)[::-1])[::-1], _ends(n, True, True)
+    if name == "deltas_fn":
+        return d, _ends(n, True, False)
+    if name == "dtau_inverse_fn":
+        out = np.zeros(n)
+        out[1:-1] = d[:-2] / d[1:-1]
+        return out, _ends(n, False, False)
+    if name == "adjoint_shift":
+        mu = np.zeros(n, dtype=complex)
+        mu[1:-1] = (d[:-2] / d[1:-1]) * rho[:-2] / rho[1:-1]
+        return mu * _backward(v), _ends(n, br.role != "group", False)
+    raise KeyError(name)
+
+
+def _apply(name, f, w):
+    return {"shift+1": lambda: shift(f, 1),
+            "shift-1": lambda: shift(f, -1),
+            "tau_derivative": lambda: tau_derivative(f),
+            "tau_antiderivative": lambda: tau_antiderivative(f, check_tail=False),
+            "deltas_fn": lambda: deltas_fn(f.grid),
+            "dtau_inverse_fn": lambda: dtau_inverse_fn(f.grid),
+            "adjoint_shift": lambda: adjoint_shift(f, w)}[name]()
+
+
+OPERATORS = ["shift+1", "shift-1", "tau_derivative", "tau_antiderivative",
+             "deltas_fn", "dtau_inverse_fn", "adjoint_shift"]
+
+
+@pytest.mark.parametrize("make_grid", [_interval_grid, _group_grid],
+                         ids=["interval", "group"])
+@pytest.mark.parametrize("name", OPERATORS)
+def test_branch_ends_match_per_branch_reference(make_grid, name):
+    grid = make_grid()
+    f = GridFunction.from_callable(grid, lambda x: 1.0 + x - 0.5j * x ** 2)
+    w = weighted_grid(grid, GridFunction.from_callable(
+        grid, lambda x: 1.0 + 0.25 * x * x), warn=False)
+    out = _apply(name, f, w)
+    for i, br in enumerate(grid.branches):
+        ref, ref_valid = _reference(name, br, f.values[i], w.rho.values[i])
+        # same arithmetic in the same order: the results agree exactly
+        assert np.array_equal(out.valid[i], ref_valid)
+        assert np.array_equal(out.values[i][ref_valid], ref[ref_valid])
+        # no valid index draws on another branch: poison every other branch
+        poisoned = np.full(grid.size, np.nan, dtype=complex)
+        poisoned[grid.slices[i]] = f.values[i]
+        again = _apply(name, GridFunction(grid, poisoned), w)
+        assert np.array_equal(again.valid[i], out.valid[i])
+        assert np.array_equal(again.values[i][ref_valid],
+                              out.values[i][ref_valid])

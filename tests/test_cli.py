@@ -139,3 +139,11 @@ def test_validate_unattainable_tolerance_exit_1(tmp_path, capsys):
     assert run("validate", "--criterion", "pearson", "--tol", "1e-18",
                "--out", str(tmp_path)) == 1
     assert "FAIL pearson" in capsys.readouterr().out
+
+
+def test_validate_full_suite_writes_json(tmp_path, capsys):
+    out = tmp_path / "full"
+    assert run("validate", "--out", str(out)) == 0
+    report = json.loads((out / "validation.json").read_text())
+    assert report["passed"] is True
+    assert len(report["criteria"]) == 12

@@ -54,3 +54,22 @@ def test_fractional_limit_reported():
 
 def test_contraction_estimate_below_one(qgrid):
     assert contraction_estimate(qgrid.tau, qgrid) < 1.0
+
+
+def test_flat_storage_and_branch_views():
+    from taucalc import GridFunction
+    grid = build_grid(linear_map(0.8), mode=INTERVAL, bases=(-1.0, 1.0),
+                      max_depth=40)
+    assert np.array_equal(grid.points,
+                          np.concatenate([br.points for br in grid.branches]))
+    for br, s in zip(grid.branches, grid.slices):
+        assert np.shares_memory(br.points, grid.points)
+        assert not grid.has_next[s.stop - 1]
+        assert grid.has_next[s.start:s.stop - 1].all()
+        assert np.array_equal(grid.deltas[s][:-1], br.deltas)
+    f = GridFunction.from_callable(grid, lambda x: x ** 2)
+    assert all(not v.flags.writeable and np.shares_memory(v, f.flat)
+               for v in f.values)
+    # one array of grid length or one array per branch
+    assert np.array_equal(GridFunction(grid, f.flat, f.valid).flat, f.flat)
+    assert np.array_equal(GridFunction(grid, f.values).flat, f.flat)
