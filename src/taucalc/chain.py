@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .calculus import deltas_fn, shift, step_quotient
 from .errors import (GridMismatch, InconsistentWeights, NonPositiveFactor,
@@ -34,6 +33,9 @@ from .hilbert import (PearsonTriple, WeightedGrid, adjoint_shift, norm,
                       weight_from_pearson, weighted_grid)
 
 _ZERO_TOL = 1e-280
+# bisection tolerance at the float64 underflow threshold: the default
+# eps*|T| is absolute and swamps the smallest singular values
+_UNDERFLOW = 4.5e-308
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,20 +486,25 @@ def _edge_values(fn: GridFunction) -> np.ndarray:
     return fn.flat[pick].real
 
 
-def _assemble_factor(level: ChainLevel):
-    """The weighted derivative factor G of A*A over all grid points.
+def _assemble_factor(level: ChainLevel) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-bidiagonal entries (alpha, beta) of the weighted derivative factor G.
 
     Eigenvalues of A*A are the squared singular values of G, which stays
     well conditioned relative to the raw matrix whose entries span many
-    orders of magnitude.  The function value at the orbit limit enters
-    as one extra shared unknown; since the limit carries zero measure it
-    is eliminated by projecting its column out of the factor (a Schur
-    complement in the quadratic form).  This couples the tail rows of
-    the two branches of an interval grid, which is what selects the
-    interval spectrum rather than two decoupled half-orbit spectra.
+    orders of magnitude.  Row n of G holds D[n] on column n and, where n
+    has a successor, U[n] on column n+1.  The value at the orbit limit is
+    one extra shared unknown, reached by the last row of each branch
+    through the column g; since the limit carries zero measure that
+    column is projected out (a Schur complement in the quadratic form).
+    This merges the end rows e_a, e_b of an interval grid into the single
+    row (g_b D[e_a], -g_a D[e_b]) / |g|, which couples the branches and
+    selects the interval spectrum rather than two half-orbit spectra; a
+    single branch loses its end row.  Branch a forward, then the merged
+    row, then branch b reversed makes G upper bidiagonal, with alpha[r]
+    on column r and beta[r] on column r+1.  When g = 0 nothing is
+    projected and each branch stays a square block.
     """
     grid = level.grid
-    total = grid.size
     ends = np.flatnonzero(~grid.has_next)
     d = grid.deltas.copy()
     d[ends] = [x - grid.tau.forward(x) for x in grid.points[ends]]
@@ -515,34 +522,59 @@ def _assemble_factor(level: ChainLevel):
     if np.any(w1 < 0) or np.any(w0 <= 0):
         raise NonPositiveFactor("eigen-solve needs positive branch weights")
     sq1 = np.sqrt(w1)
-    G_full = np.zeros((total, total + 1))
-    idx = np.arange(total)
+    sq0 = np.sqrt(w0)
     n = np.flatnonzero(grid.has_next)
-    G_full[idx, idx] = sq1 * pv
-    G_full[n, n + 1] = -sq1[n] * hv[n] / d[n]
-    G_full[ends, total] = -sq1[ends] * hv[ends] / d[ends]
-    g_col = G_full[:, total]
-    G_psi = G_full[:, :total] / np.sqrt(w0)[None, :]
-    gg = float(g_col @ g_col)
+    D = sq1 * pv / sq0
+    U = np.zeros(grid.size)
+    U[n] = -sq1[n] * hv[n] / d[n] / sq0[n + 1]
+    g = -sq1[ends] * hv[ends] / d[ends]
+    gg = float(g @ g)
+    if len(grid.slices) == 1:
+        return (D[:-1], U[:-1]) if gg > 0.0 else (D, U)
+    a, b = grid.slices
+    alpha = np.concatenate([D[a], U[b][::-1]])
+    beta = np.concatenate([U[a], D[b][::-1]])
     if gg > 0.0:
-        G_psi = G_psi - np.outer(g_col, (g_col @ G_psi) / gg)
-    return G_psi, w0
+        # rows e_a, e_b sit at k, k+1 with alpha[k+1] = beta[k] = 0
+        k = a.stop - 1
+        g_a, g_b = g / np.sqrt(gg)
+        alpha = np.concatenate([alpha[:k], [g_b * alpha[k]], alpha[k + 2:]])
+        beta = np.concatenate([beta[:k], [-g_a * beta[k + 1]], beta[k + 2:]])
+    return alpha, beta
 
 
 def chain_eigenvalues(level: ChainLevel, count: int | None = None) -> np.ndarray:
-    """Ascending eigenvalues of A*A via singular values of its factor.
+    """The ``count`` smallest eigenvalues of A*A (all by default), ascending.
 
     The eigenvalues are the squared singular values of the weighted
     derivative factor with the limit value projected out; the kernel of
     the lowering operator shows up as a genuine (near-)zero singular
-    value rather than being appended by hand.  Small eigenvalues carry
-    an absolute error of order eps * sqrt(lambda * lambda_max); keep the
-    grid depth such that lambda_max stays compatible with the accuracy
-    you need.
+    value rather than being appended by hand.  The factor is an m x
+    (m+1) upper bidiagonal (one m x m block per branch when the limit
+    column vanishes); its singular values are the nonnegative
+    eigenvalues of the zero-diagonal Golub-Kahan tridiagonal with
+    off-diagonal (alpha_0, beta_0, alpha_1, ...), found in O(N) per
+    eigenvalue by bisection.  Bisection on that matrix resolves every
+    singular value to a few ulps relative to itself (Demmel & Kahan
+    1990), so small eigenvalues keep their relative accuracy however
+    large lambda_max grows with the grid depth.
     """
-    G, _ = _assemble_factor(level)
-    out = np.sort(scipy.linalg.svdvals(G)) ** 2
-    return out if count is None else out[:count]
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    alpha, beta = _assemble_factor(level)
+    total = level.grid.size
+    count = total if count is None else min(count, total)
+    if count < 1:
+        raise ValueError("need count >= 1")
+    m = len(alpha)
+    off = np.column_stack([alpha, beta]).ravel()
+    # the 2m+1 eigenvalues are +-sigma and one zero; the grid's spectrum
+    # is the top ``total`` of them (m+1 = total adds the kernel's zero)
+    lo = 2 * m + 1 - total
+    sigma = eigvalsh_tridiagonal(np.zeros(2 * m + 1), off, select="i",
+                                 select_range=(lo, lo + count - 1),
+                                 tol=_UNDERFLOW)
+    return np.abs(sigma) ** 2
 
 
 def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0,

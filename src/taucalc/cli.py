@@ -185,8 +185,7 @@ def cmd_grid(args) -> int:
 
 def _check_top(config: dict) -> dict:
     return _take(config, {"map": _REQUIRED, "grid": _REQUIRED, "level0": None,
-                          "chain": None, "output": None, "emit": ["csv", "json"]},
-                 "config")
+                          "chain": None}, "config")
 
 
 def _level0_from_config(grid, spec):
@@ -345,7 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help="named preset "
                        "(qhahn, constant-gauge, fractional, linear)")
         p.add_argument("--depth", type=int, help="orbit depth override")
-        p.add_argument("--tol", type=float, help="tolerance override")
 
     p_grid = sub.add_parser("grid", help="build an orbit grid")
     common(p_grid)
@@ -356,7 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chain.set_defaults(func=cmd_chain)
 
     p_val = sub.add_parser("validate", help="run the acceptance suite")
-    common(p_val)
+    p_val.add_argument("--out", default="out", help="output directory")
+    p_val.add_argument("--tol", type=float,
+                       help="tolerance override for every criterion")
     p_val.add_argument("--criterion", action="append",
                        help="run only this criterion (repeatable)")
     p_val.set_defaults(func=cmd_validate)

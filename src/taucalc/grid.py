@@ -254,21 +254,45 @@ def build_grid(tau: TauMap, mode: str = SEMIGROUP,
     raise ValueError(f"unknown grid mode {mode!r}")
 
 
-def _check_disjoint(pts_a: np.ndarray, pts_b: np.ndarray, limit: float,
-                    delta_tol: float) -> None:
-    # Both tails crowd the shared limit, so coincidence is judged relative
-    # to the distance from the limit, and unresolvable tail pairs are skipped.
+def _coincident_pairs(pts_a: np.ndarray, pts_b: np.ndarray, limit: float,
+                      delta_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), sorted, where a-point i coincides with b-point j.
+
+    Both tails crowd the shared limit, so coincidence is judged relative
+    to the distance from the limit, |a_i - b_j| < 1e-8 (da_i + db_j), and
+    unresolvable tail pairs (both within ``1e3 * delta_tol`` of the
+    limit) are skipped.  Since db_j <= da_i + |a_i - b_j|, a hit lies
+    within 2e-8 da_i / (1 - 1e-8) of a_i: only the b-points in a window
+    of twice that radius are tested, found by bisection on the sorted
+    b-points, so the cost is O((N_a + N_b) log N_b).
+    """
     da = np.abs(pts_a - limit)
     db = np.abs(pts_b - limit)
-    gap = np.abs(np.subtract.outer(pts_a, pts_b))
-    sep = np.add.outer(da, db)
     floor = 1e3 * delta_tol * (1.0 + abs(limit))
-    resolvable = np.maximum.outer(da, db) > floor
-    hits = (gap < 1e-8 * sep) & resolvable
-    if hits.any():
-        i, j = np.argwhere(hits)[0]
-        raise CoincidentOrbits(
-            f"orbit point {pts_a[i]} of base a coincides with {pts_b[j]} of base b")
+    order = np.argsort(pts_b, kind="stable")
+    sorted_b = pts_b[order]
+    reach = 4e-8 * da
+    lo = np.searchsorted(sorted_b, pts_a - reach, side="left")
+    hi = np.searchsorted(sorted_b, pts_a + reach, side="right")
+    counts = hi - lo
+    # candidate r of a-point i (r counted over all candidates) is
+    # sorted_b[lo[i] + r - (candidates of the a-points before i)]
+    i = np.repeat(np.arange(len(pts_a)), counts)
+    starts = np.cumsum(counts) - counts
+    j = order[np.arange(counts.sum()) - np.repeat(starts - lo, counts)]
+    hits = ((np.abs(pts_a[i] - pts_b[j]) < 1e-8 * (da[i] + db[j]))
+            & (np.maximum(da[i], db[j]) > floor))
+    i, j = i[hits], j[hits]
+    k = np.lexsort((j, i))
+    return i[k], j[k]
+
+
+def _check_disjoint(pts_a: np.ndarray, pts_b: np.ndarray, limit: float,
+                    delta_tol: float) -> None:
+    i, j = _coincident_pairs(pts_a, pts_b, limit, delta_tol)
+    if len(i):
+        raise CoincidentOrbits(f"orbit point {pts_a[i[0]]} of base a "
+                               f"coincides with {pts_b[j[0]]} of base b")
 
 
 def contraction_estimate(tau: TauMap, grid: OrbitGrid) -> float:

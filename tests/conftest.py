@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -18,3 +19,11 @@ def qgrid():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240824)
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """Environment for a child interpreter that imports taucalc from src/."""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from taucalc import (GridFunction, apply_A, apply_Astar, chain_eigenvalues,
                      descend, eigen_residual_norm, factorization_residual,
                      from_coefficients, lift, particular_gauge_xi,
                      solve_step_constant, to_coefficients)
 from taucalc.chain import apply_coefficients, chain_equation_residual, make_level
-from taucalc.errors import InconsistentWeights
-from taucalc.scenarios import constant_gauge_chain, qhahn_chain
+from taucalc.errors import InconsistentWeights, NonPositiveFactor
+from taucalc.scenarios import constant_gauge_chain, fractional_chain, qhahn_chain
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +125,136 @@ def test_particular_gauge_xi_known_value():
     xi, g = particular_gauge_xi(lvl, 1.0, xi0=14.0)
     sel = g.valid[0]
     assert np.max(np.abs(g.values[0][sel] - 1.0)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Dense oracle for chain_eigenvalues: the full N x (N+1) weighted factor with
+# the limit column projected out explicitly, and a dense SVD.
+# ---------------------------------------------------------------------------
+
+def _dense_edge_values(fn):
+    grid = fn.grid
+    idx = np.arange(grid.size)
+    deepest = np.maximum.accumulate(np.where(fn.flat_valid, idx, -1))
+    return fn.flat[deepest[~grid.has_next]].real
+
+
+def dense_factor(level):
+    """The N x N factor G_psi with the limit column projected out."""
+    grid = level.grid
+    total = grid.size
+    ends = np.flatnonzero(~grid.has_next)
+    d = grid.deltas.copy()
+    d[ends] = [x - grid.tau.forward(x) for x in grid.points[ends]]
+    underflow = ends[d[ends] == 0.0]
+    d[underflow] = d[underflow - 1]
+    rv = level.w.rho.flat.real.copy()
+    ev = level.eta.flat.real.copy()
+    hv = level.h.flat.real.copy()
+    pv = level.phi.flat.real.copy()
+    ev[ends] = _dense_edge_values(level.eta)
+    hv[ends] = _dense_edge_values(level.h)
+    pv[ends] = _dense_edge_values(level.f) + hv[ends] / d[ends]
+    w1 = grid.measure_sign * d * ev * rv
+    w0 = grid.measure_sign * d * rv
+    assert np.all(w1 >= 0) and np.all(w0 > 0)
+    sq1 = np.sqrt(w1)
+    G_full = np.zeros((total, total + 1))
+    idx = np.arange(total)
+    n = np.flatnonzero(grid.has_next)
+    G_full[idx, idx] = sq1 * pv
+    G_full[n, n + 1] = -sq1[n] * hv[n] / d[n]
+    G_full[ends, total] = -sq1[ends] * hv[ends] / d[ends]
+    g_col = G_full[:, total]
+    G_psi = G_full[:, :total] / np.sqrt(w0)[None, :]
+    gg = float(g_col @ g_col)
+    if gg > 0.0:
+        G_psi = G_psi - np.outer(g_col, (g_col @ G_psi) / gg)
+    return G_psi
+
+
+def dense_eigenvalues(level):
+    return np.sort(scipy.linalg.svdvals(dense_factor(level))) ** 2
+
+
+def truncated_depth(q):
+    return math.ceil(math.log(1e-6) / math.log(q))
+
+
+@pytest.mark.parametrize("q, depth", [(0.7, 20), (0.5, 30)])
+def test_bidiagonal_spectrum_matches_dense_on_semigroup(q, depth):
+    for lvl in constant_gauge_chain(q=q, depth=depth, n_levels=1).levels[:1]:
+        new = chain_eigenvalues(lvl)
+        old = dense_eigenvalues(lvl)
+        assert new.shape == old.shape == (lvl.grid.size,)
+        assert np.all(np.diff(new) >= 0)
+        assert np.max(np.abs(new[1:] - old[1:]) / old[1:]) < 1e-12
+        assert abs(new[0]) <= 1e-12 * new[1]
+
+
+@pytest.mark.parametrize("q", [0.93, 0.97])
+def test_bidiagonal_spectrum_matches_dense_on_truncated_qhahn(q):
+    sc = qhahn_chain(q=q, depth=truncated_depth(q), n_levels=4)
+    new = chain_eigenvalues(sc.levels[0], count=4)
+    old = dense_eigenvalues(sc.levels[0])[:4]
+    assert new.shape == (4,)
+    assert np.max(np.abs(new[1:] - old[1:]) / old[1:]) < 1e-8
+    assert abs(new[0]) <= 1e-12 * new[1]
+
+
+def test_bidiagonal_spectrum_matches_dense_on_asymmetric_interval():
+    # unequal branch ends give unequal limit-column entries g_a != g_b
+    sc = qhahn_chain(depth=60, n_levels=1, A0_coeffs=(0.3, -1.0),
+                     bases=(-0.8, 1.0))
+    new = chain_eigenvalues(sc.levels[0], count=6)
+    old = dense_eigenvalues(sc.levels[0])[:6]
+    assert np.max(np.abs(new[1:] - old[1:]) / old[1:]) < 1e-10
+    assert abs(new[0]) <= 1e-12 * new[1]
+
+
+def test_bidiagonal_spectrum_decouples_without_limit_column(qh):
+    # h = 0 at both orbit ends empties the limit column: nothing is projected
+    # and each branch is a square bidiagonal block of its own
+    lvl = qh.levels[0]
+    ends = ~lvl.grid.has_next
+    h0 = GridFunction(lvl.grid, np.where(ends, 0.0, lvl.h.flat),
+                      lvl.h.flat_valid)
+    flat = type(lvl)(k=lvl.k, w=lvl.w, B=lvl.B, eta=lvl.eta, h=h0, f=lvl.f,
+                     phi=lvl.phi)
+    new = chain_eigenvalues(flat)
+    old = dense_eigenvalues(flat)
+    assert new.shape == old.shape == (lvl.grid.size,)
+    # one kernel vector per branch
+    assert np.all(np.abs(new[:2]) <= 1e-12 * new[2]) and old[1] == 0.0
+    assert np.max(np.abs(new[2:] - old[2:]) / old[2:]) < 1e-8
+    # the limit column is what couples the branches into the interval
+    # spectrum: with it, only one kernel vector is left
+    coupled = chain_eigenvalues(lvl, count=2)
+    assert coupled[1] == pytest.approx(qh.eigenvalue(1), rel=1e-5)
+    assert new[2] > 2.0 * coupled[1]
+
+
+@pytest.mark.parametrize("q", [0.9, 0.97])
+def test_bidiagonal_spectrum_matches_closed_form_on_converged_qhahn(q):
+    sc = qhahn_chain(q=q, depth=4000, n_levels=4)
+    lams = chain_eigenvalues(sc.levels[0], count=4)
+    assert abs(lams[0]) <= 1e-12 * lams[1]
+    for n in (1, 2, 3):
+        assert lams[n] == pytest.approx(sc.eigenvalue(n), rel=1e-12)
+
+
+def test_chain_eigenvalues_counts(qh):
+    lvl = qh.levels[0]
+    full = chain_eigenvalues(lvl)
+    assert full.shape == (lvl.grid.size,)
+    assert np.array_equal(chain_eigenvalues(lvl, count=full.size + 5), full)
+    assert np.allclose(chain_eigenvalues(lvl, count=3), full[:3],
+                       rtol=1e-13, atol=0.0)
+    with pytest.raises(ValueError):
+        chain_eigenvalues(lvl, count=0)
+
+
+def test_fractional_chain_rejects_eigen_solve():
+    sc = fractional_chain()
+    with pytest.raises(NonPositiveFactor):
+        chain_eigenvalues(sc.levels[0])

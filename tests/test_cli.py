@@ -147,3 +147,31 @@ def test_validate_full_suite_writes_json(tmp_path, capsys):
     report = json.loads((out / "validation.json").read_text())
     assert report["passed"] is True
     assert len(report["criteria"]) == 12
+
+
+@pytest.mark.parametrize("argv", [
+    ("grid", "--preset", "linear", "--tol", "1e-6"),
+    ("chain", "--preset", "constant-gauge", "--tol", "1e-6"),
+    ("validate", "--criterion", "pearson", "--preset", "qhahn"),
+    ("validate", "--criterion", "pearson", "--depth", "40"),
+])
+def test_unused_flags_rejected_exit_2(tmp_path, capsys, argv):
+    # a flag the command would ignore is refused rather than accepted
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key, value", [("output", "elsewhere"),
+                                        ("emit", ["csv"])])
+def test_unused_config_keys_rejected_exit_2(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, {
+        "map": {"kind": "linear", "q": 0.5},
+        "grid": {"mode": "semigroup", "bases": 1.0, "depth": 20},
+        key: value,
+    })
+    assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -3,7 +3,8 @@ import pytest
 
 from taucalc import GROUP, INTERVAL, SEMIGROUP, build_grid
 from taucalc.errors import CoincidentOrbits
-from taucalc.grid import contraction_estimate
+from taucalc.grid import (DEFAULT_DELTA_TOL, _check_disjoint,
+                          _coincident_pairs, contraction_estimate)
 from taucalc.maps import fractional_map, linear_map
 
 
@@ -73,3 +74,69 @@ def test_flat_storage_and_branch_views():
     # one array of grid length or one array per branch
     assert np.array_equal(GridFunction(grid, f.flat, f.valid).flat, f.flat)
     assert np.array_equal(GridFunction(grid, f.values).flat, f.flat)
+
+
+def outer_coincident_pairs(pts_a, pts_b, limit, delta_tol):
+    """The all-pairs N_a x N_b disjointness test, as a reference."""
+    da = np.abs(pts_a - limit)
+    db = np.abs(pts_b - limit)
+    gap = np.abs(np.subtract.outer(pts_a, pts_b))
+    sep = np.add.outer(da, db)
+    floor = 1e3 * delta_tol * (1.0 + abs(limit))
+    resolvable = np.maximum.outer(da, db) > floor
+    hits = (gap < 1e-8 * sep) & resolvable
+    return np.argwhere(hits)
+
+
+def assert_same_pairs(pts_a, pts_b, limit, delta_tol=DEFAULT_DELTA_TOL):
+    want = outer_coincident_pairs(pts_a, pts_b, limit, delta_tol)
+    i, j = _coincident_pairs(pts_a, pts_b, limit, delta_tol)
+    assert np.array_equal(np.column_stack([i, j]).reshape(-1, 2), want)
+    if len(want):
+        with pytest.raises(CoincidentOrbits) as exc:
+            _check_disjoint(pts_a, pts_b, limit, delta_tol)
+        a, b = want[0]
+        assert str(exc.value) == (f"orbit point {pts_a[a]} of base a "
+                                  f"coincides with {pts_b[b]} of base b")
+    else:
+        _check_disjoint(pts_a, pts_b, limit, delta_tol)
+    return len(want)
+
+
+def test_coincident_pairs_match_all_pairs_on_random_orbits():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        limit = rng.uniform(-2.0, 2.0)
+        qa, qb = rng.uniform(0.5, 0.97, size=2)
+        na, nb = rng.integers(5, 400, size=2)
+        pts_a = limit + rng.uniform(-3, 3) * qa ** np.arange(na)
+        pts_b = limit + rng.uniform(-3, 3) * qb ** np.arange(nb)
+        assert_same_pairs(pts_a, pts_b, limit)
+        assert_same_pairs(rng.uniform(-1, 1, na), rng.uniform(-1, 1, nb), 0.0,
+                          delta_tol=1e-3)
+
+
+def test_coincident_pairs_match_all_pairs_on_planted_hits():
+    # b copies a at offsets straddling the 1e-8 (da + db) threshold and the
+    # 4e-8 da search radius, on both sides of the limit and in the tail
+    rng = np.random.default_rng(11)
+    hits = 0
+    for limit in (0.0, 1.0, -0.3):
+        pts_a = limit + np.concatenate([0.9 ** np.arange(300),
+                                        -(0.8 ** np.arange(200))])
+        da = np.abs(pts_a - limit)
+        pick = rng.choice(len(pts_a), size=120, replace=False)
+        rel = rng.choice([0.0, 0.5, 0.999999, 1.0, 1.000001, 1.5, 1.9999,
+                          2.0, 2.0001, 3.9, 4.1], size=pick.size)
+        sign = rng.choice([-1.0, 1.0], size=pick.size)
+        pts_b = pts_a[pick] + sign * rel * 1e-8 * da[pick]
+        pts_b = np.concatenate([pts_b, limit + 0.7 ** np.arange(150)])
+        hits += assert_same_pairs(pts_a, rng.permutation(pts_b), limit)
+        hits += assert_same_pairs(pts_b, pts_a, limit)
+    assert hits > 100
+
+
+def test_coincident_pairs_skip_unresolvable_tail():
+    tail = 1e-13 * 0.5 ** np.arange(30)
+    assert assert_same_pairs(tail, tail * (1 + 1e-12), 0.0) == 0
+    assert assert_same_pairs(tail, tail, 0.0) == 0

@@ -1,6 +1,8 @@
 """Source-level rules for the taucalc package."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,3 +19,11 @@ def test_no_private_cross_module_imports(path):
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_cli_import_leaves_scipy_unloaded(src_env):
+    # scipy is imported where the eigen-solve needs it, not at start-up
+    code = "import sys, taucalc.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=src_env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"
