@@ -88,20 +88,14 @@ class CoefficientTriple:
 
 
 def make_level(grid: OrbitGrid, B: GridFunction, eta: GridFunction,
-               h: GridFunction, f: GridFunction, k: int = 0,
-               base_value: float = 1.0, w: WeightedGrid | None = None,
-               g: GridFunction | None = None, c: complex = 0.0,
-               d: complex = 1.0) -> ChainLevel:
+               h: GridFunction, f: GridFunction, k: int = 0) -> ChainLevel:
     """Assemble a chain level, building the weight by the Pearson recursion."""
     for fn in (B, eta, h, f):
         if fn.grid is not grid:
             raise GridMismatch("level data sampled on a different grid")
     phi = f + h / deltas_fn(grid)
-    if w is None:
-        w = weight_from_pearson(PearsonTriple.from_B_eta(B, eta), grid,
-                                base_value=base_value)
-    return ChainLevel(k=k, w=w, B=B, eta=eta, h=h, f=f, phi=phi,
-                      g=g, c=c, d=d)
+    w = weight_from_pearson(PearsonTriple.from_B_eta(B, eta), grid)
+    return ChainLevel(k=k, w=w, B=B, eta=eta, h=h, f=f, phi=phi)
 
 
 def with_step(level: ChainLevel, g: GridFunction, c: complex,
@@ -139,19 +133,16 @@ def apply_Astar(level: ChainLevel, psi: GridFunction) -> GridFunction:
             - adjoint_shift(core, level.w))
 
 
-def advance_level(level: ChainLevel, h_next: GridFunction,
-                  g: GridFunction | None = None,
-                  d: complex | None = None) -> ChainLevel:
-    """Build level k+1 from level k and the step data (g, h_{k+1}, d).
+def advance_level(level: ChainLevel, h_next: GridFunction) -> ChainLevel:
+    """Build level k+1 from level k, its stamped step data (g, d) and h_{k+1}.
 
     B_{k+1} = g B_k, eta_{k+1} = T(g eta_k), rho_{k+1} = eta_k rho_k
     (cross-checked against T(B_k rho_k)), and the transformation rule
     phi_{k+1} = (h_k/(d h_{k+1})) T(phi_k / g).
     """
-    g = g if g is not None else level.g
-    d = d if d is not None else level.d
+    g, d = level.g, level.d
     if g is None:
-        raise ValueError("step gauge g missing: pass it or stamp it on the level")
+        raise ValueError("step gauge g missing: stamp it on the level first")
     grid = level.grid
     B_next = g * level.B
     eta_next = shift(g * level.eta)
@@ -354,59 +345,48 @@ def apply_coefficients(coef: CoefficientTriple, psi: GridFunction) -> GridFuncti
 
 
 def from_coefficients(coef: CoefficientTriple, h0: GridFunction,
-                      seed, base_value: float = 1.0) -> ChainLevel:
+                      seed) -> ChainLevel:
     """Recover a level-0 factorization from three-point coefficients.
 
-    The ratio r = phi_0/h_0 is propagated along each orbit from its base
-    value by the first-order recursion the coefficients impose, then
-    (B_0, eta_0) follow from the inverse formulas and the weight from
-    the Pearson recursion.  ``seed`` gives the base value of r, either
-    one number shared by all branches or one per branch.
+    The ratio r = phi_0/h_0 obeys the linear-fractional recursion
+
+        r[n+1] = (-beta[n+1] r[n] - gamma[n+1]/delta_n)
+                 / (alpha[n+1] delta_{n+1} r[n]),
+
+    walked outward from each branch base (backward behind the base of a
+    group orbit) by :meth:`OrbitGrid.mobius_scan`; (B_0, eta_0) then
+    follow from the inverse formulas and the weight from the Pearson
+    recursion.  ``seed`` gives r at the branch bases, either one number
+    shared by all branches or one per branch.
     """
     grid = coef.alpha.grid
     if h0.grid is not grid:
         raise GridMismatch("h0 lives on a different grid")
-    if np.isscalar(seed) or isinstance(seed, complex):
-        seeds = [complex(seed)] * len(grid.branches)
-    else:
-        seeds = [complex(s) for s in seed]
-        if len(seeds) != len(grid.branches):
-            raise GridMismatch("need one ratio seed per grid branch")
-    av, am = coef.alpha.flat, coef.alpha.flat_valid
-    bv, bm = coef.beta.flat, coef.beta.flat_valid
-    gv, gm = coef.gamma.flat, coef.gamma.flat_valid
-    d = grid.deltas
-    r = np.zeros(grid.size, dtype=complex)
-    mask = np.zeros(grid.size, dtype=bool)
-    for s, seed_i in zip(grid.slices, seeds):
-        r[s.start] = seed_i
-        mask[s.start] = True
-        for j in range(s.start, s.stop - 2):
-            if not (mask[j] and am[j + 1] and bm[j + 1] and gm[j + 1]):
-                continue
-            if abs(av[j + 1]) < _ZERO_TOL:
-                raise ZeroAlpha("alpha vanishes at an interior point")
-            den = r[j] * av[j + 1] * d[j + 1]
-            num = -gv[j + 1] / d[j] - r[j] * bv[j + 1]
-            if abs(den) < _ZERO_TOL * max(1.0, abs(num)):
-                raise RiccatiBlowup("ratio recursion denominator vanished at "
-                                    f"index {j + 1 - s.start}")
-            r[j + 1] = num / den
-            mask[j + 1] = True
+    seeds = np.asarray(seed, dtype=complex)
+    if seeds.ndim and seeds.shape != (len(grid.branches),):
+        raise GridMismatch("need one ratio seed per grid branch")
+    dlt = deltas_fn(grid)
+    steps = (-shift(coef.beta), -shift(coef.gamma) / dlt, shift(coef.alpha * dlt))
+    r, mask, pole = grid.mobius_scan(
+        [fn.flat for fn in steps] + [0], seeds,
+        np.logical_and.reduce([fn.flat_valid for fn in steps]), _ZERO_TOL)
+    if pole.any():
+        k = np.flatnonzero(pole)[0]
+        b, pos = grid.locate(k)
+        if pos > grid.branches[b].base_index and abs(coef.alpha.flat[k]) < _ZERO_TOL:
+            raise ZeroAlpha(f"alpha vanishes at interior orbit point index {pos}")
+        raise RiccatiBlowup(
+            f"ratio recursion denominator vanished at index {pos}")
     r_fn = GridFunction(grid, r, mask, label="phi0/h0")
     phi0 = r_fn * h0
-    dlt = deltas_fn(grid)
     f0 = phi0 - h0 / dlt
     eta0 = -(dlt * coef.alpha) / (phi0 * h0)
     # B_0[n] = delta_n delta_{n-1} / h0[n-1]^2 * (beta[n] + delta_n alpha[n] r[n])
-    hv, hm = h0.flat, h0.flat_valid
-    n = np.flatnonzero(grid.interior())
-    B = np.zeros(grid.size, dtype=complex)
-    B_mask = np.zeros(grid.size, dtype=bool)
-    B[n] = d[n] * d[n - 1] / hv[n - 1] ** 2 * (bv[n] + d[n] * av[n] * r[n])
-    B_mask[n] = bm[n] & am[n] & mask[n] & hm[n - 1]
-    B0 = GridFunction(grid, B, B_mask, label="B0")
-    return make_level(grid, B0, eta0, h0, f0, base_value=base_value)
+    B0 = (dlt * shift(dlt, -1) / shift(h0, -1) ** 2
+          * (coef.beta + dlt * coef.alpha * r_fn))
+    B0 = GridFunction(grid, np.where(B0.flat_valid, B0.flat, 0.0),
+                      B0.flat_valid, label="B0")
+    return make_level(grid, B0, eta0, h0, f0)
 
 
 def lift(pair: EigenPair, level: ChainLevel) -> EigenPair:
@@ -586,67 +566,50 @@ def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0,
 
         xi[n+1] = xi[n] phi[n+1]^2 eta[n+1] / (xi[n] + B[n+1]/(dn dn+1)),
 
-    which is propagated along each orbit from the one free constant
-    ``xi0`` (the orbit-product closed form of the same solution is
-    numerically unusable: its intermediate suffix products overflow
-    before cancelling).  The gauge g is then read back from xi.
+    with step matrix [[phi[n+1]^2 eta[n+1], 0], [1, B[n+1]/(dn dn+1)]],
+    walked from xi = ``xi0`` at each branch base by
+    :meth:`OrbitGrid.mobius_scan`, whose rescaled composite maps do not
+    overflow on deep orbits.  ZeroDivisor is raised where xi0 puts the
+    walk on a pole.  The gauge g is then read back from xi.
     """
     if (level.h - 1.0).max_abs() > 1e-12:
         raise GridMismatch("closed-form gauge solution needs h = 1")
     if level.c != 0:
         raise GridMismatch("closed-form gauge solution needs c = 0")
     grid = level.grid
-    dlt = grid.deltas
+    dv = grid.deltas
     Bv, pv, ev = level.B.flat, level.phi.flat, level.eta.flat
-    Bm, pm, em = level.B.flat_valid, level.phi.flat_valid, level.eta.flat_valid
-    xi = np.zeros(grid.size, dtype=complex)
-    mask = np.zeros(grid.size, dtype=bool)
-    for s in grid.slices:
-        xi[s.start] = xi0
-        mask[s.start] = True
-        for j in range(s.start, s.stop - 2):
-            if not (mask[j] and Bm[j + 1] and pm[j + 1] and em[j + 1]):
-                continue
-            step = Bv[j + 1] / (dlt[j] * dlt[j + 1])
-            den = xi[j] + step
-            if abs(den) < 1e-13 * max(abs(xi[j]), abs(step), 1.0):
-                raise ZeroDivisor("integration constant hits a pole at "
-                                  f"index {j + 1 - s.start}")
-            xi[j + 1] = xi[j] * pv[j + 1] ** 2 * ev[j + 1] / den
-            mask[j + 1] = True
-        if mask[s].sum() < 4:
-            raise SingularLimit("orbit too short for the gauge solution")
-    xi_fn = GridFunction(grid, xi, mask, label="xi")
-    _check_xi_recursion(level, xi_fn, tol=tail_tol)
+    ae = pv ** 2 * ev
+    j = np.flatnonzero(grid.neighbour_mask(2))
+    a_step = np.ones(grid.size, dtype=complex)
+    d_step = np.ones(grid.size, dtype=complex)
+    a_step[j], d_step[j] = ae[j + 1], Bv[j + 1] / (dv[j] * dv[j + 1])
+    ok = np.zeros(grid.size, dtype=bool)
+    ok[j] = (level.B.flat_valid & level.phi.flat_valid
+             & level.eta.flat_valid)[j + 1]
+    xi, mask, pole = grid.mobius_scan((a_step, 0, 1, d_step), xi0, ok, 1e-13)
+    if pole.any():
+        raise ZeroDivisor("integration constant hits a pole at index "
+                          f"{grid.locate(np.flatnonzero(pole)[0])[1]}")
+    if np.any(np.add.reduceat(mask, [s.start for s in grid.slices]) < 4):
+        raise SingularLimit("orbit too short for the gauge solution")
+    # every step taken must hold read backward as well:
+    # xi[n] = (B[n+1]/(dn dn+1)) xi[n+1] / (phi[n+1]^2 eta[n+1] - xi[n+1])
+    k = j[mask[j] & mask[j + 1]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = xi[k] - d_step[k] * xi[k + 1] / (a_step[k] - xi[k + 1])
+    worst = float(np.max(np.abs(res), initial=0.0)
+                  / max(1.0, np.max(np.abs(xi[k]), initial=0.0)))
+    if worst > tail_tol:
+        raise SingularLimit(f"xi violates its recursion: residual {worst}")
     # g = (phi^2 eta - xi) (id-tau)(tau^-1 - id) / (d B)
     n = np.flatnonzero(grid.interior())
     g = np.zeros(grid.size, dtype=complex)
     g_mask = np.zeros(grid.size, dtype=bool)
-    g[n] = (pv[n] ** 2 * ev[n] - xi[n]) * dlt[n] * dlt[n - 1] / (d * Bv[n])
-    g_mask[n] = mask[n] & Bm[n]
-    return xi_fn, GridFunction(grid, g, g_mask, label="g")
-
-
-def _check_xi_recursion(level: ChainLevel, xi_fn: GridFunction,
-                        tol: float = 1e-8) -> None:
-    grid = level.grid
-    dlt = grid.deltas
-    Bv, pv, ev = level.B.flat, level.phi.flat, level.eta.flat
-    xv, xm = xi_fn.flat, xi_fn.flat_valid
-    n = np.flatnonzero(grid.neighbour_mask(2))
-    ok = xm[n] & xm[n + 1]
-    if not ok.any():
-        return
-    ae = pv[n + 1] ** 2 * ev[n + 1]
-    # masked slots may hold 0/0; they are excluded by ``ok`` below
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rhs = (Bv[n + 1] / (dlt[n + 1] * dlt[n])) * xv[n + 1] / (
-            ae - xv[n + 1])
-    worst = float(np.max(np.abs(xv[n] - rhs)[ok]))
-    scale = max(1.0, float(np.max(np.abs(xv[n][ok]))))
-    if worst / scale > tol:
-        raise SingularLimit(
-            f"closed-form xi violates its recursion: residual {worst / scale}")
+    g[n] = (ae[n] - xi[n]) * dv[n] * dv[n - 1] / (d * Bv[n])
+    g_mask[n] = mask[n] & level.B.flat_valid[n]
+    return (GridFunction(grid, xi, mask, label="xi"),
+            GridFunction(grid, g, g_mask, label="g"))
 
 
 __all__ = [

@@ -116,8 +116,8 @@ _MODES = {"semigroup": SEMIGROUP, "group": GROUP, "interval": INTERVAL}
 
 def _build_grid(config: dict, depth_override: int | None):
     gspec = _take(config.get("grid", {}),
-                  {"mode": "semigroup", "bases": _REQUIRED, "depth": 512,
-                   "tol": 1e-9}, "grid spec")
+                  {"mode": "semigroup", "bases": _REQUIRED, "depth": 512},
+                  "grid spec")
     if gspec["mode"] not in _MODES:
         raise ConfigError(f"unknown grid mode {gspec['mode']!r}")
     bases = gspec["bases"]
@@ -127,7 +127,7 @@ def _build_grid(config: dict, depth_override: int | None):
         raise ConfigError("config is missing the map spec")
     tau = _build_map(config["map"])
     return build_grid(tau, mode=_MODES[gspec["mode"]], bases=bases,
-                      tol=float(gspec["tol"]), max_depth=depth)
+                      max_depth=depth)
 
 
 def _grid_fn(grid, expr: str, label: str) -> GridFunction:

@@ -11,14 +11,14 @@ whole eigenproblem — are preserved.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .chain import ChainLevel, make_level, with_step
 from .errors import DomainEscape, GridMismatch
-from .grid import OrbitBranch, OrbitGrid
+from .grid import OrbitGrid
 from .gridfn import GridFunction
 from .maps import TauMap
 
@@ -104,10 +104,9 @@ def transport_grid(grid: OrbitGrid, ch: VariableChange,
     if tau_new is None:
         tau_new = conjugate_map(grid.tau, ch)
     pts = np.array([ch.kappa(x) for x in grid.points])
-    branches = tuple(OrbitBranch(points=pts[s], limit=float(ch.kappa(br.limit)),
-                                 role=br.role, base_index=br.base_index)
+    branches = tuple(replace(br, points=pts[s], limit=float(ch.kappa(br.limit)))
                      for br, s in zip(grid.branches, grid.slices))
-    return OrbitGrid(tau_new, grid.mode, branches, grid.tol)
+    return OrbitGrid(tau_new, grid.mode, branches)
 
 
 def _check_correspondence(source: OrbitGrid, ch: VariableChange,

@@ -9,6 +9,10 @@ class DomainEscape(CalculusError):
     """An iterate left the map's domain by more than the allowed tolerance."""
 
 
+class LimitNotConverged(CalculusError):
+    """Fixed-point iteration from a base did not settle within its cap."""
+
+
 class LimitMismatch(CalculusError):
     """The two interval bases converge to different fixed points."""
 

@@ -13,16 +13,15 @@ Three modes are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
-from .errors import CoincidentOrbits, LimitMismatch, ZeroDivisor
+from .errors import (CoincidentOrbits, LimitMismatch, LimitNotConverged,
+                     ZeroDivisor)
 from .maps import LimitResult, TauMap, limit_point
 
 DEFAULT_MAX_DEPTH = 512
 DEFAULT_DELTA_TOL = 1e-15
-DEFAULT_FIXED_POINT_TOL = 1e-13
 
 SEMIGROUP = "semigroup"
 INTERVAL = "interval"
@@ -36,12 +35,15 @@ class OrbitBranch:
     ``role`` is "b" for a branch whose measure enters positively, "a" for
     the subtracted branch of an interval grid, and "group" for a two-sided
     orbit.  For a group branch ``base_index`` locates the base point.
+    ``converged`` is False when the forward orbit stopped at the depth cap
+    before its steps fell below the step tolerance.
     """
 
     points: np.ndarray
     limit: float
     role: str
     base_index: int = 0
+    converged: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
@@ -51,6 +53,11 @@ class OrbitBranch:
     def deltas(self) -> np.ndarray:
         """Successive differences tau^n - tau^(n+1); length len(points)-1."""
         return self.points[:-1] - self.points[1:]
+
+    @property
+    def limit_gap(self) -> float:
+        """Distance |x_last - limit| from the deepest point to the limit."""
+        return float(abs(self.points[-1] - self.limit))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -70,7 +77,6 @@ class OrbitGrid:
     tau: TauMap
     mode: str
     branches: tuple[OrbitBranch, ...]
-    tol: float
     points: np.ndarray = field(init=False, repr=False)
     deltas: np.ndarray = field(init=False, repr=False)
     has_next: np.ndarray = field(init=False, repr=False)
@@ -164,92 +170,155 @@ class OrbitGrid:
             ufunc.accumulate(rev[seg], out=out[seg])
         return out[::-1]
 
+    def mobius_scan(self, steps, seeds, ok: np.ndarray, pole_tol: float):
+        """Walk r[n+1] = (a r[n] + b)/(c r[n] + d) outward from each branch base.
 
-def _forward_orbit(tau: TauMap, base: float, limit: float, delta_tol: float,
-                   max_depth: int) -> np.ndarray:
-    pts = [float(base)]
-    scale = 1.0 + abs(limit)
-    quiet = 0
-    x = float(base)
+        ``steps = (a, b, c, d)`` are flat arrays or constants; entry n maps
+        point n to n+1, and behind a group base the walk runs backward
+        through [[d, -b], [-c, a]].  ``seeds`` holds r at the bases (one
+        number or one per branch); ``ok[n]`` marks step n usable.  Returns
+        ``(values, valid, pole)``: ``valid`` runs from the base up to the
+        first unusable step (values are 0 past it), and ``pole`` flags each
+        point whose incoming step had |den| < pole_tol max(1, |den terms|).
+        The composite maps are prefix products of the 2x2 steps, built by
+        log-depth doubling and rescaled by exact powers of two.
+        """
+        # one row per walk: each branch forward from its base and, behind
+        # a group base, backward from the base again; rows are padded
+        walks = []
+        for i, (br, s) in enumerate(zip(self.branches, self.slices)):
+            k0 = s.start + br.base_index
+            walks.append((i, np.arange(k0, s.stop), False))
+            if br.base_index:
+                walks.append((i, np.arange(k0, s.start - 1, -1), True))
+        width = max(len(pts) for _, pts, _ in walks)
+        idx = np.zeros((len(walks), width), dtype=int)
+        live = np.zeros(idx.shape, dtype=bool)
+        for row, (_, pts, _) in enumerate(walks):
+            idx[row, :len(pts)], live[row, :len(pts)] = pts, True
+        back = np.array([[b] for _, _, b in walks])
+        # the map entering each point: step n-1 forward, inverse step n back
+        src = np.maximum(idx - 1 + back, 0)
+        use = live & np.asarray(ok, dtype=bool)[src]
+        use[:, 0] = True
+        entries = np.zeros((4, self.size), dtype=complex)
+        for row, x in zip(entries, steps):
+            row[:] = x
+        a, b, c, d = entries[:, src]
+        m = np.where(back, [[d, -b], [-c, a]], [[a, b], [c, d]])
+        m = np.where(use, m, np.eye(2)[:, :, None, None])
+        m[..., 0] = np.eye(2)[:, :, None]
+        sigma = (np.zeros(len(self.branches), dtype=complex)
+                 + seeds)[[[i] for i, _, _ in walks]]
+        if not (m.imag.any() or sigma.imag.any()):
+            m, sigma = m.real.copy(), sigma.real
+        valid = np.logical_and.accumulate(use, axis=1)
+
+        # doubling: P[:, :, j] <- P[:, :, j] P[:, :, j - span] along each row
+        P = _power_of_two_normalized(m)
+        span = 1
+        while span < width:
+            hi, lo = P[..., span:], P[..., :-span]
+            P[..., span:] = _power_of_two_normalized(
+                hi[:, :1] * lo[None, 0] + hi[:, 1:] * lo[None, 1])
+            span *= 2
+        pole = np.zeros(idx.shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            r = (P[0, 0] * sigma + P[0, 1]) / (P[1, 0] * sigma + P[1, 1])
+            term, const = m[1, 0, :, 1:] * r[:, :-1], m[1, 1, :, 1:]
+            scale = np.maximum(1.0, np.maximum(np.abs(term), np.abs(const)))
+            pole[:, 1:] = valid[:, 1:] & (np.abs(term + const) < pole_tol * scale)
+        values = np.zeros(self.size, dtype=complex)
+        flags = np.zeros((2, self.size), dtype=bool)
+        values[idx[valid]] = r[valid]
+        flags[0, idx[valid]] = True
+        flags[1, idx[pole]] = True
+        return values, flags[0], flags[1]
+
+    def locate(self, n: int) -> tuple[int, int]:
+        """(branch index, position within the branch) of flat index ``n``."""
+        b = int(np.searchsorted([s.stop for s in self.slices], n, side="right"))
+        return b, int(n) - self.slices[b].start
+
+
+def _power_of_two_normalized(m: np.ndarray) -> np.ndarray:
+    """Scale each map of a (2, 2, ...) stack by the power of two that brings
+    its largest entry modulus into [0.5, 1)."""
+    return m * np.ldexp(1.0, -np.frexp(np.abs(m).max(axis=(0, 1)))[1])
+
+
+def _orbit(step, base: float, limit: float | None,
+           max_depth: int) -> tuple[np.ndarray, bool]:
+    """The base and its iterates under ``step``, and whether they settled.
+
+    Iteration stops once three consecutive steps fall below
+    ``DEFAULT_DELTA_TOL`` relative to 1 + |limit| (1 + |x| when ``limit``
+    is None), or unsettled at ``max_depth``.
+    """
+    pts, x, quiet = [float(base)], float(base), 0
     for _ in range(max_depth):
-        x_next = tau.forward(x)
-        delta = x - x_next
-        if delta == 0.0:
-            if abs(x - limit) <= 1e3 * delta_tol * scale:
-                break  # converged so fast the step underflowed
-            raise ZeroDivisor(f"fixed point hit on the orbit at x={x}")
+        x_next = step(x)
+        scale = 1.0 + abs(x_next if limit is None else limit)
+        if x_next == x:
+            if limit is None or abs(x - limit) > 1e3 * DEFAULT_DELTA_TOL * scale:
+                raise ZeroDivisor(f"fixed point hit on the orbit at x={x}")
+            break  # converged so fast the step underflowed
         pts.append(x_next)
-        quiet = quiet + 1 if abs(delta) < delta_tol * scale else 0
+        quiet = quiet + 1 if abs(x - x_next) < DEFAULT_DELTA_TOL * scale else 0
         if quiet >= 3:
             break
         x = x_next
-    return np.asarray(pts)
+    else:
+        return np.asarray(pts), False
+    return np.asarray(pts), True
 
 
-def _backward_orbit(tau: TauMap, base: float, delta_tol: float, max_depth: int,
-                    weight: Callable[[float], float] | None) -> np.ndarray:
-    """Backward iterates of the base (excluded), nearest first."""
-    w = weight if weight is not None else (lambda _x: 1.0)
-    pts = []
-    x = float(base)
-    quiet = 0
-    for _ in range(max_depth):
-        x_prev = tau.inverse(x)
-        delta = x_prev - x
-        if delta == 0.0:
-            raise ZeroDivisor(f"fixed point hit on the orbit at x={x}")
-        pts.append(x_prev)
-        quiet = quiet + 1 if abs(delta * w(x_prev)) < delta_tol * (1.0 + abs(x_prev)) else 0
-        if quiet >= 3:
-            break
-        x = x_prev
-    return np.asarray(pts[::-1])
+def _limit(tau: TauMap, base: float) -> float:
+    lim = limit_point(tau, base)
+    if not lim.converged:
+        raise LimitNotConverged(
+            f"fixed-point iteration from base {base} did not settle within "
+            f"{lim.iterations} steps")
+    return lim.value
 
 
 def build_grid(tau: TauMap, mode: str = SEMIGROUP,
                bases: float | tuple[float, float] = 1.0,
-               tol: float = DEFAULT_FIXED_POINT_TOL,
-               delta_tol: float = DEFAULT_DELTA_TOL,
-               max_depth: int = DEFAULT_MAX_DEPTH,
-               backward_weight: Callable[[float], float] | None = None) -> OrbitGrid:
+               max_depth: int = DEFAULT_MAX_DEPTH) -> OrbitGrid:
     """Construct a truncated orbit grid.
 
     ``bases`` is a single base for semigroup/group mode and a pair
-    ``(a, b)`` for interval mode.  Orbit generation stops once three
-    consecutive steps fall below ``delta_tol`` relative to the limit, or
-    at ``max_depth``.  Group orbits truncate the backward direction with
-    the caller-supplied ``backward_weight`` decay (weight 1 if omitted).
+    ``(a, b)`` for interval mode.  The limit of each base is found by
+    fixed-point iteration; :class:`LimitNotConverged` is raised when it
+    does not settle.  Orbit generation stops once three consecutive
+    steps fall below ``DEFAULT_DELTA_TOL`` relative to the limit, or at
+    ``max_depth``; a branch cut at ``max_depth`` records
+    ``converged=False``.  The backward leg of a group orbit stops by the
+    same step rule.
     """
-    if mode == SEMIGROUP:
+    if mode in (SEMIGROUP, GROUP):
         base = float(bases) if np.isscalar(bases) else float(bases[0])
-        lim = limit_point(tau, base, tol=tol)
-        pts = _forward_orbit(tau, base, lim.value, delta_tol, max_depth)
-        branch = OrbitBranch(pts, lim.value, role="b")
-        return OrbitGrid(tau, SEMIGROUP, (branch,), tol)
+        lim = _limit(tau, base)
+        pts, done = _orbit(tau.forward, base, lim, max_depth)
+        if mode == SEMIGROUP:
+            branch = OrbitBranch(pts, lim, role="b", converged=done)
+        else:
+            back = _orbit(tau.inverse, base, None, max_depth)[0][:0:-1]
+            branch = OrbitBranch(np.concatenate([back, pts]), lim, role="group",
+                                 base_index=len(back), converged=done)
+        return OrbitGrid(tau, mode, (branch,))
 
     if mode == INTERVAL:
         a, b = float(bases[0]), float(bases[1])
-        lim_a = limit_point(tau, a, tol=tol)
-        lim_b = limit_point(tau, b, tol=tol)
-        scale = 1.0 + abs(lim_b.value)
-        if abs(lim_a.value - lim_b.value) > 1e-10 * scale:
-            raise LimitMismatch(
-                f"orbit limits differ: {lim_a.value} vs {lim_b.value}")
-        pts_a = _forward_orbit(tau, a, lim_a.value, delta_tol, max_depth)
-        pts_b = _forward_orbit(tau, b, lim_b.value, delta_tol, max_depth)
-        _check_disjoint(pts_a, pts_b, lim_b.value, delta_tol)
+        lim_a, lim_b = _limit(tau, a), _limit(tau, b)
+        if abs(lim_a - lim_b) > 1e-10 * (1.0 + abs(lim_b)):
+            raise LimitMismatch(f"orbit limits differ: {lim_a} vs {lim_b}")
+        pts_a, done_a = _orbit(tau.forward, a, lim_a, max_depth)
+        pts_b, done_b = _orbit(tau.forward, b, lim_b, max_depth)
+        _check_disjoint(pts_a, pts_b, lim_b, DEFAULT_DELTA_TOL)
         return OrbitGrid(tau, INTERVAL,
-                         (OrbitBranch(pts_a, lim_a.value, role="a"),
-                          OrbitBranch(pts_b, lim_b.value, role="b")), tol)
-
-    if mode == GROUP:
-        base = float(bases) if np.isscalar(bases) else float(bases[0])
-        lim = limit_point(tau, base, tol=tol)
-        fwd = _forward_orbit(tau, base, lim.value, delta_tol, max_depth)
-        back = _backward_orbit(tau, base, delta_tol, max_depth, backward_weight)
-        pts = np.concatenate([back, fwd])
-        branch = OrbitBranch(pts, lim.value, role="group", base_index=len(back))
-        return OrbitGrid(tau, GROUP, (branch,), tol)
+                         (OrbitBranch(pts_a, lim_a, role="a", converged=done_a),
+                          OrbitBranch(pts_b, lim_b, role="b", converged=done_b)))
 
     raise ValueError(f"unknown grid mode {mode!r}")
 

@@ -91,10 +91,6 @@ class GridFunction:
         if self.grid is not other.grid:
             raise GridMismatch("operands live on different grids")
 
-    @property
-    def is_real(self) -> bool:
-        return bool(np.allclose(self.flat.imag, 0.0, atol=0.0))
-
     def max_abs(self, valid_only: bool = True) -> float:
         sel = np.abs(self.flat[self.flat_valid] if valid_only else self.flat)
         return float(np.max(sel)) if sel.size else 0.0
@@ -157,19 +153,13 @@ class GridFunction:
     def window(self, margin: int) -> "GridFunction":
         """Zero the values on ``margin`` indices at each end of every branch.
 
-        Unlike :meth:`restrict` this keeps the validity mask, producing a
-        genuinely interior-supported function (summation-by-parts tests
-        need actual zeros, not masked-out entries).
+        The validity mask is kept, producing a genuinely interior-supported
+        function (summation-by-parts tests need actual zeros, not masked-out
+        entries).
         """
         keep = self.grid.interior(max(margin, 0))
         return GridFunction(self.grid, np.where(keep, self.flat, 0.0),
                             self.flat_valid, self.label)
-
-    def restrict(self, margin: int) -> "GridFunction":
-        """Invalidate ``margin`` indices at each end of every branch."""
-        keep = self.grid.interior(max(margin, 0))
-        return GridFunction(self.grid, self.flat, self.flat_valid & keep,
-                            self.label)
 
 
 def max_abs_diff(f: GridFunction, g: GridFunction) -> float:

@@ -145,38 +145,20 @@ class PearsonTriple:
         return cls(B, eta, step_quotient(B - eta, label="A"))
 
 
-def weight_from_pearson(p: PearsonTriple, grid: OrbitGrid,
-                        base_value: float = 1.0) -> WeightedGrid:
-    """Build the weight solving T(B rho) = eta rho from rho(base) = base_value."""
+def weight_from_pearson(p: PearsonTriple, grid: OrbitGrid) -> WeightedGrid:
+    """Build the weight solving T(B rho) = eta rho with rho = 1 at each base:
+    rho[n+1] = eta[n] rho[n] / B[n+1] walked outward by
+    :meth:`OrbitGrid.mobius_scan` with steps [[eta_n, 0], [0, B_{n+1}]]."""
     if p.B.grid is not grid:
         raise GridMismatch("Pearson data sampled on a different grid")
-    if base_value <= 0.0:
-        raise ValueError("base_value must be positive")
-    bv, ev = p.B.flat, p.eta.flat
-    bm, em = p.B.flat_valid, p.eta.flat_valid
-    rho = np.zeros(grid.size, dtype=complex)
-    mask = np.zeros(grid.size, dtype=bool)
-    for br, s in zip(grid.branches, grid.slices):
-        k0 = s.start + br.base_index
-        rho[k0] = base_value
-        mask[k0] = True
-        for j in range(k0, s.stop - 1):
-            if not (mask[j] and em[j] and bm[j + 1]):
-                continue
-            if abs(bv[j + 1]) < _ZERO_TOL:
-                raise ZeroDivisor(
-                    f"B vanishes at interior orbit point index {j + 1 - s.start}")
-            rho[j + 1] = ev[j] * rho[j] / bv[j + 1]
-            mask[j + 1] = True
-        for j in range(k0 - 1, s.start - 1, -1):
-            # Backward leg of a group orbit: rho[j] = rho[j+1] B[j+1]/eta[j].
-            if not (mask[j + 1] and em[j] and bm[j + 1]):
-                continue
-            if abs(ev[j]) < _ZERO_TOL:
-                raise ZeroDivisor(
-                    f"eta vanishes at orbit point index {j - s.start}")
-            rho[j] = rho[j + 1] * bv[j + 1] / ev[j]
-            mask[j] = True
+    B_next = shift(p.B)
+    rho, mask, pole = grid.mobius_scan(
+        (p.eta.flat, 0, 0, B_next.flat), 1.0,
+        p.eta.flat_valid & B_next.flat_valid, _ZERO_TOL)
+    if pole.any():
+        b, pos = grid.locate(np.flatnonzero(pole)[0])
+        which = "eta" if pos < grid.branches[b].base_index else "B"
+        raise ZeroDivisor(f"{which} vanishes at orbit point index {pos}")
     rho_fn = GridFunction(grid, rho, mask, label="rho")
     w = weighted_grid(grid, rho_fn)
     res = pearson_residual(p, w)

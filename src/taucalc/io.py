@@ -46,13 +46,15 @@ def write_grid_csv(grid: OrbitGrid, path: str | Path) -> Path:
 
 
 def grid_diagnostics(grid: OrbitGrid) -> dict:
-    """Limit and size diagnostics of an orbit grid, JSON-ready."""
+    """Limit, size and truncation diagnostics of an orbit grid, JSON-ready;
+    ``converged`` and ``limit_gap`` come from each :class:`OrbitBranch`."""
     return {
         "mode": grid.mode,
         "map": grid.tau.name,
         "branches": [
             {"role": br.role, "points": len(br), "base": float(br.points[br.base_index]),
-             "limit": float(br.limit), "min_delta": float(np.min(np.abs(br.deltas)))}
+             "limit": float(br.limit), "min_delta": float(np.min(np.abs(br.deltas))),
+             "converged": br.converged, "limit_gap": br.limit_gap}
             for br in grid.branches
         ],
     }

@@ -213,16 +213,6 @@ class ConstantGaugeScenario:
     def beta_squared(self) -> float:
         return self.b * (1.0 - self.q ** 2) / self.c0
 
-    @property
-    def beta_root(self) -> float:
-        """The positive root beta with beta^2 = b(1-q^2)/c0."""
-        return float(np.sqrt(self.beta_squared))
-
-    @property
-    def gamma_gauge(self) -> float:
-        """The gauge constant -(1-q)^2 b / B_0; equals -1 by construction."""
-        return -1.0
-
     def kernel_pair(self) -> EigenPair:
         """The power-function kernel state as a level-1 eigenpair.
 
@@ -355,17 +345,6 @@ class FractionalScenario:
         ratio = (self.b0 / self.a0) ** (1.0 / (exponent + 1))
         at_limit = self.a if self.a < 1 else 1.0 / self.a
         return abs(ratio - at_limit)
-
-    def weight_prefactor_closed(self, x, exponent: int = -1) -> np.ndarray:
-        """Closed form (0 < a < 1) of the prefactor alpha in
-        psi^2 rho = (x - tau x)^exponent alpha(x).
-
-        alpha(x) = (((a-1)x+1)/(1-x)^2)^{exponent+1} alpha(limit).
-        """
-        if not 0 < self.a < 1:
-            raise DomainEscape("closed prefactor assumes 0 < a < 1")
-        xs = np.asarray(x, dtype=float)
-        return (((self.a - 1.0) * xs + 1.0) / (1.0 - xs) ** 2) ** (exponent + 1)
 
 
 def fractional_chain(a: float = 0.5, a0: float = 1.0, b0: float = 1.0,

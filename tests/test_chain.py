@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from taucalc import (GridFunction, apply_A, apply_Astar, chain_eigenvalues,
-                     descend, eigen_residual_norm, factorization_residual,
-                     from_coefficients, lift, particular_gauge_xi,
+from taucalc import (GROUP, SEMIGROUP, GridFunction, apply_A, apply_Astar,
+                     build_grid, chain_eigenvalues, descend,
+                     eigen_residual_norm, factorization_residual,
+                     from_coefficients, lift, linear_map, particular_gauge_xi,
                      solve_step_constant, to_coefficients)
-from taucalc.chain import apply_coefficients, chain_equation_residual, make_level
-from taucalc.errors import InconsistentWeights, NonPositiveFactor
+from taucalc.chain import (CoefficientTriple, apply_coefficients,
+                           chain_equation_residual, make_level)
+from taucalc.errors import (InconsistentWeights, NonPositiveFactor,
+                            RiccatiBlowup, SingularLimit, ZeroAlpha,
+                            ZeroDivisor)
+
+from recursion_oracle import coefficient_ratio_loop, gauge_xi_loop
 from taucalc.scenarios import constant_gauge_chain, fractional_chain, qhahn_chain
 
 
@@ -114,15 +120,8 @@ def test_operator_vs_coefficients(qh):
 
 
 def test_particular_gauge_xi_known_value():
-    # B = x^2, eta = 4 x^2, f = 0 on tau(x) = x/2: phi^2 eta = 16 and
-    # B[n+1]/(delta_n delta_n+1) = 2, so xi has fixed point 14 and g = 1
-    from taucalc import SEMIGROUP, build_grid, linear_map
-    grid = build_grid(linear_map(0.5), mode=SEMIGROUP, bases=1.0, max_depth=25)
-    B = GridFunction.from_callable(grid, lambda x: x ** 2)
-    eta = GridFunction.from_callable(grid, lambda x: 4.0 * x ** 2)
-    lvl = make_level(grid, B, eta, GridFunction.constant(grid, 1.0),
-                     GridFunction.constant(grid, 0.0))
-    xi, g = particular_gauge_xi(lvl, 1.0, xi0=14.0)
+    # xi has fixed point 14 on this level, where the gauge is g = 1
+    xi, g = particular_gauge_xi(_xi_test_level(), 1.0, xi0=14.0)
     sel = g.valid[0]
     assert np.max(np.abs(g.values[0][sel] - 1.0)) < 1e-12
 
@@ -258,3 +257,89 @@ def test_fractional_chain_rejects_eigen_solve():
     sc = fractional_chain()
     with pytest.raises(NonPositiveFactor):
         chain_eigenvalues(sc.levels[0])
+
+
+# ---------------------------------------------------------------------------
+# The base-anchored recursions against their sequential loops, and their poles
+# ---------------------------------------------------------------------------
+
+def _xi_test_level(mode=SEMIGROUP, depth=25):
+    # B = x^2, eta = 4 x^2, h = 1, f = 0 on tau(x) = x/2: phi^2 eta = 16 and
+    # B[n+1]/(delta_n delta_n+1) = 2 at every point
+    grid = build_grid(linear_map(0.5), mode=mode, bases=1.0, max_depth=depth)
+    B = GridFunction.from_callable(grid, lambda x: x ** 2)
+    eta = GridFunction.from_callable(grid, lambda x: 4.0 * x ** 2)
+    return make_level(grid, B, eta, GridFunction.constant(grid, 1.0),
+                      GridFunction.constant(grid, 0.0))
+
+
+def test_coefficient_ratio_matches_sequential_loop(qh):
+    lvl = qh.levels[0]
+    coef = to_coefficients(lvl)
+    seeds = [lvl.phi.flat[s.start] / lvl.h.flat[s.start]
+             for s in lvl.grid.slices]
+    rebuilt = from_coefficients(coef, lvl.h, seeds)
+    want = coefficient_ratio_loop(coef, seeds)
+    got = rebuilt.phi / lvl.h
+    sel = want.flat_valid
+    assert np.array_equal(got.flat_valid, sel)
+    err = np.abs(got.flat[sel] - want.flat[sel]) / np.abs(want.flat[sel])
+    assert np.max(err) < 1e-10
+
+
+def test_gauge_xi_matches_sequential_loop():
+    grid = build_grid(linear_map(0.7), mode=SEMIGROUP, bases=1.0, max_depth=40)
+    lvl = make_level(grid, GridFunction.from_callable(grid, lambda x: 1 + x * x),
+                     GridFunction.from_callable(grid, lambda x: 2 + x),
+                     GridFunction.constant(grid, 1.0),
+                     GridFunction.from_callable(grid, lambda x: 0.5 - x))
+    xi, _ = particular_gauge_xi(lvl, 1.0, xi0=3.0)
+    want = gauge_xi_loop(lvl, 3.0)
+    assert np.array_equal(xi.flat_valid, want.flat_valid)
+    sel = want.flat_valid
+    err = np.abs(xi.flat[sel] - want.flat[sel]) / np.abs(want.flat[sel])
+    assert np.max(err) < 1e-12
+    # the walk is checked against its own step read backward; a tolerance
+    # below rounding level must trip that check
+    with pytest.raises(SingularLimit, match="violates its recursion"):
+        particular_gauge_xi(lvl, 1.0, xi0=3.0, tail_tol=1e-18)
+
+
+def test_coefficient_roundtrip_on_group_grid_seeds_at_base():
+    lvl = _xi_test_level(GROUP, depth=12)
+    k0 = lvl.grid.branches[0].base_index
+    rebuilt = from_coefficients(to_coefficients(lvl), lvl.h,
+                                lvl.phi.flat[k0] / lvl.h.flat[k0])
+    sel = lvl.B.flat_valid & rebuilt.B.flat_valid
+    assert sel.sum() == lvl.grid.size - 2  # the interior behind the base too
+    err = np.abs(rebuilt.B.flat[sel] - lvl.B.flat[sel]) / np.abs(lvl.B.flat[sel])
+    assert np.max(err) < 1e-12
+
+
+def test_gauge_xi_on_group_grid_starts_at_base():
+    lvl = _xi_test_level(GROUP, depth=12)
+    k0 = lvl.grid.branches[0].base_index
+    xi, _ = particular_gauge_xi(lvl, 1.0, xi0=10.0)
+    assert xi.flat[k0] == 10.0
+    assert xi.flat_valid[0] and xi.flat_valid[k0 + 1]
+
+
+def test_coefficient_ratio_seed_zero_is_a_pole(qh):
+    lvl = qh.levels[0]
+    with pytest.raises(RiccatiBlowup, match="index 1$"):
+        from_coefficients(to_coefficients(lvl), lvl.h, 0.0)
+
+
+def test_gauge_xi_pole():
+    # xi[1] = 16 xi0 / (xi0 + 2): xi0 = -2 puts the walk on the pole
+    with pytest.raises(ZeroDivisor, match="index 1$"):
+        particular_gauge_xi(_xi_test_level(), 1.0, xi0=-2.0)
+
+
+def test_coefficient_ratio_zero_alpha():
+    # orbit 1, 0.5, 0.25: r[1] = 16 and alpha(0.25) = 0 on the next step
+    grid = build_grid(linear_map(0.5), mode=SEMIGROUP, bases=1.0, max_depth=20)
+    coef = CoefficientTriple(*(GridFunction.from_callable(grid, fn) for fn in (
+        lambda x: x - 0.25, lambda x: -3.0 + 0 * x, lambda x: 1.0 + 0 * x)))
+    with pytest.raises(ZeroAlpha, match="index 2$"):
+        from_coefficients(coef, GridFunction.constant(grid, 1.0), 1.0)

@@ -175,3 +175,43 @@ def test_unused_config_keys_rejected_exit_2(tmp_path, capsys, key, value):
     assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_grid_tol_key_rejected_exit_2(tmp_path, capsys):
+    # the limit tolerance is fixed; a grid spec may not set one
+    cfg = write_config(tmp_path, {
+        "map": {"kind": "linear", "q": 0.5},
+        "grid": {"mode": "semigroup", "bases": 1.0, "depth": 20, "tol": 1e-9},
+    })
+    assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert "tol" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode, bases", [("semigroup", 1.0),
+                                         ("interval", [-1.0, 1.0])])
+def test_grid_unsettled_limit_exit_3(tmp_path, capsys, mode, bases):
+    cfg = write_config(tmp_path, {
+        "map": {"kind": "linear", "q": 0.999},
+        "grid": {"mode": mode, "bases": bases},
+    })
+    assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert "LimitNotConverged" in err and "10000 steps" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_grid_json_records_truncation(tmp_path):
+    cfg = write_config(tmp_path, {
+        "map": {"kind": "linear", "q": 0.99},
+        "grid": {"mode": "interval", "bases": [-1.0, 1.0]},
+    })
+    assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+    diag = json.loads((tmp_path / "o" / "grid.json").read_text())
+    for br in diag["branches"]:
+        assert br["converged"] is False
+        assert br["limit_gap"] == pytest.approx(5.824e-3, rel=1e-3)
+    assert run("grid", "--preset", "linear", "--depth", "80",
+               "--out", str(tmp_path / "p")) == 0
+    diag = json.loads((tmp_path / "p" / "grid.json").read_text())
+    assert diag["branches"][0]["converged"] is True

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from taucalc import GROUP, INTERVAL, SEMIGROUP, build_grid
-from taucalc.errors import CoincidentOrbits
+from taucalc.errors import CoincidentOrbits, LimitNotConverged
 from taucalc.grid import (DEFAULT_DELTA_TOL, _check_disjoint,
                           _coincident_pairs, contraction_estimate)
+from taucalc.io import grid_diagnostics
 from taucalc.maps import fractional_map, linear_map
+
+from recursion_oracle import sequential_mobius
 
 
 def test_semigroup_points(qgrid):
@@ -140,3 +143,81 @@ def test_coincident_pairs_skip_unresolvable_tail():
     tail = 1e-13 * 0.5 ** np.arange(30)
     assert assert_same_pairs(tail, tail * (1 + 1e-12), 0.0) == 0
     assert assert_same_pairs(tail, tail, 0.0) == 0
+
+
+def test_unconverged_limit_raises_typed_error():
+    # q = 0.999 needs about 30,000 steps to settle at 1e-13; the cap is 10,000
+    with pytest.raises(LimitNotConverged, match=r"base 1\.0 .*10000 steps"):
+        build_grid(linear_map(0.999), SEMIGROUP, 1.0)
+    # not a LimitMismatch between two unsettled iterates
+    with pytest.raises(LimitNotConverged, match=r"base -1\.0"):
+        build_grid(linear_map(0.999), INTERVAL, (-1.0, 1.0))
+
+
+def test_truncated_orbit_is_recorded():
+    cut = build_grid(linear_map(0.99), INTERVAL, (-1.0, 1.0))
+    for br in cut.branches:
+        assert not br.converged
+        assert br.limit_gap == pytest.approx(0.99 ** 512, rel=1e-9)
+    diag = grid_diagnostics(cut)["branches"]
+    assert [b["converged"] for b in diag] == [False, False]
+    assert diag[1]["limit_gap"] == pytest.approx(5.824e-3, rel=1e-3)
+    full = build_grid(linear_map(0.5), SEMIGROUP, 1.0)
+    assert full.branches[0].converged
+    assert full.branches[0].limit_gap < 1e-14
+    group = build_grid(linear_map(0.5), GROUP, 1.0, max_depth=12)
+    assert not group.branches[0].converged
+    assert group.branches[0].limit_gap == 0.5 ** 12
+
+
+MOBIUS_GRIDS = {
+    "semigroup": lambda: build_grid(linear_map(0.7), SEMIGROUP, 1.0,
+                                    max_depth=40),
+    "interval": lambda: build_grid(linear_map(0.8), INTERVAL, (-1.0, 1.0),
+                                   max_depth=50),
+    "group": lambda: build_grid(linear_map(0.6), GROUP, 1.0, max_depth=30),
+}
+
+
+@pytest.mark.parametrize("kind, planted", [
+    ("semigroup", "forward"), ("interval", "forward"), ("group", "forward"),
+    ("group", "backward")])
+def test_mobius_scan_matches_sequential(kind, planted):
+    grid = MOBIUS_GRIDS[kind]()
+    rng = np.random.default_rng(7)
+    steps = rng.standard_normal((4, grid.size)) + 1j * rng.standard_normal(
+        (4, grid.size))
+    seeds = rng.standard_normal(len(grid.branches))
+    ok = np.ones(grid.size, dtype=bool)
+    br, s = grid.branches[-1], grid.slices[-1]
+    base = s.start + br.base_index
+    bad = base - 3 if planted == "backward" else base + 9
+    ok[bad] = False
+    values, valid, pole = grid.mobius_scan(steps, seeds, ok, 1e-13)
+    want, want_valid, want_pole = sequential_mobius(grid, steps, seeds, ok,
+                                                    1e-13)
+    assert np.array_equal(valid, want_valid)
+    assert np.array_equal(pole, want_pole)
+    assert not valid[bad + 1] if bad >= base else not valid[bad]
+    assert np.all(values[~valid] == 0)
+    assert values[base] == seeds[-1]
+    err = np.abs(values - want) / np.maximum(1.0, np.abs(want))
+    assert np.max(err[valid]) < 1e-12
+
+
+def test_mobius_scan_rescales_composites_and_flags_exact_pole():
+    grid = build_grid(linear_map(0.5), GROUP, 1.0, max_depth=20)
+    k0 = grid.branches[0].base_index
+    n = np.arange(grid.size) - k0
+    ok = np.ones(grid.size, dtype=bool)
+    zero, one = np.zeros(grid.size), np.ones(grid.size)
+    # r doubles per step; unscaled composites would pass 2^1200 and overflow
+    values, valid, pole = grid.mobius_scan(
+        (one * 2.0 ** 600, zero, zero, one * 2.0 ** 599), [1.0], ok, 1e-13)
+    assert valid.all() and not pole.any()
+    assert np.array_equal(values, 2.0 ** n)
+    # one step r -> (r + 1)/(r - 1) among identities meets its pole from 1
+    a, b, c, d = one.copy(), zero.copy(), zero.copy(), one.copy()
+    b[k0 + 4], c[k0 + 4], d[k0 + 4] = 1.0, 1.0, -1.0
+    values, valid, pole = grid.mobius_scan((a, b, c, d), [1.0], ok, 1e-13)
+    assert np.flatnonzero(pole).tolist() == [k0 + 5]

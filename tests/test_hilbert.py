@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from taucalc import (GridFunction, INTERVAL, PearsonTriple, build_grid,
-                     inner_product, linear_map, norm, pearson_residual,
-                     shift, weight_from_pearson, weighted_grid)
+from taucalc import (GROUP, INTERVAL, SEMIGROUP, GridFunction, PearsonTriple,
+                     build_grid, inner_product, linear_map, norm,
+                     pearson_residual, shift, weight_from_pearson,
+                     weighted_grid)
 from taucalc.calculus import deltas_fn
-from taucalc.errors import GridMismatch
+from taucalc.errors import GridMismatch, ZeroDivisor
+
+from recursion_oracle import pearson_weight_loop
 from taucalc.hilbert import adjoint_shift, mu_from_rho, shift_norm
 
 
@@ -89,3 +92,39 @@ def test_grid_mismatch_rejected(level_data, qgrid):
     psi = GridFunction.constant(qgrid, 1.0)
     with pytest.raises(GridMismatch):
         adjoint_shift(psi, w)
+
+
+def _pearson(grid, B, eta):
+    return PearsonTriple.from_B_eta(GridFunction.from_callable(grid, B),
+                                    GridFunction.from_callable(grid, eta))
+
+
+def test_weight_zero_B_on_forward_orbit_raises():
+    # orbit 1, 0.5, 0.25, ...: B(x) = x - 0.25 vanishes at index 2
+    grid = build_grid(linear_map(0.5), mode=SEMIGROUP, bases=1.0, max_depth=20)
+    p = _pearson(grid, lambda x: x - 0.25, lambda x: 1.0 + 0 * x)
+    with pytest.raises(ZeroDivisor, match="B vanishes .* index 2$"):
+        weight_from_pearson(p, grid)
+
+
+def test_weight_zero_eta_behind_group_base_raises():
+    # backward orbit 2, 4, 8, ...: eta(x) = x - 4 vanishes two steps back
+    grid = build_grid(linear_map(0.5), mode=GROUP, bases=1.0, max_depth=12)
+    k0 = grid.branches[0].base_index
+    p = _pearson(grid, lambda x: 1.0 + 0 * x, lambda x: x - 4.0)
+    with pytest.raises(ZeroDivisor, match=f"eta vanishes .* index {k0 - 2}$"):
+        weight_from_pearson(p, grid)
+
+
+@pytest.mark.parametrize("mode, bases", [(INTERVAL, (-1.0, 1.0)),
+                                         (GROUP, 1.0)])
+def test_weight_matches_sequential_loop(mode, bases):
+    grid = build_grid(linear_map(0.8), mode=mode, bases=bases, max_depth=60)
+    p = _pearson(grid, lambda x: 1.0 + x ** 2, lambda x: 2.0 + x ** 2)
+    w = weight_from_pearson(p, grid)
+    want = pearson_weight_loop(p, grid)
+    assert np.array_equal(w.rho.flat_valid, want.flat_valid)
+    k0 = [s.start + br.base_index for br, s in zip(grid.branches, grid.slices)]
+    assert np.all(w.rho.flat[k0] == 1.0)
+    err = np.abs(w.rho.flat - want.flat) / np.abs(want.flat)
+    assert np.max(err[want.flat_valid]) < 1e-13
