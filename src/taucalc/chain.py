@@ -527,34 +527,47 @@ def chain_eigenvalues(level: ChainLevel, count: int | None = None) -> np.ndarray
     """The ``count`` smallest eigenvalues of A*A (all by default), ascending.
 
     The eigenvalues are the squared singular values of the weighted
-    derivative factor with the limit value projected out; the kernel of
-    the lowering operator shows up as a genuine (near-)zero singular
-    value rather than being appended by hand.  The factor is an m x
-    (m+1) upper bidiagonal (one m x m block per branch when the limit
-    column vanishes); its singular values are the nonnegative
-    eigenvalues of the zero-diagonal Golub-Kahan tridiagonal with
-    off-diagonal (alpha_0, beta_0, alpha_1, ...), found in O(N) per
-    eigenvalue by bisection.  Bisection on that matrix resolves every
-    singular value to a few ulps relative to itself (Demmel & Kahan
+    derivative factor with the limit value projected out.  The factor is
+    an m x (m+1) upper bidiagonal (one m x m block per branch when the
+    limit column vanishes); its singular values are the nonnegative
+    eigenvalues of the zero-diagonal Golub-Kahan tridiagonal T of order
+    2m+1 with off-diagonal (alpha_0, beta_0, alpha_1, ...), found in
+    O(N) per eigenvalue by bisection.  Bisection on that matrix resolves
+    every singular value to a few ulps relative to itself (Demmel & Kahan
     1990), so small eigenvalues keep their relative accuracy however
     large lambda_max grows with the grid depth.
-    """
-    from scipy.linalg import eigvalsh_tridiagonal
 
+    When the limit column is projected out (m+1 = N), the kernel of the
+    lowering operator is the middle eigenvalue of T, and it is exactly
+    zero: diag(1, -1, 1, ...) carries T to -T, so the spectrum is
+    symmetric about 0, and the order is odd.  It is returned as 0.0 and
+    only the eigenvalues above it are bisected (narrowing an interval
+    around 0 down to the underflow threshold costs about ten times the
+    Sturm counts of a nonzero one).  With square per-branch blocks the
+    near-zero kernel values are genuine and are bisected like the rest.
+    """
     alpha, beta = _assemble_factor(level)
     total = level.grid.size
     count = total if count is None else min(count, total)
     if count < 1:
         raise ValueError("need count >= 1")
     m = len(alpha)
-    off = np.column_stack([alpha, beta]).ravel()
     # the 2m+1 eigenvalues are +-sigma and one zero; the grid's spectrum
     # is the top ``total`` of them (m+1 = total adds the kernel's zero)
     lo = 2 * m + 1 - total
+    hi = lo + count - 1
+    zero = lo == m
+    if zero:
+        lo += 1
+        if lo > hi:
+            return np.zeros(1)
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    off = np.column_stack([alpha, beta]).ravel()
     sigma = eigvalsh_tridiagonal(np.zeros(2 * m + 1), off, select="i",
-                                 select_range=(lo, lo + count - 1),
-                                 tol=_UNDERFLOW)
-    return np.abs(sigma) ** 2
+                                 select_range=(lo, hi), tol=_UNDERFLOW)
+    lam = np.abs(sigma) ** 2
+    return np.concatenate([[0.0], lam]) if zero else lam
 
 
 def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0,

@@ -18,10 +18,9 @@ import numpy as np
 
 from .errors import (CoincidentOrbits, LimitMismatch, LimitNotConverged,
                      ZeroDivisor)
-from .maps import LimitResult, TauMap, limit_point
+from .maps import DEFAULT_DELTA_TOL, LimitResult, TauMap, limit_point
 
 DEFAULT_MAX_DEPTH = 512
-DEFAULT_DELTA_TOL = 1e-15
 
 SEMIGROUP = "semigroup"
 INTERVAL = "interval"

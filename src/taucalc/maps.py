@@ -13,6 +13,10 @@ from typing import Callable
 from .errors import DomainEscape
 
 _DOMAIN_TOL = 1e-9
+# build_grid ends an orbit after three steps below this, relative to
+# 1 + |limit|; the limit polish of limit_point is derived from it
+DEFAULT_DELTA_TOL = 1e-15
+_POLISH_TOL = 2.0 ** -56 * DEFAULT_DELTA_TOL
 
 
 @dataclass(frozen=True)
@@ -110,22 +114,37 @@ def iterate(tau: TauMap, x0: float, n: int) -> float:
 
 def limit_point(tau: TauMap, x0: float, tol: float = 1e-13,
                 max_iter: int = 10000) -> LimitResult:
-    """Iterate tau until successive points agree to relative tolerance."""
+    """Iterate tau until successive points agree to relative tolerance,
+    then polish the iterate toward the fixed point.
+
+    A tolerance-level iterate would make distance-to-limit functions
+    vanish at deep grid points, so the polish keeps iterating, at most
+    ``max_iter`` more steps, until the point stops moving or the
+    remaining error, estimated as s r/(1 - r) from the last step s and
+    the ratio r of the last two steps, is below
+    2^-56 DEFAULT_DELTA_TOL r^4 (1 + |x|).  An orbit grid stops after
+    three steps below DEFAULT_DELTA_TOL (1 + |limit|), so none of its
+    points lies nearer the limit than about DEFAULT_DELTA_TOL r^4
+    (1 + |limit|); an error below a quarter-ulp of that (2^-55, with a
+    factor 2 to spare for the estimate) leaves every difference
+    point - limit as further polishing would leave it.
+    """
     if tol <= 0.0 or max_iter < 1:
         raise ValueError("need tol > 0 and max_iter >= 1")
     x = x0
     for i in range(1, max_iter + 1):
         x_next = tau.forward(x)
-        if abs(x_next - x) < tol * (1.0 + abs(x)):
-            # polish: keep iterating until the point stops moving, so the
-            # limit is the fixed point to full precision rather than a
-            # tolerance-level early iterate (distance-to-limit functions
-            # must not vanish at deep grid points)
+        step = abs(x_next - x)
+        if step < tol * (1.0 + abs(x)):
             for _ in range(max_iter):
                 x_more = tau.forward(x_next)
                 if x_more == x_next:
                     break
+                r, step = abs(x_more - x_next) / step, abs(x_more - x_next)
                 x_next = x_more
+                if r < 1.0 and step * r / (1.0 - r) < (
+                        _POLISH_TOL * r ** 4 * (1.0 + abs(x_next))):
+                    break
             return LimitResult(value=x_next, iterations=i, converged=True)
         x = x_next
     return LimitResult(value=x, iterations=max_iter, converged=False)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,8 +10,9 @@ from taucalc import (GROUP, SEMIGROUP, GridFunction, apply_A, apply_Astar,
                      eigen_residual_norm, factorization_residual,
                      from_coefficients, lift, linear_map, particular_gauge_xi,
                      solve_step_constant, to_coefficients)
-from taucalc.chain import (CoefficientTriple, apply_coefficients,
-                           chain_equation_residual, make_level)
+from taucalc.chain import (CoefficientTriple, _assemble_factor,
+                           apply_coefficients, chain_equation_residual,
+                           make_level)
 from taucalc.errors import (InconsistentWeights, NonPositiveFactor,
                             RiccatiBlowup, SingularLimit, ZeroAlpha,
                             ZeroDivisor)
@@ -180,12 +182,14 @@ def truncated_depth(q):
     return math.ceil(math.log(1e-6) / math.log(q))
 
 
-@pytest.mark.parametrize("q, depth", [(0.7, 20), (0.5, 30)])
-def test_bidiagonal_spectrum_matches_dense_on_semigroup(q, depth):
+@pytest.mark.parametrize("q, depth, count",
+                         [(0.7, 20, None), (0.5, 30, None), (0.7, 20, 4)],
+                         ids=["0.7-20", "0.5-30", "0.7-20-count4"])
+def test_bidiagonal_spectrum_matches_dense_on_semigroup(q, depth, count):
     for lvl in constant_gauge_chain(q=q, depth=depth, n_levels=1).levels[:1]:
-        new = chain_eigenvalues(lvl)
-        old = dense_eigenvalues(lvl)
-        assert new.shape == old.shape == (lvl.grid.size,)
+        new = chain_eigenvalues(lvl, count=count)
+        old = dense_eigenvalues(lvl)[:count]
+        assert new.shape == old.shape == (count or lvl.grid.size,)
         assert np.all(np.diff(new) >= 0)
         assert np.max(np.abs(new[1:] - old[1:]) / old[1:]) < 1e-12
         assert abs(new[0]) <= 1e-12 * new[1]
@@ -211,15 +215,20 @@ def test_bidiagonal_spectrum_matches_dense_on_asymmetric_interval():
     assert abs(new[0]) <= 1e-12 * new[1]
 
 
+def decoupled_level(lvl):
+    """``lvl`` with h = 0 at both orbit ends, which empties the limit column."""
+    ends = ~lvl.grid.has_next
+    h0 = GridFunction(lvl.grid, np.where(ends, 0.0, lvl.h.flat),
+                      lvl.h.flat_valid)
+    return type(lvl)(k=lvl.k, w=lvl.w, B=lvl.B, eta=lvl.eta, h=h0, f=lvl.f,
+                     phi=lvl.phi)
+
+
 def test_bidiagonal_spectrum_decouples_without_limit_column(qh):
     # h = 0 at both orbit ends empties the limit column: nothing is projected
     # and each branch is a square bidiagonal block of its own
     lvl = qh.levels[0]
-    ends = ~lvl.grid.has_next
-    h0 = GridFunction(lvl.grid, np.where(ends, 0.0, lvl.h.flat),
-                      lvl.h.flat_valid)
-    flat = type(lvl)(k=lvl.k, w=lvl.w, B=lvl.B, eta=lvl.eta, h=h0, f=lvl.f,
-                     phi=lvl.phi)
+    flat = decoupled_level(lvl)
     new = chain_eigenvalues(flat)
     old = dense_eigenvalues(flat)
     assert new.shape == old.shape == (lvl.grid.size,)
@@ -251,6 +260,96 @@ def test_chain_eigenvalues_counts(qh):
                        rtol=1e-13, atol=0.0)
     with pytest.raises(ValueError):
         chain_eigenvalues(lvl, count=0)
+
+
+# levels whose factor is m x (m+1): the limit column is projected out
+KERNEL_LEVELS = {
+    "interval": lambda: qhahn_chain(depth=60, n_levels=1).levels[0],
+    "asymmetric-interval": lambda: qhahn_chain(
+        depth=60, n_levels=1, A0_coeffs=(0.3, -1.0),
+        bases=(-0.8, 1.0)).levels[0],
+    "semigroup": lambda: constant_gauge_chain(q=0.7, depth=20,
+                                              n_levels=1).levels[0],
+}
+
+
+def spy_bisection(monkeypatch):
+    """Record (matrix order, select_range) of every tridiagonal bisection."""
+    calls = []
+    bisect = scipy.linalg.eigvalsh_tridiagonal
+
+    def spy(d, e, **kw):
+        calls.append((len(d), kw["select_range"]))
+        return bisect(d, e, **kw)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
+    return calls
+
+
+@pytest.mark.parametrize("make", KERNEL_LEVELS.values(), ids=KERNEL_LEVELS)
+def test_structural_kernel_zero_is_exact_and_not_bisected(make, monkeypatch):
+    lvl = make()
+    calls = spy_bisection(monkeypatch)
+    lams = chain_eigenvalues(lvl, count=4)
+    assert lams[0] == 0.0 and lams[1] > 0.0
+    # the middle index m of the order-(2m+1) Golub-Kahan matrix is skipped
+    [(order, (lo, hi))] = calls
+    m = (order - 1) // 2
+    assert (lo, hi) == (m + 1, m + 3)
+    calls.clear()
+    assert np.array_equal(chain_eigenvalues(lvl, count=1), [0.0])
+    assert calls == []
+
+
+def test_decoupled_kernel_values_are_still_bisected(qh, monkeypatch):
+    flat = decoupled_level(qh.levels[0])
+    calls = spy_bisection(monkeypatch)
+    lams = chain_eigenvalues(flat)
+    # m x m blocks: the near-zero kernel values are genuine and bisected
+    [(order, (lo, hi))] = calls
+    m = (order - 1) // 2
+    assert (lo, hi) == (m + 1, 2 * m) and lams.size == m
+
+
+def sturm_count(sq, x):
+    """Eigenvalues below x of the zero-diagonal symmetric tridiagonal whose
+    squared off-diagonal is ``sq``: the negative pivots of T - x = LDL^T."""
+    d = -x
+    count = int(d < 0)
+    for e2 in sq:
+        d = -x - e2 / (d if d != 0 else mpmath.mpf(10) ** -100)
+        count += int(d < 0)
+    return count
+
+
+@pytest.mark.parametrize("make", [
+    lambda: qhahn_chain(q=0.7, depth=truncated_depth(0.7),
+                        n_levels=1).levels[0],
+    KERNEL_LEVELS["asymmetric-interval"],
+    KERNEL_LEVELS["semigroup"],
+], ids=["truncated-qhahn", "asymmetric-interval", "semigroup"])
+def test_bidiagonal_spectrum_matches_mpmath_sturm_bisection(make):
+    # an oracle independent of LAPACK on the same bidiagonal (alpha, beta),
+    # bisected by Sturm counts in 50-digit arithmetic
+    lvl = make()
+    alpha, beta = _assemble_factor(lvl)
+    m = len(alpha)
+    lams = chain_eigenvalues(lvl, count=4)
+    assert lams[0] == 0.0
+    with mpmath.workdps(50):
+        off = [mpmath.mpf(float(e))
+               for e in np.column_stack([alpha, beta]).ravel()]
+        sq = [e * e for e in off]
+        # exactly one zero eigenvalue, in the middle
+        tiny = mpmath.mpf(10) ** -30
+        assert (sturm_count(sq, -tiny), sturm_count(sq, tiny)) == (m, m + 1)
+        for k in (1, 2, 3):
+            lo, hi = mpmath.mpf(0), 2 * max(abs(e) for e in off)
+            while hi - lo > mpmath.mpf(10) ** -25 * hi:
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if sturm_count(sq, mid) > m + k else (mid, hi)
+            sigma2 = float(((lo + hi) / 2) ** 2)
+            assert abs(lams[k] - sigma2) <= 1e-13 * sigma2
 
 
 def test_fractional_chain_rejects_eigen_solve():

@@ -6,8 +6,9 @@ from taucalc.errors import CoincidentOrbits, LimitNotConverged
 from taucalc.grid import (DEFAULT_DELTA_TOL, _check_disjoint,
                           _coincident_pairs, contraction_estimate)
 from taucalc.io import grid_diagnostics
-from taucalc.maps import fractional_map, linear_map
+from taucalc.maps import fractional_map, linear_map, power_map
 
+from limit_oracle import counting_map, limit_point_still
 from recursion_oracle import sequential_mobius
 
 
@@ -168,6 +169,40 @@ def test_truncated_orbit_is_recorded():
     group = build_grid(linear_map(0.5), GROUP, 1.0, max_depth=12)
     assert not group.branches[0].converged
     assert group.branches[0].limit_gap == 0.5 ** 12
+
+
+
+def test_interval_grid_forward_calls():
+    # the two limit polishes used to run on to underflow or their
+    # 10,000-step cap: 23,782 calls in all
+    tau, calls = counting_map(linear_map(0.97))
+    build_grid(tau, INTERVAL, (-1.0, 1.0), 4000)
+    assert calls[0] <= 8000
+
+
+# (map, base, interval bases, has a group grid); the backward leg of
+# fractional(0.1) rounds onto its fixed point 1 and raises
+POLISH_MAPS = (
+    [(linear_map(q), 1.0, (-1.0, 1.0), True)
+     for q in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.97, 0.98)]
+    + [(fractional_map(a), 0.6, (0.2, 0.6), a != 0.1) for a in (0.1, 0.5, 2.0)]
+    + [(power_map(p), 0.7, (0.5, 0.7), True) for p in (1.5, 2.0)]
+    + [(linear_map(0.7, h=0.3), 0.0, (0.0, 2.0), True),
+       (linear_map(0.9, h=-0.2), 1.0, (-3.0, 1.0), True)])
+POLISH_GRIDS = [
+    pytest.param(tau, mode, bases, depth, id=f"{tau.name}-{mode}")
+    for tau, base, pair, has_group in POLISH_MAPS
+    for mode, bases, depth in ((SEMIGROUP, base, 4000), (INTERVAL, pair, 4000))
+    + (((GROUP, base, 40),) if has_group else ())]
+
+
+@pytest.mark.parametrize("tau, mode, bases, depth", POLISH_GRIDS)
+def test_polished_limit_leaves_distances_bit_identical(tau, mode, bases,
+                                                       depth):
+    grid = build_grid(tau, mode, bases, depth)
+    for br in grid.branches:
+        still = limit_point_still(tau, br.points[br.base_index]).value
+        assert np.array_equal(br.points - br.limit, br.points - still)
 
 
 MOBIUS_GRIDS = {

@@ -4,6 +4,8 @@ import pytest
 from taucalc.maps import (compose_maps, fractional_map, iterate, limit_point,
                           linear_map, power_map)
 
+from limit_oracle import counting_map
+
 
 def test_linear_iterate():
     tau = linear_map(0.5)
@@ -48,6 +50,16 @@ def test_compose_maps():
 def test_limit_point_linear():
     res = limit_point(linear_map(0.5), 1.0)
     assert res.value == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.8, 0.9, 0.97, 0.99])
+def test_limit_polish_ends_before_its_cap(q):
+    tau, calls = counting_map(linear_map(q))
+    res = limit_point(tau, 1.0)
+    assert res.converged
+    assert calls[0] - res.iterations < 10000
+    # polished well past the 1e-13 detection tolerance
+    assert 0.0 <= res.value < 1e-31
 
 
 def test_limit_point_fractional_expanding():
