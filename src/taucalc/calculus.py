@@ -32,20 +32,23 @@ def deltas_fn(grid: OrbitGrid) -> GridFunction:
 
 def dtau_inverse_fn(grid: OrbitGrid) -> GridFunction:
     """The tau-derivative of the inverse map: delta_{n-1}/delta_n on the grid."""
-    inner = grid.interior()
-    n = np.flatnonzero(inner)
+    n = grid.interior_index()
     out = np.zeros(grid.size, dtype=complex)
     out[n] = grid.deltas[n - 1] / grid.deltas[n]
-    return GridFunction(grid, out, inner, label="dtau(tau^-1)")
+    return GridFunction(grid, out, grid.interior(), label="dtau(tau^-1)")
+
+
+def _check_steps(grid: OrbitGrid, steps: int) -> None:
+    depth = min(s.stop - s.start for s in grid.slices)
+    if abs(steps) >= depth:
+        raise GridMismatch(f"|steps|={abs(steps)} exceeds branch depth {depth}")
 
 
 def shift(f: GridFunction, steps: int = 1) -> GridFunction:
     """Composition with tau^steps: out[n] = f[n+steps], mask shrinking."""
     grid = f.grid
-    depth = min(len(b) for b in grid.branches)
-    if abs(steps) >= depth:
-        raise GridMismatch(f"|steps|={abs(steps)} exceeds branch depth {depth}")
-    n = np.flatnonzero(grid.neighbour_mask(steps))
+    _check_steps(grid, steps)
+    n = grid.neighbour_index(steps)
     out = np.zeros(grid.size, dtype=complex)
     mask = np.zeros(grid.size, dtype=bool)
     out[n] = f.flat[n + steps]
@@ -59,26 +62,38 @@ def step_quotient(num: GridFunction, label: str = "") -> GridFunction:
     The last index of each branch has no step and turns invalid (value 0).
     """
     grid = num.grid
-    n = np.flatnonzero(grid.has_next)
+    n = grid.neighbour_index(1)
     out = np.zeros(grid.size, dtype=complex)
     out[n] = num.flat[n] / grid.deltas[n]
     return GridFunction(grid, out, num.flat_valid & grid.has_next, label=label)
 
 
 def tau_derivative(f: GridFunction) -> GridFunction:
-    """Divided difference (f - Tf)/(x - tau(x)); the last index turns invalid."""
-    return step_quotient(f - shift(f), label=f"d({f.label})" if f.label else "")
+    """Divided difference (f - Tf)/(x - tau(x)); the last index turns invalid.
+
+    out[n] = (f[n] - f[n+1]) / delta_n on the points with a successor.
+    """
+    grid = f.grid
+    _check_steps(grid, 1)
+    n = grid.neighbour_index(1)
+    v, m = f.flat, f.flat_valid
+    out = np.zeros(grid.size, dtype=complex)
+    mask = np.zeros(grid.size, dtype=bool)
+    # masked-out entries may hold inf/nan; their arithmetic is discarded
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = v[n] - v[n + 1]
+    out[n] = diff / grid.deltas[n]
+    mask[n] = m[n] & m[n + 1]
+    return GridFunction(grid, out, mask, label=f"d({f.label})" if f.label else "")
 
 
-def _branch_integral(f: GridFunction, s: slice, tol, check_tail):
-    v, m = f.flat[s], f.flat_valid[s]
-    terms = f.grid.deltas[s][:-1] * v[:-1]
-    terms = np.where(m[:-1], terms, 0.0)
-    total = complex(np.sum(terms))
+def _branch_integral(terms: np.ndarray, scale: float, tol: float,
+                     check_tail: bool) -> complex:
+    """Sum of one branch's terms; its last three must be below tol * scale."""
+    total = complex(terms.sum())
     if check_tail:
-        scale = max(1.0, float(np.max(np.abs(v[m]))) if m.any() else 1.0)
         tail = np.abs(terms[-3:])
-        if tail.size and np.any(tail > tol * scale):
+        if (tail > tol * scale).any():
             raise TailNotConverged(
                 f"last tail terms {tail} exceed {tol}*scale={tol * scale}")
     return total
@@ -90,23 +105,32 @@ def tau_integral(f: GridFunction, tol: float = _TAIL_TOL,
 
     Semigroup: integral from the limit to the base.  Interval: integral
     over [a, b] as orbit(b) minus orbit(a).  Group: two-sided sum.
+    The masked terms delta_n f[n] are formed once over the flat grid;
+    each branch sums its own, the last point excluded, and checks its
+    tail against the largest valid |f| on it.
     """
     grid = f.grid
-    if grid.mode in (SEMIGROUP, GROUP):
-        total = _branch_integral(f, grid.slices[0], tol, check_tail)
-        if grid.mode == GROUP and check_tail:
-            # Backward tail sits at the start of the branch.
-            terms = np.abs(grid.deltas[:3] * f.flat[:3])
-            scale = max(1.0, f.max_abs())
-            if np.any(terms > tol * scale):
-                raise TailNotConverged(f"backward tail terms {terms} too large")
-        return total
+    if grid.mode not in (SEMIGROUP, GROUP, INTERVAL):
+        raise GridMismatch(f"unsupported grid mode {grid.mode}")
+    v, m = f.flat, f.flat_valid
+    # delta is 0 at each branch end, and those terms are never summed
+    with np.errstate(invalid="ignore"):
+        terms = np.where(m, grid.deltas * v, 0.0)
+    scales = (np.maximum.reduceat(np.where(m, np.abs(v), 0.0),
+                                  [s.start for s in grid.slices]).tolist()
+              if check_tail else [1.0] * len(grid.slices))
+    sums = [_branch_integral(terms[s.start:s.stop - 1], max(1.0, sc), tol,
+                             check_tail)
+            for s, sc in zip(grid.slices, scales)]
     if grid.mode == INTERVAL:
         ia, ib = (grid.branches.index(grid.branch(r)) for r in ("a", "b"))
-        int_b = _branch_integral(f, grid.slices[ib], tol, check_tail)
-        int_a = _branch_integral(f, grid.slices[ia], tol, check_tail)
-        return int_b - int_a
-    raise GridMismatch(f"unsupported grid mode {grid.mode}")
+        return sums[ib] - sums[ia]
+    if grid.mode == GROUP and check_tail:
+        # Backward tail sits at the start of the branch.
+        tail = np.abs(grid.deltas[:3] * v[:3])
+        if np.any(tail > tol * max(1.0, f.max_abs())):
+            raise TailNotConverged(f"backward tail terms {tail} too large")
+    return sums[0]
 
 
 def _suffix_valid(f: GridFunction) -> np.ndarray:
@@ -119,7 +143,7 @@ def tau_antiderivative(f: GridFunction, tol: float = _TAIL_TOL,
                        check_tail: bool = True) -> GridFunction:
     """Per-branch suffix sums: out[n] = integral of f from the limit to x_n."""
     grid = f.grid
-    n = np.flatnonzero(grid.has_next)
+    n = grid.neighbour_index(1)
     terms = np.zeros(grid.size, dtype=complex)
     terms[n] = grid.deltas[n] * f.flat[n]
     if check_tail:

@@ -109,7 +109,7 @@ def apply_A(level: ChainLevel, psi: GridFunction) -> GridFunction:
     if psi.grid is not level.grid:
         raise GridMismatch("function lives on a different grid")
     grid = level.grid
-    n = np.flatnonzero(grid.has_next)
+    n = grid.neighbour_index(1)
     p, pm = psi.flat, psi.flat_valid
     h_d = level.h.flat[n] / grid.deltas[n]
     out = np.zeros(grid.size, dtype=complex)
@@ -128,9 +128,19 @@ def apply_Astar(level: ChainLevel, psi: GridFunction) -> GridFunction:
     """
     if psi.grid is not level.grid:
         raise GridMismatch("function lives on a different grid")
-    core = step_quotient(level.eta * level.h * psi)
-    return (level.eta * level.f * psi + core
-            - adjoint_shift(core, level.w))
+    grid, e = level.grid, level.eta
+    # the GridFunction expression's arithmetic, in its order, on whole
+    # arrays; masked-out entries may hold inf/nan, their results discarded
+    with np.errstate(invalid="ignore", over="ignore"):
+        num = e.flat * level.h.flat * psi.flat
+        direct = e.flat * level.f.flat * psi.flat
+    core = step_quotient(GridFunction(
+        grid, num, e.flat_valid & level.h.flat_valid & psi.flat_valid))
+    back = adjoint_shift(core, level.w)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = direct + core.flat - back.flat
+    return GridFunction(grid, out, e.flat_valid & level.f.flat_valid
+                        & psi.flat_valid & core.flat_valid & back.flat_valid)
 
 
 def advance_level(level: ChainLevel, h_next: GridFunction) -> ChainLevel:
@@ -169,7 +179,7 @@ def _step_terms(level: ChainLevel, h_next: GridFunction, g: GridFunction,
     ``ok`` marks the points where every input is valid.
     """
     grid = level.grid
-    n = np.flatnonzero(grid.neighbour_mask(-1) & grid.neighbour_mask(2))
+    n = grid.reach(1, 2)[1]
     dlt = grid.deltas
     dn, dm1, dp1 = dlt[n], dlt[n - 1], dlt[n + 1]
     Bv, ev, hv, h2v, pv, gv = (fn.flat for fn in (
@@ -239,8 +249,8 @@ def bands_AstarA(level: ChainLevel):
     grid = level.grid
     Bv, ev, hv, pv = (fn.flat for fn in (level.B, level.eta, level.h, level.phi))
     d = grid.deltas
-    n = np.flatnonzero(grid.has_next)
-    m = np.flatnonzero(grid.interior())
+    n = grid.neighbour_index(1)
+    m = grid.interior_index()
     diag = np.zeros(grid.size, dtype=complex)
     sup = np.zeros(grid.size, dtype=complex)
     sub = np.zeros(grid.size, dtype=complex)
@@ -256,8 +266,8 @@ def bands_AAstar(level: ChainLevel):
     grid = level.grid
     Bv, ev, hv, pv = (fn.flat for fn in (level.B, level.eta, level.h, level.phi))
     d = grid.deltas
-    n = np.flatnonzero(grid.neighbour_mask(2))
-    m = np.flatnonzero(grid.interior())
+    n = grid.neighbour_index(2)
+    m = grid.interior_index()
     diag = np.zeros(grid.size, dtype=complex)
     sup = np.zeros(grid.size, dtype=complex)
     sub = np.zeros(grid.size, dtype=complex)
@@ -276,8 +286,8 @@ def tridiag_apply(bands, psi: GridFunction, margin: int = 2) -> GridFunction:
     sub, diag, sup = bands
     grid = psi.grid
     p, pm = psi.flat, psi.flat_valid
-    n = np.flatnonzero(grid.has_next)
-    m = np.flatnonzero(grid.neighbour_mask(-1))
+    n = grid.neighbour_index(1)
+    m = grid.neighbour_index(-1)
     out = np.zeros(grid.size, dtype=complex)
     out += diag * p
     out[n] += sup[n] * p[n + 1]
@@ -325,8 +335,8 @@ def to_coefficients(level: ChainLevel, value: complex = 0.0) -> CoefficientTripl
     grid = level.grid
     mB, me, mh, mp = (fn.flat_valid for fn in (level.B, level.eta, level.h,
                                                level.phi))
-    n = np.flatnonzero(grid.has_next)
-    m = np.flatnonzero(grid.interior())
+    n = grid.neighbour_index(1)
+    m = grid.interior_index()
     interior = np.zeros(grid.size, dtype=bool)
     interior[m] = mB[m] & me[m] & mh[m] & mh[m - 1] & mp[m] & mp[m - 1]
     edge = np.zeros(grid.size, dtype=bool)
@@ -485,7 +495,7 @@ def _assemble_factor(level: ChainLevel) -> tuple[np.ndarray, np.ndarray]:
     projected and each branch stays a square block.
     """
     grid = level.grid
-    ends = np.flatnonzero(~grid.has_next)
+    ends = np.array([s.stop - 1 for s in grid.slices])
     d = grid.deltas.copy()
     d[ends] = [x - grid.tau.forward(x) for x in grid.points[ends]]
     underflow = ends[d[ends] == 0.0]
@@ -503,7 +513,7 @@ def _assemble_factor(level: ChainLevel) -> tuple[np.ndarray, np.ndarray]:
         raise NonPositiveFactor("eigen-solve needs positive branch weights")
     sq1 = np.sqrt(w1)
     sq0 = np.sqrt(w0)
-    n = np.flatnonzero(grid.has_next)
+    n = grid.neighbour_index(1)
     D = sq1 * pv / sq0
     U = np.zeros(grid.size)
     U[n] = -sq1[n] * hv[n] / d[n] / sq0[n + 1]
@@ -593,7 +603,7 @@ def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0,
     dv = grid.deltas
     Bv, pv, ev = level.B.flat, level.phi.flat, level.eta.flat
     ae = pv ** 2 * ev
-    j = np.flatnonzero(grid.neighbour_mask(2))
+    j = grid.neighbour_index(2)
     a_step = np.ones(grid.size, dtype=complex)
     d_step = np.ones(grid.size, dtype=complex)
     a_step[j], d_step[j] = ae[j + 1], Bv[j + 1] / (dv[j] * dv[j + 1])
@@ -616,7 +626,7 @@ def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0,
     if worst > tail_tol:
         raise SingularLimit(f"xi violates its recursion: residual {worst}")
     # g = (phi^2 eta - xi) (id-tau)(tau^-1 - id) / (d B)
-    n = np.flatnonzero(grid.interior())
+    n = grid.interior_index()
     g = np.zeros(grid.size, dtype=complex)
     g_mask = np.zeros(grid.size, dtype=bool)
     g[n] = (ae[n] - xi[n]) * dv[n] * dv[n - 1] / (d * Bv[n])

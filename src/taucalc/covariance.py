@@ -136,7 +136,7 @@ def _delta_ratio(source: OrbitGrid, target: OrbitGrid) -> GridFunction:
     This is the grid sampling of the derivative of kappa^{-1} along the
     image orbit, d_tau~ kappa^{-1}(y_n).
     """
-    n = np.flatnonzero(target.has_next)
+    n = target.neighbour_index(1)
     out = np.ones(target.size, dtype=complex)
     out[n] = source.deltas[n] / target.deltas[n]
     return GridFunction(target, out, target.has_next, label="dx/dy")
@@ -162,7 +162,7 @@ def transport_level(level: ChainLevel, ch: VariableChange,
     f_t = carry(level.f)
     h_t = carry(level.h) / r
     # B~[n] = B[n] * (dx_{n-1}/dy_{n-1}) / (dx_n/dy_n)
-    n = np.flatnonzero(target_grid.neighbour_mask(-1))
+    n = target_grid.neighbour_index(-1)
     rv, rm = r.flat, r.flat_valid
     B = np.zeros(target_grid.size, dtype=complex)
     B_mask = np.zeros(target_grid.size, dtype=bool)

@@ -71,6 +71,11 @@ class OrbitGrid:
     branch ``i`` out of them, and each ``branches[i].points`` is a
     read-only view of its slice.  ``deltas[n]`` is x_n - x_{n+1} where
     ``has_next[n]`` holds and 0 at the last index of each branch.
+
+    Index structures that depend on the grid alone (neighbour masks and
+    their indices, the walk layout of :meth:`mobius_scan`) are plans:
+    each is built on first use, stored read-only on the grid and lives
+    and dies with it.
     """
 
     tau: TauMap
@@ -80,6 +85,7 @@ class OrbitGrid:
     deltas: np.ndarray = field(init=False, repr=False)
     has_next: np.ndarray = field(init=False, repr=False)
     slices: tuple[slice, ...] = field(init=False, repr=False)
+    _plans: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         points = np.concatenate([b.points for b in self.branches])
@@ -87,12 +93,12 @@ class OrbitGrid:
         slices = tuple(slice(stop - len(b), stop)
                        for b, stop in zip(self.branches, stops))
         set_ = object.__setattr__
+        set_(self, "_plans", {})
         set_(self, "points", points)
         set_(self, "slices", slices)
         set_(self, "branches", tuple(replace(b, points=points[s])
                                      for b, s in zip(self.branches, slices)))
-        has_next = self.neighbour_mask(1)
-        n = np.flatnonzero(has_next)
+        has_next, n = self.reach(0, 1)
         deltas = np.zeros(len(points))
         deltas[n] = points[n] - points[n + 1]
         for name, arr in (("points", points), ("has_next", has_next),
@@ -119,23 +125,49 @@ class OrbitGrid:
                 return b
         raise KeyError(role)
 
-    def neighbour_mask(self, steps: int) -> np.ndarray:
-        """True at each flat index n whose neighbour n + steps is on n's branch.
+    def _plan(self, key, build) -> tuple[np.ndarray, ...]:
+        """The plan ``key``: the arrays ``build()`` returns, made read-only
+        and kept on the grid from the first call on."""
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = build()
+            for arr in plan:
+                arr.setflags(write=False)
+            self._plans[key] = plan
+        return plan
+
+    def reach(self, behind: int, ahead: int) -> tuple[np.ndarray, np.ndarray]:
+        """(mask, flat indices) of the points n whose neighbours n - behind
+        and n + ahead both lie on n's branch.
 
         This is the one place that decides where an orbit ends; shifts,
-        differences and band formulas take their masks from here, so a
-        value never leaks across the seam between two branches.
+        differences and band formulas take their masks and indices from
+        here, so a value never leaks across the seam between two branches.
         """
-        out = np.zeros(self.size, dtype=bool)
-        for s in self.slices:
-            lo, hi = s.start + max(0, -steps), s.stop - max(0, steps)
-            if hi > lo:
-                out[lo:hi] = True
-        return out
+        def build():
+            mask = np.zeros(self.size, dtype=bool)
+            for s in self.slices:
+                lo, hi = s.start + behind, s.stop - ahead
+                if hi > lo:
+                    mask[lo:hi] = True
+            return mask, np.flatnonzero(mask)
+        return self._plan(("reach", behind, ahead), build)
+
+    def neighbour_mask(self, steps: int) -> np.ndarray:
+        """True at each flat index n whose neighbour n + steps is on n's branch."""
+        return self.reach(max(0, -steps), max(0, steps))[0]
+
+    def neighbour_index(self, steps: int) -> np.ndarray:
+        """The flat indices where :meth:`neighbour_mask` holds, ascending."""
+        return self.reach(max(0, -steps), max(0, steps))[1]
 
     def interior(self, margin: int = 1) -> np.ndarray:
         """True at indices at least ``margin`` steps from both branch ends."""
-        return self.neighbour_mask(-margin) & self.neighbour_mask(margin)
+        return self.reach(abs(margin), abs(margin))[0]
+
+    def interior_index(self, margin: int = 1) -> np.ndarray:
+        """The flat indices where :meth:`interior` holds, ascending."""
+        return self.reach(abs(margin), abs(margin))[1]
 
     def per_point(self, per_branch) -> np.ndarray:
         """Spread one value per branch over that branch's points."""
@@ -182,22 +214,8 @@ class OrbitGrid:
         The composite maps are prefix products of the 2x2 steps, built by
         log-depth doubling and rescaled by exact powers of two.
         """
-        # one row per walk: each branch forward from its base and, behind
-        # a group base, backward from the base again; rows are padded
-        walks = []
-        for i, (br, s) in enumerate(zip(self.branches, self.slices)):
-            k0 = s.start + br.base_index
-            walks.append((i, np.arange(k0, s.stop), False))
-            if br.base_index:
-                walks.append((i, np.arange(k0, s.start - 1, -1), True))
-        width = max(len(pts) for _, pts, _ in walks)
-        idx = np.zeros((len(walks), width), dtype=int)
-        live = np.zeros(idx.shape, dtype=bool)
-        for row, (_, pts, _) in enumerate(walks):
-            idx[row, :len(pts)], live[row, :len(pts)] = pts, True
-        back = np.array([[b] for _, _, b in walks])
-        # the map entering each point: step n-1 forward, inverse step n back
-        src = np.maximum(idx - 1 + back, 0)
+        idx, live, back, src, row_branch = self._plan("scan", self._scan_layout)
+        width = idx.shape[1]
         use = live & np.asarray(ok, dtype=bool)[src]
         use[:, 0] = True
         entries = np.zeros((4, self.size), dtype=complex)
@@ -208,7 +226,7 @@ class OrbitGrid:
         m = np.where(use, m, np.eye(2)[:, :, None, None])
         m[..., 0] = np.eye(2)[:, :, None]
         sigma = (np.zeros(len(self.branches), dtype=complex)
-                 + seeds)[[[i] for i, _, _ in walks]]
+                 + seeds)[row_branch]
         if not (m.imag.any() or sigma.imag.any()):
             m, sigma = m.real.copy(), sigma.real
         valid = np.logical_and.accumulate(use, axis=1)
@@ -234,6 +252,28 @@ class OrbitGrid:
         flags[1, idx[pole]] = True
         return values, flags[0], flags[1]
 
+    def _scan_layout(self):
+        """The walk layout of :meth:`mobius_scan`: one row per walk, each
+        branch forward from its base and, behind a group base, backward
+        from the base again; rows are padded.  Returns the point index of
+        every slot, its liveness, each row's direction, the index of the
+        step entering each slot (step n-1 forward, the inverse of step n
+        backward) and each row's branch."""
+        walks = []
+        for i, (br, s) in enumerate(zip(self.branches, self.slices)):
+            k0 = s.start + br.base_index
+            walks.append((i, np.arange(k0, s.stop), False))
+            if br.base_index:
+                walks.append((i, np.arange(k0, s.start - 1, -1), True))
+        width = max(len(pts) for _, pts, _ in walks)
+        idx = np.zeros((len(walks), width), dtype=int)
+        live = np.zeros(idx.shape, dtype=bool)
+        for row, (_, pts, _) in enumerate(walks):
+            idx[row, :len(pts)], live[row, :len(pts)] = pts, True
+        back = np.array([[b] for _, _, b in walks])
+        src = np.maximum(idx - 1 + back, 0)
+        return idx, live, back, src, np.array([[i] for i, _, _ in walks])
+
     def locate(self, n: int) -> tuple[int, int]:
         """(branch index, position within the branch) of flat index ``n``."""
         b = int(np.searchsorted([s.stop for s in self.slices], n, side="right"))
@@ -252,16 +292,21 @@ def _orbit(step, base: float, limit: float | None,
 
     Iteration stops once three consecutive steps fall below
     ``DEFAULT_DELTA_TOL`` relative to 1 + |limit| (1 + |x| when ``limit``
-    is None), or unsettled at ``max_depth``.
+    is None), or unsettled at ``max_depth``.  A step that does not move
+    ends the orbit as settled (it converged so fast that the step
+    rounded to zero), unless it sits away from a known ``limit`` or, with
+    no limit given, at the base itself: that is a fixed point hit on the
+    orbit.
     """
     pts, x, quiet = [float(base)], float(base), 0
     for _ in range(max_depth):
         x_next = step(x)
         scale = 1.0 + abs(x_next if limit is None else limit)
         if x_next == x:
-            if limit is None or abs(x - limit) > 1e3 * DEFAULT_DELTA_TOL * scale:
+            if (len(pts) == 1 if limit is None else
+                    abs(x - limit) > 1e3 * DEFAULT_DELTA_TOL * scale):
                 raise ZeroDivisor(f"fixed point hit on the orbit at x={x}")
-            break  # converged so fast the step underflowed
+            break
         pts.append(x_next)
         quiet = quiet + 1 if abs(x - x_next) < DEFAULT_DELTA_TOL * scale else 0
         if quiet >= 3:

@@ -93,7 +93,7 @@ class GridFunction:
 
     def max_abs(self, valid_only: bool = True) -> float:
         sel = np.abs(self.flat[self.flat_valid] if valid_only else self.flat)
-        return float(np.max(sel)) if sel.size else 0.0
+        return float(sel.max()) if sel.size else 0.0
 
     def scale(self) -> float:
         """max(1, sup|values|) over the valid window."""
@@ -168,7 +168,7 @@ def max_abs_diff(f: GridFunction, g: GridFunction) -> float:
     sel = f.flat_valid & g.flat_valid
     if not sel.any():
         return 0.0
-    return float(np.max(np.abs(f.flat[sel] - g.flat[sel])))
+    return float(np.abs(f.flat[sel] - g.flat[sel]).max())
 
 
 def joint_scale(*fns: GridFunction) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +45,12 @@ class WeightedGrid:
     def positivity_ok(self) -> bool:
         return bool(self.positivity.all())
 
+    @cached_property
+    def mu(self) -> GridFunction:
+        """The backward-shift multiplier :func:`mu_from_rho`, built on first
+        use and kept with the weight."""
+        return mu_from_rho(self)
+
 
 def weighted_grid(grid: OrbitGrid, rho: GridFunction,
                   warn: bool = True) -> WeightedGrid:
@@ -69,7 +76,11 @@ def inner_product(phi: GridFunction, psi: GridFunction, w: WeightedGrid,
     phi.check_same_grid(psi)
     if phi.grid is not w.grid:
         raise GridMismatch("functions and weight live on different grids")
-    return tau_integral(phi.conj() * psi * w.rho, check_tail=check_tail)
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = np.conj(phi.flat) * psi.flat * w.rho.flat
+    valid = phi.flat_valid & psi.flat_valid & w.rho.flat_valid
+    return tau_integral(GridFunction(phi.grid, terms, valid),
+                        check_tail=check_tail)
 
 
 def norm(phi: GridFunction, w: WeightedGrid) -> float:
@@ -83,7 +94,7 @@ def mu_from_rho(w: WeightedGrid) -> GridFunction:
     v, m = w.rho.flat, w.rho.flat_valid
     if np.any(m & (np.abs(v) < _ZERO_TOL)):
         raise ZeroWeight("weight vanishes at a grid point; split the orbit")
-    n = np.flatnonzero(grid.interior())
+    n = grid.interior_index()
     d = grid.deltas
     out = np.zeros(grid.size, dtype=complex)
     mask = np.zeros(grid.size, dtype=bool)
@@ -103,9 +114,9 @@ def adjoint_shift(phi: GridFunction, w: WeightedGrid) -> GridFunction:
     if phi.grid is not w.grid:
         raise GridMismatch("function and weight live on different grids")
     grid = phi.grid
-    mu = mu_from_rho(w)
+    mu = w.mu
     has_prev = grid.neighbour_mask(-1)
-    n = np.flatnonzero(has_prev)
+    n = grid.neighbour_index(-1)
     out = np.zeros(grid.size, dtype=complex)
     mask = np.zeros(grid.size, dtype=bool)
     out[n] = mu.flat[n] * phi.flat[n - 1]
@@ -118,7 +129,7 @@ def adjoint_shift(phi: GridFunction, w: WeightedGrid) -> GridFunction:
 
 def shift_norm(w: WeightedGrid, warn: bool = True) -> float:
     """Operator norm bound sqrt(sup |mu|) of the composition operator."""
-    mu = mu_from_rho(w)
+    mu = w.mu
     worst = mu.max_abs()
     if warn:
         for s in mu.grid.slices:

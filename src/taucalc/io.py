@@ -18,31 +18,35 @@ from .grid import OrbitGrid
 from .gridfn import GridFunction
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _column(values, keep=None) -> list[str]:
+    """17-significant-digit strings of a float column; "" where ``keep``
+    is False."""
+    vals = np.asarray(values, dtype=float).tolist()
+    if keep is None:
+        return [format(v, ".17g") for v in vals]
+    return [format(v, ".17g") if k else ""
+            for v, k in zip(vals, np.asarray(keep).tolist())]
 
 
-def _writer(path: Path):
-    return open(path, "w", newline="", encoding="utf-8")
-
-
-def _labels(grid: OrbitGrid):
-    """(flat index, branch index, index within the branch) of every point."""
-    for bi, s in enumerate(grid.slices):
-        for n in range(s.stop - s.start):
-            yield s.start + n, bi, n
+def _write_rows(path: str | Path, header: list[str], grid: OrbitGrid,
+                columns) -> Path:
+    """One CSV: the header, then per point its branch index, its index
+    within the branch and one cell from each of ``columns``."""
+    path = Path(path)
+    branch = grid.per_point(range(len(grid.slices)))
+    n = np.arange(grid.size) - grid.per_point([s.start for s in grid.slices])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        out.writerows(zip(branch.tolist(), n.tolist(), *columns))
+    return path
 
 
 def write_grid_csv(grid: OrbitGrid, path: str | Path) -> Path:
     """Columns: branch, n, point, delta (delta empty on the last row)."""
-    path = Path(path)
-    with _writer(path) as fh:
-        out = csv.writer(fh)
-        out.writerow(["branch", "n", "point", "delta"])
-        for k, bi, n in _labels(grid):
-            d = _fmt(grid.deltas[k]) if grid.has_next[k] else ""
-            out.writerow([bi, n, _fmt(grid.points[k]), d])
-    return path
+    return _write_rows(path, ["branch", "n", "point", "delta"], grid,
+                       [_column(grid.points),
+                        _column(grid.deltas, grid.has_next)])
 
 
 def grid_diagnostics(grid: OrbitGrid) -> dict:
@@ -62,16 +66,10 @@ def grid_diagnostics(grid: OrbitGrid) -> dict:
 
 def write_function_csv(f: GridFunction, path: str | Path) -> Path:
     """Columns: branch, n, x, re, im, valid."""
-    path = Path(path)
-    grid = f.grid
-    with _writer(path) as fh:
-        out = csv.writer(fh)
-        out.writerow(["branch", "n", "x", "re", "im", "valid"])
-        for k, bi, n in _labels(grid):
-            v = f.flat[k]
-            out.writerow([bi, n, _fmt(grid.points[k]), _fmt(v.real), _fmt(v.imag),
-                          int(f.flat_valid[k])])
-    return path
+    return _write_rows(path, ["branch", "n", "x", "re", "im", "valid"], f.grid,
+                       [_column(f.grid.points), _column(f.flat.real),
+                        _column(f.flat.imag),
+                        f.flat_valid.astype(int).tolist()])
 
 
 def read_function_csv(grid: OrbitGrid, path: str | Path) -> GridFunction:
@@ -88,17 +86,12 @@ def read_function_csv(grid: OrbitGrid, path: str | Path) -> GridFunction:
 
 def write_level_csv(level: ChainLevel, path: str | Path) -> Path:
     """Columns: branch, n, x, rho, B, eta, h, f, phi (real parts)."""
-    path = Path(path)
     fields = {"rho": level.w.rho, "B": level.B, "eta": level.eta,
               "h": level.h, "f": level.f, "phi": level.phi}
-    with _writer(path) as fh:
-        out = csv.writer(fh)
-        out.writerow(["branch", "n", "x"] + list(fields))
-        for k, bi, n in _labels(level.grid):
-            out.writerow([bi, n, _fmt(level.grid.points[k])]
-                         + [_fmt(fn.flat[k].real) if fn.flat_valid[k] else ""
-                            for fn in fields.values()])
-    return path
+    return _write_rows(path, ["branch", "n", "x"] + list(fields), level.grid,
+                       [_column(level.grid.points)]
+                       + [_column(fn.flat.real, fn.flat_valid)
+                          for fn in fields.values()])
 
 
 def write_chain(levels, out_dir: str | Path, manifest_extra: dict | None = None,

@@ -7,8 +7,10 @@ from taucalc import (GROUP, INTERVAL, GridFunction, SEMIGROUP, build_grid,
                      linear_map, shift, solve_linear_first_order,
                      tau_antiderivative, tau_derivative, tau_exponential,
                      tau_integral, weighted_grid)
-from taucalc.calculus import deltas_fn, dtau_inverse_fn, product_integral
+from taucalc.calculus import (deltas_fn, dtau_inverse_fn, product_integral,
+                              step_quotient)
 from taucalc.hilbert import adjoint_shift
+from taucalc.errors import TailNotConverged
 from taucalc.gridfn import max_abs_diff
 
 from qcalc_oracle import horner, jackson_integral_exact, q_derivative
@@ -210,3 +212,42 @@ def test_branch_ends_match_per_branch_reference(make_grid, name):
         assert np.array_equal(again.valid[i], out.valid[i])
         assert np.array_equal(again.values[i][ref_valid],
                               out.values[i][ref_valid])
+
+
+def _semigroup_grid():
+    return build_grid(linear_map(0.7), mode=SEMIGROUP, bases=1.0, max_depth=30)
+
+
+@pytest.mark.parametrize("make_grid", [_semigroup_grid, _interval_grid,
+                                       _group_grid],
+                         ids=["semigroup", "interval", "group"])
+def test_fused_derivative_is_the_composed_one_bit_for_bit(make_grid):
+    grid = make_grid()
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    vals[[3, 7]] = [np.inf, np.nan]  # masked out below
+    valid = rng.random(grid.size) > 0.2
+    valid[[3, 7]] = False
+    vals[5] = -0.0
+    for f, label in ((GridFunction(grid, vals, valid, label="f"), "d(f)"),
+                     (GridFunction.from_callable(grid, np.cos), "")):
+        with np.errstate(invalid="ignore"):  # the planted inf and nan
+            fused = tau_derivative(f)
+            composed = step_quotient(f - shift(f))
+        assert fused.flat.tobytes() == composed.flat.tobytes()
+        assert np.array_equal(fused.flat_valid, composed.flat_valid)
+        assert fused.label == label
+
+
+def test_integral_tail_is_judged_per_branch():
+    # a large value at the base of branch a must not excuse branch b's tail
+    grid = _interval_grid()
+    ia, ib = (grid.branches.index(grid.branch(r)) for r in ("a", "b"))
+    vals = np.zeros(grid.size)
+    vals[grid.slices[ia].start] = 1e6
+    vals[grid.slices[ib]] = 1e-3
+    with pytest.raises(TailNotConverged):
+        tau_integral(GridFunction(grid, vals))
+    vals[grid.slices[ib]] = 0.0
+    assert tau_integral(GridFunction(grid, vals)) == -1e6 * grid.deltas[
+        grid.slices[ia].start]

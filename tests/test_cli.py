@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -215,3 +217,14 @@ def test_grid_json_records_truncation(tmp_path):
                "--out", str(tmp_path / "p")) == 0
     diag = json.loads((tmp_path / "p" / "grid.json").read_text())
     assert diag["branches"][0]["converged"] is True
+
+
+def test_python_dash_m_runs_the_cli(src_env, tmp_path):
+    out = subprocess.run([sys.executable, "-m", "taucalc", "grid", "--preset",
+                          "linear", "--depth", "6", "--out", str(tmp_path)],
+                         env=src_env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "grid.csv").exists()
+    bad = subprocess.run([sys.executable, "-m", "taucalc", "grid", "--tol",
+                          "1"], env=src_env, capture_output=True, text=True)
+    assert bad.returncode == 2

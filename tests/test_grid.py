@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from taucalc import GROUP, INTERVAL, SEMIGROUP, build_grid
-from taucalc.errors import CoincidentOrbits, LimitNotConverged
+from taucalc.covariance import affine_change, transport_grid
+from taucalc.errors import CoincidentOrbits, LimitNotConverged, ZeroDivisor
 from taucalc.grid import (DEFAULT_DELTA_TOL, _check_disjoint,
                           _coincident_pairs, contraction_estimate)
 from taucalc.io import grid_diagnostics
@@ -180,12 +181,11 @@ def test_interval_grid_forward_calls():
     assert calls[0] <= 8000
 
 
-# (map, base, interval bases, has a group grid); the backward leg of
-# fractional(0.1) rounds onto its fixed point 1 and raises
+# (map, base, interval bases, has a group grid)
 POLISH_MAPS = (
     [(linear_map(q), 1.0, (-1.0, 1.0), True)
      for q in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.97, 0.98)]
-    + [(fractional_map(a), 0.6, (0.2, 0.6), a != 0.1) for a in (0.1, 0.5, 2.0)]
+    + [(fractional_map(a), 0.6, (0.2, 0.6), True) for a in (0.1, 0.5, 2.0)]
     + [(power_map(p), 0.7, (0.5, 0.7), True) for p in (1.5, 2.0)]
     + [(linear_map(0.7, h=0.3), 0.0, (0.0, 2.0), True),
        (linear_map(0.9, h=-0.2), 1.0, (-3.0, 1.0), True)])
@@ -256,3 +256,73 @@ def test_mobius_scan_rescales_composites_and_flags_exact_pole():
     b[k0 + 4], c[k0 + 4], d[k0 + 4] = 1.0, 1.0, -1.0
     values, valid, pole = grid.mobius_scan((a, b, c, d), [1.0], ok, 1e-13)
     assert np.flatnonzero(pole).tolist() == [k0 + 5]
+
+
+def test_group_backward_leg_settles_on_repelling_fixed_point():
+    # the backward orbit of fractional(0.1) from 0.6 rounds onto the
+    # repelling fixed point 1: the leg has settled, nothing was hit
+    grid = build_grid(fractional_map(0.1), GROUP, 0.6, 40)
+    br = grid.branches[0]
+    back = br.points[:br.base_index]
+    assert back[0] == 1.0 and np.all(np.diff(br.points) < 0)
+    assert np.all(grid.deltas[grid.has_next] > 0)
+    assert br.points[br.base_index] == 0.6 and br.converged
+
+
+@pytest.mark.parametrize("tau, base", [(fractional_map(0.1), 1.0),
+                                       (linear_map(0.5), 0.0)])
+def test_group_base_on_a_fixed_point_raises(tau, base):
+    with pytest.raises(ZeroDivisor, match="fixed point hit"):
+        build_grid(tau, GROUP, base, 40)
+
+
+# -- per-grid plans --------------------------------------------------------
+
+def exercise_plans(grid):
+    """Build every kind of plan on ``grid`` and return the grid's arrays."""
+    for k in (1, -1, 2, -2):
+        grid.neighbour_mask(k), grid.neighbour_index(k)
+    for m in (0, 1, 3):
+        grid.interior(m), grid.interior_index(m)
+    grid.reach(1, 2)
+    grid.mobius_scan((0.5, 0, 0, 1.0), 1.0, np.ones(grid.size, dtype=bool),
+                     1e-13)
+    return [arr for plan in grid._plans.values() for arr in plan]
+
+
+@pytest.mark.parametrize("kind", sorted(MOBIUS_GRIDS))
+def test_plans_are_read_only(kind):
+    arrays = exercise_plans(MOBIUS_GRIDS[kind]())
+    assert len(arrays) == 2 * 8 + 5
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = arr
+
+
+def test_plans_match_their_definitions():
+    grid = MOBIUS_GRIDS["interval"]()
+    idx = np.arange(grid.size)
+    branch = grid.per_point(range(len(grid.slices)))
+    for steps in (1, -1, 2, -3):
+        j = np.clip(idx + steps, 0, grid.size - 1)
+        want = (idx + steps == j) & (branch[j] == branch)
+        assert np.array_equal(grid.neighbour_mask(steps), want)
+        assert np.array_equal(grid.neighbour_index(steps), np.flatnonzero(want))
+    for margin in (0, 1, 4):
+        want = grid.neighbour_mask(-margin) & grid.neighbour_mask(margin)
+        assert np.array_equal(grid.interior(margin), want)
+        assert np.array_equal(grid.interior_index(margin), np.flatnonzero(want))
+    assert grid.neighbour_mask(1) is grid.has_next
+    assert grid.neighbour_index(2) is grid.neighbour_index(2)
+
+
+def test_grids_never_share_plans():
+    grid = MOBIUS_GRIDS["interval"]()
+    twin = build_grid(linear_map(0.8), INTERVAL, (-1.0, 1.0), max_depth=50)
+    moved = transport_grid(grid, affine_change(2.0, 3.0, (-1.0, 1.0)))
+    mine = exercise_plans(grid)
+    for other in (twin, moved):
+        assert other._plans is not grid._plans
+        theirs = exercise_plans(other)
+        assert len(theirs) == len(mine)
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)

@@ -6,7 +6,7 @@ from taucalc import (GROUP, INTERVAL, SEMIGROUP, GridFunction, PearsonTriple,
                      pearson_residual, shift, weight_from_pearson,
                      weighted_grid)
 from taucalc.calculus import deltas_fn
-from taucalc.errors import GridMismatch, ZeroDivisor
+from taucalc.errors import GridMismatch, ZeroDivisor, ZeroWeight
 
 from recursion_oracle import pearson_weight_loop
 from taucalc.hilbert import adjoint_shift, mu_from_rho, shift_norm
@@ -128,3 +128,25 @@ def test_weight_matches_sequential_loop(mode, bases):
     assert np.all(w.rho.flat[k0] == 1.0)
     err = np.abs(w.rho.flat - want.flat) / np.abs(want.flat)
     assert np.max(err[want.flat_valid]) < 1e-13
+
+
+def test_cached_mu_is_mu_from_rho_bit_for_bit(level_data):
+    grid, _, _, w = level_data
+    fresh = weighted_grid(grid, w.rho)
+    want = mu_from_rho(fresh)
+    assert fresh.mu is fresh.mu
+    assert fresh.mu.flat.tobytes() == want.flat.tobytes()
+    assert np.array_equal(fresh.mu.flat_valid, want.flat_valid)
+    psi = GridFunction.from_callable(grid, lambda x: 1.0 + x)
+    assert adjoint_shift(psi, fresh).flat.tobytes() == (
+        adjoint_shift(psi, weighted_grid(grid, w.rho)).flat.tobytes())
+
+
+def test_cached_mu_raises_zero_weight_on_first_use(qgrid):
+    rho = GridFunction.from_callable(qgrid, lambda x: np.where(x < 0.1, 0.0, x))
+    w = weighted_grid(qgrid, rho, warn=False)  # attaching does not check
+    psi = GridFunction.constant(qgrid, 1.0)
+    with pytest.raises(ZeroWeight):
+        w.mu
+    with pytest.raises(ZeroWeight):
+        adjoint_shift(psi, w)

@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from taucalc import GridFunction
+from taucalc import GridFunction, linear_map
+from taucalc.chain import ChainLevel
+from taucalc.grid import INTERVAL, OrbitBranch, OrbitGrid
+from taucalc.hilbert import WeightedGrid
 from taucalc.io import (grid_diagnostics, read_function_csv, write_chain,
                         write_function_csv, write_grid_csv, write_json,
                         write_level_csv)
@@ -71,3 +74,82 @@ def test_level_csv_columns(tmp_path):
     path = write_level_csv(sc.levels[0], tmp_path / "lvl.csv")
     header = open(path).readline().strip().split(",")
     assert header == ["branch", "n", "x", "rho", "B", "eta", "h", "f", "phi"]
+
+
+# -- golden bytes: whole-column formatting against a per-cell writer --------
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1.0 / 3.0,
+           1e308, -7.0]
+
+
+def _cell(v):
+    return format(float(v), ".17g")
+
+
+def _per_cell_csv(path, header, grid, row):
+    """The reference writer: one formatted cell at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        for bi, s in enumerate(grid.slices):
+            for n in range(s.stop - s.start):
+                out.writerow([bi, n] + row(s.start + n))
+    return path
+
+
+def special_grid():
+    # points that no orbit produces, so every special value reaches a cell
+    with np.errstate(all="ignore"):
+        return OrbitGrid(linear_map(0.5), INTERVAL, (
+            OrbitBranch([1.0, -0.0, 5e-324, np.inf, np.nan], 0.0, role="a"),
+            OrbitBranch([-np.inf, 0.1, -2.5e-320], 0.0, role="b")))
+
+
+def special_fn(grid, seed):
+    rng = np.random.default_rng(seed)
+    pick = rng.integers(0, len(SPECIAL), (2, grid.size))
+    vals = np.empty(grid.size, dtype=complex)
+    vals.real, vals.imag = np.array(SPECIAL)[pick]
+    valid = rng.random(grid.size) > 0.3
+    valid[:2] = True, False
+    return GridFunction(grid, vals, valid)
+
+
+def test_grid_csv_golden_bytes(tmp_path):
+    grid = special_grid()
+    want = _per_cell_csv(tmp_path / "want.csv", ["branch", "n", "point", "delta"],
+                         grid, lambda k: [_cell(grid.points[k]),
+                                          _cell(grid.deltas[k])
+                                          if grid.has_next[k] else ""])
+    got = write_grid_csv(grid, tmp_path / "got.csv")
+    assert got.read_bytes() == want.read_bytes()
+    assert b"nan" in got.read_bytes() and b"-inf" in got.read_bytes()
+
+
+def test_function_csv_golden_bytes(tmp_path):
+    grid = special_grid()
+    f = special_fn(grid, 1)
+    want = _per_cell_csv(
+        tmp_path / "want.csv", ["branch", "n", "x", "re", "im", "valid"], grid,
+        lambda k: [_cell(grid.points[k]), _cell(f.flat[k].real),
+                   _cell(f.flat[k].imag), int(f.flat_valid[k])])
+    got = write_function_csv(f, tmp_path / "got.csv")
+    assert got.read_bytes() == want.read_bytes()
+    for token in (b"nan", b"-inf", b"-0,", b"4.9406564584124654e-324"):
+        assert token in got.read_bytes()
+
+
+def test_level_csv_golden_bytes(tmp_path):
+    grid = special_grid()
+    rho, B, eta, h, f, phi = (special_fn(grid, seed) for seed in range(6))
+    level = ChainLevel(k=0, w=WeightedGrid(grid, rho, np.ones(grid.size, bool)),
+                       B=B, eta=eta, h=h, f=f, phi=phi)
+    fields = (rho, B, eta, h, f, phi)
+    want = _per_cell_csv(
+        tmp_path / "want.csv",
+        ["branch", "n", "x", "rho", "B", "eta", "h", "f", "phi"], grid,
+        lambda k: [_cell(grid.points[k])]
+        + [_cell(fn.flat[k].real) if fn.flat_valid[k] else "" for fn in fields])
+    got = write_level_csv(level, tmp_path / "got.csv")
+    assert got.read_bytes() == want.read_bytes()
+    assert b",," in got.read_bytes()  # invalid cells stay empty

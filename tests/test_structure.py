@@ -3,9 +3,15 @@
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from taucalc import GridFunction, build_grid, linear_map
+from taucalc.calculus import shift, tau_derivative, tau_integral
+from taucalc.grid import GROUP, INTERVAL, OrbitGrid
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "taucalc").glob("*.py"))
 
@@ -34,8 +40,7 @@ def test_cli_import_leaves_scipy_unloaded(src_env):
 BRANCH_LOOPS_ALLOWED = {("riccati.py", "resolvent"),
                         ("hilbert.py", "shift_norm"),
                         ("calculus.py", "tau_antiderivative"),
-                        ("gridfn.py", "_flat"),
-                        ("io.py", "_labels")}
+                        ("gridfn.py", "_flat")}
 
 
 def branch_loops(path):
@@ -63,3 +68,89 @@ def test_no_new_per_branch_loops():
              for loop in branch_loops(path)]
     assert set(loops) <= BRANCH_LOOPS_ALLOWED
     assert len(loops) == len(BRANCH_LOOPS_ALLOWED)
+
+
+PLAN_SOURCES = ("has_next", "neighbour_mask", "interior")
+
+
+def rebuilt_plans(path):
+    """Line of every ``np.flatnonzero(...)`` whose argument reads a grid
+    mask (``.has_next``, ``.neighbour_mask(...)`` or ``.interior(...)``)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "flatnonzero"
+                and any(isinstance(n, ast.Attribute) and n.attr in PLAN_SOURCES
+                        for arg in node.args for n in ast.walk(arg))):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_index_plan_rebuilt_outside_grid(path):
+    # the indices of a grid mask are a per-grid plan: take them from
+    # OrbitGrid.neighbour_index, interior_index or reach
+    if path.name != "grid.py":
+        assert rebuilt_plans(path) == []
+
+
+def test_plan_rule_sees_rebuilt_indices(tmp_path):
+    path = tmp_path / "mod.py"
+    for line, hits in (("n = np.flatnonzero(grid.has_next)", [1]),
+                       ("n = np.flatnonzero(~g.has_next)", [1]),
+                       ("n = np.flatnonzero(g.neighbour_mask(-1) & m)", [1]),
+                       ("n = np.flatnonzero(g.interior(2))", [1]),
+                       ("n = np.flatnonzero(pole)", []),
+                       ("n = g.neighbour_index(1)", [])):
+        path.write_text(line + "\n")
+        assert rebuilt_plans(path) == hits
+
+
+def counting_plans(monkeypatch):
+    """Count each plan's builds (by key) and each walk-layout build."""
+    builds, layouts = Counter(), []
+    plan, layout = OrbitGrid._plan, OrbitGrid._scan_layout
+
+    def counted_plan(self, key, build):
+        def counted():
+            builds[key] += 1
+            return build()
+        return plan(self, key, counted)
+
+    def counted_layout(self):
+        layouts.append(self)
+        return layout(self)
+
+    monkeypatch.setattr(OrbitGrid, "_plan", counted_plan)
+    monkeypatch.setattr(OrbitGrid, "_scan_layout", counted_layout)
+    return builds, layouts
+
+
+def test_operators_build_each_plan_once_per_grid(monkeypatch):
+    grid = build_grid(linear_map(0.5), INTERVAL, (-1.0, 1.0), max_depth=80)
+    f = GridFunction.from_callable(grid, np.cos)
+    builds, _ = counting_plans(monkeypatch)
+    flatnonzero, indexed = np.flatnonzero, []
+    monkeypatch.setattr(np, "flatnonzero",
+                        lambda a: indexed.append(1) or flatnonzero(a))
+    for _ in range(200):
+        shift(f)
+        shift(f, -1)
+        shift(f, 2)
+        tau_derivative(f)
+        tau_integral(f)
+    # has_next's plan was built with the grid; the other two on first use
+    assert builds == {("reach", 1, 0): 1, ("reach", 0, 2): 1}
+    assert len(indexed) == 2
+
+
+def test_mobius_scan_builds_its_layout_once_per_grid(monkeypatch):
+    grids = [build_grid(linear_map(0.6), GROUP, 1.0, max_depth=30),
+             build_grid(linear_map(0.8), INTERVAL, (-1.0, 1.0), max_depth=30)]
+    _, layouts = counting_plans(monkeypatch)
+    for _ in range(5):
+        for grid in grids:
+            ok = np.ones(grid.size, dtype=bool)
+            grid.mobius_scan((0.5, 0, 0, 1.0), 1.0, ok, 1e-13)
+    assert layouts == grids
+
