@@ -171,7 +171,7 @@ def _positive_real(arr: np.ndarray, what: str) -> np.ndarray:
 def tau_exponential(grid: OrbitGrid, warn_contraction: bool = True) -> GridFunction:
     """Product solution of d_tau(e) = e with e = 1 at the orbit limit."""
     if warn_contraction:
-        est = contraction_estimate(grid.tau, grid)
+        est = contraction_estimate(grid)
         if est >= 1.0:
             warnings.warn(f"contraction estimate {est} >= 1; product may diverge",
                           NotContractingWarning, stacklevel=2)

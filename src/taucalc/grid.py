@@ -286,44 +286,28 @@ def _power_of_two_normalized(m: np.ndarray) -> np.ndarray:
     return m * np.ldexp(1.0, -np.frexp(np.abs(m).max(axis=(0, 1)))[1])
 
 
-def _orbit(step, base: float, limit: float | None,
-           max_depth: int) -> tuple[np.ndarray, bool]:
-    """The base and its iterates under ``step``, and whether they settled.
-
-    Iteration stops once three consecutive steps fall below
-    ``DEFAULT_DELTA_TOL`` relative to 1 + |limit| (1 + |x| when ``limit``
-    is None), or unsettled at ``max_depth``.  A step that does not move
-    ends the orbit as settled (it converged so fast that the step
-    rounded to zero), unless it sits away from a known ``limit`` or, with
-    no limit given, at the base itself: that is a fixed point hit on the
-    orbit.
-    """
-    pts, x, quiet = [float(base)], float(base), 0
-    for _ in range(max_depth):
-        x_next = step(x)
-        scale = 1.0 + abs(x_next if limit is None else limit)
-        if x_next == x:
-            if (len(pts) == 1 if limit is None else
-                    abs(x - limit) > 1e3 * DEFAULT_DELTA_TOL * scale):
-                raise ZeroDivisor(f"fixed point hit on the orbit at x={x}")
-            break
-        pts.append(x_next)
-        quiet = quiet + 1 if abs(x - x_next) < DEFAULT_DELTA_TOL * scale else 0
-        if quiet >= 3:
-            break
-        x = x_next
-    else:
-        return np.asarray(pts), False
-    return np.asarray(pts), True
-
-
-def _limit(tau: TauMap, base: float) -> float:
-    lim = limit_point(tau, base)
-    if not lim.converged:
+def _leg(tau: TauMap, base: float, max_depth: int,
+         backward: bool = False) -> tuple[np.ndarray, float, bool]:
+    """(points, limit, settled) of one leg of the orbit of ``base``, cut
+    from its :func:`limit_point` walk as :func:`build_grid` describes."""
+    res = limit_point(tau, base, max_depth if backward else None)
+    walk = res.walk
+    if res.converged and len(walk) == 1:
+        raise ZeroDivisor(f"fixed point hit on the orbit at x={base}")
+    if not (backward or res.converged):
         raise LimitNotConverged(
             f"fixed-point iteration from base {base} did not settle within "
-            f"{lim.iterations} steps")
-    return lim.value
+            f"{res.iterations} steps")
+    if backward:   # the leg ends at its last finite point in the domain
+        inside = np.isfinite(walk[1:]) & tau.contains(walk[1:])
+        walk = walk[:1 + np.logical_and.accumulate(inside).sum()]
+    scale = 1.0 + (np.abs(walk[1:]) if backward else abs(res.value))
+    quiet = np.abs(walk[1:] - walk[:-1]) < DEFAULT_DELTA_TOL * scale
+    run = np.flatnonzero(quiet[2:] & quiet[1:-1] & quiet[:-2])
+    # steps until the leg settles; a walk that stops before a quiet run
+    # settles with the step after its end, which does not move
+    end = int(run[0]) + 3 if len(run) else len(walk)
+    return walk[:min(end, max_depth) + 1], res.value, end <= max_depth
 
 
 def build_grid(tau: TauMap, mode: str = SEMIGROUP,
@@ -332,33 +316,32 @@ def build_grid(tau: TauMap, mode: str = SEMIGROUP,
     """Construct a truncated orbit grid.
 
     ``bases`` is a single base for semigroup/group mode and a pair
-    ``(a, b)`` for interval mode.  The limit of each base is found by
-    fixed-point iteration; :class:`LimitNotConverged` is raised when it
-    does not settle.  Orbit generation stops once three consecutive
-    steps fall below ``DEFAULT_DELTA_TOL`` relative to the limit, or at
-    ``max_depth``; a branch cut at ``max_depth`` records
-    ``converged=False``.  The backward leg of a group orbit stops by the
-    same step rule.
+    ``(a, b)`` for interval mode.  Each leg is cut from one
+    :func:`~taucalc.maps.limit_point` walk.  A forward branch ends after
+    three consecutive steps below ``DEFAULT_DELTA_TOL`` (1 + |limit|),
+    where the walk ends, or unsettled (``converged=False``) at
+    ``max_depth``; a walk that does not settle raises
+    :class:`LimitNotConverged`.  A group orbit's backward leg walks
+    tau.inverse up to ``max_depth``, is cut by the same rule relative to
+    1 + |x_next| and ends at its last finite point in the domain.  A base
+    on a fixed point raises :class:`ZeroDivisor`.
     """
     if mode in (SEMIGROUP, GROUP):
         base = float(bases) if np.isscalar(bases) else float(bases[0])
-        lim = _limit(tau, base)
-        pts, done = _orbit(tau.forward, base, lim, max_depth)
+        pts, lim, done = _leg(tau, base, max_depth)
         if mode == SEMIGROUP:
             branch = OrbitBranch(pts, lim, role="b", converged=done)
         else:
-            back = _orbit(tau.inverse, base, None, max_depth)[0][:0:-1]
+            back = _leg(tau, base, max_depth, backward=True)[0][:0:-1]
             branch = OrbitBranch(np.concatenate([back, pts]), lim, role="group",
                                  base_index=len(back), converged=done)
         return OrbitGrid(tau, mode, (branch,))
 
     if mode == INTERVAL:
-        a, b = float(bases[0]), float(bases[1])
-        lim_a, lim_b = _limit(tau, a), _limit(tau, b)
+        pts_a, lim_a, done_a = _leg(tau, float(bases[0]), max_depth)
+        pts_b, lim_b, done_b = _leg(tau, float(bases[1]), max_depth)
         if abs(lim_a - lim_b) > 1e-10 * (1.0 + abs(lim_b)):
             raise LimitMismatch(f"orbit limits differ: {lim_a} vs {lim_b}")
-        pts_a, done_a = _orbit(tau.forward, a, lim_a, max_depth)
-        pts_b, done_b = _orbit(tau.forward, b, lim_b, max_depth)
         _check_disjoint(pts_a, pts_b, lim_b, DEFAULT_DELTA_TOL)
         return OrbitGrid(tau, INTERVAL,
                          (OrbitBranch(pts_a, lim_a, role="a", converged=done_a),
@@ -408,7 +391,7 @@ def _check_disjoint(pts_a: np.ndarray, pts_b: np.ndarray, limit: float,
                                f"coincides with {pts_b[j[0]]} of base b")
 
 
-def contraction_estimate(tau: TauMap, grid: OrbitGrid) -> float:
+def contraction_estimate(grid: OrbitGrid) -> float:
     """Largest sampled slope |tau(x)-tau(y)| / |x-y| over adjacent grid points."""
     worst = 0.0
     for branch in grid.branches:

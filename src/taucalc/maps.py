@@ -10,9 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainEscape
 
 _DOMAIN_TOL = 1e-9
+# limit_point's detection tolerance and step cap (grid branches depend on both)
+LIMIT_TOL = 1e-13
+LIMIT_MAX_ITER = 10000
 # build_grid ends an orbit after three steps below this, relative to
 # 1 + |limit|; the limit polish of limit_point is derived from it
 DEFAULT_DELTA_TOL = 1e-15
@@ -31,19 +36,26 @@ class TauMap:
     def __call__(self, x: float) -> float:
         return self.forward(x)
 
-    def contains(self, x: float, tol: float = _DOMAIN_TOL) -> bool:
+    def contains(self, x: float | np.ndarray,
+                 tol: float = _DOMAIN_TOL) -> bool | np.ndarray:
+        """Whether x (elementwise for an array) lies in the padded domain."""
         lo, hi = self.domain
         pad = tol * (1.0 + abs(lo) + abs(hi))
-        return lo - pad <= x <= hi + pad
+        return (lo - pad <= x) & (x <= hi + pad)
 
 
 @dataclass(frozen=True)
 class LimitResult:
-    """Outcome of fixed-point iteration toward the orbit limit."""
+    """Outcome of fixed-point iteration toward the orbit limit: the limit,
+    the steps to detection and the walk x0, tau(x0), ..., ``value``."""
 
     value: float
     iterations: int
     converged: bool
+    walk: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.walk.setflags(write=False)
 
 
 def linear_map(q: float, h: float = 0.0,
@@ -112,39 +124,43 @@ def iterate(tau: TauMap, x0: float, n: int) -> float:
     return x
 
 
-def limit_point(tau: TauMap, x0: float, tol: float = 1e-13,
-                max_iter: int = 10000) -> LimitResult:
-    """Iterate tau until successive points agree to relative tolerance,
-    then polish the iterate toward the fixed point.
+def limit_point(tau: TauMap, x0: float,
+                _backward_cap: int | None = None) -> LimitResult:
+    """Walk tau from ``x0`` to its limit: iterate until a step is below
+    ``LIMIT_TOL`` (1 + |x|), then polish toward the fixed point.
 
-    A tolerance-level iterate would make distance-to-limit functions
-    vanish at deep grid points, so the polish keeps iterating, at most
-    ``max_iter`` more steps, until the point stops moving or the
-    remaining error, estimated as s r/(1 - r) from the last step s and
-    the ratio r of the last two steps, is below
-    2^-56 DEFAULT_DELTA_TOL r^4 (1 + |x|).  An orbit grid stops after
-    three steps below DEFAULT_DELTA_TOL (1 + |limit|), so none of its
-    points lies nearer the limit than about DEFAULT_DELTA_TOL r^4
-    (1 + |limit|); an error below a quarter-ulp of that (2^-55, with a
-    factor 2 to spare for the estimate) leaves every difference
-    point - limit as further polishing would leave it.
+    The result keeps the walk x0, tau(x0), ..., limit (read-only); a step
+    that does not move ends it and is not stored.  Detection and polish
+    take at most ``LIMIT_MAX_ITER`` steps each; ``_backward_cap`` walks
+    tau.inverse with that cap instead (a group grid's backward leg).  The
+    polish also stops once the error estimate s r/(1 - r), from the last
+    step s and the ratio r of the last two, is below
+    2^-56 DEFAULT_DELTA_TOL r^4 (1 + |x|): with a factor 2 to spare, a
+    quarter-ulp of the nearest distance DEFAULT_DELTA_TOL r^4 (1 + |limit|)
+    a grid point keeps to the limit (a branch stops after three steps
+    below DEFAULT_DELTA_TOL), so more polishing changes no point - limit.
     """
-    if tol <= 0.0 or max_iter < 1:
-        raise ValueError("need tol > 0 and max_iter >= 1")
-    x = x0
-    for i in range(1, max_iter + 1):
-        x_next = tau.forward(x)
-        step = abs(x_next - x)
-        if step < tol * (1.0 + abs(x)):
-            for _ in range(max_iter):
-                x_more = tau.forward(x_next)
+    step, cap = ((tau.forward, LIMIT_MAX_ITER) if _backward_cap is None
+                 else (tau.inverse, _backward_cap))
+    x = float(x0)
+    walk = [x]
+    for i in range(1, cap + 1):
+        x_next = step(x)
+        last = abs(x_next - x)
+        if last < LIMIT_TOL * (1.0 + abs(x)):
+            if x_next != x:
+                walk.append(x_next)
+            for _ in range(cap):
+                x_more = step(x_next)
                 if x_more == x_next:
                     break
-                r, step = abs(x_more - x_next) / step, abs(x_more - x_next)
+                r, last = abs(x_more - x_next) / last, abs(x_more - x_next)
                 x_next = x_more
-                if r < 1.0 and step * r / (1.0 - r) < (
+                walk.append(x_next)
+                if r < 1.0 and last * r / (1.0 - r) < (
                         _POLISH_TOL * r ** 4 * (1.0 + abs(x_next))):
                     break
-            return LimitResult(value=x_next, iterations=i, converged=True)
+            return LimitResult(x_next, i, True, np.array(walk))
+        walk.append(x_next)
         x = x_next
-    return LimitResult(value=x, iterations=max_iter, converged=False)
+    return LimitResult(x, cap, False, np.array(walk))

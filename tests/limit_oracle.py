@@ -8,22 +8,29 @@ underflow or the step cap.  Tests check that the differences
 ``points - limit`` of a grid come out bit-identical with either limit.
 """
 
+import numpy as np
+
 from taucalc.maps import LimitResult, TauMap
 
 
 def limit_point_still(tau, x0, tol=1e-13, max_iter=10000):
     x = x0
+    walk = [x]
     for i in range(1, max_iter + 1):
         x_next = tau.forward(x)
+        walk.append(x_next)
         if abs(x_next - x) < tol * (1.0 + abs(x)):
             for _ in range(max_iter):
                 x_more = tau.forward(x_next)
                 if x_more == x_next:
                     break
                 x_next = x_more
-            return LimitResult(value=x_next, iterations=i, converged=True)
+                walk.append(x_next)
+            return LimitResult(value=x_next, iterations=i, converged=True,
+                               walk=np.array(walk))
         x = x_next
-    return LimitResult(value=x, iterations=max_iter, converged=False)
+    return LimitResult(value=x, iterations=max_iter, converged=False,
+                       walk=np.array(walk))
 
 
 def counting_map(tau):

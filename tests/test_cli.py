@@ -219,6 +219,20 @@ def test_grid_json_records_truncation(tmp_path):
     assert diag["branches"][0]["converged"] is True
 
 
+def test_grid_group_leg_stays_in_the_domain(tmp_path):
+    # x/q overflows behind the base; the first row used to be 0,0,inf,inf
+    cfg = write_config(tmp_path, {
+        "map": {"kind": "linear", "q": 0.1},
+        "grid": {"mode": "group", "bases": 1.0, "depth": 512},
+    })
+    assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+    rows = list(csv.DictReader(open(tmp_path / "o" / "grid.csv")))
+    points = [float(r["point"]) for r in rows]
+    assert len(rows) == 37 and points[0] == pytest.approx(1e18)
+    assert all(abs(x) <= 1e18 * (1 + 1e-9) for x in points)
+    assert "inf" not in (tmp_path / "o" / "grid.csv").read_text()
+
+
 def test_python_dash_m_runs_the_cli(src_env, tmp_path):
     out = subprocess.run([sys.executable, "-m", "taucalc", "grid", "--preset",
                           "linear", "--depth", "6", "--out", str(tmp_path)],

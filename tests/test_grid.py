@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from taucalc import GROUP, INTERVAL, SEMIGROUP, build_grid
+from taucalc import cli, scenarios, validation
+from taucalc.cli import _preset_chain, _preset_grid
 from taucalc.covariance import affine_change, transport_grid
 from taucalc.errors import CoincidentOrbits, LimitNotConverged, ZeroDivisor
-from taucalc.grid import (DEFAULT_DELTA_TOL, _check_disjoint,
-                          _coincident_pairs, contraction_estimate)
+from taucalc.grid import (DEFAULT_DELTA_TOL, DEFAULT_MAX_DEPTH,
+                          _check_disjoint, _coincident_pairs,
+                          contraction_estimate)
 from taucalc.io import grid_diagnostics
-from taucalc.maps import fractional_map, linear_map, power_map
+from taucalc.maps import fractional_map, limit_point, linear_map, power_map
+from taucalc.validation import SuiteData
 
+from grid_oracle import build_grid_two_walks
 from limit_oracle import counting_map, limit_point_still
 from recursion_oracle import sequential_mobius
 
@@ -59,7 +64,7 @@ def test_fractional_limit_reported():
 
 
 def test_contraction_estimate_below_one(qgrid):
-    assert contraction_estimate(qgrid.tau, qgrid) < 1.0
+    assert contraction_estimate(qgrid) < 1.0
 
 
 def test_flat_storage_and_branch_views():
@@ -174,11 +179,12 @@ def test_truncated_orbit_is_recorded():
 
 
 def test_interval_grid_forward_calls():
-    # the two limit polishes used to run on to underflow or their
-    # 10,000-step cap: 23,782 calls in all
+    # each branch is cut from its limit walk: the two walks are every
+    # forward call (walking the points a second time made 6,870)
     tau, calls = counting_map(linear_map(0.97))
     build_grid(tau, INTERVAL, (-1.0, 1.0), 4000)
-    assert calls[0] <= 8000
+    walks = [limit_point(linear_map(0.97), b).walk for b in (-1.0, 1.0)]
+    assert calls[0] == sum(len(w) - 1 for w in walks) == 4826
 
 
 # (map, base, interval bases, has a group grid)
@@ -269,11 +275,86 @@ def test_group_backward_leg_settles_on_repelling_fixed_point():
     assert br.points[br.base_index] == 0.6 and br.converged
 
 
-@pytest.mark.parametrize("tau, base", [(fractional_map(0.1), 1.0),
-                                       (linear_map(0.5), 0.0)])
-def test_group_base_on_a_fixed_point_raises(tau, base):
+@pytest.mark.parametrize("tau, mode, bases", [
+    # 1.0 is fixed by the inverse map only (tau moves it by one ulp)
+    pytest.param(fractional_map(0.1), GROUP, 1.0, id="tau0-1.0"),
+    pytest.param(linear_map(0.5), GROUP, 0.0, id="tau1-0.0"),
+    pytest.param(linear_map(0.5), SEMIGROUP, 0.0, id="semigroup"),
+    pytest.param(linear_map(0.5), INTERVAL, (0.0, 1.0), id="interval-a"),
+    pytest.param(fractional_map(2.0), INTERVAL, (0.5, 1.0), id="interval-b")])
+def test_group_base_on_a_fixed_point_raises(tau, mode, bases):
+    # in every mode, not only in group mode as the name says
     with pytest.raises(ZeroDivisor, match="fixed point hit"):
-        build_grid(tau, GROUP, base, 40)
+        build_grid(tau, mode, bases, 40)
+
+
+GROUP_GRIDS = [
+    pytest.param(tau, base, depth, id=f"{tau.name}-{depth}")
+    for tau, base, _, _ in POLISH_MAPS for depth in (40, 512)
+] + [pytest.param(linear_map(0.5), 1.0, 4000, id="linear(q=0.5)-4000")]
+
+
+@pytest.mark.parametrize("tau, base, depth", GROUP_GRIDS)
+def test_group_grid_points_are_finite_and_in_domain(tau, base, depth):
+    grid = build_grid(tau, GROUP, base, depth)
+    assert np.all(np.isfinite(grid.points)) and np.all(tau.contains(grid.points))
+    assert np.all(np.isfinite(grid.deltas))
+
+
+# -- the two-walk reference ------------------------------------------------
+
+def assert_same_as_two_walks(grid, tau, mode, bases, depth):
+    """``grid`` has the branches of the two-walk builder bit for bit; on a
+    group branch only its points inside the domain are compared."""
+    want = build_grid_two_walks(tau, mode, bases, depth)
+    assert len(grid.branches) == len(want)
+    for br, ref in zip(grid.branches, want):
+        pts, k = ref.points, ref.base_index
+        outside = np.flatnonzero(~(np.isfinite(pts[:k]) & tau.contains(pts[:k])))
+        if len(outside):
+            pts, k = pts[outside[-1] + 1:], k - outside[-1] - 1
+        assert br.points.tobytes() == pts.tobytes()
+        assert np.float64(br.limit).tobytes() == np.float64(ref.limit).tobytes()
+        assert (br.converged, br.base_index) == (ref.converged, k)
+
+
+@pytest.mark.parametrize("tau, mode, bases, depth", POLISH_GRIDS + [
+    pytest.param(linear_map(0.1), GROUP, 1.0, 512, id="overflowing-group")]
+    # 0.9, 0.9^50, 0.9^2500, 0: the walk ends on a zero step before any
+    # quiet run, which settles the branch only from depth 4 on
+    + [pytest.param(power_map(50.0), SEMIGROUP, 0.9, depth,
+                    id=f"underflow-{depth}") for depth in (3, 4)])
+def test_polish_grids_match_two_walks(tau, mode, bases, depth):
+    assert_same_as_two_walks(build_grid(tau, mode, bases, depth), tau, mode,
+                             bases, depth)
+
+
+BUILDS = {
+    **{f"suite-{name}": (lambda name=name: getattr(SuiteData(), name))
+       for name in ("qhahn", "qhahn_cross", "constant_gauge",
+                    "constant_gauge_deep", "fractional_half", "fractional_two",
+                    "fractional_grid_deep", "fractional_grid_shallow")},
+    **{f"cli-grid-{name}": (lambda name=name: _preset_grid(name, None))
+       for name in ("linear", "fractional")},
+    **{f"cli-chain-{name}": (lambda name=name: _preset_chain(name, None))
+       for name in ("qhahn", "constant-gauge", "fractional")},
+}
+
+
+@pytest.mark.parametrize("source", sorted(BUILDS))
+def test_suite_and_preset_grids_match_two_walks(monkeypatch, source):
+    built = []
+
+    def recording(tau, mode=SEMIGROUP, bases=1.0, max_depth=DEFAULT_MAX_DEPTH):
+        grid = build_grid(tau, mode, bases, max_depth)
+        built.append((grid, tau, mode, bases, max_depth))
+        return grid
+
+    for module in (cli, scenarios, validation):
+        monkeypatch.setattr(module, "build_grid", recording)
+    BUILDS[source]()
+    assert len(built) == 1
+    assert_same_as_two_walks(*built[0])
 
 
 # -- per-grid plans --------------------------------------------------------

@@ -66,3 +66,14 @@ def test_limit_point_fractional_expanding():
     # a = 2 contracts toward the fixed point 1
     res = limit_point(fractional_map(2.0), 0.5)
     assert res.value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_limit_walk_is_the_orbit():
+    tau = fractional_map(0.5)
+    res = limit_point(tau, 0.5)
+    walk = res.walk
+    assert walk[0] == 0.5 and walk[-1] == res.value
+    assert np.array_equal(walk[1:], [tau.forward(x) for x in walk[:-1]])
+    assert len(walk) > res.iterations and not walk.flags.writeable
+    # a step that does not move ends the walk without repeating its point
+    assert limit_point(linear_map(0.5), 0.0).walk.tolist() == [0.0]

@@ -70,6 +70,51 @@ def test_no_new_per_branch_loops():
     assert len(loops) == len(BRANCH_LOOPS_ALLOWED)
 
 
+POINTWISE = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+             ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def own_nodes(node):
+    """``node`` and the nodes below it, skipping nested comprehensions and
+    lambdas (they evaluate a map pointwise and carry no iterate from one
+    step to the next) and nested functions (their loops count alone)."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, POINTWISE):
+            yield from own_nodes(child)
+
+
+def map_loops(path):
+    """Line of every ``for``/``while`` loop that itself calls ``.forward``
+    or ``.inverse``."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(
+                encoding="utf-8")))
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.While))
+            and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in ("forward", "inverse")
+                    for n in own_nodes(node))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_map_iteration_outside_maps(path):
+    # an orbit is walked once, by maps.limit_point; grids cut their
+    # points from that walk instead of iterating tau again
+    if path.name != "maps.py":
+        assert map_loops(path) == []
+
+
+def test_map_loop_rule_sees_iteration(tmp_path):
+    path = tmp_path / "mod.py"
+    for code, hits in (("for _ in range(n):\n    x = tau.forward(x)", [1]),
+                       ("while x > 0:\n    x = m.inverse(x) - 1", [1]),
+                       ("for x in xs:\n    ys.append(f(g.tau.forward(x)))", [1]),
+                       ("ys = [tau.forward(x) for x in xs]", []),
+                       ("for m in ms:\n    ys = [m.forward(x) for x in xs]", []),
+                       ("for x in xs:\n    ys.append(step(x))", [])):
+        path.write_text(code + "\n")
+        assert map_loops(path) == hits
+
+
 PLAN_SOURCES = ("has_next", "neighbour_mask", "interior")
 
 
