@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taucalc import (GridFunction, SEMIGROUP, TwoByTwoSystem, build_grid,
+from resolvent_oracle import (deepest_valid, mp_suffix_products,
+                              sequential_resolvent)
+from taucalc import (GROUP, INTERVAL, GridFunction, SEMIGROUP, TwoByTwoSystem, build_grid,
                      cross_ratio, darboux, darboux_solution, fractional_map,
                      general_solution, linear_map, resolvent, singular_darboux,
                      solve_system, triangular_resolvent)
@@ -128,3 +132,114 @@ def test_singular_step_matrix_rejected(qgrid):
     one = GridFunction.constant(qgrid, 1.0)
     with pytest.raises(DegenerateSystem):
         TwoByTwoSystem(a=one, b=one, c=one, d=one)
+
+
+# -- resolvent against its sequential and mpmath references -----------------
+
+def q_orbit_system():
+    """A full (c != 0), complex system Lambda = I - delta Tilde on the
+    q-orbit of tau(x) = 0.7 x from 1."""
+    grid = build_grid(linear_map(0.7), SEMIGROUP, 1.0, max_depth=200)
+    fn = lambda f: GridFunction.from_callable(grid, f)  # noqa: E731
+    return TwoByTwoSystem.from_tilde(
+        fn(lambda x: 0.5 + x), fn(lambda x: 1.0 - 2j * x),
+        fn(lambda x: 0.25 + 0.5j * x ** 2), fn(lambda x: -1.0 + 0.3 * x))
+
+
+def test_resolvent_matches_mpmath_product():
+    sys = q_orbit_system()
+    exact = mp_suffix_products(sys)
+    res = resolvent(sys)
+    want = np.array([[[complex(S[i, j]) for j in range(2)] for i in range(2)]
+                     for S in exact])
+    # relative to the product's size: the steps are O(1) matrices, so the
+    # per-point rounding of a product of ~110 factors stays near 1e-14
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(res.flat - want)) / scale < 2e-14
+    assert res.steps == sys.grid.size - 1 and res.converged
+
+
+GRIDS = {
+    "semigroup": build_grid(linear_map(0.6), SEMIGROUP, 1.0, max_depth=40),
+    "interval": build_grid(linear_map(0.8), INTERVAL, (-1.0, 1.0),
+                           max_depth=50),
+    "group": build_grid(linear_map(0.6), GROUP, 1.0, max_depth=30),
+}
+
+
+def random_system(grid, seed, complex_entries, cut):
+    """Random O(1) step matrices; the valid mask of the last branch ends
+    ``cut`` points before the branch does."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(-1.5, 1.5, (4, grid.size))
+    if complex_entries:
+        m = m + 1j * rng.uniform(-1.5, 1.5, (4, grid.size))
+    valid = np.ones(grid.size, dtype=bool)
+    if cut:
+        valid[grid.slices[-1].stop - cut:] = False
+    return TwoByTwoSystem(*(GridFunction(grid, row, valid) for row in m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(GRIDS)), seed=st.integers(0, 2 ** 32 - 1),
+       complex_entries=st.booleans(), cut=st.integers(0, 7))
+def test_resolvent_matches_sequential_products(kind, seed, complex_entries,
+                                               cut):
+    sys = random_system(GRIDS[kind], seed, complex_entries, cut)
+    res = resolvent(sys)
+    want, steps, gap = sequential_resolvent(sys)
+    assert res.steps == steps
+    # Both are the same product of n factors in different association
+    # orders.  Each 2x2 product adds at most gamma_2 = 2u/(1 - 2u) relative
+    # error (gamma_4-ish per real part of a complex product) against the
+    # product of the entrywise moduli, and a product of n factors goes
+    # through at most n - 1 such steps in either order (Higham, Accuracy
+    # and Stability of Numerical Algorithms, sec. 3.5), so the two differ
+    # by at most about 2 * 4 n u |Lambda_last| ... |Lambda_k|.  The
+    # power-of-two rescaling is exact and adds nothing.
+    u = np.finfo(float).eps / 2
+    moduli = sequential_resolvent(TwoByTwoSystem(
+        *(GridFunction(sys.grid, np.abs(f.flat), f.flat_valid)
+          for f in (sys.a, sys.b, sys.c, sys.d))))[0].real
+    n = max(s.stop - s.start for s in sys.grid.slices)
+    assert np.all(np.abs(res.flat - want) <= 8 * n * u * moduli)
+    past = np.ones(sys.grid.size, dtype=bool)
+    for s, deep in zip(sys.grid.slices,
+                       deepest_valid(sys.grid, sys.valid_mask())):
+        past[s.start:deep + 1] = False
+    assert np.all(res.flat[past] == np.eye(2))
+    assert res.cauchy_gap == pytest.approx(gap, rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("system", [
+    lambda: q_orbit_system(),
+    lambda: singular_darboux(gauge_riccati_system(constant_gauge_chain(
+        q=0.5, depth=120, n_levels=1).levels[0]), 0.0, -1.0)],
+    ids=["q-orbit", "constant-gauge"])
+def test_resolvent_steps_and_convergence_match_sequential(system):
+    sys = system()
+    res = resolvent(sys)
+    want, steps, gap = sequential_resolvent(sys)
+    assert res.steps == steps
+    assert res.converged == (gap < 1e-12) and res.converged
+    assert (res.cauchy_gap < 1e-12) == (gap < 1e-12)
+
+
+def test_resolvent_keeps_the_scale_of_products_that_overflow_inside():
+    # S[k] = 1e-150 Q * (1e100 R)^j stays below 1e250 for j <= 4, but the
+    # doubling forms the inner product of the four 1e100 factors, 1e400:
+    # only the kept power-of-two exponents can give S back
+    grid = GRIDS["semigroup"]
+    last = grid.size - 1
+    rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+    m = np.broadcast_to(np.eye(2), (grid.size, 2, 2)).copy()
+    m[last] = 1e-150 * np.array([[1.0, 0.5], [-0.5, 1.0]])
+    m[last - 4:last] = 1e100 * rot
+    sys = TwoByTwoSystem(*(GridFunction(grid, m[:, i, j])
+                           for i in range(2) for j in range(2)))
+    res = resolvent(sys)
+    want = sequential_resolvent(sys)[0]
+    assert np.all(np.isfinite(want)) and np.max(np.abs(want)) > 1e249
+    assert np.all(np.isfinite(res.flat))
+    assert np.all(np.abs(res.flat - want) <= 1e-14 * np.abs(want).max(
+        axis=(1, 2))[:, None, None])
