@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (CoincidentOrbits, LimitMismatch, LimitNotConverged,
-                     ZeroDivisor)
+from .errors import (CoincidentOrbits, DomainEscape, LimitMismatch,
+                     LimitNotConverged, ZeroDivisor)
 from .maps import DEFAULT_DELTA_TOL, LimitResult, TauMap, limit_point
 
 DEFAULT_MAX_DEPTH = 512
@@ -73,7 +73,8 @@ class OrbitGrid:
     ``has_next[n]`` holds and 0 at the last index of each branch.
 
     Index structures that depend on the grid alone (neighbour masks and
-    their indices, the walk layout of :meth:`mobius_scan`) are plans:
+    their indices, the walk layouts of :meth:`mobius_scan` and
+    :meth:`suffix_products`) are plans:
     each is built on first use, stored read-only on the grid and lives
     and dies with it.
     """
@@ -214,31 +215,25 @@ class OrbitGrid:
         The composite maps are prefix products of the 2x2 steps, built by
         log-depth doubling and rescaled by exact powers of two.
         """
-        idx, live, back, src, row_branch = self._plan("scan", self._scan_layout)
-        width = idx.shape[1]
+        idx, live, src, pick, row_branch = self._plan("scan", self._scan_layout)
         use = live & np.asarray(ok, dtype=bool)[src]
         use[:, 0] = True
-        entries = np.zeros((4, self.size), dtype=complex)
+        # a, b, c, d, -b, -c of every step, and the identity in the last
+        # column for each base slot and each unusable step
+        entries = np.zeros((6, self.size + 1), dtype=complex)
         for row, x in zip(entries, steps):
-            row[:] = x
-        a, b, c, d = entries[:, src]
-        m = np.where(back, [[d, -b], [-c, a]], [[a, b], [c, d]])
-        m = np.where(use, m, np.eye(2)[:, :, None, None])
-        m[..., 0] = np.eye(2)[:, :, None]
+            row[:-1] = x
+        entries[4:] = -entries[1:3]
+        entries[:, -1] = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
         sigma = (np.zeros(len(self.branches), dtype=complex)
                  + seeds)[row_branch]
-        if not (m.imag.any() or sigma.imag.any()):
-            m, sigma = m.real.copy(), sigma.real
+        if not (entries.imag.any() or sigma.imag.any()):
+            entries, sigma = entries.real, sigma.real
+        at = np.where(use, src, self.size)
+        at[:, 0] = self.size
+        m = entries[pick, at]
         valid = np.logical_and.accumulate(use, axis=1)
-
-        # doubling: P[:, :, j] <- P[:, :, j] P[:, :, j - span] along each row
-        P = _power_of_two_normalized(m)
-        span = 1
-        while span < width:
-            hi, lo = P[..., span:], P[..., :-span]
-            P[..., span:] = _power_of_two_normalized(
-                hi[:, :1] * lo[None, 0] + hi[:, 1:] * lo[None, 1])
-            span *= 2
+        P = _doubling_scan(m)[0]
         pole = np.zeros(idx.shape, dtype=bool)
         with np.errstate(all="ignore"):
             r = (P[0, 0] * sigma + P[0, 1]) / (P[1, 0] * sigma + P[1, 1])
@@ -247,8 +242,9 @@ class OrbitGrid:
             pole[:, 1:] = valid[:, 1:] & (np.abs(term + const) < pole_tol * scale)
         values = np.zeros(self.size, dtype=complex)
         flags = np.zeros((2, self.size), dtype=bool)
-        values[idx[valid]] = r[valid]
-        flags[0, idx[valid]] = True
+        at = idx[valid]
+        values[at] = r[valid]
+        flags[0, at] = True
         flags[1, idx[pole]] = True
         return values, flags[0], flags[1]
 
@@ -256,9 +252,11 @@ class OrbitGrid:
         """The walk layout of :meth:`mobius_scan`: one row per walk, each
         branch forward from its base and, behind a group base, backward
         from the base again; rows are padded.  Returns the point index of
-        every slot, its liveness, each row's direction, the index of the
-        step entering each slot (step n-1 forward, the inverse of step n
-        backward) and each row's branch."""
+        every slot, its liveness, the index of the step entering each slot
+        (step n-1 forward, the inverse of step n backward), the entries
+        that make up each row's 2x2 maps (rows of [a, b, c, d, -b, -c]:
+        [[a, b], [c, d]] forward, [[d, -b], [-c, a]] backward) and each
+        row's branch."""
         walks = []
         for i, (br, s) in enumerate(zip(self.branches, self.slices)):
             k0 = s.start + br.base_index
@@ -270,9 +268,41 @@ class OrbitGrid:
         live = np.zeros(idx.shape, dtype=bool)
         for row, (_, pts, _) in enumerate(walks):
             idx[row, :len(pts)], live[row, :len(pts)] = pts, True
-        back = np.array([[b] for _, _, b in walks])
-        src = np.maximum(idx - 1 + back, 0)
-        return idx, live, back, src, np.array([[i] for i, _, _ in walks])
+        back = np.array([b for _, _, b in walks])
+        src = np.maximum(idx - 1 + back[:, None], 0)
+        pick = np.where(back, [[[3], [4]], [[5], [0]]], [[[0], [1]], [[2], [3]]])
+        return (idx, live, src, pick[..., None],
+                np.array([[i] for i, _, _ in walks]))
+
+    def suffix_products(self, mats: np.ndarray) -> np.ndarray:
+        """Segmented suffix products out[n] = mats[end] ... mats[n+1] mats[n]
+        of a (size, 2, 2) stack, ``end`` the last point of n's branch.
+
+        Each branch is one row of :func:`_doubling_scan`, read from its
+        last point back to its first.  The maps go in transposed, which
+        turns the suffix into the scan's later-map-on-the-left prefix;
+        the kept power-of-two exponents rebuild the unscaled products, so
+        only the products that are themselves out of range overflow.
+        """
+        idx, live = self._plan("suffix", self._suffix_layout)
+        m = mats[idx].transpose(3, 2, 0, 1)
+        if np.iscomplexobj(m) and not m.imag.any():
+            m = m.real
+        P, E = _doubling_scan(np.ascontiguousarray(m))
+        out = np.empty_like(mats)
+        out[idx[live]] = _ldexp(P, E).transpose(2, 3, 1, 0)[live]
+        return out
+
+    def _suffix_layout(self):
+        """The walk layout of :meth:`suffix_products`: one row per branch
+        from its last point back to its first, padded at the end (the pad
+        never enters a live slot's prefix).  Returns the point index of
+        every slot and its liveness."""
+        stops = np.array([[s.stop] for s in self.slices])
+        lens = stops - [[s.start] for s in self.slices]
+        j = np.arange(lens.max())
+        live = j < lens
+        return np.where(live, stops - 1 - j, 0), live
 
     def locate(self, n: int) -> tuple[int, int]:
         """(branch index, position within the branch) of flat index ``n``."""
@@ -280,10 +310,45 @@ class OrbitGrid:
         return b, int(n) - self.slices[b].start
 
 
-def _power_of_two_normalized(m: np.ndarray) -> np.ndarray:
-    """Scale each map of a (2, 2, ...) stack by the power of two that brings
-    its largest entry modulus into [0.5, 1)."""
-    return m * np.ldexp(1.0, -np.frexp(np.abs(m).max(axis=(0, 1)))[1])
+def _power_of_two_normalized(m: np.ndarray, out: np.ndarray | None = None
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """(m 2^-e, e): each map of a (2, 2, ...) stack scaled by the power of
+    two that brings its largest entry modulus into [0.5, 1)."""
+    e = np.frexp(np.abs(m).max(axis=(0, 1)))[1]
+    if np.iscomplexobj(m):
+        return np.multiply(m, np.ldexp(1.0, -e), out=out), e
+    return np.ldexp(m, -e, out=out), e
+
+
+def _doubling_scan(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix products along each row of a (2, 2, rows, width) stack, later
+    maps on the left: P[..., j] 2^E[j] = m[..., j] ... m[..., 1] m[..., 0].
+
+    Log-depth doubling (Hillis & Steele 1986; Blelloch 1990): each level
+    sets P[..., j] <- P[..., j] P[..., j - span].  Every product is brought
+    to power-of-two-normalised mantissas (see
+    :func:`_power_of_two_normalized`), and the integer exponents of the two
+    factors and of the rescaling are summed level by level, so the
+    rescaling itself loses nothing.  Returns (mantissas, exponents).
+    """
+    P, E = _power_of_two_normalized(m)
+    span = 1
+    while span < m.shape[-1]:
+        hi, lo = P[..., span:], P[..., :-span]
+        e = _power_of_two_normalized(
+            hi[:, :1] * lo[None, 0] + hi[:, 1:] * lo[None, 1], out=hi)[1]
+        E[:, span:] += E[:, :-span] + e
+        span *= 2
+    return P, E
+
+
+def _ldexp(P: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """P 2^E, exact wherever the result is in range; complex P too."""
+    if not np.iscomplexobj(P):
+        return np.ldexp(P, E)
+    out = np.empty_like(P)
+    out.real, out.imag = np.ldexp(P.real, E), np.ldexp(P.imag, E)
+    return out
 
 
 def _leg(tau: TauMap, base: float, max_depth: int,
@@ -294,13 +359,18 @@ def _leg(tau: TauMap, base: float, max_depth: int,
     walk = res.walk
     if res.converged and len(walk) == 1:
         raise ZeroDivisor(f"fixed point hit on the orbit at x={base}")
-    if not (backward or res.converged):
-        raise LimitNotConverged(
-            f"fixed-point iteration from base {base} did not settle within "
-            f"{res.iterations} steps")
     if backward:   # the leg ends at its last finite point in the domain
         inside = np.isfinite(walk[1:]) & tau.contains(walk[1:])
         walk = walk[:1 + np.logical_and.accumulate(inside).sum()]
+    else:
+        outside = np.flatnonzero(~tau.contains(walk))
+        if len(outside):
+            raise DomainEscape(f"forward orbit of base {base} leaves the "
+                               f"domain {tau.domain} at x={walk[outside[0]]}")
+        if not res.converged:
+            raise LimitNotConverged(
+                f"fixed-point iteration from base {base} did not settle "
+                f"within {res.iterations} steps")
     scale = 1.0 + (np.abs(walk[1:]) if backward else abs(res.value))
     quiet = np.abs(walk[1:] - walk[:-1]) < DEFAULT_DELTA_TOL * scale
     run = np.flatnonzero(quiet[2:] & quiet[1:-1] & quiet[:-2])
@@ -320,7 +390,8 @@ def build_grid(tau: TauMap, mode: str = SEMIGROUP,
     :func:`~taucalc.maps.limit_point` walk.  A forward branch ends after
     three consecutive steps below ``DEFAULT_DELTA_TOL`` (1 + |limit|),
     where the walk ends, or unsettled (``converged=False``) at
-    ``max_depth``; a walk that does not settle raises
+    ``max_depth``; a walk that leaves ``tau.domain`` raises
+    :class:`DomainEscape` and one that does not settle
     :class:`LimitNotConverged`.  A group orbit's backward leg walks
     tau.inverse up to ``max_depth``, is cut by the same rule relative to
     1 + |x_next| and ends at its last finite point in the domain.  A base
@@ -328,11 +399,14 @@ def build_grid(tau: TauMap, mode: str = SEMIGROUP,
     """
     if mode in (SEMIGROUP, GROUP):
         base = float(bases) if np.isscalar(bases) else float(bases[0])
+        # a group base on a fixed point of tau.inverse is reported as such,
+        # before a forward leg that leaves the domain from it
+        back = (_leg(tau, base, max_depth, backward=True)[0][:0:-1]
+                if mode == GROUP else ())
         pts, lim, done = _leg(tau, base, max_depth)
         if mode == SEMIGROUP:
             branch = OrbitBranch(pts, lim, role="b", converged=done)
         else:
-            back = _leg(tau, base, max_depth, backward=True)[0][:0:-1]
             branch = OrbitBranch(np.concatenate([back, pts]), lim, role="group",
                                  base_index=len(back), converged=done)
         return OrbitGrid(tau, mode, (branch,))

@@ -32,10 +32,8 @@ from .grid import OrbitGrid
 from .gridfn import GridFunction, joint_scale, max_abs_diff
 
 _ZERO_TOL = 1e-280
-
-
-def _maxnorm(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m)))
+# adj [[a, b], [c, d]] = [[d, -b], [-c, a]]: the signs of the flipped transpose
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _live(grid: OrbitGrid, mask: np.ndarray) -> np.ndarray:
@@ -161,40 +159,47 @@ def system_from_second_order(coef) -> TwoByTwoSystem:
 def resolvent(sys: TwoByTwoSystem, cauchy_tol: float = 1e-12) -> ResolventResult:
     """Accumulate the infinite product of step matrices along each branch.
 
-    Partial products at the branch base are monitored for a Cauchy gap
-    (max-norm difference of the last three), and the scalar criterion
+    The suffix products Lambda(x_last) ... Lambda(x_k), from the deepest
+    valid point x_last of each branch, come from
+    :meth:`OrbitGrid.suffix_products`: a log-depth doubling scan whose
+    power-of-two scale is kept exactly, so a product overflows only if it
+    is itself out of range.  Past x_last the resolvent is I.  Partial
+    products at the branch base are monitored for a Cauchy gap (max-norm
+    difference of the last three), and the scalar criterion
     sum |delta| * ||LambdaTilde|| is reported; both must be finite/small
     for ``converged``.  Nothing is raised on failure — callers decide.
     """
     grid = sys.grid
     lam = sys.entry_arrays()
     live = _live(grid, sys.valid_mask())
-    full = np.empty((grid.size, 2, 2), dtype=complex)
-    gap = 0.0
-    for s in grid.slices:
-        lam_b, S = lam[s], full[s]
-        last = int(np.count_nonzero(live[s])) - 1
-        # suffix products S[k] = Lambda(x_last) ... Lambda(x_k)
-        S[last] = lam_b[last]
-        for k in range(last - 1, -1, -1):
-            S[k] = S[k + 1] @ lam_b[k]
-        S[last + 1:] = np.eye(2)
-        # Cauchy gap of the base-point partial products: the last three
-        # prefix products differ from the full one by tail factors.
-        if last >= 2:
-            # partial products at the base: P_k = Lambda(x_k)...Lambda(x_0);
-            # peel the deepest left factors off P_last to recover P_{last-1,2}
-            p_full = S[0]
-            drop1 = np.linalg.solve(lam_b[last], p_full) \
-                if abs(np.linalg.det(lam_b[last])) > _ZERO_TOL else p_full
-            drop2 = np.linalg.solve(lam_b[last - 1], drop1) \
-                if abs(np.linalg.det(lam_b[last - 1])) > _ZERO_TOL else drop1
-            gap = max(gap, _maxnorm(p_full - drop1), _maxnorm(drop1 - drop2))
+    lam[~live] = np.eye(2)
+    full = grid.suffix_products(lam)
+    # Cauchy gap of the base-point partial products P_k = Lambda(x_k) ...
+    # Lambda(x_0): peel the deepest left factors off P_last to recover
+    # P_{last-1} and P_{last-2}, on branches with three factors or more
+    starts = np.array([s.start for s in grid.slices])
+    deep = starts + np.add.reduceat(live, starts) - 1
+    far = deep - starts >= 2
+    p_full, last = full[starts[far]], deep[far]
+    inv_last, inv_next = _inverse_or_identity(lam[np.stack([last, last - 1])])
+    drop1 = inv_last @ p_full
+    drop2 = inv_next @ drop1
+    gap = float(np.max(np.abs([p_full - drop1, drop1 - drop2]), initial=0.0))
     criterion = _criterion_sum(grid, sys.tilde())
     converged = bool(np.isfinite(criterion)) and gap < cauchy_tol
     return ResolventResult(grid=grid, flat=full, converged=converged,
                            criterion_sum=criterion,
                            steps=int(np.count_nonzero(live)), cauchy_gap=gap)
+
+
+def _inverse_or_identity(m: np.ndarray) -> np.ndarray:
+    """The inverses of a stack of 2x2 matrices by the adjugate, with I in
+    place of each matrix whose |det| <= _ZERO_TOL (it is not peeled)."""
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    keep = (np.abs(det) <= _ZERO_TOL)[..., None, None]
+    adj = m[..., ::-1, ::-1].swapaxes(-1, -2) * _ADJUGATE_SIGNS
+    return np.where(keep, np.eye(2),
+                    adj / np.where(keep, 1.0, det[..., None, None]))
 
 
 def solve_system(sys: TwoByTwoSystem, boundary,

@@ -203,6 +203,16 @@ def test_grid_unsettled_limit_exit_3(tmp_path, capsys, mode, bases):
     assert not (tmp_path / "o").exists()
 
 
+def test_grid_forward_orbit_leaving_the_domain_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "map": {"kind": "fractional", "a": 0.1},
+        "grid": {"mode": "semigroup", "bases": 1.0, "depth": 40},
+    })
+    assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+    assert "DomainEscape" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_grid_json_records_truncation(tmp_path):
     cfg = write_config(tmp_path, {
         "map": {"kind": "linear", "q": 0.99},

@@ -5,7 +5,8 @@ from taucalc import GROUP, INTERVAL, SEMIGROUP, build_grid
 from taucalc import cli, scenarios, validation
 from taucalc.cli import _preset_chain, _preset_grid
 from taucalc.covariance import affine_change, transport_grid
-from taucalc.errors import CoincidentOrbits, LimitNotConverged, ZeroDivisor
+from taucalc.errors import (CoincidentOrbits, DomainEscape, LimitNotConverged,
+                            ZeroDivisor)
 from taucalc.grid import (DEFAULT_DELTA_TOL, DEFAULT_MAX_DEPTH,
                           _check_disjoint, _coincident_pairs,
                           contraction_estimate)
@@ -275,6 +276,15 @@ def test_group_backward_leg_settles_on_repelling_fixed_point():
     assert br.points[br.base_index] == 0.6 and br.converged
 
 
+@pytest.mark.parametrize("mode, bases", [(SEMIGROUP, 1.0),
+                                         (INTERVAL, (0.5, 1.0))])
+def test_forward_leg_leaving_the_domain_raises(mode, bases):
+    # tau moves the repelling fixed point 1.0 by one ulp: the walk runs
+    # away from 1, passes the pole at x = 10/9 and settles on 0 from below
+    with pytest.raises(DomainEscape, match="leaves the domain"):
+        build_grid(fractional_map(0.1), mode, bases, 40)
+
+
 @pytest.mark.parametrize("tau, mode, bases", [
     # 1.0 is fixed by the inverse map only (tau moves it by one ulp)
     pytest.param(fractional_map(0.1), GROUP, 1.0, id="tau0-1.0"),
@@ -368,13 +378,14 @@ def exercise_plans(grid):
     grid.reach(1, 2)
     grid.mobius_scan((0.5, 0, 0, 1.0), 1.0, np.ones(grid.size, dtype=bool),
                      1e-13)
+    grid.suffix_products(np.tile(np.eye(2), (grid.size, 1, 1)))
     return [arr for plan in grid._plans.values() for arr in plan]
 
 
 @pytest.mark.parametrize("kind", sorted(MOBIUS_GRIDS))
 def test_plans_are_read_only(kind):
     arrays = exercise_plans(MOBIUS_GRIDS[kind]())
-    assert len(arrays) == 2 * 8 + 5
+    assert len(arrays) == 2 * 8 + 5 + 2
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = arr

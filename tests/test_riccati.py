@@ -152,8 +152,11 @@ def test_resolvent_matches_mpmath_product():
     res = resolvent(sys)
     want = np.array([[[complex(S[i, j]) for j in range(2)] for i in range(2)]
                      for S in exact])
-    # relative to the product's size: the steps are O(1) matrices, so the
-    # per-point rounding of a product of ~110 factors stays near 1e-14
+    # relative to the product's size: each of the n - 1 = 96 matrix
+    # products rounds by about 2u = 2.2e-16 of the product of the moduli,
+    # which these near-identity steps keep within a small factor of the
+    # product itself, so either association order stays below 96 * 2u
+    # (the sequential loop is 3.7e-16 off, the doubling scan 9.3e-16)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(res.flat - want)) / scale < 2e-14
     assert res.steps == sys.grid.size - 1 and res.converged
@@ -238,8 +241,9 @@ def test_resolvent_keeps_the_scale_of_products_that_overflow_inside():
     sys = TwoByTwoSystem(*(GridFunction(grid, m[:, i, j])
                            for i in range(2) for j in range(2)))
     res = resolvent(sys)
-    want = sequential_resolvent(sys)[0]
+    want, _, gap = sequential_resolvent(sys)
     assert np.all(np.isfinite(want)) and np.max(np.abs(want)) > 1e249
+    assert res.cauchy_gap == pytest.approx(gap, rel=1e-12)
     assert np.all(np.isfinite(res.flat))
     assert np.all(np.abs(res.flat - want) <= 1e-14 * np.abs(want).max(
         axis=(1, 2))[:, None, None])

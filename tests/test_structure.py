@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taucalc import GridFunction, build_grid, linear_map
+from taucalc import (GridFunction, TwoByTwoSystem, build_grid, linear_map,
+                     resolvent)
 from taucalc.calculus import shift, tau_derivative, tau_integral
 from taucalc.grid import GROUP, INTERVAL, OrbitGrid
 
@@ -37,8 +38,7 @@ def test_cli_import_leaves_scipy_unloaded(src_env):
 
 # per-branch loops that remain outside grid.py; a new orbit recursion goes
 # through OrbitGrid.mobius_scan or suffix_scan instead of its own loop
-BRANCH_LOOPS_ALLOWED = {("riccati.py", "resolvent"),
-                        ("hilbert.py", "shift_norm"),
+BRANCH_LOOPS_ALLOWED = {("hilbert.py", "shift_norm"),
                         ("calculus.py", "tau_antiderivative"),
                         ("gridfn.py", "_flat")}
 
@@ -198,4 +198,18 @@ def test_mobius_scan_builds_its_layout_once_per_grid(monkeypatch):
             ok = np.ones(grid.size, dtype=bool)
             grid.mobius_scan((0.5, 0, 0, 1.0), 1.0, ok, 1e-13)
     assert layouts == grids
+
+
+def test_resolvent_builds_its_layout_once_per_grid(monkeypatch):
+    grids = [build_grid(linear_map(0.6), GROUP, 1.0, max_depth=30),
+             build_grid(linear_map(0.8), INTERVAL, (-1.0, 1.0), max_depth=30)]
+    systems = []
+    for grid in grids:
+        one, x = GridFunction.constant(grid, 1.0), GridFunction(grid, grid.points)
+        systems.append(TwoByTwoSystem(one, x * 0.1, x * 0.2, one))
+    builds, _ = counting_plans(monkeypatch)
+    for _ in range(5):
+        for sys_ in systems:
+            resolvent(sys_)
+    assert builds["suffix"] == len(grids)
 
