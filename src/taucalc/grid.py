@@ -282,13 +282,15 @@ class OrbitGrid:
         last point back to its first.  The maps go in transposed, which
         turns the suffix into the scan's later-map-on-the-left prefix;
         the kept power-of-two exponents rebuild the unscaled products, so
-        only the products that are themselves out of range overflow.
+        only the products that are themselves out of range overflow.  The
+        four entries of a partial product share one exponent: an entry
+        that falls more than the float64 range below the largest one of
+        its matrix is lost, even where the full suffix would bring it
+        back into range.
         """
         idx, live = self._plan("suffix", self._suffix_layout)
-        m = mats[idx].transpose(3, 2, 0, 1)
-        if np.iscomplexobj(m) and not m.imag.any():
-            m = m.real
-        P, E = _doubling_scan(np.ascontiguousarray(m))
+        steps = mats if mats.imag.any() else mats.real
+        P, E = _doubling_scan(np.take(steps.transpose(2, 1, 0), idx, axis=2))
         out = np.empty_like(mats)
         out[idx[live]] = _ldexp(P, E).transpose(2, 3, 1, 0)[live]
         return out

@@ -3,16 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvent_oracle import (deepest_valid, mp_suffix_products,
-                              sequential_resolvent)
-from taucalc import (GROUP, INTERVAL, GridFunction, SEMIGROUP, TwoByTwoSystem, build_grid,
-                     cross_ratio, darboux, darboux_solution, fractional_map,
-                     general_solution, linear_map, resolvent, singular_darboux,
-                     solve_system, triangular_resolvent)
+from taucalc import (GROUP, INTERVAL, GridFunction, SEMIGROUP,
+                     TwoByTwoSystem, build_grid, cross_ratio, darboux,
+                     darboux_solution, fractional_map, general_solution,
+                     linear_map, resolvent, singular_darboux, solve_system,
+                     triangular_resolvent)
 from taucalc.errors import (DegenerateQuadruple, DegenerateSystem,
                             NotTriangular, ParticularNotSolution)
 from taucalc.riccati import rhom_residual, step_residual
 from taucalc.scenarios import constant_gauge_chain, gauge_riccati_system
+
+from resolvent_oracle import (deepest_valid, mp_suffix_products,
+                              sequential_resolvent)
 
 
 @pytest.fixture(scope="module")
@@ -140,10 +142,10 @@ def q_orbit_system():
     """A full (c != 0), complex system Lambda = I - delta Tilde on the
     q-orbit of tau(x) = 0.7 x from 1."""
     grid = build_grid(linear_map(0.7), SEMIGROUP, 1.0, max_depth=200)
-    fn = lambda f: GridFunction.from_callable(grid, f)  # noqa: E731
-    return TwoByTwoSystem.from_tilde(
-        fn(lambda x: 0.5 + x), fn(lambda x: 1.0 - 2j * x),
-        fn(lambda x: 0.25 + 0.5j * x ** 2), fn(lambda x: -1.0 + 0.3 * x))
+    return TwoByTwoSystem.from_tilde(*(
+        GridFunction.from_callable(grid, f) for f in (
+            lambda x: 0.5 + x, lambda x: 1.0 - 2j * x,
+            lambda x: 0.25 + 0.5j * x ** 2, lambda x: -1.0 + 0.3 * x)))
 
 
 def test_resolvent_matches_mpmath_product():
@@ -193,13 +195,14 @@ def test_resolvent_matches_sequential_products(kind, seed, complex_entries,
     want, steps, gap = sequential_resolvent(sys)
     assert res.steps == steps
     # Both are the same product of n factors in different association
-    # orders.  Each 2x2 product adds at most gamma_2 = 2u/(1 - 2u) relative
-    # error (gamma_4-ish per real part of a complex product) against the
-    # product of the entrywise moduli, and a product of n factors goes
-    # through at most n - 1 such steps in either order (Higham, Accuracy
-    # and Stability of Numerical Algorithms, sec. 3.5), so the two differ
-    # by at most about 2 * 4 n u |Lambda_last| ... |Lambda_k|.  The
-    # power-of-two rescaling is exact and adds nothing.
+    # orders.  Measured against the product of the entrywise moduli, one
+    # 2x2 product adds at most gamma_2 = 2u/(1 - 2u) relative error in
+    # real arithmetic and about gamma_4 in complex arithmetic (Higham,
+    # Accuracy and Stability of Numerical Algorithms, secs. 3.5-3.6), and
+    # either order takes at most n - 1 products, so each result is within
+    # about 4 n u |Lambda_last| ... |Lambda_k| of the exact product and
+    # the two are within 8 n u of each other.  The power-of-two rescaling
+    # is exact and adds nothing.
     u = np.finfo(float).eps / 2
     moduli = sequential_resolvent(TwoByTwoSystem(
         *(GridFunction(sys.grid, np.abs(f.flat), f.flat_valid)
@@ -231,7 +234,9 @@ def test_resolvent_steps_and_convergence_match_sequential(system):
 def test_resolvent_keeps_the_scale_of_products_that_overflow_inside():
     # S[k] = 1e-150 Q * (1e100 R)^j stays below 1e250 for j <= 4, but the
     # doubling forms the inner product of the four 1e100 factors, 1e400:
-    # only the kept power-of-two exponents can give S back
+    # only the kept power-of-two exponents can give S back.  (A deepest
+    # factor of 1e-300 I is refused by TwoByTwoSystem: its determinant
+    # underflows to 0.)
     grid = GRIDS["semigroup"]
     last = grid.size - 1
     rot = np.array([[0.6, -0.8], [0.8, 0.6]])
