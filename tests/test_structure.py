@@ -37,7 +37,8 @@ def test_cli_import_leaves_scipy_unloaded(src_env):
 
 
 # per-branch loops that remain outside grid.py; a new orbit recursion goes
-# through OrbitGrid.mobius_scan or suffix_scan instead of its own loop
+# through OrbitGrid.mobius_scan, suffix_scan or suffix_products instead of
+# its own loop
 BRANCH_LOOPS_ALLOWED = {("hilbert.py", "shift_norm"),
                         ("calculus.py", "tau_antiderivative"),
                         ("gridfn.py", "_flat")}
@@ -212,4 +213,3 @@ def test_resolvent_builds_its_layout_once_per_grid(monkeypatch):
         for sys_ in systems:
             resolvent(sys_)
     assert builds["suffix"] == len(grids)
-
