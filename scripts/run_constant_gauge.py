@@ -24,7 +24,7 @@ def main() -> None:
     print("  lift   eigenvalue        predicted         residual")
     for n in range(args.lifts + 1):
         lvl = sc.levels[pair.level]
-        res = eigen_residual_norm(lvl, pair, margin=1)
+        res = eigen_residual_norm(lvl, pair)
         pred = sc.eigenvalue_after_lifts(n)
         print(f"  {n:4d}   {pair.value.real:<16.10g}  {pred:<16.10g}"
               f"  {res:.3e}")

@@ -24,8 +24,7 @@ def main() -> None:
     sc = qhahn_chain(q=args.q, depth=args.depth, n_levels=args.levels)
     residuals = {
         f"factorization_{k}_{k + 1}": float(
-            factorization_residual(sc.levels[k], sc.levels[k + 1], probes=6,
-                                   rng=k))
+            factorization_residual(sc.levels[k], sc.levels[k + 1], rng=k))
         for k in range(args.levels - 1)
     }
     manifest = write_chain(sc.levels, Path(args.out), residuals=residuals,

@@ -22,7 +22,10 @@ from .errors import (FactorZero, GridMismatch, NonPositiveFactor,
 from .grid import GROUP, INTERVAL, SEMIGROUP, OrbitGrid, contraction_estimate
 from .gridfn import GridFunction
 
+# bound on an orbit sum's last terms, relative to max(1, largest valid |f|)
 _TAIL_TOL = 1e-10
+# relative agreement of the direct and exp/log orbit products
+_PRODUCT_TOL = 1e-10
 
 
 def deltas_fn(grid: OrbitGrid) -> GridFunction:
@@ -87,20 +90,19 @@ def tau_derivative(f: GridFunction) -> GridFunction:
     return GridFunction(grid, out, mask, label=f"d({f.label})" if f.label else "")
 
 
-def _branch_integral(terms: np.ndarray, scale: float, tol: float,
+def _branch_integral(terms: np.ndarray, scale: float,
                      check_tail: bool) -> complex:
-    """Sum of one branch's terms; its last three must be below tol * scale."""
+    """Sum of one branch's terms, its last three below _TAIL_TOL * scale."""
     total = complex(terms.sum())
     if check_tail:
         tail = np.abs(terms[-3:])
-        if (tail > tol * scale).any():
-            raise TailNotConverged(
-                f"last tail terms {tail} exceed {tol}*scale={tol * scale}")
+        if (tail > _TAIL_TOL * scale).any():
+            raise TailNotConverged(f"last tail terms {tail} exceed "
+                                   f"{_TAIL_TOL}*scale={_TAIL_TOL * scale}")
     return total
 
 
-def tau_integral(f: GridFunction, tol: float = _TAIL_TOL,
-                 check_tail: bool = True) -> complex:
+def tau_integral(f: GridFunction, check_tail: bool = True) -> complex:
     """Orbit-weighted sum; interval grids subtract the a-branch integral.
 
     Semigroup: integral from the limit to the base.  Interval: integral
@@ -119,7 +121,7 @@ def tau_integral(f: GridFunction, tol: float = _TAIL_TOL,
     scales = (np.maximum.reduceat(np.where(m, np.abs(v), 0.0),
                                   [s.start for s in grid.slices]).tolist()
               if check_tail else [1.0] * len(grid.slices))
-    sums = [_branch_integral(terms[s.start:s.stop - 1], max(1.0, sc), tol,
+    sums = [_branch_integral(terms[s.start:s.stop - 1], max(1.0, sc),
                              check_tail)
             for s, sc in zip(grid.slices, scales)]
     if grid.mode == INTERVAL:
@@ -128,7 +130,7 @@ def tau_integral(f: GridFunction, tol: float = _TAIL_TOL,
     if grid.mode == GROUP and check_tail:
         # Backward tail sits at the start of the branch.
         tail = np.abs(grid.deltas[:3] * v[:3])
-        if np.any(tail > tol * max(1.0, f.max_abs())):
+        if np.any(tail > _TAIL_TOL * max(1.0, f.max_abs())):
             raise TailNotConverged(f"backward tail terms {tail} too large")
     return sums[0]
 
@@ -139,8 +141,7 @@ def _suffix_valid(f: GridFunction) -> np.ndarray:
     return f.grid.suffix_scan(np.logical_and, f.flat_valid | ~f.grid.has_next)
 
 
-def tau_antiderivative(f: GridFunction, tol: float = _TAIL_TOL,
-                       check_tail: bool = True) -> GridFunction:
+def tau_antiderivative(f: GridFunction, check_tail: bool = True) -> GridFunction:
     """Per-branch suffix sums: out[n] = integral of f from the limit to x_n."""
     grid = f.grid
     n = grid.neighbour_index(1)
@@ -150,7 +151,7 @@ def tau_antiderivative(f: GridFunction, tol: float = _TAIL_TOL,
         scale = max(1.0, f.max_abs())
         for s in grid.slices:
             tail = np.abs(terms[s][-4:-1])
-            if s.stop - s.start >= 4 and np.any(tail > tol * scale):
+            if s.stop - s.start >= 4 and np.any(tail > _TAIL_TOL * scale):
                 raise TailNotConverged(f"antiderivative tail terms {tail} too large")
     # out[n] = sum_{m>=n} terms[m], summed tail-first for accuracy.
     return GridFunction(grid, grid.suffix_scan(np.add, terms), _suffix_valid(f),
@@ -168,13 +169,12 @@ def _positive_real(arr: np.ndarray, what: str) -> np.ndarray:
     return re
 
 
-def tau_exponential(grid: OrbitGrid, warn_contraction: bool = True) -> GridFunction:
+def tau_exponential(grid: OrbitGrid) -> GridFunction:
     """Product solution of d_tau(e) = e with e = 1 at the orbit limit."""
-    if warn_contraction:
-        est = contraction_estimate(grid)
-        if est >= 1.0:
-            warnings.warn(f"contraction estimate {est} >= 1; product may diverge",
-                          NotContractingWarning, stacklevel=2)
+    est = contraction_estimate(grid)
+    if est >= 1.0:
+        warnings.warn(f"contraction estimate {est} >= 1; product may diverge",
+                      NotContractingWarning, stacklevel=2)
     fac = 1.0 - grid.deltas  # 1 at the branch ends: the empty product
     if np.any(np.abs(fac) < 1e-14):
         raise FactorZero("factor 1 - (x - tau(x)) vanishes on the orbit")
@@ -182,12 +182,12 @@ def tau_exponential(grid: OrbitGrid, warn_contraction: bool = True) -> GridFunct
                         label="exp_tau")
 
 
-def product_integral(F: GridFunction, rel_tol: float = 1e-10) -> complex:
+def product_integral(F: GridFunction) -> complex:
     """Product of F over the forward orbit, cross-checked via exp/log.
 
     The product prod_n F(tau^n(x)) equals exp of the tau-integral of
     ln(F)/(x - tau(x)); both evaluations are performed and must agree to
-    ``rel_tol`` relative.
+    ``_PRODUCT_TOL`` relative.
     """
     if len(F.grid.branches) != 1:
         raise GridMismatch("product integral needs a single-orbit grid")
@@ -196,7 +196,7 @@ def product_integral(F: GridFunction, rel_tol: float = 1e-10) -> complex:
     direct = float(np.prod(fac))
     via_log = float(np.exp(np.sum(np.log(fac))))
     agreement = abs(direct - via_log) / max(1.0, abs(direct))
-    if agreement > rel_tol:
+    if agreement > _PRODUCT_TOL:
         raise TailNotConverged(
             f"product/log evaluations disagree by {agreement}")
     return complex(direct)

@@ -27,15 +27,23 @@ from .calculus import deltas_fn, shift, step_quotient
 from .errors import (GridMismatch, InconsistentWeights, NonPositiveFactor,
                      RiccatiBlowup, SingularLimit, ZeroAlpha, ZeroDivisor,
                      ZeroEigenvalue, ZeroLift)
-from .grid import OrbitGrid
+from .grid import ZERO_TOL, OrbitGrid
 from .gridfn import GridFunction, joint_scale, max_abs_diff
 from .hilbert import (PearsonTriple, WeightedGrid, adjoint_shift, norm,
                       weight_from_pearson, weighted_grid)
 
-_ZERO_TOL = 1e-280
 # bisection tolerance at the float64 underflow threshold: the default
 # eps*|T| is absolute and swamps the smallest singular values
 _UNDERFLOW = 4.5e-308
+# the pointwise step constants must agree to this, relative to the
+# constituent-term magnitude
+_STEP_CONSTANT_TOL = 1e-8
+# indices at each branch end where a banded product is left invalid
+_BAND_MARGIN = 2
+# random probe functions per factorization-postulate check
+_PROBES = 6
+# scale-relative residual of xi's recursion read backward
+_XI_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,14 +225,13 @@ def chain_equation_residual(level: ChainLevel, h_next: GridFunction,
 
 
 def solve_step_constant(level: ChainLevel, h_next: GridFunction,
-                        g: GridFunction, d: complex,
-                        tol: float = 1e-8) -> complex:
+                        g: GridFunction, d: complex) -> complex:
     """The constant c making the level-step consistency equation hold.
 
     The equation is affine in c with unit coefficient, so c is read off
     pointwise; InconsistentWeights is raised when the pointwise values
-    do not agree to ``tol`` against the constituent-term magnitude
-    (i.e. when no constant c can close the step).
+    do not agree to ``_STEP_CONSTANT_TOL`` against the constituent-term
+    magnitude (i.e. when no constant c can close the step).
     """
     t1, t2, rhs, scale, ok = _step_terms(level, h_next, g, d)
     if ok.size == 0:
@@ -238,7 +245,7 @@ def solve_step_constant(level: ChainLevel, h_next: GridFunction,
     resolvable = sc <= 1e3 * float(np.min(sc))
     c = (complex(np.median(cs.real[resolvable]))
          + 1j * float(np.median(cs.imag[resolvable])))
-    if np.max(np.abs(cs - c) / sc) > tol:
+    if np.max(np.abs(cs - c) / sc) > _STEP_CONSTANT_TOL:
         raise InconsistentWeights(
             "no constant closes the level step for this (g, h, d)")
     return c
@@ -277,11 +284,11 @@ def bands_AAstar(level: ChainLevel):
     return sub, diag, sup
 
 
-def tridiag_apply(bands, psi: GridFunction, margin: int = 2) -> GridFunction:
+def tridiag_apply(bands, psi: GridFunction) -> GridFunction:
     """Apply flat (sub, diag, super) bands to psi within each branch.
 
     The result is valid where psi and its branch neighbours are, at
-    least ``margin`` indices away from both branch ends.
+    least ``_BAND_MARGIN`` indices away from both branch ends.
     """
     sub, diag, sup = bands
     grid = psi.grid
@@ -295,25 +302,24 @@ def tridiag_apply(bands, psi: GridFunction, margin: int = 2) -> GridFunction:
     inner = pm.copy()
     inner[n] &= pm[n + 1]
     inner[m] &= pm[m - 1]
-    return GridFunction(grid, out, inner & grid.interior(margin))
+    return GridFunction(grid, out, inner & grid.interior(_BAND_MARGIN))
 
 
 def factorization_residual(level: ChainLevel, level_next: ChainLevel,
-                           probes: int = 20, rng=None) -> float:
-    """Check the postulate A_k A_k* = d A_{k+1}* A_{k+1} + c on random probes.
+                           rng=None) -> float:
+    """Check the postulate A_k A_k* = d A_{k+1}* A_{k+1} + c on
+    ``_PROBES`` random probes.
 
     Two independent evaluation paths are used: operator application via
     the weighted adjoints, and the explicit three-band expansions; the
     paths must agree with each other as well.
     """
-    if probes < 1:
-        raise ValueError("need probes >= 1")
     rng = np.random.default_rng(rng)
     c, d = level.c, level.d
     bands_lhs = bands_AAstar(level)
     bands_rhs = bands_AstarA(level_next)
     worst = 0.0
-    for _ in range(probes):
+    for _ in range(_PROBES):
         psi = GridFunction(level.grid,
                            rng.standard_normal(level.grid.size) + 0j).window(5)
         lhs_op = apply_A(level, apply_Astar(level, psi))
@@ -379,11 +385,11 @@ def from_coefficients(coef: CoefficientTriple, h0: GridFunction,
     steps = (-shift(coef.beta), -shift(coef.gamma) / dlt, shift(coef.alpha * dlt))
     r, mask, pole = grid.mobius_scan(
         [fn.flat for fn in steps] + [0], seeds,
-        np.logical_and.reduce([fn.flat_valid for fn in steps]), _ZERO_TOL)
+        np.logical_and.reduce([fn.flat_valid for fn in steps]), ZERO_TOL)
     if pole.any():
         k = np.flatnonzero(pole)[0]
         b, pos = grid.locate(k)
-        if pos > grid.branches[b].base_index and abs(coef.alpha.flat[k]) < _ZERO_TOL:
+        if pos > grid.branches[b].base_index and abs(coef.alpha.flat[k]) < ZERO_TOL:
             raise ZeroAlpha(f"alpha vanishes at interior orbit point index {pos}")
         raise RiccatiBlowup(
             f"ratio recursion denominator vanished at index {pos}")
@@ -445,19 +451,17 @@ def eigen_residual(level: ChainLevel, pair: EigenPair) -> float:
     return float(np.max(np.abs(res.flat[m]) / rowscale[m])) / psi_max
 
 
-def eigen_residual_norm(level: ChainLevel, pair: EigenPair,
-                        margin: int = 0) -> float:
+def eigen_residual_norm(level: ChainLevel, pair: EigenPair) -> float:
     """Weighted-norm residual ||A*A psi - lambda psi|| / ||psi||.
 
     Meaningful when the weight decays fast enough to suppress the
     1/delta^2 rounding noise of the deep-tail operator rows; otherwise
-    prefer the row-scaled :func:`eigen_residual`.  ``margin`` zeroes
-    that many indices at each branch end before taking norms.
+    prefer the row-scaled :func:`eigen_residual`.  The residual is
+    zeroed at the first and last index of each branch before taking
+    norms.
     """
     lhs = apply_Astar(level, apply_A(level, pair.psi))
-    res = lhs - pair.value * pair.psi
-    if margin:
-        res = res.window(margin)
+    res = (lhs - pair.value * pair.psi).window(1)
     denom = norm(pair.psi, level.w)
     if denom == 0.0:
         raise ZeroDivisor("zero eigenfunction")
@@ -580,8 +584,8 @@ def chain_eigenvalues(level: ChainLevel, count: int | None = None) -> np.ndarray
     return np.concatenate([[0.0], lam]) if zero else lam
 
 
-def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0,
-                        tail_tol: float = 1e-6) -> tuple[GridFunction, GridFunction]:
+def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0
+                        ) -> tuple[GridFunction, GridFunction]:
     """A particular solution of the step equation with c = 0 and h = 1.
 
     With c = 0 and h = 1 the step equation for the gauge g collapses to
@@ -593,7 +597,8 @@ def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0,
     walked from xi = ``xi0`` at each branch base by
     :meth:`OrbitGrid.mobius_scan`, whose rescaled composite maps do not
     overflow on deep orbits.  ZeroDivisor is raised where xi0 puts the
-    walk on a pole.  The gauge g is then read back from xi.
+    walk on a pole, and SingularLimit where a step read backward misses
+    by more than ``_XI_TOL``.  The gauge g is then read back from xi.
     """
     if (level.h - 1.0).max_abs() > 1e-12:
         raise GridMismatch("closed-form gauge solution needs h = 1")
@@ -623,7 +628,7 @@ def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0,
         res = xi[k] - d_step[k] * xi[k + 1] / (a_step[k] - xi[k + 1])
     worst = float(np.max(np.abs(res), initial=0.0)
                   / max(1.0, np.max(np.abs(xi[k]), initial=0.0)))
-    if worst > tail_tol:
+    if worst > _XI_TOL:
         raise SingularLimit(f"xi violates its recursion: residual {worst}")
     # g = (phi^2 eta - xi) (id-tau)(tau^-1 - id) / (d B)
     n = grid.interior_index()

@@ -265,7 +265,7 @@ def _residual_table(levels, scenario=None) -> dict:
                 f"pearson residual {res.shift:.3e} at level {level.k} "
                 f"exceeds {PEARSON_GATE:g}")
     for lo, hi in zip(levels, levels[1:]):
-        worst = factorization_residual(lo, hi, probes=6, rng=lo.k)
+        worst = factorization_residual(lo, hi, rng=lo.k)
         residuals[f"factorization_level_{lo.k}_{hi.k}"] = float(worst)
         if worst > FACTORIZATION_GATE:
             raise _ResidualFailure(
@@ -274,7 +274,7 @@ def _residual_table(levels, scenario=None) -> dict:
     if scenario is not None and hasattr(scenario, "kernel_pair"):
         pair = scenario.kernel_pair()
         residuals["eigen_kernel_route"] = float(
-            eigen_residual_norm(levels[pair.level], pair, margin=1))
+            eigen_residual_norm(levels[pair.level], pair))
     return residuals
 
 

@@ -23,6 +23,8 @@ from .gridfn import GridFunction
 from .maps import TauMap
 
 _MONOTONE_SAMPLES = 1000
+# scan points per map when counting fixed points
+_FIXED_POINT_SAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -94,19 +96,16 @@ def conjugate_map(tau: TauMap, ch: VariableChange) -> TauMap:
                   ch.target, name=f"{ch.name or 'kappa'}~{tau.name}")
 
 
-def transport_grid(grid: OrbitGrid, ch: VariableChange,
-                   tau_new: TauMap | None = None) -> OrbitGrid:
-    """The pointwise kappa-image of an orbit grid.
+def transport_grid(grid: OrbitGrid, ch: VariableChange) -> OrbitGrid:
+    """The pointwise kappa-image of an orbit grid, under the conjugated map.
 
     Branch points map through kappa one by one (not re-iterated from the
     base), so the index correspondence with the source grid is exact.
     """
-    if tau_new is None:
-        tau_new = conjugate_map(grid.tau, ch)
     pts = np.array([ch.kappa(x) for x in grid.points])
     branches = tuple(replace(br, points=pts[s], limit=float(ch.kappa(br.limit)))
                      for br, s in zip(grid.branches, grid.slices))
-    return OrbitGrid(tau_new, grid.mode, branches)
+    return OrbitGrid(conjugate_map(grid.tau, ch), grid.mode, branches)
 
 
 def _check_correspondence(source: OrbitGrid, ch: VariableChange,
@@ -125,9 +124,6 @@ def transport_function(f: GridFunction, ch: VariableChange,
     """Carry values across: (K f)(y) = f(kappa^{-1} y), index-aligned."""
     _check_correspondence(f.grid, ch, target_grid)
     return GridFunction(target_grid, f.flat, f.flat_valid, f.label)
-
-
-transport_solution = transport_function
 
 
 def _delta_ratio(source: OrbitGrid, target: OrbitGrid) -> GridFunction:
@@ -183,8 +179,7 @@ def transport_weight(rho: GridFunction, ch: VariableChange,
     return GridFunction(target_grid, rho.flat, rho.flat_valid, rho.label) * r
 
 
-def equivalence_obstruction(map_a: TauMap, map_b: TauMap,
-                            resolution: int = 2000) -> dict:
+def equivalence_obstruction(map_a: TauMap, map_b: TauMap) -> dict:
     """Fixed-point counting obstruction to topological conjugacy.
 
     Conjugation carries fixed points to fixed points, so unequal counts
@@ -195,7 +190,7 @@ def equivalence_obstruction(map_a: TauMap, map_b: TauMap,
     counts = []
     for m in (map_a, map_b):
         lo, hi = m.domain
-        xs = np.linspace(lo, hi, resolution)
+        xs = np.linspace(lo, hi, _FIXED_POINT_SAMPLES)
         gap = np.array([m.forward(x) - x for x in xs])
         tol = 1e-12 * (1.0 + np.abs(xs))
         signs = np.sign(np.where(np.abs(gap) < tol, 0.0, gap)).astype(int)
@@ -221,6 +216,6 @@ def equivalence_obstruction(map_a: TauMap, map_b: TauMap,
 __all__ = [
     "VariableChange", "ln_change", "exp_change", "affine_change",
     "powerlaw_change", "conjugate_map", "transport_grid",
-    "transport_function", "transport_solution", "transport_weight",
+    "transport_function", "transport_weight",
     "transport_level", "equivalence_obstruction",
 ]

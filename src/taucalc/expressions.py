@@ -149,9 +149,4 @@ def parse_expression(src: str) -> Callable:
     return _Parser(src).parse()
 
 
-def evaluate_expression(src: str, x) -> float:
-    """Parse and evaluate in one step (mostly for tests and diagnostics)."""
-    return parse_expression(src)(x)
-
-
-__all__ = ["parse_expression", "evaluate_expression"]
+__all__ = ["parse_expression"]

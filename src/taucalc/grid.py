@@ -21,6 +21,9 @@ from .errors import (CoincidentOrbits, DomainEscape, LimitMismatch,
 from .maps import DEFAULT_DELTA_TOL, LimitResult, TauMap, limit_point
 
 DEFAULT_MAX_DEPTH = 512
+# an exact-zero guard for divisors and pivots: values merely small (the
+# tail of B(x) = x, say) stay legal, only true vanishing is an error
+ZERO_TOL = 1e-280
 
 SEMIGROUP = "semigroup"
 INTERVAL = "interval"
@@ -317,9 +320,7 @@ def _power_of_two_normalized(m: np.ndarray, out: np.ndarray | None = None
     """(m 2^-e, e): each map of a (2, 2, ...) stack scaled by the power of
     two that brings its largest entry modulus into [0.5, 1)."""
     e = np.frexp(np.abs(m).max(axis=(0, 1)))[1]
-    if np.iscomplexobj(m):
-        return np.multiply(m, np.ldexp(1.0, -e), out=out), e
-    return np.ldexp(m, -e, out=out), e
+    return _ldexp(m, -e, out), e
 
 
 def _doubling_scan(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,11 +345,14 @@ def _doubling_scan(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return P, E
 
 
-def _ldexp(P: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """P 2^E, exact wherever the result is in range; complex P too."""
+def _ldexp(P: np.ndarray, E: np.ndarray, out: np.ndarray | None = None
+           ) -> np.ndarray:
+    """P 2^E, exact wherever the result is in range; complex P scales its
+    real and imaginary parts, so no factor 2^E is ever formed."""
     if not np.iscomplexobj(P):
-        return np.ldexp(P, E)
-    out = np.empty_like(P)
+        return np.ldexp(P, E, out=out)
+    if out is None:
+        out = np.empty_like(P)
     out.real, out.imag = np.ldexp(P.real, E), np.ldexp(P.imag, E)
     return out
 
@@ -489,5 +493,5 @@ def contraction_estimate(grid: OrbitGrid) -> float:
 __all__ = [
     "OrbitBranch", "OrbitGrid", "build_grid", "contraction_estimate",
     "LimitResult", "SEMIGROUP", "INTERVAL", "GROUP",
-    "DEFAULT_MAX_DEPTH", "DEFAULT_DELTA_TOL",
+    "DEFAULT_MAX_DEPTH", "DEFAULT_DELTA_TOL", "ZERO_TOL",
 ]

@@ -21,19 +21,12 @@ from .errors import GridMismatch
 from .grid import OrbitGrid
 
 
-def _flat(grid: OrbitGrid, arrays, dtype, what: str) -> np.ndarray:
-    """One flat array from an array of grid size or from one array per branch."""
-    if isinstance(arrays, (list, tuple)) and len(arrays) == len(grid.branches):
-        parts = [np.asarray(a, dtype=dtype) for a in arrays]
-        for arr, br in zip(parts, grid.branches):
-            if arr.shape != br.points.shape:
-                raise GridMismatch(f"{what} array length {arr.shape} != "
-                                   f"branch length {br.points.shape}")
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-    arr = np.asarray(arrays, dtype=dtype)
+def _flat(grid: OrbitGrid, array, dtype, what: str) -> np.ndarray:
+    """``array`` as a flat array of grid length."""
+    arr = np.asarray(array, dtype=dtype)
     if arr.shape != grid.points.shape:
-        raise GridMismatch(f"need one {what} array per grid branch or one of "
-                           f"grid length {grid.points.shape}, got {arr.shape}")
+        raise GridMismatch(f"need a {what} array of grid length "
+                           f"{grid.points.shape}, got {arr.shape}")
     return arr
 
 
@@ -42,15 +35,15 @@ class GridFunction:
 
     ``flat`` holds the values of all branches, concatenated in branch
     order, and ``flat_valid`` the validity mask; both are read-only.
-    The constructor takes the values (and optionally the mask) either as
-    one array of grid length or as one array per branch.
+    The constructor takes the values and the mask as flat arrays of grid
+    length; ``valid=None`` marks every point valid.
     """
 
     __slots__ = ("grid", "flat", "flat_valid", "label")
 
-    def __init__(self, grid: OrbitGrid, values, valid=(), label: str = ""):
+    def __init__(self, grid: OrbitGrid, values, valid=None, label: str = ""):
         flat = _flat(grid, values, complex, "value")
-        if valid is None or (isinstance(valid, (list, tuple)) and not valid):
+        if valid is None:
             mask = np.ones(grid.size, dtype=bool)
         else:
             mask = _flat(grid, valid, bool, "mask")
@@ -91,13 +84,10 @@ class GridFunction:
         if self.grid is not other.grid:
             raise GridMismatch("operands live on different grids")
 
-    def max_abs(self, valid_only: bool = True) -> float:
-        sel = np.abs(self.flat[self.flat_valid] if valid_only else self.flat)
+    def max_abs(self) -> float:
+        """sup|values| over the valid window (0 when nothing is valid)."""
+        sel = np.abs(self.flat[self.flat_valid])
         return float(sel.max()) if sel.size else 0.0
-
-    def scale(self) -> float:
-        """max(1, sup|values|) over the valid window."""
-        return max(1.0, self.max_abs())
 
     # -- pointwise arithmetic -------------------------------------------
     def _binary(self, other, op) -> "GridFunction":

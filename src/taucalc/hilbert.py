@@ -20,13 +20,10 @@ import numpy as np
 from .calculus import shift, step_quotient, tau_derivative, tau_integral
 from .errors import (GridMismatch, InconsistentWeights, PositivityWarning,
                      UnboundedShiftWarning, ZeroDivisor, ZeroWeight)
-from .grid import GROUP, OrbitGrid
+from .grid import GROUP, ZERO_TOL, OrbitGrid
 from .gridfn import GridFunction, joint_scale
 
 _POSITIVITY_TOL = 1e-12
-# An exact-zero guard: values merely small (tail of B(x)=x, say) stay legal,
-# only true vanishing is a structural error.
-_ZERO_TOL = 1e-280
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +89,7 @@ def mu_from_rho(w: WeightedGrid) -> GridFunction:
     """The backward-shift multiplier mu[n] = (delta_{n-1}/delta_n) rho[n-1]/rho[n]."""
     grid = w.grid
     v, m = w.rho.flat, w.rho.flat_valid
-    if np.any(m & (np.abs(v) < _ZERO_TOL)):
+    if np.any(m & (np.abs(v) < ZERO_TOL)):
         raise ZeroWeight("weight vanishes at a grid point; split the orbit")
     n = grid.interior_index()
     d = grid.deltas
@@ -165,7 +162,7 @@ def weight_from_pearson(p: PearsonTriple, grid: OrbitGrid) -> WeightedGrid:
     B_next = shift(p.B)
     rho, mask, pole = grid.mobius_scan(
         (p.eta.flat, 0, 0, B_next.flat), 1.0,
-        p.eta.flat_valid & B_next.flat_valid, _ZERO_TOL)
+        p.eta.flat_valid & B_next.flat_valid, ZERO_TOL)
     if pole.any():
         b, pos = grid.locate(np.flatnonzero(pole)[0])
         which = "eta" if pos < grid.branches[b].base_index else "B"

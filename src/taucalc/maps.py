@@ -36,11 +36,11 @@ class TauMap:
     def __call__(self, x: float) -> float:
         return self.forward(x)
 
-    def contains(self, x: float | np.ndarray,
-                 tol: float = _DOMAIN_TOL) -> bool | np.ndarray:
-        """Whether x (elementwise for an array) lies in the padded domain."""
+    def contains(self, x: float | np.ndarray) -> bool | np.ndarray:
+        """Whether x (elementwise for an array) lies in the domain, padded
+        by _DOMAIN_TOL (1 + |lo| + |hi|)."""
         lo, hi = self.domain
-        pad = tol * (1.0 + abs(lo) + abs(hi))
+        pad = _DOMAIN_TOL * (1.0 + abs(lo) + abs(hi))
         return (lo - pad <= x) & (x <= hi + pad)
 
 

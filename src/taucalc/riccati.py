@@ -28,10 +28,13 @@ from .errors import (DegenerateQuadruple, DegenerateSystem, GridMismatch,
                      NegativeBaseRealExponent, NonPositiveFactor,
                      NotTriangular, ParticularNotSolution, SingularGauge,
                      SingularResolvent, ZeroAlpha, ZeroDivisor)
-from .grid import OrbitGrid
+from .grid import ZERO_TOL, OrbitGrid
 from .gridfn import GridFunction, joint_scale, max_abs_diff
 
-_ZERO_TOL = 1e-280
+# the Cauchy gap below which a resolvent has converged
+_CAUCHY_TOL = 1e-12
+# scale-relative residual a solution must meet in its own recursion
+_RECURSION_TOL = 1e-10
 # adj [[a, b], [c, d]] = [[d, -b], [-c, a]]: the signs of the flipped transpose
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -44,14 +47,13 @@ def _live(grid: OrbitGrid, mask: np.ndarray) -> np.ndarray:
     return live
 
 
-def _criterion_sum(grid: OrbitGrid, tildes) -> float:
-    """sum |delta_n| * max-norm of the valid derivative-form entries."""
-    tn = np.zeros(grid.size)
-    for f in tildes:
-        sel = f.flat_valid
-        tn[sel] = np.maximum(tn[sel], np.abs(f.flat[sel]))
-    terms = np.abs(grid.deltas) * tn
-    return sum(float(np.sum(terms[s])) for s in grid.slices)
+def _criterion_sum(grid: OrbitGrid, lam: np.ndarray, valid: np.ndarray) -> float:
+    """sum |delta_n| ||LambdaTilde(x_n)|| (max-norm) over the valid points
+    with a successor, read off the steps: |delta| LambdaTilde = |I - Lambda|."""
+    with np.errstate(invalid="ignore"):
+        tn = np.abs(np.eye(2) - lam).max(axis=(1, 2))
+    tn = np.where(valid & grid.has_next, tn, 0.0)
+    return sum(float(np.sum(tn[s])) for s in grid.slices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,11 +70,14 @@ class TwoByTwoSystem:
         for f in (self.b, self.c, self.d):
             if f.grid is not grid:
                 raise GridMismatch("system entries live on different grids")
-        det = self.a * self.d - self.b * self.c
-        # pointwise scale: entries may span many orders along the orbit
-        size = (abs(self.a) * abs(self.d) + abs(self.b) * abs(self.c) + 1e-300)
-        rel = det / size
-        if np.any(np.abs(rel.flat[rel.flat_valid]) < 1e-14):
+        # judged scaled by its largest entry modulus, so that neither ad
+        # nor bc under- or overflows
+        m = self.entry_arrays()[self.valid_mask()].reshape(-1, 4)
+        big = np.abs(m).max(axis=1, initial=0.0)
+        with np.errstate(invalid="ignore"):   # non-finite entries pass
+            a, b, c, d = (m / np.where(big > 0.0, big, 1.0)[:, None]).T
+            rel = np.abs(a * d - b * c) / (abs(a * d) + abs(b * c) + 1e-300)
+        if np.any(rel < 1e-14):
             raise DegenerateSystem("step matrix is singular at a grid point")
 
     @property
@@ -156,7 +161,7 @@ def system_from_second_order(coef) -> TwoByTwoSystem:
                           c=one, d=zero)
 
 
-def resolvent(sys: TwoByTwoSystem, cauchy_tol: float = 1e-12) -> ResolventResult:
+def resolvent(sys: TwoByTwoSystem) -> ResolventResult:
     """Accumulate the infinite product of step matrices along each branch.
 
     The suffix products Lambda(x_last) ... Lambda(x_k), from the deepest
@@ -166,12 +171,14 @@ def resolvent(sys: TwoByTwoSystem, cauchy_tol: float = 1e-12) -> ResolventResult
     is itself out of range.  Past x_last the resolvent is I.  Partial
     products at the branch base are monitored for a Cauchy gap (max-norm
     difference of the last three), and the scalar criterion
-    sum |delta| * ||LambdaTilde|| is reported; both must be finite/small
-    for ``converged``.  Nothing is raised on failure — callers decide.
+    sum |delta| * ||LambdaTilde|| is reported; ``converged`` needs a
+    finite criterion and a gap below 1e-12.  Nothing is raised on
+    failure — callers decide.
     """
     grid = sys.grid
-    lam = sys.entry_arrays()
-    live = _live(grid, sys.valid_mask())
+    lam, valid = sys.entry_arrays(), sys.valid_mask()
+    criterion = _criterion_sum(grid, lam, valid)
+    live = _live(grid, valid)
     lam[~live] = np.eye(2)
     full = grid.suffix_products(lam)
     # Cauchy gap of the base-point partial products P_k = Lambda(x_k) ...
@@ -185,8 +192,7 @@ def resolvent(sys: TwoByTwoSystem, cauchy_tol: float = 1e-12) -> ResolventResult
     drop1 = inv_last @ p_full
     drop2 = inv_next @ drop1
     gap = float(np.max(np.abs([p_full - drop1, drop1 - drop2]), initial=0.0))
-    criterion = _criterion_sum(grid, sys.tilde())
-    converged = bool(np.isfinite(criterion)) and gap < cauchy_tol
+    converged = bool(np.isfinite(criterion)) and gap < _CAUCHY_TOL
     return ResolventResult(grid=grid, flat=full, converged=converged,
                            criterion_sum=criterion,
                            steps=int(np.count_nonzero(live)), cauchy_gap=gap)
@@ -194,21 +200,22 @@ def resolvent(sys: TwoByTwoSystem, cauchy_tol: float = 1e-12) -> ResolventResult
 
 def _inverse_or_identity(m: np.ndarray) -> np.ndarray:
     """The inverses of a stack of 2x2 matrices by the adjugate, with I in
-    place of each matrix whose |det| <= _ZERO_TOL (it is not peeled)."""
+    place of each matrix whose |det| <= ZERO_TOL (it is not peeled)."""
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    keep = (np.abs(det) <= _ZERO_TOL)[..., None, None]
+    keep = (np.abs(det) <= ZERO_TOL)[..., None, None]
     adj = m[..., ::-1, ::-1].swapaxes(-1, -2) * _ADJUGATE_SIGNS
     return np.where(keep, np.eye(2),
                     adj / np.where(keep, 1.0, det[..., None, None]))
 
 
 def solve_system(sys: TwoByTwoSystem, boundary,
-                 res: ResolventResult | None = None,
-                 check_tol: float = 1e-10) -> tuple[GridFunction, GridFunction]:
+                 res: ResolventResult | None = None
+                 ) -> tuple[GridFunction, GridFunction]:
     """Propagate boundary data at the orbit limit back to every grid point.
 
     (psi, phi)(x) = Lambda_inf(x)^{-1} (psi, phi)(limit); the result is
-    verified against the one-step recursion at every interior point.
+    verified against the one-step recursion at every interior point
+    (scale-relative residual at most 1e-10).
     """
     if res is None:
         res = resolvent(sys)
@@ -226,7 +233,7 @@ def solve_system(sys: TwoByTwoSystem, boundary,
     psi = GridFunction(grid, sol[:, 0], mask, label="psi")
     phi = GridFunction(grid, sol[:, 1], mask, label="phi")
     worst = step_residual(sys, psi, phi)
-    if worst > check_tol:
+    if worst > _RECURSION_TOL:
         raise SingularResolvent(
             f"solution violates the one-step recursion: residual {worst}")
     return psi, phi
@@ -255,9 +262,10 @@ def triangular_resolvent(sys: TwoByTwoSystem) -> ResolventResult:
     if sys.c.max_abs() > 1e-14 * scale:
         raise NotTriangular("closed-form resolvent needs c = 0")
     grid = sys.grid
-    live = _live(grid, sys.valid_mask())
+    valid = sys.valid_mask()
+    live = _live(grid, valid)
     av, dv = sys.a.flat.real[live], sys.d.flat.real[live]
-    if np.any(np.abs(av) < _ZERO_TOL) or np.any(np.abs(dv) < _ZERO_TOL):
+    if np.any(np.abs(av) < ZERO_TOL) or np.any(np.abs(dv) < ZERO_TOL):
         raise ZeroDivisor("diagonal entry vanishes on the orbit")
     if np.any(av <= 0) or np.any(dv <= 0):
         raise NonPositiveFactor(
@@ -277,9 +285,10 @@ def triangular_resolvent(sys: TwoByTwoSystem) -> ResolventResult:
     full[live, 0, 0] = a_inf[live]
     full[live, 0, 1] = F[live]
     full[live, 1, 1] = d_inf[live]
-    at, bt, _, dt = sys.tilde()
+    lam = sys.entry_arrays()
+    lam[:, 1, 0] = 0.0   # c is zero up to the check above: left out
     return ResolventResult(grid=grid, flat=full, converged=True,
-                           criterion_sum=_criterion_sum(grid, (at, bt, dt)),
+                           criterion_sum=_criterion_sum(grid, lam, valid),
                            steps=int(np.count_nonzero(live)), cauchy_gap=0.0)
 
 
@@ -388,16 +397,17 @@ class RiccatiSolution:
     residual: float
 
 
-def general_solution(sys: TwoByTwoSystem, u0: GridFunction, t: float,
-                     particular_tol: float = 1e-10) -> RiccatiSolution:
+def general_solution(sys: TwoByTwoSystem, u0: GridFunction,
+                     t: float) -> RiccatiSolution:
     """The one-parameter family of ratio solutions through u0.
 
     u^t = u0 + t E / (1 - t S) with E the orbit-product of the ratio
     (a + b u0) / (d - b u0(tau x)) and S its weighted orbit suffix sum;
     t = 0 returns u0 itself and the transforms compose additively in t.
+    u0 must solve the homographic recursion to 1e-10 (scale-relative).
     """
     res0 = rhom_residual(sys, u0)
-    if res0 > particular_tol:
+    if res0 > _RECURSION_TOL:
         raise ParticularNotSolution(
             f"u0 violates the homographic recursion: residual {res0}")
     u0_tau = shift(u0)

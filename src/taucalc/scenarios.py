@@ -29,18 +29,21 @@ from .maps import fractional_map, linear_map
 from .riccati import TwoByTwoSystem
 
 _poly = np.polynomial.polynomial
+# the infinite q-Pochhammer product stops once its next term is below
+# _QPOCH_TOL, or after _QPOCH_MAX_TERMS factors
+_QPOCH_TOL = 1e-18
+_QPOCH_MAX_TERMS = 100000
 
 
 # ---------------------------------------------------------------------------
 # infinite products
 # ---------------------------------------------------------------------------
 
-def qpochhammer(alpha: complex, q: float, n: int | None = None,
-                tol: float = 1e-18, max_terms: int = 100000) -> complex:
+def qpochhammer(alpha: complex, q: float, n: int | None = None) -> complex:
     """The product (alpha; q)_n = prod_{j<n} (1 - alpha q^j); n=None -> infinite.
 
     The infinite product is truncated once the running factor is within
-    ``tol`` of 1, which requires |q| < 1.
+    ``_QPOCH_TOL`` of 1, which requires |q| < 1.
     """
     if n is not None:
         return complex(np.prod(1.0 - alpha * q ** np.arange(n))) if n else 1.0 + 0j
@@ -48,9 +51,9 @@ def qpochhammer(alpha: complex, q: float, n: int | None = None,
         raise DomainEscape("infinite product needs |q| < 1")
     out = 1.0 + 0j
     term = complex(alpha)
-    for _ in range(max_terms):
+    for _ in range(_QPOCH_MAX_TERMS):
         out *= (1.0 - term)
-        if abs(term) < tol:
+        if abs(term) < _QPOCH_TOL:
             return out
         term *= q
     return out
@@ -331,20 +334,14 @@ class FractionalScenario:
                     / (xs - 1.0) ** 2)
         return out
 
-    def necessary_condition_gap(self, exponent: int = -1) -> float:
+    def necessary_condition_gap(self) -> float:
         """Consistency gate for the squared-kernel weight recursion.
 
         A nonzero solution of the recursion for the prefactor of
-        (x - tau x)^exponent in psi^2 rho requires
-        (b0/a0)^{1/(exponent+1)} = (d_tau tau)(tau^inf); for
-        exponent = -1 the requirement degenerates to b0 = a0. Returns
-        the defect (0 when the condition holds).
+        (x - tau x)^-1 in psi^2 rho requires b0 = a0.  Returns the
+        defect |b0 - a0| (0 when the condition holds).
         """
-        if exponent == -1:
-            return abs(self.b0 - self.a0)
-        ratio = (self.b0 / self.a0) ** (1.0 / (exponent + 1))
-        at_limit = self.a if self.a < 1 else 1.0 / self.a
-        return abs(ratio - at_limit)
+        return abs(self.b0 - self.a0)
 
 
 def fractional_chain(a: float = 0.5, a0: float = 1.0, b0: float = 1.0,

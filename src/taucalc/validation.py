@@ -192,7 +192,7 @@ def criterion_calculus(data: SuiteData) -> CriterionResult:
             total = tau_integral(tau_derivative(psi))
             ends = psi.values[ib][0] - psi.values[ia][0]
             worst["fundamental"] = max(worst["fundamental"],
-                                       abs(total - ends) / psi.scale())
+                                       abs(total - ends) / joint_scale(psi))
             # derivative of the antiderivative = identity
             F = tau_antiderivative(f)
             dF = tau_derivative(F)
@@ -355,8 +355,7 @@ def criterion_factorization(data: SuiteData) -> CriterionResult:
         for k in range(5):
             lvl, nxt = sc.levels[k], sc.levels[k + 1]
             worst_post = max(worst_post,
-                             factorization_residual(lvl, nxt, probes=6,
-                                                    rng=1000 + k))
+                             factorization_residual(lvl, nxt, rng=1000 + k))
             bands_lhs = bands_AAstar(lvl)
             bands_rhs = bands_AstarA(nxt)
             for _ in range(3):
@@ -383,13 +382,12 @@ def criterion_factorization(data: SuiteData) -> CriterionResult:
 def criterion_eigen_chain(data: SuiteData) -> CriterionResult:
     sc = data.constant_gauge
     pair = sc.kernel_pair()
-    worst_res = eigen_residual_norm(sc.levels[1], pair, margin=1)
+    worst_res = eigen_residual_norm(sc.levels[1], pair)
     worst_track = 0.0
     for k in range(1, 6):
         pair = lift(pair, sc.levels[k])
         worst_res = max(worst_res,
-                        eigen_residual_norm(sc.levels[pair.level], pair,
-                                            margin=1))
+                        eigen_residual_norm(sc.levels[pair.level], pair))
         pred = sc.eigenvalue_after_lifts(k)
         worst_track = max(worst_track,
                           abs(pair.value.real - pred) / abs(pred))

@@ -10,6 +10,7 @@ from taucalc import (GROUP, SEMIGROUP, GridFunction, apply_A, apply_Astar,
                      eigen_residual_norm, factorization_residual,
                      from_coefficients, lift, linear_map, particular_gauge_xi,
                      solve_step_constant, to_coefficients)
+from taucalc import chain
 from taucalc.chain import (CoefficientTriple, _assemble_factor,
                            apply_coefficients, chain_equation_residual,
                            make_level)
@@ -47,7 +48,7 @@ def test_constant_gauge_step_constants(cg):
 def test_factorization_postulate(qh, cg):
     for scenario in (qh, cg):
         for lo, hi in zip(scenario.levels[:3], scenario.levels[1:4]):
-            assert factorization_residual(lo, hi, probes=6, rng=1) < 1e-9
+            assert factorization_residual(lo, hi, rng=1) < 1e-9
 
 
 def test_chain_equation_residual(cg):
@@ -64,14 +65,14 @@ def test_solve_step_constant_rejects_wrong_gauge(cg):
 
 
 def test_kernel_pair_and_lift(cg):
-    # margin 1: the base row of the truncated orbit is a boundary row
+    # the norm leaves out each branch's end indices: the base row of the
+    # truncated orbit is a boundary row
     pair = cg.kernel_pair()
     lvl = cg.levels[pair.level]
-    assert eigen_residual_norm(lvl, pair, margin=1) < 1e-10
+    assert eigen_residual_norm(lvl, pair) < 1e-10
     lifted = lift(pair, lvl)
     assert lifted.level == pair.level + 1
-    assert eigen_residual_norm(cg.levels[lifted.level], lifted,
-                               margin=1) < 1e-8
+    assert eigen_residual_norm(cg.levels[lifted.level], lifted) < 1e-8
 
 
 def test_descend_inverts_lift(cg):
@@ -386,7 +387,7 @@ def test_coefficient_ratio_matches_sequential_loop(qh):
     assert np.max(err) < 1e-10
 
 
-def test_gauge_xi_matches_sequential_loop():
+def test_gauge_xi_matches_sequential_loop(monkeypatch):
     grid = build_grid(linear_map(0.7), mode=SEMIGROUP, bases=1.0, max_depth=40)
     lvl = make_level(grid, GridFunction.from_callable(grid, lambda x: 1 + x * x),
                      GridFunction.from_callable(grid, lambda x: 2 + x),
@@ -400,8 +401,9 @@ def test_gauge_xi_matches_sequential_loop():
     assert np.max(err) < 1e-12
     # the walk is checked against its own step read backward; a tolerance
     # below rounding level must trip that check
+    monkeypatch.setattr(chain, "_XI_TOL", 1e-18)
     with pytest.raises(SingularLimit, match="violates its recursion"):
-        particular_gauge_xi(lvl, 1.0, xi0=3.0, tail_tol=1e-18)
+        particular_gauge_xi(lvl, 1.0, xi0=3.0)
 
 
 def test_coefficient_roundtrip_on_group_grid_seeds_at_base():

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from taucalc.errors import ConfigError
-from taucalc.expressions import evaluate_expression, parse_expression
+from taucalc.expressions import parse_expression
 
 
 @pytest.mark.parametrize("src,x,expected", [
@@ -20,11 +20,11 @@ from taucalc.expressions import evaluate_expression, parse_expression
     ("1e-3 + .5", 0.0, 0.501),
 ])
 def test_values(src, x, expected):
-    assert evaluate_expression(src, x) == pytest.approx(expected, rel=1e-14)
+    assert parse_expression(src)(x) == pytest.approx(expected, rel=1e-14)
 
 
 def test_unicode_operators():
-    assert evaluate_expression("−x × 2 ÷ 4", 6.0) == pytest.approx(-3.0)
+    assert parse_expression("−x × 2 ÷ 4")(6.0) == pytest.approx(-3.0)
 
 
 def test_vectorized():
@@ -55,7 +55,7 @@ def test_rejects_non_string():
        st.floats(min_value=0.1, max_value=10))
 def test_literal_roundtrip(a, x):
     # a float literal rendered with repr parses back to itself
-    assert evaluate_expression(repr(abs(a)), x) == abs(a)
+    assert parse_expression(repr(abs(a)))(x) == abs(a)
 
 
 @given(st.floats(min_value=-5, max_value=5),
@@ -63,5 +63,5 @@ def test_literal_roundtrip(a, x):
        st.floats(min_value=-3, max_value=3))
 def test_polynomial_matches_direct(a, b, x):
     src = f"{abs(a)!r} + {abs(b)!r}*x + x^2"
-    assert evaluate_expression(src, x) == pytest.approx(
+    assert parse_expression(src)(x) == pytest.approx(
         abs(a) + abs(b) * x + x * x, rel=1e-12, abs=1e-12)

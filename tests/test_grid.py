@@ -5,8 +5,8 @@ from taucalc import GROUP, INTERVAL, SEMIGROUP, build_grid
 from taucalc import cli, scenarios, validation
 from taucalc.cli import _preset_chain, _preset_grid
 from taucalc.covariance import affine_change, transport_grid
-from taucalc.errors import (CoincidentOrbits, DomainEscape, LimitNotConverged,
-                            ZeroDivisor)
+from taucalc.errors import (CoincidentOrbits, DomainEscape, GridMismatch,
+                            LimitNotConverged, ZeroDivisor)
 from taucalc.grid import (DEFAULT_DELTA_TOL, DEFAULT_MAX_DEPTH,
                           _check_disjoint, _coincident_pairs,
                           contraction_estimate)
@@ -82,9 +82,10 @@ def test_flat_storage_and_branch_views():
     f = GridFunction.from_callable(grid, lambda x: x ** 2)
     assert all(not v.flags.writeable and np.shares_memory(v, f.flat)
                for v in f.values)
-    # one array of grid length or one array per branch
-    assert np.array_equal(GridFunction(grid, f.flat, f.valid).flat, f.flat)
-    assert np.array_equal(GridFunction(grid, f.values).flat, f.flat)
+    # one flat array of grid length; per-branch arrays are refused
+    assert np.array_equal(GridFunction(grid, f.flat, f.flat_valid).flat, f.flat)
+    with pytest.raises(GridMismatch, match="grid length"):
+        GridFunction(grid, f.values)
 
 
 def outer_coincident_pairs(pts_a, pts_b, limit, delta_tol):
@@ -263,6 +264,28 @@ def test_mobius_scan_rescales_composites_and_flags_exact_pole():
     b[k0 + 4], c[k0 + 4], d[k0 + 4] = 1.0, 1.0, -1.0
     values, valid, pole = grid.mobius_scan((a, b, c, d), [1.0], ok, 1e-13)
     assert np.flatnonzero(pole).tolist() == [k0 + 5]
+
+
+def test_doubling_scan_scales_subnormal_complex_maps():
+    # normalising a map whose largest entry is subnormal takes 2^1029,
+    # beyond float64: the real and imaginary parts are scaled by ldexp
+    grid = build_grid(linear_map(0.5), SEMIGROUP, 1.0, max_depth=20)
+    n = np.arange(grid.size)
+    ok = np.ones(grid.size, dtype=bool)
+    tiny = np.full(grid.size, 2.0 ** -1030)
+    values, valid, pole = grid.mobius_scan(((1 + 1j) * tiny, 0, 0, tiny),
+                                           1.0, ok, 0.0)
+    assert valid.all() and not pole.any()
+    assert np.array_equal(values, (1 + 1j) ** n)
+    # suffix products of (1+i) 2^-1030 I under three factors 2^600 I
+    last = grid.size - 1
+    mats = np.tile(np.eye(2, dtype=complex), (grid.size, 1, 1))
+    mats[last] *= (1 + 1j) * 2.0 ** -1030
+    mats[last - 3:last] *= 2.0 ** 600
+    out = grid.suffix_products(mats)
+    power = -1030 + 600 * np.minimum(last - n, 3)
+    want = (1 + 1j) * np.ldexp(1.0, power)[:, None, None] * np.eye(2)
+    assert np.array_equal(out, want)
 
 
 def test_group_backward_leg_settles_on_repelling_fixed_point():

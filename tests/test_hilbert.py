@@ -33,9 +33,9 @@ def test_weight_positive_and_consistent(level_data):
 
 def test_perturbation_detected(level_data):
     grid, B, eta, w = level_data
-    vals = [v.copy() for v in w.rho.values]
-    vals[1][10] *= 1.001  # one-point spot perturbation
-    rho_bad = GridFunction(grid, tuple(vals), w.rho.valid)
+    vals = w.rho.flat.copy()
+    vals[grid.slices[1].start + 10] *= 1.001  # one-point spot perturbation
+    rho_bad = GridFunction(grid, vals, w.rho.flat_valid)
     w_bad = weighted_grid(grid, rho_bad, warn=False)
     res = pearson_residual(PearsonTriple.from_B_eta(B, eta), w_bad)
     assert res.shift >= 1e-4

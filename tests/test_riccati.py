@@ -136,6 +136,41 @@ def test_singular_step_matrix_rejected(qgrid):
         TwoByTwoSystem(a=one, b=one, c=one, d=one)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-300, 0.0])
+def test_singular_step_matrix_rejected_at_any_scale(qgrid, scale):
+    # ad - bc would be inf - inf at 1e200 and 0/0 on the zero matrix
+    f = GridFunction.constant(qgrid, scale)
+    with pytest.raises(DegenerateSystem):
+        TwoByTwoSystem(a=f, b=f, c=f, d=f)
+
+
+@pytest.mark.parametrize("scale", [1e-155, 1e-170, 1e-300, 1e200])
+def test_uniformly_scaled_identity_accepted(qgrid, scale):
+    # ad and |a||d| underflow below about 1e-162; the matrix is scale * I
+    f, zero = GridFunction.constant(qgrid, scale), GridFunction.constant(qgrid, 0.0)
+    sys = TwoByTwoSystem(a=f, b=zero, c=zero, d=f)
+    assert sys.valid_mask().all()
+
+
+@pytest.mark.parametrize("system", [
+    lambda: TwoByTwoSystem(
+        a=GridFunction.from_callable(GRIDS["interval"], lambda x: 1.0 + 0.5 * x),
+        b=GridFunction.from_callable(GRIDS["interval"], lambda x: x / 3.0),
+        c=GridFunction.constant(GRIDS["interval"], 0.0),
+        d=GridFunction.from_callable(GRIDS["interval"], lambda x: 1.0 + x * x)),
+    lambda: q_orbit_system()], ids=["triangular", "complex"])
+def test_criterion_sum_matches_derivative_form(system):
+    # sum |delta_n| max|LambdaTilde(x_n)| over the valid tilde entries
+    sys = system()
+    grid = sys.grid
+    tn = np.zeros(grid.size)
+    for f in sys.tilde():
+        sel = f.flat_valid
+        tn[sel] = np.maximum(tn[sel], np.abs(f.flat[sel]))
+    want = float(np.sum(np.abs(grid.deltas) * tn))
+    assert resolvent(sys).criterion_sum == pytest.approx(want, rel=1e-14)
+
+
 # -- resolvent against its sequential and mpmath references -----------------
 
 def q_orbit_system():
@@ -234,9 +269,7 @@ def test_resolvent_steps_and_convergence_match_sequential(system):
 def test_resolvent_keeps_the_scale_of_products_that_overflow_inside():
     # S[k] = 1e-150 Q * (1e100 R)^j stays below 1e250 for j <= 4, but the
     # doubling forms the inner product of the four 1e100 factors, 1e400:
-    # only the kept power-of-two exponents can give S back.  (A deepest
-    # factor of 1e-300 I is refused by TwoByTwoSystem: its determinant
-    # underflows to 0.)
+    # only the kept power-of-two exponents can give S back.
     grid = GRIDS["semigroup"]
     last = grid.size - 1
     rot = np.array([[0.6, -0.8], [0.8, 0.6]])

@@ -107,9 +107,7 @@ def test_fractional_orbit_derivative_closed():
 def test_fractional_kernel_annihilated_pointwise():
     sc = fractional_chain(a=0.5, n_levels=2)
     lvl = sc.levels[1]
-    psi = GridFunction(sc.grid,
-                       (np.asarray(sc.kernel_product_closed(
-                           sc.grid.branches[0].points, 1), dtype=complex),))
+    psi = GridFunction(sc.grid, sc.kernel_product_closed(sc.grid.points, 1))
     out = chain_apply_A(lvl, psi)
     # pointwise scale |phi psi|: the kernel values span many orders
     ref = np.abs(lvl.phi.values[0] * psi.values[0])

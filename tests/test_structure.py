@@ -40,8 +40,7 @@ def test_cli_import_leaves_scipy_unloaded(src_env):
 # through OrbitGrid.mobius_scan, suffix_scan or suffix_products instead of
 # its own loop
 BRANCH_LOOPS_ALLOWED = {("hilbert.py", "shift_norm"),
-                        ("calculus.py", "tau_antiderivative"),
-                        ("gridfn.py", "_flat")}
+                        ("calculus.py", "tau_antiderivative")}
 
 
 def branch_loops(path):
@@ -69,6 +68,53 @@ def test_no_new_per_branch_loops():
              for loop in branch_loops(path)]
     assert set(loops) <= BRANCH_LOOPS_ALLOWED
     assert len(loops) == len(BRANCH_LOOPS_ALLOWED)
+
+
+# a defaulted tolerance nothing sets is a constant of the method, not a
+# choice for the caller; the CLI sets run_criteria's override
+TOLERANCE_PARAMETERS_ALLOWED = {("validation.py", "run_criteria", "tol_override")}
+
+
+def defaulted_tolerances(path):
+    """(file, function, parameter) of every defaulted parameter whose name
+    contains ``tol`` in a public module-level function or public method."""
+    found = []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scopes = [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]
+    for scope in scopes:
+        for node in scope.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or node.name.startswith("_")):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None]
+            found += [(path.name, node.name, a.arg) for a in defaulted
+                      if "tol" in a.arg]
+    return found
+
+
+def test_no_unused_tolerance_parameters():
+    found = {t for path in SOURCES for t in defaulted_tolerances(path)}
+    assert found == TOLERANCE_PARAMETERS_ALLOWED
+
+
+def test_tolerance_rule_sees_defaulted_tolerances(tmp_path):
+    path = tmp_path / "mod.py"
+    for code, hits in (
+            ("def f(x, tol=1e-9):\n    pass", [("mod.py", "f", "tol")]),
+            ("def f(x, *, rel_tol=1e-3):\n    pass",
+             [("mod.py", "f", "rel_tol")]),
+            ("class C:\n    def m(self, tol_a=1.0, b=2):\n        pass",
+             [("mod.py", "m", "tol_a")]),
+            ("def f(x, tol):\n    pass", []),
+            ("def f(x, *, tol):\n    pass", []),
+            ("def _f(x, tol=1e-9):\n    pass", []),
+            ("def f(x, depth=3):\n    pass", [])):
+        path.write_text(code + "\n")
+        assert defaulted_tolerances(path) == hits
 
 
 POINTWISE = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
