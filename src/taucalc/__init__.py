@@ -3,11 +3,11 @@
 from .calculus import (shift, solve_linear_first_order, tau_antiderivative,
                        tau_derivative, tau_exponential, tau_integral)
 from .chain import (ChainLevel, CoefficientTriple, EigenPair, advance_level,
-                    apply_A, apply_Astar, chain_eigenvalues, descend,
-                    eigen_residual, eigen_residual_norm,
+                    apply_A, apply_Astar, build_chain, chain_eigenvalues,
+                    descend, eigen_residual, eigen_residual_norm,
                     factorization_residual, from_coefficients, lift,
                     make_level, particular_gauge_xi, solve_step_constant,
-                    to_coefficients, with_step)
+                    to_coefficients)
 from .covariance import (VariableChange, affine_change, conjugate_map,
                          equivalence_obstruction, exp_change, ln_change,
                          powerlaw_change, transport_function, transport_grid,
@@ -16,8 +16,8 @@ from .errors import CalculusError, ConfigError
 from .expressions import parse_expression
 from .grid import GROUP, INTERVAL, SEMIGROUP, OrbitBranch, OrbitGrid, build_grid
 from .gridfn import GridFunction
-from .hilbert import (PearsonTriple, WeightedGrid, inner_product, norm,
-                      pearson_residual, weight_from_pearson, weighted_grid)
+from .hilbert import (WeightedGrid, inner_product, norm, pearson_residual,
+                      weight_from_pearson, weighted_grid)
 from .maps import TauMap, fractional_map, linear_map, power_map
 from .riccati import (ResolventResult, TwoByTwoSystem, cross_ratio, darboux,
                       darboux_solution, general_solution, resolvent,
@@ -34,10 +34,10 @@ __all__ = [
     "SEMIGROUP", "INTERVAL", "GROUP",
     "shift", "tau_derivative", "tau_integral", "tau_antiderivative",
     "tau_exponential", "solve_linear_first_order",
-    "PearsonTriple", "WeightedGrid", "weighted_grid", "weight_from_pearson",
+    "WeightedGrid", "weighted_grid", "weight_from_pearson",
     "pearson_residual", "inner_product", "norm",
-    "ChainLevel", "EigenPair", "CoefficientTriple", "make_level", "with_step",
-    "advance_level", "apply_A", "apply_Astar", "lift", "descend",
+    "ChainLevel", "EigenPair", "CoefficientTriple", "make_level",
+    "advance_level", "build_chain", "apply_A", "apply_Astar", "lift", "descend",
     "eigen_residual", "eigen_residual_norm", "factorization_residual",
     "from_coefficients", "to_coefficients", "solve_step_constant",
     "chain_eigenvalues", "particular_gauge_xi",

@@ -29,8 +29,8 @@ from .errors import (GridMismatch, InconsistentWeights, NonPositiveFactor,
                      ZeroEigenvalue, ZeroLift)
 from .grid import ZERO_TOL, OrbitGrid
 from .gridfn import GridFunction, joint_scale, max_abs_diff
-from .hilbert import (PearsonTriple, WeightedGrid, adjoint_shift, norm,
-                      weight_from_pearson, weighted_grid)
+from .hilbert import (WeightedGrid, adjoint_shift, norm, weight_from_pearson,
+                      weighted_grid)
 
 # bisection tolerance at the float64 underflow threshold: the default
 # eps*|T| is absolute and swamps the smallest singular values
@@ -95,21 +95,17 @@ class CoefficientTriple:
     value: complex = 0.0
 
 
-def make_level(grid: OrbitGrid, B: GridFunction, eta: GridFunction,
-               h: GridFunction, f: GridFunction, k: int = 0) -> ChainLevel:
-    """Assemble a chain level, building the weight by the Pearson recursion."""
-    for fn in (B, eta, h, f):
+def make_level(B: GridFunction, eta: GridFunction, h: GridFunction,
+               f: GridFunction, k: int = 0) -> ChainLevel:
+    """Assemble a chain level on the grid of its data, building the weight
+    by the Pearson recursion."""
+    grid = B.grid
+    for fn in (eta, h, f):
         if fn.grid is not grid:
             raise GridMismatch("level data sampled on a different grid")
     phi = f + h / deltas_fn(grid)
-    w = weight_from_pearson(PearsonTriple.from_B_eta(B, eta), grid)
+    w = weight_from_pearson(B, eta)
     return ChainLevel(k=k, w=w, B=B, eta=eta, h=h, f=f, phi=phi)
-
-
-def with_step(level: ChainLevel, g: GridFunction, c: complex,
-              d: complex) -> ChainLevel:
-    """Stamp the step data (gauge and postulate constants) onto a level."""
-    return replace(level, g=g, c=c, d=d)
 
 
 def apply_A(level: ChainLevel, psi: GridFunction) -> GridFunction:
@@ -172,9 +168,28 @@ def advance_level(level: ChainLevel, h_next: GridFunction) -> ChainLevel:
             "eta*rho and T(B*rho) disagree: Pearson violated upstream")
     phi_next = (level.h / (d * h_next)) * shift(level.phi / g)
     f_next = phi_next - h_next / deltas_fn(grid)
-    w_next = weighted_grid(grid, rho_next)
+    w_next = weighted_grid(rho_next)
     return ChainLevel(k=level.k + 1, w=w_next, B=B_next, eta=eta_next,
                       h=h_next, f=f_next, phi=phi_next)
+
+
+def build_chain(level0: ChainLevel, n_levels: int, h: GridFunction,
+                step) -> tuple[ChainLevel, ...]:
+    """The factorization ladder: ``n_levels`` levels from ``level0``.
+
+    Each level is stamped with its step data ``(g, c, d) = step(level)``
+    and then advanced to the next with h_{k+1} = ``h``; the last level is
+    stamped but not advanced.
+    """
+    levels = []
+    level = level0
+    for k in range(n_levels):
+        g, c, d = step(level)
+        level = replace(level, g=g, c=c, d=d)
+        levels.append(level)
+        if k + 1 < n_levels:
+            level = advance_level(level, h)
+    return tuple(levels)
 
 
 def _step_terms(level: ChainLevel, h_next: GridFunction, g: GridFunction,
@@ -402,7 +417,7 @@ def from_coefficients(coef: CoefficientTriple, h0: GridFunction,
           * (coef.beta + dlt * coef.alpha * r_fn))
     B0 = GridFunction(grid, np.where(B0.flat_valid, B0.flat, 0.0),
                       B0.flat_valid, label="B0")
-    return make_level(grid, B0, eta0, h0, f0)
+    return make_level(B0, eta0, h0, f0)
 
 
 def lift(pair: EigenPair, level: ChainLevel) -> EigenPair:
@@ -641,8 +656,9 @@ def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0
 
 
 __all__ = [
-    "ChainLevel", "EigenPair", "CoefficientTriple", "make_level", "with_step",
-    "apply_A", "apply_Astar", "advance_level", "chain_equation_residual",
+    "ChainLevel", "EigenPair", "CoefficientTriple", "make_level",
+    "apply_A", "apply_Astar", "advance_level", "build_chain",
+    "chain_equation_residual",
     "solve_step_constant", "bands_AstarA", "bands_AAstar", "tridiag_apply",
     "factorization_residual", "to_coefficients", "apply_coefficients",
     "from_coefficients", "lift", "descend", "eigen_residual",

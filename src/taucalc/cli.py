@@ -8,7 +8,8 @@ Subcommands:
 * ``taucalc validate``  run the acceptance suite, emit a JSON report
 
 Configuration is a JSON file (``--config``); unknown keys are rejected.
-Named presets (``--preset``) replace or shortcut the config.  Exit codes:
+A named preset (``--preset``) stands in for a config; the two flags
+exclude each other.  Exit codes:
 0 success, 1 validation failures, 2 configuration errors, 3 numerical
 failures.
 """
@@ -23,14 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tcio
-from .chain import (CoefficientTriple, advance_level, eigen_residual_norm,
+from .chain import (CoefficientTriple, build_chain, eigen_residual_norm,
                     factorization_residual, from_coefficients, make_level,
-                    particular_gauge_xi, solve_step_constant, with_step)
+                    particular_gauge_xi, solve_step_constant)
 from .errors import CalculusError, ConfigError
 from .expressions import parse_expression
 from .grid import GROUP, INTERVAL, SEMIGROUP, build_grid
 from .gridfn import GridFunction
-from .hilbert import PearsonTriple, pearson_residual
+from .hilbert import pearson_residual
 from .maps import fractional_map, linear_map, power_map
 from .scenarios import constant_gauge_chain, fractional_chain, qhahn_chain
 from .validation import (CRITERIA, format_report, results_to_dict,
@@ -46,13 +47,17 @@ PEARSON_GATE = 1e-10
 FACTORIZATION_GATE = 1e-9
 
 
-def _take(mapping, allowed: dict, context: str) -> dict:
-    """Read a config dict, rejecting unknown keys; ``allowed`` maps key ->
-    default (a ``_REQUIRED`` default makes the key mandatory)."""
+def _object(mapping, context: str) -> dict:
     if not isinstance(mapping, dict):
         raise ConfigError(f"{context} must be a JSON object, got "
                           f"{type(mapping).__name__}")
-    unknown = set(mapping) - set(allowed)
+    return mapping
+
+
+def _take(mapping, allowed: dict, context: str) -> dict:
+    """Read a config dict, rejecting unknown keys; ``allowed`` maps key ->
+    default (a ``_REQUIRED`` default makes the key mandatory)."""
+    unknown = set(_object(mapping, context)) - set(allowed)
     if unknown:
         raise ConfigError(
             f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
@@ -70,6 +75,18 @@ def _take(mapping, allowed: dict, context: str) -> dict:
 _REQUIRED = object()
 
 
+def _take_variant(mapping, key: str, variants: dict, context: str,
+                  default=_REQUIRED) -> dict:
+    """``_take`` with the key set of the variant that ``mapping[key]``
+    names; ``variants`` maps each name to its ``allowed`` dict."""
+    name = _object(mapping, context).get(key, default)
+    if not isinstance(name, str) or name not in variants:
+        raise ConfigError(f"{context} needs {key!r} set to one of "
+                          f"{', '.join(variants)}, got {mapping.get(key)!r}")
+    return _take(mapping, {key: default, **variants[name]},
+                 f"{name} {context}")
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -84,31 +101,24 @@ def _load_config(path: str) -> dict:
     return data
 
 
+# each map kind's parameters, in the order its constructor takes them
+_MAP_KEYS = {"linear": {"q": _REQUIRED, "shift": 0.0, "domain": None},
+             "fractional": {"a": _REQUIRED, "domain": None},
+             "power": {"p": _REQUIRED, "domain": None}}
+_MAP_MAKERS = {"linear": linear_map, "fractional": fractional_map,
+               "power": power_map}
+
+
 def _build_map(spec) -> object:
-    spec = _take(spec, {"kind": _REQUIRED, "q": None, "shift": 0.0,
-                        "a": None, "p": None, "domain": None}, "map spec")
-    domain = tuple(spec["domain"]) if spec["domain"] is not None else None
-    kind = spec["kind"]
+    spec = _take_variant(spec, "kind", _MAP_KEYS, "map spec")
+    make = _MAP_MAKERS[spec.pop("kind")]
+    domain = spec.pop("domain")
     try:
-        if kind == "linear":
-            if spec["q"] is None:
-                raise ConfigError("linear map needs key 'q'")
-            return linear_map(float(spec["q"]), float(spec["shift"]),
-                              domain=domain)
-        if kind == "fractional":
-            if spec["a"] is None:
-                raise ConfigError("fractional map needs key 'a'")
-            return (fractional_map(float(spec["a"]), domain=domain)
-                    if domain is not None else fractional_map(float(spec["a"])))
-        if kind == "power":
-            if spec["p"] is None:
-                raise ConfigError("power map needs key 'p'")
-            return (power_map(float(spec["p"]), domain=domain)
-                    if domain is not None else power_map(float(spec["p"])))
-    except ValueError as exc:
+        args = [float(v) for v in spec.values()]
+        return (make(*args) if domain is None
+                else make(*args, domain=tuple(domain)))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid map parameters: {exc}") from exc
-    raise ConfigError(f"unknown map kind {kind!r} "
-                      "(expected linear, fractional or power)")
 
 
 _MODES = {"semigroup": SEMIGROUP, "group": GROUP, "interval": INTERVAL}
@@ -211,8 +221,7 @@ def _level0_from_config(grid, spec):
     if set(spec) <= direct_keys:
         spec = _take(spec, {"B0": _REQUIRED, "eta0": _REQUIRED,
                             "h0": "1", "f0": "0"}, "level0 direct spec")
-        return make_level(grid,
-                          B=_grid_fn(grid, spec["B0"], "B0"),
+        return make_level(B=_grid_fn(grid, spec["B0"], "B0"),
                           eta=_grid_fn(grid, spec["eta0"], "eta0"),
                           h=_grid_fn(grid, spec["h0"], "h0"),
                           f=_grid_fn(grid, spec["f0"], "f0"))
@@ -222,43 +231,35 @@ def _level0_from_config(grid, spec):
         f"({', '.join(sorted(direct_keys))})")
 
 
+_STEP_KEYS = {"explicit": {"g": _REQUIRED, "h": "1", "d": 1.0},
+              "xi": {"h": "1", "d": 1.0, "xi0": 1.0}}
+
+
 def _chain_from_config(grid, config):
-    level = _level0_from_config(grid, config.get("level0"))
+    level0 = _level0_from_config(grid, config.get("level0"))
     cspec = _take(config.get("chain") or {},
                   {"levels": 1, "step": None}, "chain spec")
-    n_levels = int(cspec["levels"])
-    step = _take(cspec["step"] or {},
-                 {"source": "explicit", "g": None, "h": "1", "d": 1.0,
-                  "xi0": 1.0}, "chain step spec")
+    step = _take_variant(cspec["step"] or {}, "source", _STEP_KEYS,
+                         "chain step spec", default="explicit")
     d = complex(step["d"])
-    levels, gauges = [], []
-    for k in range(n_levels):
-        h_next = _grid_fn(grid, step["h"], "h")
-        if step["source"] == "explicit":
-            if step["g"] is None:
-                raise ConfigError("explicit step source needs the gauge 'g'")
-            g = _grid_fn(grid, step["g"], "g")
-            c = solve_step_constant(level, h_next, g, d)
-        elif step["source"] == "xi":
-            _, g = particular_gauge_xi(level, d, xi0=float(step["xi0"]))
-            c = 0.0
-        else:
-            raise ConfigError(
-                f"unknown chain step source {step['source']!r} "
-                "(expected explicit or xi; presets go through --preset)")
-        level = with_step(level, g=g, c=c, d=d)
-        levels.append(level)
-        gauges.append(g)
-        if k + 1 < n_levels:
-            level = advance_level(level, h_next)
-    return levels, gauges
+    h = _grid_fn(grid, step["h"], "h")
+    if step["source"] == "explicit":
+        g = _grid_fn(grid, step["g"], "g")
+
+        def stamp(level):
+            return g, solve_step_constant(level, h, g, d), d
+    else:
+        xi0 = float(step["xi0"])
+
+        def stamp(level):
+            return particular_gauge_xi(level, d, xi0=xi0)[1], 0.0, d
+    return build_chain(level0, int(cspec["levels"]), h, stamp)
 
 
 def _residual_table(levels, scenario=None) -> dict:
     residuals = {}
     for level in levels:
-        p = PearsonTriple.from_B_eta(level.B, level.eta)
-        res = pearson_residual(p, level.w)
+        res = pearson_residual(level.B, level.eta, level.w)
         residuals[f"pearson_shift_level_{level.k}"] = float(res.shift)
         if res.shift > PEARSON_GATE:
             raise _ResidualFailure(
@@ -285,17 +286,16 @@ class _ResidualFailure(CalculusError):
 def cmd_chain(args) -> int:
     out_dir = Path(args.out)
     scenario = None
-    gauges = []
     if args.preset:
         scenario = _preset_chain(args.preset, args.depth)
-        levels = list(scenario.levels)
+        levels = scenario.levels
         extra = {"preset": args.preset}
     elif args.config:
         config = _check_top(_load_config(args.config))
         if config.get("level0") is None:
             raise ConfigError("chain command needs a level0 spec or --preset")
         grid = _build_grid(config, args.depth)
-        levels, gauges = _chain_from_config(grid, config)
+        levels = _chain_from_config(grid, config)
         extra = {"config": str(args.config)}
     else:
         raise ConfigError("chain command needs --preset or --config")
@@ -303,8 +303,9 @@ def cmd_chain(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = tcio.write_chain(levels, out_dir, manifest_extra=extra,
                                 residuals=residuals)
-    for k, g in enumerate(gauges):
-        tcio.write_function_csv(g, out_dir / f"gauge_{k}.csv")
+    if args.config:
+        for level in levels:
+            tcio.write_function_csv(level.g, out_dir / f"gauge_{level.k}.csv")
     print(f"wrote {len(levels)} level file(s) and {manifest}")
     for name, value in residuals.items():
         print(f"  {name}: {value:.3e}")
@@ -339,10 +340,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="JSON configuration file")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="JSON configuration file")
+        source.add_argument("--preset", help="named preset "
+                            "(qhahn, constant-gauge, fractional, linear)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--preset", help="named preset "
-                       "(qhahn, constant-gauge, fractional, linear)")
         p.add_argument("--depth", type=int, help="orbit depth override")
 
     p_grid = sub.add_parser("grid", help="build an orbit grid")

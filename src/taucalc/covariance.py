@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import ChainLevel, make_level, with_step
+from .chain import ChainLevel, make_level
 from .errors import DomainEscape, GridMismatch
 from .grid import OrbitGrid
 from .gridfn import GridFunction
@@ -165,9 +165,9 @@ def transport_level(level: ChainLevel, ch: VariableChange,
     B[n] = level.B.flat[n] * rv[n - 1] / rv[n]
     B_mask[n] = level.B.flat_valid[n] & rm[n - 1] & rm[n]
     B_t = GridFunction(target_grid, B, B_mask, label="B")
-    out = make_level(target_grid, B_t, eta_t, h_t, f_t, k=level.k)
+    out = make_level(B_t, eta_t, h_t, f_t, k=level.k)
     if level.g is not None:
-        out = with_step(out, g=carry(level.g), c=level.c, d=level.d)
+        out = replace(out, g=carry(level.g), c=level.c, d=level.d)
     return out
 
 

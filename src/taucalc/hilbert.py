@@ -49,11 +49,9 @@ class WeightedGrid:
         return mu_from_rho(self)
 
 
-def weighted_grid(grid: OrbitGrid, rho: GridFunction,
-                  warn: bool = True) -> WeightedGrid:
-    """Attach a weight to a grid, checking measure positivity per branch."""
-    if rho.grid is not grid:
-        raise GridMismatch("weight sampled on a different grid")
+def weighted_grid(rho: GridFunction, warn: bool = True) -> WeightedGrid:
+    """Attach a weight to its grid, checking measure positivity per branch."""
+    grid = rho.grid
     v, m = rho.flat, rho.flat_valid
     terms = (grid.deltas * v).real
     scale = np.fmax(1.0, grid.branch_max(np.where(m, np.abs(v), 0.0)))
@@ -138,38 +136,22 @@ def shift_norm(w: WeightedGrid, warn: bool = True) -> float:
     return float(np.sqrt(worst))
 
 
-@dataclass(frozen=True, eq=False)
-class PearsonTriple:
-    """The coefficient pair (B, eta) with the associated first-order
-    coefficient A = (B - eta)/(id - tau)."""
-
-    B: GridFunction
-    eta: GridFunction
-    A_coeff: GridFunction
-
-    @classmethod
-    def from_B_eta(cls, B: GridFunction, eta: GridFunction) -> "PearsonTriple":
-        B.check_same_grid(eta)
-        return cls(B, eta, step_quotient(B - eta, label="A"))
-
-
-def weight_from_pearson(p: PearsonTriple, grid: OrbitGrid) -> WeightedGrid:
+def weight_from_pearson(B: GridFunction, eta: GridFunction) -> WeightedGrid:
     """Build the weight solving T(B rho) = eta rho with rho = 1 at each base:
     rho[n+1] = eta[n] rho[n] / B[n+1] walked outward by
     :meth:`OrbitGrid.mobius_scan` with steps [[eta_n, 0], [0, B_{n+1}]]."""
-    if p.B.grid is not grid:
-        raise GridMismatch("Pearson data sampled on a different grid")
-    B_next = shift(p.B)
+    B.check_same_grid(eta)
+    grid = B.grid
+    B_next = shift(B)
     rho, mask, pole = grid.mobius_scan(
-        (p.eta.flat, 0, 0, B_next.flat), 1.0,
-        p.eta.flat_valid & B_next.flat_valid, ZERO_TOL)
+        (eta.flat, 0, 0, B_next.flat), 1.0,
+        eta.flat_valid & B_next.flat_valid, ZERO_TOL)
     if pole.any():
         b, pos = grid.locate(np.flatnonzero(pole)[0])
         which = "eta" if pos < grid.branches[b].base_index else "B"
         raise ZeroDivisor(f"{which} vanishes at orbit point index {pos}")
-    rho_fn = GridFunction(grid, rho, mask, label="rho")
-    w = weighted_grid(grid, rho_fn)
-    res = pearson_residual(p, w)
+    w = weighted_grid(GridFunction(grid, rho, mask, label="rho"))
+    res = pearson_residual(B, eta, w)
     if res.shift > 1e-11:
         raise InconsistentWeights(
             f"Pearson recursion residual {res.shift} exceeds 1e-11")
@@ -181,14 +163,17 @@ class PearsonResidual(NamedTuple):
     shift: float
 
 
-def pearson_residual(p: PearsonTriple, w: WeightedGrid) -> PearsonResidual:
-    """Scaled residuals of d_tau(B rho) = A rho and T(B rho) = eta rho."""
-    if p.B.grid is not w.grid:
+def pearson_residual(B: GridFunction, eta: GridFunction,
+                     w: WeightedGrid) -> PearsonResidual:
+    """Scaled residuals of d_tau(B rho) = A rho and T(B rho) = eta rho,
+    with A = (B - eta)/(id - tau)."""
+    A = step_quotient(B - eta, label="A")
+    if B.grid is not w.grid:
         raise GridMismatch("Pearson data and weight live on different grids")
-    Brho = p.B * w.rho
-    scale = joint_scale(Brho, p.A_coeff * w.rho, p.eta * w.rho)
-    diff = tau_derivative(Brho) - p.A_coeff * w.rho
-    shf = shift(Brho) - p.eta * w.rho
+    Brho = B * w.rho
+    scale = joint_scale(Brho, A * w.rho, eta * w.rho)
+    diff = tau_derivative(Brho) - A * w.rho
+    shf = shift(Brho) - eta * w.rho
     return PearsonResidual(differential=diff.max_abs() / scale,
                            shift=shf.max_abs() / scale)
 
@@ -207,6 +192,6 @@ def adjoint_tau_derivative(psi: GridFunction, w_k: WeightedGrid,
 
 __all__ = [
     "WeightedGrid", "weighted_grid", "inner_product", "norm", "mu_from_rho",
-    "adjoint_shift", "shift_norm", "PearsonTriple", "weight_from_pearson",
+    "adjoint_shift", "shift_norm", "weight_from_pearson",
     "PearsonResidual", "pearson_residual", "adjoint_tau_derivative",
 ]

@@ -73,10 +73,11 @@ class TwoByTwoSystem:
         # judged scaled by its largest entry modulus, so that neither ad
         # nor bc under- or overflows
         m = self.entry_arrays()[self.valid_mask()].reshape(-1, 4)
+        if not np.isfinite(m).all():
+            raise DegenerateSystem("step matrix is not finite at a grid point")
         big = np.abs(m).max(axis=1, initial=0.0)
-        with np.errstate(invalid="ignore"):   # non-finite entries pass
-            a, b, c, d = (m / np.where(big > 0.0, big, 1.0)[:, None]).T
-            rel = np.abs(a * d - b * c) / (abs(a * d) + abs(b * c) + 1e-300)
+        a, b, c, d = (m / np.where(big > 0.0, big, 1.0)[:, None]).T
+        rel = np.abs(a * d - b * c) / (abs(a * d) + abs(b * c) + 1e-300)
         if np.any(rel < 1e-14):
             raise DegenerateSystem("step matrix is singular at a grid point")
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import deltas_fn, shift
-from .chain import (ChainLevel, EigenPair, advance_level, make_level,
-                    solve_step_constant, with_step)
+from .chain import (ChainLevel, EigenPair, build_chain, make_level,
+                    solve_step_constant)
 from .errors import DomainEscape
 from .grid import INTERVAL, SEMIGROUP, OrbitGrid, build_grid
 from .gridfn import GridFunction
@@ -179,14 +179,9 @@ def qhahn_chain(q: float = 0.8, B0_coeffs=(1.0, 0.0, -1.0),
     B0 = GridFunction.from_callable(grid, lambda t: _poly.polyval(t, B0c))
     A0 = GridFunction.from_callable(grid, lambda t: _poly.polyval(t, A0c))
     eta0 = B0 - deltas_fn(grid) * A0
-    lvl = make_level(grid, B0, eta0, one, zero)
-    levels = []
-    for k in range(n_levels):
-        lvl = with_step(lvl, g=g, c=constants[k], d=1.0)
-        levels.append(lvl)
-        if k + 1 < n_levels:
-            lvl = advance_level(lvl, one)
-    return QHahnScenario(q=q, grid=grid, levels=tuple(levels),
+    levels = build_chain(make_level(B0, eta0, one, zero), n_levels, one,
+                         lambda lvl: (g, constants[lvl.k], 1.0))
+    return QHahnScenario(q=q, grid=grid, levels=levels,
                          constants=constants, B_polys=tuple(B_polys),
                          A_polys=tuple(A_polys))
 
@@ -262,18 +257,12 @@ def constant_gauge_chain(q: float = 0.7, b: float = 1.0, c0: float = 0.5,
     f0 = phi0 - h / deltas_fn(grid)
     g = GridFunction.constant(grid, q ** -2)
 
-    lvl = make_level(grid, GridFunction.constant(grid, B0c), eta0, h, f0)
-    levels, constants = [], []
-    for k in range(n_levels):
-        c = solve_step_constant(lvl, h, g, 1.0)
-        lvl = with_step(lvl, g=g, c=c, d=1.0)
-        levels.append(lvl)
-        constants.append(float(c.real))
-        if k + 1 < n_levels:
-            lvl = advance_level(lvl, h)
+    levels = build_chain(
+        make_level(GridFunction.constant(grid, B0c), eta0, h, f0), n_levels,
+        h, lambda lvl: (g, solve_step_constant(lvl, h, g, 1.0), 1.0))
     return ConstantGaugeScenario(q=q, b=b, c0=c0, s=s, grid=grid,
-                                 levels=tuple(levels),
-                                 constants=tuple(constants))
+                                 levels=levels, constants=tuple(
+                                     float(lvl.c.real) for lvl in levels))
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +355,12 @@ def fractional_chain(a: float = 0.5, a0: float = 1.0, b0: float = 1.0,
     f0 = GridFunction.constant(grid, 0.0)
     g = GridFunction.constant(grid, 1.0 / a)
 
-    lvl = make_level(grid, B0, eta0, h, f0)
-    levels, constants = [], []
-    for k in range(n_levels):
-        c = solve_step_constant(lvl, h, g, 1.0)
-        lvl = with_step(lvl, g=g, c=c, d=1.0)
-        levels.append(lvl)
-        constants.append(float(c.real))
-        if k + 1 < n_levels:
-            lvl = advance_level(lvl, h)
-    return FractionalScenario(a=a, a0=a0, b0=b0, grid=grid,
-                              levels=tuple(levels), constants=tuple(constants))
+    levels = build_chain(
+        make_level(B0, eta0, h, f0), n_levels, h,
+        lambda lvl: (g, solve_step_constant(lvl, h, g, 1.0), 1.0))
+    return FractionalScenario(a=a, a0=a0, b0=b0, grid=grid, levels=levels,
+                              constants=tuple(float(lvl.c.real)
+                                              for lvl in levels))
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,8 @@ from .covariance import (equivalence_obstruction, ln_change, transport_function,
 from .errors import PositivityWarning
 from .grid import INTERVAL, SEMIGROUP, build_grid
 from .gridfn import GridFunction, joint_scale, max_abs_diff
-from .hilbert import (PearsonTriple, adjoint_tau_derivative, inner_product,
-                      mu_from_rho, norm, adjoint_shift, pearson_residual,
-                      weighted_grid)
+from .hilbert import (adjoint_tau_derivative, inner_product, mu_from_rho, norm,
+                      adjoint_shift, pearson_residual, weighted_grid)
 from .maps import fractional_map, iterate, linear_map
 from .riccati import (TwoByTwoSystem, darboux, darboux_solution,
                       general_solution, cross_ratio, resolvent,
@@ -276,7 +275,7 @@ def criterion_adjoints(data: SuiteData) -> CriterionResult:
     grid, w = lvl.grid, lvl.w
     mu = mu_from_rho(w)
     mu_tau = shift(mu)
-    w1 = weighted_grid(grid, lvl.eta * w.rho, warn=False)
+    w1 = weighted_grid(lvl.eta * w.rho, warn=False)
     base = ~grid.neighbour_mask(-1)  # first point of each branch
     worst = {"shift-pairing": 0.0, "TstarT": 0.0, "TTstar": 0.0,
              "multiplication-pairing": 0.0, "derivative-pairing": 0.0}
@@ -322,8 +321,7 @@ def criterion_adjoints(data: SuiteData) -> CriterionResult:
 
 def criterion_pearson(data: SuiteData) -> CriterionResult:
     lvl = data.qhahn.levels[0]
-    p = PearsonTriple.from_B_eta(lvl.B, lvl.eta)
-    res = pearson_residual(p, lvl.w)
+    res = pearson_residual(lvl.B, lvl.eta, lvl.w)
     # the shift form is the defining recursion; the differential form is
     # equivalent only in exact arithmetic and degrades near the orbit
     # limit where the divided difference loses all significant digits
@@ -336,8 +334,8 @@ def criterion_pearson(data: SuiteData) -> CriterionResult:
     vals = lvl.w.rho.flat.copy()
     vals[lvl.grid.slices[1].start + 10] *= 1.0 + 1e-3
     rho2 = GridFunction(lvl.grid, vals, lvl.w.rho.flat_valid)
-    w2 = weighted_grid(lvl.grid, rho2, warn=False)
-    det = pearson_residual(p, w2)
+    w2 = weighted_grid(rho2, warn=False)
+    det = pearson_residual(lvl.B, lvl.eta, w2)
     checks.append(Check("perturbation-detector",
                         max(det.differential, det.shift), 1e-4, at_least=True))
     return _result("pearson", checks)
@@ -569,7 +567,7 @@ def criterion_covariance(data: SuiteData) -> CriterionResult:
         target = transport_grid(grid, ch)
     w_x = sc.levels[0].w
     rho_y = transport_weight(w_x.rho, ch, target)
-    w_y = weighted_grid(target, rho_y, warn=False)
+    w_y = weighted_grid(rho_y, warn=False)
     xs = GridFunction.from_callable(grid, lambda t: t ** sc.s)
     worst_unitary = 0.0
     for _ in range(10):
@@ -582,8 +580,7 @@ def criterion_covariance(data: SuiteData) -> CriterionResult:
         worst_unitary = max(worst_unitary,
                             abs(ip_x - ip_y) / max(1e-300, abs(ip_x)))
     lvl0_y = transport_level(sc.levels[0], ch, target)
-    p_y = PearsonTriple.from_B_eta(lvl0_y.B, lvl0_y.eta)
-    res_y = pearson_residual(p_y, lvl0_y.w)
+    res_y = pearson_residual(lvl0_y.B, lvl0_y.eta, lvl0_y.w)
     # eigen residual comparison on a deliberately imperfect eigenpair,
     # so both residuals sit well above rounding noise
     noise = _poly_fn(grid, (1.0, -0.7, 0.3))

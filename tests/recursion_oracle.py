@@ -38,9 +38,9 @@ def sequential_mobius(grid, steps, seeds, ok, pole_tol):
     return r, valid, pole
 
 
-def pearson_weight_loop(p, grid):
-    bv, ev = p.B.flat, p.eta.flat
-    bm, em = p.B.flat_valid, p.eta.flat_valid
+def pearson_weight_loop(B, eta, grid):
+    bv, ev = B.flat, eta.flat
+    bm, em = B.flat_valid, eta.flat_valid
     rho = np.zeros(grid.size, dtype=complex)
     mask = np.zeros(grid.size, dtype=bool)
     for br, s in zip(grid.branches, grid.slices):

@@ -197,7 +197,7 @@ OPERATORS = ["shift+1", "shift-1", "tau_derivative", "tau_antiderivative",
 def test_branch_ends_match_per_branch_reference(make_grid, name):
     grid = make_grid()
     f = GridFunction.from_callable(grid, lambda x: 1.0 + x - 0.5j * x ** 2)
-    w = weighted_grid(grid, GridFunction.from_callable(
+    w = weighted_grid(GridFunction.from_callable(
         grid, lambda x: 1.0 + 0.25 * x * x), warn=False)
     out = _apply(name, f, w)
     for i, br in enumerate(grid.branches):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -369,7 +370,7 @@ def _xi_test_level(mode=SEMIGROUP, depth=25):
     grid = build_grid(linear_map(0.5), mode=mode, bases=1.0, max_depth=depth)
     B = GridFunction.from_callable(grid, lambda x: x ** 2)
     eta = GridFunction.from_callable(grid, lambda x: 4.0 * x ** 2)
-    return make_level(grid, B, eta, GridFunction.constant(grid, 1.0),
+    return make_level(B, eta, GridFunction.constant(grid, 1.0),
                       GridFunction.constant(grid, 0.0))
 
 
@@ -389,7 +390,7 @@ def test_coefficient_ratio_matches_sequential_loop(qh):
 
 def test_gauge_xi_matches_sequential_loop(monkeypatch):
     grid = build_grid(linear_map(0.7), mode=SEMIGROUP, bases=1.0, max_depth=40)
-    lvl = make_level(grid, GridFunction.from_callable(grid, lambda x: 1 + x * x),
+    lvl = make_level(GridFunction.from_callable(grid, lambda x: 1 + x * x),
                      GridFunction.from_callable(grid, lambda x: 2 + x),
                      GridFunction.constant(grid, 1.0),
                      GridFunction.from_callable(grid, lambda x: 0.5 - x))
@@ -444,3 +445,29 @@ def test_coefficient_ratio_zero_alpha():
         lambda x: x - 0.25, lambda x: -3.0 + 0 * x, lambda x: 1.0 + 0 * x)))
     with pytest.raises(ZeroAlpha, match="index 2$"):
         from_coefficients(coef, GridFunction.constant(grid, 1.0), 1.0)
+
+
+def test_build_chain_stamps_every_level_and_advances_all_but_the_last(
+        monkeypatch):
+    # constant gauge g = q^-2 on tau(x) = 0.7x: c_k = -q^(2k) c0, c0 = 0.5
+    lvl0 = replace(constant_gauge_chain(n_levels=1).levels[0], g=None, c=0.0)
+    g = GridFunction.constant(lvl0.grid, 0.7 ** -2)
+    stamped, advanced = [], []
+    advance = chain.advance_level
+    monkeypatch.setattr(chain, "advance_level", lambda lvl, h: (
+        advanced.append(lvl.k) or advance(lvl, h)))
+
+    def step(lvl):
+        stamped.append(lvl.k)
+        return g, solve_step_constant(lvl, lvl0.h, g, 1.0), 1.0
+
+    levels = chain.build_chain(lvl0, 3, lvl0.h, step)
+    assert [lvl.k for lvl in levels] == stamped == [0, 1, 2]
+    assert advanced == [0, 1]
+    assert all(lvl.g is g and lvl.d == 1.0 for lvl in levels)
+    assert levels[0].w is lvl0.w and lvl0.g is None
+    assert [lvl.c.real for lvl in levels] == pytest.approx(
+        [-0.5, -0.245, -0.12005], rel=1e-12)
+    for lo, hi in zip(levels, levels[1:]):
+        assert factorization_residual(lo, hi, rng=lo.k) < 1e-9
+    assert chain.build_chain(lvl0, 0, lvl0.h, step) == ()

@@ -5,7 +5,10 @@ import sys
 
 import pytest
 
+from taucalc import (SEMIGROUP, build_grid, fractional_map, linear_map,
+                     power_map)
 from taucalc.cli import main
+from taucalc.io import write_grid_csv
 
 
 def run(*argv):
@@ -101,6 +104,20 @@ def test_chain_xi_route_emits_gauges(tmp_path):
     assert (out / "gauge_1.csv").exists()
 
 
+def test_chain_step_h_reaches_the_next_level(tmp_path, capsys):
+    # the xi route needs h = 1; h = 2 enters at level 1 and is refused there
+    cfg = write_config(tmp_path, {
+        "map": {"kind": "linear", "q": 0.5},
+        "grid": {"mode": "semigroup", "bases": 1.0, "depth": 25},
+        "level0": {"B0": "x^2", "eta0": "4*x^2", "h0": "1", "f0": "0"},
+        "chain": {"levels": 2, "step": {"source": "xi", "h": "2",
+                                        "xi0": 14.0}},
+    })
+    assert run("chain", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+    assert "needs h = 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_chain_missing_seed_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "map": {"kind": "linear", "q": 0.5},
@@ -176,6 +193,88 @@ def test_unused_config_keys_rejected_exit_2(tmp_path, capsys, key, value):
     })
     assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "fractional", "a": 0.5, "q": 0.3}, "q"),
+    ({"kind": "fractional", "a": 0.5, "shift": 7}, "shift"),
+    ({"kind": "fractional", "a": 0.5, "p": 2}, "p"),
+    ({"kind": "linear", "q": 0.5, "a": 9}, "a"),
+    ({"kind": "power", "p": 2, "q": 0.5}, "q"),
+])
+def test_map_key_of_another_kind_exit_2(tmp_path, capsys, spec, key):
+    # each map kind takes its own parameters; another kind's is refused
+    cfg = write_config(tmp_path, {
+        "map": spec, "grid": {"mode": "semigroup", "bases": 0.5, "depth": 20},
+    })
+    assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert f"unknown key(s) in {spec['kind']} map spec: {key}" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("spec, tau", [
+    ({"kind": "linear", "q": 0.5, "shift": 0.1},
+     lambda: linear_map(0.5, 0.1)),
+    ({"kind": "linear", "q": 0.5, "domain": [-4.0, 4.0]},
+     lambda: linear_map(0.5, domain=(-4.0, 4.0))),
+    ({"kind": "fractional", "a": 0.5, "domain": [0.0, 2.0]},
+     lambda: fractional_map(0.5, domain=(0.0, 2.0))),
+    ({"kind": "power", "p": 2}, lambda: power_map(2.0)),
+], ids=["linear-shift", "linear-domain", "fractional-domain", "power"])
+def test_each_map_kind_takes_its_own_keys(tmp_path, spec, tau):
+    cfg = write_config(tmp_path, {
+        "map": spec, "grid": {"mode": "semigroup", "bases": 0.5, "depth": 20},
+    })
+    assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+    want = tmp_path / "want.csv"
+    write_grid_csv(build_grid(tau(), SEMIGROUP, 0.5, max_depth=20), want)
+    assert (tmp_path / "o" / "grid.csv").read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("spec", [{"kind": "linear", "q": 0.5, "domain": 3},
+                                  {"kind": "linear", "q": [0.5]},
+                                  {"kind": "power", "p": "two"},
+                                  {"kind": "affine", "q": 0.5},
+                                  {"q": 0.5}])
+def test_malformed_map_spec_exit_2(tmp_path, capsys, spec):
+    cfg = write_config(tmp_path, {
+        "map": spec, "grid": {"mode": "semigroup", "bases": 0.5, "depth": 20},
+    })
+    assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("step, key", [
+    ({"source": "xi", "d": 1.0, "xi0": 14.0, "g": "2"}, "g"),
+    ({"source": "explicit", "g": "2", "xi0": 14.0}, "xi0"),
+])
+def test_step_key_of_another_source_exit_2(tmp_path, capsys, step, key):
+    cfg = write_config(tmp_path, {
+        "map": {"kind": "linear", "q": 0.5},
+        "grid": {"mode": "semigroup", "bases": 1.0, "depth": 25},
+        "level0": {"B0": "x^2", "eta0": "4*x^2", "h0": "1", "f0": "0"},
+        "chain": {"levels": 2, "step": step},
+    })
+    assert run("chain", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert f"unknown key(s) in {step['source']} chain step spec: {key}" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["grid", "chain"])
+def test_preset_and_config_together_exit_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {
+        "map": {"kind": "linear", "q": 0.5},
+        "grid": {"mode": "semigroup", "bases": 1.0, "depth": 20},
+    })
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--preset", "constant-gauge", "--config", cfg,
+            "--out", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

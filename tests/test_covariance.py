@@ -6,7 +6,7 @@ from taucalc import (GridFunction, SEMIGROUP, build_grid, conjugate_map,
                      inner_product, linear_map, ln_change, transport_function,
                      transport_grid, transport_weight, weighted_grid)
 from taucalc.covariance import transport_level
-from taucalc.hilbert import PearsonTriple, pearson_residual
+from taucalc.hilbert import pearson_residual
 from taucalc.scenarios import constant_gauge_chain
 
 
@@ -38,7 +38,7 @@ def test_transport_is_unitary(transported, scenario):
     ch, target = transported
     lvl = scenario.levels[0]
     rho_t = transport_weight(lvl.w.rho, ch, target)
-    w_t = weighted_grid(target, rho_t, warn=False)
+    w_t = weighted_grid(rho_t, warn=False)
     psi = GridFunction.from_callable(scenario.grid,
                                      lambda x: x * (1.0 - 0.3 * x))
     phi = GridFunction.from_callable(scenario.grid, lambda x: x)
@@ -52,8 +52,7 @@ def test_transport_is_unitary(transported, scenario):
 def test_transported_pearson_consistent(transported, scenario):
     ch, target = transported
     lvl_t = transport_level(scenario.levels[0], ch, target)
-    res = pearson_residual(PearsonTriple.from_B_eta(lvl_t.B, lvl_t.eta),
-                           lvl_t.w)
+    res = pearson_residual(lvl_t.B, lvl_t.eta, lvl_t.w)
     assert res.shift < 1e-9
 
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from taucalc import (GROUP, INTERVAL, SEMIGROUP, GridFunction, PearsonTriple,
-                     build_grid, inner_product, linear_map, norm,
-                     pearson_residual, shift, weight_from_pearson,
-                     weighted_grid)
+from taucalc import (GROUP, INTERVAL, SEMIGROUP, GridFunction, build_grid,
+                     inner_product, linear_map, norm, pearson_residual, shift,
+                     weight_from_pearson, weighted_grid)
 from taucalc.calculus import deltas_fn
 from taucalc.errors import GridMismatch, ZeroDivisor, ZeroWeight
 
@@ -20,14 +19,14 @@ def level_data():
     B = GridFunction.from_callable(grid, lambda x: 1.0 - x ** 2, label="B")
     A = GridFunction.from_callable(grid, lambda x: -x, label="A")
     eta = B - deltas_fn(grid) * A
-    w = weight_from_pearson(PearsonTriple.from_B_eta(B, eta), grid)
+    w = weight_from_pearson(B, eta)
     return grid, B, eta, w
 
 
 def test_weight_positive_and_consistent(level_data):
     grid, B, eta, w = level_data
     assert w.positivity_ok()
-    res = pearson_residual(PearsonTriple.from_B_eta(B, eta), w)
+    res = pearson_residual(B, eta, w)
     assert res.shift < 1e-11
 
 
@@ -36,8 +35,8 @@ def test_perturbation_detected(level_data):
     vals = w.rho.flat.copy()
     vals[grid.slices[1].start + 10] *= 1.001  # one-point spot perturbation
     rho_bad = GridFunction(grid, vals, w.rho.flat_valid)
-    w_bad = weighted_grid(grid, rho_bad, warn=False)
-    res = pearson_residual(PearsonTriple.from_B_eta(B, eta), w_bad)
+    w_bad = weighted_grid(rho_bad, warn=False)
+    res = pearson_residual(B, eta, w_bad)
     assert res.shift >= 1e-4
 
 
@@ -95,8 +94,8 @@ def test_grid_mismatch_rejected(level_data, qgrid):
 
 
 def _pearson(grid, B, eta):
-    return PearsonTriple.from_B_eta(GridFunction.from_callable(grid, B),
-                                    GridFunction.from_callable(grid, eta))
+    return (GridFunction.from_callable(grid, B),
+            GridFunction.from_callable(grid, eta))
 
 
 def test_weight_zero_B_on_forward_orbit_raises():
@@ -104,7 +103,7 @@ def test_weight_zero_B_on_forward_orbit_raises():
     grid = build_grid(linear_map(0.5), mode=SEMIGROUP, bases=1.0, max_depth=20)
     p = _pearson(grid, lambda x: x - 0.25, lambda x: 1.0 + 0 * x)
     with pytest.raises(ZeroDivisor, match="B vanishes .* index 2$"):
-        weight_from_pearson(p, grid)
+        weight_from_pearson(*p)
 
 
 def test_weight_zero_eta_behind_group_base_raises():
@@ -113,7 +112,7 @@ def test_weight_zero_eta_behind_group_base_raises():
     k0 = grid.branches[0].base_index
     p = _pearson(grid, lambda x: 1.0 + 0 * x, lambda x: x - 4.0)
     with pytest.raises(ZeroDivisor, match=f"eta vanishes .* index {k0 - 2}$"):
-        weight_from_pearson(p, grid)
+        weight_from_pearson(*p)
 
 
 @pytest.mark.parametrize("mode, bases", [(INTERVAL, (-1.0, 1.0)),
@@ -121,8 +120,8 @@ def test_weight_zero_eta_behind_group_base_raises():
 def test_weight_matches_sequential_loop(mode, bases):
     grid = build_grid(linear_map(0.8), mode=mode, bases=bases, max_depth=60)
     p = _pearson(grid, lambda x: 1.0 + x ** 2, lambda x: 2.0 + x ** 2)
-    w = weight_from_pearson(p, grid)
-    want = pearson_weight_loop(p, grid)
+    w = weight_from_pearson(*p)
+    want = pearson_weight_loop(*p, grid)
     assert np.array_equal(w.rho.flat_valid, want.flat_valid)
     k0 = [s.start + br.base_index for br, s in zip(grid.branches, grid.slices)]
     assert np.all(w.rho.flat[k0] == 1.0)
@@ -132,19 +131,19 @@ def test_weight_matches_sequential_loop(mode, bases):
 
 def test_cached_mu_is_mu_from_rho_bit_for_bit(level_data):
     grid, _, _, w = level_data
-    fresh = weighted_grid(grid, w.rho)
+    fresh = weighted_grid(w.rho)
     want = mu_from_rho(fresh)
     assert fresh.mu is fresh.mu
     assert fresh.mu.flat.tobytes() == want.flat.tobytes()
     assert np.array_equal(fresh.mu.flat_valid, want.flat_valid)
     psi = GridFunction.from_callable(grid, lambda x: 1.0 + x)
     assert adjoint_shift(psi, fresh).flat.tobytes() == (
-        adjoint_shift(psi, weighted_grid(grid, w.rho)).flat.tobytes())
+        adjoint_shift(psi, weighted_grid(w.rho)).flat.tobytes())
 
 
 def test_cached_mu_raises_zero_weight_on_first_use(qgrid):
     rho = GridFunction.from_callable(qgrid, lambda x: np.where(x < 0.1, 0.0, x))
-    w = weighted_grid(qgrid, rho, warn=False)  # attaching does not check
+    w = weighted_grid(rho, warn=False)  # attaching does not check
     psi = GridFunction.constant(qgrid, 1.0)
     with pytest.raises(ZeroWeight):
         w.mu

@@ -144,6 +144,18 @@ def test_singular_step_matrix_rejected_at_any_scale(qgrid, scale):
         TwoByTwoSystem(a=f, b=f, c=f, d=f)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_step_matrix_rejected(bad):
+    # a NaN or inf entry at one valid point; resolvent used to return
+    # criterion_sum=nan instead of raising
+    grid = build_grid(linear_map(0.5), max_depth=10)
+    a = np.ones(grid.size)
+    a[3] = bad
+    one, zero = GridFunction.constant(grid, 1.0), GridFunction.constant(grid, 0.0)
+    with pytest.raises(DegenerateSystem, match="not finite"):
+        TwoByTwoSystem(a=GridFunction(grid, a), b=zero, c=zero, d=one)
+
+
 @pytest.mark.parametrize("scale", [1e-155, 1e-170, 1e-300, 1e200])
 def test_uniformly_scaled_identity_accepted(qgrid, scale):
     # ad and |a||d| underflow below about 1e-162; the matrix is scale * I

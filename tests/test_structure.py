@@ -162,6 +162,34 @@ def test_map_loop_rule_sees_iteration(tmp_path):
         assert map_loops(path) == hits
 
 
+def ladder_steps(path):
+    """Line of every call of ``advance_level``, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(
+                encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "advance_level"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_ladder_lives_in_chain(path):
+    # a chain is built by chain.build_chain, which stamps each level with
+    # its step data and advances it; no other module walks the ladder
+    if path.name != "chain.py":
+        assert ladder_steps(path) == []
+
+
+def test_ladder_rule_sees_advance_calls(tmp_path):
+    path = tmp_path / "mod.py"
+    for code, hits in (("lvl = advance_level(lvl, h)", [1]),
+                       ("lvl = chain.advance_level(lvl, h)", [1]),
+                       ("for k in ks:\n    x = f(advance_level(x, h))", [2]),
+                       ("levels = build_chain(lvl, 3, h, step)", []),
+                       ("step = advance_level", [])):
+        path.write_text(code + "\n")
+        assert ladder_steps(path) == hits
+
+
 PLAN_SOURCES = ("has_next", "neighbour_mask", "interior")
 
 
