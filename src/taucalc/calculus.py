@@ -9,6 +9,10 @@ All operators act pointwise along each orbit branch.  With points
 
 Products over the orbit (the tau-exponential, first-order solves) are
 suffix products anchored at the orbit limit.
+
+Shifts, differences and integrals act on the last axis, so a probe
+block of shape (k, N) goes through each operator in one array pass;
+integrals then return one value per row.
 """
 
 from __future__ import annotations
@@ -51,12 +55,8 @@ def shift(f: GridFunction, steps: int = 1) -> GridFunction:
     """Composition with tau^steps: out[n] = f[n+steps], mask shrinking."""
     grid = f.grid
     _check_steps(grid, steps)
-    n = grid.neighbour_index(steps)
-    out = np.zeros(grid.size, dtype=complex)
-    mask = np.zeros(grid.size, dtype=bool)
-    out[n] = f.flat[n + steps]
-    mask[n] = f.flat_valid[n + steps]
-    return GridFunction(grid, out, mask, label=f.label)
+    return GridFunction(grid, grid.shifted(f.flat, steps),
+                        grid.shifted(f.flat_valid, steps), label=f.label)
 
 
 def step_quotient(num: GridFunction, label: str = "") -> GridFunction:
@@ -65,9 +65,8 @@ def step_quotient(num: GridFunction, label: str = "") -> GridFunction:
     The last index of each branch has no step and turns invalid (value 0).
     """
     grid = num.grid
-    n = grid.neighbour_index(1)
-    out = np.zeros(grid.size, dtype=complex)
-    out[n] = num.flat[n] / grid.deltas[n]
+    out = np.divide(num.flat, grid.deltas, where=grid.has_next,
+                    out=np.zeros(num.flat.shape, dtype=complex))
     return GridFunction(grid, out, num.flat_valid & grid.has_next, label=label)
 
 
@@ -78,38 +77,43 @@ def tau_derivative(f: GridFunction) -> GridFunction:
     """
     grid = f.grid
     _check_steps(grid, 1)
-    n = grid.neighbour_index(1)
     v, m = f.flat, f.flat_valid
-    out = np.zeros(grid.size, dtype=complex)
-    mask = np.zeros(grid.size, dtype=bool)
     # masked-out entries may hold inf/nan; their arithmetic is discarded
     with np.errstate(invalid="ignore", over="ignore"):
-        diff = v[n] - v[n + 1]
-    out[n] = diff / grid.deltas[n]
-    mask[n] = m[n] & m[n + 1]
-    return GridFunction(grid, out, mask, label=f"d({f.label})" if f.label else "")
+        diff = v - grid.shifted(v, 1)
+    out = np.divide(diff, grid.deltas, where=grid.has_next,
+                    out=np.zeros(v.shape, dtype=complex))
+    return GridFunction(grid, out, m & grid.shifted(m, 1),
+                        label=f"d({f.label})" if f.label else "")
 
 
-def _branch_integral(terms: np.ndarray, scale: float,
-                     check_tail: bool) -> complex:
-    """Sum of one branch's terms, its last three below _TAIL_TOL * scale."""
-    total = complex(terms.sum())
-    if check_tail:
-        tail = np.abs(terms[-3:])
+def _column(x) -> np.ndarray:
+    """One scale per row, shaped to broadcast against the row's entries."""
+    return np.asarray(x)[..., None]
+
+
+def _branch_integral(terms: np.ndarray, scale) -> np.ndarray:
+    """Row sums of one branch's terms.  With a ``scale`` (a column, one
+    per row), the last three terms of every row must stay below
+    _TAIL_TOL * scale."""
+    if scale is not None:
+        tail = np.abs(terms[..., -3:])
         if (tail > _TAIL_TOL * scale).any():
             raise TailNotConverged(f"last tail terms {tail} exceed "
                                    f"{_TAIL_TOL}*scale={_TAIL_TOL * scale}")
-    return total
+    return terms.sum(axis=-1)
 
 
-def tau_integral(f: GridFunction, check_tail: bool = True) -> complex:
+def tau_integral(f: GridFunction, check_tail: bool = True):
     """Orbit-weighted sum; interval grids subtract the a-branch integral.
 
     Semigroup: integral from the limit to the base.  Interval: integral
     over [a, b] as orbit(b) minus orbit(a).  Group: two-sided sum.
     The masked terms delta_n f[n] are formed once over the flat grid;
     each branch sums its own, the last point excluded, and checks its
-    tail against the largest valid |f| on it.
+    tail against the largest valid |f| on it.  A probe block gives one
+    integral per row, each row's tail checked against its own scale;
+    TailNotConverged is raised if any row fails.
     """
     grid = f.grid
     if grid.mode not in (SEMIGROUP, GROUP, INTERVAL):
@@ -118,21 +122,24 @@ def tau_integral(f: GridFunction, check_tail: bool = True) -> complex:
     # delta is 0 at each branch end, and those terms are never summed
     with np.errstate(invalid="ignore"):
         terms = np.where(m, grid.deltas * v, 0.0)
-    scales = (np.maximum.reduceat(np.where(m, np.abs(v), 0.0),
-                                  [s.start for s in grid.slices]).tolist()
-              if check_tail else [1.0] * len(grid.slices))
-    sums = [_branch_integral(terms[s.start:s.stop - 1], max(1.0, sc),
-                             check_tail)
-            for s, sc in zip(grid.slices, scales)]
+    if check_tail:
+        scales = np.fmax(1.0, np.maximum.reduceat(
+            np.where(m, np.abs(v), 0.0), [s.start for s in grid.slices],
+            axis=-1))
+    sums = [_branch_integral(terms[..., s.start:s.stop - 1],
+                             scales[..., i:i + 1] if check_tail else None)
+            for i, s in enumerate(grid.slices)]
     if grid.mode == INTERVAL:
         ia, ib = (grid.branches.index(grid.branch(r)) for r in ("a", "b"))
-        return sums[ib] - sums[ia]
+        total = sums[ib] - sums[ia]
+    else:
+        total = sums[0]
     if grid.mode == GROUP and check_tail:
         # Backward tail sits at the start of the branch.
-        tail = np.abs(grid.deltas[:3] * v[:3])
-        if np.any(tail > _TAIL_TOL * max(1.0, f.max_abs())):
+        tail = np.abs(grid.deltas[:3] * v[..., :3])
+        if (tail > _TAIL_TOL * _column(np.fmax(1.0, f.max_abs()))).any():
             raise TailNotConverged(f"backward tail terms {tail} too large")
-    return sums[0]
+    return complex(total) if total.ndim == 0 else total
 
 
 def _suffix_valid(f: GridFunction) -> np.ndarray:
@@ -142,16 +149,17 @@ def _suffix_valid(f: GridFunction) -> np.ndarray:
 
 
 def tau_antiderivative(f: GridFunction, check_tail: bool = True) -> GridFunction:
-    """Per-branch suffix sums: out[n] = integral of f from the limit to x_n."""
+    """Per-branch suffix sums: out[n] = integral of f from the limit to x_n.
+
+    A probe block checks each row's tail against that row's own scale."""
     grid = f.grid
-    n = grid.neighbour_index(1)
-    terms = np.zeros(grid.size, dtype=complex)
-    terms[n] = grid.deltas[n] * f.flat[n]
+    terms = np.multiply(grid.deltas, f.flat, where=grid.has_next,
+                        out=np.zeros(f.flat.shape, dtype=complex))
     if check_tail:
-        scale = max(1.0, f.max_abs())
+        limit = _TAIL_TOL * _column(np.fmax(1.0, f.max_abs()))
         for s in grid.slices:
-            tail = np.abs(terms[s][-4:-1])
-            if s.stop - s.start >= 4 and np.any(tail > _TAIL_TOL * scale):
+            tail = np.abs(terms[..., s][..., -4:-1])
+            if s.stop - s.start >= 4 and (tail > limit).any():
                 raise TailNotConverged(f"antiderivative tail terms {tail} too large")
     # out[n] = sum_{m>=n} terms[m], summed tail-first for accuracy.
     return GridFunction(grid, grid.suffix_scan(np.add, terms), _suffix_valid(f),

@@ -165,6 +165,17 @@ class OrbitGrid:
         """The flat indices where :meth:`neighbour_mask` holds, ascending."""
         return self.reach(max(0, -steps), max(0, steps))[1]
 
+    def shifted(self, arr: np.ndarray, steps: int) -> np.ndarray:
+        """``arr`` moved along each branch on its last axis: out[..., n] =
+        arr[..., n + steps] where :meth:`neighbour_mask` holds, 0 (False)
+        elsewhere.  Each row of a (k, N) block moves on its own."""
+        lo = max(0, -steps)
+        hi = max(lo, self.size - max(0, steps))
+        out = np.zeros(arr.shape, dtype=arr.dtype)
+        np.copyto(out[..., lo:hi], arr[..., lo + steps:hi + steps],
+                  where=self.neighbour_mask(steps)[lo:hi])
+        return out
+
     def interior(self, margin: int = 1) -> np.ndarray:
         """True at indices at least ``margin`` steps from both branch ends."""
         return self.reach(abs(margin), abs(margin))[0]
@@ -194,16 +205,17 @@ class OrbitGrid:
 
         The scan runs tail-first within each branch (``np.add`` gives
         suffix sums, ``np.multiply`` suffix products, ``np.logical_and``
-        the mask of points with every deeper point set).  Like
+        the mask of points with every deeper point set), along the last
+        axis, so each row of a (k, N) block is scanned on its own.  Like
         ``np.cumsum(arr[::-1])[::-1]`` the result is a reversed view.
         """
-        rev = arr[::-1]
+        rev = arr[..., ::-1]
         out = np.empty_like(rev)
-        n = len(arr)
+        n = arr.shape[-1]
         for s in self.slices:
             seg = slice(n - s.stop, n - s.start)
-            ufunc.accumulate(rev[seg], out=out[seg])
-        return out[::-1]
+            ufunc.accumulate(rev[..., seg], axis=-1, out=out[..., seg])
+        return out[..., ::-1]
 
     def mobius_scan(self, steps, seeds, ok: np.ndarray, pole_tol: float):
         """Walk r[n+1] = (a r[n] + b)/(c r[n] + d) outward from each branch base.

@@ -7,6 +7,12 @@ concatenated branches of the grid, so an operator is one whole-array
 expression; ``values`` and ``valid`` are read-only per-branch views of
 that storage.  Arithmetic is pointwise and only allowed between
 functions living on the same grid object.
+
+A function may also hold a block of k probes: values of shape (k, N)
+over the N grid points, with a mask of shape (N,) shared by every row
+or one of shape (k, N).  Operators act on the last axis, so one
+expression evaluates every row, and reductions return one value per
+row; a function of shape (N,) behaves exactly as one row.
 """
 
 from __future__ import annotations
@@ -22,12 +28,23 @@ from .grid import OrbitGrid
 
 
 def _flat(grid: OrbitGrid, array, dtype, what: str) -> np.ndarray:
-    """``array`` as a flat array of grid length."""
-    arr = np.asarray(array, dtype=dtype)
-    if arr.shape != grid.points.shape:
+    """``array`` as a flat array of grid length, or a (k, N) block of
+    them; C-ordered, so every row is contiguous and reduces like a flat
+    array."""
+    arr = np.asarray(array, dtype=dtype, order="C")
+    if arr.shape != grid.points.shape and arr.shape[1:] != grid.points.shape:
         raise GridMismatch(f"need a {what} array of grid length "
-                           f"{grid.points.shape}, got {arr.shape}")
+                           f"{grid.points.shape} or a (k, N) block of "
+                           f"them, got {arr.shape}")
     return arr
+
+
+def _row_max(arr: np.ndarray, where: np.ndarray):
+    """Largest entry of ``arr`` where ``where`` holds along the last axis
+    (0 where nothing is selected): a float for a single function, one
+    value per row for a block."""
+    out = np.maximum.reduce(arr, axis=-1, initial=0.0, where=where)
+    return float(out) if out.ndim == 0 else out
 
 
 class GridFunction:
@@ -36,7 +53,8 @@ class GridFunction:
     ``flat`` holds the values of all branches, concatenated in branch
     order, and ``flat_valid`` the validity mask; both are read-only.
     The constructor takes the values and the mask as flat arrays of grid
-    length; ``valid=None`` marks every point valid.
+    length; ``valid=None`` marks every point valid.  Values of shape
+    (k, N) hold k probe rows; their mask has shape (N,) or (k, N).
     """
 
     __slots__ = ("grid", "flat", "flat_valid", "label")
@@ -47,6 +65,9 @@ class GridFunction:
             mask = np.ones(grid.size, dtype=bool)
         else:
             mask = _flat(grid, valid, bool, "mask")
+            if mask.shape != flat.shape and mask.ndim == 2:
+                raise GridMismatch(f"a {mask.shape} mask needs values of "
+                                   f"that shape, got {flat.shape}")
         flat.setflags(write=False)
         mask.setflags(write=False)
         self.grid = grid
@@ -57,12 +78,12 @@ class GridFunction:
     @property
     def values(self) -> tuple[np.ndarray, ...]:
         """Per-branch read-only views of the values."""
-        return tuple(self.flat[s] for s in self.grid.slices)
+        return tuple(self.flat[..., s] for s in self.grid.slices)
 
     @property
     def valid(self) -> tuple[np.ndarray, ...]:
         """Per-branch read-only views of the validity mask."""
-        return tuple(self.flat_valid[s] for s in self.grid.slices)
+        return tuple(self.flat_valid[..., s] for s in self.grid.slices)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -84,10 +105,10 @@ class GridFunction:
         if self.grid is not other.grid:
             raise GridMismatch("operands live on different grids")
 
-    def max_abs(self) -> float:
-        """sup|values| over the valid window (0 when nothing is valid)."""
-        sel = np.abs(self.flat[self.flat_valid])
-        return float(sel.max()) if sel.size else 0.0
+    def max_abs(self):
+        """sup|values| over the valid window (0 when nothing is valid);
+        one value per row for a probe block."""
+        return _row_max(np.abs(self.flat), self.flat_valid)
 
     # -- pointwise arithmetic -------------------------------------------
     def _binary(self, other, op) -> "GridFunction":
@@ -152,18 +173,26 @@ class GridFunction:
                             self.flat_valid, self.label)
 
 
-def max_abs_diff(f: GridFunction, g: GridFunction) -> float:
-    """Largest pointwise |f - g| on the common valid window."""
+def max_abs_diff(f: GridFunction, g: GridFunction):
+    """Largest pointwise |f - g| on the common valid window (0 when it is
+    empty); one value per row for a probe block."""
     f.check_same_grid(g)
     sel = f.flat_valid & g.flat_valid
-    if not sel.any():
-        return 0.0
-    return float(np.abs(f.flat[sel] - g.flat[sel]).max())
+    # only the window is subtracted: masked-out entries may hold inf/nan
+    diff = np.subtract(f.flat, g.flat, where=sel,
+                       out=np.zeros(np.broadcast(f.flat, g.flat).shape,
+                                    dtype=complex))
+    return _row_max(np.abs(diff), sel)
 
 
-def joint_scale(*fns: GridFunction) -> float:
-    """max(1, sup|values|) across several functions (residual denominator)."""
-    return max(1.0, *(f.max_abs() for f in fns))
+def joint_scale(*fns: GridFunction):
+    """max(1, sup|values|) across several functions (residual denominator);
+    one value per row for probe blocks.  Like ``max``, it passes over a
+    NaN sup."""
+    scale = 1.0
+    for f in fns:
+        scale = np.fmax(scale, f.max_abs())
+    return float(scale) if np.ndim(scale) == 0 else scale
 
 
 __all__ = ["GridFunction", "max_abs_diff", "joint_scale"]

@@ -66,8 +66,9 @@ def weighted_grid(rho: GridFunction, warn: bool = True) -> WeightedGrid:
 
 
 def inner_product(phi: GridFunction, psi: GridFunction, w: WeightedGrid,
-                  check_tail: bool = True) -> complex:
-    """The weighted pairing sum delta_n conj(phi) psi rho over the grid mode."""
+                  check_tail: bool = True):
+    """The weighted pairing sum delta_n conj(phi) psi rho over the grid mode;
+    one pairing per row for probe blocks."""
     phi.check_same_grid(psi)
     if phi.grid is not w.grid:
         raise GridMismatch("functions and weight live on different grids")
@@ -78,9 +79,11 @@ def inner_product(phi: GridFunction, psi: GridFunction, w: WeightedGrid,
                         check_tail=check_tail)
 
 
-def norm(phi: GridFunction, w: WeightedGrid) -> float:
-    val = inner_product(phi, phi, w, check_tail=False)
-    return float(np.sqrt(max(val.real, 0.0)))
+def norm(phi: GridFunction, w: WeightedGrid):
+    """The weighted norm; one per row for a probe block."""
+    re = np.real(inner_product(phi, phi, w, check_tail=False))
+    out = np.sqrt(np.where(re < 0.0, 0.0, re))
+    return float(out) if out.ndim == 0 else out
 
 
 def mu_from_rho(w: WeightedGrid) -> GridFunction:
@@ -111,14 +114,12 @@ def adjoint_shift(phi: GridFunction, w: WeightedGrid) -> GridFunction:
     grid = phi.grid
     mu = w.mu
     has_prev = grid.neighbour_mask(-1)
-    n = grid.neighbour_index(-1)
-    out = np.zeros(grid.size, dtype=complex)
-    mask = np.zeros(grid.size, dtype=bool)
-    out[n] = mu.flat[n] * phi.flat[n - 1]
-    mask[n] = mu.flat_valid[n] & phi.flat_valid[n - 1]
+    out = np.multiply(mu.flat, grid.shifted(phi.flat, -1), where=has_prev,
+                      out=np.zeros(phi.flat.shape, dtype=complex))
+    mask = mu.flat_valid & grid.shifted(phi.flat_valid, -1)
     if grid.mode != GROUP:
         # boundary row: T* truncates to zero at each branch base
-        mask[~has_prev] = phi.flat_valid[~has_prev]
+        mask = np.where(has_prev, mask, phi.flat_valid)
     return GridFunction(grid, out, mask, label="T*phi")
 
 

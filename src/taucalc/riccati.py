@@ -47,6 +47,15 @@ def _live(grid: OrbitGrid, mask: np.ndarray) -> np.ndarray:
     return live
 
 
+def _unit_matrices(m: np.ndarray) -> np.ndarray:
+    """Rows [a, b, c, d] of 2x2 matrices, each divided by its largest entry
+    modulus (an all-zero row stays zero), returned as the four entry
+    columns: a scale-free form in which neither ad nor bc under- or
+    overflows."""
+    big = np.abs(m).max(axis=1, initial=0.0)
+    return (m / np.where(big > 0.0, big, 1.0)[:, None]).T
+
+
 def _criterion_sum(grid: OrbitGrid, lam: np.ndarray, valid: np.ndarray) -> float:
     """sum |delta_n| ||LambdaTilde(x_n)|| (max-norm) over the valid points
     with a successor, read off the steps: |delta| LambdaTilde = |I - Lambda|."""
@@ -75,8 +84,7 @@ class TwoByTwoSystem:
         m = self.entry_arrays()[self.valid_mask()].reshape(-1, 4)
         if not np.isfinite(m).all():
             raise DegenerateSystem("step matrix is not finite at a grid point")
-        big = np.abs(m).max(axis=1, initial=0.0)
-        a, b, c, d = (m / np.where(big > 0.0, big, 1.0)[:, None]).T
+        a, b, c, d = _unit_matrices(m)
         rel = np.abs(a * d - b * c) / (abs(a * d) + abs(b * c) + 1e-300)
         if np.any(rel < 1e-14):
             raise DegenerateSystem("step matrix is singular at a grid point")
@@ -152,8 +160,14 @@ def system_from_second_order(coef) -> TwoByTwoSystem:
     """
     alpha, beta, gamma = coef.alpha, coef.beta, coef.gamma
     lam = coef.value
-    scale = joint_scale(alpha)
-    if np.any(np.abs(alpha.flat[alpha.flat_valid]) < 1e-14 * scale):
+    # |alpha| is judged at each point against |alpha| + |beta| + |gamma|
+    # there (the valid ones), so neither the size nor the growth of the
+    # coefficients along the orbit moves the verdict
+    a = np.abs(alpha.flat)
+    row = (a + np.where(beta.flat_valid, np.abs(beta.flat), 0.0)
+           + np.where(gamma.flat_valid, np.abs(gamma.flat), 0.0))
+    sel = alpha.flat_valid
+    if np.any(a[sel] / np.where(row[sel] > 0.0, row[sel], 1.0) < 1e-14):
         raise ZeroAlpha("forward coefficient vanishes at a grid point")
     grid = alpha.grid
     one = GridFunction.constant(grid, 1.0)
@@ -320,8 +334,11 @@ def darboux(sys: TwoByTwoSystem, D) -> TwoByTwoSystem:
     """
     d11, d12, d21, d22 = _as_matrix_fn(D, sys.grid)
     det = d11 * d22 - d12 * d21
-    scale = joint_scale(d11, d12, d21, d22)
-    if np.any(np.abs(det.flat[det.flat_valid]) < 1e-14 * scale):
+    # |det| is judged at each point against the square of that point's
+    # largest entry: the determinant of D divided by that entry
+    a, b, c, d = _unit_matrices(np.stack(
+        [f.flat for f in (d11, d12, d21, d22)], axis=1)[det.flat_valid])
+    if np.any(np.abs(a * d - b * c) < 1e-14):
         raise SingularGauge("gauge matrix is singular at a grid point")
     # rows of D(tau x)^{-1}: adj(TD)/det(TD)
     t11, t12, t21, t22 = (shift(f) for f in (d11, d12, d21, d22))

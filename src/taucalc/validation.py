@@ -142,18 +142,25 @@ class SuiteData:
 
 
 def _poly_fn(grid, coeffs) -> GridFunction:
-    return GridFunction.from_callable(grid, lambda t: _poly.polyval(t, coeffs))
+    """The polynomial with ``coeffs`` (lowest degree first) on the grid;
+    a (k, degree + 1) block of coefficients gives a block of k probes."""
+    return GridFunction.from_callable(
+        grid, lambda t: _poly.polyval(t, np.transpose(coeffs)))
+
+
+def _fold(worst: float, values) -> float:
+    """max(worst, *values), passing over NaN as ``max`` does."""
+    return float(np.fmax.reduce(np.ravel(values), initial=worst))
 
 
 # ---------------------------------------------------------------------------
 # 1. calculus identities
 # ---------------------------------------------------------------------------
 
-def _resolvable_gap(a: GridFunction, b: GridFunction,
-                    resolvable: np.ndarray) -> float:
-    """max |a - b| over the common valid window restricted to ``resolvable``."""
-    ok = a.flat_valid & b.flat_valid & resolvable
-    return float(np.max(np.abs(a.flat[ok] - b.flat[ok]))) if ok.any() else 0.0
+def _resolvable_gap(a: GridFunction, b: GridFunction, resolvable: np.ndarray):
+    """max |a - b| over the common valid window restricted to ``resolvable``,
+    one per probe row."""
+    return max_abs_diff(GridFunction(a.grid, a.flat, a.flat_valid & resolvable), b)
 
 
 def criterion_calculus(data: SuiteData) -> CriterionResult:
@@ -177,35 +184,34 @@ def criterion_calculus(data: SuiteData) -> CriterionResult:
         # pointwise identities are judged where the orbit step is resolvable
         resolvable = grid.has_next & (np.abs(grid.deltas)
                                       >= 1e-4 * (1.0 + np.abs(grid.points)))
-        for _ in range(50):
-            f = _poly_fn(grid, rng.uniform(-1, 1, 6))
-            g = _poly_fn(grid, rng.uniform(-1, 1, 6))
-            psi = _poly_fn(grid, rng.uniform(-1, 1, 6))
-            rho = _poly_fn(grid, rng.uniform(-1, 1, 6))
-            # product rule
-            lhs = tau_derivative(f * g)
-            rhs = shift(f) * tau_derivative(g) + g * tau_derivative(f)
-            worst["leibniz"] = max(worst["leibniz"], _resolvable_gap(
-                lhs, rhs, resolvable) / joint_scale(lhs, rhs))
-            # integral of the derivative = boundary difference
-            total = tau_integral(tau_derivative(psi))
-            ends = psi.values[ib][0] - psi.values[ia][0]
-            worst["fundamental"] = max(worst["fundamental"],
-                                       abs(total - ends) / joint_scale(psi))
-            # derivative of the antiderivative = identity
-            F = tau_antiderivative(f)
-            dF = tau_derivative(F)
-            worst["antiderivative-inverse"] = max(
-                worst["antiderivative-inverse"],
-                _resolvable_gap(dF, f, resolvable) / joint_scale(f, F))
-            # integral of (T psi) rho = integral of psi d(tau^-1) (T^-1 rho)
-            # over the image interval; on one grid the image starts one
-            # orbit index in
-            lhs2 = tau_integral(shift(psi) * rho, check_tail=False)
-            rhs2 = tau_integral(psi * dinv * shift(rho, -1), check_tail=False)
-            scale2 = max(1.0, abs(lhs2), psi.max_abs() * rho.max_abs())
-            worst["orbit-substitution"] = max(worst["orbit-substitution"],
-                                              abs(lhs2 - rhs2) / scale2)
+        # 50 probes of four polynomials (f, g, psi, rho), one block each
+        f, g, psi, rho = (_poly_fn(grid, c) for c in
+                          rng.uniform(-1, 1, (50, 4, 6)).transpose(1, 0, 2))
+        # product rule
+        lhs = tau_derivative(f * g)
+        rhs = shift(f) * tau_derivative(g) + g * tau_derivative(f)
+        worst["leibniz"] = _fold(worst["leibniz"], _resolvable_gap(
+            lhs, rhs, resolvable) / joint_scale(lhs, rhs))
+        # integral of the derivative = boundary difference
+        total = tau_integral(tau_derivative(psi))
+        ends = psi.values[ib][:, 0] - psi.values[ia][:, 0]
+        worst["fundamental"] = _fold(worst["fundamental"],
+                                     np.abs(total - ends) / joint_scale(psi))
+        # derivative of the antiderivative = identity
+        F = tau_antiderivative(f)
+        worst["antiderivative-inverse"] = _fold(
+            worst["antiderivative-inverse"],
+            _resolvable_gap(tau_derivative(F), f, resolvable)
+            / joint_scale(f, F))
+        # integral of (T psi) rho = integral of psi d(tau^-1) (T^-1 rho)
+        # over the image interval; on one grid the image starts one
+        # orbit index in
+        lhs2 = tau_integral(shift(psi) * rho, check_tail=False)
+        rhs2 = tau_integral(psi * dinv * shift(rho, -1), check_tail=False)
+        scale2 = np.fmax(np.fmax(1.0, np.abs(lhs2)),
+                         psi.max_abs() * rho.max_abs())
+        worst["orbit-substitution"] = _fold(worst["orbit-substitution"],
+                                            np.abs(lhs2 - rhs2) / scale2)
     return _result("calculus", [Check(k, v, tol) for k, v in worst.items()])
 
 
@@ -213,11 +219,13 @@ def criterion_calculus(data: SuiteData) -> CriterionResult:
 # 2. hand-coded q-calculus oracle
 # ---------------------------------------------------------------------------
 
-def _jackson_integral(coeffs, q: float, upper: float, n_terms: int = 2000) -> float:
-    """Hand-coded Jackson integral of a polynomial from 0 to ``upper``."""
+def _jackson_integral(coeffs, q: float, upper: float, n_terms: int = 2000):
+    """Hand-coded Jackson integral of a polynomial from 0 to ``upper``; a
+    (k, degree + 1) block of coefficients gives k integrals."""
     n = np.arange(n_terms)
     pts = upper * q ** n
-    return float((1.0 - q) * upper * np.sum(q ** n * _poly.polyval(pts, coeffs)))
+    return (1.0 - q) * upper * np.sum(
+        q ** n * _poly.polyval(pts, np.transpose(coeffs)), axis=-1)
 
 
 def criterion_q_oracle(data: SuiteData) -> CriterionResult:
@@ -229,35 +237,29 @@ def criterion_q_oracle(data: SuiteData) -> CriterionResult:
              "antiderivative": 0.0}
     for q in (0.3, 0.7):
         grid = build_grid(linear_map(q), SEMIGROUP, 1.0, max_depth=400)
-        pts = grid.branches[0].points
-        for _ in range(10):
-            c = rng.uniform(-1, 1, 6)
-            F = _poly_fn(grid, c)
-            scale = max(1.0, float(np.max(np.abs(_poly.polyval(pts, c)))))
-            # composition with tau: f(qx)
-            s_lib = shift(F)
-            s_orc = _poly.polyval(q * pts, c)
-            m = s_lib.valid[0]
-            worst["composition"] = max(worst["composition"], float(
-                np.max(np.abs(s_lib.values[0][m] - s_orc[m]))) / scale)
-            # q-derivative: (f(x) - f(qx)) / ((1-q)x)
-            d_lib = tau_derivative(F)
-            d_orc = (_poly.polyval(pts, c) - s_orc) / ((1.0 - q) * pts)
-            m = d_lib.valid[0]
-            worst["derivative"] = max(worst["derivative"], float(
-                np.max(np.abs(d_lib.values[0][m] - d_orc[m]))) / scale)
-            # q-integral from the limit 0 to the base 1
-            i_lib = tau_integral(F)
-            i_orc = _jackson_integral(c, q, 1.0)
-            worst["integral"] = max(worst["integral"],
-                                    abs(i_lib - i_orc) / scale)
-            # antiderivative sampled at a few orbit points
-            a_lib = tau_antiderivative(F)
-            for n in (0, 3, 12):
-                a_orc = _jackson_integral(c, q, float(pts[n]))
-                worst["antiderivative"] = max(
-                    worst["antiderivative"],
-                    abs(a_lib.values[0][n] - a_orc) / scale)
+        pts = grid.points  # the one branch
+        # ten random polynomials, one block
+        c = rng.uniform(-1, 1, (10, 6))
+        F = _poly_fn(grid, c)
+        f_orc = _poly.polyval(pts, c.T)
+        scale = np.fmax(1.0, np.max(np.abs(f_orc), axis=-1))
+        # composition with tau: f(qx)
+        s_orc = _poly.polyval(q * pts, c.T)
+        worst["composition"] = _fold(worst["composition"], max_abs_diff(
+            shift(F), GridFunction(grid, s_orc)) / scale)
+        # q-derivative: (f(x) - f(qx)) / ((1-q)x)
+        d_orc = (f_orc - s_orc) / ((1.0 - q) * pts)
+        worst["derivative"] = _fold(worst["derivative"], max_abs_diff(
+            tau_derivative(F), GridFunction(grid, d_orc)) / scale)
+        # q-integral from the limit 0 to the base 1
+        worst["integral"] = _fold(worst["integral"], np.abs(
+            tau_integral(F) - _jackson_integral(c, q, 1.0)) / scale)
+        # antiderivative sampled at a few orbit points
+        a_lib = tau_antiderivative(F)
+        for n in (0, 3, 12):
+            a_orc = _jackson_integral(c, q, float(pts[n]))
+            worst["antiderivative"] = _fold(
+                worst["antiderivative"], np.abs(a_lib.flat[:, n] - a_orc) / scale)
     return _result("q-oracle", [Check(k, v, tol) for k, v in worst.items()])
 
 
@@ -277,42 +279,41 @@ def criterion_adjoints(data: SuiteData) -> CriterionResult:
     mu_tau = shift(mu)
     w1 = weighted_grid(lvl.eta * w.rho, warn=False)
     base = ~grid.neighbour_mask(-1)  # first point of each branch
-    worst = {"shift-pairing": 0.0, "TstarT": 0.0, "TTstar": 0.0,
-             "multiplication-pairing": 0.0, "derivative-pairing": 0.0}
-    for _ in range(30):
-        phi, psi = (GridFunction(grid, rng.standard_normal(grid.size) + 0j)
-                    .window(margin) for _ in range(2))
-        scale = max(1.0, norm(phi, w) * norm(psi, w))
-        # <T phi, psi> = <phi, T* psi>
-        lhs = inner_product(shift(phi), psi, w, check_tail=False)
-        rhs = inner_product(phi, adjoint_shift(psi, w), w, check_tail=False)
-        worst["shift-pairing"] = max(worst["shift-pairing"],
-                                     abs(lhs - rhs) / scale)
-        # T*T = mu (1 - base indicator)
-        ts = adjoint_shift(shift(phi), w)
-        pt_scale = max(1.0, mu.max_abs() * phi.max_abs())
-        exp = np.where(base, 0.0, mu.flat * phi.flat)
-        sel = np.where(base, ts.flat_valid, ts.flat_valid & mu.flat_valid)
-        if sel.any():
-            worst["TstarT"] = max(worst["TstarT"], float(np.max(
-                np.abs(ts.flat[sel] - exp[sel]))) / pt_scale)
-        # T T* = mu o tau (as a multiplication operator)
-        tts = shift(adjoint_shift(phi, w))
-        worst["TTstar"] = max(worst["TTstar"],
-                              max_abs_diff(tts, mu_tau * phi) / pt_scale)
-        # multiplication: <f phi, psi>_{k+1} = <phi, conj(f) eta psi>_k
-        f = _poly_fn(grid, rng.uniform(-1, 1, 4))
-        lhs = inner_product(f * phi, psi, w1, check_tail=False)
-        rhs = inner_product(phi, f.conj() * lvl.eta * psi, w, check_tail=False)
-        worst["multiplication-pairing"] = max(
-            worst["multiplication-pairing"], abs(lhs - rhs) / scale)
-        # orbit derivative: <d phi, psi>_{k+1} = <phi, d* psi>_k
-        lhs = inner_product(tau_derivative(phi), psi, w1, check_tail=False)
-        rhs = inner_product(phi, adjoint_tau_derivative(psi, w, lvl.eta), w,
-                            check_tail=False)
-        worst["derivative-pairing"] = max(worst["derivative-pairing"],
-                                          abs(lhs - rhs) / scale)
-    return _result("adjoints", [Check(k, v, tol) for k, v in worst.items()])
+    # 30 probes (phi, psi, f), drawn one probe at a time and evaluated
+    # as three blocks
+    draws = [(rng.standard_normal(grid.size), rng.standard_normal(grid.size),
+              rng.uniform(-1, 1, 4)) for _ in range(30)]
+    phi_rows, psi_rows, f_coeffs = (np.stack(rows) for rows in zip(*draws))
+    phi, psi = (GridFunction(grid, rows + 0j).window(margin)
+                for rows in (phi_rows, psi_rows))
+    f = _poly_fn(grid, f_coeffs)
+    scale = np.fmax(1.0, norm(phi, w) * norm(psi, w))
+    gaps = {}
+    # <T phi, psi> = <phi, T* psi>
+    lhs = inner_product(shift(phi), psi, w, check_tail=False)
+    rhs = inner_product(phi, adjoint_shift(psi, w), w, check_tail=False)
+    gaps["shift-pairing"] = np.abs(lhs - rhs) / scale
+    # T*T = mu (1 - base indicator)
+    ts = adjoint_shift(shift(phi), w)
+    pt_scale = np.fmax(1.0, mu.max_abs() * phi.max_abs())
+    exp = np.where(base, 0.0, mu.flat * phi.flat)
+    sel = np.where(base, ts.flat_valid, ts.flat_valid & mu.flat_valid)
+    gaps["TstarT"] = max_abs_diff(GridFunction(grid, ts.flat, sel),
+                                  GridFunction(grid, exp)) / pt_scale
+    # T T* = mu o tau (as a multiplication operator)
+    tts = shift(adjoint_shift(phi, w))
+    gaps["TTstar"] = max_abs_diff(tts, mu_tau * phi) / pt_scale
+    # multiplication: <f phi, psi>_{k+1} = <phi, conj(f) eta psi>_k
+    lhs = inner_product(f * phi, psi, w1, check_tail=False)
+    rhs = inner_product(phi, f.conj() * lvl.eta * psi, w, check_tail=False)
+    gaps["multiplication-pairing"] = np.abs(lhs - rhs) / scale
+    # orbit derivative: <d phi, psi>_{k+1} = <phi, d* psi>_k
+    lhs = inner_product(tau_derivative(phi), psi, w1, check_tail=False)
+    rhs = inner_product(phi, adjoint_tau_derivative(psi, w, lvl.eta), w,
+                        check_tail=False)
+    gaps["derivative-pairing"] = np.abs(lhs - rhs) / scale
+    return _result("adjoints", [Check(k, _fold(0.0, v), tol)
+                                for k, v in gaps.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +355,17 @@ def criterion_factorization(data: SuiteData) -> CriterionResult:
             lvl, nxt = sc.levels[k], sc.levels[k + 1]
             worst_post = max(worst_post,
                              factorization_residual(lvl, nxt, rng=1000 + k))
-            bands_lhs = bands_AAstar(lvl)
-            bands_rhs = bands_AstarA(nxt)
-            for _ in range(3):
-                psi = GridFunction(lvl.grid, rng.standard_normal(
-                    lvl.grid.size) + 0j).window(5)
-                lhs_op = apply_A(lvl, apply_Astar(lvl, psi))
-                lhs_bd = tridiag_apply(bands_lhs, psi)
-                rhs_op = apply_Astar(nxt, apply_A(nxt, psi))
-                rhs_bd = tridiag_apply(bands_rhs, psi)
-                scale = joint_scale(lhs_op, rhs_op)
-                worst_paths = max(worst_paths,
-                                  max_abs_diff(lhs_op, lhs_bd) / scale,
-                                  max_abs_diff(rhs_op, rhs_bd) / scale)
+            # three probes, one block
+            psi = GridFunction(lvl.grid, rng.standard_normal(
+                (3, lvl.grid.size)) + 0j).window(5)
+            lhs_op = apply_A(lvl, apply_Astar(lvl, psi))
+            lhs_bd = tridiag_apply(bands_AAstar(lvl), psi)
+            rhs_op = apply_Astar(nxt, apply_A(nxt, psi))
+            rhs_bd = tridiag_apply(bands_AstarA(nxt), psi)
+            scale = joint_scale(lhs_op, rhs_op)
+            worst_paths = _fold(worst_paths,
+                                [max_abs_diff(lhs_op, lhs_bd) / scale,
+                                 max_abs_diff(rhs_op, rhs_bd) / scale])
     return _result("factorization", [
         Check("postulate-residual", worst_post, 1e-9),
         Check("two-path-agreement", worst_paths, 1e-11),

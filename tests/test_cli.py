@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -102,6 +103,23 @@ def test_chain_xi_route_emits_gauges(tmp_path):
     assert run("chain", "--config", cfg, "--out", str(out)) == 0
     assert (out / "gauge_0.csv").exists()
     assert (out / "gauge_1.csv").exists()
+
+
+def test_chain_xi_route_three_levels_warns_nothing(tmp_path):
+    # the third level's gauge divides by B_2 = g_1 B_1, which is 0 at the
+    # masked branch end; that 0/0 is discarded and must not warn
+    cfg = write_config(tmp_path, {
+        "map": {"kind": "linear", "q": 0.5},
+        "grid": {"mode": "semigroup", "bases": 1.0, "depth": 25},
+        "level0": {"B0": "x^2", "eta0": "4*x^2", "h0": "1", "f0": "0"},
+        "chain": {"levels": 3, "step": {"source": "xi", "d": 1.0,
+                                        "xi0": 14.0}},
+    })
+    out = tmp_path / "xi3"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("chain", "--config", cfg, "--out", str(out)) == 0
+    assert (out / "gauge_2.csv").exists()
 
 
 def test_chain_step_h_reaches_the_next_level(tmp_path, capsys):

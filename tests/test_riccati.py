@@ -8,10 +8,14 @@ from taucalc import (GROUP, INTERVAL, GridFunction, SEMIGROUP,
                      darboux_solution, fractional_map, general_solution,
                      linear_map, resolvent, singular_darboux, solve_system,
                      triangular_resolvent)
-from taucalc.errors import (DegenerateQuadruple, DegenerateSystem,
-                            NotTriangular, ParticularNotSolution)
-from taucalc.riccati import rhom_residual, step_residual
-from taucalc.scenarios import constant_gauge_chain, gauge_riccati_system
+from taucalc.chain import CoefficientTriple, to_coefficients
+from taucalc.errors import (CalculusError, DegenerateQuadruple,
+                            DegenerateSystem, NotTriangular,
+                            ParticularNotSolution, SingularGauge, ZeroAlpha)
+from taucalc.riccati import (rhom_residual, step_residual,
+                             system_from_second_order)
+from taucalc.scenarios import (constant_gauge_chain, gauge_riccati_system,
+                               qhahn_chain)
 
 from resolvent_oracle import (deepest_valid, mp_suffix_products,
                               sequential_resolvent)
@@ -297,3 +301,84 @@ def test_resolvent_keeps_the_scale_of_products_that_overflow_inside():
     assert np.all(np.isfinite(res.flat))
     assert np.all(np.abs(res.flat - want) <= 1e-14 * np.abs(want).max(
         axis=(1, 2))[:, None, None])
+
+
+def _small_system():
+    grid = build_grid(linear_map(0.5), SEMIGROUP, 1.0, max_depth=20)
+    x = GridFunction.identity(grid)
+    return TwoByTwoSystem(a=1.0 + 0.5 * x, b=x * (1.0 / 3.0),
+                          c=GridFunction.constant(grid, 0.0),
+                          d=1.0 + 0.25 * x * x)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-20])
+def test_darboux_accepts_a_uniformly_small_regular_gauge(eps):
+    # |det| = eps^2 is judged against the square of the largest entry
+    sys = _small_system()
+    assert step_residual(darboux(sys, ((eps, 0.0), (0.0, eps))),
+                         *solve_system(sys, (1.0, 0.5))) < 1e-9
+
+
+@pytest.mark.parametrize("D", [((1.0, 1.0), (1.0, 1.0)),
+                               ((1e-10, 1e-10), (1e-10, 1e-10)),
+                               ((0.0, 0.0), (0.0, 0.0))])
+def test_darboux_refuses_a_singular_gauge(D):
+    with pytest.raises(SingularGauge):
+        darboux(_small_system(), D)
+
+
+def test_second_order_gate_accepts_coefficients_growing_toward_the_limit():
+    # alpha grows like 1/delta^2 toward the limit (to about 2e28 here);
+    # alpha = 5 at the base is not "vanishing" next to beta and gamma there
+    sc = qhahn_chain(q=0.8, depth=140)
+    coef = to_coefficients(sc.levels[0], sc.eigenvalue(1))
+    assert system_from_second_order(coef).grid is sc.grid
+
+
+def test_second_order_gate_refuses_a_vanishing_alpha():
+    grid = build_grid(linear_map(0.5), SEMIGROUP, 1.0, max_depth=20)
+    coef = CoefficientTriple(*(GridFunction.from_callable(grid, fn) for fn in (
+        lambda x: x - 0.25, lambda x: -3.0 + 0 * x, lambda x: 1.0 + 0 * x)))
+    with pytest.raises(ZeroAlpha):
+        system_from_second_order(coef)
+
+
+def _outcome(call):
+    """The type of the error ``call`` raises, or None."""
+    try:
+        call()
+    except CalculusError as exc:
+        return type(exc)
+    return None
+
+
+# an O(1) matrix, rank one plus ``gap`` times its size at one point
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-300, 300),
+       gap=st.sampled_from([0.0, 1e-17, 1e-15, 1e-14, 1e-13, 1e-8, 1.0]))
+def test_gate_verdicts_do_not_depend_on_the_input_scale(seed, k, gap):
+    sys = _small_system()
+    grid = sys.grid
+    rng = np.random.default_rng(seed)
+    j = int(rng.integers(grid.size - 1))
+    m = rng.uniform(0.5, 2.0, (4, grid.size)) * rng.choice([-1, 1], (4, 1))
+    t = rng.uniform(0.5, 2.0)
+    m[2, j], m[3, j] = t * m[0, j], t * m[1, j] + gap * np.abs(m[:, j]).max()
+    coef = rng.uniform(0.5, 2.0, (3, grid.size))
+    coef[0, j] = gap * (coef[1, j] + coef[2, j])
+
+    def gauge(scale):
+        return darboux(sys, ((GridFunction(grid, scale * m[0]),
+                              GridFunction(grid, scale * m[1])),
+                             (GridFunction(grid, scale * m[2]),
+                              GridFunction(grid, scale * m[3]))))
+
+    def second_order(scale):
+        return system_from_second_order(CoefficientTriple(
+            *(GridFunction(grid, scale * row) for row in coef)))
+
+    for build in (gauge, second_order):
+        verdict = _outcome(lambda: build(1.0))
+        assert _outcome(lambda: build(2.0 ** k)) is verdict
+        if gap == 0.0:
+            assert verdict in (SingularGauge, ZeroAlpha)

@@ -11,8 +11,13 @@ import pytest
 
 from taucalc import (GridFunction, TwoByTwoSystem, build_grid, linear_map,
                      resolvent)
-from taucalc.calculus import shift, tau_derivative, tau_integral
+from taucalc.calculus import (shift, step_quotient, tau_antiderivative,
+                              tau_derivative, tau_integral)
+from taucalc.chain import (apply_A, apply_Astar, bands_AAstar,
+                           factorization_residual, tridiag_apply)
 from taucalc.grid import GROUP, INTERVAL, OrbitGrid
+from taucalc.hilbert import adjoint_shift, inner_product
+from taucalc.scenarios import qhahn_chain
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "taucalc").glob("*.py"))
 
@@ -249,19 +254,51 @@ def counting_plans(monkeypatch):
 def test_operators_build_each_plan_once_per_grid(monkeypatch):
     grid = build_grid(linear_map(0.5), INTERVAL, (-1.0, 1.0), max_depth=80)
     f = GridFunction.from_callable(grid, np.cos)
+    # a (3, N) probe block, one mask per row
+    block = GridFunction(grid, np.stack([np.cos(grid.points),
+                                         np.sin(grid.points), grid.points]),
+                         np.stack([grid.has_next, grid.interior(),
+                                   np.ones(grid.size, dtype=bool)]))
     builds, _ = counting_plans(monkeypatch)
     flatnonzero, indexed = np.flatnonzero, []
     monkeypatch.setattr(np, "flatnonzero",
                         lambda a: indexed.append(1) or flatnonzero(a))
     for _ in range(200):
-        shift(f)
-        shift(f, -1)
-        shift(f, 2)
-        tau_derivative(f)
-        tau_integral(f)
+        for fn in (f, block):
+            shift(fn)
+            shift(fn, -1)
+            shift(fn, 2)
+            step_quotient(fn)
+            tau_derivative(fn)
+            tau_integral(fn)
+            tau_antiderivative(fn)
     # has_next's plan was built with the grid; the other two on first use
     assert builds == {("reach", 1, 0): 1, ("reach", 0, 2): 1}
     assert len(indexed) == 2
+
+
+def test_probe_blocks_build_no_plan_of_their_own(monkeypatch):
+    # after one flat call of each operator, (k, N) calls build nothing
+    levels = qhahn_chain(depth=40, n_levels=2).levels
+    lvl = levels[0]
+    grid = lvl.grid
+    block = GridFunction(grid, np.random.default_rng(3).standard_normal(
+        (6, grid.size)) + 0j).window(5)
+
+    def drive(psi):
+        apply_A(lvl, apply_Astar(lvl, psi))
+        tridiag_apply(bands_AAstar(lvl), psi)
+        inner_product(psi, adjoint_shift(psi, lvl.w), lvl.w, check_tail=False)
+        factorization_residual(lvl, levels[1], rng=0)
+
+    drive(GridFunction(grid, block.flat[0]))
+    builds, layouts = counting_plans(monkeypatch)
+    flatnonzero, indexed = np.flatnonzero, []
+    monkeypatch.setattr(np, "flatnonzero",
+                        lambda a: indexed.append(1) or flatnonzero(a))
+    for _ in range(20):
+        drive(block)
+    assert builds == {} and layouts == [] and indexed == []
 
 
 def test_mobius_scan_builds_its_layout_once_per_grid(monkeypatch):
