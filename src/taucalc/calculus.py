@@ -119,9 +119,10 @@ def tau_integral(f: GridFunction, check_tail: bool = True):
     if grid.mode not in (SEMIGROUP, GROUP, INTERVAL):
         raise GridMismatch(f"unsupported grid mode {grid.mode}")
     v, m = f.flat, f.flat_valid
-    # delta is 0 at each branch end, and those terms are never summed
-    with np.errstate(invalid="ignore"):
-        terms = np.where(m, grid.deltas * v, 0.0)
+    # delta is 0 at each branch end, and those terms are never summed;
+    # the terms are C-ordered, so each row of a block sums as it would alone
+    terms = np.multiply(grid.deltas, v, where=m,
+                        out=np.zeros(v.shape, dtype=complex))
     if check_tail:
         scales = np.fmax(1.0, np.maximum.reduceat(
             np.where(m, np.abs(v), 0.0), [s.start for s in grid.slices],

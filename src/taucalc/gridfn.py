@@ -28,10 +28,8 @@ from .grid import OrbitGrid
 
 
 def _flat(grid: OrbitGrid, array, dtype, what: str) -> np.ndarray:
-    """``array`` as a flat array of grid length, or a (k, N) block of
-    them; C-ordered, so every row is contiguous and reduces like a flat
-    array."""
-    arr = np.asarray(array, dtype=dtype, order="C")
+    """``array`` as a flat array of grid length, or a (k, N) block of them."""
+    arr = np.asarray(array, dtype=dtype)
     if arr.shape != grid.points.shape and arr.shape[1:] != grid.points.shape:
         raise GridMismatch(f"need a {what} array of grid length "
                            f"{grid.points.shape} or a (k, N) block of "
@@ -65,7 +63,7 @@ class GridFunction:
             mask = np.ones(grid.size, dtype=bool)
         else:
             mask = _flat(grid, valid, bool, "mask")
-            if mask.shape != flat.shape and mask.ndim == 2:
+            if mask.ndim != 1 and mask.shape != flat.shape:
                 raise GridMismatch(f"a {mask.shape} mask needs values of "
                                    f"that shape, got {flat.shape}")
         flat.setflags(write=False)
@@ -77,7 +75,8 @@ class GridFunction:
 
     @property
     def values(self) -> tuple[np.ndarray, ...]:
-        """Per-branch read-only views of the values."""
+        """Per-branch read-only views of the values (of every row of a
+        probe block)."""
         return tuple(self.flat[..., s] for s in self.grid.slices)
 
     @property
