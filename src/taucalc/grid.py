@@ -148,6 +148,10 @@ class OrbitGrid:
         differences and band formulas take their masks and indices from
         here, so a value never leaks across the seam between two branches.
         """
+        key = ("reach", behind, ahead)
+        if key in self._plans:  # every call but the first: no builder made
+            return self._plans[key]
+
         def build():
             mask = np.zeros(self.size, dtype=bool)
             for s in self.slices:
@@ -155,7 +159,7 @@ class OrbitGrid:
                 if hi > lo:
                     mask[lo:hi] = True
             return mask, np.flatnonzero(mask)
-        return self._plan(("reach", behind, ahead), build)
+        return self._plan(key, build)
 
     def neighbour_mask(self, steps: int) -> np.ndarray:
         """True at each flat index n whose neighbour n + steps is on n's branch."""
@@ -169,11 +173,12 @@ class OrbitGrid:
         """``arr`` moved along each branch on its last axis: out[..., n] =
         arr[..., n + steps] where :meth:`neighbour_mask` holds, 0 (False)
         elsewhere.  Each row of a (k, N) block moves on its own."""
-        lo = max(0, -steps)
-        hi = max(lo, self.size - max(0, steps))
+        behind, ahead = max(0, -steps), max(0, steps)
+        keep = self.reach(behind, ahead)[0]
+        hi = max(behind, self.size - ahead)
         out = np.zeros(arr.shape, dtype=arr.dtype)
-        np.copyto(out[..., lo:hi], arr[..., lo + steps:hi + steps],
-                  where=self.neighbour_mask(steps)[lo:hi])
+        np.copyto(out[..., behind:hi], arr[..., ahead:hi + steps],
+                  where=keep[behind:hi])
         return out
 
     def interior(self, margin: int = 1) -> np.ndarray:
