@@ -149,7 +149,7 @@ class OrbitGrid:
         here, so a value never leaks across the seam between two branches.
         """
         key = ("reach", behind, ahead)
-        if key in self._plans:  # every call but the first: no builder made
+        if key in self._plans:  # every call but the first: no closure made
             return self._plans[key]
 
         def build():
