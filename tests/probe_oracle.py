@@ -6,6 +6,10 @@ and folds the worst value with ``max`` one probe at a time:
 
 * ``calculus_worst`` is the body of ``criterion_calculus``,
 * ``adjoints_worst`` is the body of ``criterion_adjoints``,
+* ``orthogonality_worst`` is the body of ``criterion_orthogonality``,
+  one Gram entry at a time,
+* ``covariance_unitary_worst`` is the unitary-transport check of
+  ``criterion_covariance``,
 * ``factorization_residual_loop`` is ``chain.factorization_residual``.
 
 They draw their random numbers in the same order as the library's
@@ -19,11 +23,14 @@ from taucalc.calculus import (dtau_inverse_fn, shift, tau_antiderivative,
                               tau_derivative, tau_integral)
 from taucalc.chain import (apply_A, apply_Astar, bands_AAstar, bands_AstarA,
                            tridiag_apply)
+from taucalc.covariance import (ln_change, transport_function, transport_grid,
+                                transport_weight)
 from taucalc.grid import INTERVAL, build_grid
 from taucalc.gridfn import GridFunction, joint_scale, max_abs_diff
 from taucalc.hilbert import (adjoint_shift, adjoint_tau_derivative,
                              inner_product, mu_from_rho, norm, weighted_grid)
 from taucalc.maps import fractional_map, linear_map
+from taucalc.scenarios import qderivative_poly
 
 _poly = np.polynomial.polynomial
 
@@ -121,6 +128,54 @@ def adjoints_worst(lvl):
                             check_tail=False)
         worst["derivative-pairing"] = max(worst["derivative-pairing"],
                                           abs(lhs - rhs) / scale)
+    return worst
+
+
+def _gram_offdiag_ratio(fns, w):
+    n = len(fns)
+    G = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            G[i, j] = G[j, i] = inner_product(fns[i], fns[j], w,
+                                              check_tail=False).real
+    d = np.sqrt(np.abs(np.diag(G)))
+    R = np.abs(G) / np.outer(d, d)
+    np.fill_diagonal(R, 0.0)
+    return float(np.max(R))
+
+
+def orthogonality_worst(sc):
+    """The two Gram ratios of the orthogonality criterion on the q-Hahn
+    scenario ``sc``, each Gram entry from its own pairing."""
+    fns = [sc.sample(sc.polynomial(n)) for n in range(9)]
+    dfns = [sc.sample(qderivative_poly(sc.polynomial(n), sc.q))
+            for n in range(1, 10)]
+    return {"gram-level0": _gram_offdiag_ratio(fns, sc.levels[0].w),
+            "gram-derivative-level1": _gram_offdiag_ratio(dfns,
+                                                          sc.levels[1].w)}
+
+
+def covariance_unitary_worst(sc):
+    """The unitary-transport value of the covariance criterion on the
+    constant-gauge scenario ``sc``, probe pair by probe pair."""
+    rng = np.random.default_rng(505)
+    grid = sc.grid
+    pts = grid.branches[0].points
+    ch = ln_change((float(np.min(pts)) * 0.9, float(np.max(pts)) * 1.1))
+    with np.errstate(divide="ignore"):
+        target = transport_grid(grid, ch)
+    w_x = sc.levels[0].w
+    w_y = weighted_grid(transport_weight(w_x.rho, ch, target), warn=False)
+    xs = GridFunction.from_callable(grid, lambda t: t ** sc.s)
+    worst = 0.0
+    for _ in range(10):
+        phi = xs * _poly_fn(grid, rng.uniform(-1, 1, 4))
+        psi = xs * _poly_fn(grid, rng.uniform(-1, 1, 4))
+        ip_x = inner_product(phi, psi, w_x, check_tail=False)
+        ip_y = inner_product(transport_function(phi, ch, target),
+                             transport_function(psi, ch, target),
+                             w_y, check_tail=False)
+        worst = max(worst, abs(ip_x - ip_y) / max(1e-300, abs(ip_x)))
     return worst
 
 

@@ -16,9 +16,13 @@ from taucalc.gridfn import GridFunction, joint_scale, max_abs_diff
 from taucalc.hilbert import adjoint_shift, inner_product, norm
 from taucalc.maps import linear_map
 from taucalc.scenarios import constant_gauge_chain, fractional_chain, qhahn_chain
-from taucalc.validation import SuiteData, criterion_adjoints, criterion_calculus
+from taucalc.validation import (SuiteData, criterion_adjoints,
+                                 criterion_calculus, criterion_covariance,
+                                 criterion_orthogonality)
 
-from probe_oracle import adjoints_worst, calculus_worst, factorization_residual_loop
+from probe_oracle import (adjoints_worst, calculus_worst,
+                          covariance_unitary_worst, factorization_residual_loop,
+                          orthogonality_worst)
 
 
 def _values(result):
@@ -33,6 +37,18 @@ def test_adjoints_criterion_equals_probe_loop():
     data = SuiteData()
     assert _values(criterion_adjoints(data)) == adjoints_worst(
         data.qhahn.levels[0])
+
+
+def test_orthogonality_criterion_equals_gram_loop():
+    data = SuiteData()
+    assert _values(criterion_orthogonality(data)) == orthogonality_worst(
+        data.qhahn)
+
+
+def test_covariance_criterion_equals_probe_loop():
+    data = SuiteData()
+    assert (_values(criterion_covariance(data))["unitary-transport"]
+            == covariance_unitary_worst(data.constant_gauge))
 
 
 @pytest.mark.parametrize("build", [
