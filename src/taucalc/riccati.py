@@ -324,6 +324,27 @@ def _as_matrix_fn(D, grid: OrbitGrid):
     return out
 
 
+def _gauge_inverse(D, grid: OrbitGrid):
+    """The entries of the gauge D on ``grid`` and those of D^{-1}.
+
+    Both the singularity gate and the inverse are formed from D divided
+    at each point by its largest entry modulus, so neither det D nor the
+    adjugate under- or overflows: |det D| is judged against the square
+    of that entry, and the inverse of the scaled matrix is divided by it
+    at the end.
+    """
+    entries = _as_matrix_fn(D, grid)
+    valid = np.logical_and.reduce([f.flat_valid for f in entries])
+    m = np.stack([f.flat for f in entries], axis=1)[valid]
+    a, b, c, d = _unit_matrices(m)
+    det = a * d - b * c
+    if np.any(np.abs(det) < 1e-14):
+        raise SingularGauge("gauge matrix is singular at a grid point")
+    inv = np.zeros((4, grid.size), dtype=complex)
+    inv[:, valid] = np.stack([d, -b, -c, a]) / det / np.abs(m).max(axis=1)
+    return entries, [GridFunction(grid, row, valid) for row in inv]
+
+
 def darboux(sys: TwoByTwoSystem, D) -> TwoByTwoSystem:
     """Gauge transform Lambda -> D(tau x)^{-1} Lambda(x) D(x).
 
@@ -332,36 +353,22 @@ def darboux(sys: TwoByTwoSystem, D) -> TwoByTwoSystem:
     resolvent picks up D at the limit on the left and D(x) on the
     right.
     """
-    d11, d12, d21, d22 = _as_matrix_fn(D, sys.grid)
-    det = d11 * d22 - d12 * d21
-    # |det| is judged at each point against the square of that point's
-    # largest entry: the determinant of D divided by that entry
-    a, b, c, d = _unit_matrices(np.stack(
-        [f.flat for f in (d11, d12, d21, d22)], axis=1)[det.flat_valid])
-    if np.any(np.abs(a * d - b * c) < 1e-14):
-        raise SingularGauge("gauge matrix is singular at a grid point")
-    # rows of D(tau x)^{-1}: adj(TD)/det(TD)
-    t11, t12, t21, t22 = (shift(f) for f in (d11, d12, d21, d22))
-    tdet = shift(det)
+    (d11, d12, d21, d22), inv = _gauge_inverse(D, sys.grid)
+    t11, t12, t21, t22 = (shift(f) for f in inv)
     # M = Lambda D
     m11 = sys.a * d11 + sys.b * d21
     m12 = sys.a * d12 + sys.b * d22
     m21 = sys.c * d11 + sys.d * d21
     m22 = sys.c * d12 + sys.d * d22
-    return TwoByTwoSystem(
-        a=(t22 * m11 - t12 * m21) / tdet,
-        b=(t22 * m12 - t12 * m22) / tdet,
-        c=(-t21 * m11 + t11 * m21) / tdet,
-        d=(-t21 * m12 + t11 * m22) / tdet)
+    return TwoByTwoSystem(a=t11 * m11 + t12 * m21, b=t11 * m12 + t12 * m22,
+                          c=t21 * m11 + t22 * m21, d=t21 * m12 + t22 * m22)
 
 
 def darboux_solution(D, psi: GridFunction, phi: GridFunction
                      ) -> tuple[GridFunction, GridFunction]:
     """Transform a solution pair by D(x)^{-1}."""
-    d11, d12, d21, d22 = _as_matrix_fn(D, psi.grid)
-    det = d11 * d22 - d12 * d21
-    return ((d22 * psi - d12 * phi) / det,
-            (-d21 * psi + d11 * phi) / det)
+    _, (i11, i12, i21, i22) = _gauge_inverse(D, psi.grid)
+    return i11 * psi + i12 * phi, i21 * psi + i22 * phi
 
 
 def _limit_distance(grid: OrbitGrid) -> GridFunction:

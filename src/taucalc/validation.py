@@ -414,12 +414,16 @@ def criterion_cross_method(data: SuiteData) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def _gram_offdiag_ratio(fns, w) -> float:
+    """Largest |G_ij| / sqrt(|G_ii G_jj|), i != j, of the Gram matrix of
+    ``fns``; its upper triangle is paired as one probe block."""
     n = len(fns)
+    i, j = np.triu_indices(n)
+    rows = np.stack([f.flat for f in fns])
+    valid = np.stack([f.flat_valid for f in fns])
     G = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            G[i, j] = G[j, i] = inner_product(fns[i], fns[j], w,
-                                              check_tail=False).real
+    G[i, j] = G[j, i] = inner_product(GridFunction(w.grid, rows[i], valid[i]),
+                                      GridFunction(w.grid, rows[j], valid[j]),
+                                      w, check_tail=False).real
     d = np.sqrt(np.abs(np.diag(G)))
     R = np.abs(G) / np.outer(d, d)
     np.fill_diagonal(R, 0.0)
@@ -568,16 +572,16 @@ def criterion_covariance(data: SuiteData) -> CriterionResult:
     rho_y = transport_weight(w_x.rho, ch, target)
     w_y = weighted_grid(rho_y, warn=False)
     xs = GridFunction.from_callable(grid, lambda t: t ** sc.s)
-    worst_unitary = 0.0
-    for _ in range(10):
-        phi = xs * _poly_fn(grid, rng.uniform(-1, 1, 4))
-        psi = xs * _poly_fn(grid, rng.uniform(-1, 1, 4))
-        ip_x = inner_product(phi, psi, w_x, check_tail=False)
-        ip_y = inner_product(transport_function(phi, ch, target),
-                             transport_function(psi, ch, target),
-                             w_y, check_tail=False)
-        worst_unitary = max(worst_unitary,
-                            abs(ip_x - ip_y) / max(1e-300, abs(ip_x)))
+    # 10 probe pairs (phi, psi), drawn one pair at a time and transported
+    # and paired as two blocks
+    draws = [(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)) for _ in range(10)]
+    phi, psi = (xs * _poly_fn(grid, np.stack(c)) for c in zip(*draws))
+    ip_x = inner_product(phi, psi, w_x, check_tail=False)
+    ip_y = inner_product(transport_function(phi, ch, target),
+                         transport_function(psi, ch, target),
+                         w_y, check_tail=False)
+    worst_unitary = _fold(0.0, np.abs(ip_x - ip_y)
+                          / np.fmax(1e-300, np.abs(ip_x)))
     lvl0_y = transport_level(sc.levels[0], ch, target)
     res_y = pearson_residual(lvl0_y.B, lvl0_y.eta, lvl0_y.w)
     # eigen residual comparison on a deliberately imperfect eigenpair,

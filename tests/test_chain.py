@@ -244,12 +244,19 @@ def test_bidiagonal_spectrum_decouples_without_limit_column(qh):
     assert new[2] > 2.0 * coupled[1]
 
 
-@pytest.mark.parametrize("q", [0.9, 0.97])
-def test_bidiagonal_spectrum_matches_closed_form_on_converged_qhahn(q):
-    sc = qhahn_chain(q=q, depth=4000, n_levels=4)
-    lams = chain_eigenvalues(sc.levels[0], count=4)
+# the qhahn preset (q = 0.8, depth 140) ends at q^140 = 2.7e-14 from the
+# limit, so its orbit is converged to well within the tolerance too
+@pytest.mark.parametrize("q, depth, count", [
+    pytest.param(0.9, 4000, 4, id="0.9"),
+    pytest.param(0.97, 4000, 4, id="0.97"),
+    pytest.param(0.8, 140, 6, id="preset-0.8-140"),
+])
+def test_bidiagonal_spectrum_matches_closed_form_on_converged_qhahn(
+        q, depth, count):
+    sc = qhahn_chain(q=q, depth=depth, n_levels=count)
+    lams = chain_eigenvalues(sc.levels[0], count=count)
     assert abs(lams[0]) <= 1e-12 * lams[1]
-    for n in (1, 2, 3):
+    for n in range(1, count):
         assert lams[n] == pytest.approx(sc.eigenvalue(n), rel=1e-12)
 
 

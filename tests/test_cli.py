@@ -61,10 +61,11 @@ def test_invalid_json_exit_2(tmp_path):
     assert run("grid", "--config", str(bad), "--out", str(tmp_path)) == 2
 
 
-def test_chain_preset_emits_levels(tmp_path):
-    assert run("chain", "--preset", "constant-gauge",
-               "--out", str(tmp_path)) == 0
+@pytest.mark.parametrize("preset", ["qhahn", "constant-gauge", "fractional"])
+def test_chain_preset_emits_levels(tmp_path, preset):
+    assert run("chain", "--preset", preset, "--out", str(tmp_path)) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["preset"] == preset
     assert len(manifest["levels"]) == 6
     assert all((tmp_path / f"level_{k}.csv").exists() for k in range(6))
     assert all(v < 1e-9 for v in manifest["residuals"].values())

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from taucalc import (GridFunction, SEMIGROUP, build_grid, conjugate_map,
+from taucalc import (GridFunction, affine_change, conjugate_map,
                      equivalence_obstruction, exp_change, fractional_map,
-                     inner_product, linear_map, ln_change, transport_function,
-                     transport_grid, transport_weight, weighted_grid)
+                     inner_product, linear_map, ln_change, powerlaw_change,
+                     transport_function, transport_grid, transport_weight,
+                     weighted_grid)
 from taucalc.covariance import transport_level
 from taucalc.hilbert import pearson_residual
 from taucalc.scenarios import constant_gauge_chain
@@ -15,18 +16,35 @@ def scenario():
     return constant_gauge_chain()
 
 
-@pytest.fixture(scope="module")
-def transported(scenario):
-    grid = scenario.grid
-    pts = grid.branches[0].points
-    ch = ln_change((float(pts.min()) * 0.9, float(pts.max()) * 1.1))
-    with np.errstate(divide="ignore"):  # the limit 0 maps to -inf, unused
-        target = transport_grid(grid, ch)
+# changes of variables on the source interval of the scenario's orbit
+CHANGES = {
+    "ln": ln_change,
+    "powerlaw-2": lambda source: powerlaw_change(2.0, source),
+    "powerlaw-0.5": lambda source: powerlaw_change(0.5, source),
+    "affine-2-3": lambda source: affine_change(2.0, 3.0, source),
+}
+
+
+def _transport(scenario, make_change):
+    pts = scenario.grid.branches[0].points
+    ch = make_change((float(pts.min()) * 0.9, float(pts.max()) * 1.1))
+    with np.errstate(divide="ignore"):  # ln maps the limit 0 to -inf, unused
+        target = transport_grid(scenario.grid, ch)
     return ch, target
 
 
-def test_ln_conjugates_scaling_to_shift(transported, scenario):
-    ch, target = transported
+@pytest.fixture(scope="module")
+def ln_transported(scenario):
+    return _transport(scenario, ln_change)
+
+
+@pytest.fixture(scope="module", params=list(CHANGES))
+def transported(request, scenario):
+    return _transport(scenario, CHANGES[request.param])
+
+
+def test_ln_conjugates_scaling_to_shift(ln_transported, scenario):
+    ch, target = ln_transported
     src = scenario.grid.branches[0].points
     assert np.allclose(target.branches[0].points, np.log(src))
     # the conjugated dynamics is y -> y + ln q

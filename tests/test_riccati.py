@@ -86,6 +86,9 @@ def test_gauge_system_resolvent_is_finite():
     for r in (res, tri):
         assert all(np.all(np.isfinite(m)) for m in r.matrices)
     assert res.cauchy_gap < 1e-12
+    # the boundary-value solve meets its own recursion gate (1e-10)
+    psi, phi = solve_system(sys, (1.0, 0.5), res=res)
+    assert np.isfinite(psi.values[0][0]) and np.isfinite(phi.values[0][0])
 
 
 def test_group_law(contracting_system):
@@ -311,12 +314,24 @@ def _small_system():
                           d=1.0 + 0.25 * x * x)
 
 
-@pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-20])
+@pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-20, 1e-160, 1e-300])
 def test_darboux_accepts_a_uniformly_small_regular_gauge(eps):
-    # |det| = eps^2 is judged against the square of the largest entry
+    # |det| = eps^2 is judged against the square of the largest entry,
+    # and the inverse is formed from D / eps, so eps^2 never underflows
     sys = _small_system()
     assert step_residual(darboux(sys, ((eps, 0.0), (0.0, eps))),
                          *solve_system(sys, (1.0, 0.5))) < 1e-9
+
+
+def test_darboux_solution_inverts_a_uniformly_small_gauge():
+    sys = _small_system()
+    psi, phi = solve_system(sys, (1.0, 0.5))
+    for got, want in zip(darboux_solution(((1e-160, 0.0), (0.0, 1e-160)),
+                                          psi, phi), (psi, phi)):
+        assert np.array_equal(got.flat_valid, want.flat_valid)
+        v = want.flat_valid
+        assert np.allclose(got.flat[v], 1e160 * want.flat[v], rtol=1e-14,
+                           atol=0.0)
 
 
 @pytest.mark.parametrize("D", [((1.0, 1.0), (1.0, 1.0)),
@@ -355,8 +370,9 @@ def _outcome(call):
 # an O(1) matrix, rank one plus ``gap`` times its size at one point
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-300, 300),
-       gap=st.sampled_from([0.0, 1e-17, 1e-15, 1e-14, 1e-13, 1e-8, 1.0]))
-def test_gate_verdicts_do_not_depend_on_the_input_scale(seed, k, gap):
+       gap=st.sampled_from([0.0, 1e-17, 1e-15, 1e-14, 1e-13, 1e-8, 1.0]),
+       wide_k=st.integers(-900, 900))
+def test_gate_verdicts_do_not_depend_on_the_input_scale(seed, k, gap, wide_k):
     sys = _small_system()
     grid = sys.grid
     rng = np.random.default_rng(seed)
@@ -382,3 +398,13 @@ def test_gate_verdicts_do_not_depend_on_the_input_scale(seed, k, gap):
         assert _outcome(lambda: build(2.0 ** k)) is verdict
         if gap == 0.0:
             assert verdict in (SingularGauge, ZeroAlpha)
+    # power-of-two scaling is exact, so an accepted gauge gives the same
+    # transformed system at every scale, bit for bit; |wide_k| <= 900 keeps
+    # D, Lambda D and D^{-1} normal, while det D leaves the float64 range
+    # beyond |wide_k| = 512
+    if _outcome(lambda: gauge(1.0)) is None:
+        base, scaled = gauge(1.0), gauge(2.0 ** wide_k)
+        valid = base.valid_mask()
+        assert np.array_equal(scaled.valid_mask(), valid)
+        assert np.array_equal(scaled.entry_arrays()[valid],
+                              base.entry_arrays()[valid])

@@ -19,7 +19,8 @@ from taucalc.grid import GROUP, INTERVAL, OrbitGrid
 from taucalc.hilbert import adjoint_shift, inner_product
 from taucalc.scenarios import qhahn_chain
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "taucalc").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "taucalc").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -193,6 +194,45 @@ def test_ladder_rule_sees_advance_calls(tmp_path):
                        ("step = advance_level", [])):
         path.write_text(code + "\n")
         assert ladder_steps(path) == hits
+
+
+# every Python file of the repository but the benchmark harness, which has
+# its own command line, and hidden or build directories
+PYTHON_FILES = sorted(
+    p for p in ROOT.rglob("*.py")
+    if not any(part in ("perfbench", "build") or part.startswith(".")
+               for part in p.relative_to(ROOT).parts))
+
+
+def argparse_imports(path):
+    """Line of every ``import argparse`` or ``from argparse import ...``."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(
+                encoding="utf-8")))
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "argparse"
+                    for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "argparse"]
+
+
+def test_one_command_line_front_end():
+    # taucalc.cli is the one command line; an example or a check goes into
+    # a test or a validation criterion, not into a second argparse program
+    assert [p.relative_to(ROOT).as_posix() for p in PYTHON_FILES
+            if argparse_imports(p)] == ["src/taucalc/cli.py"]
+
+
+def test_front_end_rule_sees_argparse_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    for code, hits in (("import argparse", [1]),
+                       ("from argparse import ArgumentParser", [1]),
+                       ("import os\nimport sys, argparse as ap", [2]),
+                       ("def main():\n    import argparse", [2]),
+                       ("import argparse_extra", []),
+                       ("from .argparse import parser", []),
+                       ("x = 'import argparse'", [])):
+        path.write_text(code + "\n")
+        assert argparse_imports(path) == hits
 
 
 PLAN_SOURCES = ("has_next", "neighbour_mask", "interior")
