@@ -17,7 +17,7 @@ def scenario():
 
 
 # changes of variables on the source interval of the scenario's orbit
-CHANGES = {
+VARIABLE_CHANGES = {
     "ln": ln_change,
     "powerlaw-2": lambda source: powerlaw_change(2.0, source),
     "powerlaw-0.5": lambda source: powerlaw_change(0.5, source),
@@ -38,9 +38,9 @@ def ln_transported(scenario):
     return _transport(scenario, ln_change)
 
 
-@pytest.fixture(scope="module", params=list(CHANGES))
+@pytest.fixture(scope="module", params=list(VARIABLE_CHANGES))
 def transported(request, scenario):
-    return _transport(scenario, CHANGES[request.param])
+    return _transport(scenario, VARIABLE_CHANGES[request.param])
 
 
 def test_ln_conjugates_scaling_to_shift(ln_transported, scenario):
