@@ -10,14 +10,16 @@ from taucalc import (GROUP, INTERVAL, GridFunction, SEMIGROUP,
                      triangular_resolvent)
 from taucalc.chain import CoefficientTriple, to_coefficients
 from taucalc.errors import (CalculusError, DegenerateQuadruple,
-                            DegenerateSystem, NotTriangular,
-                            ParticularNotSolution, SingularGauge, ZeroAlpha)
+                            DegenerateSystem, NonPositiveFactor, NotTriangular,
+                            ParticularNotSolution, SingularGauge, ZeroAlpha,
+                            ZeroDivisor)
 from taucalc.riccati import (rhom_residual, step_residual,
                              system_from_second_order)
 from taucalc.scenarios import (constant_gauge_chain, gauge_riccati_system,
                                qhahn_chain)
 
-from resolvent_oracle import (deepest_valid, mp_suffix_products,
+from resolvent_oracle import (deepest_valid, lu_solve_system,
+                              mp_suffix_products, reference_general_solution,
                               sequential_resolvent)
 
 
@@ -408,3 +410,127 @@ def test_gate_verdicts_do_not_depend_on_the_input_scale(seed, k, gap, wide_k):
         assert np.array_equal(scaled.valid_mask(), valid)
         assert np.array_equal(scaled.entry_arrays()[valid],
                               base.entry_arrays()[valid])
+
+
+# -- the solution family and the boundary solve against their references ----
+
+def system_through(grid, a, b, d, u0):
+    """The system with entries a, b, d (flat arrays) and the c that makes
+    u0 solve u(tau x) (b u + a) = d u + c wherever u0(tau x) exists (c = 0
+    at each branch end)."""
+    u_next = grid.shifted(u0, 1)
+    c = np.where(grid.has_next, u_next * (b * u0 + a) - d * u0, 0.0)
+    return TwoByTwoSystem(*(GridFunction(grid, v) for v in (a, b, c, d)))
+
+
+def family_systems():
+    """(system, u0) pairs: the validation suite's regularized gauge system
+    and a complex two-branch system through a non-constant u0."""
+    gauge = singular_darboux(gauge_riccati_system(constant_gauge_chain(
+        q=0.5, depth=120, n_levels=1).levels[0]), 0.0, -1.0)
+    grid = GRIDS["interval"]
+    x = grid.points
+    u0 = 0.3 + 0.1j * x
+    return [(gauge, GridFunction.constant(gauge.grid, 0.0)),
+            (system_through(grid, 1.0 + 0.5 * x + 0j, x / 3.0 + 0.2j,
+                            1.0 + 0.25 * x * x + 0j, u0),
+             GridFunction(grid, u0))]
+
+
+def assert_same_member(got, want):
+    assert np.array_equal(got.u.flat, want.u.flat)
+    assert np.array_equal(got.u.flat_valid, want.u.flat_valid)
+    assert got.residual == want.residual and got.t == want.t
+    assert got.u0 is want.u0
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["gauge", "two-branch"])
+def test_family_members_equal_the_reference(case):
+    sys, u0 = family_systems()[case]
+    # the riccati criterion's pattern: five members on u0, one member on
+    # another particular solution, then back to u0
+    members = {t: general_solution(sys, u0, t) for t in (0.5, 0.75, 1.0, 2.0, 3.0)}
+    for t, got in members.items():
+        assert_same_member(got, reference_general_solution(sys, u0, t))
+    u1 = members[0.5].u
+    assert_same_member(general_solution(sys, u1, 0.25),
+                       reference_general_solution(sys, u1, 0.25))
+    assert_same_member(general_solution(sys, u0, 0.75),
+                       reference_general_solution(sys, u0, 0.75))
+    # and alternating between the two, with t = 0 and negative t
+    for u, t in ((u1, 0.0), (u0, -1.5), (u1, 2.5), (u0, 0.0), (u1, -0.25),
+                 (u0, 1.25), (u0, 1.25)):
+        assert_same_member(general_solution(sys, u, t),
+                           reference_general_solution(sys, u, t))
+
+
+def test_family_errors_are_raised_on_every_call(qgrid):
+    # a = d = 1, b = 1/4, c = 0 through u0 = 0: E = 1 and S[k] = (n - k)/4
+    # over the n live points, so t = 1/S[k] is a pole
+    one, zero = GridFunction.constant(qgrid, 1.0), GridFunction.constant(qgrid, 0.0)
+    sys = TwoByTwoSystem(a=one, b=one * 0.25, c=zero, d=one)
+    n = qgrid.size - 1
+    bad = GridFunction.constant(qgrid, 5.0)
+    for _ in range(3):
+        with pytest.raises(ParticularNotSolution):
+            general_solution(sys, bad, 0.5)
+        for k in (0, 5):
+            with pytest.raises(ZeroDivisor):
+                general_solution(sys, zero, 4.0 / (n - k))
+        assert_same_member(general_solution(sys, zero, 0.1),
+                           reference_general_solution(sys, zero, 0.1))
+    # a + b u0 = 1.1e-15 next to |a| + |b u0| = 2 at one point, where the
+    # step matrix is still regular (its determinant is (a + b u0)(d - b
+    # u0(tau x)) and u0(tau x) = 1e6)
+    grid = GRIDS["semigroup"]
+    u0 = np.full(grid.size, 0.5 + 0j)
+    u0[10], u0[11] = -1.0 + 1e-15, 1e6
+    ones = np.ones(grid.size, dtype=complex)
+    near = system_through(grid, ones, ones, ones, u0)
+    for _ in range(3):
+        for solve in (general_solution, reference_general_solution):
+            with pytest.raises(NonPositiveFactor):
+                solve(near, GridFunction(grid, u0), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(GRIDS)), seed=st.integers(0, 2 ** 32 - 1),
+       p=st.sampled_from([-500, 500]), jitter=st.integers(-8, 8),
+       g=st.sampled_from([1.0, 1e-2, 1e-4, 1e-6]))
+def test_boundary_solve_matches_lu(kind, seed, p, jitter, g):
+    # the deepest step of each branch is 2^(p + jitter) Q, so every suffix
+    # product has entries near 2^±500; three steps diag(1, g) shrink det
+    # Lambda_inf by g^3 against its largest entry, on either side of the
+    # 1e-14 singularity gate
+    grid = GRIDS[kind]
+    rng = np.random.default_rng(seed)
+    m = np.eye(2) + 0.3 * (rng.uniform(-1, 1, (grid.size, 2, 2))
+                           + 1j * rng.uniform(-1, 1, (grid.size, 2, 2)))
+    for s in grid.slices:
+        m[s.stop - 1] *= 2.0 ** (p + jitter)
+        m[rng.choice(np.arange(s.start, s.stop - 1), 3, replace=False), :, 1] *= g
+    sys = TwoByTwoSystem(*(GridFunction(grid, m[:, i, j])
+                           for i in range(2) for j in range(2)))
+    res = resolvent(sys)
+    bvec = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
+    verdict = _outcome(lambda: lu_solve_system(sys, bvec, res))
+    assert _outcome(lambda: solve_system(sys, bvec, res)) is verdict
+    if verdict is not None:
+        return
+    got = np.stack([f.flat for f in solve_system(sys, bvec, res)], axis=1)
+    want = np.stack([f.flat for f in lu_solve_system(sys, bvec, res)], axis=1)
+    # Both solves are backward stable.  In real arithmetic the adjugate
+    # solve x = adj(M) b / det M is within (2 gamma_2 + u) |M^-1||M||x| of
+    # x (one rounding of det, one of each numerator, one of the quotient),
+    # and LU with partial pivoting within gamma_6 |M^-1||L||U||x| with
+    # ||L||U|| <= 3 ||M|| for a 2x2 (Higham, Accuracy and Stability of
+    # Numerical Algorithms, thm. 9.4), so in the infinity norm the two are
+    # within (5 + 18) u kappa(M) ||x||.  Complex products and quotients
+    # round to within about twice the real bounds (Higham, lemma 3.5),
+    # which gives 46 u kappa(M) ||x||.  Scaling M by a power of two is exact.
+    u = np.finfo(float).eps / 2
+    mats = res.flat
+    kappa = (np.abs(np.linalg.inv(mats)).sum(axis=2).max(axis=1)
+             * np.abs(mats).sum(axis=2).max(axis=1))
+    err = np.abs(got - want).max(axis=1)
+    assert np.all(err <= 46 * u * kappa * np.abs(want).max(axis=1))
