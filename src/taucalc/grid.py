@@ -312,7 +312,7 @@ class OrbitGrid:
         steps = mats if mats.imag.any() else mats.real
         P, E = _doubling_scan(np.take(steps.transpose(2, 1, 0), idx, axis=2))
         out = np.empty_like(mats)
-        out[idx[live]] = _ldexp(P, E).transpose(2, 3, 1, 0)[live]
+        out[idx[live]] = ldexp(P, E).transpose(2, 3, 1, 0)[live]
         return out
 
     def _suffix_layout(self):
@@ -337,7 +337,7 @@ def _power_of_two_normalized(m: np.ndarray, out: np.ndarray | None = None
     """(m 2^-e, e): each map of a (2, 2, ...) stack scaled by the power of
     two that brings its largest entry modulus into [0.5, 1)."""
     e = np.frexp(np.abs(m).max(axis=(0, 1)))[1]
-    return _ldexp(m, -e, out), e
+    return ldexp(m, -e, out), e
 
 
 def _doubling_scan(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -362,8 +362,8 @@ def _doubling_scan(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return P, E
 
 
-def _ldexp(P: np.ndarray, E: np.ndarray, out: np.ndarray | None = None
-           ) -> np.ndarray:
+def ldexp(P: np.ndarray, E: np.ndarray, out: np.ndarray | None = None
+          ) -> np.ndarray:
     """P 2^E, exact wherever the result is in range; complex P scales its
     real and imaginary parts, so no factor 2^E is ever formed."""
     if not np.iscomplexobj(P):

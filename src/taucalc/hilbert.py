@@ -171,10 +171,10 @@ def pearson_residual(B: GridFunction, eta: GridFunction,
     A = step_quotient(B - eta, label="A")
     if B.grid is not w.grid:
         raise GridMismatch("Pearson data and weight live on different grids")
-    Brho = B * w.rho
-    scale = joint_scale(Brho, A * w.rho, eta * w.rho)
-    diff = tau_derivative(Brho) - A * w.rho
-    shf = shift(Brho) - eta * w.rho
+    Brho, Arho, eta_rho = B * w.rho, A * w.rho, eta * w.rho
+    scale = joint_scale(Brho, Arho, eta_rho)
+    diff = tau_derivative(Brho) - Arho
+    shf = shift(Brho) - eta_rho
     return PearsonResidual(differential=diff.max_abs() / scale,
                            shift=shf.max_abs() / scale)
 

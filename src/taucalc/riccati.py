@@ -19,7 +19,8 @@ equivalent forms, e.g. to a triangular one with a closed-form resolvent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (DegenerateQuadruple, DegenerateSystem, GridMismatch,
                      NegativeBaseRealExponent, NonPositiveFactor,
                      NotTriangular, ParticularNotSolution, SingularGauge,
                      SingularResolvent, ZeroAlpha, ZeroDivisor)
-from .grid import ZERO_TOL, OrbitGrid
+from .grid import ZERO_TOL, OrbitGrid, ldexp
 from .gridfn import GridFunction, joint_scale, max_abs_diff
 
 # the Cauchy gap below which a resolvent has converged
@@ -47,12 +48,20 @@ def _live(grid: OrbitGrid, mask: np.ndarray) -> np.ndarray:
     return live
 
 
+def _entry_max(m: np.ndarray) -> np.ndarray:
+    """The largest entry modulus of each matrix of an (N, 2, 2) stack or
+    of each row [a, b, c, d] of an (N, 4) one.  The moduli are laid out
+    as four contiguous columns first: numpy reduces a short last axis
+    several times slower."""
+    return np.maximum.reduce(np.abs(m.reshape(-1, 4).T, order="C"))
+
+
 def _unit_matrices(m: np.ndarray) -> np.ndarray:
     """Rows [a, b, c, d] of 2x2 matrices, each divided by its largest entry
     modulus (an all-zero row stays zero), returned as the four entry
     columns: a scale-free form in which neither ad nor bc under- or
     overflows."""
-    big = np.abs(m).max(axis=1, initial=0.0)
+    big = _entry_max(m)
     return (m / np.where(big > 0.0, big, 1.0)[:, None]).T
 
 
@@ -60,19 +69,25 @@ def _criterion_sum(grid: OrbitGrid, lam: np.ndarray, valid: np.ndarray) -> float
     """sum |delta_n| ||LambdaTilde(x_n)|| (max-norm) over the valid points
     with a successor, read off the steps: |delta| LambdaTilde = |I - Lambda|."""
     with np.errstate(invalid="ignore"):
-        tn = np.abs(np.eye(2) - lam).max(axis=(1, 2))
+        tn = _entry_max(np.eye(2) - lam)
     tn = np.where(valid & grid.has_next, tn, 0.0)
     return sum(float(np.sum(tn[s])) for s in grid.slices)
 
 
 @dataclass(frozen=True, eq=False)
 class TwoByTwoSystem:
-    """The matrix Lambda(x) = [[a, b], [c, d]] of the step-form system."""
+    """The matrix Lambda(x) = [[a, b], [c, d]] of the step-form system.
+
+    ``_family`` keeps the t-independent part of the last solution family
+    :func:`general_solution` built on the system, with the particular
+    solution it was built through; it lives and dies with the system.
+    """
 
     a: GridFunction
     b: GridFunction
     c: GridFunction
     d: GridFunction
+    _family: _Family | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         grid = self.a.grid
@@ -228,25 +243,35 @@ def solve_system(sys: TwoByTwoSystem, boundary,
                  ) -> tuple[GridFunction, GridFunction]:
     """Propagate boundary data at the orbit limit back to every grid point.
 
-    (psi, phi)(x) = Lambda_inf(x)^{-1} (psi, phi)(limit); the result is
-    verified against the one-step recursion at every interior point
-    (scale-relative residual at most 1e-10).
+    (psi, phi)(x) = Lambda_inf(x)^{-1} (psi, phi)(limit), by the 2x2
+    adjugate of Lambda_inf(x) divided by the power of two of its largest
+    entry modulus, so that neither its determinant nor the solution under-
+    or overflows before the power is divided out.  Lambda_inf(x) is
+    singular where |det| < 1e-14 times the square of the largest entry
+    modulus on x's branch; the result is verified against the one-step
+    recursion at every interior point (scale-relative residual at most
+    1e-10).
     """
     if res is None:
         res = resolvent(sys)
-    bvec = np.asarray(boundary, dtype=complex).reshape(2)
+    b0, b1 = np.asarray(boundary, dtype=complex).reshape(2)
     grid = sys.grid
     mats = res.flat
     mask = sys.valid_mask()
-    dets = np.linalg.det(mats)
-    size = grid.branch_max(np.max(np.abs(mats), axis=(1, 2)))
+    big = _entry_max(mats)
+    e = np.frexp(big)[1]
+    (a, b), (c, d) = ldexp(mats, -e[:, None, None]).transpose(1, 2, 0)
+    det = a * d - b * c
+    size = np.ldexp(grid.branch_max(big), -e)
     scale = np.where(size > 0.0, size, 1.0)
-    if np.any(np.abs(dets[mask]) < 1e-14 * scale[mask] ** 2):
+    if np.any(np.abs(det[mask]) < 1e-14 * scale[mask] ** 2):
         raise SingularResolvent("resolvent is singular at a grid point")
-    rhs = np.broadcast_to(bvec[:, None], (grid.size, 2, 1))
-    sol = np.linalg.solve(mats, rhs)[:, :, 0]
-    psi = GridFunction(grid, sol[:, 0], mask, label="psi")
-    phi = GridFunction(grid, sol[:, 1], mask, label="phi")
+    # adj(M) (b0, b1) / det M; masked points are left 0
+    sol = np.divide(np.stack([d * b0 - b * b1, a * b1 - c * b0]), det,
+                    out=np.zeros((2, grid.size), dtype=complex), where=mask)
+    sol = ldexp(sol, -e)
+    psi = GridFunction(grid, sol[0], mask, label="psi")
+    phi = GridFunction(grid, sol[1], mask, label="phi")
     worst = step_residual(sys, psi, phi)
     if worst > _RECURSION_TOL:
         raise SingularResolvent(
@@ -341,7 +366,7 @@ def _gauge_inverse(D, grid: OrbitGrid):
     if np.any(np.abs(det) < 1e-14):
         raise SingularGauge("gauge matrix is singular at a grid point")
     inv = np.zeros((4, grid.size), dtype=complex)
-    inv[:, valid] = np.stack([d, -b, -c, a]) / det / np.abs(m).max(axis=1)
+    inv[:, valid] = np.stack([d, -b, -c, a]) / det / _entry_max(m)
     return entries, [GridFunction(grid, row, valid) for row in inv]
 
 
@@ -422,6 +447,65 @@ class RiccatiSolution:
     residual: float
 
 
+class _Family(NamedTuple):
+    """The t-independent part of the solution family through ``u0``: the
+    flat indices ``at`` of the live points (up to the deepest point of
+    each branch where u0 and both denominators are valid), the mask of
+    every member, and E and S on the live points."""
+
+    u0: GridFunction
+    at: np.ndarray
+    valid: np.ndarray
+    E: np.ndarray
+    S: np.ndarray
+    S_abs: np.ndarray
+
+
+def _family(sys: TwoByTwoSystem, u0: GridFunction) -> _Family:
+    """The family through u0, built on the first call for this u0 (matched
+    by identity) and kept on the system; a family that fails a check is
+    not kept, so it raises again on the next call."""
+    fam = sys._family
+    if fam is not None and fam.u0 is u0:
+        return fam
+    res0 = rhom_residual(sys, u0)
+    if res0 > _RECURSION_TOL:
+        raise ParticularNotSolution(
+            f"u0 violates the homographic recursion: residual {res0}")
+    b_u0, b_u0_tau = sys.b * u0, sys.b * shift(u0)
+    den_a = sys.a + b_u0          # a + b u0
+    den_d = sys.d - b_u0_tau      # -b u0(tau x) + d
+    grid = sys.grid
+    mask = den_a.flat_valid & den_d.flat_valid & u0.flat_valid
+    live = grid.suffix_scan(np.logical_or, mask)
+    points_per_branch = np.add.reduceat(live, [s.start for s in grid.slices])
+    if np.any(points_per_branch < 3):
+        raise GridMismatch("orbit too short for the solution family")
+    at = np.flatnonzero(live)
+    av, dv, bv = den_a.flat[at], den_d.flat[at], sys.b.flat[at]
+    # each denominator is judged at each point against the moduli of its
+    # two terms there, so no common scale of a, b, c, d moves the verdict
+    if (np.any(np.abs(av) <= 1e-14 * (np.abs(sys.a.flat[at])
+                                      + np.abs(b_u0.flat[at])))
+            or np.any(np.abs(dv) <= 1e-14 * (np.abs(sys.d.flat[at])
+                                             + np.abs(b_u0_tau.flat[at])))):
+        raise NonPositiveFactor(
+            "solution family needs nonvanishing denominators")
+    # past the deepest valid point: empty products 1 and empty sums 0
+    ratio = np.ones(grid.size, dtype=complex)
+    ratio[at] = av / dv
+    E = grid.suffix_scan(np.multiply, ratio)[at]
+    weighted = np.zeros(grid.size, dtype=complex)
+    weighted[at] = (bv / av) * E
+    S = grid.suffix_scan(np.add, weighted)[at]
+    fam = _Family(u0, at, mask & live, E, S, np.abs(S))
+    for arr in fam[1:]:
+        arr.setflags(write=False)
+    # the system is frozen; the slot is its one piece of derived state
+    object.__setattr__(sys, "_family", fam)
+    return fam
+
+
 def general_solution(sys: TwoByTwoSystem, u0: GridFunction,
                      t: float) -> RiccatiSolution:
     """The one-parameter family of ratio solutions through u0.
@@ -429,41 +513,20 @@ def general_solution(sys: TwoByTwoSystem, u0: GridFunction,
     u^t = u0 + t E / (1 - t S) with E the orbit-product of the ratio
     (a + b u0) / (d - b u0(tau x)) and S its weighted orbit suffix sum;
     t = 0 returns u0 itself and the transforms compose additively in t.
-    u0 must solve the homographic recursion to 1e-10 (scale-relative).
+    u0 must solve the homographic recursion to 1e-10 (scale-relative),
+    and each denominator must exceed 1e-14 times the sum of its two
+    terms' moduli at every live point.  The parts that do not depend on
+    t are formed once per (system, u0) and kept on the system; each call
+    checks t against the poles of the family and forms u^t and its
+    residual.
     """
-    res0 = rhom_residual(sys, u0)
-    if res0 > _RECURSION_TOL:
-        raise ParticularNotSolution(
-            f"u0 violates the homographic recursion: residual {res0}")
-    u0_tau = shift(u0)
-    den_a = sys.a + sys.b * u0          # a + b u0
-    den_d = sys.d - sys.b * u0_tau      # -b u0(tau x) + d
-    grid = sys.grid
-    mask = den_a.flat_valid & den_d.flat_valid & u0.flat_valid
-    live = grid.suffix_scan(np.logical_or, mask)
-    points_per_branch = np.add.reduceat(live, [s.start for s in grid.slices])
-    if np.any(points_per_branch < 3):
-        raise GridMismatch("orbit too short for the solution family")
-    av, dv, bv = den_a.flat[live], den_d.flat[live], sys.b.flat[live]
-    size = np.zeros(grid.size)
-    size[live] = np.maximum(np.abs(av), np.abs(dv))
-    scale = np.fmax(grid.branch_max(size), 1.0)[live]
-    if np.any(np.abs(av) < 1e-14 * scale) or np.any(np.abs(dv) < 1e-14 * scale):
-        raise NonPositiveFactor(
-            "solution family needs nonvanishing denominators")
-    # past the deepest valid point: empty products 1 and empty sums 0
-    ratio = np.ones(grid.size, dtype=complex)
-    ratio[live] = av / dv
-    E = grid.suffix_scan(np.multiply, ratio)
-    weighted = np.zeros(grid.size, dtype=complex)
-    weighted[live] = (bv / av) * E[live]
-    S = grid.suffix_scan(np.add, weighted)[live]
-    den = 1.0 - t * S
-    if np.any(np.abs(den) < 1e-13 * (1.0 + abs(t) * np.abs(S))):
+    fam = _family(sys, u0)
+    den = 1.0 - t * fam.S
+    if np.any(np.abs(den) < 1e-13 * (1.0 + abs(t) * fam.S_abs)):
         raise ZeroDivisor("parameter t hits a pole of the family")
     u = u0.flat.copy()
-    u[live] = u[live] + t * E[live] / den
-    u_fn = GridFunction(grid, u, mask & live, label="u^t")
+    u[fam.at] += t * fam.E / den
+    u_fn = GridFunction(sys.grid, u, fam.valid, label="u^t")
     return RiccatiSolution(u=u_fn, t=float(t), u0=u0,
                            residual=rhom_residual(sys, u_fn))
 

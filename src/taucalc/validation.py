@@ -432,12 +432,13 @@ def _gram_offdiag_ratio(fns, w) -> float:
 
 def criterion_orthogonality(data: SuiteData) -> CriterionResult:
     sc = data.qhahn
-    polys = [sc.polynomial(n) for n in range(9)]
-    fns = [sc.sample(c) for c in polys]
-    ratio0 = _gram_offdiag_ratio(fns, sc.levels[0].w)
-    dfns = [sc.sample(qderivative_poly(sc.polynomial(n), sc.q))
-            for n in range(1, 10)]
-    ratio1 = _gram_offdiag_ratio(dfns, sc.levels[1].w)
+    # P_0 .. P_8 for level 0, the q-derivatives of P_1 .. P_9 for level 1
+    polys = [sc.polynomial(n) for n in range(10)]
+    ratio0 = _gram_offdiag_ratio([sc.sample(c) for c in polys[:9]],
+                                 sc.levels[0].w)
+    ratio1 = _gram_offdiag_ratio(
+        [sc.sample(qderivative_poly(c, sc.q)) for c in polys[1:]],
+        sc.levels[1].w)
     return _result("orthogonality", [
         Check("gram-level0", ratio0, 1e-8),
         Check("gram-derivative-level1", ratio1, 1e-8),

@@ -414,13 +414,14 @@ def test_gate_verdicts_do_not_depend_on_the_input_scale(seed, k, gap, wide_k):
 
 # -- the solution family and the boundary solve against their references ----
 
-def system_through(grid, a, b, d, u0):
+def system_through(grid, a, b, d, u0, scale=1.0):
     """The system with entries a, b, d (flat arrays) and the c that makes
     u0 solve u(tau x) (b u + a) = d u + c wherever u0(tau x) exists (c = 0
-    at each branch end)."""
+    at each branch end), all four multiplied by ``scale``."""
     u_next = grid.shifted(u0, 1)
     c = np.where(grid.has_next, u_next * (b * u0 + a) - d * u0, 0.0)
-    return TwoByTwoSystem(*(GridFunction(grid, v) for v in (a, b, c, d)))
+    return TwoByTwoSystem(*(GridFunction(grid, scale * v)
+                            for v in (a, b, c, d)))
 
 
 def family_systems():
@@ -495,22 +496,33 @@ def test_family_errors_are_raised_on_every_call(qgrid):
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(sorted(GRIDS)), seed=st.integers(0, 2 ** 32 - 1),
-       p=st.sampled_from([-500, 500]), jitter=st.integers(-8, 8),
-       g=st.sampled_from([1.0, 1e-2, 1e-4, 1e-6]))
+       p=st.sampled_from([-500, 500]), jitter=st.integers(-4, 4),
+       g=st.sampled_from([1.0, 1e-6, 1e-8]))
 def test_boundary_solve_matches_lu(kind, seed, p, jitter, g):
-    # the deepest step of each branch is 2^(p + jitter) Q, so every suffix
-    # product has entries near 2^±500; three steps diag(1, g) shrink det
-    # Lambda_inf by g^3 against its largest entry, on either side of the
-    # 1e-14 singularity gate
+    # every suffix product of a branch has the deepest step as its left
+    # factor, so scaling that step by a power of two scales the branch's
+    # resolvent exactly: it is chosen so the largest entry on each branch
+    # is just below 2^(p + jitter), near 2^±500, where LU's determinant
+    # and squared scale stay finite.  Three steps diag(1, g) shrink det
+    # Lambda_inf by g^3 against that entry: g = 1 leaves it regular (step
+    # residuals up to about 2e-12 against the 1e-10 check), g <= 1e-6
+    # puts it below 1e-18 against the 1e-14 gate.  Nearer either edge two
+    # correctly rounded solves may fall on different sides.
     grid = GRIDS[kind]
     rng = np.random.default_rng(seed)
     m = np.eye(2) + 0.3 * (rng.uniform(-1, 1, (grid.size, 2, 2))
                            + 1j * rng.uniform(-1, 1, (grid.size, 2, 2)))
     for s in grid.slices:
-        m[s.stop - 1] *= 2.0 ** (p + jitter)
         m[rng.choice(np.arange(s.start, s.stop - 1), 3, replace=False), :, 1] *= g
-    sys = TwoByTwoSystem(*(GridFunction(grid, m[:, i, j])
-                           for i in range(2) for j in range(2)))
+
+    def system():
+        return TwoByTwoSystem(*(GridFunction(grid, m[:, i, j])
+                                for i in range(2) for j in range(2)))
+
+    big = grid.branch_max(np.abs(resolvent(system()).flat).max(axis=(1, 2)))
+    for s in grid.slices:
+        m[s.stop - 1] *= 2.0 ** (p + jitter - np.frexp(big[s.start])[1])
+    sys = system()
     res = resolvent(sys)
     bvec = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
     verdict = _outcome(lambda: lu_solve_system(sys, bvec, res))
@@ -534,3 +546,40 @@ def test_boundary_solve_matches_lu(kind, seed, p, jitter, g):
              * np.abs(mats).sum(axis=2).max(axis=1))
     err = np.abs(got - want).max(axis=1)
     assert np.all(err <= 46 * u * kappa * np.abs(want).max(axis=1))
+
+
+# a + b u0 (or d - b u0(tau x)) is ``gap`` times half the sum of its terms'
+# moduli at one point; u0 is 1e6 next to it, which keeps the step matrix
+# there regular (its determinant is (a + b u0)(d - b u0(tau x)))
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(GRIDS)), seed=st.integers(0, 2 ** 32 - 1),
+       k=st.integers(-300, 300), side=st.sampled_from(["a", "d"]),
+       gap=st.sampled_from([0.0, 1e-17, 1e-15, 1e-13, 1e-8, 1.0]),
+       t=st.floats(-3.0, 3.0))
+def test_family_gate_verdicts_do_not_depend_on_the_input_scale(
+        kind, seed, k, side, gap, t):
+    grid = GRIDS[kind]
+    rng = np.random.default_rng(seed)
+    a, b, d, u0 = (rng.uniform(0.5, 2.0, (4, grid.size))
+                   * rng.choice([-1.0, 1.0], (4, 1))).astype(complex)
+    j = int(rng.choice(np.flatnonzero(grid.interior())))
+    if side == "a":
+        u0[j + 1] = 1e6
+        u0[j] = -(a[j] / b[j]) * (1.0 - gap)
+    else:
+        u0[j] = 1e6
+        d[j] = b[j] * u0[j + 1] * (1.0 - gap)
+    u0_fn = GridFunction(grid, u0)
+
+    def member(scale):
+        return general_solution(system_through(grid, a, b, d, u0, scale),
+                                u0_fn, t)
+
+    verdict = _outcome(lambda: member(1.0))
+    assert _outcome(lambda: member(2.0 ** k)) is verdict
+    if gap <= 1e-15:
+        assert verdict is not None
+    if verdict is None:
+        # E and S are ratios of the scaled entries: the members agree bit
+        # for bit
+        assert np.array_equal(member(2.0 ** k).u.flat, member(1.0).u.flat)

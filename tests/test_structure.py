@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taucalc import (GridFunction, TwoByTwoSystem, build_grid, linear_map,
-                     resolvent)
+from taucalc import (GridFunction, TwoByTwoSystem, build_grid,
+                     general_solution, linear_map, resolvent)
 from taucalc.calculus import (shift, step_quotient, tau_antiderivative,
                               tau_derivative, tau_integral)
 from taucalc.chain import (apply_A, apply_Astar, bands_AAstar,
@@ -364,3 +364,57 @@ def test_resolvent_builds_its_layout_once_per_grid(monkeypatch):
         for sys_ in systems:
             resolvent(sys_)
     assert builds["suffix"] == len(grids)
+
+
+def test_solution_family_runs_its_suffix_scans_once(monkeypatch):
+    # the t-independent part of a family (its live window, E and S) is
+    # kept on the system; each member only checks t and forms u^t
+    grid = build_grid(linear_map(0.8), INTERVAL, (-1.0, 1.0), max_depth=30)
+    one, x = GridFunction.constant(grid, 1.0), GridFunction(grid, grid.points)
+    systems = [TwoByTwoSystem(one, x * 0.1, one * 0.0, one + x * 0.2)
+               for _ in range(2)]
+    u0 = GridFunction.constant(grid, 0.0)
+    scans, scan = [], OrbitGrid.suffix_scan
+    monkeypatch.setattr(OrbitGrid, "suffix_scan", lambda self, ufunc, arr:
+                        scans.append(ufunc) or scan(self, ufunc, arr))
+    for sys_ in systems:
+        for t in (0.5, 0.75, 1.0, 2.0, 3.0):
+            general_solution(sys_, u0, t)
+    assert scans == [np.logical_or, np.multiply, np.add] * len(systems)
+
+
+def linalg_uses(path):
+    """Line of every ``.linalg`` attribute and every import naming linalg."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Import):
+            names = [p for alias in node.names for p in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            names = ((node.module or "").split(".")
+                     + [alias.name for alias in node.names])
+        else:
+            continue
+        if "linalg" in names:
+            found.append(node.lineno)
+    return found
+
+
+def test_riccati_solves_its_2x2_systems_by_the_adjugate():
+    # a batched LAPACK call costs more than the closed form for N 2x2
+    # systems; riccati forms determinants, inverses and solves by hand
+    assert linalg_uses(ROOT / "src" / "taucalc" / "riccati.py") == []
+
+
+def test_linalg_rule_sees_linalg_uses(tmp_path):
+    path = tmp_path / "mod.py"
+    for code, hits in (("d = np.linalg.det(m)", [1]),
+                       ("x = numpy.linalg.solve(m, b)", [1]),
+                       ("from numpy.linalg import solve", [1]),
+                       ("import numpy.linalg as la", [1]),
+                       ("from scipy import linalg", [1]),
+                       ("import numpy as np\nd = m[0] * m[3]", []),
+                       ("x = 'np.linalg.det'", [])):
+        path.write_text(code + "\n")
+        assert linalg_uses(path) == hits
