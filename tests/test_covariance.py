@@ -6,7 +6,8 @@ from taucalc import (GridFunction, affine_change, conjugate_map,
                      inner_product, linear_map, ln_change, powerlaw_change,
                      transport_function, transport_grid, transport_weight,
                      weighted_grid)
-from taucalc.covariance import transport_level
+from taucalc.covariance import _FIXED_POINT_SAMPLES, transport_level
+from taucalc.maps import TauMap
 from taucalc.hilbert import pearson_residual
 from taucalc.scenarios import constant_gauge_chain
 
@@ -87,6 +88,71 @@ def test_fixed_point_obstruction():
                                      fractional_map(2.0))
     assert report["verdict"] == "not_equivalent"
     assert report["fixed_points"][0] != report["fixed_points"][1]
+
+
+def loop_fixed_point_count(signs):
+    """The fixed-point count of a sign scan, one sample at a time: one per
+    run of zeros and one per sign change between adjacent nonzero
+    samples."""
+    count = 0
+    prev = 0          # last nonzero sign seen
+    in_zero_run = False
+    for s in signs:
+        if s == 0:
+            if not in_zero_run:
+                count += 1          # a touch/crossing through zero
+                in_zero_run = True
+            continue
+        if in_zero_run:
+            in_zero_run = False     # crossing already counted
+        elif prev != 0 and s != prev:
+            count += 1              # sign change between scan points
+        prev = s
+    return count
+
+
+def planted_map(signs):
+    """A forward map on (-1, 1) whose gap tau(x) - x has the sign
+    ``signs[i]`` at the i-th scan point of the obstruction (its inverse is
+    not used by the scan)."""
+    xs = np.linspace(-1.0, 1.0, _FIXED_POINT_SAMPLES).tolist()
+    gap = dict(zip(xs, (0.5 * float(s) for s in signs)))
+    return TauMap(lambda x: x + gap[float(x)], lambda y: y, (-1.0, 1.0),
+                  name="planted")
+
+
+def runs(*spec):
+    """Signs from (sign, length) runs, padded with + to the scan size."""
+    signs = np.concatenate([np.full(n, s) for s, n in spec])
+    return np.concatenate([signs, np.ones(_FIXED_POINT_SAMPLES - len(signs))])
+
+
+N = _FIXED_POINT_SAMPLES
+PLANTED = {
+    # (signs, fixed points)
+    "zero-runs-at-both-ends": (runs((0, 5), (1, 990), (-1, N - 1000),
+                                    (0, 5)), 3),
+    "single-zeros-at-both-ends": (runs((0, 1), (-1, N - 2), (0, 1)), 2),
+    "touch": (runs((1, 700), (0, 3), (1, 600), (0, 1)), 2),
+    "crossing-without-zero": (runs((-1, 1000), (1, 1000)), 1),
+    "alternation": (np.tile([1.0, -1.0], N // 2), N - 1),
+    "alternation-through-zeros": (np.tile([1.0, 0.0, -1.0, 0.0], N // 4),
+                                  N // 2),
+    "all-zero": (np.zeros(N), 1),
+    "all-negative": (-np.ones(N), 0),
+    **{f"random-{seed}": (np.random.default_rng(seed).choice(
+        [-1.0, 0.0, 1.0], N, p=[0.45, 0.1, 0.45]), None) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_obstruction_counts_planted_fixed_points(name):
+    signs, count = PLANTED[name]
+    want = loop_fixed_point_count(signs)
+    assert count is None or want == count
+    plain = linear_map(0.5, domain=(-1.0, 1.0))
+    report = equivalence_obstruction(planted_map(signs), plain)
+    assert report["fixed_points"] == (want, 1)
 
 
 def test_obstruction_inconclusive_for_same_count():

@@ -362,6 +362,22 @@ def test_polish_grids_match_two_walks(tau, mode, bases, depth):
                              bases, depth)
 
 
+
+# the h = 0 linear maps at depths on both sides of a short walk: shallow
+# and truncated semigroup and interval grids, long group backward legs
+SCALE_GRIDS = [
+    pytest.param(tau, mode, bases, depth, id=f"{tau.name}-{mode}-{depth}")
+    for tau, base, pair, _ in POLISH_MAPS if tau.name.endswith(",h=0.0)")
+    for mode, bases, depth in ((SEMIGROUP, base, 40), (SEMIGROUP, base, 622),
+                               (INTERVAL, pair, 40), (GROUP, base, 512),
+                               (GROUP, base, 4000))]
+
+
+@pytest.mark.parametrize("tau, mode, bases, depth", SCALE_GRIDS)
+def test_scale_map_grids_match_two_walks(tau, mode, bases, depth):
+    assert_same_as_two_walks(build_grid(tau, mode, bases, depth), tau, mode,
+                             bases, depth)
+
 BUILDS = {
     **{f"suite-{name}": (lambda name=name: getattr(SuiteData(), name))
        for name in ("qhahn", "qhahn_cross", "constant_gauge",

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taucalc.maps import (compose_maps, fractional_map, iterate, limit_point,
-                          linear_map, power_map)
+from taucalc.maps import (TauMap, compose_maps, fractional_map, iterate,
+                          limit_point, linear_map, power_map)
 
 from limit_oracle import counting_map
 
@@ -77,3 +81,46 @@ def test_limit_walk_is_the_orbit():
     assert len(walk) > res.iterations and not walk.flags.writeable
     # a step that does not move ends the walk without repeating its point
     assert limit_point(linear_map(0.5), 0.0).walk.tolist() == [0.0]
+
+
+# -- scale maps: every walk of x -> q x equals the step-by-step walk -------
+
+def plain_copy(tau):
+    """``tau`` rebuilt as a plain TauMap, walked one step at a time."""
+    return TauMap(tau.forward, tau.inverse, tau.domain, tau.name)
+
+
+def assert_same_result(res, ref):
+    assert res.walk.tobytes() == ref.walk.tobytes()
+    assert np.float64(res.value).tobytes() == np.float64(ref.value).tobytes()
+    assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+
+
+SCALE_QS = (0.05, 0.5, 0.9, 0.97, 0.978, 0.999, 1.0, -0.5, -0.97, 1.5, -2.0)
+SCALE_BASES = (1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300,
+               math.inf, -math.inf, math.nan)
+# None walks forward; an int caps a backward walk of tau.inverse
+SCALE_CAPS = (None, 1, 5, 40, 400, 4000)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.0], ids=["h=+0", "h=-0"])
+@pytest.mark.parametrize("q", SCALE_QS)
+def test_scale_walk_matches_plain_walk(q, h):
+    tau = linear_map(q, h)
+    plain = plain_copy(tau)
+    for base in SCALE_BASES:
+        for cap in SCALE_CAPS:
+            assert_same_result(limit_point(tau, base, cap),
+                               limit_point(plain, base, cap))
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.one_of(st.floats(0.01, 0.999), st.floats(-0.999, -0.01),
+                   st.floats(1.001, 4.0), st.floats(-4.0, -1.001)),
+       base=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                      st.sampled_from(SCALE_BASES)),
+       cap=st.sampled_from(SCALE_CAPS), h=st.sampled_from((0.0, -0.0)))
+def test_scale_walk_matches_plain_walk_anywhere(q, base, cap, h):
+    tau = linear_map(q, h)
+    assert_same_result(limit_point(tau, base, cap),
+                       limit_point(plain_copy(tau), base, cap))

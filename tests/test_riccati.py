@@ -11,8 +11,8 @@ from taucalc import (GROUP, INTERVAL, GridFunction, SEMIGROUP,
 from taucalc.chain import CoefficientTriple, to_coefficients
 from taucalc.errors import (CalculusError, DegenerateQuadruple,
                             DegenerateSystem, NonPositiveFactor, NotTriangular,
-                            ParticularNotSolution, SingularGauge, ZeroAlpha,
-                            ZeroDivisor)
+                            ParticularNotSolution, SingularGauge,
+                            SingularResolvent, ZeroAlpha, ZeroDivisor)
 from taucalc.riccati import (rhom_residual, step_residual,
                              system_from_second_order)
 from taucalc.scenarios import (constant_gauge_chain, gauge_riccati_system,
@@ -547,6 +547,27 @@ def test_boundary_solve_matches_lu(kind, seed, p, jitter, g):
     err = np.abs(got - want).max(axis=1)
     assert np.all(err <= 46 * u * kappa * np.abs(want).max(axis=1))
 
+
+
+def test_recursion_check_refuses_before_the_determinant_gate():
+    # a non-diagonal resolvent with kappa about 1e8: its determinant is
+    # 1.4e-8 of the squared largest entry, far above the 1e-14 gate, but a
+    # correct solve leaves a step residual of about u kappa, here 1.4e-9,
+    # against the 1e-10 recursion check
+    grid = build_grid(linear_map(0.5), SEMIGROUP, 1.0, max_depth=30)
+    rng = np.random.default_rng(20)
+    m = np.eye(2) + 0.3 * rng.uniform(-1, 1, (grid.size, 2, 2))
+    m[rng.choice(np.arange(grid.size - 1), 3, replace=False), :, 1] *= 4e-3
+    sys = TwoByTwoSystem(*(GridFunction(grid, m[:, i, j])
+                           for i in range(2) for j in range(2)))
+    res = resolvent(sys)
+    mats = res.flat[sys.valid_mask()]
+    assert np.count_nonzero(mats[:, 0, 1]) and np.count_nonzero(mats[:, 1, 0])
+    assert 5e7 < np.linalg.cond(mats, 1).max() < 2e8
+    ratio = np.abs(np.linalg.det(mats)) / np.abs(mats).max() ** 2
+    assert ratio.min() > 1e-9
+    with pytest.raises(SingularResolvent, match="one-step recursion"):
+        solve_system(sys, (1.0, 0.5), res)
 
 # a + b u0 (or d - b u0(tau x)) is ``gap`` times half the sum of its terms'
 # moduli at one point; u0 is 1e6 next to it, which keeps the step matrix

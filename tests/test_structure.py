@@ -137,21 +137,40 @@ def own_nodes(node):
             yield from own_nodes(child)
 
 
+# ufuncs whose running scan composes a scale step x -> q x (or its inverse)
+SCALE_UFUNCS = ("multiply", "divide", "true_divide")
+
+
+def scale_scan(node):
+    """Whether ``node`` is a running product or quotient: a call of
+    ``<multiply|divide|true_divide>.accumulate`` or of ``cumprod``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    owner = node.func.value
+    return node.func.attr == "cumprod" or (
+        node.func.attr == "accumulate" and isinstance(owner, ast.Attribute)
+        and owner.attr in SCALE_UFUNCS)
+
+
 def map_loops(path):
     """Line of every ``for``/``while`` loop that itself calls ``.forward``
-    or ``.inverse``."""
-    return [node.lineno for node in ast.walk(ast.parse(path.read_text(
-                encoding="utf-8")))
-            if isinstance(node, (ast.For, ast.AsyncFor, ast.While))
-            and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-                    and n.func.attr in ("forward", "inverse")
-                    for n in own_nodes(node))]
+    or ``.inverse``, and of every running product or quotient (an orbit of
+    x -> q x made by ``ufunc.accumulate``)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text(
+                      encoding="utf-8")))
+                  if scale_scan(node)
+                  or isinstance(node, (ast.For, ast.AsyncFor, ast.While))
+                  and any(isinstance(n, ast.Call)
+                          and isinstance(n.func, ast.Attribute)
+                          and n.func.attr in ("forward", "inverse")
+                          for n in own_nodes(node)))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_map_iteration_outside_maps(path):
-    # an orbit is walked once, by maps.limit_point; grids cut their
-    # points from that walk instead of iterating tau again
+    # an orbit is walked once, by maps.limit_point (step by step, or as
+    # running products for a scale map); grids cut their points from that
+    # walk instead of iterating tau again
     if path.name != "maps.py":
         assert map_loops(path) == []
 
@@ -163,7 +182,15 @@ def test_map_loop_rule_sees_iteration(tmp_path):
                        ("for x in xs:\n    ys.append(f(g.tau.forward(x)))", [1]),
                        ("ys = [tau.forward(x) for x in xs]", []),
                        ("for m in ms:\n    ys = [m.forward(x) for x in xs]", []),
-                       ("for x in xs:\n    ys.append(step(x))", [])):
+                       ("for x in xs:\n    ys.append(step(x))", []),
+                       ("w = np.multiply.accumulate(np.full(n, q))", [1]),
+                       ("x = 1\nnp.divide.accumulate(w, out=w)", [2]),
+                       ("w = np.true_divide.accumulate(w)", [1]),
+                       ("w = np.cumprod(np.full(n, q))", [1]),
+                       ("w = steps.cumprod()", [1]),
+                       ("ok = np.logical_and.accumulate(mask)", []),
+                       ("out = ufunc.accumulate(rev, axis=-1)", []),
+                       ("s = np.cumsum(steps)", [])):
         path.write_text(code + "\n")
         assert map_loops(path) == hits
 
