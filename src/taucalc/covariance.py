@@ -185,7 +185,8 @@ def equivalence_obstruction(map_a: TauMap, map_b: TauMap) -> dict:
     Conjugation carries fixed points to fixed points, so unequal counts
     prove the two maps are not equivalent; equal counts prove nothing.
     Counts are estimated from sign changes of tau(x) - x on a uniform
-    scan (endpoints checked separately for boundary fixed points).
+    scan (endpoints checked separately for boundary fixed points); a
+    sample where tau(x) - x is nan counts as neither sign.
     """
     counts = []
     for m in (map_a, map_b):
@@ -193,22 +194,13 @@ def equivalence_obstruction(map_a: TauMap, map_b: TauMap) -> dict:
         xs = np.linspace(lo, hi, _FIXED_POINT_SAMPLES)
         gap = np.array([m.forward(x) - x for x in xs])
         tol = 1e-12 * (1.0 + np.abs(xs))
-        signs = np.sign(np.where(np.abs(gap) < tol, 0.0, gap)).astype(int)
-        count = 0
-        prev = 0          # last nonzero sign seen
-        in_zero_run = False
-        for s in signs:
-            if s == 0:
-                if not in_zero_run:
-                    count += 1          # a touch/crossing through zero
-                    in_zero_run = True
-                continue
-            if in_zero_run:
-                in_zero_run = False     # crossing already counted
-            elif prev != 0 and s != prev:
-                count += 1              # sign change between scan points
-            prev = s
-        counts.append(count)
+        signs = np.sign(np.where(np.abs(gap) < tol, 0.0, gap))
+        # one per run of zeros (a touch or a crossing through zero) and
+        # one per sign change between adjacent nonzero samples
+        zero = signs == 0.0
+        runs = np.count_nonzero(zero[1:] & ~zero[:-1]) + zero[0]
+        changes = np.count_nonzero(signs[1:] * signs[:-1] < 0.0)
+        counts.append(int(runs + changes))
     verdict = "not_equivalent" if counts[0] != counts[1] else "inconclusive"
     return {"fixed_points": tuple(counts), "verdict": verdict}
 

@@ -7,6 +7,7 @@ calculus lives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,6 +23,11 @@ LIMIT_MAX_ITER = 10000
 # 1 + |limit|; the limit polish of limit_point is derived from it
 DEFAULT_DELTA_TOL = 1e-15
 _POLISH_TOL = 2.0 ** -56 * DEFAULT_DELTA_TOL
+# limit_point steps a scale map one point at a time if its walk is
+# expected to be at most this long (running products cost more up to here)
+_SCALAR_STEPS = 96
+# _POLISH_TOL with a relative 2^-40 to spare, for a bound of the polish test
+_POLISH_BOUND = _POLISH_TOL * (1.0 + 2.0 ** -40)
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,14 @@ class TauMap:
 
 
 @dataclass(frozen=True)
+class _ScaleMap(TauMap):
+    """The map x -> q*x + 0.0 that :func:`linear_map` builds for h = +0.0:
+    :func:`limit_point` walks its orbits as running products of ``q``."""
+
+    q: float = 1.0
+
+
+@dataclass(frozen=True)
 class LimitResult:
     """Outcome of fixed-point iteration toward the orbit limit: the limit,
     the steps to detection and the walk x0, tau(x0), ..., ``value``."""
@@ -65,8 +79,13 @@ def linear_map(q: float, h: float = 0.0,
         raise ValueError("q must be nonzero for a bijection")
     if domain is None:
         domain = (-1e18, 1e18)
-    return TauMap(lambda x: q * x + h, lambda y: (y - h) / q, domain,
-                  name=f"linear(q={q},h={h})")
+    name = f"linear(q={q},h={h})"
+    # a float q and h = +0.0: each step is one rounded product (quotient)
+    if (isinstance(q, float) and math.isfinite(q) and isinstance(h, (int, float))
+            and h == 0.0 and math.copysign(1.0, h) > 0.0):
+        return _ScaleMap(lambda x: q * x + h, lambda y: (y - h) / q, domain,
+                         name=name, q=float(q))
+    return TauMap(lambda x: q * x + h, lambda y: (y - h) / q, domain, name=name)
 
 
 def fractional_map(a: float, domain: tuple[float, float] = (0.0, 1.0)) -> TauMap:
@@ -139,9 +158,19 @@ def limit_point(tau: TauMap, x0: float,
     quarter-ulp of the nearest distance DEFAULT_DELTA_TOL r^4 (1 + |limit|)
     a grid point keeps to the limit (a branch stops after three steps
     below DEFAULT_DELTA_TOL), so more polishing changes no point - limit.
+
+    A scale map x -> q x (:func:`linear_map` with h = +0.0) whose walk
+    is expected to take more than ``_SCALAR_STEPS`` steps is walked as
+    running products instead (:func:`_running_products`), with the same
+    result bit for bit.
     """
     step, cap = ((tau.forward, LIMIT_MAX_ITER) if _backward_cap is None
                  else (tau.inverse, _backward_cap))
+    if isinstance(tau, _ScaleMap):
+        steps = _scale_walk_steps(tau.q, x0, cap, _backward_cap is not None)
+        if steps > _SCALAR_STEPS:
+            return _running_products(tau.q, x0, cap, _backward_cap is not None,
+                                     steps)
     x = float(x0)
     walk = [x]
     for i in range(1, cap + 1):
@@ -164,3 +193,102 @@ def limit_point(tau: TauMap, x0: float,
         walk.append(x_next)
         x = x_next
     return LimitResult(x, cap, False, np.array(walk))
+
+
+def _scale_walk_steps(q: float, x0: float, cap: int, backward: bool) -> float:
+    """About how many steps the :func:`limit_point` walk of x -> q x (of
+    x -> x / q backward) from ``x0`` takes: a contracting walk ends near
+    |x| = _POLISH_TOL, where its polish stops; one that does not contract
+    or starts at inf or nan runs to the cap.  It only picks the faster
+    way to walk, not the walk."""
+    x = abs(float(x0))
+    if x == 0.0 or q == 1.0:
+        return 1.0
+    c = 1.0 / abs(q) if backward else abs(q)
+    if c >= 1.0 or not math.isfinite(x):
+        return float(cap)
+    return min(float(cap), math.log(x / _POLISH_TOL) / -math.log(c))
+
+
+def _running_products(q: float, x0: float, cap: int, backward: bool,
+                      steps: float) -> LimitResult:
+    """The :func:`limit_point` walk of x -> q*x + 0.0 from ``x0``, made of
+    running products.
+
+    A forward step is one rounded product and an inverse step (y - 0.0)/q
+    one rounded quotient, so ``multiply.accumulate`` (with the + 0.0 that
+    turns a -0.0 product into +0.0) and ``divide.accumulate`` give the
+    scalar walk bit for bit.  The walk is made in chunks: the first to
+    about the expected length ``steps``, then doubling, never past the
+    last step the cap allows (an orbit run deep into subnormals is slow).
+    Detection is the scalar test on a whole chunk at once; the polish stop
+    is decided on Python floats, as in the scalar walk (see
+    :func:`_polish_stop`).
+    """
+    scan = np.divide if backward else np.multiply
+    w = np.array([float(x0)])
+    found = None   # the step where the limit was detected
+    lo = 1         # the first step not yet tested
+    grow = int(steps) + 64
+    with np.errstate(all="ignore"):
+        while True:
+            stop = cap if found is None else found + cap
+            if lo > stop:
+                break
+            if lo == len(w):
+                seg = np.full(min(grow, stop + 1 - len(w)) + 1, q)
+                seg[0] = w[-1]
+                scan.accumulate(seg, out=seg)
+                if not backward:
+                    seg += 0.0
+                w = np.concatenate((w, seg[1:]))
+                grow = len(w)
+            hi = len(w) - 1
+            if found is not None:
+                end = _polish_stop(w, lo, hi)
+                if end is not None:
+                    return LimitResult(float(w[end]), found, True, w[:end + 1])
+                lo = hi + 1
+                continue
+            prev, nxt = w[lo - 1:hi], w[lo:]
+            hit = (np.abs(nxt - prev)
+                   < LIMIT_TOL * (1.0 + np.abs(prev))).nonzero()[0]
+            if not len(hit):
+                lo = hi + 1
+                continue
+            found = lo + int(hit[0])
+            if w[found] == w[found - 1]:   # a step that does not move
+                return LimitResult(float(w[found]), found, True, w[:found])
+            lo = found + 1
+    if found is None:
+        return LimitResult(float(w[cap]), cap, False, w[:cap + 1])
+    return LimitResult(float(w[stop]), found, True, w[:stop + 1])
+
+
+def _polish_stop(w: np.ndarray, lo: int, hi: int) -> int | None:
+    """Index of the last point of the polish in ``w[lo:hi + 1]``: the
+    first step j that does not move (the walk ends at j - 1) or that
+    passes the polish test (it ends at j); None if the polish goes on.
+
+    The test is made on Python floats, where r ** 4 is libm's pow.  The
+    array form only picks the steps to test: it bounds 2^-56
+    DEFAULT_DELTA_TOL r^4 from above (a relative 2^-40 and 16 subnormal
+    ulps on top of its rounded value from (r^2)^2), and rounding is
+    monotone, so no step where the test holds is left out.
+    """
+    step = np.abs(w[lo - 1:hi + 1] - w[lo - 2:hi])
+    still = (w[lo:hi + 1] == w[lo - 1:hi]).nonzero()[0]
+    n = int(still[0]) if len(still) else hi + 1 - lo
+    last, ratio = step[1:n + 1], step[1:n + 1] / step[:n]
+    sq = ratio * ratio
+    bound = (sq * sq * _POLISH_BOUND + 2.0 ** -1070) * (
+        1.0 + np.abs(w[lo:lo + n]))
+    picked = (ratio < 1.0) & (last * ratio / (1.0 - ratio) < bound)
+    for j in (lo + picked.nonzero()[0]).tolist():
+        x_next, x_more = float(w[j - 1]), float(w[j])
+        r, last = (abs(x_more - x_next) / abs(x_next - float(w[j - 2])),
+                   abs(x_more - x_next))
+        if r < 1.0 and last * r / (1.0 - r) < (
+                _POLISH_TOL * r ** 4 * (1.0 + abs(x_more))):
+            return j
+    return lo + n - 1 if len(still) else None

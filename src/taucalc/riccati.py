@@ -250,7 +250,10 @@ def solve_system(sys: TwoByTwoSystem, boundary,
     singular where |det| < 1e-14 times the square of the largest entry
     modulus on x's branch; the result is verified against the one-step
     recursion at every interior point (scale-relative residual at most
-    1e-10).
+    1e-10).  The recursion check is the one that binds: a correct solve
+    leaves a residual of about u kappa(Lambda_inf), so it refuses
+    condition numbers above about 1e6 with SingularResolvent, long before
+    the determinant gate (which would allow kappa up to about 1e14).
     """
     if res is None:
         res = resolvent(sys)

@@ -153,6 +153,7 @@ def test_obstruction_counts_planted_fixed_points(name):
     plain = linear_map(0.5, domain=(-1.0, 1.0))
     report = equivalence_obstruction(planted_map(signs), plain)
     assert report["fixed_points"] == (want, 1)
+    assert all(type(count) is int for count in report["fixed_points"])
 
 
 def test_obstruction_inconclusive_for_same_count():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -112,6 +113,26 @@ def test_scale_walk_matches_plain_walk(q, h):
         for cap in SCALE_CAPS:
             assert_same_result(limit_point(tau, base, cap),
                                limit_point(plain, base, cap))
+
+
+@pytest.mark.parametrize("q, cap", [(0.97, None), (0.978, None), (0.5, 4000)])
+def test_scale_walk_does_not_step_forward_per_point(q, cap):
+    # a long walk of x -> q x is made of running products of q: tau.forward
+    # and tau.inverse are not called once per point
+    tau = linear_map(q)
+    calls = [0]
+
+    def counted(step):
+        def call(x):
+            calls[0] += 1
+            return step(x)
+        return call
+
+    counting = dataclasses.replace(tau, forward=counted(tau.forward),
+                                   inverse=counted(tau.inverse))
+    res = limit_point(counting, 1.0, cap)
+    assert len(res.walk) > 2000 and calls[0] == 0
+    assert_same_result(res, limit_point(plain_copy(tau), 1.0, cap))
 
 
 @settings(max_examples=80, deadline=None)
