@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taucalc.maps import (TauMap, compose_maps, fractional_map, iterate,
-                          limit_point, linear_map, power_map)
+from taucalc.maps import (LIMIT_MAX_ITER, TauMap, _running_products,
+                          compose_maps, fractional_map, iterate, limit_point,
+                          linear_map, power_map)
 
 from limit_oracle import counting_map
 
@@ -111,8 +112,15 @@ def test_scale_walk_matches_plain_walk(q, h):
     plain = plain_copy(tau)
     for base in SCALE_BASES:
         for cap in SCALE_CAPS:
-            assert_same_result(limit_point(tau, base, cap),
-                               limit_point(plain, base, cap))
+            want = limit_point(plain, base, cap)
+            assert_same_result(limit_point(tau, base, cap), want)
+            if math.copysign(1.0, h) > 0.0:
+                # the running products alone, whatever length limit_point
+                # expects: they reach zeros (a -0.0 product becomes +0.0)
+                # that a long walk never reaches
+                assert_same_result(_running_products(
+                    q, base, LIMIT_MAX_ITER if cap is None else cap,
+                    cap is not None, 1.0), want)
 
 
 @pytest.mark.parametrize("q, cap", [(0.97, None), (0.978, None), (0.5, 4000)])
@@ -143,5 +151,9 @@ def test_scale_walk_does_not_step_forward_per_point(q, cap):
        cap=st.sampled_from(SCALE_CAPS), h=st.sampled_from((0.0, -0.0)))
 def test_scale_walk_matches_plain_walk_anywhere(q, base, cap, h):
     tau = linear_map(q, h)
-    assert_same_result(limit_point(tau, base, cap),
-                       limit_point(plain_copy(tau), base, cap))
+    want = limit_point(plain_copy(tau), base, cap)
+    assert_same_result(limit_point(tau, base, cap), want)
+    if math.copysign(1.0, h) > 0.0:
+        assert_same_result(_running_products(
+            q, base, LIMIT_MAX_ITER if cap is None else cap, cap is not None,
+            1.0), want)
