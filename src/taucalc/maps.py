@@ -53,9 +53,23 @@ class TauMap:
 @dataclass(frozen=True)
 class _ScaleMap(TauMap):
     """The map x -> q*x + 0.0 that :func:`linear_map` builds for h = +0.0:
-    :func:`limit_point` walks its orbits as running products of ``q``."""
+    :func:`limit_point` walks its long orbits as running products of
+    ``q``.  ``long_from`` holds, forward and backward, the |x0| past which
+    a walk is expected to take more than ``_SCALAR_STEPS`` steps."""
 
     q: float = 1.0
+    long_from: tuple[float, float] = field(init=False, repr=False,
+                                           compare=False)
+
+    def __post_init__(self) -> None:
+        # a walk shrinking by c per step ends near |x| = _POLISH_TOL, where
+        # its polish stops; one that does not shrink runs to its cap
+        reach = []
+        for c in (abs(self.q), 1.0 / abs(self.q)):
+            shrink = c ** _SCALAR_STEPS if c < 1.0 else 0.0
+            reach.append(_POLISH_TOL / shrink if shrink else
+                         math.inf if c < 1.0 else 0.0)
+        object.__setattr__(self, "long_from", tuple(reach))
 
 
 @dataclass(frozen=True)
@@ -81,8 +95,9 @@ def linear_map(q: float, h: float = 0.0,
         domain = (-1e18, 1e18)
     name = f"linear(q={q},h={h})"
     # a float q and h = +0.0: each step is one rounded product (quotient)
-    if (isinstance(q, float) and math.isfinite(q) and isinstance(h, (int, float))
-            and h == 0.0 and math.copysign(1.0, h) > 0.0):
+    if (isinstance(q, float) and math.isfinite(q) and q != 1.0
+            and isinstance(h, (int, float)) and h == 0.0
+            and math.copysign(1.0, h) > 0.0):
         return _ScaleMap(lambda x: q * x + h, lambda y: (y - h) / q, domain,
                          name=name, q=float(q))
     return TauMap(lambda x: q * x + h, lambda y: (y - h) / q, domain, name=name)
@@ -160,17 +175,15 @@ def limit_point(tau: TauMap, x0: float,
     below DEFAULT_DELTA_TOL), so more polishing changes no point - limit.
 
     A scale map x -> q x (:func:`linear_map` with h = +0.0) whose walk
-    is expected to take more than ``_SCALAR_STEPS`` steps is walked as
-    running products instead (:func:`_running_products`), with the same
-    result bit for bit.
+    is expected to take more than ``_SCALAR_STEPS`` steps (see
+    ``_ScaleMap.long_from``) is walked as running products instead
+    (:func:`_running_products`), with the same result bit for bit.
     """
     step, cap = ((tau.forward, LIMIT_MAX_ITER) if _backward_cap is None
                  else (tau.inverse, _backward_cap))
-    if isinstance(tau, _ScaleMap):
-        steps = _scale_walk_steps(tau.q, x0, cap, _backward_cap is not None)
-        if steps > _SCALAR_STEPS:
-            return _running_products(tau.q, x0, cap, _backward_cap is not None,
-                                     steps)
+    if (isinstance(tau, _ScaleMap) and cap > _SCALAR_STEPS
+            and not abs(float(x0)) <= tau.long_from[_backward_cap is not None]):
+        return _running_products(tau.q, x0, cap, _backward_cap is not None)
     x = float(x0)
     walk = [x]
     for i in range(1, cap + 1):
@@ -195,23 +208,8 @@ def limit_point(tau: TauMap, x0: float,
     return LimitResult(x, cap, False, np.array(walk))
 
 
-def _scale_walk_steps(q: float, x0: float, cap: int, backward: bool) -> float:
-    """About how many steps the :func:`limit_point` walk of x -> q x (of
-    x -> x / q backward) from ``x0`` takes: a contracting walk ends near
-    |x| = _POLISH_TOL, where its polish stops; one that does not contract
-    or starts at inf or nan runs to the cap.  It only picks the faster
-    way to walk, not the walk."""
-    x = abs(float(x0))
-    if x == 0.0 or q == 1.0:
-        return 1.0
-    c = 1.0 / abs(q) if backward else abs(q)
-    if c >= 1.0 or not math.isfinite(x):
-        return float(cap)
-    return min(float(cap), math.log(x / _POLISH_TOL) / -math.log(c))
-
-
-def _running_products(q: float, x0: float, cap: int, backward: bool,
-                      steps: float) -> LimitResult:
+def _running_products(q: float, x0: float, cap: int,
+                      backward: bool) -> LimitResult:
     """The :func:`limit_point` walk of x -> q*x + 0.0 from ``x0``, made of
     running products.
 
@@ -219,17 +217,21 @@ def _running_products(q: float, x0: float, cap: int, backward: bool,
     one rounded quotient, so ``multiply.accumulate`` (with the + 0.0 that
     turns a -0.0 product into +0.0) and ``divide.accumulate`` give the
     scalar walk bit for bit.  The walk is made in chunks: the first to
-    about the expected length ``steps``, then doubling, never past the
-    last step the cap allows (an orbit run deep into subnormals is slow).
+    about its expected length, then doubling, never past the last step
+    the cap allows (an orbit run deep into subnormals is slow).
     Detection is the scalar test on a whole chunk at once; the polish stop
     is decided on Python floats, as in the scalar walk (see
     :func:`_polish_stop`).
     """
     scan = np.divide if backward else np.multiply
-    w = np.array([float(x0)])
+    x0 = float(x0)
+    w = np.array([x0])
     found = None   # the step where the limit was detected
     lo = 1         # the first step not yet tested
-    grow = int(steps) + 64
+    # a walk shrinking by c per step ends near |x| = _POLISH_TOL
+    c, span = (1.0 / abs(q) if backward else abs(q)), abs(x0) / _POLISH_TOL
+    grow = (min(cap, int(math.log(span) / -math.log(c)) + 64)
+            if c < 1.0 and 1.0 < span < math.inf else cap)
     with np.errstate(all="ignore"):
         while True:
             stop = cap if found is None else found + cap

@@ -120,7 +120,7 @@ def test_scale_walk_matches_plain_walk(q, h):
                 # that a long walk never reaches
                 assert_same_result(_running_products(
                     q, base, LIMIT_MAX_ITER if cap is None else cap,
-                    cap is not None, 1.0), want)
+                    cap is not None), want)
 
 
 @pytest.mark.parametrize("q, cap", [(0.97, None), (0.978, None), (0.5, 4000)])
@@ -155,5 +155,5 @@ def test_scale_walk_matches_plain_walk_anywhere(q, base, cap, h):
     assert_same_result(limit_point(tau, base, cap), want)
     if math.copysign(1.0, h) > 0.0:
         assert_same_result(_running_products(
-            q, base, LIMIT_MAX_ITER if cap is None else cap, cap is not None,
-            1.0), want)
+            q, base, LIMIT_MAX_ITER if cap is None else cap, cap is not None),
+            want)
