@@ -26,8 +26,6 @@ _POLISH_TOL = 2.0 ** -56 * DEFAULT_DELTA_TOL
 # limit_point steps a scale map one point at a time if its walk is
 # expected to be at most this long (running products cost more up to here)
 _SCALAR_STEPS = 96
-# _POLISH_TOL with a relative 2^-40 to spare, for a bound of the polish test
-_POLISH_BOUND = _POLISH_TOL * (1.0 + 2.0 ** -40)
 
 
 @dataclass(frozen=True)
@@ -62,14 +60,17 @@ class _ScaleMap(TauMap):
                                            compare=False)
 
     def __post_init__(self) -> None:
-        # a walk shrinking by c per step ends near |x| = _POLISH_TOL, where
-        # its polish stops; one that does not shrink runs to its cap
-        reach = []
-        for c in (abs(self.q), 1.0 / abs(self.q)):
-            shrink = c ** _SCALAR_STEPS if c < 1.0 else 0.0
-            reach.append(_POLISH_TOL / shrink if shrink else
-                         math.inf if c < 1.0 else 0.0)
-        object.__setattr__(self, "long_from", tuple(reach))
+        def reach(c: float) -> float:
+            # a walk shrinking by c per step ends near |x| = _POLISH_TOL,
+            # where its polish stops; one that does not shrink runs to its
+            # cap from any x0 != 0
+            if c >= 1.0:
+                return 0.0
+            shrink = c ** _SCALAR_STEPS
+            return _POLISH_TOL / shrink if shrink else math.inf
+
+        object.__setattr__(self, "long_from", (reach(abs(self.q)),
+                                               reach(1.0 / abs(self.q))))
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,7 @@ def limit_point(tau: TauMap, x0: float,
     """
     step, cap = ((tau.forward, LIMIT_MAX_ITER) if _backward_cap is None
                  else (tau.inverse, _backward_cap))
+    # (a nan base is not <= anything: its walk runs to the cap)
     if (isinstance(tau, _ScaleMap) and cap > _SCALAR_STEPS
             and not abs(float(x0)) <= tau.long_from[_backward_cap is not None]):
         return _running_products(tau.q, x0, cap, _backward_cap is not None)
@@ -283,7 +285,7 @@ def _polish_stop(w: np.ndarray, lo: int, hi: int) -> int | None:
     n = int(still[0]) if len(still) else hi + 1 - lo
     last, ratio = step[1:n + 1], step[1:n + 1] / step[:n]
     sq = ratio * ratio
-    bound = (sq * sq * _POLISH_BOUND + 2.0 ** -1070) * (
+    bound = (sq * sq * (_POLISH_TOL * (1.0 + 2.0 ** -40)) + 2.0 ** -1070) * (
         1.0 + np.abs(w[lo:lo + n]))
     picked = (ratio < 1.0) & (last * ratio / (1.0 - ratio) < bound)
     for j in (lo + picked.nonzero()[0]).tolist():
