@@ -33,7 +33,8 @@ from .grid import GROUP, INTERVAL, SEMIGROUP, build_grid
 from .gridfn import GridFunction
 from .hilbert import pearson_residual
 from .maps import fractional_map, linear_map, power_map
-from .scenarios import constant_gauge_chain, fractional_chain, qhahn_chain
+from .scenarios import (constant_gauge_chain, constant_gauge_grid,
+                        fractional_chain, qhahn_chain, qhahn_grid)
 from .validation import (CRITERIA, format_report, results_to_dict,
                          run_criteria)
 
@@ -159,8 +160,12 @@ def _preset_grid(name: str, depth: int | None):
     if name == "fractional":
         return build_grid(fractional_map(2.0), mode=SEMIGROUP, bases=0.5,
                           max_depth=depth or 25)
-    scenario = _preset_chain(name, depth)
-    return scenario.grid
+    if name == "qhahn":
+        return qhahn_grid(depth=depth or 140)
+    if name == "constant-gauge":
+        return constant_gauge_grid(depth=depth or 20)
+    raise ConfigError(f"unknown preset {name!r} "
+                      "(expected qhahn, constant-gauge, fractional or linear)")
 
 
 def _preset_chain(name: str, depth: int | None):

@@ -29,7 +29,11 @@ _FIXED_POINT_SAMPLES = 2000
 
 @dataclass(frozen=True)
 class VariableChange:
-    """A homeomorphism kappa with explicit inverse between two intervals."""
+    """A homeomorphism kappa with explicit inverse between two intervals.
+
+    ``kappa`` and ``kappa_inv`` act elementwise: a float gives a float, an
+    array the array of images.
+    """
 
     kappa: Callable[[float], float]
     kappa_inv: Callable[[float], float]
@@ -40,8 +44,8 @@ class VariableChange:
     def __post_init__(self) -> None:
         lo, hi = self.source
         xs = np.linspace(lo, hi, _MONOTONE_SAMPLES)
-        ys = np.array([self.kappa(x) for x in xs])
-        back = np.array([self.kappa_inv(y) for y in ys])
+        ys = np.asarray(self.kappa(xs), dtype=float)
+        back = np.asarray(self.kappa_inv(ys), dtype=float)
         if np.max(np.abs(back - xs) / (1.0 + np.abs(xs))) > 1e-11:
             raise DomainEscape("kappa_inv is not the inverse of kappa")
         diffs = np.diff(ys)
@@ -100,7 +104,9 @@ def transport_grid(grid: OrbitGrid, ch: VariableChange) -> OrbitGrid:
     """The pointwise kappa-image of an orbit grid, under the conjugated map.
 
     Branch points map through kappa one by one (not re-iterated from the
-    base), so the index correspondence with the source grid is exact.
+    base), so the index correspondence with the source grid is exact. They
+    are output, so they stay per-point calls: on an array, numpy may round
+    differently (``x ** 0.5`` takes a sqrt fast path and can move an ulp).
     """
     pts = np.array([ch.kappa(x) for x in grid.points])
     branches = tuple(replace(br, points=pts[s], limit=float(ch.kappa(br.limit)))
@@ -114,7 +120,7 @@ def _check_correspondence(source: OrbitGrid, ch: VariableChange,
         raise GridMismatch("branch counts differ")
     if source.slices != target.slices:
         raise GridMismatch("branch lengths differ")
-    img = np.array([ch.kappa(x) for x in source.points])
+    img = np.asarray(ch.kappa(source.points), dtype=float)
     if np.max(np.abs(img - target.points) / (1.0 + np.abs(img))) > 1e-12:
         raise GridMismatch("target grid is not the kappa-image of the source")
 
@@ -179,6 +185,22 @@ def transport_weight(rho: GridFunction, ch: VariableChange,
     return GridFunction(target_grid, rho.flat, rho.flat_valid, rho.label) * r
 
 
+def _fixed_point_count(m: TauMap) -> int:
+    """Fixed points of ``m`` seen by a uniform scan of tau(x) - x over its
+    domain, evaluated as one array."""
+    lo, hi = m.domain
+    xs = np.linspace(lo, hi, _FIXED_POINT_SAMPLES)
+    gap = m.forward(xs) - xs
+    tol = 1e-12 * (1.0 + np.abs(xs))
+    signs = np.sign(np.where(np.abs(gap) < tol, 0.0, gap))
+    # one per run of zeros (a touch or a crossing through zero) and
+    # one per sign change between adjacent nonzero samples
+    zero = signs == 0.0
+    runs = np.count_nonzero(zero[1:] & ~zero[:-1]) + zero[0]
+    changes = np.count_nonzero(signs[1:] * signs[:-1] < 0.0)
+    return int(runs + changes)
+
+
 def equivalence_obstruction(map_a: TauMap, map_b: TauMap) -> dict:
     """Fixed-point counting obstruction to topological conjugacy.
 
@@ -188,21 +210,9 @@ def equivalence_obstruction(map_a: TauMap, map_b: TauMap) -> dict:
     scan (endpoints checked separately for boundary fixed points); a
     sample where tau(x) - x is nan counts as neither sign.
     """
-    counts = []
-    for m in (map_a, map_b):
-        lo, hi = m.domain
-        xs = np.linspace(lo, hi, _FIXED_POINT_SAMPLES)
-        gap = np.array([m.forward(x) - x for x in xs])
-        tol = 1e-12 * (1.0 + np.abs(xs))
-        signs = np.sign(np.where(np.abs(gap) < tol, 0.0, gap))
-        # one per run of zeros (a touch or a crossing through zero) and
-        # one per sign change between adjacent nonzero samples
-        zero = signs == 0.0
-        runs = np.count_nonzero(zero[1:] & ~zero[:-1]) + zero[0]
-        changes = np.count_nonzero(signs[1:] * signs[:-1] < 0.0)
-        counts.append(int(runs + changes))
+    counts = (_fixed_point_count(map_a), _fixed_point_count(map_b))
     verdict = "not_equivalent" if counts[0] != counts[1] else "inconclusive"
-    return {"fixed_points": tuple(counts), "verdict": verdict}
+    return {"fixed_points": counts, "verdict": verdict}
 
 
 __all__ = [

@@ -1,8 +1,17 @@
 """Deterministic CSV/JSON export of grids, functions, chains and solver runs.
 
-All numeric output uses 17 significant digits (repr-faithful for binary64)
-and '.' as the decimal separator regardless of locale, so identical inputs
-produce byte-identical files.
+The CSV byte contract: every float cell is ``format(v, ".17g")`` (17
+significant digits, repr-faithful for binary64, '.' as the decimal
+separator regardless of locale, ``nan``/``inf``/``-inf`` as Python spells
+them), a masked cell is empty, an integer cell is its decimal digits,
+rows end in CRLF, and no cell is quoted (none can hold a comma, quote or
+line break). Identical inputs therefore produce byte-identical files.
+
+Writing is bound by formatting, at about 0.4 us per 17-digit cell, so
+the writer formats as few cells as it can: a column whose kept values
+share one bit pattern is formatted once, and the lead cells (branch, n,
+point) are formatted once per grid and shared by every level file of a
+chain. Each file is built in memory and written whole.
 """
 
 from __future__ import annotations
@@ -20,33 +29,46 @@ from .gridfn import GridFunction
 
 def _column(values, keep=None) -> list[str]:
     """17-significant-digit strings of a float column; "" where ``keep``
-    is False."""
-    vals = np.asarray(values, dtype=float).tolist()
+    is False. A column whose kept values share one bit pattern (so -0.0
+    and 0.0 differ) is formatted once."""
+    vals = np.asarray(values, dtype=float)
+    kept = vals if keep is None else vals[keep]
+    bits = kept.view(np.int64)
+    if bits.size and bits.min() == bits.max():
+        cell = format(float(kept[0]), ".17g")
+        if keep is None:
+            return [cell] * vals.size
+        return [cell if k else "" for k in np.asarray(keep).tolist()]
     if keep is None:
-        return [format(v, ".17g") for v in vals]
+        return [format(v, ".17g") for v in vals.tolist()]
     return [format(v, ".17g") if k else ""
-            for v, k in zip(vals, np.asarray(keep).tolist())]
+            for v, k in zip(vals.tolist(), np.asarray(keep).tolist())]
 
 
-def _write_rows(path: str | Path, header: list[str], grid: OrbitGrid,
-                columns) -> Path:
-    """One CSV: the header, then per point its branch index, its index
-    within the branch and one cell from each of ``columns``."""
-    path = Path(path)
+def _lead(grid: OrbitGrid) -> list[str]:
+    """Per point the cells "branch,n,point": its branch index, its index
+    within the branch and the point itself."""
     branch = grid.per_point(range(len(grid.slices)))
     n = np.arange(grid.size) - grid.per_point([s.start for s in grid.slices])
+    return [f"{b},{k},{x}" for b, k, x in zip(branch.tolist(), n.tolist(),
+                                              _column(grid.points))]
+
+
+def _write_rows(path: str | Path, header: list[str], lead: list[str],
+                columns) -> Path:
+    """One CSV, written whole: the header, then per point its lead cells
+    and one cell from each of ``columns``."""
+    path = Path(path)
+    rows = map(",".join, zip(lead, *columns))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = csv.writer(fh)
-        out.writerow(header)
-        out.writerows(zip(branch.tolist(), n.tolist(), *columns))
+        fh.write("\r\n".join([",".join(header), *rows, ""]))
     return path
 
 
 def write_grid_csv(grid: OrbitGrid, path: str | Path) -> Path:
     """Columns: branch, n, point, delta (delta empty on the last row)."""
-    return _write_rows(path, ["branch", "n", "point", "delta"], grid,
-                       [_column(grid.points),
-                        _column(grid.deltas, grid.has_next)])
+    return _write_rows(path, ["branch", "n", "point", "delta"], _lead(grid),
+                       [_column(grid.deltas, grid.has_next)])
 
 
 def grid_diagnostics(grid: OrbitGrid) -> dict:
@@ -66,10 +88,10 @@ def grid_diagnostics(grid: OrbitGrid) -> dict:
 
 def write_function_csv(f: GridFunction, path: str | Path) -> Path:
     """Columns: branch, n, x, re, im, valid."""
-    return _write_rows(path, ["branch", "n", "x", "re", "im", "valid"], f.grid,
-                       [_column(f.grid.points), _column(f.flat.real),
-                        _column(f.flat.imag),
-                        f.flat_valid.astype(int).tolist()])
+    return _write_rows(path, ["branch", "n", "x", "re", "im", "valid"],
+                       _lead(f.grid),
+                       [_column(f.flat.real), _column(f.flat.imag),
+                        np.where(f.flat_valid, "1", "0").tolist()])
 
 
 def read_function_csv(grid: OrbitGrid, path: str | Path) -> GridFunction:
@@ -86,12 +108,16 @@ def read_function_csv(grid: OrbitGrid, path: str | Path) -> GridFunction:
 
 def write_level_csv(level: ChainLevel, path: str | Path) -> Path:
     """Columns: branch, n, x, rho, B, eta, h, f, phi (real parts)."""
+    return _write_level(level, path, _lead(level.grid))
+
+
+def _write_level(level: ChainLevel, path: str | Path, lead: list[str]) -> Path:
+    """:func:`write_level_csv` with the grid's lead cells already formatted."""
     fields = {"rho": level.w.rho, "B": level.B, "eta": level.eta,
               "h": level.h, "f": level.f, "phi": level.phi}
-    return _write_rows(path, ["branch", "n", "x"] + list(fields), level.grid,
-                       [_column(level.grid.points)]
-                       + [_column(fn.flat.real, fn.flat_valid)
-                          for fn in fields.values()])
+    return _write_rows(path, ["branch", "n", "x"] + list(fields), lead,
+                       [_column(fn.flat.real, fn.flat_valid)
+                        for fn in fields.values()])
 
 
 def write_chain(levels, out_dir: str | Path, manifest_extra: dict | None = None,
@@ -104,8 +130,11 @@ def write_chain(levels, out_dir: str | Path, manifest_extra: dict | None = None,
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     lam = 0.0
+    grid = lead = None
     for level in levels:
-        write_level_csv(level, out_dir / f"level_{level.k}.csv")
+        if level.grid is not grid:
+            grid, lead = level.grid, _lead(level.grid)
+        _write_level(level, out_dir / f"level_{level.k}.csv", lead)
         lam -= float(np.real(level.c))
         entries.append({
             "k": level.k,

@@ -30,7 +30,11 @@ _SCALAR_STEPS = 96
 
 @dataclass(frozen=True)
 class TauMap:
-    """A bijection of the interval ``domain`` with an explicit inverse."""
+    """A bijection of the interval ``domain`` with an explicit inverse.
+
+    ``forward`` and ``inverse`` act elementwise: a float gives a float, an
+    array the array of images.
+    """
 
     forward: Callable[[float], float]
     inverse: Callable[[float], float]

@@ -145,6 +145,12 @@ class QHahnScenario:
                                           lambda t: _poly.polyval(t, c))
 
 
+def qhahn_grid(q: float = 0.8, depth: int = 140,
+               bases: tuple[float, float] = (-1.0, 1.0)) -> OrbitGrid:
+    """The interval orbit grid of x -> qx that :func:`qhahn_chain` lives on."""
+    return build_grid(linear_map(q), INTERVAL, bases, max_depth=depth)
+
+
 def qhahn_chain(q: float = 0.8, B0_coeffs=(1.0, 0.0, -1.0),
                 A0_coeffs=(0.0, -1.0), depth: int = 140,
                 n_levels: int = 10,
@@ -161,8 +167,7 @@ def qhahn_chain(q: float = 0.8, B0_coeffs=(1.0, 0.0, -1.0),
     A0c = np.asarray(A0_coeffs, dtype=float)
     if len(B0c) > 3 or len(A0c) > 2:
         raise DomainEscape("need deg B0 <= 2 and deg A0 <= 1")
-    tau = linear_map(q)
-    grid = build_grid(tau, INTERVAL, bases, max_depth=depth)
+    grid = qhahn_grid(q, depth, bases)
     one = GridFunction.constant(grid, 1.0)
     zero = GridFunction.constant(grid, 0.0)
     g = GridFunction.constant(grid, 1.0 / q)
@@ -231,6 +236,13 @@ class ConstantGaugeScenario:
         return np.asarray(symmetric_qpochhammer(x, beta, self.q)).real
 
 
+def constant_gauge_grid(q: float = 0.7, depth: int = 20,
+                        base: float = 1.0) -> OrbitGrid:
+    """The semigroup orbit grid of x -> qx that :func:`constant_gauge_chain`
+    lives on."""
+    return build_grid(linear_map(q), SEMIGROUP, (base,), max_depth=depth)
+
+
 def constant_gauge_chain(q: float = 0.7, b: float = 1.0, c0: float = 0.5,
                          s: float = 1.0, depth: int = 20,
                          n_levels: int = 8,
@@ -246,8 +258,7 @@ def constant_gauge_chain(q: float = 0.7, b: float = 1.0, c0: float = 0.5,
         raise DomainEscape("need 0 < q < 1")
     if c0 <= 0 or b <= 0 or base <= 0:
         raise DomainEscape("need b, c0, base > 0 for a positive weight")
-    tau = linear_map(q)
-    grid = build_grid(tau, SEMIGROUP, (base,), max_depth=depth)
+    grid = constant_gauge_grid(q, depth, base)
     x = GridFunction.identity(grid)
     B0c = (1.0 - q) ** 2 * b
     alpha0 = b * x ** (-2) - c0 / (1.0 - q * q) + 0.0 * x
@@ -391,8 +402,8 @@ def gauge_riccati_system(level: ChainLevel) -> TwoByTwoSystem:
 
 __all__ = [
     "qpochhammer", "symmetric_qpochhammer", "qderivative_poly",
-    "QHahnScenario", "qhahn_chain",
-    "ConstantGaugeScenario", "constant_gauge_chain",
+    "QHahnScenario", "qhahn_grid", "qhahn_chain",
+    "ConstantGaugeScenario", "constant_gauge_grid", "constant_gauge_chain",
     "FractionalScenario", "fractional_chain",
     "gauge_riccati_system",
 ]

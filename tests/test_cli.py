@@ -3,13 +3,18 @@ import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from taucalc import (SEMIGROUP, build_grid, fractional_map, linear_map,
                      power_map)
-from taucalc.cli import main
-from taucalc.io import write_grid_csv
+from taucalc import io as tcio
+from taucalc import scenarios
+from taucalc.cli import _preset_chain, main
+from taucalc.io import grid_diagnostics, write_grid_csv
+
+import csv_oracle
 
 
 def run(*argv):
@@ -20,6 +25,31 @@ def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+# the two chain configs: an explicit gauge and the xi route
+CHAIN_CONFIGS = {
+    "explicit": {
+        "map": {"kind": "linear", "q": 0.7},
+        "grid": {"mode": "semigroup", "bases": 1.0, "depth": 20},
+        "level0": {
+            "B0": "0.09",
+            "eta0": "1/(5.444444444444445 - 5.337690631808282*x^2)",
+            "h0": "1",
+            "f0": "-1/x - 2.2875816993464053*x",
+        },
+        "chain": {"levels": 2, "step": {"source": "explicit",
+                                        "g": "2.0408163265306123",
+                                        "d": 1.0}},
+    },
+    "xi": {
+        "map": {"kind": "linear", "q": 0.5},
+        "grid": {"mode": "semigroup", "bases": 1.0, "depth": 25},
+        "level0": {"B0": "x^2", "eta0": "4*x^2", "h0": "1", "f0": "0"},
+        "chain": {"levels": 2, "step": {"source": "xi", "d": 1.0,
+                                        "xi0": 14.0}},
+    },
+}
 
 
 def test_grid_linear_preset(tmp_path, capsys):
@@ -71,20 +101,68 @@ def test_chain_preset_emits_levels(tmp_path, preset):
     assert all(v < 1e-9 for v in manifest["residuals"].values())
 
 
+@pytest.mark.parametrize("source", ["qhahn", "constant-gauge", "fractional",
+                                    "explicit", "xi"])
+def test_chain_files_match_the_per_cell_writer(tmp_path, monkeypatch, source):
+    # every level and gauge CSV the command writes is re-written from the
+    # same objects by the per-cell reference writer
+    written = {}
+    write_chain, write_function_csv = tcio.write_chain, tcio.write_function_csv
+
+    def spy_chain(levels, out_dir, **kwargs):
+        written.update((f"level_{lv.k}.csv", (csv_oracle.level_csv, lv))
+                       for lv in levels)
+        return write_chain(levels, out_dir, **kwargs)
+
+    def spy_function(f, path):
+        written[Path(path).name] = (csv_oracle.function_csv, f)
+        return write_function_csv(f, path)
+
+    monkeypatch.setattr(tcio, "write_chain", spy_chain)
+    monkeypatch.setattr(tcio, "write_function_csv", spy_function)
+    argv = (("--config", write_config(tmp_path, CHAIN_CONFIGS[source]))
+            if source in CHAIN_CONFIGS else ("--preset", source))
+    out = tmp_path / "out"
+    assert run("chain", *argv, "--out", str(out)) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(written)
+    for name, (reference, obj) in written.items():
+        want = reference(obj, tmp_path / f"want_{name}")
+        assert (out / name).read_bytes() == want.read_bytes(), name
+
+
+# the cli benchmark's --depth range of each preset
+GRID_PRESET_DEPTHS = {"qhahn": (112, 168), "constant-gauge": (16, 24)}
+
+
+@pytest.mark.parametrize("end", [None, 0, 1], ids=["default", "low", "high"])
+@pytest.mark.parametrize("preset", sorted(GRID_PRESET_DEPTHS))
+def test_grid_preset_writes_the_chain_preset_grid(tmp_path, monkeypatch,
+                                                  preset, end):
+    depth = None if end is None else GRID_PRESET_DEPTHS[preset][end]
+    grid = _preset_chain(preset, depth).grid
+    want = write_grid_csv(grid, tmp_path / "want.csv")
+
+    def no_level(*args, **kwargs):
+        raise AssertionError("grid preset built a chain level")
+
+    monkeypatch.setattr(scenarios, "make_level", no_level)
+    monkeypatch.setattr(scenarios, "build_chain", no_level)
+    argv = ["grid", "--preset", preset, "--out", str(tmp_path / "o")]
+    assert run(*argv + ([] if depth is None else ["--depth", str(depth)])) == 0
+    assert (tmp_path / "o" / "grid.csv").read_bytes() == want.read_bytes()
+    assert (json.loads((tmp_path / "o" / "grid.json").read_text())
+            == json.loads(json.dumps(grid_diagnostics(grid))))
+
+
+@pytest.mark.parametrize("command", ["grid", "chain"])
+def test_unknown_preset_exit_2(tmp_path, capsys, command):
+    assert run(command, "--preset", "bogus", "--out", str(tmp_path / "o")) == 2
+    assert "unknown preset 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_chain_explicit_config(tmp_path):
-    cfg = write_config(tmp_path, {
-        "map": {"kind": "linear", "q": 0.7},
-        "grid": {"mode": "semigroup", "bases": 1.0, "depth": 20},
-        "level0": {
-            "B0": "0.09",
-            "eta0": "1/(5.444444444444445 - 5.337690631808282*x^2)",
-            "h0": "1",
-            "f0": "-1/x - 2.2875816993464053*x",
-        },
-        "chain": {"levels": 2, "step": {"source": "explicit",
-                                        "g": "2.0408163265306123",
-                                        "d": 1.0}},
-    })
+    cfg = write_config(tmp_path, CHAIN_CONFIGS["explicit"])
     out = tmp_path / "chain"
     assert run("chain", "--config", cfg, "--out", str(out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -93,13 +171,7 @@ def test_chain_explicit_config(tmp_path):
 
 
 def test_chain_xi_route_emits_gauges(tmp_path):
-    cfg = write_config(tmp_path, {
-        "map": {"kind": "linear", "q": 0.5},
-        "grid": {"mode": "semigroup", "bases": 1.0, "depth": 25},
-        "level0": {"B0": "x^2", "eta0": "4*x^2", "h0": "1", "f0": "0"},
-        "chain": {"levels": 2, "step": {"source": "xi", "d": 1.0,
-                                        "xi0": 14.0}},
-    })
+    cfg = write_config(tmp_path, CHAIN_CONFIGS["xi"])
     out = tmp_path / "xi"
     assert run("chain", "--config", cfg, "--out", str(out)) == 0
     assert (out / "gauge_0.csv").exists()

@@ -3,7 +3,8 @@ import pytest
 
 from taucalc import (GridFunction, affine_change, conjugate_map,
                      equivalence_obstruction, exp_change, fractional_map,
-                     inner_product, linear_map, ln_change, powerlaw_change,
+                     inner_product, linear_map, ln_change, power_map,
+                     powerlaw_change,
                      transport_function, transport_grid, transport_weight,
                      weighted_grid)
 from taucalc.covariance import _FIXED_POINT_SAMPLES, transport_level
@@ -82,6 +83,51 @@ def test_exp_ln_roundtrip():
         assert back.kappa(ch.kappa(x)) == pytest.approx(x, rel=1e-14)
 
 
+# the package's maps and changes, each with a sample interval inside its
+# domain; power laws may round an ulp apart on arrays (numpy's fast paths
+# for x ** 2 and x ** 0.5), the rest match per-point calls bit for bit
+ELEMENTWISE = {
+    "linear": (lambda: linear_map(0.7, domain=(-1.0, 1.0)), (-1.0, 1.0), 0),
+    "linear-shift": (lambda: linear_map(0.5, 0.1), (-5.0, 5.0), 0),
+    "fractional-2": (lambda: fractional_map(2.0), (0.0, 1.0), 0),
+    "fractional-0.5": (lambda: fractional_map(0.5), (0.0, 1.0), 0),
+    "ln-linear": (lambda: conjugate_map(linear_map(0.7, domain=(0.01, 3.0)),
+                                        ln_change((0.01, 3.0))),
+                  (np.log(0.01), np.log(3.0)), 0),
+    "ln-fractional": (lambda: conjugate_map(fractional_map(0.5),
+                                            ln_change((0.01, 0.99))),
+                      (np.log(0.01), np.log(0.99)), 0),
+    "power-2": (lambda: power_map(2.0), (0.0, 1.0), 1),
+    "power-0.5": (lambda: power_map(0.5), (0.0, 1.0), 1),
+    "change-ln": (lambda: ln_change((0.1, 2.0)), (0.1, 2.0), 0),
+    "change-exp": (lambda: exp_change((-1.0, 1.0)), (-1.0, 1.0), 0),
+    "change-affine": (lambda: affine_change(2.0, 3.0, (-1.0, 1.0)),
+                      (-1.0, 1.0), 0),
+    "change-powerlaw-2": (lambda: powerlaw_change(2.0, (0.1, 2.0)),
+                          (0.1, 2.0), 1),
+    "change-powerlaw-0.5": (lambda: powerlaw_change(0.5, (0.1, 2.0)),
+                            (0.1, 2.0), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTWISE))
+def test_maps_and_changes_act_elementwise(name):
+    make, (lo, hi), ulps = ELEMENTWISE[name]
+    m = make()
+    xs = np.concatenate([np.linspace(lo, hi, 500),
+                         np.random.default_rng(7).uniform(lo, hi, 500)])
+    calls = (((m.forward, xs), (m.inverse, xs)) if isinstance(m, TauMap)
+             else ((m.kappa, xs), (m.kappa_inv, m.kappa(xs))))
+    for f, args in calls:
+        whole = f(args)
+        one_by_one = np.array([f(float(x)) for x in args])
+        if ulps:
+            np.testing.assert_array_max_ulp(whole, one_by_one, maxulp=ulps)
+        else:
+            assert np.array_equal(whole.view(np.int64),
+                                  one_by_one.view(np.int64))
+
+
 def test_fixed_point_obstruction():
     # one interior fixed point vs two boundary ones: provably inequivalent
     report = equivalence_obstruction(linear_map(0.7, domain=(-1.0, 1.0)),
@@ -115,10 +161,17 @@ def planted_map(signs):
     """A forward map on (-1, 1) whose gap tau(x) - x has the sign
     ``signs[i]`` at the i-th scan point of the obstruction (its inverse is
     not used by the scan)."""
-    xs = np.linspace(-1.0, 1.0, _FIXED_POINT_SAMPLES).tolist()
-    gap = dict(zip(xs, (0.5 * float(s) for s in signs)))
-    return TauMap(lambda x: x + gap[float(x)], lambda y: y, (-1.0, 1.0),
-                  name="planted")
+    xs = np.linspace(-1.0, 1.0, _FIXED_POINT_SAMPLES)
+    gap = 0.5 * np.asarray(signs, dtype=float)
+
+    def forward(x):
+        # elementwise, and defined on the scan points only
+        k = np.searchsorted(xs, x)
+        if not np.array_equal(xs[k], x):
+            raise KeyError("not a scan point")
+        return x + gap[k]
+
+    return TauMap(forward, lambda y: y, (-1.0, 1.0), name="planted")
 
 
 def runs(*spec):

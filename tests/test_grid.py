@@ -384,7 +384,7 @@ BUILDS = {
                     "constant_gauge_deep", "fractional_half", "fractional_two",
                     "fractional_grid_deep", "fractional_grid_shallow")},
     **{f"cli-grid-{name}": (lambda name=name: _preset_grid(name, None))
-       for name in ("linear", "fractional")},
+       for name in ("linear", "fractional", "qhahn", "constant-gauge")},
     **{f"cli-chain-{name}": (lambda name=name: _preset_chain(name, None))
        for name in ("qhahn", "constant-gauge", "fractional")},
 }

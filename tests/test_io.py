@@ -3,15 +3,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taucalc import GridFunction, linear_map
 from taucalc.chain import ChainLevel
-from taucalc.grid import INTERVAL, OrbitBranch, OrbitGrid
+from taucalc.grid import INTERVAL, SEMIGROUP, OrbitBranch, OrbitGrid
 from taucalc.hilbert import WeightedGrid
-from taucalc.io import (grid_diagnostics, read_function_csv, write_chain,
+from taucalc.io import (_column, grid_diagnostics, read_function_csv, write_chain,
                         write_function_csv, write_grid_csv, write_json,
                         write_level_csv)
 from taucalc.scenarios import constant_gauge_chain
+
+import csv_oracle
+from csv_oracle import cell as _cell, per_cell_csv as _per_cell_csv
 
 
 def test_grid_csv_rows(qgrid, tmp_path):
@@ -82,21 +87,6 @@ SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1.0 / 3.0,
            1e308, -7.0]
 
 
-def _cell(v):
-    return format(float(v), ".17g")
-
-
-def _per_cell_csv(path, header, grid, row):
-    """The reference writer: one formatted cell at a time."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = csv.writer(fh)
-        out.writerow(header)
-        for bi, s in enumerate(grid.slices):
-            for n in range(s.stop - s.start):
-                out.writerow([bi, n] + row(s.start + n))
-    return path
-
-
 def special_grid():
     # points that no orbit produces, so every special value reaches a cell
     with np.errstate(all="ignore"):
@@ -153,3 +143,117 @@ def test_level_csv_golden_bytes(tmp_path):
     got = write_level_csv(level, tmp_path / "got.csv")
     assert got.read_bytes() == want.read_bytes()
     assert b",," in got.read_bytes()  # invalid cells stay empty
+
+
+# -- golden bytes: columns formatted once, lead cells shared ----------------
+
+def make_level(grid, columns, k=0):
+    """A level whose rho, B, eta, h, f and phi are the (values, valid)
+    pairs of ``columns``."""
+    rho, B, eta, h, f, phi = (GridFunction(grid, np.asarray(v, dtype=complex),
+                                           np.asarray(m, dtype=bool))
+                              for v, m in columns)
+    return ChainLevel(k=k, w=WeightedGrid(grid, rho, np.ones(grid.size, bool)),
+                      B=B, eta=eta, h=h, f=f, phi=phi)
+
+
+def constant(grid, v, valid=True):
+    return np.full(grid.size, v), np.full(grid.size, valid)
+
+
+def varied(grid, seed):
+    rng = np.random.default_rng(seed)
+    vals = np.array(SPECIAL)[rng.integers(0, len(SPECIAL), grid.size)]
+    return vals, rng.random(grid.size) > 0.3
+
+
+def partly_masked(grid):
+    # kept cells share one value; masked cells hold others, which must
+    # not keep the column from being formatted once, nor reach a cell
+    vals = np.full(grid.size, 1.0)
+    vals[1::3] = (7.0, np.nan, -0.0)[:len(vals[1::3])]
+    return vals, np.arange(grid.size) % 3 != 1
+
+
+CONSTANT_COLUMNS = {
+    # name: (the six columns on a grid, a token the file must hold)
+    "h-one-f-zero": (lambda g: [varied(g, 1), varied(g, 2), varied(g, 3),
+                                constant(g, 1.0), constant(g, 0.0),
+                                varied(g, 4)], b",1,0,"),
+    "signed-zeros": (lambda g: [varied(g, 1), constant(g, -0.0),
+                                constant(g, 0.0), constant(g, 1.0),
+                                constant(g, 0.0), varied(g, 4)], b",-0,0,1,0,"),
+    "nan": (lambda g: [varied(g, 1), varied(g, 2), constant(g, np.nan),
+                       constant(g, 1.0), constant(g, 0.0), varied(g, 4)],
+            b",nan,1,0,"),
+    "partly-masked": (lambda g: [varied(g, 1), varied(g, 2), varied(g, 3),
+                                 partly_masked(g), constant(g, 0.0),
+                                 varied(g, 4)], b",,0,"),
+    "all-masked": (lambda g: [constant(g, 2.5, False)] * 6, b",,,,,,\r\n"),
+}
+
+
+def one_row_grid():
+    return OrbitGrid(linear_map(0.5), SEMIGROUP,
+                     (OrbitBranch([0.25], 0.0, role="a"),))
+
+
+@pytest.mark.parametrize("grid_of", [special_grid, one_row_grid],
+                         ids=["special", "one-row"])
+@pytest.mark.parametrize("name", sorted(CONSTANT_COLUMNS))
+def test_constant_column_golden_bytes(tmp_path, grid_of, name):
+    grid = grid_of()
+    columns, token = CONSTANT_COLUMNS[name]
+    level = make_level(grid, columns(grid))
+    want = csv_oracle.level_csv(level, tmp_path / "want.csv")
+    got = write_level_csv(level, tmp_path / "got.csv")
+    assert got.read_bytes() == want.read_bytes()
+    if grid.size > 1:
+        assert token in got.read_bytes()
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "masked"])
+def test_one_row_and_masked_function_golden_bytes(tmp_path, valid):
+    for grid in (one_row_grid(), special_grid()):
+        f = GridFunction(grid, np.full(grid.size, -0.0 + 0.0j),
+                         np.full(grid.size, valid))
+        want = csv_oracle.function_csv(f, tmp_path / "want.csv")
+        got = write_function_csv(f, tmp_path / "got.csv")
+        assert got.read_bytes() == want.read_bytes()
+        want = csv_oracle.grid_csv(grid, tmp_path / "want.csv")
+        got = write_grid_csv(grid, tmp_path / "got.csv")
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_chain_shares_lead_cells_golden_bytes(tmp_path):
+    # three levels on one grid share its lead cells; a fourth on another
+    # grid gets its own
+    grid, other = special_grid(), one_row_grid()
+    levels = [make_level(grid, [varied(grid, 6 * k + j) for j in range(6)], k)
+              for k in range(3)]
+    levels.append(make_level(other, [constant(other, 0.5)] * 6, 3))
+    write_chain(levels, tmp_path / "chain")
+    for level in levels:
+        want = csv_oracle.level_csv(level, tmp_path / f"want_{level.k}.csv")
+        got = tmp_path / "chain" / f"level_{level.k}.csv"
+        assert got.read_bytes() == want.read_bytes()
+
+
+# a small pool per column, so repeated and constant columns are common
+POOLS = st.lists(st.one_of(st.sampled_from(SPECIAL),
+                           st.floats(allow_nan=True, allow_infinity=True)),
+                 min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_column_cells_are_per_cell_format(data):
+    pool = data.draw(POOLS)
+    values = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    keep = data.draw(st.none() | st.lists(st.booleans(), min_size=len(values),
+                                          max_size=len(values)))
+    want = [_cell(v) if keep is None or k else ""
+            for v, k in zip(values, keep or [True] * len(values))]
+    got = _column(np.array(values, dtype=float),
+                  None if keep is None else np.array(keep, dtype=bool))
+    assert got == want
