@@ -153,6 +153,12 @@ def _grid_fn(grid, expr: str, label: str) -> GridFunction:
 # ---------------------------------------------------------------------------
 # presets
 
+def _depth(depth: int | None) -> dict:
+    """``--depth`` as a keyword for a scenario builder; without it (or at
+    0) the builder's own default depth applies."""
+    return {"depth": depth} if depth else {}
+
+
 def _preset_grid(name: str, depth: int | None):
     if name == "linear":
         return build_grid(linear_map(0.5), mode=SEMIGROUP, bases=1.0,
@@ -161,20 +167,20 @@ def _preset_grid(name: str, depth: int | None):
         return build_grid(fractional_map(2.0), mode=SEMIGROUP, bases=0.5,
                           max_depth=depth or 25)
     if name == "qhahn":
-        return qhahn_grid(depth=depth or 140)
+        return qhahn_grid(**_depth(depth))
     if name == "constant-gauge":
-        return constant_gauge_grid(depth=depth or 20)
+        return constant_gauge_grid(**_depth(depth))
     raise ConfigError(f"unknown preset {name!r} "
                       "(expected qhahn, constant-gauge, fractional or linear)")
 
 
 def _preset_chain(name: str, depth: int | None):
     if name == "qhahn":
-        return qhahn_chain(depth=depth or 140, n_levels=6)
+        return qhahn_chain(n_levels=6, **_depth(depth))
     if name == "constant-gauge":
-        return constant_gauge_chain(depth=depth or 20, n_levels=6)
+        return constant_gauge_chain(n_levels=6, **_depth(depth))
     if name == "fractional":
-        return fractional_chain(depth=depth or 40, n_levels=6)
+        return fractional_chain(n_levels=6, **_depth(depth))
     raise ConfigError(f"unknown preset {name!r} "
                       "(expected qhahn, constant-gauge or fractional)")
 

@@ -8,10 +8,9 @@ rows end in CRLF, and no cell is quoted (none can hold a comma, quote or
 line break). Identical inputs therefore produce byte-identical files.
 
 Writing is bound by formatting, at about 0.4 us per 17-digit cell, so
-the writer formats as few cells as it can: a column whose kept values
-share one bit pattern is formatted once, and the lead cells (branch, n,
-point) are formatted once per grid and shared by every level file of a
-chain. Each file is built in memory and written whole.
+the lead cells (branch, n, point) are formatted once per grid and shared
+by every level file of a chain. Each file is built in memory and written
+whole.
 """
 
 from __future__ import annotations
@@ -29,20 +28,12 @@ from .gridfn import GridFunction
 
 def _column(values, keep=None) -> list[str]:
     """17-significant-digit strings of a float column; "" where ``keep``
-    is False. A column whose kept values share one bit pattern (so -0.0
-    and 0.0 differ) is formatted once."""
-    vals = np.asarray(values, dtype=float)
-    kept = vals if keep is None else vals[keep]
-    bits = kept.view(np.int64)
-    if bits.size and bits.min() == bits.max():
-        cell = format(float(kept[0]), ".17g")
-        if keep is None:
-            return [cell] * vals.size
-        return [cell if k else "" for k in np.asarray(keep).tolist()]
+    is False."""
+    vals = np.asarray(values, dtype=float).tolist()
     if keep is None:
-        return [format(v, ".17g") for v in vals.tolist()]
+        return [format(v, ".17g") for v in vals]
     return [format(v, ".17g") if k else ""
-            for v, k in zip(vals.tolist(), np.asarray(keep).tolist())]
+            for v, k in zip(vals, np.asarray(keep).tolist())]
 
 
 def _lead(grid: OrbitGrid) -> list[str]:
