@@ -28,8 +28,6 @@ from .gridfn import GridFunction
 
 # bound on an orbit sum's last terms, relative to max(1, largest valid |f|)
 _TAIL_TOL = 1e-10
-# relative agreement of the direct and exp/log orbit products
-_PRODUCT_TOL = 1e-10
 
 
 def deltas_fn(grid: OrbitGrid) -> GridFunction:
@@ -157,11 +155,16 @@ def tau_antiderivative(f: GridFunction, check_tail: bool = True) -> GridFunction
     terms = np.multiply(grid.deltas, f.flat, where=grid.has_next,
                         out=np.zeros(f.flat.shape, dtype=complex))
     if check_tail:
-        limit = _TAIL_TOL * _column(np.fmax(1.0, f.max_abs()))
-        for s in grid.slices:
-            tail = np.abs(terms[..., s][..., -4:-1])
-            if s.stop - s.start >= 4 and (tail > limit).any():
-                raise TailNotConverged(f"antiderivative tail terms {tail} too large")
+        limit = _TAIL_TOL * np.fmax(1.0, f.max_abs())
+        # the three terms before the end of each branch of 4 points or more
+        ends = np.array([s.stop for s in grid.slices if s.stop - s.start >= 4],
+                        dtype=int)
+        tails = terms.reshape(-1, grid.size)[:, ends[:, None] - [4, 3, 2]]
+        over = (np.abs(tails) > np.reshape(limit, (-1, 1, 1))).any(axis=(0, 2))
+        if over.any():
+            end = ends[over.argmax()]
+            tail = np.abs(terms[..., end - 4:end - 1])
+            raise TailNotConverged(f"antiderivative tail terms {tail} too large")
     # out[n] = sum_{m>=n} terms[m], summed tail-first for accuracy.
     return GridFunction(grid, grid.suffix_scan(np.add, terms), _suffix_valid(f),
                         label=f"int({f.label})" if f.label else "")
@@ -189,26 +192,6 @@ def tau_exponential(grid: OrbitGrid) -> GridFunction:
         raise FactorZero("factor 1 - (x - tau(x)) vanishes on the orbit")
     return GridFunction(grid, grid.suffix_scan(np.multiply, 1.0 / fac),
                         label="exp_tau")
-
-
-def product_integral(F: GridFunction) -> complex:
-    """Product of F over the forward orbit, cross-checked via exp/log.
-
-    The product prod_n F(tau^n(x)) equals exp of the tau-integral of
-    ln(F)/(x - tau(x)); both evaluations are performed and must agree to
-    ``_PRODUCT_TOL`` relative.
-    """
-    if len(F.grid.branches) != 1:
-        raise GridMismatch("product integral needs a single-orbit grid")
-    # pair each factor with an orbit step
-    fac = _positive_real(F.flat[F.flat_valid & F.grid.has_next], "product factor")
-    direct = float(np.prod(fac))
-    via_log = float(np.exp(np.sum(np.log(fac))))
-    agreement = abs(direct - via_log) / max(1.0, abs(direct))
-    if agreement > _PRODUCT_TOL:
-        raise TailNotConverged(
-            f"product/log evaluations disagree by {agreement}")
-    return complex(direct)
 
 
 def solve_linear_first_order(f: GridFunction, init: complex = 1.0) -> GridFunction:
@@ -243,6 +226,6 @@ def _verify_first_order(psi: GridFunction, f: GridFunction) -> None:
 
 __all__ = [
     "deltas_fn", "dtau_inverse_fn", "shift", "step_quotient", "tau_derivative",
-    "tau_integral", "tau_antiderivative", "tau_exponential", "product_integral",
+    "tau_integral", "tau_antiderivative", "tau_exponential",
     "solve_linear_first_order",
 ]

@@ -29,7 +29,7 @@ import numpy as np
 from .calculus import deltas_fn, shift, step_quotient
 from .errors import (GridMismatch, InconsistentWeights, NonPositiveFactor,
                      RiccatiBlowup, SingularLimit, ZeroAlpha, ZeroDivisor,
-                     ZeroEigenvalue, ZeroLift)
+                     ZeroLift)
 from .grid import ZERO_TOL, OrbitGrid
 from .gridfn import GridFunction, joint_scale, max_abs_diff
 from .hilbert import (WeightedGrid, adjoint_shift, norm, weight_from_pearson,
@@ -199,17 +199,23 @@ def build_chain(level0: ChainLevel, n_levels: int, h: GridFunction,
     return tuple(levels)
 
 
-def _step_terms(level: ChainLevel, h_next: GridFunction, g: GridFunction,
-                d: complex):
-    """Both sides of the level-step consistency equation at interior points.
+def solve_step_constant(level: ChainLevel, h_next: GridFunction,
+                        g: GridFunction, d: complex) -> complex:
+    """The constant c making the level-step consistency equation hold.
 
-    Returns ``(t1, t2, rhs, scale, ok)`` over the indices n with n-1 and
-    n+2 on the same branch: the equation reads t1 - t2 + c = rhs,
-    ``scale`` is the constituent-term magnitude max(1, |t1|, |t2|) and
-    ``ok`` marks the points where every input is valid.
+    The equation is affine in c with unit coefficient, so c is read off
+    pointwise; InconsistentWeights is raised when the pointwise values
+    do not agree to ``_STEP_CONSTANT_TOL`` against the constituent-term
+    magnitude (i.e. when no constant c can close the step).
+
+    The equation t1 - t2 + c = rhs is read at the indices n with n-1 and
+    n+2 on the same branch where every input is valid, each point scaled
+    by its constituent-term magnitude max(1, |t1|, |t2|).
     """
     grid = level.grid
     n = grid.reach(1, 2)[1]
+    if n.size == 0:
+        raise GridMismatch("orbit too short to determine the step constant")
     dlt = grid.deltas
     dn, dm1, dp1 = dlt[n], dlt[n - 1], dlt[n + 1]
     Bv, ev, hv, h2v, pv, gv = (fn.flat for fn in (
@@ -225,39 +231,6 @@ def _step_terms(level: ChainLevel, h_next: GridFunction, g: GridFunction,
           & h2m[n - 1] & h2m[n] & pm[n] & pm[n + 1]
           & gm[n] & gm[n + 1])
     scale = np.maximum(1.0, np.maximum(np.abs(t1), np.abs(t2)))
-    return t1, t2, rhs, scale, ok
-
-
-def chain_equation_residual(level: ChainLevel, h_next: GridFunction,
-                            g: GridFunction, c: complex, d: complex) -> float:
-    """Pointwise residual of the consistency equation tying (g, h_next, c, d).
-
-    Both sides of the second-order relation between consecutive levels
-    are evaluated on interior points; returns the max pointwise-scaled
-    mismatch.  Each side is an O(1) difference of terms growing like
-    1/delta^2 toward the orbit limit, so every point is normalized by
-    its own constituent-term magnitude (a global scale would mask real
-    O(1) inconsistencies at moderate depths).
-    """
-    t1, t2, rhs, scale, ok = _step_terms(level, h_next, g, d)
-    if not ok.any():
-        return 0.0
-    lhs = t1 - t2 + c
-    return float(np.max(np.abs(lhs[ok] - rhs[ok]) / scale[ok]))
-
-
-def solve_step_constant(level: ChainLevel, h_next: GridFunction,
-                        g: GridFunction, d: complex) -> complex:
-    """The constant c making the level-step consistency equation hold.
-
-    The equation is affine in c with unit coefficient, so c is read off
-    pointwise; InconsistentWeights is raised when the pointwise values
-    do not agree to ``_STEP_CONSTANT_TOL`` against the constituent-term
-    magnitude (i.e. when no constant c can close the step).
-    """
-    t1, t2, rhs, scale, ok = _step_terms(level, h_next, g, d)
-    if ok.size == 0:
-        raise GridMismatch("orbit too short to determine the step constant")
     cs = (rhs - t1 + t2)[ok]
     sc = scale[ok]
     # Toward the orbit limit the constituent terms grow like 1/delta^2
@@ -368,12 +341,6 @@ def to_coefficients(level: ChainLevel, value: complex = 0.0) -> CoefficientTripl
         value=value)
 
 
-def apply_coefficients(coef: CoefficientTriple, psi: GridFunction) -> GridFunction:
-    """Evaluate alpha T psi + beta psi + gamma T^-1 psi."""
-    return (coef.alpha * shift(psi) + coef.beta * psi
-            + coef.gamma * shift(psi, -1))
-
-
 def from_coefficients(coef: CoefficientTriple, h0: GridFunction,
                       seed) -> ChainLevel:
     """Recover a level-0 factorization from three-point coefficients.
@@ -430,17 +397,6 @@ def lift(pair: EigenPair, level: ChainLevel) -> EigenPair:
         raise ZeroLift("function lies in the kernel of the lowering operator")
     value_next = (pair.value - level.c) / level.d
     return EigenPair(psi=psi_next, value=value_next, level=level.k + 1)
-
-
-def descend(pair: EigenPair, level: ChainLevel) -> EigenPair:
-    """Lower an eigenpair one level: psi -> A* psi / lambda_k."""
-    if pair.level != level.k + 1:
-        raise GridMismatch("eigenpair does not sit one level above")
-    value_k = level.d * pair.value + level.c
-    if value_k == 0:
-        raise ZeroEigenvalue("descent needs a nonzero eigenvalue")
-    psi_k = apply_Astar(level, pair.psi) * (1.0 / value_k)
-    return EigenPair(psi=psi_k, value=value_k, level=level.k)
 
 
 def eigen_residual(level: ChainLevel, pair: EigenPair) -> float:
@@ -660,9 +616,8 @@ def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0
 __all__ = [
     "ChainLevel", "EigenPair", "CoefficientTriple", "make_level",
     "apply_A", "apply_Astar", "advance_level", "build_chain",
-    "chain_equation_residual",
     "solve_step_constant", "bands_AstarA", "bands_AAstar", "tridiag_apply",
-    "factorization_residual", "to_coefficients", "apply_coefficients",
-    "from_coefficients", "lift", "descend", "eigen_residual",
+    "factorization_residual", "to_coefficients",
+    "from_coefficients", "lift", "eigen_residual",
     "eigen_residual_norm", "chain_eigenvalues", "particular_gauge_xi",
 ]

@@ -17,6 +17,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -343,7 +344,10 @@ def cmd_validate(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of a process and
+    shared by every later :func:`main` call (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="taucalc",
         description="orbit-grid calculus, factorization chains and the "

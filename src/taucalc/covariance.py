@@ -66,13 +66,6 @@ def ln_change(source: tuple[float, float]) -> VariableChange:
                           name="ln")
 
 
-def exp_change(source: tuple[float, float]) -> VariableChange:
-    """kappa = exp."""
-    return VariableChange(np.exp, np.log, source,
-                          (float(np.exp(source[0])), float(np.exp(source[1]))),
-                          name="exp")
-
-
 def affine_change(p: float, q: float,
                   source: tuple[float, float]) -> VariableChange:
     """kappa(x) = p*x + q."""
@@ -216,7 +209,7 @@ def equivalence_obstruction(map_a: TauMap, map_b: TauMap) -> dict:
 
 
 __all__ = [
-    "VariableChange", "ln_change", "exp_change", "affine_change",
+    "VariableChange", "ln_change", "affine_change",
     "powerlaw_change", "conjugate_map", "transport_grid",
     "transport_function", "transport_weight",
     "transport_level", "equivalence_obstruction",

@@ -57,10 +57,6 @@ class ZeroLift(CalculusError):
     """Ladder application annihilated the eigenfunction (chain bottom)."""
 
 
-class ZeroEigenvalue(CalculusError):
-    """Descent requires a nonzero eigenvalue."""
-
-
 class DegenerateSystem(CalculusError):
     """The 2x2 step matrix is singular at a grid point."""
 
@@ -107,7 +103,3 @@ class NotContractingWarning(UserWarning):
 
 class PositivityWarning(UserWarning):
     """The weighted measure is not positive at some grid points."""
-
-
-class UnboundedShiftWarning(UserWarning):
-    """The shift weight grows along the truncated tail."""

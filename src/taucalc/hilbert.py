@@ -19,7 +19,7 @@ import numpy as np
 
 from .calculus import shift, step_quotient, tau_derivative, tau_integral
 from .errors import (GridMismatch, InconsistentWeights, PositivityWarning,
-                     UnboundedShiftWarning, ZeroDivisor, ZeroWeight)
+                     ZeroDivisor, ZeroWeight)
 from .grid import GROUP, ZERO_TOL, OrbitGrid
 from .gridfn import GridFunction, joint_scale
 
@@ -123,20 +123,6 @@ def adjoint_shift(phi: GridFunction, w: WeightedGrid) -> GridFunction:
     return GridFunction(grid, out, mask, label="T*phi")
 
 
-def shift_norm(w: WeightedGrid, warn: bool = True) -> float:
-    """Operator norm bound sqrt(sup |mu|) of the composition operator."""
-    mu = w.mu
-    worst = mu.max_abs()
-    if warn:
-        for s in mu.grid.slices:
-            tail = np.abs(mu.flat[s][mu.flat_valid[s]])[-6:]
-            if len(tail) == 6 and np.all(np.diff(tail) > 0):
-                warnings.warn("shift multiplier grows along the truncated tail",
-                              UnboundedShiftWarning, stacklevel=2)
-                break
-    return float(np.sqrt(worst))
-
-
 def weight_from_pearson(B: GridFunction, eta: GridFunction) -> WeightedGrid:
     """Build the weight solving T(B rho) = eta rho with rho = 1 at each base:
     rho[n+1] = eta[n] rho[n] / B[n+1] walked outward by
@@ -193,6 +179,6 @@ def adjoint_tau_derivative(psi: GridFunction, w_k: WeightedGrid,
 
 __all__ = [
     "WeightedGrid", "weighted_grid", "inner_product", "norm", "mu_from_rho",
-    "adjoint_shift", "shift_norm", "weight_from_pearson",
+    "adjoint_shift", "weight_from_pearson",
     "PearsonResidual", "pearson_residual", "adjoint_tau_derivative",
 ]

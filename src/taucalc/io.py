@@ -15,7 +15,6 @@ whole.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -85,18 +84,6 @@ def write_function_csv(f: GridFunction, path: str | Path) -> Path:
                         np.where(f.flat_valid, "1", "0").tolist()])
 
 
-def read_function_csv(grid: OrbitGrid, path: str | Path) -> GridFunction:
-    """Inverse of :func:`write_function_csv` onto an existing grid object."""
-    vals = np.zeros(grid.size, dtype=complex)
-    valid = np.zeros(grid.size, dtype=bool)
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            k = grid.slices[int(row["branch"])].start + int(row["n"])
-            vals[k] = float(row["re"]) + 1j * float(row["im"])
-            valid[k] = bool(int(row["valid"]))
-    return GridFunction(grid, vals, valid)
-
-
 def write_level_csv(level: ChainLevel, path: str | Path) -> Path:
     """Columns: branch, n, x, rho, B, eta, h, f, phi (real parts)."""
     return _write_level(level, path, _lead(level.grid))
@@ -154,5 +141,5 @@ def write_json(data: dict, path: str | Path) -> Path:
 
 __all__ = [
     "write_grid_csv", "grid_diagnostics", "write_function_csv",
-    "read_function_csv", "write_level_csv", "write_chain", "write_json",
+    "write_level_csv", "write_chain", "write_json",
 ]

@@ -131,25 +131,6 @@ def power_map(p: float, domain: tuple[float, float] = (0.0, 1.0)) -> TauMap:
                   name=f"power(p={p})")
 
 
-def compose_maps(*maps: TauMap) -> TauMap:
-    """Composition m1 o m2 o ... o mn (rightmost applied first)."""
-    if not maps:
-        raise ValueError("need at least one map")
-
-    def fwd(x: float) -> float:
-        for m in reversed(maps):
-            x = m.forward(x)
-        return x
-
-    def inv(y: float) -> float:
-        for m in maps:
-            y = m.inverse(y)
-        return y
-
-    name = "o".join(m.name or "?" for m in maps)
-    return TauMap(fwd, inv, maps[-1].domain, name=f"compose({name})")
-
-
 def iterate(tau: TauMap, x0: float, n: int) -> float:
     """n-fold composition tau^n(x0); negative n uses the inverse."""
     if not tau.contains(x0):
@@ -163,8 +144,8 @@ def iterate(tau: TauMap, x0: float, n: int) -> float:
     return x
 
 
-def limit_point(tau: TauMap, x0: float,
-                _backward_cap: int | None = None) -> LimitResult:
+def limit_point(tau: TauMap, x0: float, _backward_cap: int | None = None,
+                _stop_outside: bool = False) -> LimitResult:
     """Walk tau from ``x0`` to its limit: iterate until a step is below
     ``LIMIT_TOL`` (1 + |x|), then polish toward the fixed point.
 
@@ -178,6 +159,11 @@ def limit_point(tau: TauMap, x0: float,
     quarter-ulp of the nearest distance DEFAULT_DELTA_TOL r^4 (1 + |limit|)
     a grid point keeps to the limit (a branch stops after three steps
     below DEFAULT_DELTA_TOL), so more polishing changes no point - limit.
+    With ``_stop_outside`` a step-by-step walk that has not yet detected
+    its limit ends unconverged at its first point that is not finite or
+    not in ``tau.domain`` (that point is the last of the walk).  A step
+    that raises an ArithmeticError (a pole, an overflow) raises
+    :class:`DomainEscape`.
 
     A scale map x -> q x (:func:`linear_map` with h = +0.0) whose walk
     is expected to take more than ``_SCALAR_STEPS`` steps (see
@@ -192,25 +178,32 @@ def limit_point(tau: TauMap, x0: float,
         return _running_products(tau.q, x0, cap, _backward_cap is not None)
     x = float(x0)
     walk = [x]
-    for i in range(1, cap + 1):
-        x_next = step(x)
-        last = abs(x_next - x)
-        if last < LIMIT_TOL * (1.0 + abs(x)):
-            if x_next != x:
-                walk.append(x_next)
-            for _ in range(cap):
-                x_more = step(x_next)
-                if x_more == x_next:
-                    break
-                r, last = abs(x_more - x_next) / last, abs(x_more - x_next)
-                x_next = x_more
-                walk.append(x_next)
-                if r < 1.0 and last * r / (1.0 - r) < (
-                        _POLISH_TOL * r ** 4 * (1.0 + abs(x_next))):
-                    break
-            return LimitResult(x_next, i, True, np.array(walk))
-        walk.append(x_next)
-        x = x_next
+    try:   # of the loop's arithmetic, only the map's own steps can raise
+        for i in range(1, cap + 1):
+            x_next = step(x)
+            last = abs(x_next - x)
+            if last < LIMIT_TOL * (1.0 + abs(x)):
+                if x_next != x:
+                    walk.append(x_next)
+                for _ in range(cap):
+                    x_more = step(x_next)
+                    if x_more == x_next:
+                        break
+                    r, last = abs(x_more - x_next) / last, abs(x_more - x_next)
+                    x_next = x_more
+                    walk.append(x_next)
+                    if r < 1.0 and last * r / (1.0 - r) < (
+                            _POLISH_TOL * r ** 4 * (1.0 + abs(x_next))):
+                        break
+                return LimitResult(x_next, i, True, np.array(walk))
+            walk.append(x_next)
+            if _stop_outside and not (math.isfinite(x_next)
+                                      and tau.contains(x_next)):
+                return LimitResult(x_next, i, False, np.array(walk))
+            x = x_next
+    except ArithmeticError as exc:
+        raise DomainEscape(f"a step of {tau.name or 'the map'} failed on the "
+                           f"orbit of {x0} at x={walk[-1]}: {exc}") from exc
     return LimitResult(x, cap, False, np.array(walk))
 
 

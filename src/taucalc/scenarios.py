@@ -29,35 +29,11 @@ from .maps import fractional_map, linear_map
 from .riccati import TwoByTwoSystem
 
 _poly = np.polynomial.polynomial
-# the infinite q-Pochhammer product stops once its next term is below
-# _QPOCH_TOL, or after _QPOCH_MAX_TERMS factors
-_QPOCH_TOL = 1e-18
-_QPOCH_MAX_TERMS = 100000
 
 
 # ---------------------------------------------------------------------------
 # infinite products
 # ---------------------------------------------------------------------------
-
-def qpochhammer(alpha: complex, q: float, n: int | None = None) -> complex:
-    """The product (alpha; q)_n = prod_{j<n} (1 - alpha q^j); n=None -> infinite.
-
-    The infinite product is truncated once the running factor is within
-    ``_QPOCH_TOL`` of 1, which requires |q| < 1.
-    """
-    if n is not None:
-        return complex(np.prod(1.0 - alpha * q ** np.arange(n))) if n else 1.0 + 0j
-    if not abs(q) < 1:
-        raise DomainEscape("infinite product needs |q| < 1")
-    out = 1.0 + 0j
-    term = complex(alpha)
-    for _ in range(_QPOCH_MAX_TERMS):
-        out *= (1.0 - term)
-        if abs(term) < _QPOCH_TOL:
-            return out
-        term *= q
-    return out
-
 
 def symmetric_qpochhammer(x, beta: complex, q: float) -> complex | np.ndarray:
     """The double product (-x/beta; q)_inf (x/beta; q)_inf = prod (1 - q^{2n} x^2/beta^2)."""
@@ -401,7 +377,7 @@ def gauge_riccati_system(level: ChainLevel) -> TwoByTwoSystem:
 
 
 __all__ = [
-    "qpochhammer", "symmetric_qpochhammer", "qderivative_poly",
+    "symmetric_qpochhammer", "qderivative_poly",
     "QHahnScenario", "qhahn_grid", "qhahn_chain",
     "ConstantGaugeScenario", "constant_gauge_grid", "constant_gauge_chain",
     "FractionalScenario", "fractional_chain",

@@ -5,9 +5,14 @@
 own with ``format(v, ".17g")``.  The ``*_csv`` helpers lay out the rows
 of :mod:`taucalc.io`'s grid, function and level files on top of it.
 Tests check that :mod:`taucalc.io` writes the same bytes.
+``read_function_csv`` reads a function file back onto its grid.
 """
 
 import csv
+
+import numpy as np
+
+from taucalc.gridfn import GridFunction
 
 
 def cell(v):
@@ -47,3 +52,16 @@ def level_csv(level, path):
         path, ["branch", "n", "x", "rho", "B", "eta", "h", "f", "phi"], grid,
         lambda k: [cell(grid.points[k])]
         + [cell(fn.flat[k].real) if fn.flat_valid[k] else "" for fn in fields])
+
+
+def read_function_csv(grid, path):
+    """The GridFunction a function file holds, on the grid it was written
+    from: rows are matched to points by their branch and index."""
+    vals = np.zeros(grid.size, dtype=complex)
+    valid = np.zeros(grid.size, dtype=bool)
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            k = grid.slices[int(row["branch"])].start + int(row["n"])
+            vals[k] = float(row["re"]) + 1j * float(row["im"])
+            valid[k] = bool(int(row["valid"]))
+    return GridFunction(grid, vals, valid)

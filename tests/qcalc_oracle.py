@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# the infinite q-Pochhammer product stops once its next term is below
+# _QPOCH_TOL, or after _QPOCH_MAX_TERMS factors
+_QPOCH_TOL = 1e-18
+_QPOCH_MAX_TERMS = 100000
+
 
 def horner(coeffs, x):
     """Evaluate a polynomial with ascending coefficients at x."""
@@ -53,3 +58,23 @@ def jackson_integral_exact(coeffs, q, upper):
 def q_antiderivative_at(coeffs, q, x, n_terms=4000):
     """The antiderivative vanishing at 0, evaluated at x (Jackson sum)."""
     return jackson_integral(coeffs, q, x, n_terms=n_terms)
+
+
+def qpochhammer(alpha, q, n=None):
+    """The product (alpha; q)_n = prod_{j<n} (1 - alpha q^j); n=None -> infinite.
+
+    The infinite product is truncated once the running factor is within
+    ``_QPOCH_TOL`` of 1, which requires |q| < 1.
+    """
+    if n is not None:
+        return complex(np.prod(1.0 - alpha * q ** np.arange(n))) if n else 1.0 + 0j
+    if not abs(q) < 1:
+        raise ValueError("infinite product needs |q| < 1")
+    out = 1.0 + 0j
+    term = complex(alpha)
+    for _ in range(_QPOCH_MAX_TERMS):
+        out *= (1.0 - term)
+        if abs(term) < _QPOCH_TOL:
+            return out
+        term *= q
+    return out

@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from taucalc import (GROUP, SEMIGROUP, GridFunction, apply_A, apply_Astar,
-                     build_grid, chain_eigenvalues, descend,
+from taucalc import (GROUP, SEMIGROUP, EigenPair, GridFunction, apply_A,
+                     apply_Astar, build_grid, chain_eigenvalues,
                      eigen_residual_norm, factorization_residual,
                      from_coefficients, lift, linear_map, particular_gauge_xi,
-                     solve_step_constant, to_coefficients)
+                     shift, solve_step_constant, to_coefficients)
 from taucalc import chain
-from taucalc.chain import (CoefficientTriple, _assemble_factor,
-                           apply_coefficients, chain_equation_residual,
-                           make_level)
+from taucalc.chain import CoefficientTriple, _assemble_factor, make_level
 from taucalc.errors import (InconsistentWeights, NonPositiveFactor,
                             RiccatiBlowup, SingularLimit, ZeroAlpha,
                             ZeroDivisor)
@@ -52,12 +50,6 @@ def test_factorization_postulate(qh, cg):
             assert factorization_residual(lo, hi, rng=1) < 1e-9
 
 
-def test_chain_equation_residual(cg):
-    lvl = cg.levels[0]
-    assert chain_equation_residual(lvl, cg.levels[1].h, lvl.g, lvl.c,
-                                   lvl.d) < 1e-9
-
-
 def test_solve_step_constant_rejects_wrong_gauge(cg):
     lvl = cg.levels[0]
     bad_g = GridFunction.constant(lvl.grid, 1.0)  # true gauge is q^-2
@@ -74,6 +66,13 @@ def test_kernel_pair_and_lift(cg):
     lifted = lift(pair, lvl)
     assert lifted.level == pair.level + 1
     assert eigen_residual_norm(cg.levels[lifted.level], lifted) < 1e-8
+
+
+def descend(pair, level):
+    """Lower an eigenpair one level: psi -> A* psi / lambda_k."""
+    value = level.d * pair.value + level.c
+    return EigenPair(psi=apply_Astar(level, pair.psi) * (1.0 / value),
+                     value=value, level=level.k)
 
 
 def test_descend_inverts_lift(cg):
@@ -107,6 +106,12 @@ def test_coefficient_roundtrip(qh):
             sel = ma & mb
             scale = max(1.0, np.max(np.abs(va[sel])))
             assert np.max(np.abs(va[sel] - vb[sel])) / scale < 1e-9
+
+
+def apply_coefficients(coef, psi):
+    """Evaluate alpha T psi + beta psi + gamma T^-1 psi."""
+    return (coef.alpha * shift(psi) + coef.beta * psi
+            + coef.gamma * shift(psi, -1))
 
 
 def test_operator_vs_coefficients(qh):

@@ -10,7 +10,7 @@ import pytest
 from taucalc import (SEMIGROUP, build_grid, fractional_map, linear_map,
                      power_map)
 from taucalc import io as tcio
-from taucalc import scenarios
+from taucalc import cli, scenarios
 from taucalc.cli import _preset_chain, main
 from taucalc.io import grid_diagnostics, write_grid_csv
 
@@ -259,6 +259,20 @@ def test_validate_full_suite_writes_json(tmp_path, capsys):
     assert len(report["criteria"]) == 12
 
 
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    # a repeated --criterion collects into a fresh list on every call
+    cli._build_parser.cache_clear()
+    for k, names in enumerate((["pearson", "calculus"], ["adjoints"])):
+        argv = ["validate", "--out", str(tmp_path / f"r{k}")]
+        for name in names:
+            argv += ["--criterion", name]
+        assert run(*argv) == 0
+        report = json.loads((tmp_path / f"r{k}" / "validation.json").read_text())
+        assert [c["name"] for c in report["criteria"]] == names
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @pytest.mark.parametrize("argv", [
     ("grid", "--preset", "linear", "--tol", "1e-6"),
     ("chain", "--preset", "constant-gauge", "--tol", "1e-6"),
@@ -400,6 +414,18 @@ def test_grid_forward_orbit_leaving_the_domain_exit_3(tmp_path, capsys):
     })
     assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 3
     assert "DomainEscape" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_grid_map_step_arithmetic_error_exit_3(tmp_path, capsys):
+    # fractional(a=2) has its pole at the base x = -1/(a - 1)
+    cfg = write_config(tmp_path, {
+        "map": {"kind": "fractional", "a": 2.0},
+        "grid": {"mode": "semigroup", "bases": -1.0, "depth": 60},
+    })
+    assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert "DomainEscape" in err and "division by zero" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
-from taucalc import (GridFunction, affine_change, conjugate_map,
-                     equivalence_obstruction, exp_change, fractional_map,
-                     inner_product, linear_map, ln_change, power_map,
-                     powerlaw_change,
-                     transport_function, transport_grid, transport_weight,
-                     weighted_grid)
-from taucalc.covariance import _FIXED_POINT_SAMPLES, transport_level
+from taucalc import (GridFunction, affine_change, equivalence_obstruction,
+                     fractional_map, inner_product, linear_map, ln_change,
+                     power_map, powerlaw_change, transport_function,
+                     transport_grid, transport_weight, weighted_grid)
+from taucalc.covariance import (_FIXED_POINT_SAMPLES, VariableChange,
+                                conjugate_map, transport_level)
 from taucalc.maps import TauMap
 from taucalc.hilbert import pearson_residual
 from taucalc.scenarios import constant_gauge_chain
+
+
+def exp_change(source):
+    """kappa = exp, the inverse of ln_change."""
+    return VariableChange(np.exp, np.log, source,
+                          (float(np.exp(source[0])), float(np.exp(source[1]))),
+                          name="exp")
 
 
 @pytest.fixture(scope="module")

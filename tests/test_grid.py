@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -332,6 +334,41 @@ def test_group_grid_points_are_finite_and_in_domain(tau, base, depth):
     grid = build_grid(tau, GROUP, base, depth)
     assert np.all(np.isfinite(grid.points)) and np.all(tau.contains(grid.points))
     assert np.all(np.isfinite(grid.deltas))
+
+
+@pytest.mark.parametrize("tau, base, depth", [
+    pytest.param(linear_map(0.9, h=-0.2), 1.0, depth, id=f"linear-{depth}")
+    for depth in (40, 400, 4000)] + [
+    pytest.param(linear_map(0.5, h=0.1, domain=(-1.0, 1.0)), 0.5, 4000,
+                 id="linear-unit-domain"),
+    pytest.param(power_map(2.0, domain=(0.0, 0.9)), 0.5, 4000, id="power"),
+    pytest.param(linear_map(0.1), 1.0, 512, id="linear-scale")])
+def test_group_backward_leg_stops_at_the_domain_exit(tau, base, depth):
+    # tau.inverse is called for each kept backward point and at most once
+    # more, for the first point outside the domain (a scale map walks as
+    # running products and calls it not at all)
+    calls = [0]
+
+    def inverse(y):
+        calls[0] += 1
+        return tau.inverse(y)
+
+    grid = build_grid(dataclasses.replace(tau, inverse=inverse), GROUP, base,
+                      depth)
+    assert calls[0] <= grid.branches[0].base_index + 1
+    assert_same_as_two_walks(grid, tau, GROUP, base, depth)
+
+
+def test_map_step_arithmetic_error_is_a_domain_escape():
+    # fractional(a=2) has its pole at the base x = -1/(a - 1)
+    with pytest.raises(DomainEscape, match="division by zero"):
+        build_grid(fractional_map(2.0), SEMIGROUP, -1.0, 60)
+    # x ** p overflows a float
+    with pytest.raises(DomainEscape, match="Numerical result out of range"):
+        build_grid(power_map(1e300, domain=(1.0, 1e18)), SEMIGROUP, 2.0, 60)
+    # the inverse y / (a - (a - 1) y) has its pole at y = a / (a - 1) = 1.0
+    with pytest.raises(DomainEscape, match="division by zero"):
+        build_grid(fractional_map(1e300), GROUP, 1.0, 60)
 
 
 # -- the two-walk reference ------------------------------------------------

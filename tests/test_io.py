@@ -10,13 +10,14 @@ from taucalc import GridFunction, linear_map
 from taucalc.chain import ChainLevel
 from taucalc.grid import INTERVAL, SEMIGROUP, OrbitBranch, OrbitGrid
 from taucalc.hilbert import WeightedGrid
-from taucalc.io import (_column, grid_diagnostics, read_function_csv, write_chain,
+from taucalc.io import (_column, grid_diagnostics, write_chain,
                         write_function_csv, write_grid_csv, write_json,
                         write_level_csv)
 from taucalc.scenarios import constant_gauge_chain
 
 import csv_oracle
 from csv_oracle import cell as _cell, per_cell_csv as _per_cell_csv
+from csv_oracle import read_function_csv
 
 
 def test_grid_csv_rows(qgrid, tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taucalc.maps import (LIMIT_MAX_ITER, TauMap, _running_products,
-                          compose_maps, fractional_map, iterate, limit_point,
-                          linear_map, power_map)
+                          fractional_map, iterate, limit_point, linear_map,
+                          power_map)
 
 from limit_oracle import counting_map
 
@@ -46,11 +46,6 @@ def test_power_map_roundtrip():
     tau = power_map(2.0, domain=(0.1, 0.9))
     assert tau.forward(0.5) == pytest.approx(0.25)
     assert tau.inverse(0.25) == pytest.approx(0.5)
-
-
-def test_compose_maps():
-    tau = compose_maps(linear_map(0.5), linear_map(0.5))
-    assert tau.forward(1.0) == pytest.approx(0.25)
 
 
 def test_limit_point_linear():

@@ -6,12 +6,13 @@ from taucalc.chain import apply_A as chain_apply_A
 from taucalc.gridfn import GridFunction, joint_scale
 from taucalc.maps import fractional_map, iterate
 from taucalc.scenarios import (constant_gauge_chain, fractional_chain,
-                               qhahn_chain, qpochhammer,
-                               symmetric_qpochhammer)
+                               qhahn_chain, symmetric_qpochhammer)
+
+from qcalc_oracle import qpochhammer
 
 
 # ---------------------------------------------------------------------------
-# q-Pochhammer
+# q-Pochhammer: the test oracle, then the package's double product against it
 
 def test_qpochhammer_empty_product():
     assert qpochhammer(0.3, 0.5, 0) == 1.0

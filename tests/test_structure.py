@@ -34,6 +34,78 @@ def test_no_private_cross_module_imports(path):
     assert private == []
 
 
+# public top-level functions and classes that no package or command-line
+# code calls, each with the reason it stays public; the reservations name
+# the ROADMAP.md item that gives them a caller
+PUBLIC_WITHOUT_CALLER = {
+    ("calculus.py", "tau_exponential"):
+        "reserved: the paper's first-order solutions in a criterion",
+    ("calculus.py", "solve_linear_first_order"):
+        "reserved: the paper's first-order solutions in a criterion",
+    ("chain.py", "to_coefficients"):
+        "reserved: a second eigen-solve path through the three-point equation",
+    ("riccati.py", "system_from_second_order"):
+        "reserved: a second eigen-solve path through the three-point equation",
+    ("covariance.py", "affine_change"):
+        "reserved: equivariance end to end",
+    ("covariance.py", "powerlaw_change"):
+        "reserved: equivariance end to end",
+    ("io.py", "write_level_csv"):
+        "wrapped by perfbench/tracing.py as an io.write span",
+}
+
+
+def public_without_caller(paths):
+    """(file, name) of every public top-level function or class of
+    ``paths`` that no code in ``paths`` refers to outside its own
+    definition, by its name or as an attribute of a module imported with
+    ``from . import <module>``."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    defined = {(f, node.name) for f, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and not node.name.startswith("_")}
+    used = set()
+    for tree in trees.values():
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level
+                   and node.module is None for alias in node.names}
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            used |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top)
+                     if isinstance(node, ast.Name) or isinstance(
+                         node, ast.Attribute)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id in modules} - {own}
+    return sorted((f, name) for f, name in defined if name not in used)
+
+
+def test_every_public_function_has_a_caller():
+    # a helper only tests call lives in tests/, beside them or in an oracle
+    assert public_without_caller(SOURCES) == sorted(PUBLIC_WITHOUT_CALLER)
+
+
+def test_surface_rule_sees_public_functions_without_caller(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "def used():\n    return unused_here\n\n"
+        "def unused():\n    return used()\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "def _private():\n    pass\n\n"
+        "class Reached:\n    pass\n\n"
+        "class Alone:\n    def used(self):\n        return Alone()\n")
+    (pkg / "b.py").write_text(
+        "from . import a as mod\nfrom .a import used\n\n"
+        "def run(x):\n    return used() + x.unused + mod.Reached()\n")
+    (pkg / "__init__.py").write_text(
+        "from .a import Alone, unused\n__all__ = ['unused', 'run']\n")
+    assert public_without_caller(sorted(pkg.glob("*.py"))) == [
+        ("a.py", "Alone"), ("a.py", "recursive"), ("a.py", "unused"),
+        ("b.py", "run")]
+
+
 def test_cli_import_leaves_scipy_unloaded(src_env):
     # scipy is imported where the eigen-solve needs it, not at start-up
     code = "import sys, taucalc.cli; print('scipy' in sys.modules)"
@@ -42,11 +114,10 @@ def test_cli_import_leaves_scipy_unloaded(src_env):
     assert out.strip() == "False"
 
 
-# per-branch loops that remain outside grid.py; a new orbit recursion goes
-# through OrbitGrid.mobius_scan, suffix_scan or suffix_products instead of
-# its own loop
-BRANCH_LOOPS_ALLOWED = {("hilbert.py", "shift_norm"),
-                        ("calculus.py", "tau_antiderivative")}
+# per-branch loops that remain outside grid.py (none): an orbit recursion
+# goes through OrbitGrid.mobius_scan, suffix_scan or suffix_products, and
+# a per-branch check through one array expression, instead of a loop
+BRANCH_LOOPS_ALLOWED = set()
 
 
 def branch_loops(path):
