@@ -155,16 +155,11 @@ def tau_antiderivative(f: GridFunction, check_tail: bool = True) -> GridFunction
     terms = np.multiply(grid.deltas, f.flat, where=grid.has_next,
                         out=np.zeros(f.flat.shape, dtype=complex))
     if check_tail:
-        limit = _TAIL_TOL * np.fmax(1.0, f.max_abs())
-        # the three terms before the end of each branch of 4 points or more
-        ends = np.array([s.stop for s in grid.slices if s.stop - s.start >= 4],
-                        dtype=int)
-        tails = terms.reshape(-1, grid.size)[:, ends[:, None] - [4, 3, 2]]
-        over = (np.abs(tails) > np.reshape(limit, (-1, 1, 1))).any(axis=(0, 2))
-        if over.any():
-            end = ends[over.argmax()]
-            tail = np.abs(terms[..., end - 4:end - 1])
-            raise TailNotConverged(f"antiderivative tail terms {tail} too large")
+        limit = _TAIL_TOL * _column(np.fmax(1.0, f.max_abs()))
+        for s in grid.slices:
+            tail = np.abs(terms[..., s][..., -4:-1])
+            if s.stop - s.start >= 4 and (tail > limit).any():
+                raise TailNotConverged(f"antiderivative tail terms {tail} too large")
     # out[n] = sum_{m>=n} terms[m], summed tail-first for accuracy.
     return GridFunction(grid, grid.suffix_scan(np.add, terms), _suffix_valid(f),
                         label=f"int({f.label})" if f.label else "")

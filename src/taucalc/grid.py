@@ -378,8 +378,7 @@ def _leg(tau: TauMap, base: float, max_depth: int,
          backward: bool = False) -> tuple[np.ndarray, float, bool]:
     """(points, limit, settled) of one leg of the orbit of ``base``, cut
     from its :func:`limit_point` walk as :func:`build_grid` describes."""
-    res = (limit_point(tau, base, max_depth, _stop_outside=True) if backward
-           else limit_point(tau, base))
+    res = limit_point(tau, base, max_depth if backward else None)
     walk = res.walk
     if res.converged and len(walk) == 1:
         raise ZeroDivisor(f"fixed point hit on the orbit at x={base}")
@@ -418,10 +417,10 @@ def build_grid(tau: TauMap, mode: str = SEMIGROUP,
     :class:`DomainEscape` and one that does not settle
     :class:`LimitNotConverged`.  A group orbit's backward leg walks
     tau.inverse up to ``max_depth``, is cut by the same rule relative to
-    1 + |x_next| and ends at its last finite point in the domain; a
-    step-by-step walk stops at its first point outside.  A base on a
-    fixed point raises :class:`ZeroDivisor`, and a map step that raises
-    an ArithmeticError :class:`DomainEscape`.
+    1 + |x_next| and ends at its last finite point in the domain; every
+    walk stops at its first point outside.  A base on a fixed point
+    raises :class:`ZeroDivisor`, and a map step that raises an
+    ArithmeticError :class:`DomainEscape`.
     """
     if mode in (SEMIGROUP, GROUP):
         base = float(bases) if np.isscalar(bases) else float(bases[0])

@@ -8,6 +8,7 @@ calculus lives.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -47,9 +48,13 @@ class TauMap:
     def contains(self, x: float | np.ndarray) -> bool | np.ndarray:
         """Whether x (elementwise for an array) lies in the domain, padded
         by _DOMAIN_TOL (1 + |lo| + |hi|)."""
+        lo, hi = self._padded()
+        return (lo <= x) & (x <= hi)
+
+    def _padded(self) -> tuple[float, float]:
         lo, hi = self.domain
         pad = _DOMAIN_TOL * (1.0 + abs(lo) + abs(hi))
-        return (lo - pad <= x) & (x <= hi + pad)
+        return lo - pad, hi + pad
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,7 @@ class _ScaleMap(TauMap):
         def reach(c: float) -> float:
             # a walk shrinking by c per step ends near |x| = _POLISH_TOL,
             # where its polish stops; one that does not shrink runs to its
-            # cap from any x0 != 0
+            # cap or its domain exit from any x0 != 0
             if c >= 1.0:
                 return 0.0
             shrink = c ** _SCALAR_STEPS
@@ -144,8 +149,8 @@ def iterate(tau: TauMap, x0: float, n: int) -> float:
     return x
 
 
-def limit_point(tau: TauMap, x0: float, _backward_cap: int | None = None,
-                _stop_outside: bool = False) -> LimitResult:
+def limit_point(tau: TauMap, x0: float,
+                _backward_cap: int | None = None) -> LimitResult:
     """Walk tau from ``x0`` to its limit: iterate until a step is below
     ``LIMIT_TOL`` (1 + |x|), then polish toward the fixed point.
 
@@ -159,11 +164,10 @@ def limit_point(tau: TauMap, x0: float, _backward_cap: int | None = None,
     quarter-ulp of the nearest distance DEFAULT_DELTA_TOL r^4 (1 + |limit|)
     a grid point keeps to the limit (a branch stops after three steps
     below DEFAULT_DELTA_TOL), so more polishing changes no point - limit.
-    With ``_stop_outside`` a step-by-step walk that has not yet detected
-    its limit ends unconverged at its first point that is not finite or
-    not in ``tau.domain`` (that point is the last of the walk).  A step
-    that raises an ArithmeticError (a pole, an overflow) raises
-    :class:`DomainEscape`.
+    A walk that has not yet detected its limit ends unconverged at its
+    first point after x0 that is not finite or not in ``tau.domain``
+    (that point is the last of the walk).  A step that raises an
+    ArithmeticError (a pole, an overflow) raises :class:`DomainEscape`.
 
     A scale map x -> q x (:func:`linear_map` with h = +0.0) whose walk
     is expected to take more than ``_SCALAR_STEPS`` steps (see
@@ -172,10 +176,11 @@ def limit_point(tau: TauMap, x0: float, _backward_cap: int | None = None,
     """
     step, cap = ((tau.forward, LIMIT_MAX_ITER) if _backward_cap is None
                  else (tau.inverse, _backward_cap))
-    # (a nan base is not <= anything: its walk runs to the cap)
+    # (a nan base is not <= anything and takes the running products)
     if (isinstance(tau, _ScaleMap) and cap > _SCALAR_STEPS
             and not abs(float(x0)) <= tau.long_from[_backward_cap is not None]):
-        return _running_products(tau.q, x0, cap, _backward_cap is not None)
+        return _running_products(tau, x0, cap, _backward_cap is not None)
+    lo, hi = _finite_bounds(tau)
     x = float(x0)
     walk = [x]
     try:   # of the loop's arithmetic, only the map's own steps can raise
@@ -197,8 +202,7 @@ def limit_point(tau: TauMap, x0: float, _backward_cap: int | None = None,
                         break
                 return LimitResult(x_next, i, True, np.array(walk))
             walk.append(x_next)
-            if _stop_outside and not (math.isfinite(x_next)
-                                      and tau.contains(x_next)):
+            if not lo <= x_next <= hi:
                 return LimitResult(x_next, i, False, np.array(walk))
             x = x_next
     except ArithmeticError as exc:
@@ -207,10 +211,17 @@ def limit_point(tau: TauMap, x0: float, _backward_cap: int | None = None,
     return LimitResult(x, cap, False, np.array(walk))
 
 
-def _running_products(q: float, x0: float, cap: int,
+def _finite_bounds(tau: TauMap) -> tuple[float, float]:
+    """(lo, hi) such that lo <= x <= hi exactly where x is finite and
+    ``tau.contains(x)``: +-inf and nan compare outside."""
+    lo, hi = tau._padded()
+    return max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
+
+
+def _running_products(tau: _ScaleMap, x0: float, cap: int,
                       backward: bool) -> LimitResult:
     """The :func:`limit_point` walk of x -> q*x + 0.0 from ``x0``, made of
-    running products.
+    running products of q = ``tau.q``.
 
     A forward step is one rounded product and an inverse step (y - 0.0)/q
     one rounded quotient, so ``multiply.accumulate`` (with the + 0.0 that
@@ -218,19 +229,23 @@ def _running_products(q: float, x0: float, cap: int,
     scalar walk bit for bit.  The walk is made in chunks: the first to
     about its expected length, then doubling, never past the last step
     the cap allows (an orbit run deep into subnormals is slow).
-    Detection is the scalar test on a whole chunk at once; the polish stop
-    is decided on Python floats, as in the scalar walk (see
-    :func:`_polish_stop`).
+    Detection and the stop at the first point outside the domain are the
+    scalar tests on a whole chunk at once; the polish stop is decided on
+    Python floats, as in the scalar walk (see :func:`_polish_stop`).
     """
-    scan = np.divide if backward else np.multiply
+    q, scan = tau.q, (np.divide if backward else np.multiply)
+    bottom, top = _finite_bounds(tau)
     x0 = float(x0)
     w = np.array([x0])
     found = None   # the step where the limit was detected
     lo = 1         # the first step not yet tested
-    # a walk shrinking by c per step ends near |x| = _POLISH_TOL
-    c, span = (1.0 / abs(q) if backward else abs(q)), abs(x0) / _POLISH_TOL
-    grow = (min(cap, int(math.log(span) / -math.log(c)) + 64)
-            if c < 1.0 and 1.0 < span < math.inf else cap)
+    # a walk shrinking by c per step ends near |x| = _POLISH_TOL, and one
+    # growing by c leaves the domain near |x| = max(-bottom, top)
+    c = 1.0 / abs(q) if backward else abs(q)
+    span = (abs(x0) / _POLISH_TOL if c < 1.0
+            else max(-bottom, top) / abs(x0) if x0 else math.inf)
+    grow = (min(cap, int(math.log(span) / abs(math.log(c))) + 64)
+            if c != 1.0 and 1.0 < span < math.inf else cap)
     with np.errstate(all="ignore"):
         while True:
             stop = cap if found is None else found + cap
@@ -254,6 +269,10 @@ def _running_products(q: float, x0: float, cap: int,
             prev, nxt = w[lo - 1:hi], w[lo:]
             hit = (np.abs(nxt - prev)
                    < LIMIT_TOL * (1.0 + np.abs(prev))).nonzero()[0]
+            out = (~((bottom <= nxt) & (nxt <= top))).nonzero()[0]
+            if len(out) and not (len(hit) and hit[0] <= out[0]):
+                end = lo + int(out[0])
+                return LimitResult(float(w[end]), end, False, w[:end + 1])
             if not len(hit):
                 lo = hi + 1
                 continue

@@ -7,10 +7,9 @@ from taucalc import (GROUP, INTERVAL, GridFunction, SEMIGROUP, build_grid,
                      linear_map, shift, solve_linear_first_order,
                      tau_antiderivative, tau_derivative, tau_exponential,
                      tau_integral, weighted_grid)
-from taucalc.calculus import _TAIL_TOL, deltas_fn, dtau_inverse_fn, step_quotient
+from taucalc.calculus import deltas_fn, dtau_inverse_fn, step_quotient
 from taucalc.hilbert import adjoint_shift
 from taucalc.errors import TailNotConverged
-from taucalc.grid import OrbitBranch, OrbitGrid
 from taucalc.gridfn import max_abs_diff
 
 from qcalc_oracle import horner, jackson_integral_exact, q_derivative
@@ -245,52 +244,3 @@ def test_integral_tail_is_judged_per_branch():
     assert tau_integral(GridFunction(grid, vals)) == -1e6 * grid.deltas[
         grid.slices[ia].start]
 
-
-def branch_loop_tail_error(f):
-    """The TailNotConverged message tau_antiderivative gives ``f``, or None,
-    found by a loop over the branches: the first branch of 4 points or
-    more whose three terms before its end exceed the row's scale."""
-    grid = f.grid
-    terms = np.multiply(grid.deltas, f.flat, where=grid.has_next,
-                        out=np.zeros(f.flat.shape, dtype=complex))
-    limit = _TAIL_TOL * np.fmax(1.0, f.max_abs())
-    limit = limit[:, None] if np.ndim(limit) else limit
-    for s in grid.slices:
-        tail = np.abs(terms[..., s][..., -4:-1])
-        if s.stop - s.start >= 4 and (tail > limit).any():
-            return f"antiderivative tail terms {tail} too large"
-    return None
-
-
-def _short_branch_grid():
-    # branch a has 3 points (never checked), b and c 16 each
-    pts = 0.5 ** np.arange(16)
-    return OrbitGrid(linear_map(0.5), INTERVAL, (
-        OrbitBranch(-pts[:3], 0.0, role="a"), OrbitBranch(pts, 0.0, role="b"),
-        OrbitBranch(2.0 * pts, 0.0, role="b")))
-
-
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 3),
-       kind=st.sampled_from(["interval", "group", "short"]))
-def test_antiderivative_tail_check_matches_the_branch_loop(seed, rows, kind):
-    grid = {"interval": _interval_grid, "group": _group_grid,
-            "short": _short_branch_grid}[kind]()
-    rng = np.random.default_rng(seed)
-    shape = (rows, grid.size) if rows else (grid.size,)
-    # each branch of each row is scaled by 1 (its tail fails) or 1e-9
-    # (it passes), so any branch may be the first to fail
-    scale = 10.0 ** rng.choice([-9, 0], shape[:-1] + (len(grid.slices),))
-    vals = rng.standard_normal(shape) * np.repeat(
-        scale, [s.stop - s.start for s in grid.slices], axis=-1)
-    # one large value just inside or just outside a branch's tail window
-    end = grid.slices[rng.integers(len(grid.slices))].stop
-    vals[..., end - rng.integers(1, 6)] = 1e3
-    f = GridFunction(grid, vals, rng.random(shape) < 0.9)
-    expected = branch_loop_tail_error(f)
-    if expected is None:
-        tau_antiderivative(f)
-    else:
-        with pytest.raises(TailNotConverged) as info:
-            tau_antiderivative(f)
-        assert str(info.value) == expected

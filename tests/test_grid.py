@@ -359,6 +359,13 @@ def test_group_backward_leg_stops_at_the_domain_exit(tau, base, depth):
     assert_same_as_two_walks(grid, tau, GROUP, base, depth)
 
 
+def test_group_backward_leg_ends_before_an_overflow():
+    # the inverse y ** 2 would overflow a few steps past the exit at 16
+    grid = build_grid(power_map(0.5, domain=(1.0, 10.0)), GROUP, 2.0, 60)
+    branch = grid.branches[0]
+    assert branch.points[:branch.base_index + 1].tolist() == [4.0, 2.0]
+
+
 def test_map_step_arithmetic_error_is_a_domain_escape():
     # fractional(a=2) has its pole at the base x = -1/(a - 1)
     with pytest.raises(DomainEscape, match="division by zero"):
@@ -369,6 +376,9 @@ def test_map_step_arithmetic_error_is_a_domain_escape():
     # the inverse y / (a - (a - 1) y) has its pole at y = a / (a - 1) = 1.0
     with pytest.raises(DomainEscape, match="division by zero"):
         build_grid(fractional_map(1e300), GROUP, 1.0, 60)
+    # a forward walk stops at its domain exit, before x ** 2 overflows
+    with pytest.raises(DomainEscape, match="leaves the domain"):
+        build_grid(power_map(2.0, domain=(1.0, 10.0)), SEMIGROUP, 2.0, 60)
 
 
 # -- the two-walk reference ------------------------------------------------

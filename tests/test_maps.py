@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taucalc.maps import (LIMIT_MAX_ITER, TauMap, _running_products,
+from taucalc.maps import (LIMIT_MAX_ITER, TauMap, _ScaleMap, _running_products,
                           fractional_map, iterate, limit_point, linear_map,
                           power_map)
 
@@ -87,6 +87,11 @@ def plain_copy(tau):
     return TauMap(tau.forward, tau.inverse, tau.domain, tau.name)
 
 
+def scale_copy(tau, q):
+    """``tau`` rebuilt as a scale map of factor ``q`` (also for q = 1)."""
+    return _ScaleMap(tau.forward, tau.inverse, tau.domain, tau.name, q=q)
+
+
 def assert_same_result(res, ref):
     assert res.walk.tobytes() == ref.walk.tobytes()
     assert np.float64(res.value).tobytes() == np.float64(ref.value).tobytes()
@@ -114,15 +119,19 @@ def test_scale_walk_matches_plain_walk(q, h):
                 # expects: they reach zeros (a -0.0 product becomes +0.0)
                 # that a long walk never reaches
                 assert_same_result(_running_products(
-                    q, base, LIMIT_MAX_ITER if cap is None else cap,
-                    cap is not None), want)
+                    scale_copy(tau, q), base,
+                    LIMIT_MAX_ITER if cap is None else cap, cap is not None),
+                    want)
 
 
 @pytest.mark.parametrize("q, cap", [(0.97, None), (0.978, None), (0.5, 4000)])
 def test_scale_walk_does_not_step_forward_per_point(q, cap):
     # a long walk of x -> q x is made of running products of q: tau.forward
     # and tau.inverse are not called once per point
-    tau = linear_map(q)
+    tau = linear_map(q, domain=(-math.inf, math.inf))
+    # a backward walk stops where it overflows: from the least subnormal,
+    # 2,098 steps later
+    x0 = 1.0 if cap is None else 5e-324
     calls = [0]
 
     def counted(step):
@@ -133,9 +142,9 @@ def test_scale_walk_does_not_step_forward_per_point(q, cap):
 
     counting = dataclasses.replace(tau, forward=counted(tau.forward),
                                    inverse=counted(tau.inverse))
-    res = limit_point(counting, 1.0, cap)
+    res = limit_point(counting, x0, cap)
     assert len(res.walk) > 2000 and calls[0] == 0
-    assert_same_result(res, limit_point(plain_copy(tau), 1.0, cap))
+    assert_same_result(res, limit_point(plain_copy(tau), x0, cap))
 
 
 @settings(max_examples=80, deadline=None)
@@ -150,5 +159,5 @@ def test_scale_walk_matches_plain_walk_anywhere(q, base, cap, h):
     assert_same_result(limit_point(tau, base, cap), want)
     if math.copysign(1.0, h) > 0.0:
         assert_same_result(_running_products(
-            q, base, LIMIT_MAX_ITER if cap is None else cap, cap is not None),
-            want)
+            scale_copy(tau, q), base, LIMIT_MAX_ITER if cap is None else cap,
+            cap is not None), want)
