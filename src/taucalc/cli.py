@@ -89,6 +89,44 @@ def _take_variant(mapping, key: str, variants: dict, context: str,
                  f"{name} {context}")
 
 
+# typed config values: each reads one JSON value or raises ConfigError
+
+def _real(value, context: str) -> float:
+    """A JSON number (not a bool) as a float."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:   # an integer past the float range
+            pass
+    raise ConfigError(f"{context} must be a number, got {value!r}")
+
+
+def _complex(value, context: str) -> complex:
+    """A JSON number, or a string such as "1+2j", as a complex number."""
+    if not isinstance(value, str):
+        return complex(_real(value, context))
+    try:
+        return complex(value)
+    except ValueError:
+        raise ConfigError(f"{context} must be a number, got {value!r}") from None
+
+
+def _count(value, context: str) -> int:
+    """A JSON integer of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{context} must be an integer of at least 1, "
+                          f"got {value!r}")
+    return value
+
+
+def _reals(value, length: int, context: str) -> tuple[float, ...]:
+    """A JSON list of ``length`` numbers as a tuple of floats."""
+    if not isinstance(value, list) or len(value) != length:
+        raise ConfigError(f"{context} must be a list of {length} numbers, "
+                          f"got {value!r}")
+    return tuple(_real(v, context) for v in value)
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -113,13 +151,18 @@ _MAP_MAKERS = {"linear": linear_map, "fractional": fractional_map,
 
 def _build_map(spec) -> object:
     spec = _take_variant(spec, "kind", _MAP_KEYS, "map spec")
-    make = _MAP_MAKERS[spec.pop("kind")]
+    kind = spec.pop("kind")
     domain = spec.pop("domain")
+    args = [_real(v, f"map {key}") for key, v in spec.items()]
+    kwargs = {}
+    if domain is not None:
+        lo, hi = _reals(domain, 2, "map domain")
+        if not lo < hi:
+            raise ConfigError(f"map domain must have lo < hi, got {domain!r}")
+        kwargs["domain"] = (lo, hi)
     try:
-        args = [float(v) for v in spec.values()]
-        return (make(*args) if domain is None
-                else make(*args, domain=tuple(domain)))
-    except (TypeError, ValueError) as exc:
+        return _MAP_MAKERS[kind](*args, **kwargs)
+    except ValueError as exc:
         raise ConfigError(f"invalid map parameters: {exc}") from exc
 
 
@@ -130,16 +173,22 @@ def _build_grid(config: dict, depth_override: int | None):
     gspec = _take(config.get("grid", {}),
                   {"mode": "semigroup", "bases": _REQUIRED, "depth": 512},
                   "grid spec")
-    if gspec["mode"] not in _MODES:
-        raise ConfigError(f"unknown grid mode {gspec['mode']!r}")
+    mode = gspec["mode"]
+    if not isinstance(mode, str) or mode not in _MODES:
+        raise ConfigError(f"unknown grid mode {mode!r}")
     bases = gspec["bases"]
-    bases = tuple(bases) if isinstance(bases, (list, tuple)) else float(bases)
-    depth = depth_override if depth_override is not None else int(gspec["depth"])
+    if mode == "interval":
+        bases = _reals(bases, 2, "interval grid bases")
+    else:   # one number, or a list of one
+        bases = _reals(bases if isinstance(bases, list) else [bases], 1,
+                       f"{mode} grid bases")[0]
+    depth = _count(gspec["depth"], "grid depth")
     if "map" not in config:
         raise ConfigError("config is missing the map spec")
     tau = _build_map(config["map"])
-    return build_grid(tau, mode=_MODES[gspec["mode"]], bases=bases,
-                      max_depth=depth)
+    return build_grid(tau, mode=_MODES[mode], bases=bases,
+                      max_depth=depth if depth_override is None
+                      else depth_override)
 
 
 def _grid_fn(grid, expr: str, label: str) -> GridFunction:
@@ -155,9 +204,9 @@ def _grid_fn(grid, expr: str, label: str) -> GridFunction:
 # presets
 
 def _depth(depth: int | None) -> dict:
-    """``--depth`` as a keyword for a scenario builder; without it (or at
-    0) the builder's own default depth applies."""
-    return {"depth": depth} if depth else {}
+    """``--depth`` as a keyword for a scenario builder; without it the
+    builder's own default depth applies."""
+    return {} if depth is None else {"depth": depth}
 
 
 def _preset_grid(name: str, depth: int | None):
@@ -191,10 +240,11 @@ def _preset_chain(name: str, depth: int | None):
 
 def cmd_grid(args) -> int:
     out_dir = Path(args.out)
+    depth = None if args.depth is None else _count(args.depth, "--depth")
     if args.preset:
-        grid = _preset_grid(args.preset, args.depth)
+        grid = _preset_grid(args.preset, depth)
     elif args.config:
-        grid = _build_grid(_check_top(_load_config(args.config)), args.depth)
+        grid = _build_grid(_check_top(_load_config(args.config)), depth)
     else:
         raise ConfigError("grid command needs --preset or --config")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -223,13 +273,21 @@ def _level0_from_config(grid, spec):
             raise ConfigError(
                 "coefficient input needs the ratio seed 'seed' "
                 "(value of phi0/h0 at each branch base)")
+        seed = spec["seed"]
+        if not isinstance(seed, list):
+            seed = _complex(seed, "level0 seed")
+        elif len(seed) == len(grid.branches):
+            seed = [_complex(v, "level0 seed") for v in seed]
+        else:
+            raise ConfigError(f"level0 seed needs one value per grid branch "
+                              f"({len(grid.branches)}), got {seed!r}")
         coef = CoefficientTriple(
             alpha=_grid_fn(grid, spec["alpha"], "alpha"),
             beta=_grid_fn(grid, spec["beta"], "beta"),
             gamma=_grid_fn(grid, spec["gamma"], "gamma"),
-            value=complex(spec["lambda"]))
+            value=_complex(spec["lambda"], "level0 lambda"))
         h0 = _grid_fn(grid, spec["h0"], "h0")
-        return from_coefficients(coef, h0, spec["seed"])
+        return from_coefficients(coef, h0, seed)
     if set(spec) <= direct_keys:
         spec = _take(spec, {"B0": _REQUIRED, "eta0": _REQUIRED,
                             "h0": "1", "f0": "0"}, "level0 direct spec")
@@ -253,7 +311,8 @@ def _chain_from_config(grid, config):
                   {"levels": 1, "step": None}, "chain spec")
     step = _take_variant(cspec["step"] or {}, "source", _STEP_KEYS,
                          "chain step spec", default="explicit")
-    d = complex(step["d"])
+    levels = _count(cspec["levels"], "chain levels")
+    d = _complex(step["d"], "chain step d")
     h = _grid_fn(grid, step["h"], "h")
     if step["source"] == "explicit":
         g = _grid_fn(grid, step["g"], "g")
@@ -261,11 +320,11 @@ def _chain_from_config(grid, config):
         def stamp(level):
             return g, solve_step_constant(level, h, g, d), d
     else:
-        xi0 = float(step["xi0"])
+        xi0 = _real(step["xi0"], "chain step xi0")
 
         def stamp(level):
             return particular_gauge_xi(level, d, xi0=xi0)[1], 0.0, d
-    return build_chain(level0, int(cspec["levels"]), h, stamp)
+    return build_chain(level0, levels, h, stamp)
 
 
 def _residual_table(levels, scenario=None) -> dict:
@@ -297,16 +356,17 @@ class _ResidualFailure(CalculusError):
 
 def cmd_chain(args) -> int:
     out_dir = Path(args.out)
+    depth = None if args.depth is None else _count(args.depth, "--depth")
     scenario = None
     if args.preset:
-        scenario = _preset_chain(args.preset, args.depth)
+        scenario = _preset_chain(args.preset, depth)
         levels = scenario.levels
         extra = {"preset": args.preset}
     elif args.config:
         config = _check_top(_load_config(args.config))
         if config.get("level0") is None:
             raise ConfigError("chain command needs a level0 spec or --preset")
-        grid = _build_grid(config, args.depth)
+        grid = _build_grid(config, depth)
         levels = _chain_from_config(grid, config)
         extra = {"config": str(args.config)}
     else:

@@ -420,10 +420,20 @@ def build_grid(tau: TauMap, mode: str = SEMIGROUP,
     1 + |x_next| and ends at its last finite point in the domain; every
     walk stops at its first point outside.  A base on a fixed point
     raises :class:`ZeroDivisor`, and a map step that raises an
-    ArithmeticError :class:`DomainEscape`.
+    ArithmeticError :class:`DomainEscape`.  A ``max_depth`` below 1, an
+    unknown mode or ``bases`` of another shape (a one-element sequence
+    stands for its base) raise ValueError.
     """
-    if mode in (SEMIGROUP, GROUP):
-        base = float(bases) if np.isscalar(bases) else float(bases[0])
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be at least 1, got {max_depth}")
+    if mode not in (SEMIGROUP, GROUP, INTERVAL):
+        raise ValueError(f"unknown grid mode {mode!r}")
+    one = mode != INTERVAL
+    if np.shape(bases) not in (((), (1,)) if one else ((2,),)):
+        raise ValueError(f"a {mode} grid takes "
+                         f"{'one base' if one else 'two bases'}, got {bases!r}")
+    if one:
+        base = float(np.ravel(bases)[0])
         # a group base on a fixed point of tau.inverse is reported as such,
         # before a forward leg that leaves the domain from it
         back = (_leg(tau, base, max_depth, backward=True)[0][:0:-1]
@@ -436,17 +446,14 @@ def build_grid(tau: TauMap, mode: str = SEMIGROUP,
                                  base_index=len(back), converged=done)
         return OrbitGrid(tau, mode, (branch,))
 
-    if mode == INTERVAL:
-        pts_a, lim_a, done_a = _leg(tau, float(bases[0]), max_depth)
-        pts_b, lim_b, done_b = _leg(tau, float(bases[1]), max_depth)
-        if abs(lim_a - lim_b) > 1e-10 * (1.0 + abs(lim_b)):
-            raise LimitMismatch(f"orbit limits differ: {lim_a} vs {lim_b}")
-        _check_disjoint(pts_a, pts_b, lim_b, DEFAULT_DELTA_TOL)
-        return OrbitGrid(tau, INTERVAL,
-                         (OrbitBranch(pts_a, lim_a, role="a", converged=done_a),
-                          OrbitBranch(pts_b, lim_b, role="b", converged=done_b)))
-
-    raise ValueError(f"unknown grid mode {mode!r}")
+    pts_a, lim_a, done_a = _leg(tau, float(bases[0]), max_depth)
+    pts_b, lim_b, done_b = _leg(tau, float(bases[1]), max_depth)
+    if abs(lim_a - lim_b) > 1e-10 * (1.0 + abs(lim_b)):
+        raise LimitMismatch(f"orbit limits differ: {lim_a} vs {lim_b}")
+    _check_disjoint(pts_a, pts_b, lim_b, DEFAULT_DELTA_TOL)
+    return OrbitGrid(tau, INTERVAL,
+                     (OrbitBranch(pts_a, lim_a, role="a", converged=done_a),
+                      OrbitBranch(pts_b, lim_b, role="b", converged=done_b)))
 
 
 def _coincident_pairs(pts_a: np.ndarray, pts_b: np.ndarray, limit: float,

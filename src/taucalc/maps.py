@@ -24,9 +24,6 @@ LIMIT_MAX_ITER = 10000
 # 1 + |limit|; the limit polish of limit_point is derived from it
 DEFAULT_DELTA_TOL = 1e-15
 _POLISH_TOL = 2.0 ** -56 * DEFAULT_DELTA_TOL
-# limit_point steps a scale map one point at a time if its walk is
-# expected to be at most this long (running products cost more up to here)
-_SCALAR_STEPS = 96
 
 
 @dataclass(frozen=True)
@@ -59,27 +56,11 @@ class TauMap:
 
 @dataclass(frozen=True)
 class _ScaleMap(TauMap):
-    """The map x -> q*x + 0.0 that :func:`linear_map` builds for h = +0.0:
-    :func:`limit_point` walks its long orbits as running products of
-    ``q``.  ``long_from`` holds, forward and backward, the |x0| past which
-    a walk is expected to take more than ``_SCALAR_STEPS`` steps."""
+    """The map x -> q*x + 0.0, 0 < |q| < 1, that :func:`linear_map` builds
+    for h = +0.0: :func:`limit_point` walks its forward orbits as running
+    products of ``q``."""
 
-    q: float = 1.0
-    long_from: tuple[float, float] = field(init=False, repr=False,
-                                           compare=False)
-
-    def __post_init__(self) -> None:
-        def reach(c: float) -> float:
-            # a walk shrinking by c per step ends near |x| = _POLISH_TOL,
-            # where its polish stops; one that does not shrink runs to its
-            # cap or its domain exit from any x0 != 0
-            if c >= 1.0:
-                return 0.0
-            shrink = c ** _SCALAR_STEPS
-            return _POLISH_TOL / shrink if shrink else math.inf
-
-        object.__setattr__(self, "long_from", (reach(abs(self.q)),
-                                               reach(1.0 / abs(self.q))))
+    q: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -104,8 +85,8 @@ def linear_map(q: float, h: float = 0.0,
     if domain is None:
         domain = (-1e18, 1e18)
     name = f"linear(q={q},h={h})"
-    # a float q and h = +0.0: each step is one rounded product (quotient)
-    if (isinstance(q, float) and math.isfinite(q) and q != 1.0
+    # a float 0 < |q| < 1 and h = +0.0: each step is one rounded product
+    if (isinstance(q, float) and abs(q) < 1.0
             and isinstance(h, (int, float)) and h == 0.0
             and math.copysign(1.0, h) > 0.0):
         return _ScaleMap(lambda x: q * x + h, lambda y: (y - h) / q, domain,
@@ -160,26 +141,24 @@ def limit_point(tau: TauMap, x0: float,
     tau.inverse with that cap instead (a group grid's backward leg).  The
     polish also stops once the error estimate s r/(1 - r), from the last
     step s and the ratio r of the last two, is below
-    2^-56 DEFAULT_DELTA_TOL r^4 (1 + |x|): with a factor 2 to spare, a
-    quarter-ulp of the nearest distance DEFAULT_DELTA_TOL r^4 (1 + |limit|)
-    a grid point keeps to the limit (a branch stops after three steps
-    below DEFAULT_DELTA_TOL), so more polishing changes no point - limit.
-    A walk that has not yet detected its limit ends unconverged at its
-    first point after x0 that is not finite or not in ``tau.domain``
-    (that point is the last of the walk).  A step that raises an
-    ArithmeticError (a pole, an overflow) raises :class:`DomainEscape`.
+    2^-56 DEFAULT_DELTA_TOL (r r (r r)) (1 + |x|): with a factor 2 to
+    spare, a quarter-ulp of the nearest distance DEFAULT_DELTA_TOL r^4
+    (1 + |limit|) a grid point keeps to the limit (a branch stops after
+    three steps below DEFAULT_DELTA_TOL), so more polishing changes no
+    point - limit.  A walk that has not yet detected its limit ends
+    unconverged at its first point after x0 that is not finite or not in
+    ``tau.domain`` (that point is the last of the walk).  A step that
+    raises an ArithmeticError (a pole, an overflow) raises
+    :class:`DomainEscape`.
 
-    A scale map x -> q x (:func:`linear_map` with h = +0.0) whose walk
-    is expected to take more than ``_SCALAR_STEPS`` steps (see
-    ``_ScaleMap.long_from``) is walked as running products instead
+    A forward walk of a contracting scale map x -> q x (:func:`linear_map`
+    with 0 < |q| < 1 and h = +0.0) is made of running products instead
     (:func:`_running_products`), with the same result bit for bit.
     """
+    if isinstance(tau, _ScaleMap) and _backward_cap is None:
+        return _running_products(tau, x0)
     step, cap = ((tau.forward, LIMIT_MAX_ITER) if _backward_cap is None
                  else (tau.inverse, _backward_cap))
-    # (a nan base is not <= anything and takes the running products)
-    if (isinstance(tau, _ScaleMap) and cap > _SCALAR_STEPS
-            and not abs(float(x0)) <= tau.long_from[_backward_cap is not None]):
-        return _running_products(tau, x0, cap, _backward_cap is not None)
     lo, hi = _finite_bounds(tau)
     x = float(x0)
     walk = [x]
@@ -197,8 +176,8 @@ def limit_point(tau: TauMap, x0: float,
                     r, last = abs(x_more - x_next) / last, abs(x_more - x_next)
                     x_next = x_more
                     walk.append(x_next)
-                    if r < 1.0 and last * r / (1.0 - r) < (
-                            _POLISH_TOL * r ** 4 * (1.0 + abs(x_next))):
+                    if r < 1.0 and last * r / (1.0 - r) < _POLISH_TOL * (
+                            r * r * (r * r)) * (1.0 + abs(x_next)):
                         break
                 return LimitResult(x_next, i, True, np.array(walk))
             walk.append(x_next)
@@ -218,34 +197,31 @@ def _finite_bounds(tau: TauMap) -> tuple[float, float]:
     return max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
 
 
-def _running_products(tau: _ScaleMap, x0: float, cap: int,
-                      backward: bool) -> LimitResult:
-    """The :func:`limit_point` walk of x -> q*x + 0.0 from ``x0``, made of
-    running products of q = ``tau.q``.
+def _running_products(tau: _ScaleMap, x0: float) -> LimitResult:
+    """The forward :func:`limit_point` walk of x -> q*x + 0.0 from ``x0``,
+    made of running products of q = ``tau.q``.
 
-    A forward step is one rounded product and an inverse step (y - 0.0)/q
-    one rounded quotient, so ``multiply.accumulate`` (with the + 0.0 that
-    turns a -0.0 product into +0.0) and ``divide.accumulate`` give the
-    scalar walk bit for bit.  The walk is made in chunks: the first to
-    about its expected length, then doubling, never past the last step
+    A step is one rounded product, so ``multiply.accumulate`` (with the
+    + 0.0 that turns a -0.0 product into +0.0) gives the scalar walk bit
+    for bit.  The walk is made in chunks: the first to about its expected
+    length, log(|x0|/_POLISH_TOL)/log(1/|q|) + 64 steps (64 from a base
+    that has no such length), then doubling, never past the last step
     the cap allows (an orbit run deep into subnormals is slow).
-    Detection and the stop at the first point outside the domain are the
-    scalar tests on a whole chunk at once; the polish stop is decided on
-    Python floats, as in the scalar walk (see :func:`_polish_stop`).
+    Detection, the stop at the first point outside the domain and the
+    polish stop (see :func:`_polish_stop`) are the scalar tests on a
+    whole chunk at once.
     """
-    q, scan = tau.q, (np.divide if backward else np.multiply)
+    q, cap = tau.q, LIMIT_MAX_ITER
     bottom, top = _finite_bounds(tau)
     x0 = float(x0)
     w = np.array([x0])
     found = None   # the step where the limit was detected
     lo = 1         # the first step not yet tested
-    # a walk shrinking by c per step ends near |x| = _POLISH_TOL, and one
-    # growing by c leaves the domain near |x| = max(-bottom, top)
-    c = 1.0 / abs(q) if backward else abs(q)
-    span = (abs(x0) / _POLISH_TOL if c < 1.0
-            else max(-bottom, top) / abs(x0) if x0 else math.inf)
-    grow = (min(cap, int(math.log(span) / abs(math.log(c))) + 64)
-            if c != 1.0 and 1.0 < span < math.inf else cap)
+    # the walk shrinks by |q| per step, and its polish ends near
+    # |x| = _POLISH_TOL (a nan span compares false)
+    span = abs(x0) / _POLISH_TOL
+    grow = (int(math.log(span) / -math.log(abs(q))) + 64
+            if 1.0 < span < math.inf else 64)
     with np.errstate(all="ignore"):
         while True:
             stop = cap if found is None else found + cap
@@ -254,9 +230,8 @@ def _running_products(tau: _ScaleMap, x0: float, cap: int,
             if lo == len(w):
                 seg = np.full(min(grow, stop + 1 - len(w)) + 1, q)
                 seg[0] = w[-1]
-                scan.accumulate(seg, out=seg)
-                if not backward:
-                    seg += 0.0
+                np.multiply.accumulate(seg, out=seg)
+                seg += 0.0
                 w = np.concatenate((w, seg[1:]))
                 grow = len(w)
             hi = len(w) - 1
@@ -288,27 +263,16 @@ def _running_products(tau: _ScaleMap, x0: float, cap: int,
 def _polish_stop(w: np.ndarray, lo: int, hi: int) -> int | None:
     """Index of the last point of the polish in ``w[lo:hi + 1]``: the
     first step j that does not move (the walk ends at j - 1) or that
-    passes the polish test (it ends at j); None if the polish goes on.
-
-    The test is made on Python floats, where r ** 4 is libm's pow.  The
-    array form only picks the steps to test: it bounds 2^-56
-    DEFAULT_DELTA_TOL r^4 from above (a relative 2^-40 and 16 subnormal
-    ulps on top of its rounded value from (r^2)^2), and rounding is
-    monotone, so no step where the test holds is left out.
+    passes the polish test of :func:`limit_point` (it ends at j); None if
+    the polish goes on.  The test is the scalar one, operation for
+    operation, so each step passes it exactly when the scalar walk's does.
     """
     step = np.abs(w[lo - 1:hi + 1] - w[lo - 2:hi])
     still = (w[lo:hi + 1] == w[lo - 1:hi]).nonzero()[0]
     n = int(still[0]) if len(still) else hi + 1 - lo
-    last, ratio = step[1:n + 1], step[1:n + 1] / step[:n]
-    sq = ratio * ratio
-    bound = (sq * sq * (_POLISH_TOL * (1.0 + 2.0 ** -40)) + 2.0 ** -1070) * (
-        1.0 + np.abs(w[lo:lo + n]))
-    picked = (ratio < 1.0) & (last * ratio / (1.0 - ratio) < bound)
-    for j in (lo + picked.nonzero()[0]).tolist():
-        x_next, x_more = float(w[j - 1]), float(w[j])
-        r, last = (abs(x_more - x_next) / abs(x_next - float(w[j - 2])),
-                   abs(x_more - x_next))
-        if r < 1.0 and last * r / (1.0 - r) < (
-                _POLISH_TOL * r ** 4 * (1.0 + abs(x_more))):
-            return j
+    last, r = step[1:n + 1], step[1:n + 1] / step[:n]
+    passed = ((r < 1.0) & (last * r / (1.0 - r) < _POLISH_TOL * (
+        r * r * (r * r)) * (1.0 + np.abs(w[lo:lo + n])))).nonzero()[0]
+    if len(passed):
+        return lo + int(passed[0])
     return lo + n - 1 if len(still) else None

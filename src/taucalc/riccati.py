@@ -108,13 +108,6 @@ class TwoByTwoSystem:
     def grid(self) -> OrbitGrid:
         return self.a.grid
 
-    @classmethod
-    def from_tilde(cls, at: GridFunction, bt: GridFunction, ct: GridFunction,
-                   dt: GridFunction) -> "TwoByTwoSystem":
-        """Build the step form from the derivative form, Lambda = I - delta*Tilde."""
-        dlt = deltas_fn(at.grid)
-        return cls(a=1.0 - dlt * at, b=-dlt * bt, c=-dlt * ct, d=1.0 - dlt * dt)
-
     def tilde(self) -> tuple[GridFunction, GridFunction, GridFunction, GridFunction]:
         """The derivative-form entries LambdaTilde = (I - Lambda)/(id - tau)."""
         dlt = deltas_fn(self.grid)
@@ -140,11 +133,10 @@ class ResolventResult:
     """The orbit-infinite left product of step matrices and its diagnostics.
 
     ``flat[k]`` approximates the product Lambda(tau^N x) ... Lambda(x_k)
-    at flat grid index k, i.e. the resolvent evaluated at that point;
-    ``matrices[i]`` is the read-only view of branch i and ``matrix`` the
-    value at the base of the first branch.  ``criterion_sum`` is the
-    scalar convergence functional sum |delta_n| * ||LambdaTilde(tau^n x)||
-    (max-norm).
+    at flat grid index k, i.e. the resolvent evaluated at that point, and
+    ``matrices[i]`` is the read-only view of branch i.  ``criterion_sum``
+    is the scalar convergence functional sum |delta_n| *
+    ||LambdaTilde(tau^n x)|| (max-norm).
     """
 
     grid: OrbitGrid
@@ -160,10 +152,6 @@ class ResolventResult:
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
         return tuple(self.flat[s] for s in self.grid.slices)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.flat[0]
 
 
 def system_from_second_order(coef) -> TwoByTwoSystem:
@@ -284,12 +272,28 @@ def solve_system(sys: TwoByTwoSystem, boundary,
 
 def step_residual(sys: TwoByTwoSystem, psi: GridFunction,
                   phi: GridFunction) -> float:
-    """Max residual of (T psi, T phi) = Lambda (psi, phi), scale-relative."""
+    """Max residual of (T psi, T phi) = Lambda (psi, phi) relative to
+    sup|psi, phi| sup|a, b, c, d| (see :func:`_relative`)."""
     lhs1, lhs2 = shift(psi), shift(phi)
     rhs1 = sys.a * psi + sys.b * phi
     rhs2 = sys.c * psi + sys.d * phi
-    scale = joint_scale(psi, phi) * joint_scale(sys.a, sys.b, sys.c, sys.d)
-    return max(max_abs_diff(lhs1, rhs1), max_abs_diff(lhs2, rhs2)) / scale
+    return _relative(max(max_abs_diff(lhs1, rhs1), max_abs_diff(lhs2, rhs2)),
+                     _sup(psi, phi) * _sup(sys.a, sys.b, sys.c, sys.d))
+
+
+def _sup(*fns: GridFunction) -> float:
+    """sup|values| across several functions; like ``max``, it passes over
+    a NaN sup."""
+    return float(np.fmax.reduce([f.max_abs() for f in fns]))
+
+
+def _relative(gap: float, scale: float) -> float:
+    """gap / scale for an unfloored scale, so that a residual reads the
+    same at every magnitude: 0 when both sides are exactly zero (no gap)
+    and inf when only the scale is."""
+    if not gap:
+        return 0.0
+    return gap / scale if scale else float("inf")
 
 
 def triangular_resolvent(sys: TwoByTwoSystem) -> ResolventResult:
@@ -434,10 +438,11 @@ def _pow(f: GridFunction, e: float) -> GridFunction:
 
 
 def rhom_residual(sys: TwoByTwoSystem, u: GridFunction) -> float:
-    """Residual of the step form u(tau x) (b u + a) = d u + c, scale-relative."""
+    """Residual of the step form u(tau x) (b u + a) = d u + c relative to
+    the sup of both sides (see :func:`_relative`)."""
     lhs = shift(u) * (sys.b * u + sys.a)
     rhs = sys.d * u + sys.c
-    return max_abs_diff(lhs, rhs) / joint_scale(lhs, rhs)
+    return _relative(max_abs_diff(lhs, rhs), _sup(lhs, rhs))
 
 
 @dataclass(frozen=True, eq=False)

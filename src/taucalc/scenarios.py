@@ -294,31 +294,6 @@ class FractionalScenario:
         return (self.a * ((self.a ** k - 1.0) * xs + 1.0)
                 / ((self.a ** (k + 2) - 1.0) * xs + 1.0))
 
-    def kernel_product_closed(self, x, k: int) -> np.ndarray:
-        """Closed form (0 < a < 1) of the level-k lowering-operator kernel.
-
-        psi_k(x) = prod_{j<k} ((a^j-1)x+1)((a^{j+1}-1)x+1)/(x-1)^2,
-        normalized to 1 at the orbit limit.
-        """
-        if not 0 < self.a < 1:
-            raise DomainEscape("closed kernel product assumes 0 < a < 1")
-        xs = np.asarray(x, dtype=float)
-        out = np.ones_like(xs)
-        for j in range(k):
-            out *= (((self.a ** j - 1.0) * xs + 1.0)
-                    * ((self.a ** (j + 1) - 1.0) * xs + 1.0)
-                    / (xs - 1.0) ** 2)
-        return out
-
-    def necessary_condition_gap(self) -> float:
-        """Consistency gate for the squared-kernel weight recursion.
-
-        A nonzero solution of the recursion for the prefactor of
-        (x - tau x)^-1 in psi^2 rho requires b0 = a0.  Returns the
-        defect |b0 - a0| (0 when the condition holds).
-        """
-        return abs(self.b0 - self.a0)
-
 
 def fractional_chain(a: float = 0.5, a0: float = 1.0, b0: float = 1.0,
                      depth: int = 40, n_levels: int = 6,

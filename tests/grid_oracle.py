@@ -21,7 +21,8 @@ POLISH_TOL = 2.0 ** -56 * DEFAULT_DELTA_TOL
 
 def limit_point_polished(tau, x0, tol=1e-13, max_iter=10000):
     """(limit, converged): detection at ``tol``, then the polish that ends
-    on a zero step or once its error estimate is below POLISH_TOL r^4."""
+    on a zero step or once its error estimate is below POLISH_TOL r^4
+    (formed as r r (r r))."""
     x = x0
     for _ in range(max_iter):
         x_next = tau.forward(x)
@@ -33,8 +34,8 @@ def limit_point_polished(tau, x0, tol=1e-13, max_iter=10000):
                     break
                 r, step = abs(x_more - x_next) / step, abs(x_more - x_next)
                 x_next = x_more
-                if r < 1.0 and step * r / (1.0 - r) < (
-                        POLISH_TOL * r ** 4 * (1.0 + abs(x_next))):
+                if r < 1.0 and step * r / (1.0 - r) < POLISH_TOL * (
+                        r * r * (r * r)) * (1.0 + abs(x_next)):
                     break
             return x_next, True
         x = x_next

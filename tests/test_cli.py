@@ -369,6 +369,58 @@ def test_step_key_of_another_source_exit_2(tmp_path, capsys, step, key):
     assert not (tmp_path / "o").exists()
 
 
+# (section, key, value) set on the xi chain config; each value is of the
+# wrong type or shape for its key
+MISTYPED_VALUES = {
+    "interval-scalar-bases": [("grid", "mode", "interval"),
+                              ("grid", "bases", 1.0)],
+    "domain-string": [("map", "domain", "x")],
+    "domain-reversed": [("map", "domain", [1.0, -1.0])],
+    "depth-string": [("grid", "depth", "25")],
+    "bases-string": [("grid", "bases", "one")],
+    "d-string": [("step", "d", "one")],
+    "xi0-string": [("step", "xi0", "fourteen")],
+    "seed-string": [("level0", None, {"alpha": "1", "beta": "-2",
+                                      "gamma": "1", "seed": "half"})],
+    "semigroup-three-bases": [("grid", "bases", [1.0, 2.0, 3.0])],
+    "levels-0": [("chain", "levels", 0)],
+    "levels-negative": [("chain", "levels", -1)],
+    "levels-fraction": [("chain", "levels", 2.5)],
+}
+
+
+@pytest.mark.parametrize("edits", MISTYPED_VALUES.values(),
+                         ids=MISTYPED_VALUES.keys())
+def test_mistyped_config_value_exit_2(tmp_path, capsys, edits):
+    config = json.loads(json.dumps(CHAIN_CONFIGS["xi"]))
+    for section, key, value in edits:
+        if key is None:
+            config[section] = value
+        else:
+            spec = (config["chain"]["step"] if section == "step"
+                    else config[section])
+            spec[key] = value
+    cfg = write_config(tmp_path, config)
+    assert run("chain", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("depth", ["0", "-5"])
+@pytest.mark.parametrize("command, preset", [("grid", "linear"),
+                                             ("grid", "qhahn"),
+                                             ("chain", "constant-gauge")])
+def test_depth_below_one_exit_2(tmp_path, capsys, command, preset, depth):
+    # --depth 0 used to fall back to the preset's default, and -5 cut the
+    # orbit through a negative slice bound
+    assert run(command, "--preset", preset, "--depth", depth,
+               "--out", str(tmp_path / "o")) == 2
+    assert "--depth must be an integer of at least 1" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["grid", "chain"])
 def test_preset_and_config_together_exit_2(tmp_path, capsys, command):
     cfg = write_config(tmp_path, {

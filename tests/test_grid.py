@@ -34,6 +34,25 @@ def test_depth_cap():
     assert grid.depth == 11  # base plus ten iterates
 
 
+@pytest.mark.parametrize("mode, bases, depth", [
+    (SEMIGROUP, 1.0, 0), (SEMIGROUP, 1.0, -5), (INTERVAL, (-1.0, 1.0), 0),
+    (INTERVAL, 1.0, 30), (INTERVAL, (1.0,), 30),
+    (INTERVAL, (-1.0, 0.5, 1.0), 30), (SEMIGROUP, (1.0, 2.0, 3.0), 30),
+    (GROUP, (1.0, 2.0), 30), (SEMIGROUP, (), 30), ("orbit", 1.0, 30)])
+def test_build_grid_refuses_a_depth_below_one_and_misshapen_bases(
+        mode, bases, depth):
+    with pytest.raises(ValueError):
+        build_grid(linear_map(0.5), mode, bases, max_depth=depth)
+
+
+@pytest.mark.parametrize("mode", [SEMIGROUP, GROUP])
+def test_one_element_bases_stand_for_their_base(mode):
+    want = build_grid(linear_map(0.5), mode, 1.0, max_depth=30)
+    for bases in ((1.0,), [1.0], np.array([1.0])):
+        got = build_grid(linear_map(0.5), mode, bases, max_depth=30)
+        assert got.points.tobytes() == want.points.tobytes()
+
+
 def test_natural_truncation():
     # deltas fall below the floor long before max_depth at q = 0.5
     grid = build_grid(linear_map(0.5), mode=SEMIGROUP, bases=1.0, max_depth=500)

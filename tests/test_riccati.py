@@ -8,6 +8,7 @@ from taucalc import (GROUP, INTERVAL, GridFunction, SEMIGROUP,
                      darboux_solution, fractional_map, general_solution,
                      linear_map, resolvent, singular_darboux, solve_system,
                      triangular_resolvent)
+from taucalc.calculus import deltas_fn
 from taucalc.chain import CoefficientTriple, to_coefficients
 from taucalc.errors import (CalculusError, DegenerateQuadruple,
                             DegenerateSystem, NonPositiveFactor, NotTriangular,
@@ -111,6 +112,19 @@ def test_general_solution_checks_particular(contracting_system):
         general_solution(contracting_system, bad, 0.5)
 
 
+def test_general_solution_checks_particular_at_every_scale():
+    # a = d = 2^k, b = 2^(k - 2), c = 0: u0 = 5 misses the recursion by
+    # 5/9 of its sides at every scale (against a floor of 1 it read 3e-90
+    # at 2^-300)
+    grid = build_grid(linear_map(0.5), max_depth=30)
+    for k in (0, -300):
+        s = 2.0 ** k
+        sys = TwoByTwoSystem(*(GridFunction.constant(grid, v)
+                               for v in (s, s / 4, 0.0, s)))
+        with pytest.raises(ParticularNotSolution):
+            general_solution(sys, GridFunction.constant(grid, 5.0), 0.5)
+
+
 def test_solutions_satisfy_homographic_recursion(contracting_system):
     u0 = GridFunction.constant(contracting_system.grid, 0.0)
     for t in (0.5, 1.0, 2.0):
@@ -194,11 +208,18 @@ def test_criterion_sum_matches_derivative_form(system):
 
 # -- resolvent against its sequential and mpmath references -----------------
 
+def system_from_tilde(at, bt, ct, dt):
+    """The step form of the derivative form, Lambda = I - delta Tilde."""
+    dlt = deltas_fn(at.grid)
+    return TwoByTwoSystem(a=1.0 - dlt * at, b=-dlt * bt, c=-dlt * ct,
+                          d=1.0 - dlt * dt)
+
+
 def q_orbit_system():
     """A full (c != 0), complex system Lambda = I - delta Tilde on the
     q-orbit of tau(x) = 0.7 x from 1."""
     grid = build_grid(linear_map(0.7), SEMIGROUP, 1.0, max_depth=200)
-    return TwoByTwoSystem.from_tilde(*(
+    return system_from_tilde(*(
         GridFunction.from_callable(grid, f) for f in (
             lambda x: 0.5 + x, lambda x: 1.0 - 2j * x,
             lambda x: 0.25 + 0.5j * x ** 2, lambda x: -1.0 + 0.3 * x)))
@@ -367,6 +388,27 @@ def _outcome(call):
     except CalculusError as exc:
         return type(exc)
     return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(GRIDS)), seed=st.integers(0, 2 ** 32 - 1),
+       k=st.integers(-300, 300))
+def test_recursion_residuals_do_not_depend_on_the_scale(kind, seed, k):
+    # 2^k times the system (homographic form) or the solution pair (step
+    # form) scales both sides of the recursion exactly, and the residual
+    # not at all
+    grid = GRIDS[kind]
+    rng = np.random.default_rng(seed)
+    a, b, c, d, u, psi, phi = (GridFunction(grid, v) for v in
+                               rng.uniform(-1.5, 1.5, (7, grid.size)))
+    s = 2.0 ** k
+    sys = TwoByTwoSystem(a, b, c, d)
+    assert (rhom_residual(TwoByTwoSystem(a * s, b * s, c * s, d * s), u)
+            == rhom_residual(sys, u) > 0.0)
+    assert (step_residual(sys, psi * s, phi * s)
+            == step_residual(sys, psi, phi) > 0.0)
+    zero = GridFunction.constant(grid, 0.0)
+    assert step_residual(sys, zero, zero) == 0.0
 
 
 # an O(1) matrix, rank one plus ``gap`` times its size at one point

@@ -3,6 +3,7 @@ import pytest
 
 from taucalc import apply_Astar
 from taucalc.chain import apply_A as chain_apply_A
+from taucalc.errors import DomainEscape
 from taucalc.gridfn import GridFunction, joint_scale
 from taucalc.maps import fractional_map, iterate
 from taucalc.scenarios import (constant_gauge_chain, fractional_chain,
@@ -105,10 +106,39 @@ def test_fractional_orbit_derivative_closed():
                                                               rel=1e-13)
 
 
+def kernel_product_closed(sc, x, k):
+    """Closed form (0 < a < 1) of the level-k lowering-operator kernel of
+    the fractional scenario ``sc``.
+
+    psi_k(x) = prod_{j<k} ((a^j-1)x+1)((a^{j+1}-1)x+1)/(x-1)^2,
+    normalized to 1 at the orbit limit.
+    """
+    if not 0 < sc.a < 1:
+        raise DomainEscape("closed kernel product assumes 0 < a < 1")
+    xs = np.asarray(x, dtype=float)
+    out = np.ones_like(xs)
+    for j in range(k):
+        out *= (((sc.a ** j - 1.0) * xs + 1.0)
+                * ((sc.a ** (j + 1) - 1.0) * xs + 1.0)
+                / (xs - 1.0) ** 2)
+    return out
+
+
+def necessary_condition_gap(sc):
+    """Consistency gate for the squared-kernel weight recursion of the
+    fractional scenario ``sc``.
+
+    A nonzero solution of the recursion for the prefactor of
+    (x - tau x)^-1 in psi^2 rho requires b0 = a0.  Returns the defect
+    |b0 - a0| (0 when the condition holds).
+    """
+    return abs(sc.b0 - sc.a0)
+
+
 def test_fractional_kernel_annihilated_pointwise():
     sc = fractional_chain(a=0.5, n_levels=2)
     lvl = sc.levels[1]
-    psi = GridFunction(sc.grid, sc.kernel_product_closed(sc.grid.points, 1))
+    psi = GridFunction(sc.grid, kernel_product_closed(sc, sc.grid.points, 1))
     out = chain_apply_A(lvl, psi)
     # pointwise scale |phi psi|: the kernel values span many orders
     ref = np.abs(lvl.phi.values[0] * psi.values[0])
@@ -118,7 +148,7 @@ def test_fractional_kernel_annihilated_pointwise():
 
 def test_necessary_condition_gap_vanishes():
     sc = fractional_chain(a=0.5, n_levels=1)
-    assert abs(sc.necessary_condition_gap()) < 1e-10
+    assert abs(necessary_condition_gap(sc)) < 1e-10
 
 
 def test_qhahn_eigenvalue_partial_sums():

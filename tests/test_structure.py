@@ -55,17 +55,25 @@ PUBLIC_WITHOUT_CALLER = {
 }
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def public_without_caller(paths):
     """(file, name) of every public top-level function or class of
     ``paths`` that no code in ``paths`` refers to outside its own
     definition, by its name or as an attribute of a module imported with
-    ``from . import <module>``."""
+    ``from . import <module>``; and (file, "Class.method") of every public
+    method of a class of ``paths`` whose name no code in ``paths`` reads
+    as an attribute outside the method itself."""
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
     defined = {(f, node.name) for f, tree in trees.items() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                    ast.ClassDef))
+               if isinstance(node, FUNCTIONS + (ast.ClassDef,))
                and not node.name.startswith("_")}
-    used = set()
+    methods = {(f, top.name, node) for f, tree in trees.items()
+               for top in tree.body if isinstance(top, ast.ClassDef)
+               for node in top.body if isinstance(node, FUNCTIONS)
+               and not node.name.startswith("_")}
+    used, read = set(), Counter()
     for tree in trees.values():
         modules = {alias.asname or alias.name for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) and node.level
@@ -78,7 +86,15 @@ def public_without_caller(paths):
                          node, ast.Attribute)
                      and isinstance(node.value, ast.Name)
                      and node.value.id in modules} - {own}
-    return sorted((f, name) for f, name in defined if name not in used)
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute))
+    for _, _, method in methods:
+        read.subtract(node.attr for node in ast.walk(method)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == method.name)
+    return sorted([(f, name) for f, name in defined if name not in used]
+                  + [(f, f"{cls}.{method.name}") for f, cls, method in methods
+                     if read[method.name] <= 0])
 
 
 def test_every_public_function_has_a_caller():
@@ -94,16 +110,18 @@ def test_surface_rule_sees_public_functions_without_caller(tmp_path):
         "def unused():\n    return used()\n\n"
         "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
         "def _private():\n    pass\n\n"
-        "class Reached:\n    pass\n\n"
+        "class Reached:\n    def read(self):\n        return 1\n\n"
+        "    def again(self):\n        return self.again()\n\n"
+        "    def _private(self):\n        pass\n\n"
         "class Alone:\n    def used(self):\n        return Alone()\n")
     (pkg / "b.py").write_text(
         "from . import a as mod\nfrom .a import used\n\n"
-        "def run(x):\n    return used() + x.unused + mod.Reached()\n")
+        "def run(x):\n    return used() + x.unused + mod.Reached().read()\n")
     (pkg / "__init__.py").write_text(
         "from .a import Alone, unused\n__all__ = ['unused', 'run']\n")
     assert public_without_caller(sorted(pkg.glob("*.py"))) == [
-        ("a.py", "Alone"), ("a.py", "recursive"), ("a.py", "unused"),
-        ("b.py", "run")]
+        ("a.py", "Alone"), ("a.py", "Alone.used"), ("a.py", "Reached.again"),
+        ("a.py", "recursive"), ("a.py", "unused"), ("b.py", "run")]
 
 
 def test_cli_import_leaves_scipy_unloaded(src_env):
