@@ -1,152 +1,92 @@
 """A tiny deterministic arithmetic grammar for configuration files.
 
-Expressions are built from numeric literals, the variable ``x``, the
-binary operators + - * / ^ (the unicode forms − × ÷ are accepted too),
-unary minus, parentheses, the functions ``exp`` and ``ln``, and the
-named constants ``pi`` and ``e``.  ``parse_expression`` compiles the
-source to a vectorized callable; all failures raise ConfigError.
+Expressions are built from numeric literals (ASCII decimal numbers,
+leading zeros allowed), the variable ``x``, the binary operators
++ - * / ^ (the unicode forms − × ÷ are accepted too), unary minus,
+parentheses, the functions ``exp`` and ``ln``, and the named constants
+``pi`` and ``e``: a subset of Python's expressions once ``^`` reads as
+``**``.  ``parse_expression`` reads the source with Python's parser,
+checks the tree against the grammar and compiles it to a vectorized
+callable; all failures raise ConfigError.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
+import warnings
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
 
-_TOKEN = re.compile(r"""
-    \s*(?:
-        (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>[-+*/^()−×÷])
-    )""", re.VERBOSE)
-
-_OP_CANON = {"−": "-", "×": "*", "÷": "/"}
+_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+# the characters of the grammar, once whitespace is folded to one space
+_CHARACTERS = re.compile(r"[0-9A-Za-z_.+\-*/^() ]*")
+# the zeros that open an integer part: Python's parser refuses 007
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
+_OP_CANON = str.maketrans({"−": "-", "×": "*", "÷": "/"})
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 _FUNCTIONS = {"exp": np.exp, "ln": np.log}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: operator.pow}
 
 
-def _tokenize(src: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None:
-            if src[pos:].strip() == "":
-                break
-            raise ConfigError(
-                f"unexpected character {src[pos:].strip()[0]!r} in "
-                f"expression {src!r}")
-        pos = m.end()
-        if m.group("number") is not None:
-            tokens.append(("number", m.group("number")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            op = m.group("op")
-            tokens.append(("op", _OP_CANON.get(op, op)))
-    return tokens
+def _constant(value: float) -> Callable:
+    return lambda x: np.full_like(
+        np.asarray(x, dtype=float), value) if np.ndim(x) else value
 
 
-class _Parser:
-    """Recursive descent over the token list; builds a nested-closure AST."""
-
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ConfigError(f"unexpected end of expression {self.src!r}")
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.take()
-        if tok != ("op", op):
-            raise ConfigError(
-                f"expected {op!r} in expression {self.src!r}, got {tok[1]!r}")
-
-    def parse(self) -> Callable:
-        fn = self.expr()
-        if self.peek() is not None:
-            raise ConfigError(
-                f"trailing input {self.peek()[1]!r} in expression {self.src!r}")
-        return fn
-
-    def expr(self) -> Callable:
-        left = self.term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            right = self.term()
-            left = ((lambda a, b: lambda x: a(x) + b(x)) if op == "+"
-                    else (lambda a, b: lambda x: a(x) - b(x)))(left, right)
-        return left
-
-    def term(self) -> Callable:
-        left = self.unary()
-        while self.peek() in (("op", "*"), ("op", "/")):
-            op = self.take()[1]
-            right = self.unary()
-            left = ((lambda a, b: lambda x: a(x) * b(x)) if op == "*"
-                    else (lambda a, b: lambda x: a(x) / b(x)))(left, right)
-        return left
-
-    def unary(self) -> Callable:
-        if self.peek() == ("op", "-"):
-            self.take()
-            inner = self.unary()
-            return lambda x, f=inner: -f(x)
-        return self.power()
-
-    def power(self) -> Callable:
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            exponent = self.unary()  # right-associative
-            return lambda x, b=base, e=exponent: b(x) ** e(x)
-        return base
-
-    def atom(self) -> Callable:
-        kind, text = self.take()
-        if kind == "number":
-            value = float(text)
-            return lambda x, v=value: np.full_like(
-                np.asarray(x, dtype=float), v) if np.ndim(x) else v
-        if kind == "name":
-            if text in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return lambda x, f=_FUNCTIONS[text], a=arg: f(a(x))
-            if text in _CONSTANTS:
-                value = _CONSTANTS[text]
-                return lambda x, v=value: np.full_like(
-                    np.asarray(x, dtype=float), v) if np.ndim(x) else v
-            if text == "x":
-                return lambda x: np.asarray(x, dtype=float) if np.ndim(x) else x
-            raise ConfigError(
-                f"unknown name {text!r} in expression {self.src!r}")
-        if (kind, text) == ("op", "("):
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ConfigError(
-            f"unexpected token {text!r} in expression {self.src!r}")
+def _compile(node: ast.AST, text: str) -> Callable:
+    """The callable of ``node``, a node of the parsed ``text``; any node
+    outside the grammar raises ConfigError."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        a, b = _compile(node.left, text), _compile(node.right, text)
+        return lambda x, op=_BINARY[type(node.op)]: op(a(x), b(x))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        inner = _compile(node.operand, text)
+        return lambda x: -inner(x)
+    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        return _constant(_CONSTANTS[node.id])
+    if isinstance(node, ast.Name) and node.id == "x":
+        return lambda x: np.asarray(x, dtype=float) if np.ndim(x) else x
+    segment = text[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment):
+        return _constant(float(segment))
+    # the name of a call must not be in parentheses: (exp)(x) is refused
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS
+            and node.func.col_offset == node.col_offset
+            and len(node.args) == 1 and not node.keywords):
+        f, arg = _FUNCTIONS[node.func.id], _compile(node.args[0], text)
+        return lambda x: f(arg(x))
+    raise ConfigError(f"{segment!r} is outside the grammar")
 
 
 def parse_expression(src: str) -> Callable:
     """Compile an expression string to a callable of x (scalar or array)."""
     if not isinstance(src, str):
         raise ConfigError(f"expected an expression string, got {src!r}")
-    return _Parser(src).parse()
+    text = " ".join(src.translate(_OP_CANON).split())
+    if not _CHARACTERS.fullmatch(text) or "**" in text:
+        raise ConfigError(f"expression {src!r} is outside the grammar")
+    text = _LEADING_ZEROS.sub("", text.replace("^", "**"))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a SyntaxWarning is a refusal
+            fn = _compile(ast.parse(text, mode="eval").body, text)
+    except (SyntaxError, RecursionError, MemoryError, ConfigError) as exc:
+        raise ConfigError(f"cannot read expression {src!r}: {exc}") from None
+
+    def evaluate(x):
+        try:
+            return fn(x)
+        except RecursionError:
+            raise ConfigError(f"expression {src!r} nests too deeply") from None
+    return evaluate
 
 
 __all__ = ["parse_expression"]

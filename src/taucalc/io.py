@@ -126,10 +126,7 @@ def write_chain(levels, out_dir: str | Path, manifest_extra: dict | None = None,
         manifest["residuals"] = residuals
     if manifest_extra:
         manifest.update(manifest_extra)
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+    return write_json(manifest, out_dir / "manifest.json")
 
 
 def write_json(data: dict, path: str | Path) -> Path:

@@ -148,8 +148,8 @@ def limit_point(tau: TauMap, x0: float,
     point - limit.  A walk that has not yet detected its limit ends
     unconverged at its first point after x0 that is not finite or not in
     ``tau.domain`` (that point is the last of the walk).  A step that
-    raises an ArithmeticError (a pole, an overflow) raises
-    :class:`DomainEscape`.
+    raises an ArithmeticError (a pole, an overflow) or gives a value that
+    is not real (a negative base of x ** p) raises :class:`DomainEscape`.
 
     A forward walk of a contracting scale map x -> q x (:func:`linear_map`
     with 0 < |q| < 1 and h = +0.0) is made of running products instead
@@ -162,7 +162,9 @@ def limit_point(tau: TauMap, x0: float,
     lo, hi = _finite_bounds(tau)
     x = float(x0)
     walk = [x]
-    try:   # of the loop's arithmetic, only the map's own steps can raise
+    # of the loop's arithmetic, only the map's own steps can raise; a
+    # complex step raises TypeError in the domain test or in the float walk
+    try:
         for i in range(1, cap + 1):
             x_next = step(x)
             last = abs(x_next - x)
@@ -179,12 +181,13 @@ def limit_point(tau: TauMap, x0: float,
                     if r < 1.0 and last * r / (1.0 - r) < _POLISH_TOL * (
                             r * r * (r * r)) * (1.0 + abs(x_next)):
                         break
-                return LimitResult(x_next, i, True, np.array(walk))
+                return LimitResult(x_next, i, True,
+                                   np.array(walk, dtype=float))
             walk.append(x_next)
             if not lo <= x_next <= hi:
                 return LimitResult(x_next, i, False, np.array(walk))
             x = x_next
-    except ArithmeticError as exc:
+    except (ArithmeticError, TypeError) as exc:
         raise DomainEscape(f"a step of {tau.name or 'the map'} failed on the "
                            f"orbit of {x0} at x={walk[-1]}: {exc}") from exc
     return LimitResult(x, cap, False, np.array(walk))

@@ -264,7 +264,7 @@ def solve_system(sys: TwoByTwoSystem, boundary,
     psi = GridFunction(grid, sol[0], mask, label="psi")
     phi = GridFunction(grid, sol[1], mask, label="phi")
     worst = step_residual(sys, psi, phi)
-    if worst > _RECURSION_TOL:
+    if not worst <= _RECURSION_TOL:   # a nan residual fails too
         raise SingularResolvent(
             f"solution violates the one-step recursion: residual {worst}")
     return psi, phi
@@ -477,7 +477,7 @@ def _family(sys: TwoByTwoSystem, u0: GridFunction) -> _Family:
     if fam is not None and fam.u0 is u0:
         return fam
     res0 = rhom_residual(sys, u0)
-    if res0 > _RECURSION_TOL:
+    if not res0 <= _RECURSION_TOL:   # a nan residual fails too
         raise ParticularNotSolution(
             f"u0 violates the homographic recursion: residual {res0}")
     b_u0, b_u0_tau = sys.b * u0, sys.b * shift(u0)

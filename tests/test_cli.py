@@ -370,7 +370,8 @@ def test_step_key_of_another_source_exit_2(tmp_path, capsys, step, key):
 
 
 # (section, key, value) set on the xi chain config; each value is of the
-# wrong type or shape for its key
+# wrong type or shape for its key, or an expression too long or too deeply
+# nested for any parser's recursion
 MISTYPED_VALUES = {
     "interval-scalar-bases": [("grid", "mode", "interval"),
                               ("grid", "bases", 1.0)],
@@ -386,6 +387,9 @@ MISTYPED_VALUES = {
     "levels-0": [("chain", "levels", 0)],
     "levels-negative": [("chain", "levels", -1)],
     "levels-fraction": [("chain", "levels", 2.5)],
+    "sum-1200-terms": [("level0", "B0", " + ".join(["x"] * 1200))],
+    "unary-minus-1500-deep": [("level0", "B0", "-" * 1500 + "x")],
+    "parentheses-300-deep": [("level0", "B0", "(" * 300 + "x" + ")" * 300)],
 }
 
 
@@ -478,6 +482,18 @@ def test_grid_map_step_arithmetic_error_exit_3(tmp_path, capsys):
     assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 3
     err = capsys.readouterr().err
     assert "DomainEscape" in err and "division by zero" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_grid_map_step_to_a_non_real_value_exit_3(tmp_path, capsys):
+    # (-1.0) ** 0.5 is complex in Python
+    cfg = write_config(tmp_path, {
+        "map": {"kind": "power", "p": 0.5},
+        "grid": {"mode": "interval", "bases": [-1.0, 1.0]},
+    })
+    assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert "DomainEscape" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -400,6 +400,16 @@ def test_map_step_arithmetic_error_is_a_domain_escape():
         build_grid(power_map(2.0, domain=(1.0, 10.0)), SEMIGROUP, 2.0, 60)
 
 
+def test_map_step_to_a_non_real_value_is_a_domain_escape():
+    # (-1.0) ** 0.5 is complex in Python, and a complex step cannot be
+    # compared with the domain
+    with pytest.raises(DomainEscape, match=r"a step of power\(p=0.5\) failed"):
+        build_grid(power_map(0.5), INTERVAL, [-1.0, 1.0], 40)
+    # from just below 0 the complex walk settles before any domain test
+    with pytest.raises(DomainEscape, match=r"a step of power\(p=0.5\) failed"):
+        build_grid(power_map(0.5, domain=(-1.0, 1.0)), SEMIGROUP, -1e-300, 40)
+
+
 # -- the two-walk reference ------------------------------------------------
 
 def assert_same_as_two_walks(grid, tau, mode, bases, depth):

@@ -125,6 +125,25 @@ def test_general_solution_checks_particular_at_every_scale():
             general_solution(sys, GridFunction.constant(grid, 5.0), 0.5)
 
 
+def test_general_solution_refuses_a_particular_with_nan():
+    # u0 = 0 solves u(tau x) = u(x) / (1 + u(x) / 4) but for the NaN at
+    # index 3; the residual is nan, which must fail its gate (a ``>`` gate
+    # let it through to a misleading pole of the family)
+    grid = build_grid(linear_map(0.5), max_depth=30)
+    sys = TwoByTwoSystem(*(GridFunction.constant(grid, v)
+                           for v in (1.0, 0.25, 0.0, 1.0)))
+    values = np.zeros(grid.size)
+    values[3] = np.nan
+    with pytest.raises(ParticularNotSolution, match="residual nan"):
+        general_solution(sys, GridFunction(grid, values), 0.5)
+
+
+def test_solve_system_refuses_a_nan_step_residual(contracting_system):
+    # NaN boundary data give a NaN solution, whose step residual is nan
+    with pytest.raises(SingularResolvent, match="residual nan"):
+        solve_system(contracting_system, (np.nan, 0.5))
+
+
 def test_solutions_satisfy_homographic_recursion(contracting_system):
     u0 = GridFunction.constant(contracting_system.grid, 0.0)
     for t in (0.5, 1.0, 2.0):

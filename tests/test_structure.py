@@ -534,3 +534,33 @@ def test_linalg_rule_sees_linalg_uses(tmp_path):
                        ("x = 'np.linalg.det'", [])):
         path.write_text(code + "\n")
         assert linalg_uses(path) == hits
+
+
+def dynamic_code_calls(path):
+    """Line of every call of ``eval`` or ``exec``, bare or as an attribute
+    (``builtins.eval``)."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(
+                encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ("eval", "exec")]
+
+
+def test_no_dynamic_code_execution():
+    # configuration expressions are parsed and checked node by node, and
+    # no source string is ever run as code
+    assert [(p.name, line) for p in SOURCES
+            for line in dynamic_code_calls(p)] == []
+
+
+def test_dynamic_code_rule_sees_eval_and_exec(tmp_path):
+    path = tmp_path / "mod.py"
+    for code, hits in (("y = eval(src)", [1]),
+                       ("exec(code, {})", [1]),
+                       ("import builtins\nf = builtins.eval(s)", [2]),
+                       ("def f(s):\n    return [exec(s)]", [2]),
+                       ("tree = ast.parse(src, mode='eval')", []),
+                       ("evaluate = fn\ny = evaluate(x)", []),
+                       ("x = 'eval(src)'", [])):
+        path.write_text(code + "\n")
+        assert dynamic_code_calls(path) == hits
