@@ -193,7 +193,10 @@ def _build_grid(config: dict, depth_override: int | None):
 
 def _grid_fn(grid, expr: str, label: str) -> GridFunction:
     fn = parse_expression(expr)
-    out = GridFunction.from_callable(grid, fn, label=label)
+    # an overflow or a division by zero that leaves the values finite is
+    # harmless, and one that does not ends in the config error below
+    with np.errstate(all="ignore"):
+        out = GridFunction.from_callable(grid, fn, label=label)
     if not np.all(np.isfinite(out.flat)):
         raise ConfigError(
             f"expression for {label!r} is not finite on the grid")

@@ -40,6 +40,13 @@ def _constant(value: float) -> Callable:
         np.asarray(x, dtype=float), value) if np.ndim(x) else value
 
 
+def _quote(value) -> str:
+    """``repr(value)`` for a message, cut to 60 characters and its length
+    when it is longer."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} chars)"
+
+
 def _compile(node: ast.AST, text: str) -> Callable:
     """The callable of ``node``, a node of the parsed ``text``; any node
     outside the grammar raises ConfigError."""
@@ -63,29 +70,31 @@ def _compile(node: ast.AST, text: str) -> Callable:
             and len(node.args) == 1 and not node.keywords):
         f, arg = _FUNCTIONS[node.func.id], _compile(node.args[0], text)
         return lambda x: f(arg(x))
-    raise ConfigError(f"{segment!r} is outside the grammar")
+    raise ConfigError(f"{_quote(segment)} is outside the grammar")
 
 
 def parse_expression(src: str) -> Callable:
     """Compile an expression string to a callable of x (scalar or array)."""
     if not isinstance(src, str):
-        raise ConfigError(f"expected an expression string, got {src!r}")
+        raise ConfigError(f"expected an expression string, got {_quote(src)}")
     text = " ".join(src.translate(_OP_CANON).split())
     if not _CHARACTERS.fullmatch(text) or "**" in text:
-        raise ConfigError(f"expression {src!r} is outside the grammar")
+        raise ConfigError(f"expression {_quote(src)} is outside the grammar")
     text = _LEADING_ZEROS.sub("", text.replace("^", "**"))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # a SyntaxWarning is a refusal
             fn = _compile(ast.parse(text, mode="eval").body, text)
     except (SyntaxError, RecursionError, MemoryError, ConfigError) as exc:
-        raise ConfigError(f"cannot read expression {src!r}: {exc}") from None
+        raise ConfigError(
+            f"cannot read expression {_quote(src)}: {exc}") from None
 
     def evaluate(x):
         try:
             return fn(x)
         except RecursionError:
-            raise ConfigError(f"expression {src!r} nests too deeply") from None
+            raise ConfigError(
+                f"expression {_quote(src)} nests too deeply") from None
     return evaluate
 
 

@@ -17,13 +17,16 @@ import numpy as np
 from .errors import DomainEscape
 
 _DOMAIN_TOL = 1e-9
-# limit_point's detection tolerance and step cap (grid branches depend on both)
+# limit_point's detection tolerance and the step cap of a stepped walk
+# (grid branches depend on both)
 LIMIT_TOL = 1e-13
 LIMIT_MAX_ITER = 10000
 # build_grid ends an orbit after three steps below this, relative to
 # 1 + |limit|; the limit polish of limit_point is derived from it
 DEFAULT_DELTA_TOL = 1e-15
 _POLISH_TOL = 2.0 ** -56 * DEFAULT_DELTA_TOL
+# the longest running-product walk: 2^20 points (0.9999 from 1 takes 737,000)
+_WALK_MAX_BYTES = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -135,11 +138,12 @@ def limit_point(tau: TauMap, x0: float,
     """Walk tau from ``x0`` to its limit: iterate until a step is below
     ``LIMIT_TOL`` (1 + |x|), then polish toward the fixed point.
 
-    The result keeps the walk x0, tau(x0), ..., limit (read-only); a step
-    that does not move ends it and is not stored.  Detection and polish
-    take at most ``LIMIT_MAX_ITER`` steps each; ``_backward_cap`` walks
-    tau.inverse with that cap instead (a group grid's backward leg).  The
-    polish also stops once the error estimate s r/(1 - r), from the last
+    The result keeps the walk x0, tau(x0), ..., limit (read-only); a
+    polish step that does not move, or returns to the point before (a
+    two-cycle of the rounded map), ends it and is not stored.  Detection
+    and polish take at most ``LIMIT_MAX_ITER`` steps each; ``_backward_cap``
+    walks tau.inverse with that cap instead (a group grid's backward leg).
+    The polish also stops once the error estimate s r/(1 - r), from the last
     step s and the ratio r of the last two, is below
     2^-56 DEFAULT_DELTA_TOL (r r (r r)) (1 + |x|): with a factor 2 to
     spare, a quarter-ulp of the nearest distance DEFAULT_DELTA_TOL r^4
@@ -153,7 +157,8 @@ def limit_point(tau: TauMap, x0: float,
 
     A forward walk of a contracting scale map x -> q x (:func:`linear_map`
     with 0 < |q| < 1 and h = +0.0) is made of running products instead
-    (:func:`_running_products`), with the same result bit for bit.
+    (:func:`_running_products`), with no step cap and the result of the
+    uncapped scalar walk bit for bit.
     """
     if isinstance(tau, _ScaleMap) and _backward_cap is None:
         return _running_products(tau, x0)
@@ -173,10 +178,10 @@ def limit_point(tau: TauMap, x0: float,
                     walk.append(x_next)
                 for _ in range(cap):
                     x_more = step(x_next)
-                    if x_more == x_next:
+                    if x_more == x_next or x_more == x:
                         break
                     r, last = abs(x_more - x_next) / last, abs(x_more - x_next)
-                    x_next = x_more
+                    x, x_next = x_next, x_more
                     walk.append(x_next)
                     if r < 1.0 and last * r / (1.0 - r) < _POLISH_TOL * (
                             r * r * (r * r)) * (1.0 + abs(x_next)):
@@ -200,82 +205,72 @@ def _finite_bounds(tau: TauMap) -> tuple[float, float]:
     return max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
 
 
+def _walk_length(q: float, x0: float) -> int:
+    """Steps within which the forward :func:`limit_point` walk of
+    x -> q*x + 0.0 from ``x0`` stops.  With s = |x| |1 - q| and r = |q| the
+    polish test passes at the step after a point below
+    T = _POLISH_TOL |q|^3 (1 - |q|)/|1 - q|: at k = log(|x0|/T)/log(1/|q|).
+    Where steps are a few ulps, rounding can hold r at 1 (or off |q|) for
+    up to 1/(1 - |q|) steps more, and a walk of subnormals moves at most
+    |x0|/2^-1074 times; 2 more hold step k + 1 and a step that does not
+    move.  A base of 0, +-inf or nan stops at its first step."""
+    a, ax = abs(q), abs(x0)
+    if not 0.0 < ax < math.inf:
+        return 1
+    log_t = (math.log(_POLISH_TOL) + 3.0 * math.log(a) + math.log1p(-a)
+             - math.log(abs(1.0 - q)))
+    fall = max(0.0, (math.log(ax) - log_t) / -math.log(a))
+    return math.ceil(fall + min(ax / 5e-324, 1.0 / (1.0 - a))) + 2
+
+
 def _running_products(tau: _ScaleMap, x0: float) -> LimitResult:
     """The forward :func:`limit_point` walk of x -> q*x + 0.0 from ``x0``,
     made of running products of q = ``tau.q``.
 
     A step is one rounded product, so ``multiply.accumulate`` (with the
     + 0.0 that turns a -0.0 product into +0.0) gives the scalar walk bit
-    for bit.  The walk is made in chunks: the first to about its expected
-    length, log(|x0|/_POLISH_TOL)/log(1/|q|) + 64 steps (64 from a base
-    that has no such length), then doubling, never past the last step
-    the cap allows (an orbit run deep into subnormals is slow).
-    Detection, the stop at the first point outside the domain and the
-    polish stop (see :func:`_polish_stop`) are the scalar tests on a
-    whole chunk at once.
+    for bit.  It is formed once, to its :func:`_walk_length`, and
+    detection, the domain exit and the polish stop (:func:`_polish_stop`)
+    are the scalar tests on the whole array.  A walk of more than
+    ``_WALK_MAX_BYTES`` ends unconverged at x0, unformed, as if capped at
+    the steps the bound holds.
     """
-    q, cap = tau.q, LIMIT_MAX_ITER
+    x0, n = float(x0), _walk_length(tau.q, x0)
+    if 8 * (n + 1) > _WALK_MAX_BYTES:
+        return LimitResult(x0, _WALK_MAX_BYTES // 8 - 1, False,
+                           np.array([x0]))
+    w = np.full(n + 1, tau.q)
+    w[0] = x0
     bottom, top = _finite_bounds(tau)
-    x0 = float(x0)
-    w = np.array([x0])
-    found = None   # the step where the limit was detected
-    lo = 1         # the first step not yet tested
-    # the walk shrinks by |q| per step, and its polish ends near
-    # |x| = _POLISH_TOL (a nan span compares false)
-    span = abs(x0) / _POLISH_TOL
-    grow = (int(math.log(span) / -math.log(abs(q))) + 64
-            if 1.0 < span < math.inf else 64)
     with np.errstate(all="ignore"):
-        while True:
-            stop = cap if found is None else found + cap
-            if lo > stop:
-                break
-            if lo == len(w):
-                seg = np.full(min(grow, stop + 1 - len(w)) + 1, q)
-                seg[0] = w[-1]
-                np.multiply.accumulate(seg, out=seg)
-                seg += 0.0
-                w = np.concatenate((w, seg[1:]))
-                grow = len(w)
-            hi = len(w) - 1
-            if found is not None:
-                end = _polish_stop(w, lo, hi)
-                if end is not None:
-                    return LimitResult(float(w[end]), found, True, w[:end + 1])
-                lo = hi + 1
-                continue
-            prev, nxt = w[lo - 1:hi], w[lo:]
-            hit = (np.abs(nxt - prev)
-                   < LIMIT_TOL * (1.0 + np.abs(prev))).nonzero()[0]
-            out = (~((bottom <= nxt) & (nxt <= top))).nonzero()[0]
-            if len(out) and not (len(hit) and hit[0] <= out[0]):
-                end = lo + int(out[0])
-                return LimitResult(float(w[end]), end, False, w[:end + 1])
-            if not len(hit):
-                lo = hi + 1
-                continue
-            found = lo + int(hit[0])
-            if w[found] == w[found - 1]:   # a step that does not move
-                return LimitResult(float(w[found]), found, True, w[:found])
-            lo = found + 1
-    if found is None:
-        return LimitResult(float(w[cap]), cap, False, w[:cap + 1])
-    return LimitResult(float(w[stop]), found, True, w[:stop + 1])
+        np.multiply.accumulate(w, out=w)
+        w[1:] += 0.0
+        prev, nxt = w[:-1], w[1:]
+        hit = np.abs(nxt - prev) < LIMIT_TOL * (1.0 + np.abs(prev))
+        stop = np.flatnonzero(hit | ~((bottom <= nxt) & (nxt <= top)))
+        found = 1 + int(stop[0]) if len(stop) else n   # detected or left
+        if not (len(stop) and hit[found - 1]):
+            return LimitResult(float(w[found]), found, False, w[:found + 1])
+        if w[found] == w[found - 1]:   # a step that does not move
+            return LimitResult(float(w[found]), found, True, w[:found])
+        end = _polish_stop(w, found + 1)
+    return LimitResult(float(w[end]), found, True, w[:end + 1])
 
 
-def _polish_stop(w: np.ndarray, lo: int, hi: int) -> int | None:
-    """Index of the last point of the polish in ``w[lo:hi + 1]``: the
-    first step j that does not move (the walk ends at j - 1) or that
-    passes the polish test of :func:`limit_point` (it ends at j); None if
-    the polish goes on.  The test is the scalar one, operation for
+def _polish_stop(w: np.ndarray, lo: int) -> int:
+    """Index of the last point of the polish whose first step is
+    ``w[lo]``: the point before the first step j that does not move or
+    returns to w[j - 2] (the walk ends at j - 1), or the first j that
+    passes the polish test of :func:`limit_point` (it ends at j); the end
+    of ``w`` if neither comes.  The test is the scalar one, operation for
     operation, so each step passes it exactly when the scalar walk's does.
     """
-    step = np.abs(w[lo - 1:hi + 1] - w[lo - 2:hi])
-    still = (w[lo:hi + 1] == w[lo - 1:hi]).nonzero()[0]
-    n = int(still[0]) if len(still) else hi + 1 - lo
-    last, r = step[1:n + 1], step[1:n + 1] / step[:n]
-    passed = ((r < 1.0) & (last * r / (1.0 - r) < _POLISH_TOL * (
-        r * r * (r * r)) * (1.0 + np.abs(w[lo:lo + n])))).nonzero()[0]
-    if len(passed):
-        return lo + int(passed[0])
-    return lo + n - 1 if len(still) else None
+    step = np.abs(w[lo - 1:] - w[lo - 2:-1])
+    still = (w[lo:] == w[lo - 1:-1]) | (w[lo:] == w[lo - 2:-2])
+    last, r = step[1:], step[1:] / step[:-1]
+    passed = (r < 1.0) & (last * r / (1.0 - r) < _POLISH_TOL * (
+        r * r * (r * r)) * (1.0 + np.abs(w[lo:])))
+    ends = np.flatnonzero(still | passed)
+    if not len(ends):
+        return len(w) - 1
+    return lo + int(ends[0]) - bool(still[ends[0]])

@@ -265,6 +265,25 @@ def test_bidiagonal_spectrum_matches_closed_form_on_converged_qhahn(
         assert lams[n] == pytest.approx(sc.eigenvalue(n), rel=1e-12)
 
 
+def test_qhahn_spectrum_settles_at_q_0999():
+    # the limit walk of x -> 0.999 x takes 73,324 steps (past the former
+    # 10,000-step cap); each branch settles at 27,622 points.  The error of
+    # the converged spectrum is the truncation |x_last - limit| ~ 1e-12:
+    # measured at 1.25 to 1.27 times it
+    q = 0.999
+    sc = qhahn_chain(q=q, depth=40000, n_levels=3)
+    assert all(br.converged for br in sc.grid.branches)
+    gap = max(br.limit_gap for br in sc.grid.branches)
+    assert gap < 1e-12
+    lams = chain_eigenvalues(sc.levels[0], count=4)
+    assert abs(lams[0]) <= 1e-12 * lams[1]
+    for n in (1, 2, 3):
+        assert abs(lams[n] / sc.eigenvalue(n) - 1.0) <= 2.0 * gap
+        assert lams[n] == pytest.approx(n * n, rel=1e-5)   # Chebyshev
+    # the closed form: lambda_2 - 4 = (1 - q)^2 / q
+    assert sc.eigenvalue(2) - 4.0 == pytest.approx((1 - q) ** 2 / q, rel=1e-6)
+
+
 def test_chain_eigenvalues_counts(qh):
     lvl = qh.levels[0]
     full = chain_eigenvalues(lvl)

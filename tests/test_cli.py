@@ -408,6 +408,9 @@ def test_mistyped_config_value_exit_2(tmp_path, capsys, edits):
     assert run("chain", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
+    # one short line, however long the value (a long expression is quoted
+    # by its first characters and its length)
+    assert len(err) < 200 and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 
@@ -453,14 +456,39 @@ def test_grid_tol_key_rejected_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("mode, bases", [("semigroup", 1.0),
                                          ("interval", [-1.0, 1.0])])
 def test_grid_unsettled_limit_exit_3(tmp_path, capsys, mode, bases):
+    # a stepped walk (shift != 0) toward the fixed point 2 is capped at
+    # 10,000 steps and needs about 30,000
     cfg = write_config(tmp_path, {
-        "map": {"kind": "linear", "q": 0.999},
+        "map": {"kind": "linear", "q": 0.999, "shift": 2e-3},
         "grid": {"mode": mode, "bases": bases},
     })
     assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 3
     err = capsys.readouterr().err
     assert "LimitNotConverged" in err and "10000 steps" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("q, code", [(0.999, 0), (1 - 1e-12, 3)])
+def test_grid_scale_map_near_one(tmp_path, capsys, q, code):
+    # a scale walk's length comes from q: 73,324 steps settle at 0.999;
+    # 1 - 1e-12 would take 7e13, past the memory bound of the walk
+    cfg = write_config(tmp_path, {
+        "map": {"kind": "linear", "q": q},
+        "grid": {"mode": "interval", "bases": [-1.0, 1.0]},
+    })
+    assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "LimitNotConverged" in err and "1048575 steps" in err
+        assert not (tmp_path / "o").exists()
+    else:
+        assert err == ""
+        branches = json.loads(
+            (tmp_path / "o" / "grid.json").read_text())["branches"]
+        # cut unsettled at the default depth 512, from a settled limit
+        assert [(b["points"], b["converged"]) for b in branches] == [
+            (513, False)] * 2
+        assert all(abs(b["limit"]) < 1e-31 for b in branches)
 
 
 def test_grid_forward_orbit_leaving_the_domain_exit_3(tmp_path, capsys):
@@ -525,6 +553,32 @@ def test_grid_group_leg_stays_in_the_domain(tmp_path):
     assert len(rows) == 37 and points[0] == pytest.approx(1e18)
     assert all(abs(x) <= 1e18 * (1 + 1e-9) for x in points)
     assert "inf" not in (tmp_path / "o" / "grid.csv").read_text()
+
+
+@pytest.mark.parametrize("B0, code", [("exp(1000/x)", 2),
+                                       ("x^2 + 1/exp(1000/x)", 0)])
+def test_overflow_in_a_config_expression_prints_no_warning(src_env, tmp_path,
+                                                           B0, code):
+    # exp(1000/x) overflows on every point of the grid: alone it is refused
+    # as not finite, and under 1/ it is exp(-1000/x), which never overflows
+    config = json.loads(json.dumps(CHAIN_CONFIGS["xi"]))
+    config["level0"]["B0"] = B0
+    out = subprocess.run([sys.executable, "-m", "taucalc", "chain", "--config",
+                          write_config(tmp_path, config), "--out",
+                          str(tmp_path / "o")],
+                         env=src_env, capture_output=True, text=True)
+    assert out.returncode == code
+    if code:
+        assert out.stderr == ("config error: expression for 'B0' is not "
+                              "finite on the grid\n")
+        return
+    assert out.stderr == ""
+    config["level0"]["B0"] = "x^2 + exp(-1000/x)"
+    assert run("chain", "--config", write_config(tmp_path, config, "neg.json"),
+               "--out", str(tmp_path / "neg")) == 0
+    for name in ("level_0.csv", "level_1.csv"):
+        assert ((tmp_path / "o" / name).read_bytes()
+                == (tmp_path / "neg" / name).read_bytes())
 
 
 def test_python_dash_m_runs_the_cli(src_env, tmp_path):

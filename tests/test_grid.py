@@ -176,12 +176,17 @@ def test_coincident_pairs_skip_unresolvable_tail():
 
 
 def test_unconverged_limit_raises_typed_error():
-    # q = 0.999 needs about 30,000 steps to settle at 1e-13; the cap is 10,000
+    # x -> 0.999 x + 0.002 is stepped and needs about 30,000 steps to
+    # settle at its fixed point 2; a stepped walk is capped at 10,000
+    tau = linear_map(0.999, h=2e-3)
     with pytest.raises(LimitNotConverged, match=r"base 1\.0 .*10000 steps"):
-        build_grid(linear_map(0.999), SEMIGROUP, 1.0)
+        build_grid(tau, SEMIGROUP, 1.0)
     # not a LimitMismatch between two unsettled iterates
     with pytest.raises(LimitNotConverged, match=r"base -1\.0"):
-        build_grid(linear_map(0.999), INTERVAL, (-1.0, 1.0))
+        build_grid(tau, INTERVAL, (-1.0, 1.0))
+    # a scale walk longer than the memory bound (7e13 steps) is not formed
+    with pytest.raises(LimitNotConverged, match=r"base 1\.0 .*1048575 steps"):
+        build_grid(linear_map(1 - 1e-12), SEMIGROUP, 1.0)
 
 
 def test_truncated_orbit_is_recorded():

@@ -1,13 +1,17 @@
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taucalc.maps import (TauMap, _ScaleMap, fractional_map, iterate,
-                          limit_point, linear_map, power_map)
+from taucalc import maps
+from taucalc.maps import (LIMIT_MAX_ITER, TauMap, _ScaleMap, _walk_length,
+                          fractional_map, iterate, limit_point, linear_map,
+                          power_map)
 
 from limit_oracle import counting_map
 
@@ -97,11 +101,36 @@ def assert_same_result(res, ref):
     assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
 
 
+# a walk of running products past this many steps is not formed
+MAX_STEPS = maps._WALK_MAX_BYTES // 8 - 1
+
+
+def assert_walks_as_stepped(tau, base, cap):
+    """``limit_point(tau, base, cap)`` is the stepped walk of
+    ``plain_copy(tau)``.  A forward walk of a scale map is allowed the
+    steps ``_walk_length`` derives, and stops within them; one past
+    ``MAX_STEPS`` ends unconverged at its base, unformed."""
+    res = limit_point(tau, base, cap)
+    derived = isinstance(tau, _ScaleMap) and cap is None
+    n = _walk_length(tau.q, base) if derived else 0
+    if n > MAX_STEPS:
+        assert (res.iterations, res.converged) == (MAX_STEPS, False)
+        assert res.walk.tobytes() == np.float64(base).tobytes()
+        return
+    with mock.patch.object(maps, "LIMIT_MAX_ITER", max(LIMIT_MAX_ITER, n)):
+        ref = limit_point(plain_copy(tau), base, cap)
+    assert_same_result(res, ref)
+    if derived:   # the last step tested, stored or not, is within n
+        assert len(ref.walk) <= n + (not ref.converged)
+
+
 SCALE_QS = (0.05, 0.5, 0.9, 0.97, 0.978, 0.999, 1.0, -0.5, -0.97, 1.5, -2.0)
-SCALE_BASES = (1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300,
+SCALE_BASES = (1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
                math.inf, -math.inf, math.nan)
 # None walks forward; an int caps a backward walk of tau.inverse
 SCALE_CAPS = (None, 1, 5, 40, 400, 4000)
+# the default domain (-1e18, 1e18) ends a walk from 1e300 at its first step
+SCALE_DOMAINS = (None, (-math.inf, math.inf))
 
 
 @pytest.mark.parametrize("h", [0.0, -0.0], ids=["h=+0", "h=-0"])
@@ -110,13 +139,12 @@ def test_scale_walk_matches_plain_walk(q, h):
     # a forward walk of a contracting x -> q x + 0.0 is made of running
     # products, from every base (they reach zeros, a -0.0 product becoming
     # +0.0); every other walk steps
-    tau = linear_map(q, h)
-    assert isinstance(tau, _ScaleMap) == walks_running_products(q, h)
-    plain = plain_copy(tau)
-    for base in SCALE_BASES:
-        for cap in SCALE_CAPS:
-            assert_same_result(limit_point(tau, base, cap),
-                               limit_point(plain, base, cap))
+    for domain in SCALE_DOMAINS:
+        tau = linear_map(q, h, domain)
+        assert isinstance(tau, _ScaleMap) == walks_running_products(q, h)
+        for base in SCALE_BASES:
+            for cap in SCALE_CAPS:
+                assert_walks_as_stepped(tau, base, cap)
 
 
 @pytest.mark.parametrize("q, cap", [(0.97, None), (0.978, None)])
@@ -144,9 +172,38 @@ def test_scale_walk_does_not_step_forward_per_point(q, cap):
                    st.floats(1.001, 4.0), st.floats(-4.0, -1.001)),
        base=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                       st.sampled_from(SCALE_BASES)),
-       cap=st.sampled_from(SCALE_CAPS), h=st.sampled_from((0.0, -0.0)))
-def test_scale_walk_matches_plain_walk_anywhere(q, base, cap, h):
-    tau = linear_map(q, h)
+       cap=st.sampled_from(SCALE_CAPS), h=st.sampled_from((0.0, -0.0)),
+       domain=st.sampled_from(SCALE_DOMAINS))
+def test_scale_walk_matches_plain_walk_anywhere(q, base, cap, h, domain):
+    tau = linear_map(q, h, domain)
     assert isinstance(tau, _ScaleMap) == walks_running_products(q, h)
-    assert_same_result(limit_point(tau, base, cap),
-                       limit_point(plain_copy(tau), base, cap))
+    assert_walks_as_stepped(tau, base, cap)
+
+
+@settings(max_examples=50, deadline=None)
+@given(q=st.one_of(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True,
+                             allow_subnormal=True).filter(bool),
+                   st.floats(0.999, 1.0, exclude_max=True),
+                   st.floats(-1.0, -0.999, exclude_min=True)),
+       base=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from(SCALE_BASES).filter(math.isfinite)),
+       domain=st.sampled_from(SCALE_DOMAINS))
+# a walk that the first chunk of the former chunked walk missed by 4 steps
+@example(q=-0.945, base=-1.7e211, domain=(-math.inf, math.inf))
+def test_scale_walk_stops_within_its_derived_length(q, base, domain):
+    # the forward walk of x -> q x from any finite base, q near +-1 too
+    assert_walks_as_stepped(linear_map(q, domain=domain), base, None)
+
+
+@pytest.mark.parametrize("q, base", [(0.99999, 1.0), (1 - 1e-12, 1.0),
+                                     (-(1 - 1e-12), -3.0)])
+def test_scale_walk_past_the_memory_bound_is_not_formed(q, base):
+    # 7.4e6 steps from base 1 at q = 0.99999, 7e13 at 1 - 1e-12
+    tracemalloc.start()
+    try:
+        res = limit_point(linear_map(q), base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.converged, res.iterations) == (False, MAX_STEPS)
+    assert res.walk.tolist() == [base] and peak < 2 ** 16
