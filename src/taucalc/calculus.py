@@ -37,9 +37,8 @@ def deltas_fn(grid: OrbitGrid) -> GridFunction:
 
 def dtau_inverse_fn(grid: OrbitGrid) -> GridFunction:
     """The tau-derivative of the inverse map: delta_{n-1}/delta_n on the grid."""
-    n = grid.interior_index()
-    out = np.zeros(grid.size, dtype=complex)
-    out[n] = grid.deltas[n - 1] / grid.deltas[n]
+    out = np.divide(grid.shifted(grid.deltas, -1), grid.deltas,
+                    where=grid.interior(), out=np.zeros(grid.size))
     return GridFunction(grid, out, grid.interior(), label="dtau(tau^-1)")
 
 
@@ -64,7 +63,7 @@ def step_quotient(num: GridFunction, label: str = "") -> GridFunction:
     """
     grid = num.grid
     out = np.divide(num.flat, grid.deltas, where=grid.has_next,
-                    out=np.zeros(num.flat.shape, dtype=complex))
+                    out=np.zeros_like(num.flat))
     return GridFunction(grid, out, num.flat_valid & grid.has_next, label=label)
 
 
@@ -80,7 +79,7 @@ def tau_derivative(f: GridFunction) -> GridFunction:
     with np.errstate(invalid="ignore", over="ignore"):
         diff = v - grid.shifted(v, 1)
     out = np.divide(diff, grid.deltas, where=grid.has_next,
-                    out=np.zeros(v.shape, dtype=complex))
+                    out=np.zeros_like(diff))
     return GridFunction(grid, out, m & grid.shifted(m, 1),
                         label=f"d({f.label})" if f.label else "")
 
@@ -119,8 +118,7 @@ def tau_integral(f: GridFunction, check_tail: bool = True):
     v, m = f.flat, f.flat_valid
     # delta is 0 at each branch end, and those terms are never summed;
     # the terms are C-ordered, so each row of a block sums as it would alone
-    terms = np.multiply(grid.deltas, v, where=m,
-                        out=np.zeros(v.shape, dtype=complex))
+    terms = np.multiply(grid.deltas, v, where=m, out=np.zeros_like(v))
     if check_tail:
         scales = np.fmax(1.0, np.maximum.reduceat(
             np.where(m, np.abs(v), 0.0), [s.start for s in grid.slices],
@@ -138,7 +136,7 @@ def tau_integral(f: GridFunction, check_tail: bool = True):
         tail = np.abs(grid.deltas[:3] * v[..., :3])
         if (tail > _TAIL_TOL * _column(np.fmax(1.0, f.max_abs()))).any():
             raise TailNotConverged(f"backward tail terms {tail} too large")
-    return complex(total) if total.ndim == 0 else total
+    return total[()]
 
 
 def _suffix_valid(f: GridFunction) -> np.ndarray:
@@ -153,7 +151,7 @@ def tau_antiderivative(f: GridFunction, check_tail: bool = True) -> GridFunction
     A probe block checks each row's tail against that row's own scale."""
     grid = f.grid
     terms = np.multiply(grid.deltas, f.flat, where=grid.has_next,
-                        out=np.zeros(f.flat.shape, dtype=complex))
+                        out=np.zeros_like(f.flat))
     if check_tail:
         limit = _TAIL_TOL * _column(np.fmax(1.0, f.max_abs()))
         for s in grid.slices:
@@ -199,7 +197,7 @@ def solve_linear_first_order(f: GridFunction, init: complex = 1.0) -> GridFuncti
     use = f.flat_valid & grid.has_next
     fac = _positive_real(np.where(use, 1.0 - grid.deltas * f.flat, 1.0),
                          "first-order factor")
-    out = init * grid.suffix_scan(np.multiply, 1.0 / fac.astype(complex))
+    out = init * grid.suffix_scan(np.multiply, 1.0 / fac)
     psi = GridFunction(grid, out, _suffix_valid(f), label="psi")
     _verify_first_order(psi, f)
     return psi

@@ -118,13 +118,12 @@ def apply_A(level: ChainLevel, psi: GridFunction) -> GridFunction:
     grid = level.grid
     nxt = grid.has_next
     p, pm = psi.flat, psi.flat_valid
-    # h/delta and the diagonal h/delta + f, 0 at the branch ends
-    h_d = np.divide(level.h.flat, grid.deltas, where=nxt,
-                    out=np.zeros(grid.size, dtype=complex))
-    diag = np.add(h_d, level.f.flat, where=nxt,
-                  out=np.zeros(grid.size, dtype=complex))
-    out = np.multiply(diag, p, where=nxt, out=np.zeros(p.shape, dtype=complex))
-    out -= h_d * grid.shifted(p, 1)
+    # h/delta and the diagonal h/delta + f, 0 at the branch ends; masked-out
+    # entries may hold inf/nan, their arithmetic is discarded
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h_d = np.where(nxt, level.h.flat / grid.deltas, 0.0)
+        out = np.where(nxt, (h_d + level.f.flat) * p, 0.0)
+        out -= h_d * grid.shifted(p, 1)
     mask = (pm & grid.shifted(pm, 1) & level.h.flat_valid
             & level.f.flat_valid)
     return GridFunction(grid, out, mask, label="A psi")
@@ -222,11 +221,13 @@ def solve_step_constant(level: ChainLevel, h_next: GridFunction,
         level.B, level.eta, level.h, h_next, level.phi, g))
     Bm, em, hm, h2m, pm, gm = (fn.flat_valid for fn in (
         level.B, level.eta, level.h, h_next, level.phi, g))
-    t1 = d * gv[n] * Bv[n] * h2v[n - 1] ** 2 / (dn * dm1)
-    t2 = pv[n] ** 2 * ev[n]
-    rhs = (1.0 / (d * gv[n + 1])) * (
-        d * gv[n + 1] * Bv[n + 1] * hv[n] ** 2 / (dp1 * dn)
-        - pv[n + 1] ** 2 * ev[n + 1] * hv[n] ** 2 / h2v[n] ** 2)
+    # masked-out entries may hold inf/nan; they are left out by ``ok``
+    with np.errstate(invalid="ignore", over="ignore"):
+        t1 = d * gv[n] * Bv[n] * h2v[n - 1] ** 2 / (dn * dm1)
+        t2 = pv[n] ** 2 * ev[n]
+        rhs = (1.0 / (d * gv[n + 1])) * (
+            d * gv[n + 1] * Bv[n + 1] * hv[n] ** 2 / (dp1 * dn)
+            - pv[n + 1] ** 2 * ev[n + 1] * hv[n] ** 2 / h2v[n] ** 2)
     ok = (Bm[n] & Bm[n + 1] & em[n] & em[n + 1] & hm[n]
           & h2m[n - 1] & h2m[n] & pm[n] & pm[n + 1]
           & gm[n] & gm[n + 1])
@@ -238,8 +239,7 @@ def solve_step_constant(level: ChainLevel, h_next: GridFunction,
     # estimate is taken from the best-conditioned points only; the
     # consistency check below still covers every point (scaled).
     resolvable = sc <= 1e3 * float(np.min(sc))
-    c = (complex(np.median(cs.real[resolvable]))
-         + 1j * float(np.median(cs.imag[resolvable])))
+    c = np.median(cs[resolvable])
     if np.max(np.abs(cs - c) / sc) > _STEP_CONSTANT_TOL:
         raise InconsistentWeights(
             "no constant closes the level step for this (g, h, d)")
@@ -253,13 +253,14 @@ def bands_AstarA(level: ChainLevel):
     d = grid.deltas
     n = grid.neighbour_index(1)
     m = grid.interior_index()
-    diag = np.zeros(grid.size, dtype=complex)
-    sup = np.zeros(grid.size, dtype=complex)
-    sub = np.zeros(grid.size, dtype=complex)
-    diag[n] = ev[n] * pv[n] ** 2
-    diag[m] += Bv[m] * hv[m - 1] ** 2 / (d[m] * d[m - 1])
-    sup[n] = -ev[n] * pv[n] * hv[n] / d[n]
-    sub[m] = -Bv[m] * hv[m - 1] * pv[m - 1] / d[m]
+    sub, diag, sup = np.zeros((3, grid.size), np.result_type(Bv, ev, hv, pv))
+    # entries masked out of the level may hold inf/nan; their band
+    # entries are discarded with the mask
+    with np.errstate(invalid="ignore", over="ignore"):
+        diag[n] = ev[n] * pv[n] ** 2
+        diag[m] += Bv[m] * hv[m - 1] ** 2 / (d[m] * d[m - 1])
+        sup[n] = -ev[n] * pv[n] * hv[n] / d[n]
+        sub[m] = -Bv[m] * hv[m - 1] * pv[m - 1] / d[m]
     return sub, diag, sup
 
 
@@ -270,12 +271,13 @@ def bands_AAstar(level: ChainLevel):
     d = grid.deltas
     n = grid.neighbour_index(2)
     m = grid.interior_index()
-    diag = np.zeros(grid.size, dtype=complex)
-    sup = np.zeros(grid.size, dtype=complex)
-    sub = np.zeros(grid.size, dtype=complex)
-    diag[n] = pv[n] ** 2 * ev[n] + hv[n] ** 2 * Bv[n + 1] / (d[n] * d[n + 1])
-    sup[n] = -(hv[n] / d[n]) * ev[n + 1] * pv[n + 1]
-    sub[m] = -pv[m] * hv[m - 1] * Bv[m] / d[m]
+    sub, diag, sup = np.zeros((3, grid.size), np.result_type(Bv, ev, hv, pv))
+    # entries masked out of the level may hold inf/nan; their band
+    # entries are discarded with the mask
+    with np.errstate(invalid="ignore", over="ignore"):
+        diag[n] = pv[n] ** 2 * ev[n] + hv[n] ** 2 * Bv[n + 1] / (d[n] * d[n + 1])
+        sup[n] = -(hv[n] / d[n]) * ev[n + 1] * pv[n + 1]
+        sub[m] = -pv[m] * hv[m - 1] * Bv[m] / d[m]
     return sub, diag, sup
 
 
@@ -288,11 +290,12 @@ def tridiag_apply(bands, psi: GridFunction) -> GridFunction:
     sub, diag, sup = bands
     grid = psi.grid
     p, pm = psi.flat, psi.flat_valid
-    # the bands are 0 wherever a neighbour leaves the branch
-    out = np.zeros(p.shape, dtype=complex)
-    out += diag * p
-    out += sup * grid.shifted(p, 1)
-    out += sub * grid.shifted(p, -1)
+    # the bands are 0 wherever a neighbour leaves the branch; masked-out
+    # entries may hold inf/nan, their arithmetic is discarded
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = diag * p
+        out += sup * grid.shifted(p, 1)
+        out += sub * grid.shifted(p, -1)
     inner = pm & grid.shifted(pm, 1) & grid.shifted(pm, -1)
     return GridFunction(grid, out, inner & grid.interior(_BAND_MARGIN))
 
@@ -310,7 +313,7 @@ def factorization_residual(level: ChainLevel, level_next: ChainLevel,
     rng = np.random.default_rng(rng)
     c, d = level.c, level.d
     psi = GridFunction(level.grid, rng.standard_normal(
-        (_PROBES, level.grid.size)) + 0j).window(5)
+        (_PROBES, level.grid.size))).window(5)
     lhs_op = apply_A(level, apply_Astar(level, psi))
     rhs_op = d * apply_Astar(level_next, apply_A(level_next, psi)) + c * psi
     lhs_bd = tridiag_apply(bands_AAstar(level), psi)
@@ -359,7 +362,7 @@ def from_coefficients(coef: CoefficientTriple, h0: GridFunction,
     grid = coef.alpha.grid
     if h0.grid is not grid:
         raise GridMismatch("h0 lives on a different grid")
-    seeds = np.asarray(seed, dtype=complex)
+    seeds = np.asarray(seed)
     if seeds.ndim and seeds.shape != (len(grid.branches),):
         raise GridMismatch("need one ratio seed per grid branch")
     dlt = deltas_fn(grid)
@@ -439,15 +442,15 @@ def eigen_residual_norm(level: ChainLevel, pair: EigenPair) -> float:
 
 
 def _edge_values(fn: GridFunction) -> np.ndarray:
-    """Real value at the last point of each branch, falling back to the
-    deepest valid one."""
+    """Value at the last point of each branch, falling back to the deepest
+    valid one."""
     grid = fn.grid
     idx = np.arange(grid.size)
     deepest = np.maximum.accumulate(np.where(fn.flat_valid, idx, -1))
     pick = deepest[~grid.has_next]
     if np.any(pick < [s.start for s in grid.slices]):
         raise GridMismatch("no valid values on a branch")
-    return fn.flat[pick].real
+    return fn.flat[pick]
 
 
 def _assemble_factor(level: ChainLevel) -> tuple[np.ndarray, np.ndarray]:
@@ -466,18 +469,19 @@ def _assemble_factor(level: ChainLevel) -> tuple[np.ndarray, np.ndarray]:
     single branch loses its end row.  Branch a forward, then the merged
     row, then branch b reversed makes G upper bidiagonal, with alpha[r]
     on column r and beta[r] on column r+1.  When g = 0 nothing is
-    projected and each branch stays a square block.
+    projected and each branch stays a square block.  A level with
+    complex data raises NonPositiveFactor: its weights are not positive.
     """
+    fields = (level.w.rho, level.eta, level.h, level.phi, level.f)
+    if any(np.iscomplexobj(fn.flat) for fn in fields):
+        raise NonPositiveFactor("eigen-solve needs real level data")
     grid = level.grid
     ends = np.array([s.stop - 1 for s in grid.slices])
     d = grid.deltas.copy()
     d[ends] = [x - grid.tau.forward(x) for x in grid.points[ends]]
     underflow = ends[d[ends] == 0.0]
     d[underflow] = d[underflow - 1]
-    rv = level.w.rho.flat.real.copy()
-    ev = level.eta.flat.real.copy()
-    hv = level.h.flat.real.copy()
-    pv = level.phi.flat.real.copy()
+    rv, ev, hv, pv = (fn.flat.copy() for fn in fields[:4])
     ev[ends] = _edge_values(level.eta)
     hv[ends] = _edge_values(level.h)
     pv[ends] = _edge_values(level.f) + hv[ends] / d[ends]
@@ -577,10 +581,11 @@ def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0
     grid = level.grid
     dv = grid.deltas
     Bv, pv, ev = level.B.flat, level.phi.flat, level.eta.flat
-    ae = pv ** 2 * ev
+    # masked-out entries may hold inf/nan; ``ok`` leaves their steps out
+    with np.errstate(invalid="ignore", over="ignore"):
+        ae = pv ** 2 * ev
     j = grid.neighbour_index(2)
-    a_step = np.ones(grid.size, dtype=complex)
-    d_step = np.ones(grid.size, dtype=complex)
+    a_step, d_step = np.ones_like(ae), np.ones_like(Bv)
     a_step[j], d_step[j] = ae[j + 1], Bv[j + 1] / (dv[j] * dv[j + 1])
     ok = np.zeros(grid.size, dtype=bool)
     ok[j] = (level.B.flat_valid & level.phi.flat_valid
@@ -601,14 +606,13 @@ def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0
     if worst > _XI_TOL:
         raise SingularLimit(f"xi violates its recursion: residual {worst}")
     # g = (phi^2 eta - xi) (id-tau)(tau^-1 - id) / (d B)
-    n = grid.interior_index()
-    g = np.zeros(grid.size, dtype=complex)
-    g_mask = np.zeros(grid.size, dtype=bool)
+    inner = grid.interior()
     # B may be 0 where it is masked out (a gauge's branch end carried into
     # B_{k+1} = g B_k); that quotient is discarded with the mask
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g[n] = (ae[n] - xi[n]) * dv[n] * dv[n - 1] / (d * Bv[n])
-    g_mask[n] = mask[n] & level.B.flat_valid[n]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = np.where(inner, (ae - xi) * dv * grid.shifted(dv, -1) / (d * Bv),
+                     0.0)
+    g_mask = inner & mask & level.B.flat_valid
     return (GridFunction(grid, xi, mask, label="xi"),
             GridFunction(grid, g, g_mask, label="g"))
 

@@ -101,16 +101,6 @@ def _real(value, context: str) -> float:
     raise ConfigError(f"{context} must be a number, got {value!r}")
 
 
-def _complex(value, context: str) -> complex:
-    """A JSON number, or a string such as "1+2j", as a complex number."""
-    if not isinstance(value, str):
-        return complex(_real(value, context))
-    try:
-        return complex(value)
-    except ValueError:
-        raise ConfigError(f"{context} must be a number, got {value!r}") from None
-
-
 def _count(value, context: str) -> int:
     """A JSON integer of at least 1."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -278,9 +268,9 @@ def _level0_from_config(grid, spec):
                 "(value of phi0/h0 at each branch base)")
         seed = spec["seed"]
         if not isinstance(seed, list):
-            seed = _complex(seed, "level0 seed")
+            seed = _real(seed, "level0 seed")
         elif len(seed) == len(grid.branches):
-            seed = [_complex(v, "level0 seed") for v in seed]
+            seed = [_real(v, "level0 seed") for v in seed]
         else:
             raise ConfigError(f"level0 seed needs one value per grid branch "
                               f"({len(grid.branches)}), got {seed!r}")
@@ -288,7 +278,7 @@ def _level0_from_config(grid, spec):
             alpha=_grid_fn(grid, spec["alpha"], "alpha"),
             beta=_grid_fn(grid, spec["beta"], "beta"),
             gamma=_grid_fn(grid, spec["gamma"], "gamma"),
-            value=_complex(spec["lambda"], "level0 lambda"))
+            value=_real(spec["lambda"], "level0 lambda"))
         h0 = _grid_fn(grid, spec["h0"], "h0")
         return from_coefficients(coef, h0, seed)
     if set(spec) <= direct_keys:
@@ -315,7 +305,7 @@ def _chain_from_config(grid, config):
     step = _take_variant(cspec["step"] or {}, "source", _STEP_KEYS,
                          "chain step spec", default="explicit")
     levels = _count(cspec["levels"], "chain levels")
-    d = _complex(step["d"], "chain step d")
+    d = _real(step["d"], "chain step d")
     h = _grid_fn(grid, step["h"], "h")
     if step["source"] == "explicit":
         g = _grid_fn(grid, step["g"], "g")

@@ -131,9 +131,8 @@ def _delta_ratio(source: OrbitGrid, target: OrbitGrid) -> GridFunction:
     This is the grid sampling of the derivative of kappa^{-1} along the
     image orbit, d_tau~ kappa^{-1}(y_n).
     """
-    n = target.neighbour_index(1)
-    out = np.ones(target.size, dtype=complex)
-    out[n] = source.deltas[n] / target.deltas[n]
+    out = np.divide(source.deltas, target.deltas, where=target.has_next,
+                    out=np.ones(target.size))
     return GridFunction(target, out, target.has_next, label="dx/dy")
 
 
@@ -159,7 +158,7 @@ def transport_level(level: ChainLevel, ch: VariableChange,
     # B~[n] = B[n] * (dx_{n-1}/dy_{n-1}) / (dx_n/dy_n)
     n = target_grid.neighbour_index(-1)
     rv, rm = r.flat, r.flat_valid
-    B = np.zeros(target_grid.size, dtype=complex)
+    B = np.zeros_like(level.B.flat)
     B_mask = np.zeros(target_grid.size, dtype=bool)
     B[n] = level.B.flat[n] * rv[n - 1] / rv[n]
     B_mask[n] = level.B.flat_valid[n] & rm[n - 1] & rm[n]

@@ -30,7 +30,8 @@ class FactorZero(CalculusError):
 
 
 class NonPositiveFactor(CalculusError):
-    """A logarithm was requested of a non-positive real value."""
+    """A value that must be real (and, for a logarithm or a weight,
+    positive) is not."""
 
 
 class ZeroWeight(CalculusError):

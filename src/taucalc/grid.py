@@ -240,15 +240,12 @@ class OrbitGrid:
         use[:, 0] = True
         # a, b, c, d, -b, -c of every step, and the identity in the last
         # column for each base slot and each unusable step
-        entries = np.zeros((6, self.size + 1), dtype=complex)
+        entries = np.zeros((6, self.size + 1), np.result_type(float, *steps))
         for row, x in zip(entries, steps):
             row[:-1] = x
         entries[4:] = -entries[1:3]
         entries[:, -1] = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-        sigma = (np.zeros(len(self.branches), dtype=complex)
-                 + seeds)[row_branch]
-        if not (entries.imag.any() or sigma.imag.any()):
-            entries, sigma = entries.real, sigma.real
+        sigma = (np.zeros(len(self.branches)) + seeds)[row_branch]
         at = np.where(use, src, self.size)
         at[:, 0] = self.size
         m = entries[pick, at]
@@ -260,7 +257,7 @@ class OrbitGrid:
             term, const = m[1, 0, :, 1:] * r[:, :-1], m[1, 1, :, 1:]
             scale = np.maximum(1.0, np.maximum(np.abs(term), np.abs(const)))
             pole[:, 1:] = valid[:, 1:] & (np.abs(term + const) < pole_tol * scale)
-        values = np.zeros(self.size, dtype=complex)
+        values = np.zeros_like(r, shape=self.size)
         flags = np.zeros((2, self.size), dtype=bool)
         at = idx[valid]
         values[at] = r[valid]
@@ -309,8 +306,7 @@ class OrbitGrid:
         back into range.
         """
         idx, live = self._plan("suffix", self._suffix_layout)
-        steps = mats if mats.imag.any() else mats.real
-        P, E = _doubling_scan(np.take(steps.transpose(2, 1, 0), idx, axis=2))
+        P, E = _doubling_scan(np.take(mats.transpose(2, 1, 0), idx, axis=2))
         out = np.empty_like(mats)
         out[idx[live]] = ldexp(P, E).transpose(2, 3, 1, 0)[live]
         return out

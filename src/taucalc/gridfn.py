@@ -13,6 +13,10 @@ over the N grid points, with a mask of shape (N,) shared by every row
 or one of shape (k, N).  Operators act on the last axis, so one
 expression evaluates every row, and reductions return one value per
 row; a function of shape (N,) behaves exactly as one row.
+
+Values are float64 unless a complex value enters, then complex128: this
+module is the one place that decides, and every operator elsewhere
+computes in the dtype of its operands, promoting as numpy does.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ def _row_max(arr: np.ndarray, where: np.ndarray):
 
 
 class GridFunction:
-    """Complex values sampled on every point of an :class:`OrbitGrid`.
+    """Values sampled on every point of an :class:`OrbitGrid`: float64, or
+    complex128 when the values given are complex.
 
     ``flat`` holds the values of all branches, concatenated in branch
     order, and ``flat_valid`` the validity mask; both are read-only.
@@ -58,7 +63,11 @@ class GridFunction:
     __slots__ = ("grid", "flat", "flat_valid", "label")
 
     def __init__(self, grid: OrbitGrid, values, valid=None, label: str = ""):
-        flat = _flat(grid, values, complex, "value")
+        arr = np.asarray(values)
+        # float64, or complex128 once a complex value enters; a writable
+        # array is copied, so that the caller's array stays its own
+        flat = _flat(grid, arr.astype(complex if arr.dtype.kind == "c" else float,
+                                      copy=arr.flags.writeable), None, "value")
         if valid is None:
             mask = np.ones(grid.size, dtype=bool)
         else:
@@ -88,16 +97,16 @@ class GridFunction:
     @classmethod
     def from_callable(cls, grid: OrbitGrid, fn: Callable[[np.ndarray], np.ndarray],
                       label: str = "") -> "GridFunction":
-        vals = np.asarray(fn(grid.points), dtype=complex) + np.zeros(grid.size)
+        vals = np.asarray(fn(grid.points)) + np.zeros(grid.size)
         return cls(grid, vals, label=label)
 
     @classmethod
     def constant(cls, grid: OrbitGrid, c: complex, label: str = "") -> "GridFunction":
-        return cls(grid, np.full(grid.size, c, dtype=complex), label=label)
+        return cls(grid, np.full(grid.size, c), label=label)
 
     @classmethod
     def identity(cls, grid: OrbitGrid, label: str = "x") -> "GridFunction":
-        return cls(grid, grid.points.astype(complex), label=label)
+        return cls(grid, grid.points, label=label)
 
     # -- structure ------------------------------------------------------
     def check_same_grid(self, other: "GridFunction") -> None:
@@ -146,8 +155,7 @@ class GridFunction:
         return self._binary(other, lambda a, b: b / a)
 
     def __abs__(self):
-        return GridFunction(self.grid, np.abs(self.flat).astype(complex),
-                            self.flat_valid)
+        return GridFunction(self.grid, np.abs(self.flat), self.flat_valid)
 
     def __pow__(self, other):
         if not isinstance(other, Number):
@@ -180,7 +188,7 @@ def max_abs_diff(f: GridFunction, g: GridFunction):
     # only the window is subtracted: masked-out entries may hold inf/nan
     diff = np.subtract(f.flat, g.flat, where=sel,
                        out=np.zeros(np.broadcast(f.flat, g.flat).shape,
-                                    dtype=complex))
+                                    np.result_type(f.flat, g.flat)))
     return _row_max(np.abs(diff), sel)
 
 

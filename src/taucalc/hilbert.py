@@ -92,13 +92,11 @@ def mu_from_rho(w: WeightedGrid) -> GridFunction:
     v, m = w.rho.flat, w.rho.flat_valid
     if np.any(m & (np.abs(v) < ZERO_TOL)):
         raise ZeroWeight("weight vanishes at a grid point; split the orbit")
-    n = grid.interior_index()
-    d = grid.deltas
-    out = np.zeros(grid.size, dtype=complex)
-    mask = np.zeros(grid.size, dtype=bool)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out[n] = (d[n - 1] / d[n]) * v[n - 1] / v[n]
-    mask[n] = m[n - 1] & m[n]
+    inner, d = grid.interior(), grid.deltas
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        out = np.where(inner, (grid.shifted(d, -1) / d) * grid.shifted(v, -1)
+                       / v, 0.0)
+    mask = inner & grid.shifted(m, -1) & m
     return GridFunction(grid, out, mask, label="mu")
 
 
@@ -114,8 +112,9 @@ def adjoint_shift(phi: GridFunction, w: WeightedGrid) -> GridFunction:
     grid = phi.grid
     mu = w.mu
     has_prev = grid.neighbour_mask(-1)
-    out = np.multiply(mu.flat, grid.shifted(phi.flat, -1), where=has_prev,
-                      out=np.zeros(phi.flat.shape, dtype=complex))
+    # masked-out entries may hold inf/nan; their arithmetic is discarded
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = np.where(has_prev, mu.flat * grid.shifted(phi.flat, -1), 0.0)
     mask = mu.flat_valid & grid.shifted(phi.flat_valid, -1)
     if grid.mode != GROUP:
         # boundary row: T* truncates to zero at each branch base

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import ChainLevel
+from .errors import NonPositiveFactor
 from .grid import OrbitGrid
 from .gridfn import GridFunction
 
@@ -85,7 +86,9 @@ def write_function_csv(f: GridFunction, path: str | Path) -> Path:
 
 
 def write_level_csv(level: ChainLevel, path: str | Path) -> Path:
-    """Columns: branch, n, x, rho, B, eta, h, f, phi (real parts)."""
+    """Columns: branch, n, x, rho, B, eta, h, f, phi.  A level with complex
+    data (or complex step constants) raises NonPositiveFactor: the columns
+    hold real values only."""
     return _write_level(level, path, _lead(level.grid))
 
 
@@ -93,8 +96,12 @@ def _write_level(level: ChainLevel, path: str | Path, lead: list[str]) -> Path:
     """:func:`write_level_csv` with the grid's lead cells already formatted."""
     fields = {"rho": level.w.rho, "B": level.B, "eta": level.eta,
               "h": level.h, "f": level.f, "phi": level.phi}
+    if any(np.iscomplexobj(v) for v in (
+            level.c, level.d, *(fn.flat for fn in fields.values()))):
+        raise NonPositiveFactor(f"level {level.k} holds complex data; "
+                                "a level CSV holds real values only")
     return _write_rows(path, ["branch", "n", "x"] + list(fields), lead,
-                       [_column(fn.flat.real, fn.flat_valid)
+                       [_column(fn.flat, fn.flat_valid)
                         for fn in fields.values()])
 
 
@@ -113,11 +120,11 @@ def write_chain(levels, out_dir: str | Path, manifest_extra: dict | None = None,
         if level.grid is not grid:
             grid, lead = level.grid, _lead(level.grid)
         _write_level(level, out_dir / f"level_{level.k}.csv", lead)
-        lam -= float(np.real(level.c))
+        lam -= float(level.c)
         entries.append({
             "k": level.k,
-            "c": float(np.real(level.c)),
-            "d": float(np.real(level.d)),
+            "c": float(level.c),
+            "d": float(level.d),
             "lambda_after_lift": lam,
             "file": f"level_{level.k}.csv",
         })

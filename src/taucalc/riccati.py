@@ -116,12 +116,8 @@ class TwoByTwoSystem:
 
     def entry_arrays(self) -> np.ndarray:
         """The 2x2 matrices at every grid point, shape (N, 2, 2)."""
-        out = np.empty((self.grid.size, 2, 2), dtype=complex)
-        out[:, 0, 0] = self.a.flat
-        out[:, 0, 1] = self.b.flat
-        out[:, 1, 0] = self.c.flat
-        out[:, 1, 1] = self.d.flat
-        return out
+        entries = (self.a.flat, self.b.flat, self.c.flat, self.d.flat)
+        return np.stack(entries, axis=-1).reshape(-1, 2, 2)
 
     def valid_mask(self) -> np.ndarray:
         return (self.a.flat_valid & self.b.flat_valid
@@ -245,7 +241,7 @@ def solve_system(sys: TwoByTwoSystem, boundary,
     """
     if res is None:
         res = resolvent(sys)
-    b0, b1 = np.asarray(boundary, dtype=complex).reshape(2)
+    b0, b1 = np.asarray(boundary).reshape(2)
     grid = sys.grid
     mats = res.flat
     mask = sys.valid_mask()
@@ -258,8 +254,8 @@ def solve_system(sys: TwoByTwoSystem, boundary,
     if np.any(np.abs(det[mask]) < 1e-14 * scale[mask] ** 2):
         raise SingularResolvent("resolvent is singular at a grid point")
     # adj(M) (b0, b1) / det M; masked points are left 0
-    sol = np.divide(np.stack([d * b0 - b * b1, a * b1 - c * b0]), det,
-                    out=np.zeros((2, grid.size), dtype=complex), where=mask)
+    num = np.stack([d * b0 - b * b1, a * b1 - c * b0])
+    sol = np.divide(num, det, out=np.zeros_like(num), where=mask)
     sol = ldexp(sol, -e)
     psi = GridFunction(grid, sol[0], mask, label="psi")
     phi = GridFunction(grid, sol[1], mask, label="phi")
@@ -311,10 +307,11 @@ def triangular_resolvent(sys: TwoByTwoSystem) -> ResolventResult:
     grid = sys.grid
     valid = sys.valid_mask()
     live = _live(grid, valid)
-    av, dv = sys.a.flat.real[live], sys.d.flat.real[live]
+    av, dv = sys.a.flat[live], sys.d.flat[live]
     if np.any(np.abs(av) < ZERO_TOL) or np.any(np.abs(dv) < ZERO_TOL):
         raise ZeroDivisor("diagonal entry vanishes on the orbit")
-    if np.any(av <= 0) or np.any(dv <= 0):
+    if (np.iscomplexobj(av) or np.iscomplexobj(dv)
+            or np.any(av <= 0) or np.any(dv <= 0)):
         raise NonPositiveFactor(
             "closed-form resolvent needs positive diagonal entries")
     # ln prod_{m>=n} a[m] = integral of ln(a)/(t - tau t) from limit to x_n;
@@ -324,10 +321,10 @@ def triangular_resolvent(sys: TwoByTwoSystem) -> ResolventResult:
     a_inf = np.exp(grid.suffix_scan(np.add, log_a))
     d_inf = np.exp(grid.suffix_scan(np.add, log_d))
     ratio = grid.suffix_scan(np.add, log_a - log_d)
-    corner = np.zeros(grid.size, dtype=complex)
+    corner = np.zeros_like(sys.b.flat)
     corner[live] = sys.b.flat[live] / av * np.exp(ratio)[live]
     F = d_inf * grid.suffix_scan(np.add, corner)
-    full = np.zeros((grid.size, 2, 2), dtype=complex)
+    full = np.zeros((grid.size, 2, 2), F.dtype)
     full[:, 0, 0] = full[:, 1, 1] = 1.0
     full[live, 0, 0] = a_inf[live]
     full[live, 0, 1] = F[live]
@@ -352,7 +349,7 @@ def _as_matrix_fn(D, grid: OrbitGrid):
                 raise GridMismatch("gauge entries live on a different grid")
             out.append(f)
         else:
-            out.append(GridFunction.constant(grid, complex(f)))
+            out.append(GridFunction.constant(grid, f))
     return out
 
 
@@ -372,7 +369,7 @@ def _gauge_inverse(D, grid: OrbitGrid):
     det = a * d - b * c
     if np.any(np.abs(det) < 1e-14):
         raise SingularGauge("gauge matrix is singular at a grid point")
-    inv = np.zeros((4, grid.size), dtype=complex)
+    inv = np.zeros((4, grid.size), m.dtype)
     inv[:, valid] = np.stack([d, -b, -c, a]) / det / _entry_max(m)
     return entries, [GridFunction(grid, row, valid) for row in inv]
 
@@ -405,8 +402,7 @@ def darboux_solution(D, psi: GridFunction, phi: GridFunction
 
 def _limit_distance(grid: OrbitGrid) -> GridFunction:
     limits = grid.per_point([br.limit for br in grid.branches])
-    return GridFunction(grid, grid.points.astype(complex) - limits,
-                        label="x - limit")
+    return GridFunction(grid, grid.points - limits, label="x - limit")
 
 
 def singular_darboux(sys: TwoByTwoSystem, delta1: float,
@@ -430,11 +426,11 @@ def _pow(f: GridFunction, e: float) -> GridFunction:
     """f^e; integer exponents work for any sign, real ones need f > 0."""
     if float(e).is_integer():
         return f ** int(e)
-    v, m = f.flat.real, f.flat_valid
+    v, m = f.flat, f.flat_valid
     if np.any(v[m] <= 0):
         raise NegativeBaseRealExponent("real-power gauge needs a positive base")
     base = np.where(m, v, 1.0)  # masked entries are never read
-    return GridFunction(f.grid, np.power(base, e).astype(complex), m)
+    return GridFunction(f.grid, np.power(base, e), m)
 
 
 def rhom_residual(sys: TwoByTwoSystem, u: GridFunction) -> float:
@@ -500,10 +496,10 @@ def _family(sys: TwoByTwoSystem, u0: GridFunction) -> _Family:
         raise NonPositiveFactor(
             "solution family needs nonvanishing denominators")
     # past the deepest valid point: empty products 1 and empty sums 0
-    ratio = np.ones(grid.size, dtype=complex)
+    ratio = np.ones(grid.size, np.result_type(av, dv))
     ratio[at] = av / dv
     E = grid.suffix_scan(np.multiply, ratio)[at]
-    weighted = np.zeros(grid.size, dtype=complex)
+    weighted = np.zeros(grid.size, np.result_type(bv, av, E))
     weighted[at] = (bv / av) * E
     S = grid.suffix_scan(np.add, weighted)[at]
     fam = _Family(u0, at, mask & live, E, S, np.abs(S))
@@ -532,8 +528,9 @@ def general_solution(sys: TwoByTwoSystem, u0: GridFunction,
     den = 1.0 - t * fam.S
     if np.any(np.abs(den) < 1e-13 * (1.0 + abs(t) * fam.S_abs)):
         raise ZeroDivisor("parameter t hits a pole of the family")
-    u = u0.flat.copy()
-    u[fam.at] += t * fam.E / den
+    step = t * fam.E / den
+    u = np.array(u0.flat, np.result_type(u0.flat, step))
+    u[fam.at] += step
     u_fn = GridFunction(sys.grid, u, fam.valid, label="u^t")
     return RiccatiSolution(u=u_fn, t=float(t), u0=u0,
                            residual=rhom_residual(sys, u_fn))
@@ -541,14 +538,14 @@ def general_solution(sys: TwoByTwoSystem, u0: GridFunction,
 
 def cross_ratio(u1, u2, u3, u4):
     """The anharmonic ratio (u4-u3)(u1-u2) / ((u3-u1)(u2-u4))."""
-    u1, u2, u3, u4 = (np.asarray(u, dtype=complex) for u in (u1, u2, u3, u4))
+    u1, u2, u3, u4 = (np.asarray(u) for u in (u1, u2, u3, u4))
     num = (u4 - u3) * (u1 - u2)
     den = (u3 - u1) * (u2 - u4)
     scale = max(1e-300, float(np.max(np.abs([u1, u2, u3, u4]))) ** 2)
     if np.any(np.abs(den) < 1e-250 * scale):
         raise DegenerateQuadruple("cross-ratio denominator vanishes")
     out = num / den
-    return complex(out) if out.ndim == 0 else out
+    return out[()]
 
 
 __all__ = [

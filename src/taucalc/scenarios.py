@@ -37,11 +37,11 @@ _poly = np.polynomial.polynomial
 
 def symmetric_qpochhammer(x, beta: complex, q: float) -> complex | np.ndarray:
     """The double product (-x/beta; q)_inf (x/beta; q)_inf = prod (1 - q^{2n} x^2/beta^2)."""
-    xs = np.asarray(x, dtype=complex)
+    xs = np.asarray(x)
     n_terms = max(64, int(np.ceil(np.log(1e-20) / (2 * np.log(abs(q))))))
     factors = 1.0 - q ** (2 * np.arange(n_terms))[:, None] * xs.ravel()[None, :] ** 2 / beta ** 2
     out = np.prod(factors, axis=0).reshape(xs.shape)
-    return out if out.shape else complex(out)
+    return out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,7 @@ def constant_gauge_chain(q: float = 0.7, b: float = 1.0, c0: float = 0.5,
         h, lambda lvl: (g, solve_step_constant(lvl, h, g, 1.0), 1.0))
     return ConstantGaugeScenario(q=q, b=b, c0=c0, s=s, grid=grid,
                                  levels=levels, constants=tuple(
-                                     float(lvl.c.real) for lvl in levels))
+                                     float(lvl.c) for lvl in levels))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def fractional_chain(a: float = 0.5, a0: float = 1.0, b0: float = 1.0,
         make_level(B0, eta0, h, f0), n_levels, h,
         lambda lvl: (g, solve_step_constant(lvl, h, g, 1.0), 1.0))
     return FractionalScenario(a=a, a0=a0, b0=b0, grid=grid, levels=levels,
-                              constants=tuple(float(lvl.c.real)
+                              constants=tuple(float(lvl.c)
                                               for lvl in levels))
 
 

@@ -284,7 +284,7 @@ def criterion_adjoints(data: SuiteData) -> CriterionResult:
     draws = [(rng.standard_normal(grid.size), rng.standard_normal(grid.size),
               rng.uniform(-1, 1, 4)) for _ in range(30)]
     phi_rows, psi_rows, f_coeffs = (np.stack(rows) for rows in zip(*draws))
-    phi, psi = (GridFunction(grid, rows + 0j).window(margin)
+    phi, psi = (GridFunction(grid, rows).window(margin)
                 for rows in (phi_rows, psi_rows))
     f = _poly_fn(grid, f_coeffs)
     scale = np.fmax(1.0, norm(phi, w) * norm(psi, w))
@@ -357,7 +357,7 @@ def criterion_factorization(data: SuiteData) -> CriterionResult:
                              factorization_residual(lvl, nxt, rng=1000 + k))
             # three probes, one block
             psi = GridFunction(lvl.grid, rng.standard_normal(
-                (3, lvl.grid.size)) + 0j).window(5)
+                (3, lvl.grid.size))).window(5)
             lhs_op = apply_A(lvl, apply_Astar(lvl, psi))
             lhs_bd = tridiag_apply(bands_AAstar(lvl), psi)
             rhs_op = apply_Astar(nxt, apply_A(nxt, psi))
@@ -387,7 +387,7 @@ def criterion_eigen_chain(data: SuiteData) -> CriterionResult:
                         eigen_residual_norm(sc.levels[pair.level], pair))
         pred = sc.eigenvalue_after_lifts(k)
         worst_track = max(worst_track,
-                          abs(pair.value.real - pred) / abs(pred))
+                          abs(pair.value - pred) / abs(pred))
     return _result("eigen-chain", [
         Check("lifted-residual", worst_res, 1e-7),
         Check("eigenvalue-tracking", worst_track, 1e-6),
@@ -423,7 +423,7 @@ def _gram_offdiag_ratio(fns, w) -> float:
     G = np.empty((n, n))
     G[i, j] = G[j, i] = inner_product(GridFunction(w.grid, rows[i], valid[i]),
                                       GridFunction(w.grid, rows[j], valid[j]),
-                                      w, check_tail=False).real
+                                      w, check_tail=False)
     d = np.sqrt(np.abs(np.diag(G)))
     R = np.abs(G) / np.outer(d, d)
     np.fill_diagonal(R, 0.0)
@@ -635,7 +635,7 @@ def criterion_closed_forms(data: SuiteData) -> CriterionResult:
     pts = sc.grid.branches[0].points
     rho = sc.levels[0].w.rho
     m = rho.valid[0]
-    measured = (pts ** (2 * sc.s)) * rho.values[0].real
+    measured = (pts ** (2 * sc.s)) * rho.values[0]
     closed = np.asarray(sc.squared_weight_product(pts), dtype=float)
     ratio = (measured[m] / measured[0]) / (closed[m] / closed[0])
     worst_weight = float(np.max(np.abs(ratio - 1.0)))

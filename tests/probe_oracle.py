@@ -101,7 +101,7 @@ def adjoints_worst(lvl):
     worst = {"shift-pairing": 0.0, "TstarT": 0.0, "TTstar": 0.0,
              "multiplication-pairing": 0.0, "derivative-pairing": 0.0}
     for _ in range(30):
-        phi, psi = (GridFunction(grid, rng.standard_normal(grid.size) + 0j)
+        phi, psi = (GridFunction(grid, rng.standard_normal(grid.size))
                     .window(margin) for _ in range(2))
         scale = max(1.0, norm(phi, w) * norm(psi, w))
         lhs = inner_product(shift(phi), psi, w, check_tail=False)
@@ -188,7 +188,7 @@ def factorization_residual_loop(level, level_next, rng=None):
     worst = 0.0
     for _ in range(PROBES):
         psi = GridFunction(level.grid,
-                           rng.standard_normal(level.grid.size) + 0j).window(5)
+                           rng.standard_normal(level.grid.size)).window(5)
         lhs_op = apply_A(level, apply_Astar(level, psi))
         rhs_op = d * apply_Astar(level_next, apply_A(level_next, psi)) + c * psi
         lhs_bd = tridiag_apply(bands_lhs, psi)

@@ -128,16 +128,16 @@ def reference_general_solution(sys, u0, t):
     if np.any(np.abs(av) < 1e-14 * scale) or np.any(np.abs(dv) < 1e-14 * scale):
         raise NonPositiveFactor(
             "solution family needs nonvanishing denominators")
-    ratio = np.ones(grid.size, dtype=complex)
+    ratio = np.ones(grid.size, np.result_type(av, dv))
     ratio[live] = av / dv
     E = grid.suffix_scan(np.multiply, ratio)
-    weighted = np.zeros(grid.size, dtype=complex)
+    weighted = np.zeros(grid.size, np.result_type(bv, av, E))
     weighted[live] = (bv / av) * E[live]
     S = grid.suffix_scan(np.add, weighted)[live]
     den = 1.0 - t * S
     if np.any(np.abs(den) < 1e-13 * (1.0 + abs(t) * np.abs(S))):
         raise ZeroDivisor("parameter t hits a pole of the family")
-    u = u0.flat.copy()
+    u = np.array(u0.flat, np.result_type(u0.flat, E, den))
     u[live] = u[live] + t * E[live] / den
     u_fn = GridFunction(grid, u, mask & live, label="u^t")
     return RiccatiSolution(u=u_fn, t=float(t), u0=u0,

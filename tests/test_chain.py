@@ -13,6 +13,9 @@ from taucalc import (GROUP, SEMIGROUP, EigenPair, GridFunction, apply_A,
                      shift, solve_step_constant, to_coefficients)
 from taucalc import chain
 from taucalc.chain import CoefficientTriple, _assemble_factor, make_level
+from taucalc.cli import _preset_chain
+from taucalc.hilbert import weighted_grid
+from taucalc.validation import SuiteData
 from taucalc.errors import (InconsistentWeights, NonPositiveFactor,
                             RiccatiBlowup, SingularLimit, ZeroAlpha,
                             ZeroDivisor)
@@ -502,3 +505,100 @@ def test_build_chain_stamps_every_level_and_advances_all_but_the_last(
     for lo, hi in zip(levels, levels[1:]):
         assert factorization_residual(lo, hi, rng=lo.k) < 1e-9
     assert chain.build_chain(lvl0, 0, lvl0.h, step) == ()
+
+
+# ---------------------------------------------------------------------------
+# Real levels stay real: float arithmetic against the complex arithmetic
+# the same data runs through once each field carries + 0j
+# ---------------------------------------------------------------------------
+
+PRESET_CHAINS = {
+    "qhahn": lambda: qhahn_chain(depth=60, n_levels=2),
+    "constant-gauge": lambda: constant_gauge_chain(n_levels=2),
+    "fractional": lambda: fractional_chain(n_levels=2),
+}
+
+
+def assert_within_ulps(real, cplx, scale_of=None, ulps=4):
+    """``real`` is float64 and equals the real-valued ``cplx`` to ``ulps``
+    units of roundoff of each branch's largest valid |value| (of the
+    function ``scale_of``, when given)."""
+    assert real.flat.dtype == np.float64 and cplx.flat.dtype == np.complex128
+    sel = real.flat_valid
+    assert np.array_equal(sel, cplx.flat_valid)
+    assert np.all(cplx.flat.imag[sel] == 0.0)
+    ref = cplx if scale_of is None else scale_of
+    scale = real.grid.branch_max(np.where(sel, np.abs(ref.flat), 0.0))
+    gap = np.abs(real.flat[sel] - cplx.flat.real[sel])
+    assert np.all(gap <= ulps * np.finfo(float).eps * scale[sel])
+
+
+def real_part(level):
+    """The level of the real parts of a real-valued complex level, as the
+    eigen-solve once read it."""
+    def re(fn):
+        return GridFunction(fn.grid, fn.flat.real, fn.flat_valid)
+    return chain.ChainLevel(k=level.k, w=weighted_grid(re(level.w.rho)),
+                            B=re(level.B), eta=re(level.eta), h=re(level.h),
+                            f=re(level.f), phi=re(level.phi))
+
+
+@pytest.mark.parametrize("preset", PRESET_CHAINS)
+def test_real_level_matches_its_complex_twin(preset):
+    lvl0, lvl1 = PRESET_CHAINS[preset]().levels
+    data = (lvl0.B, lvl0.eta, lvl0.h, lvl0.f)
+    real = make_level(*data)
+    cplx = make_level(*(fn + 0j for fn in data))
+    for fn in (real.B, real.eta, real.h, real.f, real.phi, real.w.rho):
+        assert fn.flat.dtype == np.float64
+    assert_within_ulps(real.w.rho, cplx.w.rho)
+    assert_within_ulps(real.phi, cplx.phi)
+    nxt = chain.advance_level(replace(real, g=lvl0.g, c=lvl0.c, d=lvl0.d),
+                              lvl1.h)
+    nxt_c = chain.advance_level(
+        replace(cplx, g=lvl0.g + 0j, c=lvl0.c, d=lvl0.d), lvl1.h + 0j)
+    for name in ("B", "eta", "h", "phi"):
+        assert_within_ulps(getattr(nxt, name), getattr(nxt_c, name))
+    assert_within_ulps(nxt.w.rho, nxt_c.w.rho)
+    # f = phi - h/delta cancels to rounding noise: judged on phi's scale
+    assert_within_ulps(nxt.f, nxt_c.f, scale_of=nxt_c.phi)
+    if preset == "fractional":   # its factor weights are not positive
+        for level in (real, real_part(cplx)):
+            with pytest.raises(NonPositiveFactor, match="branch weights"):
+                chain_eigenvalues(level, count=4)
+        return
+    want = chain_eigenvalues(real_part(cplx), count=4)
+    got = chain_eigenvalues(real, count=4)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def level_functions(level):
+    return (level.B, level.eta, level.h, level.f, level.phi, level.g,
+            level.w.rho, level.w.mu)
+
+
+def test_preset_and_suite_levels_are_float64():
+    data = SuiteData()
+    scenarios = [_preset_chain(name, None)
+                 for name in ("qhahn", "constant-gauge", "fractional")]
+    scenarios += [getattr(data, name) for name in (
+        "qhahn", "qhahn_cross", "constant_gauge", "constant_gauge_deep",
+        "fractional_half", "fractional_two")]
+    for sc in scenarios:
+        for level in sc.levels:
+            assert [fn.flat.dtype for fn in level_functions(level)] == [
+                np.float64] * 8
+
+
+@pytest.mark.parametrize("field", ["rho", "eta", "h", "f", "phi"])
+def test_eigen_solve_refuses_complex_level_data(complex_xi_levels, field):
+    # each field the factor reads, alone complex
+    lvl = complex_xi_levels[0]
+    if field == "rho":
+        lvl = replace(lvl, w=weighted_grid(lvl.w.rho * (1.0 + 0.1j)))
+    else:
+        lvl = replace(lvl, **{field: getattr(lvl, field) * (1.0 + 0.1j)})
+    with pytest.raises(NonPositiveFactor, match="real level data"):
+        _assemble_factor(lvl)
+    with pytest.raises(NonPositiveFactor, match="real level data"):
+        chain_eigenvalues(complex_xi_levels[1], count=2)

@@ -178,9 +178,22 @@ def test_chain_xi_route_emits_gauges(tmp_path):
     assert (out / "gauge_1.csv").exists()
 
 
-def test_chain_xi_route_three_levels_warns_nothing(tmp_path):
-    # the third level's gauge divides by B_2 = g_1 B_1, which is 0 at the
-    # masked branch end; that 0/0 is discarded and must not warn
+# each command's argv, without --out; CONFIG stands for the xi route's
+# three-level config
+QUIET_COMMANDS = {
+    "xi-three-levels": ("chain", "--config", "CONFIG"),
+    "qhahn": ("chain", "--preset", "qhahn"),
+    "constant-gauge": ("chain", "--preset", "constant-gauge"),
+    "fractional": ("chain", "--preset", "fractional"),
+    "validate": ("validate",),
+}
+
+
+@pytest.mark.parametrize("argv", QUIET_COMMANDS.values(), ids=QUIET_COMMANDS)
+def test_chain_xi_route_three_levels_warns_nothing(tmp_path, argv):
+    # masked-out entries may hold inf/nan (the third xi level's gauge
+    # divides by B_2 = g_1 B_1, which is 0 at the masked branch end); that
+    # arithmetic is discarded and must not warn
     cfg = write_config(tmp_path, {
         "map": {"kind": "linear", "q": 0.5},
         "grid": {"mode": "semigroup", "bases": 1.0, "depth": 25},
@@ -188,11 +201,13 @@ def test_chain_xi_route_three_levels_warns_nothing(tmp_path):
         "chain": {"levels": 3, "step": {"source": "xi", "d": 1.0,
                                         "xi0": 14.0}},
     })
-    out = tmp_path / "xi3"
+    out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run("chain", "--config", cfg, "--out", str(out)) == 0
-    assert (out / "gauge_2.csv").exists()
+        assert run(*(cfg if a == "CONFIG" else a for a in argv),
+                   "--out", str(out)) == 0
+    if "CONFIG" in argv:
+        assert (out / "gauge_2.csv").exists()
 
 
 def test_chain_step_h_reaches_the_next_level(tmp_path, capsys):
@@ -411,6 +426,26 @@ def test_mistyped_config_value_exit_2(tmp_path, capsys, edits):
     # one short line, however long the value (a long expression is quoted
     # by its first characters and its length)
     assert len(err) < 200 and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+# d, lambda and seed are real numbers: the chain is computed and written
+# in real arithmetic, so a complex string is a config error, not a value
+# whose imaginary part is dropped
+@pytest.mark.parametrize("key, context", [("d", "chain step d"),
+                                          ("lambda", "level0 lambda"),
+                                          ("seed", "level0 seed")])
+def test_complex_config_value_exit_2(tmp_path, capsys, key, context):
+    config = json.loads(json.dumps(CHAIN_CONFIGS["xi"]))
+    if key == "d":
+        config["chain"]["step"]["d"] = "1+0.5j"
+    else:
+        config["level0"] = {"alpha": "1", "beta": "-2", "gamma": "1",
+                            "seed": 0.5, key: "1+0.5j"}
+    cfg = write_config(tmp_path, config)
+    assert run("chain", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {context} must be a number, got '1+0.5j'\n")
     assert not (tmp_path / "o").exists()
 
 

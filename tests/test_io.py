@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from taucalc import GridFunction, linear_map
 from taucalc.chain import ChainLevel
+from taucalc.errors import NonPositiveFactor
 from taucalc.grid import INTERVAL, SEMIGROUP, OrbitBranch, OrbitGrid
 from taucalc.hilbert import WeightedGrid
 from taucalc.io import (_column, grid_diagnostics, write_chain,
@@ -132,7 +133,11 @@ def test_function_csv_golden_bytes(tmp_path):
 
 def test_level_csv_golden_bytes(tmp_path):
     grid = special_grid()
-    rho, B, eta, h, f, phi = (special_fn(grid, seed) for seed in range(6))
+    # a level CSV holds real values: each field is the real part of a
+    # special function
+    rho, B, eta, h, f, phi = (
+        GridFunction(grid, fn.flat.real, fn.flat_valid)
+        for fn in (special_fn(grid, seed) for seed in range(6)))
     level = ChainLevel(k=0, w=WeightedGrid(grid, rho, np.ones(grid.size, bool)),
                        B=B, eta=eta, h=h, f=f, phi=phi)
     fields = (rho, B, eta, h, f, phi)
@@ -151,7 +156,7 @@ def test_level_csv_golden_bytes(tmp_path):
 def make_level(grid, columns, k=0):
     """A level whose rho, B, eta, h, f and phi are the (values, valid)
     pairs of ``columns``."""
-    rho, B, eta, h, f, phi = (GridFunction(grid, np.asarray(v, dtype=complex),
+    rho, B, eta, h, f, phi = (GridFunction(grid, np.asarray(v, dtype=float),
                                            np.asarray(m, dtype=bool))
                               for v, m in columns)
     return ChainLevel(k=k, w=WeightedGrid(grid, rho, np.ones(grid.size, bool)),
@@ -258,3 +263,16 @@ def test_column_cells_are_per_cell_format(data):
     got = _column(np.array(values, dtype=float),
                   None if keep is None else np.array(keep, dtype=bool))
     assert got == want
+
+
+def test_level_writers_refuse_complex_data(tmp_path, complex_xi_levels):
+    # level 1 holds complex data (eta = 0.8 - 0.4j at the base); level 0
+    # real data with the complex step constant d = 1 + 0.5j
+    level0, level1 = complex_xi_levels
+    with pytest.raises(NonPositiveFactor, match="complex data"):
+        write_level_csv(level1, tmp_path / "level_1.csv")
+    assert not (tmp_path / "level_1.csv").exists()
+    for levels in ([level0], [level1]):
+        with pytest.raises(NonPositiveFactor, match="complex data"):
+            write_chain(levels, tmp_path / "chain")
+        assert not (tmp_path / "chain" / "manifest.json").exists()

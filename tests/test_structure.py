@@ -165,6 +165,84 @@ def test_no_new_per_branch_loops():
     assert len(loops) == len(BRANCH_LOOPS_ALLOWED)
 
 
+# gridfn alone decides the dtype of a function's values: float64, or
+# complex128 once a complex value enters, and every operation elsewhere
+# computes in the dtype of its operands; each (file, function) outside
+# gridfn.py that names a complex type, with the reason
+COMPLEX_DTYPE_ALLOWED = {
+    ("scenarios.py", "squared_weight_product"):
+        "symmetric_qpochhammer's complex beta: beta = sqrt(beta^2) is "
+        "imaginary where beta^2 < 0, and the product is then still real",
+}
+
+COMPLEX_TYPES = ("complex", "complex64", "complex128", "cdouble", "csingle",
+                 "clongdouble", "complexfloating")
+
+
+def complex_dtype_sites(path):
+    """(file, enclosing function) of every complex type named outside an
+    annotation (``dtype=complex``, ``astype(complex)``, ``complex(x)``,
+    ``np.complex128``, ``dtype="complex128"``) and of every ``+ 0j`` or
+    ``- 0j``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hints = {id(n) for node in ast.walk(tree)
+             for hint in (getattr(node, "annotation", None),
+                          getattr(node, "returns", None)) if hint is not None
+             for n in ast.walk(hint)}
+    found = []
+
+    def names_complex(node):
+        if isinstance(node, ast.keyword):
+            return (node.arg == "dtype" and isinstance(node.value, ast.Constant)
+                    and str(node.value.value).startswith("complex"))
+        if isinstance(node, ast.BinOp):
+            return isinstance(node.op, (ast.Add, ast.Sub)) and any(
+                isinstance(v, ast.Constant) and isinstance(v.value, complex)
+                and v.value == 0 for v in (node.left, node.right))
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        return name in COMPLEX_TYPES and id(node) not in hints
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, FUNCTIONS):
+                visit(child, child.name)
+                continue
+            if names_complex(child):
+                found.append((path.name, func))
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_value_dtype_is_decided_in_gridfn():
+    sites = {site for path in SOURCES if path.name != "gridfn.py"
+             for site in complex_dtype_sites(path)}
+    assert sites == set(COMPLEX_DTYPE_ALLOWED)
+
+
+def test_dtype_rule_sees_complex_types(tmp_path):
+    path = tmp_path / "mod.py"
+    for code, hits in (
+            ("a = np.zeros(n, dtype=complex)", [("mod.py", None)]),
+            ("def f(x):\n    return x.astype(complex)", [("mod.py", "f")]),
+            ("def f(x):\n    return x + 0j", [("mod.py", "f")]),
+            ("y = 0j - x", [("mod.py", None)]),
+            ("y = np.empty(n, np.complex128)", [("mod.py", None)]),
+            ("y = complex(x)", [("mod.py", None)]),
+            ("y = np.asarray(x, dtype='complex128')", [("mod.py", None)]),
+            ("class C:\n    def m(self):\n        return np.cdouble(1)",
+             [("mod.py", "m")]),
+            ("def f(c: complex = 0.0) -> complex:\n    return c", []),
+            ("c: complex | None = None", []),
+            ("y = x * 1j + 2j", []),
+            ("y = np.zeros(n, dtype=float)", []),
+            ("ok = np.iscomplexobj(x)", []),
+            ("msg = 'complex data'", [])):
+        path.write_text(code + "\n")
+        assert complex_dtype_sites(path) == hits
+
+
 # a defaulted tolerance nothing sets is a constant of the method, not a
 # choice for the caller; the CLI sets run_criteria's override
 TOLERANCE_PARAMETERS_ALLOWED = {("validation.py", "run_criteria", "tol_override")}
