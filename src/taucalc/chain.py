@@ -22,6 +22,8 @@ array pass, as the grid-function operators do.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,9 +37,10 @@ from .gridfn import GridFunction, joint_scale, max_abs_diff
 from .hilbert import (WeightedGrid, adjoint_shift, norm, weight_from_pearson,
                       weighted_grid)
 
-# bisection tolerance at the float64 underflow threshold: the default
-# eps*|T| is absolute and swamps the smallest singular values
-_UNDERFLOW = 4.5e-308
+# C signature of dlarrb(N, D, LLD, IFIRST, ILAST, RTOL1, RTOL2, OFFSET, W,
+# WGAP, WERR, WORK, IWORK, PIVMIN, SPDIAM, TWIST, INFO), with d = double
+_DLARRB_SIGNATURE = ("void (int *, d *, d *, int *, int *, d *, d *, int *, "
+                     "d *, d *, d *, d *, int *, d *, d *, int *, int *)")
 # the pointwise step constants must agree to this, relative to the
 # constituent-term magnitude
 _STEP_CONSTANT_TOL = 1e-8
@@ -453,6 +456,9 @@ def _edge_values(fn: GridFunction) -> np.ndarray:
     return fn.flat[pick]
 
 
+# an invalid, divide or overflow step leaves a NaN or inf in the factor,
+# which the eigen-solve refuses rather than warn about
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def _assemble_factor(level: ChainLevel) -> tuple[np.ndarray, np.ndarray]:
     """Upper-bidiagonal entries (alpha, beta) of the weighted derivative factor G.
 
@@ -467,10 +473,13 @@ def _assemble_factor(level: ChainLevel) -> tuple[np.ndarray, np.ndarray]:
     row (g_b D[e_a], -g_a D[e_b]) / |g|, which couples the branches and
     selects the interval spectrum rather than two half-orbit spectra; a
     single branch loses its end row.  Branch a forward, then the merged
-    row, then branch b reversed makes G upper bidiagonal, with alpha[r]
-    on column r and beta[r] on column r+1.  When g = 0 nothing is
-    projected and each branch stays a square block.  A level with
-    complex data raises NonPositiveFactor: its weights are not positive.
+    row, then branch b reversed makes G an m x (m+1) upper bidiagonal,
+    with alpha[r] on column r and beta[r] on column r+1.  When g = 0
+    nothing is projected and each branch stays a square block; the limit
+    column of G is then empty.  A level with complex data raises
+    NonPositiveFactor: its weights are not positive.  Level values at
+    masked-out points enter the factor too, and a NaN or inf there passes
+    the sign gates into alpha or beta.
     """
     fields = (level.w.rho, level.eta, level.h, level.phi, level.f)
     if any(np.iscomplexobj(fn.flat) for fn in fields):
@@ -511,51 +520,113 @@ def _assemble_factor(level: ChainLevel) -> tuple[np.ndarray, np.ndarray]:
     return alpha, beta
 
 
+@functools.cache
+def _dlarrb():
+    """LAPACK's dlarrb as a ctypes function of 17 addresses, built once.
+
+    It comes from scipy's table of Cython LAPACK functions, so nothing is
+    compiled; the capsule's C signature must be ``_DLARRB_SIGNATURE``.
+    """
+    import ctypes
+
+    from scipy.linalg.cython_lapack import __pyx_capi__
+
+    capsule = __pyx_capi__["dlarrb"]
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))(capsule)
+    # scipy names double through a typedef ending in _d
+    signature = re.sub(r"\w*_d \*", "d *", name.decode())
+    if signature != _DLARRB_SIGNATURE:
+        raise ImportError(f"scipy's dlarrb has signature {signature!r}, "
+                          f"not {_DLARRB_SIGNATURE!r}")
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, name)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 17)(address)
+
+
+def _gram_eigenvalues(alpha: np.ndarray, beta: np.ndarray,
+                      k: int) -> np.ndarray:
+    """Eigenvalues 2..k+1, ascending, of B^T B with B = [G; 0]; none, and
+    no LAPACK call, for k = 0.
+
+    G is the m x (m+1) upper bidiagonal with diagonal alpha and
+    superdiagonal beta.  B^T B = L D L^T with D = (alpha^2, 0) and
+    off-diagonal products LLD = beta^2: no subtraction or division, so
+    dlarrb's dstqds Sturm counts resolve each eigenvalue to a few ulps of
+    itself.  Eigenvalue 1 is an exact zero (B has rank at most m) and is
+    skipped.  Every interval starts at [0, 2], which dlarrb doubles until
+    it brackets its index, and stops at a half-width of 2 eps relative,
+    the relative accuracy of a bisection in sigma = sqrt(lambda).  PIVMIN
+    is dlarre's choice; SPDIAM, a bound on the Gershgorin discs, only caps
+    the number of steps.
+    """
+    n = alpha.size + 1
+    if not (beta.size == alpha.size and 0 <= k < n):
+        raise ValueError(f"need len(beta) = len(alpha) >= k >= 0, got "
+                         f"{beta.size}, {alpha.size} and {k}")
+    with np.errstate(over="ignore"):
+        dd = np.append(np.square(alpha, dtype=np.float64), 0.0)
+        lld = np.square(beta, dtype=np.float64)
+    if not (np.isfinite(dd).all() and np.isfinite(lld).all()):
+        raise NonPositiveFactor("eigen-solve needs finite level data and a "
+                                "factor whose squares do not overflow")
+    # a zero LLD splits B^T B into blocks; at a zero pivot just above it the
+    # Sturm count would form 0 * inf = NaN and miscount.  The least
+    # subnormal keeps the blocks apart (it moves no sigma by more than its
+    # root, 2.2e-162) and turns that product into the -inf of a zero pivot
+    if k == 0:
+        return np.zeros(0)
+    lld[lld == 0.0] = np.finfo(float).smallest_subnormal
+    spdiam = (np.abs(alpha).max() + np.abs(beta).max()) ** 2
+    pivmin = np.finfo(float).tiny * max(1.0, lld.max())
+    # N, IFIRST, ILAST, OFFSET, TWIST, INFO; W, WGAP and WERR hold entries
+    # IFIRST - OFFSET .. ILAST - OFFSET, that is 1..k
+    ints = np.array([n, 2, k + 1, 1, n, 0], dtype=np.intc)
+    reals = np.array([0.0, 2 * np.finfo(float).eps, pivmin, spdiam])
+    w, werr, wgap = np.ones(k), np.ones(k), np.zeros(k)
+    work, iwork = np.empty(2 * n), np.empty(2 * n, dtype=np.intc)
+    i, r = ints.ctypes.data, reals.ctypes.data
+    step = ints.itemsize
+    _dlarrb()(i, dd.ctypes.data, lld.ctypes.data, i + step, i + 2 * step,
+              r, r + 8, i + 3 * step, w.ctypes.data, wgap.ctypes.data,
+              werr.ctypes.data, work.ctypes.data, iwork.ctypes.data,
+              r + 16, r + 24, i + 4 * step, i + 5 * step)
+    return w
+
+
 def chain_eigenvalues(level: ChainLevel, count: int | None = None) -> np.ndarray:
     """The ``count`` smallest eigenvalues of A*A (all by default), ascending.
 
     The eigenvalues are the squared singular values of the weighted
-    derivative factor with the limit value projected out.  The factor is
-    an m x (m+1) upper bidiagonal (one m x m block per branch when the
-    limit column vanishes); its singular values are the nonnegative
-    eigenvalues of the zero-diagonal Golub-Kahan tridiagonal T of order
-    2m+1 with off-diagonal (alpha_0, beta_0, alpha_1, ...), found in
-    O(N) per eigenvalue by bisection.  Bisection on that matrix resolves
-    every singular value to a few ulps relative to itself (Demmel & Kahan
-    1990), so small eigenvalues keep their relative accuracy however
-    large lambda_max grows with the grid depth.
+    derivative factor G with the limit value projected out, an m x (m+1)
+    upper bidiagonal (see :func:`_assemble_factor`).  With B = [G; 0] of
+    order m+1 they are eigenvalues of B^T B = G^T G, found in O(m) per
+    eigenvalue by LAPACK's dlarrb bisecting B^T B's L D L^T form, whose
+    entries are the squares of G's (see :func:`_gram_eigenvalues`).
+    Bisection on that representation resolves every eigenvalue to a few
+    ulps relative to itself (Demmel & Kahan 1990), so small eigenvalues
+    keep their relative accuracy however large lambda_max grows with the
+    grid depth.
 
-    When the limit column is projected out (m+1 = N), the kernel of the
-    lowering operator is the middle eigenvalue of T, and it is exactly
-    zero: diag(1, -1, 1, ...) carries T to -T, so the spectrum is
-    symmetric about 0, and the order is odd.  It is returned as 0.0 and
-    only the eigenvalues above it are bisected (narrowing an interval
-    around 0 down to the underflow threshold costs about ten times the
-    Sturm counts of a nonzero one).  With square per-branch blocks the
-    near-zero kernel values are genuine and are bisected like the rest.
+    The smallest eigenvalue of B^T B is an exact zero and is never
+    bisected.  When the limit column is projected out (m+1 = N) it is the
+    kernel of the lowering operator, returned as 0.0, and the next
+    ``count - 1`` eigenvalues are bisected.  With square per-branch
+    blocks it stands for the empty limit column and is dropped; the
+    ``count`` after it are bisected, so near-zero kernel values of the
+    blocks are genuine and bisected like the rest.
     """
     alpha, beta = _assemble_factor(level)
     total = level.grid.size
     count = total if count is None else min(count, total)
     if count < 1:
         raise ValueError("need count >= 1")
-    m = len(alpha)
-    # the 2m+1 eigenvalues are +-sigma and one zero; the grid's spectrum
-    # is the top ``total`` of them (m+1 = total adds the kernel's zero)
-    lo = 2 * m + 1 - total
-    hi = lo + count - 1
-    zero = lo == m
-    if zero:
-        lo += 1
-        if lo > hi:
-            return np.zeros(1)
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    off = np.column_stack([alpha, beta]).ravel()
-    sigma = eigvalsh_tridiagonal(np.zeros(2 * m + 1), off, select="i",
-                                 select_range=(lo, hi), tol=_UNDERFLOW)
-    lam = np.abs(sigma) ** 2
-    return np.concatenate([[0.0], lam]) if zero else lam
+    kernel = alpha.size + 1 == total
+    k = count - 1 if kernel else count
+    lam = _gram_eigenvalues(alpha, beta, k)
+    return np.concatenate([[0.0], lam]) if kernel else lam
 
 
 def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0

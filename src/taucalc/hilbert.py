@@ -50,12 +50,18 @@ class WeightedGrid:
 
 
 def weighted_grid(rho: GridFunction, warn: bool = True) -> WeightedGrid:
-    """Attach a weight to its grid, checking measure positivity per branch."""
+    """Attach a weight to its grid, checking measure positivity per branch.
+
+    A point is not positive where delta*rho has the wrong sign, or where
+    its imaginary part exceeds the tolerance: a measure must be real.
+    """
     grid = rho.grid
     v, m = rho.flat, rho.flat_valid
-    terms = (grid.deltas * v).real
-    scale = np.fmax(1.0, grid.branch_max(np.where(m, np.abs(v), 0.0)))
-    bad = grid.measure_sign * terms < -_POSITIVITY_TOL * scale
+    terms = grid.deltas * v
+    tol = _POSITIVITY_TOL * np.fmax(
+        1.0, grid.branch_max(np.where(m, np.abs(v), 0.0)))
+    bad = ((grid.measure_sign * terms.real < -tol)
+           | (np.abs(terms.imag) > tol))
     flags = ~(bad & m & grid.has_next)
     w = WeightedGrid(grid, rho, flags)
     if warn and not w.positivity_ok():

@@ -1,10 +1,14 @@
+import ctypes
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taucalc import (GROUP, SEMIGROUP, EigenPair, GridFunction, apply_A,
                      apply_Astar, build_grid, chain_eigenvalues,
@@ -20,6 +24,7 @@ from taucalc.errors import (InconsistentWeights, NonPositiveFactor,
                             RiccatiBlowup, SingularLimit, ZeroAlpha,
                             ZeroDivisor)
 
+from eigen_oracle import golub_kahan_eigenvalues
 from recursion_oracle import coefficient_ratio_loop, gauge_xi_loop
 from taucalc.scenarios import constant_gauge_chain, fractional_chain, qhahn_chain
 
@@ -310,15 +315,17 @@ KERNEL_LEVELS = {
 
 
 def spy_bisection(monkeypatch):
-    """Record (matrix order, select_range) of every tridiagonal bisection."""
+    """Record (order N, IFIRST, ILAST) of every dlarrb call."""
     calls = []
-    bisect = scipy.linalg.eigvalsh_tridiagonal
+    lapack = chain._dlarrb()
 
-    def spy(d, e, **kw):
-        calls.append((len(d), kw["select_range"]))
-        return bisect(d, e, **kw)
+    def spy(*args):
+        # N, IFIRST and ILAST are the first, fourth and fifth addresses
+        calls.append(tuple(ctypes.c_int.from_address(args[j]).value
+                           for j in (0, 3, 4)))
+        return lapack(*args)
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
+    monkeypatch.setattr(chain, "_dlarrb", lambda: spy)
     return calls
 
 
@@ -328,10 +335,9 @@ def test_structural_kernel_zero_is_exact_and_not_bisected(make, monkeypatch):
     calls = spy_bisection(monkeypatch)
     lams = chain_eigenvalues(lvl, count=4)
     assert lams[0] == 0.0 and lams[1] > 0.0
-    # the middle index m of the order-(2m+1) Golub-Kahan matrix is skipped
-    [(order, (lo, hi))] = calls
-    m = (order - 1) // 2
-    assert (lo, hi) == (m + 1, m + 3)
+    # index 1 of the order-(m+1) Gram matrix B^T B, the kernel, is skipped
+    [(order, first, last)] = calls
+    assert order == lvl.grid.size and (first, last) == (2, 4)
     calls.clear()
     assert np.array_equal(chain_eigenvalues(lvl, count=1), [0.0])
     assert calls == []
@@ -341,10 +347,11 @@ def test_decoupled_kernel_values_are_still_bisected(qh, monkeypatch):
     flat = decoupled_level(qh.levels[0])
     calls = spy_bisection(monkeypatch)
     lams = chain_eigenvalues(flat)
-    # m x m blocks: the near-zero kernel values are genuine and bisected
-    [(order, (lo, hi))] = calls
-    m = (order - 1) // 2
-    assert (lo, hi) == (m + 1, 2 * m) and lams.size == m
+    # m x m blocks: index 1 is the empty limit column, and the near-zero
+    # kernel values of the blocks are genuine and bisected
+    [(order, first, last)] = calls
+    m = order - 1
+    assert (first, last) == (2, m + 1) and lams.size == m
 
 
 def sturm_count(sq, x):
@@ -386,6 +393,122 @@ def test_bidiagonal_spectrum_matches_mpmath_sturm_bisection(make):
                 lo, hi = (lo, mid) if sturm_count(sq, mid) > m + k else (mid, hi)
             sigma2 = float(((lo + hi) / 2) ** 2)
             assert abs(lams[k] - sigma2) <= 1e-13 * sigma2
+
+
+EPS = np.finfo(float).eps
+
+
+def solve_agreement_bound(order):
+    """Relative bound on |lambda_new / lambda_oracle - 1| for a factor whose
+    B = [G; 0] has order ``order``.
+
+    A relative change of at most eta in every entry of a bidiagonal of
+    order n moves each singular value by a factor within (1 +- eta)^(2n-1)
+    (Demmel & Kahan 1990).  Each solve's Sturm counts are exact for such a
+    change: dstebz on the Golub-Kahan matrix within 2.5 eps of each
+    entry, dstqds on L D L^T within 3 eps of alpha^2 and beta^2 after their
+    own rounding of 0.5 eps, so within 2 eps of each entry; eta = 4 eps
+    covers both.  So does each solve's own stopping width: 2 ulps of sigma
+    for dstebz, 2 eps of lambda for dlarrb, at most 4 eps of lambda each.
+    In lambda = sigma^2 the factors square, and the two solves add.
+    """
+    return 2 * ((1 + 4 * EPS) ** (2 * (2 * order - 1)) - 1) + 8 * EPS
+
+
+def assert_solves_agree(got, want, beta):
+    """The new solve's eigenvalues against the oracle's, for a factor with
+    superdiagonal ``beta``: within the relative bound, or, below pivmin/eps,
+    within dlarrb's least half-width 2 pivmin (twice, for slack).  The
+    least subnormal that stands in for a zero beta^2 moves lambda by at
+    most 2 sigma 2.2e-162: within 2 eps lambda for sigma >= 1e-146 and
+    within 2 pivmin below."""
+    pivmin = np.finfo(float).tiny * max(1.0, np.max(beta ** 2))
+    bound = solve_agreement_bound(beta.size + 1)
+    assert np.all(np.abs(got - want) <= bound * want + 4 * pivmin)
+
+
+@st.composite
+def graded_factors(draw):
+    """(alpha, beta, kernel): an m x (m+1) upper bidiagonal factor whose
+    entries are graded over 1e-8 .. 1e15 as they are along an orbit, rising
+    to one index and falling after it.  With ``kernel`` every beta is
+    nonzero, so G has full rank and the Gram matrix one zero; some alpha
+    are exactly 0.  Without, one column c of G is empty (beta[c-1] =
+    alpha[c] = 0), as when the limit column vanishes, and exact zeros of
+    alpha sit only past c, where they do not make G singular."""
+    m = draw(st.integers(2, 40))
+    kernel = draw(st.booleans())
+
+    def graded():
+        exps = sorted(draw(st.lists(st.floats(-8.0, 15.0), min_size=m,
+                                    max_size=m)))
+        top = draw(st.integers(0, m))
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m,
+                              max_size=m))
+        return np.array(signs) * 10.0 ** np.array(exps[:top]
+                                                  + exps[top:][::-1])
+
+    alpha, beta = graded(), graded()
+    first_zero = 0
+    if not kernel:
+        c = draw(st.integers(1, m))
+        beta[c - 1] = 0.0
+        if c < m:
+            alpha[c] = 0.0
+        first_zero = c + 1
+    if first_zero < m:
+        zeros = draw(st.lists(st.integers(first_zero, m - 1), max_size=m // 3))
+        alpha[zeros] = 0.0
+    return alpha, beta, kernel
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_factors())
+def test_gram_bisection_matches_golub_kahan_oracle(factor):
+    # two LAPACK bisections on different matrices: dlarrb on B^T B's
+    # L D L^T of order m+1, dstebz on the Golub-Kahan tridiagonal of order
+    # 2m+1; both relatively accurate, so they agree to a few ulps per entry
+    alpha, beta, kernel = factor
+    m = alpha.size
+    total = m + 1 if kernel else m
+    want = golub_kahan_eigenvalues(alpha, beta, total, total)
+    got = chain._gram_eigenvalues(alpha, beta, m)
+    if kernel:
+        assert want[0] == 0.0
+        want = want[1:]
+    assert_solves_agree(got, want, beta)
+
+
+@pytest.mark.parametrize("make", [*KERNEL_LEVELS.values(),
+                                  lambda: decoupled_level(qhahn_chain(
+                                      depth=60, n_levels=1).levels[0])],
+                         ids=[*KERNEL_LEVELS, "decoupled"])
+def test_chain_eigenvalues_match_golub_kahan_oracle(make):
+    lvl = make()
+    alpha, beta = _assemble_factor(lvl)
+    want = golub_kahan_eigenvalues(alpha, beta, lvl.grid.size, 6)
+    got = chain_eigenvalues(lvl, count=6)
+    assert_solves_agree(got, want, beta)
+
+
+@pytest.mark.parametrize("field, value", [("phi", np.nan), ("rho", np.inf)])
+def test_eigen_solve_refuses_non_finite_level_data(qh, field, value):
+    # a NaN or inf at a masked-out interior point enters the factor and
+    # passes the sign gates; it is refused, with no warning, before LAPACK
+    lvl = qh.levels[0]
+    fn = lvl.w.rho if field == "rho" else getattr(lvl, field)
+    values, valid = fn.flat.copy(), fn.flat_valid.copy()
+    values[10], valid[10] = value, False
+    bad = GridFunction(lvl.grid, values, valid)
+    lvl = (replace(lvl, w=weighted_grid(bad)) if field == "rho"
+           else replace(lvl, phi=bad))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha, beta = _assemble_factor(lvl)
+        assert not np.isfinite(np.concatenate([alpha, beta])).all()
+        for count in (1, 2):
+            with pytest.raises(NonPositiveFactor, match="finite level data"):
+                chain_eigenvalues(lvl, count=count)
 
 
 def test_fractional_chain_rejects_eigen_solve():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,12 @@ from taucalc import (GROUP, INTERVAL, SEMIGROUP, GridFunction, build_grid,
                      inner_product, linear_map, norm, pearson_residual, shift,
                      weight_from_pearson, weighted_grid)
 from taucalc.calculus import deltas_fn
-from taucalc.errors import GridMismatch, ZeroDivisor, ZeroWeight
+from taucalc.errors import (GridMismatch, PositivityWarning, ZeroDivisor,
+                            ZeroWeight)
 
 from recursion_oracle import pearson_weight_loop
 from taucalc.hilbert import adjoint_shift, mu_from_rho
+from taucalc.scenarios import qhahn_chain
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +42,21 @@ def test_perturbation_detected(level_data):
     w_bad = weighted_grid(rho_bad, warn=False)
     res = pearson_residual(B, eta, w_bad)
     assert res.shift >= 1e-4
+
+
+def test_complex_weight_is_judged_on_its_imaginary_part():
+    # a measure must be real: delta*rho whose imaginary part exceeds the
+    # positivity tolerance is not positive, however positive its real part
+    rho = qhahn_chain(depth=60, n_levels=1).levels[0].w.rho
+    assert weighted_grid(rho).positivity_ok()
+    with pytest.warns(PositivityWarning):
+        w = weighted_grid(rho * (1 + 5j))
+    assert not w.positivity_ok()
+    # |delta| <= 2 on [-1, 1], so 1e-13 |delta rho| is within 1e-12 of
+    # each branch's scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert weighted_grid(rho * (1 + 1e-13j)).positivity_ok()
 
 
 def test_inner_product_conjugate_symmetry(level_data):

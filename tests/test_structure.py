@@ -1,6 +1,7 @@
 """Source-level rules for the taucalc package."""
 
 import ast
+import ctypes
 import subprocess
 import sys
 from collections import Counter
@@ -9,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taucalc import (GridFunction, TwoByTwoSystem, build_grid,
-                     general_solution, linear_map, resolvent)
+from taucalc import (GridFunction, TwoByTwoSystem, build_grid, chain,
+                     chain_eigenvalues, general_solution, linear_map,
+                     resolvent)
 from taucalc.calculus import (shift, step_quotient, tau_antiderivative,
                               tau_derivative, tau_integral)
 from taucalc.chain import (apply_A, apply_Astar, bands_AAstar,
@@ -130,6 +132,60 @@ def test_cli_import_leaves_scipy_unloaded(src_env):
     out = subprocess.run([sys.executable, "-c", code], env=src_env,
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def name_uses(path, name):
+    """Line of every use of ``name`` in ``path``: as a bare name, as an
+    attribute, or imported from a module."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(
+                encoding="utf-8")))
+            if getattr(node, "id", getattr(node, "attr", None)) == name
+            or isinstance(node, ast.ImportFrom)
+            and any(alias.name == name for alias in node.names)]
+
+
+def test_eigen_solve_is_not_the_golub_kahan_bisection():
+    # chain_eigenvalues bisects the factor's own L D L^T at order N with
+    # dlarrb; the order-2N Golub-Kahan solve is the test oracle alone
+    assert [(p.name, line) for p in SOURCES
+            for line in name_uses(p, "eigvalsh_tridiagonal")] == []
+
+
+def test_name_rule_sees_eigvalsh_tridiagonal(tmp_path):
+    path = tmp_path / "mod.py"
+    for code, hits in (("from scipy.linalg import eigvalsh_tridiagonal", [1]),
+                       ("import scipy\nw = scipy.linalg.eigvalsh_tridiagonal(e)",
+                        [2]),
+                       ("f = eigvalsh_tridiagonal", [1]),
+                       ("from scipy.linalg import eigh_tridiagonal", []),
+                       ("x = 'eigvalsh_tridiagonal'", [])):
+        path.write_text(code + "\n")
+        assert name_uses(path, "eigvalsh_tridiagonal") == hits
+
+
+def test_eigen_solve_builds_its_lapack_binding_once(monkeypatch):
+    level = qhahn_chain(depth=60, n_levels=1).levels[0]
+    built, cfunctype = [], ctypes.CFUNCTYPE
+    monkeypatch.setattr(ctypes, "CFUNCTYPE",
+                        lambda *types: built.append(types) or cfunctype(*types))
+    chain._dlarrb.cache_clear()
+    first = chain_eigenvalues(level, count=3)
+    assert np.array_equal(chain_eigenvalues(level, count=3), first)
+    # other modules imported on the first call make prototypes of their own
+    dlarrb = (None, *[ctypes.c_void_p] * 17)
+    assert built.count(dlarrb) == 1 and chain._dlarrb.cache_info().misses == 1
+
+
+def test_eigen_solve_refuses_a_dlarrb_of_another_signature(monkeypatch):
+    # the addresses are passed unchecked, so the C signature is checked
+    # when the binding is built
+    monkeypatch.setattr(chain, "_DLARRB_SIGNATURE", "void (int *, d *)")
+    chain._dlarrb.cache_clear()
+    try:
+        with pytest.raises(ImportError, match="signature"):
+            chain._dlarrb()
+    finally:
+        chain._dlarrb.cache_clear()
 
 
 # per-branch loops that remain outside grid.py; a new orbit recursion goes
