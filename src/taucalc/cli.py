@@ -30,7 +30,7 @@ from .chain import (CoefficientTriple, build_chain, eigen_residual_norm,
                     particular_gauge_xi, solve_step_constant)
 from .errors import CalculusError, ConfigError
 from .expressions import parse_expression
-from .grid import GROUP, INTERVAL, SEMIGROUP, build_grid
+from .grid import DEFAULT_MAX_DEPTH, GROUP, INTERVAL, SEMIGROUP, build_grid
 from .gridfn import GridFunction
 from .hilbert import pearson_residual
 from .maps import fractional_map, linear_map, power_map
@@ -161,8 +161,8 @@ _MODES = {"semigroup": SEMIGROUP, "group": GROUP, "interval": INTERVAL}
 
 def _build_grid(config: dict, depth_override: int | None):
     gspec = _take(config.get("grid", {}),
-                  {"mode": "semigroup", "bases": _REQUIRED, "depth": 512},
-                  "grid spec")
+                  {"mode": "semigroup", "bases": _REQUIRED,
+                   "depth": DEFAULT_MAX_DEPTH}, "grid spec")
     mode = gspec["mode"]
     if not isinstance(mode, str) or mode not in _MODES:
         raise ConfigError(f"unknown grid mode {mode!r}")

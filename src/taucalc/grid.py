@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import (CoincidentOrbits, DomainEscape, LimitMismatch,
                      LimitNotConverged, ZeroDivisor)
-from .maps import DEFAULT_DELTA_TOL, LimitResult, TauMap, limit_point
+from .maps import (DEFAULT_DELTA_TOL, LimitResult, TauMap, limit_point,
+                   stepped_walk)
 
 DEFAULT_MAX_DEPTH = 512
 # an exact-zero guard for divisors and pivots: values merely small (the
@@ -373,8 +374,9 @@ def ldexp(P: np.ndarray, E: np.ndarray, out: np.ndarray | None = None
 def _leg(tau: TauMap, base: float, max_depth: int,
          backward: bool = False) -> tuple[np.ndarray, float, bool]:
     """(points, limit, settled) of one leg of the orbit of ``base``, cut
-    from its :func:`limit_point` walk as :func:`build_grid` describes."""
-    res = limit_point(tau, base, max_depth if backward else None)
+    from its walk as :func:`build_grid` describes."""
+    res = (stepped_walk(tau, tau.inverse, base, max_depth) if backward
+           else limit_point(tau, base))
     walk = res.walk
     if res.converged and len(walk) == 1:
         raise ZeroDivisor(f"fixed point hit on the orbit at x={base}")
@@ -405,20 +407,20 @@ def build_grid(tau: TauMap, mode: str = SEMIGROUP,
     """Construct a truncated orbit grid.
 
     ``bases`` is a single base for semigroup/group mode and a pair
-    ``(a, b)`` for interval mode.  Each leg is cut from one
+    ``(a, b)`` for interval mode.  Each forward leg is cut from one
     :func:`~taucalc.maps.limit_point` walk.  A forward branch ends after
     three consecutive steps below ``DEFAULT_DELTA_TOL`` (1 + |limit|),
     where the walk ends, or unsettled (``converged=False``) at
     ``max_depth``; a walk that leaves ``tau.domain`` raises
-    :class:`DomainEscape` and one that does not settle
-    :class:`LimitNotConverged`.  A group orbit's backward leg walks
-    tau.inverse up to ``max_depth``, is cut by the same rule relative to
-    1 + |x_next| and ends at its last finite point in the domain; every
-    walk stops at its first point outside.  A base on a fixed point
-    raises :class:`ZeroDivisor`, and a map step that raises an
-    ArithmeticError :class:`DomainEscape`.  A ``max_depth`` below 1, an
-    unknown mode or ``bases`` of another shape (a one-element sequence
-    stands for its base) raise ValueError.
+    :class:`DomainEscape` and one that does not settle within
+    ``maps.WALK_MAX_STEPS`` steps :class:`LimitNotConverged`.  A group
+    orbit's backward leg steps tau.inverse up to ``max_depth``, is cut by
+    the same rule relative to 1 + |x_next| and ends at its last finite
+    point in the domain; every walk stops at its first point outside.
+    A base on a fixed point raises :class:`ZeroDivisor`, and a map step
+    that raises an ArithmeticError :class:`DomainEscape`.  A ``max_depth``
+    below 1, an unknown mode or ``bases`` of another shape (a one-element
+    sequence stands for its base) raise ValueError.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be at least 1, got {max_depth}")

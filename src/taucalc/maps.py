@@ -17,16 +17,14 @@ import numpy as np
 from .errors import DomainEscape
 
 _DOMAIN_TOL = 1e-9
-# limit_point's detection tolerance and the step cap of a stepped walk
-# (grid branches depend on both)
+# limit_point's detection tolerance (grid branches depend on it)
 LIMIT_TOL = 1e-13
-LIMIT_MAX_ITER = 10000
 # build_grid ends an orbit after three steps below this, relative to
 # 1 + |limit|; the limit polish of limit_point is derived from it
 DEFAULT_DELTA_TOL = 1e-15
 _POLISH_TOL = 2.0 ** -56 * DEFAULT_DELTA_TOL
-# the longest running-product walk: 2^20 points (0.9999 from 1 takes 737,000)
-_WALK_MAX_BYTES = 2 ** 23
+# the most steps of any forward walk: 8 MiB of running products
+WALK_MAX_STEPS = 2 ** 20 - 1
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class _ScaleMap(TauMap):
 @dataclass(frozen=True)
 class LimitResult:
     """Outcome of fixed-point iteration toward the orbit limit: the limit,
-    the steps to detection and the walk x0, tau(x0), ..., ``value``."""
+    the steps to detection (or the cap) and the walk x0, ..., ``value``."""
 
     value: float
     iterations: int
@@ -133,37 +131,39 @@ def iterate(tau: TauMap, x0: float, n: int) -> float:
     return x
 
 
-def limit_point(tau: TauMap, x0: float,
-                _backward_cap: int | None = None) -> LimitResult:
+def limit_point(tau: TauMap, x0: float) -> LimitResult:
     """Walk tau from ``x0`` to its limit: iterate until a step is below
     ``LIMIT_TOL`` (1 + |x|), then polish toward the fixed point.
 
-    The result keeps the walk x0, tau(x0), ..., limit (read-only); a
-    polish step that does not move, or returns to the point before (a
-    two-cycle of the rounded map), ends it and is not stored.  Detection
-    and polish take at most ``LIMIT_MAX_ITER`` steps each; ``_backward_cap``
-    walks tau.inverse with that cap instead (a group grid's backward leg).
-    The polish also stops once the error estimate s r/(1 - r), from the last
-    step s and the ratio r of the last two, is below
-    2^-56 DEFAULT_DELTA_TOL (r r (r r)) (1 + |x|): with a factor 2 to
-    spare, a quarter-ulp of the nearest distance DEFAULT_DELTA_TOL r^4
-    (1 + |limit|) a grid point keeps to the limit (a branch stops after
-    three steps below DEFAULT_DELTA_TOL), so more polishing changes no
-    point - limit.  A walk that has not yet detected its limit ends
-    unconverged at its first point after x0 that is not finite or not in
-    ``tau.domain`` (that point is the last of the walk).  A step that
-    raises an ArithmeticError (a pole, an overflow) or gives a value that
-    is not real (a negative base of x ** p) raises :class:`DomainEscape`.
+    The result keeps the walk x0, tau(x0), ..., limit (read-only); a polish
+    step that does not move, or returns to the point before (a two-cycle of
+    the rounded map), ends it and is not stored.  Detection and polish share
+    ``WALK_MAX_STEPS`` steps; a walk that does not detect its limit within
+    them ends unconverged there.  The polish also stops once the error
+    estimate s r/(1 - r), from the last step s and the ratio r of the last
+    two, is below 2^-56 DEFAULT_DELTA_TOL (r r (r r)) (1 + |x|): with a
+    factor 2 to spare, a quarter-ulp of the nearest distance
+    DEFAULT_DELTA_TOL r^4 (1 + |limit|) a grid point keeps to the limit (a
+    branch stops after three steps below DEFAULT_DELTA_TOL), so more
+    polishing changes no point - limit.  A walk that has not yet detected its
+    limit ends unconverged at its first point after x0 that is not finite or
+    not in ``tau.domain`` (that point is the last of the walk).  A step that
+    raises an ArithmeticError (a pole, an overflow) or gives a value that is
+    not real (a negative base of x ** p) raises :class:`DomainEscape`.
 
-    A forward walk of a contracting scale map x -> q x (:func:`linear_map`
-    with 0 < |q| < 1 and h = +0.0) is made of running products instead
-    (:func:`_running_products`), with no step cap and the result of the
-    uncapped scalar walk bit for bit.
+    A walk of a contracting scale map x -> q x (:func:`linear_map` with
+    0 < |q| < 1 and h = +0.0) is made of running products instead
+    (:func:`_running_products`), bit for bit the stepped walk.
     """
-    if isinstance(tau, _ScaleMap) and _backward_cap is None:
+    if isinstance(tau, _ScaleMap):
         return _running_products(tau, x0)
-    step, cap = ((tau.forward, LIMIT_MAX_ITER) if _backward_cap is None
-                 else (tau.inverse, _backward_cap))
+    return stepped_walk(tau, tau.forward, x0, WALK_MAX_STEPS)
+
+
+def stepped_walk(tau: TauMap, step: Callable[[float], float], x0: float,
+                 cap: int) -> LimitResult:
+    """The :func:`limit_point` walk made one ``step`` (tau.forward, or
+    tau.inverse for a group grid's backward leg) at a time, within ``cap``."""
     lo, hi = _finite_bounds(tau)
     x = float(x0)
     walk = [x]
@@ -176,7 +176,7 @@ def limit_point(tau: TauMap, x0: float,
             if last < LIMIT_TOL * (1.0 + abs(x)):
                 if x_next != x:
                     walk.append(x_next)
-                for _ in range(cap):
+                for _ in range(cap - i):
                     x_more = step(x_next)
                     if x_more == x_next or x_more == x:
                         break
@@ -206,7 +206,7 @@ def _finite_bounds(tau: TauMap) -> tuple[float, float]:
 
 
 def _walk_length(q: float, x0: float) -> int:
-    """Steps within which the forward :func:`limit_point` walk of
+    """Steps within which the :func:`limit_point` walk of
     x -> q*x + 0.0 from ``x0`` stops.  With s = |x| |1 - q| and r = |q| the
     polish test passes at the step after a point below
     T = _POLISH_TOL |q|^3 (1 - |q|)/|1 - q|: at k = log(|x0|/T)/log(1/|q|).
@@ -224,21 +224,19 @@ def _walk_length(q: float, x0: float) -> int:
 
 
 def _running_products(tau: _ScaleMap, x0: float) -> LimitResult:
-    """The forward :func:`limit_point` walk of x -> q*x + 0.0 from ``x0``,
+    """The :func:`limit_point` walk of x -> q*x + 0.0 from ``x0``,
     made of running products of q = ``tau.q``.
 
     A step is one rounded product, so ``multiply.accumulate`` (with the
     + 0.0 that turns a -0.0 product into +0.0) gives the scalar walk bit
     for bit.  It is formed once, to its :func:`_walk_length`, and
     detection, the domain exit and the polish stop (:func:`_polish_stop`)
-    are the scalar tests on the whole array.  A walk of more than
-    ``_WALK_MAX_BYTES`` ends unconverged at x0, unformed, as if capped at
-    the steps the bound holds.
+    are the scalar tests on the whole array.  A walk longer than
+    ``WALK_MAX_STEPS`` ends unconverged at x0, unformed, at that bound.
     """
     x0, n = float(x0), _walk_length(tau.q, x0)
-    if 8 * (n + 1) > _WALK_MAX_BYTES:
-        return LimitResult(x0, _WALK_MAX_BYTES // 8 - 1, False,
-                           np.array([x0]))
+    if n > WALK_MAX_STEPS:
+        return LimitResult(x0, WALK_MAX_STEPS, False, np.array([x0]))
     w = np.full(n + 1, tau.q)
     w[0] = x0
     bottom, top = _finite_bounds(tau)

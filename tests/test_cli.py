@@ -491,16 +491,30 @@ def test_grid_tol_key_rejected_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("mode, bases", [("semigroup", 1.0),
                                          ("interval", [-1.0, 1.0])])
 def test_grid_unsettled_limit_exit_3(tmp_path, capsys, mode, bases):
-    # a stepped walk (shift != 0) toward the fixed point 2 is capped at
-    # 10,000 steps and needs about 30,000
+    # x -> -x is walked step by step and its orbits are two-cycles that
+    # never settle: each walk ends at the bound of 1,048,575 steps
     cfg = write_config(tmp_path, {
-        "map": {"kind": "linear", "q": 0.999, "shift": 2e-3},
+        "map": {"kind": "linear", "q": -1.0},
         "grid": {"mode": mode, "bases": bases},
     })
     assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 3
     err = capsys.readouterr().err
-    assert "LimitNotConverged" in err and "10000 steps" in err
+    assert "LimitNotConverged" in err and "1048575 steps" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_grid_slow_stepped_map_settles(tmp_path, capsys):
+    # a stepped walk (shift != 0) toward the fixed point 2 takes 21,917
+    # steps to detect it and 7,783 to polish it
+    cfg = write_config(tmp_path, {
+        "map": {"kind": "linear", "q": 0.999, "shift": 2e-3},
+        "grid": {"mode": "semigroup", "bases": 1.0, "depth": 40000},
+    })
+    assert run("grid", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+    assert capsys.readouterr().err == ""
+    (branch,) = json.loads(
+        (tmp_path / "o" / "grid.json").read_text())["branches"]
+    assert branch["converged"] and abs(branch["limit"] - 2.0) < 1e-10
 
 
 @pytest.mark.parametrize("q, code", [(0.999, 0), (1 - 1e-12, 3)])

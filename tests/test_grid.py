@@ -176,10 +176,10 @@ def test_coincident_pairs_skip_unresolvable_tail():
 
 
 def test_unconverged_limit_raises_typed_error():
-    # x -> 0.999 x + 0.002 is stepped and needs about 30,000 steps to
-    # settle at its fixed point 2; a stepped walk is capped at 10,000
-    tau = linear_map(0.999, h=2e-3)
-    with pytest.raises(LimitNotConverged, match=r"base 1\.0 .*10000 steps"):
+    # x -> -x is stepped, and its orbit from 1 is a two-cycle that never
+    # settles: the walk ends at the bound of every walk, 1,048,575 steps
+    tau = linear_map(-1.0)
+    with pytest.raises(LimitNotConverged, match=r"base 1\.0 .*1048575 steps"):
         build_grid(tau, SEMIGROUP, 1.0)
     # not a LimitMismatch between two unsettled iterates
     with pytest.raises(LimitNotConverged, match=r"base -1\.0"):
@@ -187,6 +187,17 @@ def test_unconverged_limit_raises_typed_error():
     # a scale walk longer than the memory bound (7e13 steps) is not formed
     with pytest.raises(LimitNotConverged, match=r"base 1\.0 .*1048575 steps"):
         build_grid(linear_map(1 - 1e-12), SEMIGROUP, 1.0)
+
+
+def test_slow_stepped_map_settles_within_the_bound():
+    # x -> 0.999 x + 0.002 is stepped; its walk from 1 detects the fixed
+    # point 2 after 21,917 steps and polishes it in 7,783 more
+    grid = build_grid(linear_map(0.999, h=2e-3), SEMIGROUP, 1.0,
+                      max_depth=40000)
+    (branch,) = grid.branches
+    assert branch.converged
+    assert abs(branch.limit - 2.0) < 1e-10
+    assert branch.limit_gap < 1e-10
 
 
 def test_truncated_orbit_is_recorded():

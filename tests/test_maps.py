@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taucalc import maps
-from taucalc.maps import (LIMIT_MAX_ITER, TauMap, _ScaleMap, _walk_length,
-                          fractional_map, iterate, limit_point, linear_map,
-                          power_map)
+from taucalc.maps import (TauMap, _ScaleMap, _walk_length, fractional_map,
+                          iterate, limit_point, linear_map, power_map,
+                          stepped_walk)
 
 from limit_oracle import counting_map
 
@@ -61,7 +60,9 @@ def test_limit_polish_ends_before_its_cap(q):
     tau, calls = counting_map(linear_map(q))
     res = limit_point(tau, 1.0)
     assert res.converged
-    assert calls[0] - res.iterations < 10000
+    # the polish test, not the bound that detection and polish share,
+    # ends the walk
+    assert calls[0] < maps.WALK_MAX_STEPS
     # polished well past the 1e-13 detection tolerance
     assert 0.0 <= res.value < 1e-31
 
@@ -101,24 +102,32 @@ def assert_same_result(res, ref):
     assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
 
 
-# a walk of running products past this many steps is not formed
-MAX_STEPS = maps._WALK_MAX_BYTES // 8 - 1
+# every forward walk stops within this many steps; a walk of running
+# products past it is not formed
+MAX_STEPS = maps.WALK_MAX_STEPS
+
+
+def walk(tau, base, cap):
+    """The forward walk of ``tau`` from ``base`` for a ``cap`` of None,
+    else the backward walk of tau.inverse within ``cap`` steps."""
+    if cap is None:
+        return limit_point(tau, base)
+    return stepped_walk(tau, tau.inverse, base, cap)
 
 
 def assert_walks_as_stepped(tau, base, cap):
-    """``limit_point(tau, base, cap)`` is the stepped walk of
-    ``plain_copy(tau)``.  A forward walk of a scale map is allowed the
-    steps ``_walk_length`` derives, and stops within them; one past
-    ``MAX_STEPS`` ends unconverged at its base, unformed."""
-    res = limit_point(tau, base, cap)
+    """``walk(tau, base, cap)`` is the stepped walk of ``plain_copy(tau)``.
+    A forward walk of a scale map is allowed the steps ``_walk_length``
+    derives, and stops within them; one past ``MAX_STEPS`` ends
+    unconverged at its base, unformed."""
+    res = walk(tau, base, cap)
     derived = isinstance(tau, _ScaleMap) and cap is None
     n = _walk_length(tau.q, base) if derived else 0
     if n > MAX_STEPS:
         assert (res.iterations, res.converged) == (MAX_STEPS, False)
         assert res.walk.tobytes() == np.float64(base).tobytes()
         return
-    with mock.patch.object(maps, "LIMIT_MAX_ITER", max(LIMIT_MAX_ITER, n)):
-        ref = limit_point(plain_copy(tau), base, cap)
+    ref = walk(plain_copy(tau), base, cap)
     assert_same_result(res, ref)
     if derived:   # the last step tested, stored or not, is within n
         assert len(ref.walk) <= n + (not ref.converged)
@@ -162,9 +171,9 @@ def test_scale_walk_does_not_step_forward_per_point(q, cap):
 
     counting = dataclasses.replace(tau, forward=counted(tau.forward),
                                    inverse=counted(tau.inverse))
-    res = limit_point(counting, 1.0, cap)
+    res = walk(counting, 1.0, cap)
     assert len(res.walk) > 2000 and calls[0] == 0
-    assert_same_result(res, limit_point(plain_copy(tau), 1.0, cap))
+    assert_same_result(res, walk(plain_copy(tau), 1.0, cap))
 
 
 @settings(max_examples=80, deadline=None)
@@ -207,3 +216,13 @@ def test_scale_walk_past_the_memory_bound_is_not_formed(q, base):
         tracemalloc.stop()
     assert (res.converged, res.iterations) == (False, MAX_STEPS)
     assert res.walk.tolist() == [base] and peak < 2 ** 16
+
+
+def test_stepped_and_scale_walks_share_one_bound():
+    # x -> -x from 1 is a two-cycle that never settles; a scale walk at
+    # q = 1 - 1e-12 would take 7e13 steps.  Both end at the one bound
+    stepped = limit_point(linear_map(-1.0), 1.0)
+    scale = limit_point(linear_map(1 - 1e-12), 1.0)
+    assert not stepped.converged and not scale.converged
+    assert stepped.iterations == scale.iterations == MAX_STEPS
+    assert len(stepped.walk) == MAX_STEPS + 1
