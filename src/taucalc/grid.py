@@ -76,11 +76,15 @@ class OrbitGrid:
     read-only view of its slice.  ``deltas[n]`` is x_n - x_{n+1} where
     ``has_next[n]`` holds and 0 at the last index of each branch.
 
-    Index structures that depend on the grid alone (neighbour masks and
-    their indices, the walk layouts of :meth:`mobius_scan` and
-    :meth:`suffix_products`) are plans:
-    each is built on first use, stored read-only on the grid and lives
-    and dies with it.
+    Segmented scans walk each branch without a Python loop per point:
+    :meth:`suffix_scan` runs a ufunc tail-first, :meth:`outward_scan`
+    runs one from each base outward (a diagonal recursion such as the
+    Pearson weight), and :meth:`mobius_scan` and :meth:`suffix_products`
+    compose 2x2 steps (a projective recursion, a resolvent).  Index
+    structures that depend on the grid alone (neighbour masks and their
+    indices, the walk layouts of :meth:`mobius_scan` and
+    :meth:`suffix_products`) are plans: each is built on first use,
+    stored read-only on the grid and lives and dies with it.
     """
 
     tau: TauMap
@@ -222,6 +226,43 @@ class OrbitGrid:
             seg = slice(n - s.stop, n - s.start)
             ufunc.accumulate(rev[..., seg], axis=-1, out=out[..., seg])
         return out[..., ::-1]
+
+    def outward_scan(self, ufunc: np.ufunc, steps, ok: np.ndarray):
+        """Segmented scan outward from each branch base: out = the identity
+        of ``ufunc`` at the base, out[n+1] = out[n] op forward[n] ahead of
+        it and out[n] = out[n+1] op backward[n] behind a group base.
+
+        ``steps = (forward, backward)`` are flat arrays whose entry n steps
+        between points n and n+1, outward either way; ``ok[n]`` marks step
+        n usable.  Returns ``(values, valid)`` with the validity cut of
+        :meth:`mobius_scan`: ``valid`` runs from the base up to the first
+        unusable step, and values are 0 past it.  Each leg is one
+        ``ufunc.accumulate`` (``np.multiply`` gives running products), run
+        with numpy's floating-point warnings off: the caller judges poles
+        and overflow on what it gets back.
+        """
+        forward, backward = (np.asarray(x) for x in steps)
+        ok = np.asarray(ok, dtype=bool)
+        out = np.zeros(self.size, np.result_type(forward, backward))
+        valid = np.zeros(self.size, dtype=bool)
+        # a backward leg walks [start, base) from its end: in reversed
+        # order it is a forward leg, entered by the step at the same index
+        rev, out_rev, ok_rev, valid_rev = (backward[::-1], out[::-1],
+                                           ok[::-1], valid[::-1])
+        n = self.size
+        with np.errstate(all="ignore"):
+            for br, s in zip(self.branches, self.slices):
+                k0 = s.start + br.base_index
+                out[k0], valid[k0] = ufunc.identity, True
+                ufunc.accumulate(forward[k0:s.stop - 1], out=out[k0 + 1:s.stop])
+                np.logical_and.accumulate(ok[k0:s.stop - 1],
+                                          out=valid[k0 + 1:s.stop])
+                if br.base_index:
+                    seg = slice(n - k0, n - s.start)
+                    ufunc.accumulate(rev[seg], out=out_rev[seg])
+                    np.logical_and.accumulate(ok_rev[seg], out=valid_rev[seg])
+        out[~valid] = 0
+        return out, valid
 
     def mobius_scan(self, steps, seeds, ok: np.ndarray, pole_tol: float):
         """Walk r[n+1] = (a r[n] + b)/(c r[n] + d) outward from each branch base.

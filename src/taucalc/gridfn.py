@@ -41,6 +41,13 @@ def _flat(grid: OrbitGrid, array, dtype, what: str) -> np.ndarray:
     return arr
 
 
+def _fresh(arr: np.ndarray) -> np.ndarray:
+    """An array an operator has just made, marked read-only so that the
+    constructor keeps it instead of copying it."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _row_max(arr: np.ndarray, where: np.ndarray):
     """Largest entry of ``arr`` where ``where`` holds along the last axis
     (0 where nothing is selected): a float for a single function, one
@@ -65,7 +72,8 @@ class GridFunction:
     def __init__(self, grid: OrbitGrid, values, valid=None, label: str = ""):
         arr = np.asarray(values)
         # float64, or complex128 once a complex value enters; a writable
-        # array is copied, so that the caller's array stays its own
+        # array is copied, so that the caller's array stays its own (the
+        # operators below hand over their fresh results read-only)
         flat = _flat(grid, arr.astype(complex if arr.dtype.kind == "c" else float,
                                       copy=arr.flags.writeable), None, "value")
         if valid is None:
@@ -130,7 +138,7 @@ class GridFunction:
                 vals, valid = op(self.flat, other), self.flat_valid
             else:
                 return NotImplemented
-        return GridFunction(self.grid, vals, valid)
+        return GridFunction(self.grid, _fresh(vals), valid)
 
     def __add__(self, other):
         return self._binary(other, operator.add)
@@ -155,7 +163,8 @@ class GridFunction:
         return self._binary(other, lambda a, b: b / a)
 
     def __abs__(self):
-        return GridFunction(self.grid, np.abs(self.flat), self.flat_valid)
+        return GridFunction(self.grid, _fresh(np.abs(self.flat)),
+                            self.flat_valid)
 
     def __pow__(self, other):
         if not isinstance(other, Number):
@@ -163,10 +172,11 @@ class GridFunction:
         return self._binary(other, operator.pow)
 
     def __neg__(self):
-        return GridFunction(self.grid, -self.flat, self.flat_valid)
+        return GridFunction(self.grid, _fresh(-self.flat), self.flat_valid)
 
     def conj(self) -> "GridFunction":
-        return GridFunction(self.grid, np.conj(self.flat), self.flat_valid)
+        return GridFunction(self.grid, _fresh(np.conj(self.flat)),
+                            self.flat_valid)
 
     def window(self, margin: int) -> "GridFunction":
         """Zero the values on ``margin`` indices at each end of every branch.
@@ -176,7 +186,7 @@ class GridFunction:
         entries).
         """
         keep = self.grid.interior(max(margin, 0))
-        return GridFunction(self.grid, np.where(keep, self.flat, 0.0),
+        return GridFunction(self.grid, _fresh(np.where(keep, self.flat, 0.0)),
                             self.flat_valid, self.label)
 
 

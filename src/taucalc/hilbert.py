@@ -5,7 +5,8 @@ rho``.  The adjoint of the composition operator T is a weighted backward
 shift with multiplier ``mu(x) = dtau(tau^-1)(x) rho(tau^-1 x)/rho(x)``,
 vanishing at the orbit base points.  Weights at consecutive chain levels
 are related through the pair (B, eta) by the one-step Pearson recursion
-``rho(tau x) = eta(x) rho(x) / B(tau x)``.
+``rho(tau x) = eta(x) rho(x) / B(tau x)``, whose diagonal step makes each
+orbit leg of the weight one running product.
 """
 
 from __future__ import annotations
@@ -129,19 +130,37 @@ def adjoint_shift(phi: GridFunction, w: WeightedGrid) -> GridFunction:
 
 
 def weight_from_pearson(B: GridFunction, eta: GridFunction) -> WeightedGrid:
-    """Build the weight solving T(B rho) = eta rho with rho = 1 at each base:
-    rho[n+1] = eta[n] rho[n] / B[n+1] walked outward by
-    :meth:`OrbitGrid.mobius_scan` with steps [[eta_n, 0], [0, B_{n+1}]]."""
+    """Build the weight solving T(B rho) = eta rho with rho = 1 at each base.
+
+    The step rho[n+1] = eta[n] rho[n] / B[n+1] is diagonal, so each leg is
+    one running product (:meth:`OrbitGrid.outward_scan`) of the ratios
+    eta[n] (1/B[n+1]) ahead of the base and B[n+1] (1/eta[n]) behind a
+    group base.  A divisor below ``ZERO_TOL`` entering a point whose
+    predecessor is still finite raises :class:`ZeroDivisor` naming it.
+    """
     B.check_same_grid(eta)
     grid = B.grid
     B_next = shift(B)
-    rho, mask, pole = grid.mobius_scan(
-        (eta.flat, 0, 0, B_next.flat), 1.0,
-        eta.flat_valid & B_next.flat_valid, ZERO_TOL)
-    if pole.any():
-        b, pos = grid.locate(np.flatnonzero(pole)[0])
-        which = "eta" if pos < grid.branches[b].base_index else "B"
-        raise ZeroDivisor(f"{which} vanishes at orbit point index {pos}")
+    bn, e = B_next.flat, eta.flat
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho, mask = grid.outward_scan(np.multiply, (e * (1 / bn), bn * (1 / e)),
+                                      eta.flat_valid & B_next.flat_valid)
+    # a pole needs a divisor below ZERO_TOL at a valid point: most weights
+    # have none, and skip the rule
+    if np.any(mask & ((np.abs(e) < ZERO_TOL) | (np.abs(B.flat) < ZERO_TOL))):
+        # each point's side of its base: -1 behind, 0 at it, +1 ahead
+        side = np.sign(np.arange(grid.size) - grid.per_point(
+            [s.start + br.base_index
+             for br, s in zip(grid.branches, grid.slices)]))
+        divisor = np.where(side < 0, e, B.flat)
+        # past an earlier pole the walk is inf or nan: it meets no new one
+        prev = np.where(side < 0, grid.shifted(rho, 1), grid.shifted(rho, -1))
+        pole = (mask & (side != 0) & (np.abs(divisor) < ZERO_TOL)
+                & np.isfinite(prev))
+        if pole.any():
+            k = np.flatnonzero(pole)[0]
+            raise ZeroDivisor(f"{'eta' if side[k] < 0 else 'B'} vanishes at "
+                              f"orbit point index {grid.locate(k)[1]}")
     w = weighted_grid(GridFunction(grid, rho, mask, label="rho"))
     res = pearson_residual(B, eta, w)
     if res.shift > 1e-11:

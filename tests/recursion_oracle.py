@@ -2,16 +2,24 @@
 
 ``sequential_mobius`` walks r[n+1] = (a r[n] + b)/(c r[n] + d) one point
 at a time from each branch base, forward and (behind a group base)
-backward through the inverse map.  The other three walk the Pearson
-weight, the coefficient ratio phi0/h0 and the gauge combination xi one
-point at a time, as plain loops; the ratio and xi loops start at the
-first stored point of each branch, which is the base on semigroup and
-interval grids.  Tests compare the scan-based library functions, built
-on ``OrbitGrid.mobius_scan``, against these loops.
+backward through the inverse map; ``sequential_outward`` does the same
+for a scan r[n+1] = r[n] op forward[n] (backward: r[n] = r[n+1] op
+backward[n]).  The other three walk the Pearson weight, the coefficient
+ratio phi0/h0 and the gauge combination xi one point at a time, as plain
+loops; the ratio and xi loops start at the first stored point of each
+branch, which is the base on semigroup and interval grids.  Tests compare
+the scan-based library functions against these loops: the ratio and xi
+are built on ``OrbitGrid.mobius_scan``, the weight on
+``OrbitGrid.outward_scan``.  ``mobius_weight`` is the weight as the
+Möbius scan walked it, kept as the oracle for the running product's
+masks and poles.
 """
 
 import numpy as np
 
+from taucalc.calculus import shift
+from taucalc.errors import ZeroDivisor
+from taucalc.grid import ZERO_TOL
 from taucalc.gridfn import GridFunction
 
 
@@ -36,6 +44,39 @@ def sequential_mobius(grid, steps, seeds, ok, pole_tol):
             pole[j] = abs(den) < pole_tol * max(1.0, abs(term), abs(a[j]))
             r[j], valid[j] = (d[j] * r[j + 1] - b[j]) / den, True
     return r, valid, pole
+
+
+def sequential_outward(grid, ufunc, steps, ok):
+    forward, backward = steps
+    out = np.zeros(grid.size, dtype=np.result_type(forward, backward))
+    valid = np.zeros(grid.size, dtype=bool)
+    for br, s in zip(grid.branches, grid.slices):
+        k0 = s.start + br.base_index
+        out[k0], valid[k0] = ufunc.identity, True
+        for j in range(k0, s.stop - 1):
+            if not (valid[j] and ok[j]):
+                break
+            out[j + 1], valid[j + 1] = ufunc(out[j], forward[j]), True
+        for j in range(k0 - 1, s.start - 1, -1):
+            if not (valid[j + 1] and ok[j]):
+                break
+            out[j], valid[j] = ufunc(out[j + 1], backward[j]), True
+    return out, valid
+
+
+def mobius_weight(B, eta):
+    """rho, its mask and its pole check as weight_from_pearson built them
+    on ``mobius_scan``, with steps [[eta_n, 0], [0, B_{n+1}]]."""
+    grid = B.grid
+    B_next = shift(B)
+    rho, mask, pole = grid.mobius_scan(
+        (eta.flat, 0, 0, B_next.flat), 1.0,
+        eta.flat_valid & B_next.flat_valid, ZERO_TOL)
+    if pole.any():
+        b, pos = grid.locate(np.flatnonzero(pole)[0])
+        which = "eta" if pos < grid.branches[b].base_index else "B"
+        raise ZeroDivisor(f"{which} vanishes at orbit point index {pos}")
+    return GridFunction(grid, rho, mask, label="rho")
 
 
 def pearson_weight_loop(B, eta, grid):

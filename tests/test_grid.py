@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from taucalc.validation import SuiteData
 
 from grid_oracle import build_grid_two_walks
 from limit_oracle import counting_map, limit_point_still
-from recursion_oracle import sequential_mobius
+from recursion_oracle import sequential_mobius, sequential_outward
 
 
 def test_semigroup_points(qgrid):
@@ -107,6 +108,36 @@ def test_flat_storage_and_branch_views():
     assert np.array_equal(GridFunction(grid, f.flat, f.flat_valid).flat, f.flat)
     with pytest.raises(GridMismatch, match="grid length"):
         GridFunction(grid, f.values)
+
+
+def test_operator_results_are_kept_not_copied():
+    # an operator's fresh result goes to the constructor read-only, so it
+    # is kept as it is: one values array is allocated, not two; a writable
+    # array from a caller is still copied
+    from taucalc import GridFunction
+    grid = build_grid(linear_map(0.99), mode=INTERVAL, bases=(-1.0, 1.0),
+                      max_depth=3000)
+    f = GridFunction.from_callable(grid, lambda x: 1.0 + x ** 2)
+    g = GridFunction.from_callable(grid, lambda x: 2.0 - 1j * x)
+    # operands of one dtype: a mixed pair would add numpy's cast buffer
+    ops = [lambda: f + f, lambda: f - 2.0, lambda: 3.0 - g, lambda: g * g,
+           lambda: f / f, lambda: 2.0 / g, lambda: f ** 2, lambda: -g,
+           lambda: abs(g), lambda: g.conj(), lambda: f.conj(),
+           lambda: g.window(3), lambda: f.window(3)]
+    for op in ops:
+        op()   # warm: plans and ufunc loops are set up
+        tracemalloc.start()
+        r = op()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1.5 * r.flat.nbytes
+        assert not r.flat.flags.writeable
+        assert not any(np.shares_memory(r.flat, x.flat) for x in (f, g))
+    mine = np.cos(grid.points)
+    h = GridFunction(grid, mine)
+    assert mine.flags.writeable and not np.shares_memory(h.flat, mine)
+    mine[:] = 0.0
+    assert np.array_equal(h.flat, np.cos(grid.points))
 
 
 def outer_coincident_pairs(pts_a, pts_b, limit, delta_tol):
@@ -283,6 +314,40 @@ def test_mobius_scan_matches_sequential(kind, planted):
     assert values[base] == seeds[-1]
     err = np.abs(values - want) / np.maximum(1.0, np.abs(want))
     assert np.max(err[valid]) < 1e-12
+
+
+@pytest.mark.parametrize("ufunc", [np.multiply, np.add])
+@pytest.mark.parametrize("kind, planted", [
+    ("semigroup", "forward"), ("interval", "forward"), ("group", "forward"),
+    ("group", "backward"), ("group", "both")])
+def test_outward_scan_matches_sequential(ufunc, kind, planted):
+    grid = MOBIUS_GRIDS[kind]()
+    rng = np.random.default_rng(11)
+    steps = rng.standard_normal((2, grid.size)) + 1j * rng.standard_normal(
+        (2, grid.size))
+    ok = np.ones(grid.size, dtype=bool)
+    br, s = grid.branches[-1], grid.slices[-1]
+    base = s.start + br.base_index
+    bad = {"forward": [base + 9], "backward": [base - 3],
+           "both": [base - 5, base - 2, base + 4]}[planted]
+    ok[bad] = False
+    values, valid = grid.outward_scan(ufunc, steps, ok)
+    want, want_valid = sequential_outward(grid, ufunc, steps, ok)
+    assert np.array_equal(valid, want_valid)
+    assert not valid[bad[-1] + 1] if bad[-1] >= base else not valid[bad[-1]]
+    assert values[base] == ufunc.identity
+    assert np.all(values[~valid] == 0)
+    # one accumulate per leg does the loop's operations in its order; a
+    # complex product may round differently (|fl(xy) - xy| <= sqrt(5) u |xy|
+    # per factor, Brent, Percival & Zimmermann 2007), so after k factors
+    # the two walks differ by at most 2 sqrt(5) k u |want| to first order
+    if ufunc is np.add:
+        assert np.array_equal(values, want)
+    else:
+        k = np.abs(np.arange(grid.size) - grid.per_point(
+            [s.start + b.base_index for b, s in zip(grid.branches, grid.slices)]))
+        u = np.finfo(float).eps / 2
+        assert np.all(np.abs(values - want) <= 2.01 * 5 ** 0.5 * k * u * np.abs(want))
 
 
 def test_mobius_scan_rescales_composites_and_flags_exact_pole():

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,7 @@ from taucalc.calculus import deltas_fn
 from taucalc.errors import (GridMismatch, PositivityWarning, ZeroDivisor,
                             ZeroWeight)
 
-from recursion_oracle import pearson_weight_loop
+from recursion_oracle import mobius_weight, pearson_weight_loop
 from taucalc.hilbert import adjoint_shift, mu_from_rho
 from taucalc.scenarios import qhahn_chain
 
@@ -167,3 +168,120 @@ def test_cached_mu_raises_zero_weight_on_first_use(qgrid):
         w.mu
     with pytest.raises(ZeroWeight):
         adjoint_shift(psi, w)
+
+
+PARITY_GRIDS = {
+    "semigroup": lambda: build_grid(linear_map(0.7), SEMIGROUP, 1.0,
+                                    max_depth=40),
+    "interval": lambda: build_grid(linear_map(0.8), INTERVAL, (-1.0, 1.0),
+                                   max_depth=50),
+    "group": lambda: build_grid(linear_map(0.6), GROUP, 1.0, max_depth=30),
+}
+
+
+def planted_pearson(grid, rng):
+    """Positive B and eta with planted masked points, exact zeros and
+    divisors below ZERO_TOL, each at a few random points."""
+    vals = rng.uniform(0.5, 2.0, (2, grid.size))
+    valid = np.ones((2, grid.size), dtype=bool)
+    for which in range(2):
+        valid[which, rng.integers(0, grid.size, rng.integers(0, 3))] = False
+        vals[which, rng.integers(0, grid.size, rng.integers(0, 4))] = 0.0
+        vals[which, rng.integers(0, grid.size, rng.integers(0, 2))] = 1e-300
+    return tuple(GridFunction(grid, v, m) for v, m in zip(vals, valid))
+
+
+@pytest.mark.parametrize("kind", sorted(PARITY_GRIDS))
+def test_weight_masks_and_poles_match_the_mobius_scan(kind):
+    # the running product keeps the Mobius scan's validity cut, its pole
+    # rule and the ZeroDivisor message naming eta or B, planted zeros and
+    # masked steps included
+    grid = PARITY_GRIDS[kind]()
+    rng = np.random.default_rng(2500)
+    outcomes = set()
+    for _ in range(150):
+        B, eta = planted_pearson(grid, rng)
+        try:
+            want = mobius_weight(B, eta)
+        except ZeroDivisor as exc:
+            with pytest.raises(ZeroDivisor) as got:
+                weight_from_pearson(B, eta)
+            assert str(got.value) == str(exc)
+            outcomes.add(str(exc).split()[0])
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PositivityWarning)
+            rho = weight_from_pearson(B, eta).rho
+        assert np.array_equal(rho.flat_valid, want.flat_valid)
+        assert np.all(rho.flat[~rho.flat_valid] == 0)
+        sel = want.flat_valid
+        assert np.all(np.abs(rho.flat - want.flat)[sel]
+                      <= 1e-13 * np.abs(want.flat[sel]))
+        outcomes.add("ok")
+    assert outcomes == ({"ok", "B", "eta"} if kind == "group" else {"ok", "B"})
+
+
+def test_weight_reports_the_pole_a_walk_meets_first():
+    # behind a group base eta vanishes twice: past the first zero the walk
+    # is inf, so the second is no pole of its own
+    grid = build_grid(linear_map(0.5), mode=GROUP, bases=1.0, max_depth=12)
+    k0 = grid.branches[0].base_index
+    p = _pearson(grid, lambda x: 1.0 + 0 * x,
+                 lambda x: (x - 4.0) * (x - 32.0))
+    with pytest.raises(ZeroDivisor, match=f"eta vanishes .* index {k0 - 2}$"):
+        weight_from_pearson(*p)
+    with pytest.raises(ZeroDivisor, match=f"eta vanishes .* index {k0 - 2}$"):
+        mobius_weight(*p)
+
+
+def reference_rho(B, eta, dps=40):
+    """rho walked from each base in mpmath at ``dps`` digits over the same
+    floats, and each point's number of steps from its base."""
+    grid = B.grid
+    b, e = B.flat, eta.flat
+    ref = np.zeros(grid.size)
+    steps = np.zeros(grid.size)
+    with mpmath.workdps(dps):
+        for br, s in zip(grid.branches, grid.slices):
+            k0 = s.start + br.base_index
+            for path, ahead in ((range(k0, s.stop - 1), True),
+                                (range(k0 - 1, s.start - 1, -1), False)):
+                r = mpmath.mpf(1)
+                for k, j in enumerate(path, start=1):
+                    if ahead:
+                        r = r * mpmath.mpf(e[j]) / mpmath.mpf(b[j + 1])
+                        at = j + 1
+                    else:
+                        r = r * mpmath.mpf(b[j + 1]) / mpmath.mpf(e[j])
+                        at = j
+                    ref[at], steps[at] = float(r), k
+            ref[k0] = 1.0
+    return ref, steps
+
+
+def assert_matches_reference(w, B, eta):
+    # each step rounds three times, the reciprocal, the ratio and the
+    # running product: after k steps rho is within (1 + u)^(3k) - 1 <=
+    # 3ku/(1 - 3ku) of the product of the same floats; the reference's
+    # own rounding to float adds u
+    ref, k = reference_rho(B, eta)
+    u = np.finfo(float).eps / 2
+    bound = 3 * k * u / (1 - 3 * k * u) + u
+    sel = w.rho.flat_valid
+    assert sel.sum() >= w.grid.size - len(w.grid.branches)
+    err = np.abs(w.rho.flat - ref)[sel] / np.abs(ref[sel])
+    assert np.all(err <= bound[sel] * (1 + 1e-6))
+
+
+@pytest.mark.parametrize("q, depth", [(0.9, 2000), (0.97, 2000),
+                                      (0.999, 40000)])
+def test_qhahn_weight_matches_an_mpmath_product(q, depth):
+    level = qhahn_chain(q=q, depth=depth, n_levels=1).levels[0]
+    assert_matches_reference(level.w, level.B, level.eta)
+
+
+def test_group_backward_weight_matches_an_mpmath_product():
+    grid = build_grid(linear_map(0.97), mode=GROUP, bases=1.0, max_depth=400)
+    p = _pearson(grid, lambda x: 1.0 + x ** 2, lambda x: 2.0 + x ** 2)
+    assert grid.branches[0].base_index > 300
+    assert_matches_reference(weight_from_pearson(*p), *p)

@@ -18,7 +18,8 @@ from taucalc.calculus import (shift, step_quotient, tau_antiderivative,
 from taucalc.chain import (apply_A, apply_Astar, bands_AAstar,
                            factorization_residual, tridiag_apply)
 from taucalc.grid import GROUP, INTERVAL, OrbitGrid
-from taucalc.hilbert import adjoint_shift, inner_product
+from taucalc.hilbert import (adjoint_shift, inner_product,
+                             weight_from_pearson)
 from taucalc.scenarios import qhahn_chain
 
 ROOT = Path(__file__).parent.parent
@@ -600,6 +601,26 @@ def test_mobius_scan_builds_its_layout_once_per_grid(monkeypatch):
             ok = np.ones(grid.size, dtype=bool)
             grid.mobius_scan((0.5, 0, 0, 1.0), 1.0, ok, 1e-13)
     assert layouts == grids
+
+
+def test_pearson_weight_walks_no_mobius_scan(monkeypatch):
+    # the weight's step is diagonal: one running product per leg, and the
+    # 2x2 scan only where a step is projective
+    scans = []
+    scan = OrbitGrid.mobius_scan
+
+    def counted(self, *args, **kwargs):
+        scans.append(self)
+        return scan(self, *args, **kwargs)
+
+    level = qhahn_chain(depth=60, n_levels=1).levels[0]
+    group = build_grid(linear_map(0.6), GROUP, 1.0, max_depth=30)
+    x = GridFunction(group, group.points)
+    monkeypatch.setattr(OrbitGrid, "mobius_scan", counted)
+    for B, eta in ((level.B, level.eta), (x * x + 1.0, x * x + 2.0)):
+        weight_from_pearson(B, eta)
+    chain.make_level(level.B, level.eta, level.h, level.f)
+    assert scans == []
 
 
 def test_resolvent_builds_its_layout_once_per_grid(monkeypatch):

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from taucalc.validation import (CRITERIA, Check, CriterionResult,
-                                format_report, run_criteria)
+from taucalc.validation import (CRITERIA, Check, CriterionResult, SuiteData,
+                                _spot_perturbed_residual, format_report,
+                                run_criteria)
 
 
 def test_check_upper_bound():
@@ -47,3 +48,11 @@ def test_format_report_one_line_per_criterion():
     lines = [ln for ln in format_report(results).splitlines()
              if ln.startswith(("PASS", "FAIL"))]
     assert len(lines) == 2
+
+
+def test_pearson_perturbation_detector_can_fail():
+    # the detector reads the shift residual, the defining recursion: above
+    # its 1e-4 gate with the 1e-3 spot perturbation, far below it without
+    level = SuiteData().qhahn.levels[0]
+    assert _spot_perturbed_residual(level, 1.0 + 1e-3) >= 1e-4
+    assert _spot_perturbed_residual(level, 1.0) < 1e-4
