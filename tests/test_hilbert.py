@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from taucalc import (GROUP, INTERVAL, SEMIGROUP, GridFunction, build_grid,
-                     inner_product, linear_map, norm, pearson_residual, shift,
+                     inner_product, linear_map, ln_change, norm,
+                     pearson_residual, shift, transport_grid,
                      weight_from_pearson, weighted_grid)
 from taucalc.calculus import deltas_fn
 from taucalc.errors import (GridMismatch, PositivityWarning, ZeroDivisor,
                             ZeroWeight)
 
 from recursion_oracle import mobius_weight, pearson_weight_loop
+from taucalc.covariance import transport_level
 from taucalc.hilbert import adjoint_shift, mu_from_rho
-from taucalc.scenarios import qhahn_chain
+from taucalc.scenarios import constant_gauge_chain, qhahn_chain
 
 
 @pytest.fixture(scope="module")
@@ -35,14 +37,35 @@ def test_weight_positive_and_consistent(level_data):
     assert res.shift < 1e-11
 
 
+def ln_transported_level0():
+    """Level 0 of the constant-gauge chain carried by ``ln_change``, set up
+    as the covariance criterion sets it up."""
+    sc = constant_gauge_chain()
+    pts = sc.grid.branches[0].points
+    ch = ln_change((float(pts.min()) * 0.9, float(pts.max()) * 1.1))
+    with np.errstate(divide="ignore"):  # ln maps the limit 0 to -inf, unused
+        target = transport_grid(sc.grid, ch)
+    return transport_level(sc.levels[0], ch, target)
+
+
 def test_perturbation_detected(level_data):
     grid, B, eta, w = level_data
-    vals = w.rho.flat.copy()
-    vals[grid.slices[1].start + 10] *= 1.001  # one-point spot perturbation
-    rho_bad = GridFunction(grid, vals, w.rho.flat_valid)
-    w_bad = weighted_grid(rho_bad, warn=False)
-    res = pearson_residual(B, eta, w_bad)
-    assert res.shift >= 1e-4
+    lvl = ln_transported_level0()
+    # one-point spot perturbations against the gate each check reads: 1e-3
+    # on the interval orbit's second branch (the Pearson criterion's
+    # detector floor), 1e-6 on the transported level (the covariance
+    # criterion's transported-pearson gate), whose unperturbed residual is
+    # about 7e-17
+    for B, eta, rho, point, factor, gate in (
+            (B, eta, w.rho, grid.slices[1].start + 10, 1.001, 1e-4),
+            (lvl.B, lvl.eta, lvl.w.rho, 3, 1.0 + 1e-6, 1e-9),
+            (lvl.B, lvl.eta, lvl.w.rho, 10, 1.0 + 1e-6, 1e-9)):
+        vals = rho.flat.copy()
+        vals[point] *= factor
+        w_bad = weighted_grid(GridFunction(rho.grid, vals, rho.flat_valid),
+                              warn=False)
+        res = pearson_residual(B, eta, w_bad)
+        assert res.shift >= gate
 
 
 def test_complex_weight_is_judged_on_its_imaginary_part():
