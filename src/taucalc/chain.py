@@ -34,8 +34,8 @@ from .errors import (GridMismatch, InconsistentWeights, NonPositiveFactor,
                      ZeroLift)
 from .grid import ZERO_TOL, OrbitGrid
 from .gridfn import GridFunction, joint_scale, max_abs_diff
-from .hilbert import (WeightedGrid, adjoint_shift, norm, weight_from_pearson,
-                      weighted_grid)
+from .hilbert import (WeightedGrid, adjoint_shift, norm, pearson_residual,
+                      weight_from_pearson, weighted_grid)
 
 # C signature of dlarrb(N, D, LLD, IFIRST, ILAST, RTOL1, RTOL2, OFFSET, W,
 # WGAP, WERR, WORK, IWORK, PIVMIN, SPDIAM, TWIST, INFO), with d = double
@@ -169,12 +169,10 @@ def advance_level(level: ChainLevel, h_next: GridFunction) -> ChainLevel:
     grid = level.grid
     B_next = g * level.B
     eta_next = shift(g * level.eta)
-    rho_next = level.eta * level.w.rho
-    rho_alt = shift(level.B * level.w.rho)
-    scale = joint_scale(rho_next, rho_alt)
-    if max_abs_diff(rho_next, rho_alt) > 1e-9 * scale:
+    if pearson_residual(level.B, level.eta, level.w) > 1e-9:
         raise InconsistentWeights(
             "eta*rho and T(B*rho) disagree: Pearson violated upstream")
+    rho_next = level.eta * level.w.rho
     phi_next = (level.h / (d * h_next)) * shift(level.phi / g)
     f_next = phi_next - h_next / deltas_fn(grid)
     w_next = weighted_grid(rho_next)

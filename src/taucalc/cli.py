@@ -323,11 +323,11 @@ def _chain_from_config(grid, config):
 def _residual_table(levels, scenario=None) -> dict:
     residuals = {}
     for level in levels:
-        res = pearson_residual(level.B, level.eta, level.w)
-        residuals[f"pearson_shift_level_{level.k}"] = float(res.shift)
-        if res.shift > PEARSON_GATE:
+        res = float(pearson_residual(level.B, level.eta, level.w))
+        residuals[f"pearson_shift_level_{level.k}"] = res
+        if res > PEARSON_GATE:
             raise _ResidualFailure(
-                f"pearson residual {res.shift:.3e} at level {level.k} "
+                f"pearson residual {res:.3e} at level {level.k} "
                 f"exceeds {PEARSON_GATE:g}")
     for lo, hi in zip(levels, levels[1:]):
         worst = factorization_residual(lo, hi, rng=lo.k)

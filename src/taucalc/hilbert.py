@@ -14,15 +14,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import shift, step_quotient, tau_derivative, tau_integral
+from .calculus import shift, step_quotient, tau_integral
 from .errors import (GridMismatch, InconsistentWeights, PositivityWarning,
                      ZeroDivisor, ZeroWeight)
 from .grid import GROUP, ZERO_TOL, OrbitGrid
-from .gridfn import GridFunction, joint_scale
+from .gridfn import GridFunction, joint_scale, max_abs_diff
 
 _POSITIVITY_TOL = 1e-12
 
@@ -163,30 +162,20 @@ def weight_from_pearson(B: GridFunction, eta: GridFunction) -> WeightedGrid:
                               f"orbit point index {grid.locate(k)[1]}")
     w = weighted_grid(GridFunction(grid, rho, mask, label="rho"))
     res = pearson_residual(B, eta, w)
-    if res.shift > 1e-11:
+    if res > 1e-11:
         raise InconsistentWeights(
-            f"Pearson recursion residual {res.shift} exceeds 1e-11")
+            f"Pearson recursion residual {res} exceeds 1e-11")
     return w
 
 
-class PearsonResidual(NamedTuple):
-    differential: float
-    shift: float
-
-
 def pearson_residual(B: GridFunction, eta: GridFunction,
-                     w: WeightedGrid) -> PearsonResidual:
-    """Scaled residuals of d_tau(B rho) = A rho and T(B rho) = eta rho,
-    with A = (B - eta)/(id - tau)."""
-    A = step_quotient(B - eta, label="A")
+                     w: WeightedGrid) -> float:
+    """Scaled residual max|T(B rho) - eta rho| / max(1, |T(B rho)|, |eta rho|)
+    of the Pearson recursion, on the points where both sides are valid."""
     if B.grid is not w.grid:
         raise GridMismatch("Pearson data and weight live on different grids")
-    Brho, Arho, eta_rho = B * w.rho, A * w.rho, eta * w.rho
-    scale = joint_scale(Brho, Arho, eta_rho)
-    diff = tau_derivative(Brho) - Arho
-    shf = shift(Brho) - eta_rho
-    return PearsonResidual(differential=diff.max_abs() / scale,
-                           shift=shf.max_abs() / scale)
+    lhs, rhs = shift(B * w.rho), eta * w.rho
+    return max_abs_diff(lhs, rhs) / joint_scale(lhs, rhs)
 
 
 def adjoint_tau_derivative(psi: GridFunction, w_k: WeightedGrid,
@@ -204,5 +193,5 @@ def adjoint_tau_derivative(psi: GridFunction, w_k: WeightedGrid,
 __all__ = [
     "WeightedGrid", "weighted_grid", "inner_product", "norm", "mu_from_rho",
     "adjoint_shift", "weight_from_pearson",
-    "PearsonResidual", "pearson_residual", "adjoint_tau_derivative",
+    "pearson_residual", "adjoint_tau_derivative",
 ]

@@ -447,6 +447,49 @@ def test_ladder_rule_sees_advance_calls(tmp_path):
         assert ladder_steps(path) == hits
 
 
+def product_operands(node):
+    """The operands of a product ``a * b * ...``, however it nests."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return product_operands(node.left) + product_operands(node.right)
+    return [node]
+
+
+def pearson_left_sides(path):
+    """Line of every ``shift(...)`` call, bare or as an attribute, whose
+    argument is a product with a ``.rho`` operand: T(B rho), the left side
+    of the Pearson recursion."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(
+                encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "shift"
+            and node.args and isinstance(node.args[0], ast.BinOp)
+            and any(isinstance(op, ast.Attribute) and op.attr == "rho"
+                    for op in product_operands(node.args[0]))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_pearson_residual_lives_in_hilbert(path):
+    # the recursion T(B rho) = eta rho is checked by hilbert.pearson_residual
+    # alone; every gate reads that one residual
+    if path.name != "hilbert.py":
+        assert pearson_left_sides(path) == []
+
+
+def test_pearson_rule_sees_left_sides(tmp_path):
+    path = tmp_path / "mod.py"
+    for code, hits in (("r = shift(level.B * level.w.rho)", [1]),
+                       ("r = shift(w.rho * B)", [1]),
+                       ("r = calculus.shift(g * B * w.rho, 1)", [1]),
+                       ("x = 1\nd = shift(B * w.rho) - eta * w.rho", [2]),
+                       ("r = shift(g * level.eta)", []),
+                       ("r = shift(level.w.rho)", []),
+                       ("r = shift(B + w.rho)", []),
+                       ("r = level.eta * level.w.rho", [])):
+        path.write_text(code + "\n")
+        assert pearson_left_sides(path) == hits
+
+
 # every Python file of the repository but the benchmark harness, which has
 # its own command line, and hidden or build directories
 PYTHON_FILES = sorted(
