@@ -67,6 +67,15 @@ def _add_polys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _constant_sum(constants: tuple[float, ...], n: int) -> float:
+    """The sum of the first n step constants; ValueError, not a partial
+    sum, when the chain holds fewer."""
+    if not 0 <= n <= len(constants):
+        raise ValueError(f"needs {n} step constants; the chain holds "
+                         f"{len(constants)}")
+    return float(sum(constants[:n]))
+
+
 # ---------------------------------------------------------------------------
 # q-Hahn family
 # ---------------------------------------------------------------------------
@@ -89,7 +98,7 @@ class QHahnScenario:
 
     def eigenvalue(self, n: int) -> float:
         """The n-th eigenvalue of the level-0 composition, sum of step constants."""
-        return float(sum(self.constants[:n]))
+        return _constant_sum(self.constants, n)
 
     def raise_polynomial(self, c: np.ndarray, k: int) -> np.ndarray:
         """Apply the level-k raising operator to a polynomial, exactly.
@@ -204,7 +213,7 @@ class ConstantGaugeScenario:
 
     def eigenvalue_after_lifts(self, n_lifts: int) -> float:
         """Eigenvalue of the kernel state after n lifts: -sum of step constants."""
-        return float(-sum(self.constants[:n_lifts + 1]))
+        return -_constant_sum(self.constants, n_lifts + 1)
 
     def squared_weight_product(self, x) -> np.ndarray:
         """Closed form of psi_0^2 rho_0 up to one overall constant."""

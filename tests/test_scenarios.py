@@ -155,3 +155,16 @@ def test_qhahn_eigenvalue_partial_sums():
     sc = qhahn_chain(depth=60, n_levels=4)
     assert sc.eigenvalue(0) == 0.0
     assert sc.eigenvalue(2) == pytest.approx(sum(sc.constants[:2]), rel=1e-14)
+
+
+def test_closed_forms_need_every_step_constant():
+    # with one level, eigenvalue(n >= 1) used to read 1.0, the partial sum
+    # of the one constant held; a closed form past the chain now raises
+    qh = qhahn_chain(depth=60, n_levels=1)
+    assert qh.eigenvalue(1) == qh.constants[0]
+    cg = constant_gauge_chain(n_levels=2)
+    assert cg.eigenvalue_after_lifts(1) == -sum(cg.constants)
+    for closed_form in (lambda: qh.eigenvalue(2), lambda: qh.eigenvalue(-1),
+                        lambda: cg.eigenvalue_after_lifts(2)):
+        with pytest.raises(ValueError, match="step constants"):
+            closed_form()
