@@ -52,8 +52,11 @@ def shift(f: GridFunction, steps: int = 1) -> GridFunction:
     """Composition with tau^steps: out[n] = f[n+steps], mask shrinking."""
     grid = f.grid
     _check_steps(grid, steps)
-    return GridFunction(grid, grid.shifted(f.flat, steps),
-                        grid.shifted(f.flat_valid, steps), label=f.label)
+    out, mask = grid.shifted(f.flat, steps), grid.shifted(f.flat_valid, steps)
+    # fresh arrays, handed over read-only so that the constructor keeps them
+    out.setflags(write=False)
+    mask.setflags(write=False)
+    return GridFunction(grid, out, mask, label=f.label)
 
 
 def step_quotient(num: GridFunction, label: str = "") -> GridFunction:
@@ -64,7 +67,11 @@ def step_quotient(num: GridFunction, label: str = "") -> GridFunction:
     grid = num.grid
     out = np.divide(num.flat, grid.deltas, where=grid.has_next,
                     out=np.zeros_like(num.flat))
-    return GridFunction(grid, out, num.flat_valid & grid.has_next, label=label)
+    mask = num.flat_valid & grid.has_next
+    # fresh arrays, handed over read-only so that the constructor keeps them
+    out.setflags(write=False)
+    mask.setflags(write=False)
+    return GridFunction(grid, out, mask, label=label)
 
 
 def tau_derivative(f: GridFunction) -> GridFunction:
@@ -80,7 +87,11 @@ def tau_derivative(f: GridFunction) -> GridFunction:
         diff = v - grid.shifted(v, 1)
     out = np.divide(diff, grid.deltas, where=grid.has_next,
                     out=np.zeros_like(diff))
-    return GridFunction(grid, out, m & grid.shifted(m, 1),
+    mask = m & grid.shifted(m, 1)
+    # fresh arrays, handed over read-only so that the constructor keeps them
+    out.setflags(write=False)
+    mask.setflags(write=False)
+    return GridFunction(grid, out, mask,
                         label=f"d({f.label})" if f.label else "")
 
 

@@ -41,6 +41,19 @@ from .hilbert import (WeightedGrid, adjoint_shift, norm, pearson_residual,
 # WGAP, WERR, WORK, IWORK, PIVMIN, SPDIAM, TWIST, INFO), with d = double
 _DLARRB_SIGNATURE = ("void (int *, d *, d *, int *, int *, d *, d *, int *, "
                      "d *, d *, d *, d *, int *, d *, d *, int *, int *)")
+# C signature of dlar1v(N, B1, BN, LAMBDA, D, L, LD, LLD, PIVMIN, GAPTOL, Z,
+# WANTNC, NEGCNT, ZTZ, MINGMA, R, ISUPPZ, NRMINV, RESID, RQCORR, WORK)
+_DLAR1V_SIGNATURE = ("void (int *, int *, int *, d *, d *, d *, d *, d *, "
+                     "d *, d *, d *, int *, int *, d *, d *, int *, int *, "
+                     "d *, d *, d *, d *)")
+# first bisection's relative half-width: enough to isolate an eigenvalue
+_COARSE_RTOL = 1e-3
+# Rayleigh steps stop below this relative correction: the next is rounding
+_RQ_RTOL = 1e-8
+# Rayleigh steps per eigenvalue at most: from isolation it takes two or three
+_RQ_STEPS = 4
+# last bisection's half-width in corr^2/lambda: slack for gaps below lambda
+_RQ_WIDTH = 16
 # the pointwise step constants must agree to this, relative to the
 # constituent-term magnitude
 _STEP_CONSTANT_TOL = 1e-8
@@ -129,6 +142,9 @@ def apply_A(level: ChainLevel, psi: GridFunction) -> GridFunction:
         out -= h_d * grid.shifted(p, 1)
     mask = (pm & grid.shifted(pm, 1) & level.h.flat_valid
             & level.f.flat_valid)
+    # fresh arrays, handed over read-only so that the constructor keeps them
+    out.setflags(write=False)
+    mask.setflags(write=False)
     return GridFunction(grid, out, mask, label="A psi")
 
 
@@ -147,13 +163,19 @@ def apply_Astar(level: ChainLevel, psi: GridFunction) -> GridFunction:
     with np.errstate(invalid="ignore", over="ignore"):
         num = e.flat * level.h.flat * psi.flat
         direct = e.flat * level.f.flat * psi.flat
-    core = step_quotient(GridFunction(
-        grid, num, e.flat_valid & level.h.flat_valid & psi.flat_valid))
+    num_mask = e.flat_valid & level.h.flat_valid & psi.flat_valid
+    # fresh arrays, handed over read-only so that the constructor keeps them
+    num.setflags(write=False)
+    num_mask.setflags(write=False)
+    core = step_quotient(GridFunction(grid, num, num_mask))
     back = adjoint_shift(core, level.w)
     with np.errstate(invalid="ignore", over="ignore"):
         out = direct + core.flat - back.flat
-    return GridFunction(grid, out, e.flat_valid & level.f.flat_valid
-                        & psi.flat_valid & core.flat_valid & back.flat_valid)
+    mask = (e.flat_valid & level.f.flat_valid & psi.flat_valid
+            & core.flat_valid & back.flat_valid)
+    out.setflags(write=False)
+    mask.setflags(write=False)
+    return GridFunction(grid, out, mask)
 
 
 def advance_level(level: ChainLevel, h_next: GridFunction) -> ChainLevel:
@@ -297,8 +319,12 @@ def tridiag_apply(bands, psi: GridFunction) -> GridFunction:
         out = diag * p
         out += sup * grid.shifted(p, 1)
         out += sub * grid.shifted(p, -1)
-    inner = pm & grid.shifted(pm, 1) & grid.shifted(pm, -1)
-    return GridFunction(grid, out, inner & grid.interior(_BAND_MARGIN))
+    mask = pm & grid.shifted(pm, 1) & grid.shifted(pm, -1)
+    mask &= grid.interior(_BAND_MARGIN)
+    # fresh arrays, handed over read-only so that the constructor keeps them
+    out.setflags(write=False)
+    mask.setflags(write=False)
+    return GridFunction(grid, out, mask)
 
 
 def factorization_residual(level: ChainLevel, level_next: ChainLevel,
@@ -520,28 +546,41 @@ def _assemble_factor(level: ChainLevel) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _dlarrb():
-    """LAPACK's dlarrb as a ctypes function of 17 addresses, built once.
+    """LAPACK's dlarrb as a ctypes function of 17 addresses, built once."""
+    return _lapack_function("dlarrb", _DLARRB_SIGNATURE)
+
+
+@functools.cache
+def _dlar1v():
+    """LAPACK's dlar1v as a ctypes function of 21 addresses, built once."""
+    return _lapack_function("dlar1v", _DLAR1V_SIGNATURE)
+
+
+def _lapack_function(name: str, signature: str):
+    """LAPACK's ``name`` as a ctypes function of one address per argument.
 
     It comes from scipy's table of Cython LAPACK functions, so nothing is
-    compiled; the capsule's C signature must be ``_DLARRB_SIGNATURE``.
+    compiled; the addresses are passed unchecked, so the capsule's C
+    signature must be ``signature``.
     """
     import ctypes
 
     from scipy.linalg.cython_lapack import __pyx_capi__
 
-    capsule = __pyx_capi__["dlarrb"]
+    capsule = __pyx_capi__[name]
     api = ctypes.pythonapi
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    c_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", api))(capsule)
     # scipy names double through a typedef ending in _d
-    signature = re.sub(r"\w*_d \*", "d *", name.decode())
-    if signature != _DLARRB_SIGNATURE:
-        raise ImportError(f"scipy's dlarrb has signature {signature!r}, "
-                          f"not {_DLARRB_SIGNATURE!r}")
+    found = re.sub(r"\w*_d \*", "d *", c_name.decode())
+    if found != signature:
+        raise ImportError(f"scipy's {name} has signature {found!r}, "
+                          f"not {signature!r}")
     address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
                                 ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))(capsule, name)
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 17)(address)
+        ("PyCapsule_GetPointer", api))(capsule, c_name)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * signature.count("*"))(
+        address)
 
 
 def _gram_eigenvalues(alpha: np.ndarray, beta: np.ndarray,
@@ -554,11 +593,31 @@ def _gram_eigenvalues(alpha: np.ndarray, beta: np.ndarray,
     off-diagonal products LLD = beta^2: no subtraction or division, so
     dlarrb's dstqds Sturm counts resolve each eigenvalue to a few ulps of
     itself.  Eigenvalue 1 is an exact zero (B has rank at most m) and is
-    skipped.  Every interval starts at [0, 2], which dlarrb doubles until
-    it brackets its index, and stops at a half-width of 2 eps relative,
-    the relative accuracy of a bisection in sigma = sqrt(lambda).  PIVMIN
-    is dlarre's choice; SPDIAM, a bound on the Gershgorin discs, only caps
-    the number of steps.
+    skipped.  Three passes over that L D L^T find the rest:
+
+    1. dlarrb bisects every interval from [0, 2], doubled until it
+       brackets its index, to a half-width of ``_COARSE_RTOL`` relative,
+       which isolates each eigenvalue;
+    2. dlar1v's Rayleigh-quotient corrections on twisted factorizations
+       (L = beta/alpha, LD = alpha beta) move each midpoint until one
+       falls below ``_RQ_RTOL`` of lambda.  A step is taken only if it
+       lands inside the eigenvalue's coarse bracket; a NaN (an alpha = 0
+       makes L infinite) or a step outside ends the walk;
+    3. dlarrb bisects again from the walk's end, with a half-width of
+       ``_RQ_WIDTH`` corr^2/lambda for the last correction corr (a step
+       leaves an error of order corr^2/gap), at least 4 eps lambda and
+       at least PIVMIN; an eigenvalue without a step restarts from its
+       coarse bracket.
+
+    dlarrb widens every start interval until it brackets its index and
+    stops at a half-width of 2 eps relative, the relative accuracy of a
+    bisection in sigma = sqrt(lambda), so each value returned is
+    bracketed by dlarrb's own Sturm counts as in a bisection from [0, 2]:
+    a poor start costs sweeps, not accuracy.  Pass 1 takes about a
+    dozen Sturm sweeps of the factor, pass 2 two or three dlar1v calls,
+    pass 3 a few sweeps, against about 40 sweeps for one bisection from
+    [0, 2] to 2 eps.  PIVMIN is dlarre's choice; SPDIAM, a bound on the
+    Gershgorin discs, only caps the number of steps.
     """
     n = alpha.size + 1
     if not (beta.size == alpha.size and 0 <= k < n):
@@ -570,27 +629,61 @@ def _gram_eigenvalues(alpha: np.ndarray, beta: np.ndarray,
     if not (np.isfinite(dd).all() and np.isfinite(lld).all()):
         raise NonPositiveFactor("eigen-solve needs finite level data and a "
                                 "factor whose squares do not overflow")
+    if k == 0:
+        return np.zeros(0)
     # a zero LLD splits B^T B into blocks; at a zero pivot just above it the
     # Sturm count would form 0 * inf = NaN and miscount.  The least
     # subnormal keeps the blocks apart (it moves no sigma by more than its
     # root, 2.2e-162) and turns that product into the -inf of a zero pivot
-    if k == 0:
-        return np.zeros(0)
     lld[lld == 0.0] = np.finfo(float).smallest_subnormal
-    spdiam = (np.abs(alpha).max() + np.abs(beta).max()) ** 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        el = np.divide(beta, alpha, dtype=np.float64)
+        ld = np.multiply(alpha, beta, dtype=np.float64)
+    eps = np.finfo(float).eps
     pivmin = np.finfo(float).tiny * max(1.0, lld.max())
-    # N, IFIRST, ILAST, OFFSET, TWIST, INFO; W, WGAP and WERR hold entries
-    # IFIRST - OFFSET .. ILAST - OFFSET, that is 1..k
-    ints = np.array([n, 2, k + 1, 1, n, 0], dtype=np.intc)
-    reals = np.array([0.0, 2 * np.finfo(float).eps, pivmin, spdiam])
+    spdiam = (np.abs(alpha).max() + np.abs(beta).max()) ** 2
+    # ints: N, IFIRST, ILAST, OFFSET, TWIST, INFO of dlarrb, whose W, WGAP
+    # and WERR hold entries IFIRST - OFFSET .. ILAST - OFFSET, that is
+    # 1..k; then B1, WANTNC, NEGCNT, R and ISUPPZ(2) of dlar1v, which
+    # takes N and BN from the first and fifth
+    ints = np.array([n, 2, k + 1, 1, n, 0, 1, 0, 0, 0, 0, 0], dtype=np.intc)
+    # reals: RTOL1, RTOL2, PIVMIN, SPDIAM; then LAMBDA, GAPTOL (0: the
+    # whole vector), ZTZ, MINGMA, NRMINV, RESID, RQCORR of dlar1v
+    reals = np.array([0.0, _COARSE_RTOL, pivmin, spdiam,
+                      0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     w, werr, wgap = np.ones(k), np.ones(k), np.zeros(k)
-    work, iwork = np.empty(2 * n), np.empty(2 * n, dtype=np.intc)
-    i, r = ints.ctypes.data, reals.ctypes.data
-    step = ints.itemsize
-    _dlarrb()(i, dd.ctypes.data, lld.ctypes.data, i + step, i + 2 * step,
-              r, r + 8, i + 3 * step, w.ctypes.data, wgap.ctypes.data,
-              werr.ctypes.data, work.ctypes.data, iwork.ctypes.data,
-              r + 16, r + 24, i + 4 * step, i + 5 * step)
+    z, work = np.empty(n), np.empty(4 * n)
+    iwork = np.empty(2 * n, dtype=np.intc)
+    i = (ints.ctypes.data + ints.itemsize * np.arange(ints.size)).tolist()
+    r = (reals.ctypes.data + reals.itemsize * np.arange(reals.size)).tolist()
+    bisect = functools.partial(
+        _dlarrb(), i[0], dd.ctypes.data, lld.ctypes.data, i[1], i[2], r[0],
+        r[1], i[3], w.ctypes.data, wgap.ctypes.data, werr.ctypes.data,
+        work.ctypes.data, iwork.ctypes.data, r[2], r[3], i[4], i[5])
+    rayleigh = functools.partial(
+        _dlar1v(), i[0], i[6], i[4], r[4], dd.ctypes.data, el.ctypes.data,
+        ld.ctypes.data, lld.ctypes.data, r[2], r[5], z.ctypes.data, i[7],
+        i[8], r[6], r[7], i[9], i[10], r[8], r[9], r[10], work.ctypes.data)
+    bisect()
+    # eigenvalues past the first are positive
+    lo, hi = np.maximum(w - werr, 0.0), w + werr
+    for j in range(k):
+        lam, corr = float(w[j]), None
+        for _ in range(_RQ_STEPS):
+            reals[4], ints[9] = lam, 0      # R = 0: dlar1v picks the twist
+            rayleigh()
+            step = float(reals[10])
+            if not lo[j] < lam + step < hi[j]:      # NaN included
+                break
+            lam, corr = lam + step, step
+            if abs(step) <= _RQ_RTOL * lam:
+                break
+        if corr is not None:
+            w[j] = lam
+            werr[j] = max(_RQ_WIDTH * corr * corr / lam, 4 * eps * lam,
+                          pivmin)
+    reals[1] = 2 * eps
+    bisect()
     return w
 
 
@@ -601,8 +694,12 @@ def chain_eigenvalues(level: ChainLevel, count: int | None = None) -> np.ndarray
     derivative factor G with the limit value projected out, an m x (m+1)
     upper bidiagonal (see :func:`_assemble_factor`).  With B = [G; 0] of
     order m+1 they are eigenvalues of B^T B = G^T G, found in O(m) per
-    eigenvalue by LAPACK's dlarrb bisecting B^T B's L D L^T form, whose
-    entries are the squares of G's (see :func:`_gram_eigenvalues`).
+    eigenvalue on B^T B's L D L^T form, whose entries are the squares of
+    G's (see :func:`_gram_eigenvalues`): LAPACK's dlarrb bisects each
+    eigenvalue coarsely, dlar1v's Rayleigh-quotient steps converge it,
+    and a last dlarrb bisection from there brackets it to 2 eps, in
+    about half the time of one bisection from [0, 2] (four eigenvalues at
+    N = 2,046: 1.5 against 2.8 ms on a shared 2-core x86-64 machine).
     Bisection on that representation resolves every eigenvalue to a few
     ulps relative to itself (Demmel & Kahan 1990), so small eigenvalues
     keep their relative accuracy however large lambda_max grows with the

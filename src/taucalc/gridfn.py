@@ -72,14 +72,17 @@ class GridFunction:
     def __init__(self, grid: OrbitGrid, values, valid=None, label: str = ""):
         arr = np.asarray(values)
         # float64, or complex128 once a complex value enters; a writable
-        # array is copied, so that the caller's array stays its own (the
-        # operators below hand over their fresh results read-only)
+        # array, values or mask, is copied, so that the caller's array
+        # stays its own (the operators below hand over their fresh results
+        # read-only)
         flat = _flat(grid, arr.astype(complex if arr.dtype.kind == "c" else float,
                                       copy=arr.flags.writeable), None, "value")
         if valid is None:
             mask = np.ones(grid.size, dtype=bool)
         else:
-            mask = _flat(grid, valid, bool, "mask")
+            arr = np.asarray(valid)
+            mask = _flat(grid, arr.astype(bool, copy=arr.flags.writeable),
+                         None, "mask")
             if mask.ndim != 1 and mask.shape != flat.shape:
                 raise GridMismatch(f"a {mask.shape} mask needs values of "
                                    f"that shape, got {flat.shape}")
@@ -133,7 +136,7 @@ class GridFunction:
             if isinstance(other, GridFunction):
                 self.check_same_grid(other)
                 vals = op(self.flat, other.flat)
-                valid = self.flat_valid & other.flat_valid
+                valid = _fresh(self.flat_valid & other.flat_valid)
             elif isinstance(other, Number):
                 vals, valid = op(self.flat, other), self.flat_valid
             else:

@@ -103,6 +103,9 @@ def mu_from_rho(w: WeightedGrid) -> GridFunction:
         out = np.where(inner, (grid.shifted(d, -1) / d) * grid.shifted(v, -1)
                        / v, 0.0)
     mask = inner & grid.shifted(m, -1) & m
+    # fresh arrays, handed over read-only so that the constructor keeps them
+    out.setflags(write=False)
+    mask.setflags(write=False)
     return GridFunction(grid, out, mask, label="mu")
 
 
@@ -125,6 +128,9 @@ def adjoint_shift(phi: GridFunction, w: WeightedGrid) -> GridFunction:
     if grid.mode != GROUP:
         # boundary row: T* truncates to zero at each branch base
         mask = np.where(has_prev, mask, phi.flat_valid)
+    # fresh arrays, handed over read-only so that the constructor keeps them
+    out.setflags(write=False)
+    mask.setflags(write=False)
     return GridFunction(grid, out, mask, label="T*phi")
 
 
@@ -160,6 +166,9 @@ def weight_from_pearson(B: GridFunction, eta: GridFunction) -> WeightedGrid:
             k = np.flatnonzero(pole)[0]
             raise ZeroDivisor(f"{'eta' if side[k] < 0 else 'B'} vanishes at "
                               f"orbit point index {grid.locate(k)[1]}")
+    # fresh arrays, handed over read-only so that the constructor keeps them
+    rho.setflags(write=False)
+    mask.setflags(write=False)
     w = weighted_grid(GridFunction(grid, rho, mask, label="rho"))
     res = pearson_residual(B, eta, w)
     if res > 1e-11:

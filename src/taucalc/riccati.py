@@ -257,6 +257,9 @@ def solve_system(sys: TwoByTwoSystem, boundary,
     num = np.stack([d * b0 - b * b1, a * b1 - c * b0])
     sol = np.divide(num, det, out=np.zeros_like(num), where=mask)
     sol = ldexp(sol, -e)
+    # fresh arrays, handed over read-only so that the constructor keeps them
+    sol.setflags(write=False)
+    mask.setflags(write=False)
     psi = GridFunction(grid, sol[0], mask, label="psi")
     phi = GridFunction(grid, sol[1], mask, label="phi")
     worst = step_residual(sys, psi, phi)

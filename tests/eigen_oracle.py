@@ -1,4 +1,4 @@
-"""The eigen-solve on the Golub-Kahan tridiagonal, as a reference.
+"""Two earlier eigen-solves, as references.
 
 ``golub_kahan_eigenvalues`` is ``chain.chain_eigenvalues`` after the
 factor is assembled, as it was before it bisected the factor's own
@@ -9,10 +9,16 @@ and one zero, sigma the singular values of the m x (m+1) upper bidiagonal
 G with diagonal alpha and superdiagonal beta.  Its Sturm counts run on a
 different matrix, of twice the order, than the library's, so tests can
 compare the two solves.
+
+``one_pass_gram_eigenvalues`` is ``chain._gram_eigenvalues`` as it was
+before its Rayleigh-quotient steps: one dlarrb call bisects every
+eigenvalue of the same L D L^T from [0, 2] down to 2 eps relative.
 """
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+
+from taucalc import chain
 
 # bisection tolerance at the float64 underflow threshold: the default
 # eps*|T| is absolute and swamps the smallest singular values
@@ -41,3 +47,30 @@ def golub_kahan_eigenvalues(alpha, beta, total, count):
                                  select_range=(lo, hi), tol=UNDERFLOW)
     lam = np.abs(sigma) ** 2
     return np.concatenate([[0.0], lam]) if zero else lam
+
+
+def one_pass_gram_eigenvalues(alpha, beta, k):
+    """Eigenvalues 2..k+1, ascending, of B^T B with B = [G; 0], each
+    bisected by dlarrb from [0, 2] to a half-width of 2 eps relative, on
+    the L D L^T form D = (alpha^2, 0), LLD = beta^2 (the least subnormal
+    standing in for a zero beta^2) that the library bisects."""
+    n = alpha.size + 1
+    dd = np.append(np.square(alpha, dtype=np.float64), 0.0)
+    lld = np.square(beta, dtype=np.float64)
+    lld[lld == 0.0] = np.finfo(float).smallest_subnormal
+    spdiam = (np.abs(alpha).max() + np.abs(beta).max()) ** 2
+    pivmin = np.finfo(float).tiny * max(1.0, lld.max())
+    # N, IFIRST, ILAST, OFFSET, TWIST, INFO
+    ints = np.array([n, 2, k + 1, 1, n, 0], dtype=np.intc)
+    # RTOL1, RTOL2, PIVMIN, SPDIAM
+    reals = np.array([0.0, 2 * np.finfo(float).eps, pivmin, spdiam])
+    w, werr, wgap = np.ones(k), np.ones(k), np.zeros(k)
+    work, iwork = np.empty(2 * n), np.empty(2 * n, dtype=np.intc)
+    i, r = ints.ctypes.data, reals.ctypes.data
+    step = ints.itemsize
+    chain._dlarrb()(i, dd.ctypes.data, lld.ctypes.data, i + step,
+                    i + 2 * step, r, r + 8, i + 3 * step, w.ctypes.data,
+                    wgap.ctypes.data, werr.ctypes.data, work.ctypes.data,
+                    iwork.ctypes.data, r + 16, r + 24, i + 4 * step,
+                    i + 5 * step)
+    return w

@@ -24,7 +24,7 @@ from taucalc.errors import (InconsistentWeights, NonPositiveFactor,
                             RiccatiBlowup, SingularLimit, ZeroAlpha,
                             ZeroDivisor)
 
-from eigen_oracle import golub_kahan_eigenvalues
+from eigen_oracle import golub_kahan_eigenvalues, one_pass_gram_eigenvalues
 from recursion_oracle import coefficient_ratio_loop, gauge_xi_loop
 from taucalc.scenarios import constant_gauge_chain, fractional_chain, qhahn_chain
 
@@ -314,33 +314,76 @@ KERNEL_LEVELS = {
 }
 
 
-def spy_bisection(monkeypatch):
-    """Record (order N, IFIRST, ILAST) of every dlarrb call."""
+def test_library_results_reach_the_constructor_read_only(qh, monkeypatch):
+    # the fresh arrays of these results are handed over read-only, so that
+    # GridFunction keeps them instead of copying them
+    from taucalc.calculus import step_quotient, tau_derivative
+    from taucalc.hilbert import adjoint_shift, mu_from_rho, weight_from_pearson
+    lvl = qh.levels[0]
+    psi = GridFunction.from_callable(lvl.grid, np.cos)
+    seen, init = {}, GridFunction.__init__
+
+    def spy(self, grid, values, valid=None, label=""):
+        seen[id(self)] = [isinstance(a, np.ndarray) and a.flags.writeable
+                          for a in (values, valid)]
+        init(self, grid, values, valid, label)
+
+    monkeypatch.setattr(GridFunction, "__init__", spy)
+    results = {
+        "apply_A": apply_A(lvl, psi),
+        "apply_Astar": apply_Astar(lvl, psi),
+        "tridiag_apply": chain.tridiag_apply(chain.bands_AstarA(lvl), psi),
+        "mu_from_rho": mu_from_rho(lvl.w),
+        "adjoint_shift": adjoint_shift(psi, lvl.w),
+        "weight_from_pearson": weight_from_pearson(lvl.B, lvl.eta).rho,
+        "shift": shift(psi, 2),
+        "step_quotient": step_quotient(psi),
+        "tau_derivative": tau_derivative(psi),
+    }
+    assert {name: seen[id(out)] for name, out in results.items()} == {
+        name: [False, False] for name in results}
+
+
+def spy_lapack(monkeypatch, binding, record):
+    """Append ``record(addresses)`` after every call of ``chain.<binding>``."""
     calls = []
-    lapack = chain._dlarrb()
+    lapack = getattr(chain, binding)()
 
     def spy(*args):
-        # N, IFIRST and ILAST are the first, fourth and fifth addresses
-        calls.append(tuple(ctypes.c_int.from_address(args[j]).value
-                           for j in (0, 3, 4)))
-        return lapack(*args)
+        lapack(*args)
+        calls.append(record(args))
 
-    monkeypatch.setattr(chain, "_dlarrb", lambda: spy)
+    monkeypatch.setattr(chain, binding, lambda: spy)
     return calls
+
+
+def spy_bisection(monkeypatch):
+    """Record (order N, IFIRST, ILAST) of every dlarrb call."""
+    # N, IFIRST and ILAST are the first, fourth and fifth addresses
+    return spy_lapack(monkeypatch, "_dlarrb", lambda args: tuple(
+        ctypes.c_int.from_address(args[j]).value for j in (0, 3, 4)))
+
+
+def spy_rayleigh(monkeypatch):
+    """Record the correction RQCORR, the 20th address, of every dlar1v call."""
+    return spy_lapack(monkeypatch, "_dlar1v", lambda args:
+                      ctypes.c_double.from_address(args[19]).value)
 
 
 @pytest.mark.parametrize("make", KERNEL_LEVELS.values(), ids=KERNEL_LEVELS)
 def test_structural_kernel_zero_is_exact_and_not_bisected(make, monkeypatch):
     lvl = make()
     calls = spy_bisection(monkeypatch)
+    steps = spy_rayleigh(monkeypatch)
     lams = chain_eigenvalues(lvl, count=4)
     assert lams[0] == 0.0 and lams[1] > 0.0
     # index 1 of the order-(m+1) Gram matrix B^T B, the kernel, is skipped
-    [(order, first, last)] = calls
-    assert order == lvl.grid.size and (first, last) == (2, 4)
+    # by every bisection
+    assert calls and set(calls) == {(lvl.grid.size, 2, 4)}
     calls.clear()
+    steps.clear()
     assert np.array_equal(chain_eigenvalues(lvl, count=1), [0.0])
-    assert calls == []
+    assert calls == [] and steps == []
 
 
 def test_decoupled_kernel_values_are_still_bisected(qh, monkeypatch):
@@ -349,7 +392,8 @@ def test_decoupled_kernel_values_are_still_bisected(qh, monkeypatch):
     lams = chain_eigenvalues(flat)
     # m x m blocks: index 1 is the empty limit column, and the near-zero
     # kernel values of the blocks are genuine and bisected
-    [(order, first, last)] = calls
+    assert calls and len(set(calls)) == 1
+    [(order, first, last)] = set(calls)
     m = order - 1
     assert (first, last) == (2, m + 1) and lams.size == m
 
@@ -462,12 +506,29 @@ def graded_factors(draw):
     return alpha, beta, kernel
 
 
+def assert_bisections_agree(got, want, beta):
+    """Two solves that each end in dlarrb's bisection of the same L D L^T:
+    within the sum of their stopping widths.
+
+    Each ends on an interval [l, r] that brackets its index by the same
+    Sturm counts, with half-width (r - l)/2 at most 2 eps max(|l|, |r|),
+    or at most 2 pivmin (dlarrb's least width), and returns fl((l + r)/2),
+    within eps/2 of the midpoint, relative.  So each value is within
+    2.5 eps of the bracketed eigenvalue, up to a factor 1 + 2 eps for r
+    over lambda, and the two values within twice that of each other."""
+    pivmin = np.finfo(float).tiny * max(1.0, np.max(beta ** 2))
+    bound = 5 * EPS * (1 + 2 * EPS) * np.maximum(got, want) + 4 * pivmin
+    assert np.all(np.abs(got - want) <= bound)
+
+
 @settings(max_examples=200, deadline=None)
 @given(graded_factors())
 def test_gram_bisection_matches_golub_kahan_oracle(factor):
     # two LAPACK bisections on different matrices: dlarrb on B^T B's
     # L D L^T of order m+1, dstebz on the Golub-Kahan tridiagonal of order
-    # 2m+1; both relatively accurate, so they agree to a few ulps per entry
+    # 2m+1; both relatively accurate, so they agree to a few ulps per entry.
+    # The solve's Rayleigh steps only move where its last bisection starts:
+    # it agrees with one bisection from [0, 2] to within both widths
     alpha, beta, kernel = factor
     m = alpha.size
     total = m + 1 if kernel else m
@@ -477,6 +538,24 @@ def test_gram_bisection_matches_golub_kahan_oracle(factor):
         assert want[0] == 0.0
         want = want[1:]
     assert_solves_agree(got, want, beta)
+    assert_bisections_agree(got, one_pass_gram_eigenvalues(alpha, beta, m),
+                            beta)
+
+
+def test_refused_rayleigh_steps_leave_one_bisection(monkeypatch):
+    # alpha[-1] = 0 makes L = beta/alpha infinite there.  Every eigenvector
+    # but e_N (of beta[-1]^2 = 100, the largest, left out) is twisted above
+    # it, so dlar1v's vector below the twist runs through 0 * inf and each
+    # correction is NaN: every step is refused, and the last bisection
+    # starts from the first one's intervals.  Their ends are dyadic numbers
+    # of a few bits, so W -+ WERR gives them back exactly, and the result
+    # is the one-pass bisection from [0, 2] bit for bit
+    alpha = np.array([1.0, 2.0, 1.0, 3.0, 0.0])
+    beta = np.array([0.5, 1.0, 2.0, 0.7, 10.0])
+    steps = spy_rayleigh(monkeypatch)
+    got = chain._gram_eigenvalues(alpha, beta, 4)
+    assert len(steps) == 4 and np.isnan(steps).all()
+    assert np.array_equal(got, one_pass_gram_eigenvalues(alpha, beta, 4))
 
 
 @pytest.mark.parametrize("make", [*KERNEL_LEVELS.values(),

@@ -140,6 +140,20 @@ def test_operator_results_are_kept_not_copied():
     assert np.array_equal(h.flat, np.cos(grid.points))
 
 
+def test_caller_mask_is_copied_not_frozen():
+    # a writable mask is copied like writable values: the caller can still
+    # write to it, and the function does not see the write
+    from taucalc import GridFunction
+    grid = build_grid(linear_map(0.5), mode=SEMIGROUP, bases=(1.0,),
+                      max_depth=9)
+    mine = np.ones(grid.size, dtype=bool)
+    mine[3] = False
+    h = GridFunction(grid, np.zeros(grid.size), mine)
+    assert mine.flags.writeable and not np.shares_memory(h.flat_valid, mine)
+    mine[:] = False
+    assert np.count_nonzero(h.flat_valid) == grid.size - 1
+
+
 def outer_coincident_pairs(pts_a, pts_b, limit, delta_tol):
     """The all-pairs N_a x N_b disjointness test, as a reference."""
     da = np.abs(pts_a - limit)

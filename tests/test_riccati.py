@@ -57,6 +57,14 @@ def test_solve_system_step_residual(contracting_system):
     assert step_residual(contracting_system, psi, phi) < 1e-10
 
 
+def test_solve_system_keeps_its_fresh_arrays(contracting_system):
+    # handed over read-only, the solution is not copied by the
+    # constructor: both functions are rows of one array and share one mask
+    psi, phi = solve_system(contracting_system, (1.0, 0.5))
+    assert psi.flat.base is not None and psi.flat.base is phi.flat.base
+    assert psi.flat_valid is phi.flat_valid
+
+
 def test_regular_darboux_preserves_solvability(contracting_system):
     grid = contracting_system.grid
     D = ((GridFunction.from_callable(grid, lambda x: 2.0 + x),

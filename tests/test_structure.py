@@ -164,29 +164,39 @@ def test_name_rule_sees_eigvalsh_tridiagonal(tmp_path):
         assert name_uses(path, "eigvalsh_tridiagonal") == hits
 
 
-def test_eigen_solve_builds_its_lapack_binding_once(monkeypatch):
+@pytest.mark.parametrize("name, addresses", [
+    pytest.param("dlarrb", 17, id="dlarrb"),
+    pytest.param("dlar1v", 21, id="dlar1v"),
+])
+def test_eigen_solve_builds_its_lapack_binding_once(monkeypatch, name,
+                                                    addresses):
     level = qhahn_chain(depth=60, n_levels=1).levels[0]
     built, cfunctype = [], ctypes.CFUNCTYPE
     monkeypatch.setattr(ctypes, "CFUNCTYPE",
                         lambda *types: built.append(types) or cfunctype(*types))
-    chain._dlarrb.cache_clear()
+    binding = getattr(chain, f"_{name}")
+    binding.cache_clear()
     first = chain_eigenvalues(level, count=3)
     assert np.array_equal(chain_eigenvalues(level, count=3), first)
     # other modules imported on the first call make prototypes of their own
-    dlarrb = (None, *[ctypes.c_void_p] * 17)
-    assert built.count(dlarrb) == 1 and chain._dlarrb.cache_info().misses == 1
+    prototype = (None, *[ctypes.c_void_p] * addresses)
+    assert built.count(prototype) == 1 and binding.cache_info().misses == 1
 
 
-def test_eigen_solve_refuses_a_dlarrb_of_another_signature(monkeypatch):
+@pytest.mark.parametrize("name", ["dlarrb", "dlar1v"])
+def test_eigen_solve_refuses_a_binding_of_another_signature(monkeypatch,
+                                                           name):
     # the addresses are passed unchecked, so the C signature is checked
     # when the binding is built
-    monkeypatch.setattr(chain, "_DLARRB_SIGNATURE", "void (int *, d *)")
-    chain._dlarrb.cache_clear()
+    monkeypatch.setattr(chain, f"_{name.upper()}_SIGNATURE",
+                        "void (int *, d *)")
+    binding = getattr(chain, f"_{name}")
+    binding.cache_clear()
     try:
-        with pytest.raises(ImportError, match="signature"):
-            chain._dlarrb()
+        with pytest.raises(ImportError, match=f"{name} has signature"):
+            binding()
     finally:
-        chain._dlarrb.cache_clear()
+        binding.cache_clear()
 
 
 # per-branch loops that remain outside grid.py; a new orbit recursion goes
