@@ -339,8 +339,9 @@ def factorization_residual(level: ChainLevel, level_next: ChainLevel,
     """
     rng = np.random.default_rng(rng)
     c, d = level.c, level.d
-    psi = GridFunction(level.grid, rng.standard_normal(
-        (_PROBES, level.grid.size))).window(5)
+    probes = rng.standard_normal((_PROBES, level.grid.size))
+    probes.setflags(write=False)
+    psi = GridFunction(level.grid, probes).window(5)
     lhs_op = apply_A(level, apply_Astar(level, psi))
     rhs_op = d * apply_Astar(level_next, apply_A(level_next, psi)) + c * psi
     lhs_bd = tridiag_apply(bands_AAstar(level), psi)
@@ -380,11 +381,11 @@ def from_coefficients(coef: CoefficientTriple, h0: GridFunction,
         r[n+1] = (-beta[n+1] r[n] - gamma[n+1]/delta_n)
                  / (alpha[n+1] delta_{n+1} r[n]),
 
-    walked outward from each branch base (backward behind the base of a
-    group orbit) by :meth:`OrbitGrid.mobius_scan`; (B_0, eta_0) then
-    follow from the inverse formulas and the weight from the Pearson
-    recursion.  ``seed`` gives r at the branch bases, either one number
-    shared by all branches or one per branch.
+    walked outward from each branch base (backward behind a group base)
+    by :meth:`OrbitGrid.mobius_scan`, the read-out of the grid's one 2x2
+    walk; (B_0, eta_0) then follow from the inverse formulas and the
+    weight from the Pearson recursion.  ``seed`` gives r at the branch
+    bases, either one number shared by all branches or one per branch.
     """
     grid = coef.alpha.grid
     if h0.grid is not grid:
@@ -501,9 +502,9 @@ def _assemble_factor(level: ChainLevel) -> tuple[np.ndarray, np.ndarray]:
     with alpha[r] on column r and beta[r] on column r+1.  When g = 0
     nothing is projected and each branch stays a square block; the limit
     column of G is then empty.  A level with complex data raises
-    NonPositiveFactor: its weights are not positive.  Level values at
-    masked-out points enter the factor too, and a NaN or inf there passes
-    the sign gates into alpha or beta.
+    NonPositiveFactor: its weights are not positive.  A masked-out value
+    is read as it stands but at a branch's last point, and a NaN or inf
+    passes the sign gates; :func:`chain_eigenvalues` refuses both.
     """
     fields = (level.w.rho, level.eta, level.h, level.phi, level.f)
     if any(np.iscomplexobj(fn.flat) for fn in fields):
@@ -714,6 +715,14 @@ def chain_eigenvalues(level: ChainLevel, count: int | None = None) -> np.ndarray
     blocks are genuine and bisected like the rest.
     """
     alpha, beta = _assemble_factor(level)
+    last = ~level.grid.has_next
+    for name, fn in (("rho", level.w.rho), ("eta", level.eta),
+                     ("h", level.h), ("phi", level.phi)):
+        if not (fn.flat_valid | last).all():
+            pos = level.grid.locate(int(np.argmin(fn.flat_valid | last)))[1]
+            raise NonPositiveFactor(
+                "eigen-solve needs finite level data, valid at every point "
+                f"but a branch's last: {name} is masked out at index {pos}")
     total = level.grid.size
     count = total if count is None else min(count, total)
     if count < 1:
@@ -734,7 +743,7 @@ def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0
         xi[n+1] = xi[n] phi[n+1]^2 eta[n+1] / (xi[n] + B[n+1]/(dn dn+1)),
 
     with step matrix [[phi[n+1]^2 eta[n+1], 0], [1, B[n+1]/(dn dn+1)]],
-    walked from xi = ``xi0`` at each branch base by
+    walked from xi = ``xi0`` at each branch base by the 2x2 walk of
     :meth:`OrbitGrid.mobius_scan`, whose rescaled composite maps do not
     overflow on deep orbits.  ZeroDivisor is raised where xi0 puts the
     walk on a pole, and SingularLimit where a step read backward misses

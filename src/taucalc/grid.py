@@ -79,11 +79,11 @@ class OrbitGrid:
     Segmented scans walk each branch without a Python loop per point:
     :meth:`suffix_scan` runs a ufunc tail-first, :meth:`outward_scan`
     runs one from each base outward (a diagonal recursion such as the
-    Pearson weight), and :meth:`mobius_scan` and :meth:`suffix_products`
-    compose 2x2 steps (a projective recursion, a resolvent).  Index
-    structures that depend on the grid alone (neighbour masks and their
-    indices, the walk layouts of :meth:`mobius_scan` and
-    :meth:`suffix_products`) are plans: each is built on first use,
+    Pearson weight), and one 2x2 walk composes maps, outward for
+    :meth:`mobius_scan` (a projective recursion) and inward for
+    :meth:`suffix_products` (a resolvent).  Index structures that depend
+    on the grid alone (neighbour masks and their indices, the layout of
+    the walk in each direction) are plans: each is built on first use,
     stored read-only on the grid and lives and dies with it.
     """
 
@@ -134,12 +134,12 @@ class OrbitGrid:
                 return b
         raise KeyError(role)
 
-    def _plan(self, key, build) -> tuple[np.ndarray, ...]:
-        """The plan ``key``: the arrays ``build()`` returns, made read-only
-        and kept on the grid from the first call on."""
+    def _plan(self, key, build, *args) -> tuple[np.ndarray, ...]:
+        """The plan ``key``: the arrays ``build(*args)`` returns, made
+        read-only and kept on the grid from the first call on."""
         plan = self._plans.get(key)
         if plan is None:
-            plan = build()
+            plan = build(*args)
             for arr in plan:
                 arr.setflags(write=False)
             self._plans[key] = plan
@@ -274,25 +274,26 @@ class OrbitGrid:
         ``(values, valid, pole)``: ``valid`` runs from the base up to the
         first unusable step (values are 0 past it), and ``pole`` flags each
         point whose incoming step had |den| < pole_tol max(1, |den terms|).
-        The composite maps are prefix products of the 2x2 steps, built by
-        log-depth doubling and rescaled by exact powers of two.
+        The composite maps are prefix products of the 2x2 steps along the
+        outward rows of :meth:`_walk_layout`, built by log-depth doubling
+        and rescaled by exact powers of two.
         """
-        idx, live, src, pick, row_branch = self._plan("scan", self._scan_layout)
-        use = live & np.asarray(ok, dtype=bool)[src]
-        use[:, 0] = True
-        # a, b, c, d, -b, -c of every step, and the identity in the last
-        # column for each base slot and each unusable step
-        entries = np.zeros((6, self.size + 1), np.result_type(float, *steps))
-        for row, x in zip(entries, steps):
-            row[:-1] = x
-        entries[4:] = -entries[1:3]
-        entries[:, -1] = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-        sigma = (np.zeros(len(self.branches)) + seeds)[row_branch]
-        at = np.where(use, src, self.size)
-        at[:, 0] = self.size
-        m = entries[pick, at]
+        n = self.size
+        # each step [[a, b], [c, d]], its walk backward and the identity
+        maps = np.empty((2, 2, 2 * n + 1), np.result_type(float, *steps))
+        fwd, back = maps[..., :n], maps[..., n:-1]
+        fwd[0, 0], fwd[0, 1], fwd[1, 0], fwd[1, 1] = steps
+        back[0, 0], back[0, 1], back[1, 0], back[1, 1] = (
+            fwd[1, 1], -fwd[0, 1], -fwd[1, 0], fwd[0, 0])
+        maps[..., -1] = np.eye(2)
+        idx, live, col = self._plan(("walk", True), self._walk_layout, True)
+        # an unusable step is taken as the identity and ends the validity
+        ok = np.asarray(ok, dtype=bool)
+        use = live & np.concatenate([ok, ok, [True]])[col]
         valid = np.logical_and.accumulate(use, axis=1)
+        m = np.take(maps, np.where(use, col, -1), axis=2)
         P = _doubling_scan(m)[0]
+        sigma = self.per_point(np.zeros(len(self.branches)) + seeds)[idx[:, :1]]
         pole = np.zeros(idx.shape, dtype=bool)
         with np.errstate(all="ignore"):
             r = (P[0, 0] * sigma + P[0, 1]) / (P[1, 0] * sigma + P[1, 1])
@@ -301,68 +302,55 @@ class OrbitGrid:
             pole[:, 1:] = valid[:, 1:] & (np.abs(term + const) < pole_tol * scale)
         values = np.zeros_like(r, shape=self.size)
         flags = np.zeros((2, self.size), dtype=bool)
-        at = idx[valid]
-        values[at] = r[valid]
-        flags[0, at] = True
-        flags[1, idx[pole]] = True
+        values[idx[valid]] = r[valid]
+        flags[0, idx[valid]] = flags[1, idx[pole]] = True
         return values, flags[0], flags[1]
-
-    def _scan_layout(self):
-        """The walk layout of :meth:`mobius_scan`: one row per walk, each
-        branch forward from its base and, behind a group base, backward
-        from the base again; rows are padded.  Returns the point index of
-        every slot, its liveness, the index of the step entering each slot
-        (step n-1 forward, the inverse of step n backward), the entries
-        that make up each row's 2x2 maps (rows of [a, b, c, d, -b, -c]:
-        [[a, b], [c, d]] forward, [[d, -b], [-c, a]] backward) and each
-        row's branch."""
-        walks = []
-        for i, (br, s) in enumerate(zip(self.branches, self.slices)):
-            k0 = s.start + br.base_index
-            walks.append((i, np.arange(k0, s.stop), False))
-            if br.base_index:
-                walks.append((i, np.arange(k0, s.start - 1, -1), True))
-        width = max(len(pts) for _, pts, _ in walks)
-        idx = np.zeros((len(walks), width), dtype=int)
-        live = np.zeros(idx.shape, dtype=bool)
-        for row, (_, pts, _) in enumerate(walks):
-            idx[row, :len(pts)], live[row, :len(pts)] = pts, True
-        back = np.array([b for _, _, b in walks])
-        src = np.maximum(idx - 1 + back[:, None], 0)
-        pick = np.where(back, [[[3], [4]], [[5], [0]]], [[[0], [1]], [[2], [3]]])
-        return (idx, live, src, pick[..., None],
-                np.array([[i] for i, _, _ in walks]))
 
     def suffix_products(self, mats: np.ndarray) -> np.ndarray:
         """Segmented suffix products out[n] = mats[end] ... mats[n+1] mats[n]
         of a (size, 2, 2) stack, ``end`` the last point of n's branch.
 
-        Each branch is one row of :func:`_doubling_scan`, read from its
-        last point back to its first.  The maps go in transposed, which
-        turns the suffix into the scan's later-map-on-the-left prefix;
-        the kept power-of-two exponents rebuild the unscaled products, so
-        only the products that are themselves out of range overflow.  The
-        four entries of a partial product share one exponent: an entry
-        that falls more than the float64 range below the largest one of
-        its matrix is lost, even where the full suffix would bring it
-        back into range.
+        Each branch is one inward row of :meth:`_walk_layout`, read from
+        its last point back to its first.  The maps go in transposed, which
+        turns the suffix into :func:`_doubling_scan`'s later-map-on-the-left
+        prefix; the kept power-of-two exponents rebuild the unscaled
+        products, so only the products that are themselves out of range
+        overflow.  The four entries of a partial product share one
+        exponent: an entry that falls more than the float64 range below
+        the largest one of its matrix is lost, even where the full suffix
+        would bring it back into range.
         """
-        idx, live = self._plan("suffix", self._suffix_layout)
-        P, E = _doubling_scan(np.take(mats.transpose(2, 1, 0), idx, axis=2))
+        idx, live, col = self._plan(("walk", False), self._walk_layout, False)
+        P, E = _doubling_scan(np.take(mats.transpose(2, 1, 0), col, axis=2))
         out = np.empty_like(mats)
         out[idx[live]] = ldexp(P, E).transpose(2, 3, 1, 0)[live]
         return out
 
-    def _suffix_layout(self):
-        """The walk layout of :meth:`suffix_products`: one row per branch
-        from its last point back to its first, padded at the end (the pad
-        never enters a live slot's prefix).  Returns the point index of
-        every slot and its liveness."""
-        stops = np.array([[s.stop] for s in self.slices])
-        lens = stops - [[s.start] for s in self.slices]
-        j = np.arange(lens.max())
-        live = j < lens
-        return np.where(live, stops - 1 - j, 0), live
+    def _walk_layout(self, outward: bool):
+        """The layout of the one 2x2 walk in one direction: one padded row
+        per walk, each a first point, a direction and a length.  Outward,
+        each branch runs from its base to its end and, behind a group base,
+        back to its start; inward, from its end back to its start.  Returns
+        every slot's point index, its liveness and the column of the map
+        it takes: outward the step entering it (step n - 1 at column n - 1,
+        step n walked backward at size + n, the identity at 2 size), inward
+        the point's own map (the pad enters no live slot's prefix).
+        """
+        rows = []   # an inward row is a backward leg from the branch end
+        for br, s in zip(self.branches, self.slices):
+            k0 = s.start + br.base_index if outward else s.stop - 1
+            if outward:
+                rows.append((k0, 1, s.stop - k0))
+            if k0 > s.start or not outward:
+                rows.append((k0, -1, k0 - s.start + 1))
+        first, sign, length = np.array(rows).T[..., None]
+        j = np.arange(length.max())
+        live = j < length
+        idx = np.where(live, first + sign * j, 0)
+        if not outward:
+            return idx, live, idx
+        step = np.where(sign > 0, idx - 1, idx + self.size)
+        return idx, live, np.where(live & (j > 0), step, 2 * self.size)
 
     def locate(self, n: int) -> tuple[int, int]:
         """(branch index, position within the branch) of flat index ``n``."""

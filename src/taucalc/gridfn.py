@@ -109,11 +109,11 @@ class GridFunction:
     def from_callable(cls, grid: OrbitGrid, fn: Callable[[np.ndarray], np.ndarray],
                       label: str = "") -> "GridFunction":
         vals = np.asarray(fn(grid.points)) + np.zeros(grid.size)
-        return cls(grid, vals, label=label)
+        return cls(grid, _fresh(vals), label=label)
 
     @classmethod
     def constant(cls, grid: OrbitGrid, c: complex, label: str = "") -> "GridFunction":
-        return cls(grid, np.full(grid.size, c), label=label)
+        return cls(grid, _fresh(np.full(grid.size, c)), label=label)
 
     @classmethod
     def identity(cls, grid: OrbitGrid, label: str = "x") -> "GridFunction":

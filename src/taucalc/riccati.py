@@ -180,14 +180,14 @@ def resolvent(sys: TwoByTwoSystem) -> ResolventResult:
 
     The suffix products Lambda(x_last) ... Lambda(x_k), from the deepest
     valid point x_last of each branch, come from
-    :meth:`OrbitGrid.suffix_products`: a log-depth doubling scan whose
-    power-of-two scale is kept exactly, so a product overflows only if it
-    is itself out of range.  Past x_last the resolvent is I.  Partial
-    products at the branch base are monitored for a Cauchy gap (max-norm
-    difference of the last three), and the scalar criterion
-    sum |delta| * ||LambdaTilde|| is reported; ``converged`` needs a
-    finite criterion and a gap below 1e-12.  Nothing is raised on
-    failure — callers decide.
+    :meth:`OrbitGrid.suffix_products`, the grid's one 2x2 walk run inward:
+    a log-depth doubling scan whose power-of-two scale is kept exactly, so
+    a product overflows only if it is itself out of range.  Past x_last
+    the resolvent is I.  Partial products at the branch base are
+    monitored for a Cauchy gap (max-norm difference of the last three),
+    and the scalar criterion sum |delta| * ||LambdaTilde|| is reported;
+    ``converged`` needs a finite criterion and a gap below 1e-12.
+    Nothing is raised on failure — callers decide.
     """
     grid = sys.grid
     lam, valid = sys.entry_arrays(), sys.valid_mask()
@@ -404,8 +404,9 @@ def darboux_solution(D, psi: GridFunction, phi: GridFunction
 
 
 def _limit_distance(grid: OrbitGrid) -> GridFunction:
-    limits = grid.per_point([br.limit for br in grid.branches])
-    return GridFunction(grid, grid.points - limits, label="x - limit")
+    dist = grid.points - grid.per_point([br.limit for br in grid.branches])
+    dist.setflags(write=False)
+    return GridFunction(grid, dist, label="x - limit")
 
 
 def singular_darboux(sys: TwoByTwoSystem, delta1: float,
@@ -534,6 +535,7 @@ def general_solution(sys: TwoByTwoSystem, u0: GridFunction,
     step = t * fam.E / den
     u = np.array(u0.flat, np.result_type(u0.flat, step))
     u[fam.at] += step
+    u.setflags(write=False)
     u_fn = GridFunction(sys.grid, u, fam.valid, label="u^t")
     return RiccatiSolution(u=u_fn, t=float(t), u0=u0,
                            residual=rhom_residual(sys, u_fn))

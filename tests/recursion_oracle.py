@@ -9,10 +9,12 @@ ratio phi0/h0 and the gauge combination xi one point at a time, as plain
 loops; the ratio and xi loops start at the first stored point of each
 branch, which is the base on semigroup and interval grids.  Tests compare
 the scan-based library functions against these loops: the ratio and xi
-are built on ``OrbitGrid.mobius_scan``, the weight on
-``OrbitGrid.outward_scan``.  ``mobius_weight`` is the weight as the
-Möbius scan walked it, kept as the oracle for the running product's
-masks and poles.
+are read out of the grid's one 2x2 walk by ``OrbitGrid.mobius_scan``,
+the weight is a running product of ``OrbitGrid.outward_scan``.
+``mobius_weight`` is the weight walked as a Möbius recursion by
+``sequential_mobius``, one point at a time, kept as the oracle for the
+running product's masks and poles; no oracle here runs the library's
+scans.
 """
 
 import numpy as np
@@ -65,13 +67,17 @@ def sequential_outward(grid, ufunc, steps, ok):
 
 
 def mobius_weight(B, eta):
-    """rho, its mask and its pole check as weight_from_pearson built them
-    on ``mobius_scan``, with steps [[eta_n, 0], [0, B_{n+1}]]."""
+    """rho, its mask and its pole check of the Mobius recursion with steps
+    [[eta_n, 0], [0, B_{n+1}]], walked by ``sequential_mobius``; past a
+    pole the walk is inf or nan, and numpy's warnings are off."""
     grid = B.grid
     B_next = shift(B)
-    rho, mask, pole = grid.mobius_scan(
-        (eta.flat, 0, 0, B_next.flat), 1.0,
-        eta.flat_valid & B_next.flat_valid, ZERO_TOL)
+    zero = np.zeros(grid.size)
+    with np.errstate(all="ignore"):
+        rho, mask, pole = sequential_mobius(
+            grid, (eta.flat, zero, zero, B_next.flat),
+            np.ones(len(grid.branches)), eta.flat_valid & B_next.flat_valid,
+            ZERO_TOL)
     if pole.any():
         b, pos = grid.locate(np.flatnonzero(pole)[0])
         which = "eta" if pos < grid.branches[b].base_index else "B"

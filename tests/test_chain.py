@@ -319,17 +319,32 @@ def test_library_results_reach_the_constructor_read_only(qh, monkeypatch):
     # GridFunction keeps them instead of copying them
     from taucalc.calculus import step_quotient, tau_derivative
     from taucalc.hilbert import adjoint_shift, mu_from_rho, weight_from_pearson
+    from taucalc.riccati import TwoByTwoSystem, _limit_distance, general_solution
     lvl = qh.levels[0]
-    psi = GridFunction.from_callable(lvl.grid, np.cos)
-    seen, init = {}, GridFunction.__init__
+    grid = lvl.grid
+    psi = GridFunction.from_callable(grid, np.cos)
+    x = GridFunction(grid, grid.points)
+    seen, made, init = {}, [], GridFunction.__init__
 
     def spy(self, grid, values, valid=None, label=""):
         seen[id(self)] = [isinstance(a, np.ndarray) and a.flags.writeable
                           for a in (values, valid)]
+        made.append((np.shape(values), seen[id(self)]))
         init(self, grid, values, valid, label)
 
     monkeypatch.setattr(GridFunction, "__init__", spy)
+    one = GridFunction.constant(grid, 1.0)
+    system = TwoByTwoSystem(one, x * 0.1, one * 0.0, one + x * 0.2)
+    made.clear()
+    factorization_residual(lvl, qh.levels[1], rng=0)
+    # the first function the residual builds is its (6, N) probe block
+    assert made[0] == ((6, grid.size), [False, False])
     results = {
+        "constant": one,
+        "from_callable": GridFunction.from_callable(grid, np.cos),
+        "_limit_distance": _limit_distance(grid),
+        "general_solution": general_solution(
+            system, GridFunction.constant(grid, 0.0), 0.5).u,
         "apply_A": apply_A(lvl, psi),
         "apply_Astar": apply_Astar(lvl, psi),
         "tridiag_apply": chain.tridiag_apply(chain.bands_AstarA(lvl), psi),
@@ -588,6 +603,35 @@ def test_eigen_solve_refuses_non_finite_level_data(qh, field, value):
         for count in (1, 2):
             with pytest.raises(NonPositiveFactor, match="finite level data"):
                 chain_eigenvalues(lvl, count=count)
+
+
+def _masked_at(lvl, field, n, value=None):
+    """``lvl`` with ``field`` masked out at flat index ``n`` (and set to
+    ``value`` there, if given)."""
+    fn = lvl.w.rho if field == "rho" else getattr(lvl, field)
+    values, valid = fn.flat.copy(), fn.flat_valid.copy()
+    valid[n] = False
+    if value is not None:
+        values[n] = value
+    bad = GridFunction(lvl.grid, values, valid)
+    return (replace(lvl, w=weighted_grid(bad)) if field == "rho"
+            else replace(lvl, **{field: bad}))
+
+
+@pytest.mark.parametrize("field", ["rho", "eta", "h", "phi"])
+def test_eigen_solve_refuses_masked_level_data(qh, field):
+    # the factor reads these four at every point: phi[10] set from -46.57
+    # to 5.0 and masked out once moved the spectrum from (0, 1.0000015,
+    # 4.0500068) to (0, 0.8841415, 4.5629273) without a word
+    lvl = qh.levels[0]
+    assert np.allclose(chain_eigenvalues(lvl, count=3), [0, 1.0000015, 4.0500068])
+    with pytest.raises(NonPositiveFactor,
+                       match=f": {field} is masked out at index 10$"):
+        chain_eigenvalues(_masked_at(lvl, field, 10, 5.0), count=3)
+    # masked out only at each branch's last point, the level is solved
+    for end in np.flatnonzero(~lvl.grid.has_next):
+        lvl = _masked_at(lvl, field, end)
+    assert chain_eigenvalues(lvl, count=3).shape == (3,)
 
 
 def test_fractional_chain_rejects_eigen_solve():

@@ -319,6 +319,7 @@ def test_mobius_scan_matches_sequential(kind, planted):
     bad = base - 3 if planted == "backward" else base + 9
     ok[bad] = False
     values, valid, pole = grid.mobius_scan(steps, seeds, ok, 1e-13)
+    assert walks_built(grid) == [True]
     want, want_valid, want_pole = sequential_mobius(grid, steps, seeds, ok,
                                                     1e-13)
     assert np.array_equal(valid, want_valid)
@@ -364,7 +365,14 @@ def test_outward_scan_matches_sequential(ufunc, kind, planted):
         assert np.all(np.abs(values - want) <= 2.01 * 5 ** 0.5 * k * u * np.abs(want))
 
 
+def walks_built(grid):
+    """The directions (outward True, inward False) of the 2x2 walks whose
+    layout ``grid`` holds, in the order they were first walked."""
+    return [key[1] for key in grid._plans if key[0] == "walk"]
+
+
 def test_mobius_scan_rescales_composites_and_flags_exact_pole():
+    # the outward walk of a group grid: forward and backward rows
     grid = build_grid(linear_map(0.5), GROUP, 1.0, max_depth=20)
     k0 = grid.branches[0].base_index
     n = np.arange(grid.size) - k0
@@ -380,11 +388,13 @@ def test_mobius_scan_rescales_composites_and_flags_exact_pole():
     b[k0 + 4], c[k0 + 4], d[k0 + 4] = 1.0, 1.0, -1.0
     values, valid, pole = grid.mobius_scan((a, b, c, d), [1.0], ok, 1e-13)
     assert np.flatnonzero(pole).tolist() == [k0 + 5]
+    assert walks_built(grid) == [True]
 
 
 def test_doubling_scan_scales_subnormal_complex_maps():
     # normalising a map whose largest entry is subnormal takes 2^1029,
-    # beyond float64: the real and imaginary parts are scaled by ldexp
+    # beyond float64: the real and imaginary parts are scaled by ldexp,
+    # on the one 2x2 walk in both its directions
     grid = build_grid(linear_map(0.5), SEMIGROUP, 1.0, max_depth=20)
     n = np.arange(grid.size)
     ok = np.ones(grid.size, dtype=bool)
@@ -402,6 +412,7 @@ def test_doubling_scan_scales_subnormal_complex_maps():
     power = -1030 + 600 * np.minimum(last - n, 3)
     want = (1 + 1j) * np.ldexp(1.0, power)[:, None, None] * np.eye(2)
     assert np.array_equal(out, want)
+    assert walks_built(grid) == [True, False]
 
 
 def test_group_backward_leg_settles_on_repelling_fixed_point():
@@ -595,7 +606,9 @@ def exercise_plans(grid):
 @pytest.mark.parametrize("kind", sorted(MOBIUS_GRIDS))
 def test_plans_are_read_only(kind):
     arrays = exercise_plans(MOBIUS_GRIDS[kind]())
-    assert len(arrays) == 2 * 8 + 5 + 2
+    # eight (mask, indices) plans, and (indices, liveness, columns) of the
+    # walk in each direction (inward, the columns are the indices)
+    assert len(arrays) == 2 * 8 + 3 + 3
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = arr

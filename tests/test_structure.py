@@ -200,8 +200,8 @@ def test_eigen_solve_refuses_a_binding_of_another_signature(monkeypatch,
 
 
 # per-branch loops that remain outside grid.py; a new orbit recursion goes
-# through OrbitGrid.mobius_scan, suffix_scan or suffix_products instead of
-# its own loop
+# through OrbitGrid.suffix_scan, outward_scan or the one 2x2 walk
+# (mobius_scan, suffix_products) instead of its own loop
 BRANCH_LOOPS_ALLOWED = {("calculus.py", "tau_antiderivative")}
 
 
@@ -576,22 +576,23 @@ def test_plan_rule_sees_rebuilt_indices(tmp_path):
 
 
 def counting_plans(monkeypatch):
-    """Count each plan's builds (by key) and each walk-layout build."""
+    """Count each plan's builds (by key), and record the (grid, outward)
+    of each build of the one walk-layout builder."""
     builds, layouts = Counter(), []
-    plan, layout = OrbitGrid._plan, OrbitGrid._scan_layout
+    plan, layout = OrbitGrid._plan, OrbitGrid._walk_layout
 
-    def counted_plan(self, key, build):
-        def counted():
+    def counted_plan(self, key, build, *args):
+        def counted(*args):
             builds[key] += 1
-            return build()
-        return plan(self, key, counted)
+            return build(*args)
+        return plan(self, key, counted, *args)
 
-    def counted_layout(self):
-        layouts.append(self)
-        return layout(self)
+    def counted_layout(self, outward):
+        layouts.append((self, outward))
+        return layout(self, outward)
 
     monkeypatch.setattr(OrbitGrid, "_plan", counted_plan)
-    monkeypatch.setattr(OrbitGrid, "_scan_layout", counted_layout)
+    monkeypatch.setattr(OrbitGrid, "_walk_layout", counted_layout)
     return builds, layouts
 
 
@@ -653,7 +654,61 @@ def test_mobius_scan_builds_its_layout_once_per_grid(monkeypatch):
         for grid in grids:
             ok = np.ones(grid.size, dtype=bool)
             grid.mobius_scan((0.5, 0, 0, 1.0), 1.0, ok, 1e-13)
-    assert layouts == grids
+    assert layouts == [(grid, True) for grid in grids]
+
+
+# the one 2x2 walk: its scan and its layout builder are private to grid.py
+WALK_PRIMITIVES = ("_doubling_scan", "_walk_layout")
+
+
+def walk_uses(path):
+    """(enclosing function, name) of every reference to a name in
+    ``WALK_PRIMITIVES``, and ("def", name) of every function whose name
+    ends in "_layout": each builds a walk layout."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name.endswith("_layout"):
+                    found.append(("def", child.name))
+                visit(child, child.name)
+                continue
+            name = (child.id if isinstance(child, ast.Name) else
+                    child.attr if isinstance(child, ast.Attribute) else None)
+            if name in WALK_PRIMITIVES:
+                found.append((func, name))
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_one_walk_layout_builder():
+    # one function builds the layouts of the one 2x2 walk, and only its two
+    # read-outs in grid.py take them and run the doubling scan
+    uses = {p.name: walk_uses(p) for p in SOURCES}
+    assert {name: found for name, found in uses.items() if found} == {
+        "grid.py": [("mobius_scan", "_walk_layout"),
+                    ("mobius_scan", "_doubling_scan"),
+                    ("suffix_products", "_walk_layout"),
+                    ("suffix_products", "_doubling_scan"),
+                    ("def", "_walk_layout")]}
+
+
+def test_walk_rule_sees_layouts_and_scans(tmp_path):
+    path = tmp_path / "mod.py"
+    for code, hits in (
+            ("def _scan_layout(self):\n    pass", [("def", "_scan_layout")]),
+            ("def f(m):\n    return _doubling_scan(m)",
+             [("f", "_doubling_scan")]),
+            ("def f(g):\n    return g._walk_layout(True)",
+             [("f", "_walk_layout")]),
+            ("p = grid._doubling_scan", [(None, "_doubling_scan")]),
+            ("def f(g):\n    return g.mobius_scan(s, 1.0, ok, 0.0)", []),
+            ("x = '_walk_layout'", [])):
+        path.write_text(code + "\n")
+        assert walk_uses(path) == hits
 
 
 def test_pearson_weight_walks_no_mobius_scan(monkeypatch):
@@ -683,11 +738,16 @@ def test_resolvent_builds_its_layout_once_per_grid(monkeypatch):
     for grid in grids:
         one, x = GridFunction.constant(grid, 1.0), GridFunction(grid, grid.points)
         systems.append(TwoByTwoSystem(one, x * 0.1, x * 0.2, one))
-    builds, _ = counting_plans(monkeypatch)
+    _, layouts = counting_plans(monkeypatch)
     for _ in range(5):
         for sys_ in systems:
             resolvent(sys_)
-    assert builds["suffix"] == len(grids)
+    assert layouts == [(grid, False) for grid in grids]
+    # the Mobius scan walks the same grids outward: one more layout each
+    for grid in grids:
+        grid.mobius_scan((0.5, 0, 0, 1.0), 1.0, np.ones(grid.size, bool), 1e-13)
+    assert layouts == [(grid, False) for grid in grids] + [
+        (grid, True) for grid in grids]
 
 
 def test_solution_family_runs_its_suffix_scans_once(monkeypatch):
