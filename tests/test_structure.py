@@ -582,9 +582,9 @@ def counting_plans(monkeypatch):
     plan, layout = OrbitGrid._plan, OrbitGrid._walk_layout
 
     def counted_plan(self, key, build, *args):
-        def counted(*args):
+        def counted(*build_args):
             builds[key] += 1
-            return build(*args)
+            return build(*build_args)
         return plan(self, key, counted, *args)
 
     def counted_layout(self, outward):
