@@ -39,19 +39,15 @@ def dtau_inverse_fn(grid: OrbitGrid) -> GridFunction:
     """The tau-derivative of the inverse map: delta_{n-1}/delta_n on the grid."""
     out = np.divide(grid.shifted(grid.deltas, -1), grid.deltas,
                     where=grid.interior(), out=np.zeros(grid.size))
+    # a fresh array, handed over read-only so that the constructor keeps it
+    out.setflags(write=False)
     return GridFunction(grid, out, grid.interior(), label="dtau(tau^-1)")
-
-
-def _check_steps(grid: OrbitGrid, steps: int) -> None:
-    depth = min(s.stop - s.start for s in grid.slices)
-    if abs(steps) >= depth:
-        raise GridMismatch(f"|steps|={abs(steps)} exceeds branch depth {depth}")
 
 
 def shift(f: GridFunction, steps: int = 1) -> GridFunction:
     """Composition with tau^steps: out[n] = f[n+steps], mask shrinking."""
     grid = f.grid
-    _check_steps(grid, steps)
+    grid._check_steps(steps)
     out, mask = grid.shifted(f.flat, steps), grid.shifted(f.flat_valid, steps)
     # fresh arrays, handed over read-only so that the constructor keeps them
     out.setflags(write=False)
@@ -80,7 +76,7 @@ def tau_derivative(f: GridFunction) -> GridFunction:
     out[n] = (f[n] - f[n+1]) / delta_n on the points with a successor.
     """
     grid = f.grid
-    _check_steps(grid, 1)
+    grid._check_steps(1)
     v, m = f.flat, f.flat_valid
     # masked-out entries may hold inf/nan; their arithmetic is discarded
     with np.errstate(invalid="ignore", over="ignore"):

@@ -122,9 +122,17 @@ def make_level(B: GridFunction, eta: GridFunction, h: GridFunction,
     for fn in (eta, h, f):
         if fn.grid is not grid:
             raise GridMismatch("level data sampled on a different grid")
-    phi = f + h / deltas_fn(grid)
+    # phi = f + h/(id - tau) on whole arrays, in the expression's order;
+    # masked-out entries may hold inf/nan, their results discarded
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        phi = f.flat + h.flat / grid.deltas
+    mask = f.flat_valid & (h.flat_valid & grid.has_next)
+    # fresh arrays, handed over read-only so that the constructor keeps them
+    phi.setflags(write=False)
+    mask.setflags(write=False)
     w = weight_from_pearson(B, eta)
-    return ChainLevel(k=k, w=w, B=B, eta=eta, h=h, f=f, phi=phi)
+    return ChainLevel(k=k, w=w, B=B, eta=eta, h=h, f=f,
+                      phi=GridFunction(grid, phi, mask))
 
 
 def apply_A(level: ChainLevel, psi: GridFunction) -> GridFunction:
@@ -183,23 +191,48 @@ def advance_level(level: ChainLevel, h_next: GridFunction) -> ChainLevel:
 
     B_{k+1} = g B_k, eta_{k+1} = T(g eta_k), rho_{k+1} = eta_k rho_k
     (cross-checked against T(B_k rho_k)), and the transformation rule
-    phi_{k+1} = (h_k/(d h_{k+1})) T(phi_k / g).
+    phi_{k+1} = (h_k/(d h_{k+1})) T(phi_k / g).  Each is formed on flat
+    arrays in the order of its GridFunction expression, so values, masks,
+    warnings and errors are the expression's bit for bit, and only the
+    five functions of the new level are built.
     """
     g, d = level.g, level.d
     if g is None:
         raise ValueError("step gauge g missing: stamp it on the level first")
     grid = level.grid
-    B_next = g * level.B
-    eta_next = shift(g * level.eta)
-    if pearson_residual(level.B, level.eta, level.w) > 1e-9:
+    B, eta, rho, h, phi = level.B, level.eta, level.w.rho, level.h, level.phi
+    g.check_same_grid(B)
+    g.check_same_grid(eta)
+    grid._check_steps(1)
+    if pearson_residual(B, eta, level.w) > 1e-9:
         raise InconsistentWeights(
             "eta*rho and T(B*rho) disagree: Pearson violated upstream")
-    rho_next = level.eta * level.w.rho
-    phi_next = (level.h / (d * h_next)) * shift(level.phi / g)
-    f_next = phi_next - h_next / deltas_fn(grid)
-    w_next = weighted_grid(rho_next)
-    return ChainLevel(k=level.k + 1, w=w_next, B=B_next, eta=eta_next,
-                      h=h_next, f=f_next, phi=phi_next)
+    eta.check_same_grid(rho)
+    h.check_same_grid(h_next)
+    phi.check_same_grid(g)
+    # each expression's arithmetic, in its order, on whole arrays; masked-out
+    # entries may hold inf/nan, their results discarded
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        B_next = g.flat * B.flat
+        eta_next = grid.shifted(g.flat * eta.flat, 1)
+        rho_next = eta.flat * rho.flat
+        phi_next = ((h.flat / (h_next.flat * d))
+                    * grid.shifted(phi.flat / g.flat, 1))
+        f_next = phi_next - h_next.flat / grid.deltas
+    gm, hm = g.flat_valid, h_next.flat_valid
+    phi_ok = (h.flat_valid & hm) & grid.shifted(phi.flat_valid & gm, 1)
+    parts = [(B_next, gm & B.flat_valid),
+             (eta_next, grid.shifted(gm & eta.flat_valid, 1)),
+             (rho_next, eta.flat_valid & rho.flat_valid),
+             (phi_next, phi_ok), (f_next, phi_ok & (hm & grid.has_next))]
+    # fresh arrays, handed over read-only so that the constructor keeps them
+    for values, mask in parts:
+        values.setflags(write=False)
+        mask.setflags(write=False)
+    B_next, eta_next, rho_next, phi_next, f_next = (
+        GridFunction(grid, values, mask) for values, mask in parts)
+    return ChainLevel(k=level.k + 1, w=weighted_grid(rho_next), B=B_next,
+                      eta=eta_next, h=h_next, f=f_next, phi=phi_next)
 
 
 def build_chain(level0: ChainLevel, n_levels: int, h: GridFunction,
@@ -601,11 +634,13 @@ def _gram_eigenvalues(alpha: np.ndarray, beta: np.ndarray,
        which isolates each eigenvalue;
     2. dlar1v's Rayleigh-quotient corrections on twisted factorizations
        (L = beta/alpha, LD = alpha beta) move each midpoint until one
-       falls below ``_RQ_RTOL`` of lambda.  A step is taken only if it
-       lands inside the eigenvalue's coarse bracket; a NaN (an alpha = 0
-       makes L infinite) or a step outside ends the walk;
+       falls below ``_RQ_RTOL`` of lambda.  A step that would leave the
+       eigenvalue's coarse bracket is cut at the bracket's end, so an
+       eigenvalue close to an end (lambda_1, just above 1, of a converged
+       q-Hahn chain) is reached from there; a NaN correction (an
+       alpha = 0 makes L infinite) or a cut to 0 ends the walk;
     3. dlarrb bisects again from the walk's end, with a half-width of
-       ``_RQ_WIDTH`` corr^2/lambda for the last correction corr (a step
+       ``_RQ_WIDTH`` corr^2/lambda for the last step corr, as cut (a step
        leaves an error of order corr^2/gap), at least 4 eps lambda and
        at least PIVMIN; an eigenvalue without a step restarts from its
        coarse bracket.
@@ -667,17 +702,19 @@ def _gram_eigenvalues(alpha: np.ndarray, beta: np.ndarray,
         i[8], r[6], r[7], i[9], i[10], r[8], r[9], r[10], work.ctypes.data)
     bisect()
     # eigenvalues past the first are positive
-    lo, hi = np.maximum(w - werr, 0.0), w + werr
+    lo, hi = np.maximum(w - werr, 0.0).tolist(), (w + werr).tolist()
     for j in range(k):
         lam, corr = float(w[j]), None
         for _ in range(_RQ_STEPS):
             reals[4], ints[9] = lam, 0      # R = 0: dlar1v picks the twist
             rayleigh()
-            step = float(reals[10])
-            if not lo[j] < lam + step < hi[j]:      # NaN included
+            # a step past the bracket is cut at its end; max and min keep
+            # a NaN correction, which ends the walk, as does a cut to 0
+            cut = min(max(lam + float(reals[10]), lo[j]), hi[j])
+            if not cut > 0.0:
                 break
-            lam, corr = lam + step, step
-            if abs(step) <= _RQ_RTOL * lam:
+            lam, corr = cut, cut - lam
+            if abs(corr) <= _RQ_RTOL * lam:
                 break
         if corr is not None:
             w[j] = lam

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (CoincidentOrbits, DomainEscape, LimitMismatch,
-                     LimitNotConverged, ZeroDivisor)
+from .errors import (CoincidentOrbits, DomainEscape, GridMismatch,
+                     LimitMismatch, LimitNotConverged, ZeroDivisor)
 from .maps import (DEFAULT_DELTA_TOL, LimitResult, TauMap, limit_point,
                    stepped_walk)
 
@@ -185,6 +185,14 @@ class OrbitGrid:
         np.copyto(out[..., behind:hi], arr[..., ahead:hi + steps],
                   where=keep[behind:hi])
         return out
+
+    def _check_steps(self, steps: int) -> None:
+        """Refuse a shift by ``steps`` that no point of the shortest branch
+        survives: GridMismatch."""
+        depth = min(s.stop - s.start for s in self.slices)
+        if abs(steps) >= depth:
+            raise GridMismatch(f"|steps|={abs(steps)} exceeds branch depth "
+                               f"{depth}")
 
     def interior(self, margin: int = 1) -> np.ndarray:
         """True at indices at least ``margin`` steps from both branch ends."""

@@ -17,11 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import shift, step_quotient, tau_integral
+from .calculus import step_quotient, tau_integral
 from .errors import (GridMismatch, InconsistentWeights, PositivityWarning,
                      ZeroDivisor, ZeroWeight)
 from .grid import GROUP, ZERO_TOL, OrbitGrid
-from .gridfn import GridFunction, joint_scale, max_abs_diff
+from .gridfn import GridFunction
 
 _POSITIVITY_TOL = 1e-12
 
@@ -145,18 +145,22 @@ def weight_from_pearson(B: GridFunction, eta: GridFunction) -> WeightedGrid:
     """
     B.check_same_grid(eta)
     grid = B.grid
-    B_next = shift(B)
-    bn, e = B_next.flat, eta.flat
+    grid._check_steps(1)
+    bn, e = grid.shifted(B.flat, 1), eta.flat
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rho, mask = grid.outward_scan(np.multiply, (e * (1 / bn), bn * (1 / e)),
-                                      eta.flat_valid & B_next.flat_valid)
-    # a pole needs a divisor below ZERO_TOL at a valid point: most weights
-    # have none, and skip the rule
-    if np.any(mask & ((np.abs(e) < ZERO_TOL) | (np.abs(B.flat) < ZERO_TOL))):
+                                      eta.flat_valid
+                                      & grid.shifted(B.flat_valid, 1))
+    # a pole needs a divisor below ZERO_TOL at a valid point off the bases
+    # (a base is entered by no step, and B = 1 - x^2 vanishes at the bases
+    # of a q-Hahn weight): most weights have none, and skip the rule
+    bases = [s.start + br.base_index
+             for br, s in zip(grid.branches, grid.slices)]
+    suspect = mask & ((np.abs(e) < ZERO_TOL) | (np.abs(B.flat) < ZERO_TOL))
+    suspect[bases] = False
+    if suspect.any():
         # each point's side of its base: -1 behind, 0 at it, +1 ahead
-        side = np.sign(np.arange(grid.size) - grid.per_point(
-            [s.start + br.base_index
-             for br, s in zip(grid.branches, grid.slices)]))
+        side = np.sign(np.arange(grid.size) - grid.per_point(bases))
         divisor = np.where(side < 0, e, B.flat)
         # past an earlier pole the walk is inf or nan: it meets no new one
         prev = np.where(side < 0, grid.shifted(rho, 1), grid.shifted(rho, -1))
@@ -180,11 +184,32 @@ def weight_from_pearson(B: GridFunction, eta: GridFunction) -> WeightedGrid:
 def pearson_residual(B: GridFunction, eta: GridFunction,
                      w: WeightedGrid) -> float:
     """Scaled residual max|T(B rho) - eta rho| / max(1, |T(B rho)|, |eta rho|)
-    of the Pearson recursion, on the points where both sides are valid."""
+    of the Pearson recursion, on the points where both sides are valid.
+
+    It is ``max_abs_diff(lhs, rhs) / joint_scale(lhs, rhs)`` of the
+    functions lhs = shift(B * rho) and rhs = eta * rho, computed on their
+    flat arrays in the same order, so it builds no function.
+    """
     if B.grid is not w.grid:
         raise GridMismatch("Pearson data and weight live on different grids")
-    lhs, rhs = shift(B * w.rho), eta * w.rho
-    return max_abs_diff(lhs, rhs) / joint_scale(lhs, rhs)
+    grid, rho = w.grid, w.rho
+    B.check_same_grid(rho)
+    grid._check_steps(1)
+    eta.check_same_grid(rho)
+    # masked-out entries may hold inf/nan; their arithmetic is discarded
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        lhs = grid.shifted(B.flat * rho.flat, 1)
+        rhs = eta.flat * rho.flat
+    lhs_ok = grid.shifted(B.flat_valid & rho.flat_valid, 1)
+    rhs_ok = eta.flat_valid & rho.flat_valid
+    both = lhs_ok & rhs_ok
+    diff = np.subtract(lhs, rhs, where=both,
+                       out=np.zeros_like(lhs, np.result_type(lhs, rhs)))
+    top = np.maximum.reduce(np.abs(diff), initial=0.0, where=both)
+    scale = np.fmax(np.fmax(1.0, np.maximum.reduce(
+        np.abs(lhs), initial=0.0, where=lhs_ok)), np.maximum.reduce(
+        np.abs(rhs), initial=0.0, where=rhs_ok))
+    return float(top) / float(scale)
 
 
 def adjoint_tau_derivative(psi: GridFunction, w_k: WeightedGrid,

@@ -7,6 +7,7 @@ calculus lives.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -251,18 +252,24 @@ def _running_products(tau: _ScaleMap, x0: float) -> LimitResult:
             return LimitResult(float(w[found]), found, False, w[:found + 1])
         if w[found] == w[found - 1]:   # a step that does not move
             return LimitResult(float(w[found]), found, True, w[:found])
-        end = _polish_stop(w, found + 1)
+        end = _polish_stop(w, found + 1, tau.q)
     return LimitResult(float(w[end]), found, True, w[:end + 1])
 
 
-def _polish_stop(w: np.ndarray, lo: int) -> int:
+def _polish_stop(w: np.ndarray, lo: int, q: float) -> int:
     """Index of the last point of the polish whose first step is
     ``w[lo]``: the point before the first step j that does not move or
     returns to w[j - 2] (the walk ends at j - 1), or the first j that
     passes the polish test of :func:`limit_point` (it ends at j); the end
     of ``w`` if neither comes.  The test is the scalar one, operation for
     operation, so each step passes it exactly when the scalar walk's does.
+
+    ``w`` is a walk of x -> q*x + 0.0, 0 < |q| < 1, so |w| never grows,
+    and only the steps j with |w[j - 1]| below :func:`_polish_reach` are
+    tested: no step before them can end the walk.
     """
+    lo = max(lo, 1 + bisect.bisect_right(w, -_polish_reach(q), lo - 1,
+                                         key=lambda x: -abs(x)))
     step = np.abs(w[lo - 1:] - w[lo - 2:-1])
     still = (w[lo:] == w[lo - 1:-1]) | (w[lo:] == w[lo - 2:-2])
     last, r = step[1:], step[1:] / step[:-1]
@@ -272,3 +279,25 @@ def _polish_stop(w: np.ndarray, lo: int) -> int:
     if not len(ends):
         return len(w) - 1
     return lo + int(ends[0]) - bool(still[ends[0]])
+
+
+def _polish_reach(q: float) -> float:
+    """A bound X such that no step j of a walk of x -> q*x + 0.0 ends its
+    polish (:func:`_polish_stop`) while |w[j - 1]| >= X; inf for
+    1 - |q| <= 2^-51.
+
+    With u = 2^-53, a step that passes the polish test has
+    last < _POLISH_TOL r^3 (1 - r) (1 + |w[j]|), and r^3 (1 - r) <= 27/256,
+    so last < 0.11 _POLISH_TOL (1 + |w[j - 1]|) once the rounding of the
+    test and an underflow of last * r (possible only for r > 4e-73, where
+    the right side is not 0) are allowed for.  A step that moves has
+    last >= (1 - u)((1 - |q| - u) |w[j - 1]| - 2^-1075): for q > 0, w[j]
+    has the sign of w[j - 1] and |w[j]| <= (|q| + u) |w[j - 1]| + 2^-1075,
+    and for q < 0 the other sign, so last >= |w[j - 1]|.  Together,
+    |w[j - 1]| < 0.12 _POLISH_TOL / (1 - |q| - 4u).  A
+    step that does not move, or returns to w[j - 2], needs
+    (1 - |q|) |w[j - 1]| within half an ulp, so |w[j - 1]| <= 2^-1024
+    (1 - |q| > 2^-51) or 0: below that bound too.
+    """
+    gap = 1.0 - abs(q) - 2.0 ** -51
+    return 0.12 * _POLISH_TOL / gap if gap > 0.0 else math.inf

@@ -317,7 +317,7 @@ KERNEL_LEVELS = {
 def test_library_results_reach_the_constructor_read_only(qh, monkeypatch):
     # the fresh arrays of these results are handed over read-only, so that
     # GridFunction keeps them instead of copying them
-    from taucalc.calculus import step_quotient, tau_derivative
+    from taucalc.calculus import dtau_inverse_fn, step_quotient, tau_derivative
     from taucalc.hilbert import adjoint_shift, mu_from_rho, weight_from_pearson
     from taucalc.riccati import TwoByTwoSystem, _limit_distance, general_solution
     lvl = qh.levels[0]
@@ -354,7 +354,13 @@ def test_library_results_reach_the_constructor_read_only(qh, monkeypatch):
         "shift": shift(psi, 2),
         "step_quotient": step_quotient(psi),
         "tau_derivative": tau_derivative(psi),
+        "dtau_inverse_fn": dtau_inverse_fn(grid),
+        "make_level": make_level(lvl.B, lvl.eta, lvl.h, lvl.f).phi,
     }
+    step = chain.advance_level(lvl, lvl.h)
+    results.update({f"advance_level.{name}": getattr(step, name)
+                    for name in ("B", "eta", "f", "phi")})
+    results["advance_level.rho"] = step.w.rho
     assert {name: seen[id(out)] for name, out in results.items()} == {
         name: [False, False] for name in results}
 
@@ -571,6 +577,24 @@ def test_refused_rayleigh_steps_leave_one_bisection(monkeypatch):
     got = chain._gram_eigenvalues(alpha, beta, 4)
     assert len(steps) == 4 and np.isnan(steps).all()
     assert np.array_equal(got, one_pass_gram_eigenvalues(alpha, beta, 4))
+
+
+@pytest.mark.parametrize("q", [0.9, 0.93, 0.95])
+def test_overshooting_rayleigh_step_is_cut_at_its_bracket(q, monkeypatch):
+    # lambda_1 of a converged q-Hahn orbit lies just above 1, the left end
+    # of its coarse bracket [1, 1 + 2^-9]: the first step from the midpoint
+    # overshoots below 1.  Cut at that end, the walk goes on from 1.0, so
+    # dlar1v is called again at another lambda
+    alpha, beta = _assemble_factor(
+        qhahn_chain(q=q, depth=4000, n_levels=1).levels[0])
+    # LAMBDA is the fourth address
+    shifts = spy_lapack(monkeypatch, "_dlar1v", lambda args:
+                        ctypes.c_double.from_address(args[3]).value)
+    got = chain._gram_eigenvalues(alpha, beta, 3)
+    first = [lam for lam in shifts if lam < 2.0]
+    assert len(first) >= 2 and first[1] == 1.0 != first[0]
+    assert_bisections_agree(got, one_pass_gram_eigenvalues(alpha, beta, 3),
+                            beta)
 
 
 @pytest.mark.parametrize("make", [*KERNEL_LEVELS.values(),

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from taucalc import maps
@@ -12,7 +12,7 @@ from taucalc.maps import (TauMap, _ScaleMap, _walk_length, fractional_map,
                           iterate, limit_point, linear_map, power_map,
                           stepped_walk)
 
-from limit_oracle import counting_map
+from limit_oracle import counting_map, polish_stop_full
 
 
 def test_linear_iterate():
@@ -202,6 +202,34 @@ def test_scale_walk_matches_plain_walk_anywhere(q, base, cap, h, domain):
 def test_scale_walk_stops_within_its_derived_length(q, base, domain):
     # the forward walk of x -> q x from any finite base, q near +-1 too
     assert_walks_as_stepped(linear_map(q, domain=domain), base, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.one_of(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True,
+                             allow_subnormal=True).filter(bool),
+                   st.floats(0.99, 1.0, exclude_max=True),
+                   st.floats(-1.0, -0.99, exclude_min=True),
+                   st.sampled_from([1 - 2.0 ** -53, 1 - 2.0 ** -51,
+                                    1 - 2.0 ** -50, -(1 - 2.0 ** -53),
+                                    -(1 - 2.0 ** -50)])),
+       base=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from([5e-324, -1e-323, 2.2e-308, -1e-310,
+                                       1.0, -3.0, 1e300])),
+       lo=st.integers(2, 80))
+def test_windowed_polish_stop_matches_the_full_scan(q, base, lo):
+    # the polish stop tests only the steps its derived bound leaves; from
+    # any first step it stops where the test on every step stops
+    n = _walk_length(q, base)
+    assume(n <= 2 ** 16)
+    w = np.full(n + 1, q)
+    w[0] = base
+    with np.errstate(all="ignore"):
+        np.multiply.accumulate(w, out=w)
+        w[1:] += 0.0
+        for start in {lo, 2, n // 2, n - 1}:
+            if 2 <= start <= n:
+                assert (maps._polish_stop(w, start, q)
+                        == polish_stop_full(w, start))
 
 
 @pytest.mark.parametrize("q, base", [(0.99999, 1.0), (1 - 1e-12, 1.0),
