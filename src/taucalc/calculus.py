@@ -39,20 +39,15 @@ def dtau_inverse_fn(grid: OrbitGrid) -> GridFunction:
     """The tau-derivative of the inverse map: delta_{n-1}/delta_n on the grid."""
     out = np.divide(grid.shifted(grid.deltas, -1), grid.deltas,
                     where=grid.interior(), out=np.zeros(grid.size))
-    # a fresh array, handed over read-only so that the constructor keeps it
-    out.setflags(write=False)
-    return GridFunction(grid, out, grid.interior(), label="dtau(tau^-1)")
+    return GridFunction.fresh(grid, out, grid.interior(), label="dtau(tau^-1)")
 
 
 def shift(f: GridFunction, steps: int = 1) -> GridFunction:
     """Composition with tau^steps: out[n] = f[n+steps], mask shrinking."""
     grid = f.grid
     grid._check_steps(steps)
-    out, mask = grid.shifted(f.flat, steps), grid.shifted(f.flat_valid, steps)
-    # fresh arrays, handed over read-only so that the constructor keeps them
-    out.setflags(write=False)
-    mask.setflags(write=False)
-    return GridFunction(grid, out, mask, label=f.label)
+    return GridFunction.fresh(grid, grid.shifted(f.flat, steps),
+                              grid.shifted(f.flat_valid, steps), label=f.label)
 
 
 def step_quotient(num: GridFunction, label: str = "") -> GridFunction:
@@ -63,11 +58,8 @@ def step_quotient(num: GridFunction, label: str = "") -> GridFunction:
     grid = num.grid
     out = np.divide(num.flat, grid.deltas, where=grid.has_next,
                     out=np.zeros_like(num.flat))
-    mask = num.flat_valid & grid.has_next
-    # fresh arrays, handed over read-only so that the constructor keeps them
-    out.setflags(write=False)
-    mask.setflags(write=False)
-    return GridFunction(grid, out, mask, label=label)
+    return GridFunction.fresh(grid, out, num.flat_valid & grid.has_next,
+                              label=label)
 
 
 def tau_derivative(f: GridFunction) -> GridFunction:
@@ -83,12 +75,8 @@ def tau_derivative(f: GridFunction) -> GridFunction:
         diff = v - grid.shifted(v, 1)
     out = np.divide(diff, grid.deltas, where=grid.has_next,
                     out=np.zeros_like(diff))
-    mask = m & grid.shifted(m, 1)
-    # fresh arrays, handed over read-only so that the constructor keeps them
-    out.setflags(write=False)
-    mask.setflags(write=False)
-    return GridFunction(grid, out, mask,
-                        label=f"d({f.label})" if f.label else "")
+    return GridFunction.fresh(grid, out, m & grid.shifted(m, 1),
+                              label=f"d({f.label})" if f.label else "")
 
 
 def _column(x) -> np.ndarray:
@@ -166,8 +154,9 @@ def tau_antiderivative(f: GridFunction, check_tail: bool = True) -> GridFunction
             if s.stop - s.start >= 4 and (tail > limit).any():
                 raise TailNotConverged(f"antiderivative tail terms {tail} too large")
     # out[n] = sum_{m>=n} terms[m], summed tail-first for accuracy.
-    return GridFunction(grid, grid.suffix_scan(np.add, terms), _suffix_valid(f),
-                        label=f"int({f.label})" if f.label else "")
+    return GridFunction.fresh(grid, grid.suffix_scan(np.add, terms),
+                              _suffix_valid(f),
+                              label=f"int({f.label})" if f.label else "")
 
 
 def _positive_real(arr: np.ndarray, what: str) -> np.ndarray:
@@ -190,8 +179,8 @@ def tau_exponential(grid: OrbitGrid) -> GridFunction:
     fac = 1.0 - grid.deltas  # 1 at the branch ends: the empty product
     if np.any(np.abs(fac) < 1e-14):
         raise FactorZero("factor 1 - (x - tau(x)) vanishes on the orbit")
-    return GridFunction(grid, grid.suffix_scan(np.multiply, 1.0 / fac),
-                        label="exp_tau")
+    return GridFunction.fresh(grid, grid.suffix_scan(np.multiply, 1.0 / fac),
+                              label="exp_tau")
 
 
 def solve_linear_first_order(f: GridFunction, init: complex = 1.0) -> GridFunction:
@@ -205,7 +194,7 @@ def solve_linear_first_order(f: GridFunction, init: complex = 1.0) -> GridFuncti
     fac = _positive_real(np.where(use, 1.0 - grid.deltas * f.flat, 1.0),
                          "first-order factor")
     out = init * grid.suffix_scan(np.multiply, 1.0 / fac)
-    psi = GridFunction(grid, out, _suffix_valid(f), label="psi")
+    psi = GridFunction.fresh(grid, out, _suffix_valid(f), label="psi")
     _verify_first_order(psi, f)
     return psi
 

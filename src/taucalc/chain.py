@@ -101,7 +101,6 @@ class EigenPair:
     psi: GridFunction
     value: complex
     level: int
-    residual: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,12 +126,9 @@ def make_level(B: GridFunction, eta: GridFunction, h: GridFunction,
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         phi = f.flat + h.flat / grid.deltas
     mask = f.flat_valid & (h.flat_valid & grid.has_next)
-    # fresh arrays, handed over read-only so that the constructor keeps them
-    phi.setflags(write=False)
-    mask.setflags(write=False)
     w = weight_from_pearson(B, eta)
     return ChainLevel(k=k, w=w, B=B, eta=eta, h=h, f=f,
-                      phi=GridFunction(grid, phi, mask))
+                      phi=GridFunction.fresh(grid, phi, mask))
 
 
 def apply_A(level: ChainLevel, psi: GridFunction) -> GridFunction:
@@ -150,10 +146,7 @@ def apply_A(level: ChainLevel, psi: GridFunction) -> GridFunction:
         out -= h_d * grid.shifted(p, 1)
     mask = (pm & grid.shifted(pm, 1) & level.h.flat_valid
             & level.f.flat_valid)
-    # fresh arrays, handed over read-only so that the constructor keeps them
-    out.setflags(write=False)
-    mask.setflags(write=False)
-    return GridFunction(grid, out, mask, label="A psi")
+    return GridFunction.fresh(grid, out, mask, label="A psi")
 
 
 def apply_Astar(level: ChainLevel, psi: GridFunction) -> GridFunction:
@@ -172,18 +165,13 @@ def apply_Astar(level: ChainLevel, psi: GridFunction) -> GridFunction:
         num = e.flat * level.h.flat * psi.flat
         direct = e.flat * level.f.flat * psi.flat
     num_mask = e.flat_valid & level.h.flat_valid & psi.flat_valid
-    # fresh arrays, handed over read-only so that the constructor keeps them
-    num.setflags(write=False)
-    num_mask.setflags(write=False)
-    core = step_quotient(GridFunction(grid, num, num_mask))
+    core = step_quotient(GridFunction.fresh(grid, num, num_mask))
     back = adjoint_shift(core, level.w)
     with np.errstate(invalid="ignore", over="ignore"):
         out = direct + core.flat - back.flat
     mask = (e.flat_valid & level.f.flat_valid & psi.flat_valid
             & core.flat_valid & back.flat_valid)
-    out.setflags(write=False)
-    mask.setflags(write=False)
-    return GridFunction(grid, out, mask)
+    return GridFunction.fresh(grid, out, mask)
 
 
 def advance_level(level: ChainLevel, h_next: GridFunction) -> ChainLevel:
@@ -225,12 +213,8 @@ def advance_level(level: ChainLevel, h_next: GridFunction) -> ChainLevel:
              (eta_next, grid.shifted(gm & eta.flat_valid, 1)),
              (rho_next, eta.flat_valid & rho.flat_valid),
              (phi_next, phi_ok), (f_next, phi_ok & (hm & grid.has_next))]
-    # fresh arrays, handed over read-only so that the constructor keeps them
-    for values, mask in parts:
-        values.setflags(write=False)
-        mask.setflags(write=False)
     B_next, eta_next, rho_next, phi_next, f_next = (
-        GridFunction(grid, values, mask) for values, mask in parts)
+        GridFunction.fresh(grid, values, mask) for values, mask in parts)
     return ChainLevel(k=level.k + 1, w=weighted_grid(rho_next), B=B_next,
                       eta=eta_next, h=h_next, f=f_next, phi=phi_next)
 
@@ -354,10 +338,7 @@ def tridiag_apply(bands, psi: GridFunction) -> GridFunction:
         out += sub * grid.shifted(p, -1)
     mask = pm & grid.shifted(pm, 1) & grid.shifted(pm, -1)
     mask &= grid.interior(_BAND_MARGIN)
-    # fresh arrays, handed over read-only so that the constructor keeps them
-    out.setflags(write=False)
-    mask.setflags(write=False)
-    return GridFunction(grid, out, mask)
+    return GridFunction.fresh(grid, out, mask)
 
 
 def factorization_residual(level: ChainLevel, level_next: ChainLevel,
@@ -372,9 +353,8 @@ def factorization_residual(level: ChainLevel, level_next: ChainLevel,
     """
     rng = np.random.default_rng(rng)
     c, d = level.c, level.d
-    probes = rng.standard_normal((_PROBES, level.grid.size))
-    probes.setflags(write=False)
-    psi = GridFunction(level.grid, probes).window(5)
+    psi = GridFunction.fresh(level.grid, rng.standard_normal(
+        (_PROBES, level.grid.size))).window(5)
     lhs_op = apply_A(level, apply_Astar(level, psi))
     rhs_op = d * apply_Astar(level_next, apply_A(level_next, psi)) + c * psi
     lhs_bd = tridiag_apply(bands_AAstar(level), psi)
@@ -399,9 +379,9 @@ def to_coefficients(level: ChainLevel, value: complex = 0.0) -> CoefficientTripl
     edge = np.zeros(grid.size, dtype=bool)
     edge[n] = me[n] & mp[n] & mh[n]
     return CoefficientTriple(
-        alpha=GridFunction(grid, sup, edge, label="alpha"),
-        beta=GridFunction(grid, diag, interior, label="beta"),
-        gamma=GridFunction(grid, sub, interior, label="gamma"),
+        alpha=GridFunction.fresh(grid, sup, edge, label="alpha"),
+        beta=GridFunction.fresh(grid, diag, interior, label="beta"),
+        gamma=GridFunction.fresh(grid, sub, interior, label="gamma"),
         value=value)
 
 
@@ -438,15 +418,15 @@ def from_coefficients(coef: CoefficientTriple, h0: GridFunction,
             raise ZeroAlpha(f"alpha vanishes at interior orbit point index {pos}")
         raise RiccatiBlowup(
             f"ratio recursion denominator vanished at index {pos}")
-    r_fn = GridFunction(grid, r, mask, label="phi0/h0")
+    r_fn = GridFunction.fresh(grid, r, mask, label="phi0/h0")
     phi0 = r_fn * h0
     f0 = phi0 - h0 / dlt
     eta0 = -(dlt * coef.alpha) / (phi0 * h0)
     # B_0[n] = delta_n delta_{n-1} / h0[n-1]^2 * (beta[n] + delta_n alpha[n] r[n])
     B0 = (dlt * shift(dlt, -1) / shift(h0, -1) ** 2
           * (coef.beta + dlt * coef.alpha * r_fn))
-    B0 = GridFunction(grid, np.where(B0.flat_valid, B0.flat, 0.0),
-                      B0.flat_valid, label="B0")
+    B0 = GridFunction.fresh(grid, np.where(B0.flat_valid, B0.flat, 0.0),
+                            B0.flat_valid, label="B0")
     return make_level(B0, eta0, h0, f0)
 
 
@@ -825,8 +805,8 @@ def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0
         g = np.where(inner, (ae - xi) * dv * grid.shifted(dv, -1) / (d * Bv),
                      0.0)
     g_mask = inner & mask & level.B.flat_valid
-    return (GridFunction(grid, xi, mask, label="xi"),
-            GridFunction(grid, g, g_mask, label="g"))
+    return (GridFunction.fresh(grid, xi, mask, label="xi"),
+            GridFunction.fresh(grid, g, g_mask, label="g"))
 
 
 __all__ = [

@@ -379,6 +379,9 @@ def cmd_chain(args) -> int:
 
 def cmd_validate(args) -> int:
     names = args.criterion or None
+    if args.tol is not None and not 0.0 < args.tol < np.inf:
+        raise ConfigError(f"--tol must be a finite positive number, "
+                          f"got {args.tol!r}")
     try:
         results = run_criteria(names=names, tol_override=args.tol)
     except KeyError as exc:
@@ -407,26 +410,26 @@ def _build_parser() -> argparse.ArgumentParser:
                     "acceptance suite")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, presets):
         source = p.add_mutually_exclusive_group()
         source.add_argument("--config", help="JSON configuration file")
-        source.add_argument("--preset", help="named preset "
-                            "(qhahn, constant-gauge, fractional, linear)")
+        source.add_argument("--preset", help=f"named preset ({presets})")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--depth", type=int, help="orbit depth override")
 
     p_grid = sub.add_parser("grid", help="build an orbit grid")
-    common(p_grid)
+    common(p_grid, "qhahn, constant-gauge, fractional, linear")
     p_grid.set_defaults(func=cmd_grid)
 
     p_chain = sub.add_parser("chain", help="build a factorization chain")
-    common(p_chain)
+    common(p_chain, "qhahn, constant-gauge, fractional")
     p_chain.set_defaults(func=cmd_chain)
 
     p_val = sub.add_parser("validate", help="run the acceptance suite")
     p_val.add_argument("--out", default="out", help="output directory")
     p_val.add_argument("--tol", type=float,
-                       help="tolerance override for every criterion")
+                       help="tolerance override for every criterion "
+                            "(finite, positive)")
     p_val.add_argument("--criterion", action="append",
                        help="run only this criterion (repeatable)")
     p_val.set_defaults(func=cmd_validate)

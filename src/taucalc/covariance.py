@@ -133,7 +133,7 @@ def _delta_ratio(source: OrbitGrid, target: OrbitGrid) -> GridFunction:
     """
     out = np.divide(source.deltas, target.deltas, where=target.has_next,
                     out=np.ones(target.size))
-    return GridFunction(target, out, target.has_next, label="dx/dy")
+    return GridFunction.fresh(target, out, target.has_next, label="dx/dy")
 
 
 def transport_level(level: ChainLevel, ch: VariableChange,
@@ -162,7 +162,7 @@ def transport_level(level: ChainLevel, ch: VariableChange,
     B_mask = np.zeros(target_grid.size, dtype=bool)
     B[n] = level.B.flat[n] * rv[n - 1] / rv[n]
     B_mask[n] = level.B.flat_valid[n] & rm[n - 1] & rm[n]
-    B_t = GridFunction(target_grid, B, B_mask, label="B")
+    B_t = GridFunction.fresh(target_grid, B, B_mask, label="B")
     out = make_level(B_t, eta_t, h_t, f_t, k=level.k)
     if level.g is not None:
         out = replace(out, g=carry(level.g), c=level.c, d=level.d)

@@ -17,6 +17,13 @@ row; a function of shape (N,) behaves exactly as one row.
 Values are float64 unless a complex value enters, then complex128: this
 module is the one place that decides, and every operator elsewhere
 computes in the dtype of its operands, promoting as numpy does.
+
+Ownership is decided here as well.  A function's arrays are read-only.
+``GridFunction(grid, values, valid)`` copies a writable array, so the
+caller's array stays the caller's, and keeps a read-only one.  Code
+that has just made its arrays hands them over with
+:meth:`GridFunction.fresh`, which freezes them and keeps them without a
+copy; the caller must not write to them afterwards.
 """
 
 from __future__ import annotations
@@ -38,13 +45,6 @@ def _flat(grid: OrbitGrid, array, dtype, what: str) -> np.ndarray:
         raise GridMismatch(f"need a {what} array of grid length "
                            f"{grid.points.shape} or a (k, N) block of "
                            f"them, got {arr.shape}")
-    return arr
-
-
-def _fresh(arr: np.ndarray) -> np.ndarray:
-    """An array an operator has just made, marked read-only so that the
-    constructor keeps it instead of copying it."""
-    arr.setflags(write=False)
     return arr
 
 
@@ -72,9 +72,7 @@ class GridFunction:
     def __init__(self, grid: OrbitGrid, values, valid=None, label: str = ""):
         arr = np.asarray(values)
         # float64, or complex128 once a complex value enters; a writable
-        # array, values or mask, is copied, so that the caller's array
-        # stays its own (the operators below hand over their fresh results
-        # read-only)
+        # array, values or mask, is copied and a read-only one is kept
         flat = _flat(grid, arr.astype(complex if arr.dtype.kind == "c" else float,
                                       copy=arr.flags.writeable), None, "value")
         if valid is None:
@@ -106,14 +104,25 @@ class GridFunction:
 
     # -- constructors ---------------------------------------------------
     @classmethod
+    def fresh(cls, grid: OrbitGrid, values: np.ndarray,
+              valid: np.ndarray | None = None,
+              label: str = "") -> "GridFunction":
+        """A function on arrays the caller has just made and hands over:
+        both are made read-only and kept, not copied."""
+        values.setflags(write=False)
+        if valid is not None:
+            valid.setflags(write=False)
+        return cls(grid, values, valid, label)
+
+    @classmethod
     def from_callable(cls, grid: OrbitGrid, fn: Callable[[np.ndarray], np.ndarray],
                       label: str = "") -> "GridFunction":
         vals = np.asarray(fn(grid.points)) + np.zeros(grid.size)
-        return cls(grid, _fresh(vals), label=label)
+        return cls.fresh(grid, vals, label=label)
 
     @classmethod
     def constant(cls, grid: OrbitGrid, c: complex, label: str = "") -> "GridFunction":
-        return cls(grid, _fresh(np.full(grid.size, c)), label=label)
+        return cls.fresh(grid, np.full(grid.size, c), label=label)
 
     @classmethod
     def identity(cls, grid: OrbitGrid, label: str = "x") -> "GridFunction":
@@ -136,12 +145,12 @@ class GridFunction:
             if isinstance(other, GridFunction):
                 self.check_same_grid(other)
                 vals = op(self.flat, other.flat)
-                valid = _fresh(self.flat_valid & other.flat_valid)
+                valid = self.flat_valid & other.flat_valid
             elif isinstance(other, Number):
                 vals, valid = op(self.flat, other), self.flat_valid
             else:
                 return NotImplemented
-        return GridFunction(self.grid, _fresh(vals), valid)
+        return GridFunction.fresh(self.grid, vals, valid)
 
     def __add__(self, other):
         return self._binary(other, operator.add)
@@ -166,8 +175,7 @@ class GridFunction:
         return self._binary(other, lambda a, b: b / a)
 
     def __abs__(self):
-        return GridFunction(self.grid, _fresh(np.abs(self.flat)),
-                            self.flat_valid)
+        return GridFunction.fresh(self.grid, np.abs(self.flat), self.flat_valid)
 
     def __pow__(self, other):
         if not isinstance(other, Number):
@@ -175,11 +183,11 @@ class GridFunction:
         return self._binary(other, operator.pow)
 
     def __neg__(self):
-        return GridFunction(self.grid, _fresh(-self.flat), self.flat_valid)
+        return GridFunction.fresh(self.grid, -self.flat, self.flat_valid)
 
     def conj(self) -> "GridFunction":
-        return GridFunction(self.grid, _fresh(np.conj(self.flat)),
-                            self.flat_valid)
+        return GridFunction.fresh(self.grid, np.conj(self.flat),
+                                  self.flat_valid)
 
     def window(self, margin: int) -> "GridFunction":
         """Zero the values on ``margin`` indices at each end of every branch.
@@ -189,8 +197,8 @@ class GridFunction:
         entries).
         """
         keep = self.grid.interior(max(margin, 0))
-        return GridFunction(self.grid, _fresh(np.where(keep, self.flat, 0.0)),
-                            self.flat_valid, self.label)
+        return GridFunction.fresh(self.grid, np.where(keep, self.flat, 0.0),
+                                  self.flat_valid, self.label)
 
 
 def max_abs_diff(f: GridFunction, g: GridFunction):

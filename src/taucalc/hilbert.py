@@ -81,7 +81,7 @@ def inner_product(phi: GridFunction, psi: GridFunction, w: WeightedGrid,
     with np.errstate(invalid="ignore", over="ignore"):
         terms = np.conj(phi.flat) * psi.flat * w.rho.flat
     valid = phi.flat_valid & psi.flat_valid & w.rho.flat_valid
-    return tau_integral(GridFunction(phi.grid, terms, valid),
+    return tau_integral(GridFunction.fresh(phi.grid, terms, valid),
                         check_tail=check_tail)
 
 
@@ -102,11 +102,8 @@ def mu_from_rho(w: WeightedGrid) -> GridFunction:
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         out = np.where(inner, (grid.shifted(d, -1) / d) * grid.shifted(v, -1)
                        / v, 0.0)
-    mask = inner & grid.shifted(m, -1) & m
-    # fresh arrays, handed over read-only so that the constructor keeps them
-    out.setflags(write=False)
-    mask.setflags(write=False)
-    return GridFunction(grid, out, mask, label="mu")
+    return GridFunction.fresh(grid, out, inner & grid.shifted(m, -1) & m,
+                              label="mu")
 
 
 def adjoint_shift(phi: GridFunction, w: WeightedGrid) -> GridFunction:
@@ -128,10 +125,7 @@ def adjoint_shift(phi: GridFunction, w: WeightedGrid) -> GridFunction:
     if grid.mode != GROUP:
         # boundary row: T* truncates to zero at each branch base
         mask = np.where(has_prev, mask, phi.flat_valid)
-    # fresh arrays, handed over read-only so that the constructor keeps them
-    out.setflags(write=False)
-    mask.setflags(write=False)
-    return GridFunction(grid, out, mask, label="T*phi")
+    return GridFunction.fresh(grid, out, mask, label="T*phi")
 
 
 def weight_from_pearson(B: GridFunction, eta: GridFunction) -> WeightedGrid:
@@ -170,10 +164,7 @@ def weight_from_pearson(B: GridFunction, eta: GridFunction) -> WeightedGrid:
             k = np.flatnonzero(pole)[0]
             raise ZeroDivisor(f"{'eta' if side[k] < 0 else 'B'} vanishes at "
                               f"orbit point index {grid.locate(k)[1]}")
-    # fresh arrays, handed over read-only so that the constructor keeps them
-    rho.setflags(write=False)
-    mask.setflags(write=False)
-    w = weighted_grid(GridFunction(grid, rho, mask, label="rho"))
+    w = weighted_grid(GridFunction.fresh(grid, rho, mask, label="rho"))
     res = pearson_residual(B, eta, w)
     if res > 1e-11:
         raise InconsistentWeights(

@@ -6,6 +6,8 @@ separator regardless of locale, ``nan``/``inf``/``-inf`` as Python spells
 them), a masked cell is empty, an integer cell is its decimal digits,
 rows end in CRLF, and no cell is quoted (none can hold a comma, quote or
 line break). Identical inputs therefore produce byte-identical files.
+JSON files are strict RFC 8259 JSON: a non-finite float is written as
+the string "inf", "-inf" or "nan", as a CSV cell spells it.
 
 Writing is bound by formatting, at about 0.4 us per 17-digit cell, so
 the lead cells (branch, n, point) are formatted once per grid and shared
@@ -16,6 +18,7 @@ whole.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -136,10 +139,24 @@ def write_chain(levels, out_dir: str | Path, manifest_extra: dict | None = None,
     return write_json(manifest, out_dir / "manifest.json")
 
 
+def _strict(data):
+    """``data`` with each non-finite float spelled as a CSV cell spells it:
+    the strings "inf", "-inf" and "nan"."""
+    if isinstance(data, float) and not math.isfinite(data):
+        return format(data, ".17g")
+    if isinstance(data, dict):
+        return {key: _strict(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_strict(value) for value in data]
+    return data
+
+
 def write_json(data: dict, path: str | Path) -> Path:
+    """``data`` as strict JSON (RFC 8259, no NaN or Infinity tokens), keys
+    sorted, indented by two spaces."""
     path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(_strict(data), indent=2, sort_keys=True,
+                               allow_nan=False) + "\n", encoding="utf-8")
     return path
 
 

@@ -257,11 +257,8 @@ def solve_system(sys: TwoByTwoSystem, boundary,
     num = np.stack([d * b0 - b * b1, a * b1 - c * b0])
     sol = np.divide(num, det, out=np.zeros_like(num), where=mask)
     sol = ldexp(sol, -e)
-    # fresh arrays, handed over read-only so that the constructor keeps them
-    sol.setflags(write=False)
-    mask.setflags(write=False)
-    psi = GridFunction(grid, sol[0], mask, label="psi")
-    phi = GridFunction(grid, sol[1], mask, label="phi")
+    psi = GridFunction.fresh(grid, sol[0], mask, label="psi")
+    phi = GridFunction.fresh(grid, sol[1], mask, label="phi")
     worst = step_residual(sys, psi, phi)
     if not worst <= _RECURSION_TOL:   # a nan residual fails too
         raise SingularResolvent(
@@ -374,7 +371,7 @@ def _gauge_inverse(D, grid: OrbitGrid):
         raise SingularGauge("gauge matrix is singular at a grid point")
     inv = np.zeros((4, grid.size), m.dtype)
     inv[:, valid] = np.stack([d, -b, -c, a]) / det / _entry_max(m)
-    return entries, [GridFunction(grid, row, valid) for row in inv]
+    return entries, [GridFunction.fresh(grid, row, valid) for row in inv]
 
 
 def darboux(sys: TwoByTwoSystem, D) -> TwoByTwoSystem:
@@ -405,8 +402,7 @@ def darboux_solution(D, psi: GridFunction, phi: GridFunction
 
 def _limit_distance(grid: OrbitGrid) -> GridFunction:
     dist = grid.points - grid.per_point([br.limit for br in grid.branches])
-    dist.setflags(write=False)
-    return GridFunction(grid, dist, label="x - limit")
+    return GridFunction.fresh(grid, dist, label="x - limit")
 
 
 def singular_darboux(sys: TwoByTwoSystem, delta1: float,
@@ -434,7 +430,7 @@ def _pow(f: GridFunction, e: float) -> GridFunction:
     if np.any(v[m] <= 0):
         raise NegativeBaseRealExponent("real-power gauge needs a positive base")
     base = np.where(m, v, 1.0)  # masked entries are never read
-    return GridFunction(f.grid, np.power(base, e), m)
+    return GridFunction.fresh(f.grid, np.power(base, e), m)
 
 
 def rhom_residual(sys: TwoByTwoSystem, u: GridFunction) -> float:
@@ -535,8 +531,7 @@ def general_solution(sys: TwoByTwoSystem, u0: GridFunction,
     step = t * fam.E / den
     u = np.array(u0.flat, np.result_type(u0.flat, step))
     u[fam.at] += step
-    u.setflags(write=False)
-    u_fn = GridFunction(sys.grid, u, fam.valid, label="u^t")
+    u_fn = GridFunction.fresh(sys.grid, u, fam.valid, label="u^t")
     return RiccatiSolution(u=u_fn, t=float(t), u0=u0,
                            residual=rhom_residual(sys, u_fn))
 

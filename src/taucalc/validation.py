@@ -160,7 +160,8 @@ def _fold(worst: float, values) -> float:
 def _resolvable_gap(a: GridFunction, b: GridFunction, resolvable: np.ndarray):
     """max |a - b| over the common valid window restricted to ``resolvable``,
     one per probe row."""
-    return max_abs_diff(GridFunction(a.grid, a.flat, a.flat_valid & resolvable), b)
+    return max_abs_diff(
+        GridFunction.fresh(a.grid, a.flat, a.flat_valid & resolvable), b)
 
 
 def criterion_calculus(data: SuiteData) -> CriterionResult:
@@ -246,11 +247,11 @@ def criterion_q_oracle(data: SuiteData) -> CriterionResult:
         # composition with tau: f(qx)
         s_orc = _poly.polyval(q * pts, c.T)
         worst["composition"] = _fold(worst["composition"], max_abs_diff(
-            shift(F), GridFunction(grid, s_orc)) / scale)
+            shift(F), GridFunction.fresh(grid, s_orc)) / scale)
         # q-derivative: (f(x) - f(qx)) / ((1-q)x)
         d_orc = (f_orc - s_orc) / ((1.0 - q) * pts)
         worst["derivative"] = _fold(worst["derivative"], max_abs_diff(
-            tau_derivative(F), GridFunction(grid, d_orc)) / scale)
+            tau_derivative(F), GridFunction.fresh(grid, d_orc)) / scale)
         # q-integral from the limit 0 to the base 1
         worst["integral"] = _fold(worst["integral"], np.abs(
             tau_integral(F) - _jackson_integral(c, q, 1.0)) / scale)
@@ -284,7 +285,7 @@ def criterion_adjoints(data: SuiteData) -> CriterionResult:
     draws = [(rng.standard_normal(grid.size), rng.standard_normal(grid.size),
               rng.uniform(-1, 1, 4)) for _ in range(30)]
     phi_rows, psi_rows, f_coeffs = (np.stack(rows) for rows in zip(*draws))
-    phi, psi = (GridFunction(grid, rows).window(margin)
+    phi, psi = (GridFunction.fresh(grid, rows).window(margin)
                 for rows in (phi_rows, psi_rows))
     f = _poly_fn(grid, f_coeffs)
     scale = np.fmax(1.0, norm(phi, w) * norm(psi, w))
@@ -298,8 +299,8 @@ def criterion_adjoints(data: SuiteData) -> CriterionResult:
     pt_scale = np.fmax(1.0, mu.max_abs() * phi.max_abs())
     exp = np.where(base, 0.0, mu.flat * phi.flat)
     sel = np.where(base, ts.flat_valid, ts.flat_valid & mu.flat_valid)
-    gaps["TstarT"] = max_abs_diff(GridFunction(grid, ts.flat, sel),
-                                  GridFunction(grid, exp)) / pt_scale
+    gaps["TstarT"] = max_abs_diff(GridFunction.fresh(grid, ts.flat, sel),
+                                  GridFunction.fresh(grid, exp)) / pt_scale
     # T T* = mu o tau (as a multiplication operator)
     tts = shift(adjoint_shift(phi, w))
     gaps["TTstar"] = max_abs_diff(tts, mu_tau * phi) / pt_scale
@@ -339,7 +340,7 @@ def _spot_perturbed_residual(lvl, factor: float) -> float:
     at one point of its second branch."""
     vals = lvl.w.rho.flat.copy()
     vals[lvl.grid.slices[1].start + 10] *= factor
-    rho2 = GridFunction(lvl.grid, vals, lvl.w.rho.flat_valid)
+    rho2 = GridFunction.fresh(lvl.grid, vals, lvl.w.rho.flat_valid)
     return pearson_residual(lvl.B, lvl.eta, weighted_grid(rho2, warn=False))
 
 
@@ -357,7 +358,7 @@ def criterion_factorization(data: SuiteData) -> CriterionResult:
             worst_post = max(worst_post,
                              factorization_residual(lvl, nxt, rng=1000 + k))
             # three probes, one block
-            psi = GridFunction(lvl.grid, rng.standard_normal(
+            psi = GridFunction.fresh(lvl.grid, rng.standard_normal(
                 (3, lvl.grid.size))).window(5)
             lhs_op = apply_A(lvl, apply_Astar(lvl, psi))
             lhs_bd = tridiag_apply(bands_AAstar(lvl), psi)
@@ -422,9 +423,9 @@ def _gram_offdiag_ratio(fns, w) -> float:
     rows = np.stack([f.flat for f in fns])
     valid = np.stack([f.flat_valid for f in fns])
     G = np.empty((n, n))
-    G[i, j] = G[j, i] = inner_product(GridFunction(w.grid, rows[i], valid[i]),
-                                      GridFunction(w.grid, rows[j], valid[j]),
-                                      w, check_tail=False)
+    G[i, j] = G[j, i] = inner_product(
+        GridFunction.fresh(w.grid, rows[i], valid[i]),
+        GridFunction.fresh(w.grid, rows[j], valid[j]), w, check_tail=False)
     d = np.sqrt(np.abs(np.diag(G)))
     R = np.abs(G) / np.outer(d, d)
     np.fill_diagonal(R, 0.0)

@@ -639,3 +639,92 @@ def test_python_dash_m_runs_the_cli(src_env, tmp_path):
     bad = subprocess.run([sys.executable, "-m", "taucalc", "grid", "--tol",
                           "1"], env=src_env, capture_output=True, text=True)
     assert bad.returncode == 2
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_json_outputs_are_strict_json(tmp_path):
+    # riccati's gauge-criterion-sum has an infinite threshold: it is
+    # written as the string "inf", as a CSV cell spells it
+    assert run("grid", "--preset", "qhahn", "--out", str(tmp_path)) == 0
+    assert run("chain", "--preset", "constant-gauge",
+               "--out", str(tmp_path)) == 0
+    assert run("validate", "--criterion", "riccati",
+               "--out", str(tmp_path)) == 0
+    for name in ("grid.json", "manifest.json", "validation.json"):
+        json.loads((tmp_path / name).read_text(),
+                   parse_constant=refuse_constant)
+    report = json.loads((tmp_path / "validation.json").read_text())
+    thresholds = {c["name"]: c["threshold"]
+                  for c in report["criteria"][0]["checks"]}
+    assert thresholds["gauge-criterion-sum"] == "inf"
+
+
+def test_write_json_spells_non_finite_floats(tmp_path):
+    path = tcio.write_json({"a": [float("inf"), -float("inf"), 1.5],
+                            "b": {"c": float("nan")}, "d": (2, "x")},
+                           tmp_path / "o.json")
+    assert json.loads(path.read_text(), parse_constant=refuse_constant) == {
+        "a": ["inf", "-inf", 1.5], "b": {"c": "nan"}, "d": [2, "x"]}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_validate_refuses_a_tolerance_out_of_domain(tmp_path, capsys, tol):
+    # nan or a negative ceiling failed every check and inf passed every one
+    assert run("validate", "--criterion", "pearson", "--tol", tol,
+               "--out", str(tmp_path / "o")) == 2
+    assert "--tol must be a finite positive number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, presets", [
+    ("grid", "(qhahn, constant-gauge, fractional, linear)"),
+    ("chain", "(qhahn, constant-gauge, fractional)"),
+])
+def test_preset_help_lists_the_commands_presets(capsys, command, presets):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--help")
+    assert exc.value.code == 0
+    assert f"named preset {presets}" in " ".join(capsys.readouterr().out.split())
+
+
+# level 0 of the xi config given by its three-point coefficients
+COEFFICIENT_CONFIG = dict(CHAIN_CONFIGS["xi"], level0={
+    "alpha": "-16", "beta": "18", "gamma": "-2", "seed": 2.0})
+
+
+def test_library_hands_its_arrays_over_without_a_copy(tmp_path, monkeypatch):
+    # every function the package builds gets read-only arrays, which the
+    # constructor keeps as they are: no package call of GridFunction copies
+    from taucalc import GridFunction
+    from taucalc.validation import run_criteria
+    package = Path(cli.__file__).parent
+    init, copies, calls = GridFunction.__init__, set(), []
+
+    def spy(self, grid, values, valid=None, label=""):
+        init(self, grid, values, valid, label)
+        frame = sys._getframe(1)
+        if Path(frame.f_code.co_filename).parent != package:
+            return
+        calls.append(frame.f_code.co_name)
+        if frame.f_code.co_name == "fresh":
+            frame = frame.f_back
+        for arr, kept in ((values, self.flat), (valid, self.flat_valid)):
+            if arr is not None and (arr is not kept or arr.flags.writeable):
+                copies.add(f"{Path(frame.f_code.co_filename).name}:"
+                           f"{frame.f_code.co_name}")
+
+    monkeypatch.setattr(GridFunction, "__init__", spy)
+    assert all(r.passed for r in run_criteria())
+    for preset in ("qhahn", "constant-gauge", "fractional"):
+        assert run("chain", "--preset", preset, "--out",
+                   str(tmp_path / preset)) == 0
+    for name, config in [*CHAIN_CONFIGS.items(),
+                         ("coefficients", COEFFICIENT_CONFIG)]:
+        assert run("chain", "--config", write_config(
+            tmp_path, config, f"{name}.json"), "--out",
+            str(tmp_path / name)) == 0
+    assert copies == set()
+    assert len(calls) > 1000

@@ -310,6 +310,72 @@ def test_dtype_rule_sees_complex_types(tmp_path):
         assert complex_dtype_sites(path) == hits
 
 
+# gridfn alone decides when a GridFunction copies an array and when it
+# keeps one: its constructor copies a writable array and keeps a
+# read-only one, and GridFunction.fresh freezes an array its caller has
+# just made and hands over.  Every other place that freezes an array,
+# with the reason: a whole file (function None) or a (file, function)
+FREEZE_ALLOWED = {
+    ("gridfn.py", None): "the copy-or-keep rule: the constructor and "
+                         "GridFunction.fresh",
+    ("grid.py", None): "points, steps, masks and plans shared by every "
+                       "function on a grid",
+    ("maps.py", None): "the scale walk a map keeps for the grids built on it",
+    ("riccati.py", "ResolventResult.__post_init__"):
+        "the resolvent's matrix stack, kept on its result",
+    ("riccati.py", "_family"):
+        "the t-independent parts of a solution family, kept on its system",
+}
+
+
+def freeze_sites(path):
+    """(file, enclosing class and function, dotted) of every ``setflags``
+    call and every assignment to ``flags.writeable``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+
+    def freezes(node):
+        if isinstance(node, ast.Call):
+            return getattr(node.func, "attr", None) == "setflags"
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [getattr(node, "target", None)])
+        return any(getattr(t, "attr", None) == "writeable" for t in targets)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, *FUNCTIONS)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if freezes(child):
+                found.append((path.name, scope))
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_arrays_are_frozen_in_gridfn():
+    sites = {(name, None) if (name, None) in FREEZE_ALLOWED else (name, scope)
+             for path in SOURCES for name, scope in freeze_sites(path)}
+    assert sites == set(FREEZE_ALLOWED)
+
+
+def test_freeze_rule_sees_setflags_and_writeable(tmp_path):
+    path = tmp_path / "mod.py"
+    for code, hits in (
+            ("a.setflags(write=False)", [("mod.py", None)]),
+            ("def f(a):\n    a.setflags(False)", [("mod.py", "f")]),
+            ("class C:\n    def m(self):\n        self.a.setflags(write=0)",
+             [("mod.py", "C.m")]),
+            ("def f(a):\n    a.flags.writeable = False", [("mod.py", "f")]),
+            ("def f(a):\n    a.flags.writeable: bool = False",
+             [("mod.py", "f")]),
+            ("def f(a):\n    return a.flags.writeable", []),
+            ("def f(g, a):\n    return GridFunction.fresh(g, a)", [])):
+        path.write_text(code + "\n")
+        assert freeze_sites(path) == hits
+
+
 # a defaulted tolerance nothing sets is a constant of the method, not a
 # choice for the caller; the CLI sets run_criteria's override
 TOLERANCE_PARAMETERS_ALLOWED = {("validation.py", "run_criteria", "tol_override")}
