@@ -4,10 +4,9 @@ from .calculus import (shift, solve_linear_first_order, tau_antiderivative,
                        tau_derivative, tau_exponential, tau_integral)
 from .chain import (ChainLevel, CoefficientTriple, EigenPair, apply_A,
                     apply_Astar, build_chain, chain_eigenvalues,
-                    eigen_residual, eigen_residual_norm,
-                    factorization_residual, from_coefficients, lift,
-                    make_level, particular_gauge_xi, solve_step_constant,
-                    to_coefficients)
+                    eigen_residual, factorization_residual,
+                    from_coefficients, lift, make_level, particular_gauge_xi,
+                    solve_step_constant, to_coefficients)
 from .covariance import (VariableChange, affine_change,
                          equivalence_obstruction, ln_change, powerlaw_change,
                          transport_function, transport_grid, transport_level,
@@ -37,7 +36,7 @@ __all__ = [
     "pearson_residual", "inner_product", "norm",
     "ChainLevel", "EigenPair", "CoefficientTriple", "make_level",
     "build_chain", "apply_A", "apply_Astar", "lift",
-    "eigen_residual", "eigen_residual_norm", "factorization_residual",
+    "eigen_residual", "factorization_residual",
     "from_coefficients", "to_coefficients", "solve_step_constant",
     "chain_eigenvalues", "particular_gauge_xi",
     "TwoByTwoSystem", "ResolventResult", "system_from_second_order",

@@ -450,36 +450,25 @@ def eigen_residual(level: ChainLevel, pair: EigenPair) -> float:
     residual there is dominated by benign cancellation noise, so each
     row is normalized by its own band magnitude: the result is the max
     of |(A*A psi - lambda psi)[n]| / (rowscale[n] * sup|psi|).
+
+    Only rows with a predecessor on their branch are read.  T* truncates
+    at a branch's first row, where an eigenfunction of the untruncated
+    orbit does not satisfy the equation; A's forward difference already
+    leaves the last row out.  A group branch needs no special case: its
+    first index is its deepest backward point, which T* leaves invalid.
     """
     lhs = apply_Astar(level, apply_A(level, pair.psi))
     res = lhs - pair.value * pair.psi
     psi_max = pair.psi.max_abs()
     if psi_max == 0.0:
         raise ZeroDivisor("zero eigenfunction")
-    m = res.flat_valid
+    m = res.flat_valid & level.grid.neighbour_mask(-1)
     if not m.any():
         return 0.0
     sub, diag, sup = bands_AstarA(level)
     rowscale = (np.abs(sub) + np.abs(diag) + np.abs(sup)
                 + abs(pair.value) + 1.0)
     return float(np.max(np.abs(res.flat[m]) / rowscale[m])) / psi_max
-
-
-def eigen_residual_norm(level: ChainLevel, pair: EigenPair) -> float:
-    """Weighted-norm residual ||A*A psi - lambda psi|| / ||psi||.
-
-    Meaningful when the weight decays fast enough to suppress the
-    1/delta^2 rounding noise of the deep-tail operator rows; otherwise
-    prefer the row-scaled :func:`eigen_residual`.  The residual is
-    zeroed at the first and last index of each branch before taking
-    norms.
-    """
-    lhs = apply_Astar(level, apply_A(level, pair.psi))
-    res = (lhs - pair.value * pair.psi).window(1)
-    denom = norm(pair.psi, level.w)
-    if denom == 0.0:
-        raise ZeroDivisor("zero eigenfunction")
-    return norm(res, level.w) / denom
 
 
 def _edge_values(fn: GridFunction) -> np.ndarray:
@@ -814,6 +803,6 @@ __all__ = [
     "apply_A", "apply_Astar", "advance_level", "build_chain",
     "solve_step_constant", "bands_AstarA", "bands_AAstar", "tridiag_apply",
     "factorization_residual", "to_coefficients",
-    "from_coefficients", "lift", "eigen_residual",
-    "eigen_residual_norm", "chain_eigenvalues", "particular_gauge_xi",
+    "from_coefficients", "lift", "eigen_residual", "chain_eigenvalues",
+    "particular_gauge_xi",
 ]

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tcio
-from .chain import (CoefficientTriple, build_chain, eigen_residual_norm,
+from .chain import (CoefficientTriple, build_chain, eigen_residual,
                     factorization_residual, from_coefficients, make_level,
                     particular_gauge_xi, solve_step_constant)
 from .errors import CalculusError, ConfigError
@@ -196,36 +196,36 @@ def _grid_fn(grid, expr: str, label: str) -> GridFunction:
 # ---------------------------------------------------------------------------
 # presets
 
-def _depth(depth: int | None) -> dict:
-    """``--depth`` as a keyword for a scenario builder; without it the
+# each command's presets by name: a builder that takes ``depth`` as a
+# keyword, with its own default depth
+
+_GRID_PRESETS = {
+    "qhahn": qhahn_grid,
+    "constant-gauge": constant_gauge_grid,
+    "fractional": lambda depth=25: build_grid(
+        fractional_map(2.0), mode=SEMIGROUP, bases=0.5, max_depth=depth),
+    "linear": lambda depth=30: build_grid(
+        linear_map(0.5), mode=SEMIGROUP, bases=1.0, max_depth=depth),
+}
+_CHAIN_PRESETS = {
+    "qhahn": functools.partial(qhahn_chain, n_levels=6),
+    "constant-gauge": functools.partial(constant_gauge_chain, n_levels=6),
+    "fractional": functools.partial(fractional_chain, n_levels=6),
+}
+
+
+def _preset(presets: dict, name: str, depth: int | None):
+    """Build the preset ``name`` of ``presets``; without ``--depth`` the
     builder's own default depth applies."""
-    return {} if depth is None else {"depth": depth}
+    if name not in presets:
+        *names, last = presets
+        raise ConfigError(f"unknown preset {name!r} "
+                          f"(expected {', '.join(names)} or {last})")
+    return presets[name](**({} if depth is None else {"depth": depth}))
 
 
-def _preset_grid(name: str, depth: int | None):
-    if name == "linear":
-        return build_grid(linear_map(0.5), mode=SEMIGROUP, bases=1.0,
-                          max_depth=depth or 30)
-    if name == "fractional":
-        return build_grid(fractional_map(2.0), mode=SEMIGROUP, bases=0.5,
-                          max_depth=depth or 25)
-    if name == "qhahn":
-        return qhahn_grid(**_depth(depth))
-    if name == "constant-gauge":
-        return constant_gauge_grid(**_depth(depth))
-    raise ConfigError(f"unknown preset {name!r} "
-                      "(expected qhahn, constant-gauge, fractional or linear)")
-
-
-def _preset_chain(name: str, depth: int | None):
-    if name == "qhahn":
-        return qhahn_chain(n_levels=6, **_depth(depth))
-    if name == "constant-gauge":
-        return constant_gauge_chain(n_levels=6, **_depth(depth))
-    if name == "fractional":
-        return fractional_chain(n_levels=6, **_depth(depth))
-    raise ConfigError(f"unknown preset {name!r} "
-                      "(expected qhahn, constant-gauge or fractional)")
+_preset_grid = functools.partial(_preset, _GRID_PRESETS)
+_preset_chain = functools.partial(_preset, _CHAIN_PRESETS)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +339,7 @@ def _residual_table(levels, scenario=None) -> dict:
     if scenario is not None and hasattr(scenario, "kernel_pair"):
         pair = scenario.kernel_pair()
         residuals["eigen_kernel_route"] = float(
-            eigen_residual_norm(levels[pair.level], pair))
+            eigen_residual(levels[pair.level], pair))
     return residuals
 
 
@@ -413,16 +413,17 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, presets):
         source = p.add_mutually_exclusive_group()
         source.add_argument("--config", help="JSON configuration file")
-        source.add_argument("--preset", help=f"named preset ({presets})")
+        source.add_argument("--preset",
+                            help=f"named preset ({', '.join(presets)})")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--depth", type=int, help="orbit depth override")
 
     p_grid = sub.add_parser("grid", help="build an orbit grid")
-    common(p_grid, "qhahn, constant-gauge, fractional, linear")
+    common(p_grid, _GRID_PRESETS)
     p_grid.set_defaults(func=cmd_grid)
 
     p_chain = sub.add_parser("chain", help="build a factorization chain")
-    common(p_chain, "qhahn, constant-gauge, fractional")
+    common(p_chain, _CHAIN_PRESETS)
     p_chain.set_defaults(func=cmd_chain)
 
     p_val = sub.add_parser("validate", help="run the acceptance suite")

@@ -11,7 +11,7 @@ seeds, fixed presets) so repeated runs produce identical reports.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -20,8 +20,7 @@ from .calculus import (dtau_inverse_fn, shift, tau_antiderivative,
                        tau_derivative, tau_integral)
 from .chain import (EigenPair, apply_A, apply_Astar, bands_AAstar,
                     bands_AstarA, chain_eigenvalues, eigen_residual,
-                    eigen_residual_norm, factorization_residual, lift,
-                    tridiag_apply)
+                    factorization_residual, lift, tridiag_apply)
 from .covariance import (equivalence_obstruction, ln_change, transport_function,
                          transport_grid, transport_level, transport_weight)
 from .errors import PositivityWarning
@@ -381,12 +380,12 @@ def criterion_factorization(data: SuiteData) -> CriterionResult:
 def criterion_eigen_chain(data: SuiteData) -> CriterionResult:
     sc = data.constant_gauge
     pair = sc.kernel_pair()
-    worst_res = eigen_residual_norm(sc.levels[1], pair)
+    worst_res = eigen_residual(sc.levels[1], pair)
     worst_track = 0.0
     for k in range(1, 6):
         pair = lift(pair, sc.levels[k])
         worst_res = max(worst_res,
-                        eigen_residual_norm(sc.levels[pair.level], pair))
+                        eigen_residual(sc.levels[pair.level], pair))
         pred = sc.eigenvalue_after_lifts(k)
         worst_track = max(worst_track,
                           abs(pair.value - pred) / abs(pred))
@@ -456,6 +455,14 @@ def _regularized_gauge_system(level) -> TwoByTwoSystem:
     return singular_darboux(gauge_riccati_system(level), 0.0, -1.0)
 
 
+def _contracting_system(grid) -> TwoByTwoSystem:
+    """a = 1 + x/2, b = x/3, c = 0, d = 1 + x^2/4: a contracting system."""
+    x = GridFunction.identity(grid)
+    return TwoByTwoSystem(a=1.0 + 0.5 * x, b=x * (1.0 / 3.0),
+                          c=GridFunction.constant(grid, 0.0),
+                          d=1.0 + 0.25 * x * x)
+
+
 def _matrix_gap(res_a, res_b) -> float:
     worst = 0.0
     for ma, mb in zip(res_a.matrices, res_b.matrices):
@@ -478,11 +485,7 @@ def criterion_riccati(data: SuiteData) -> CriterionResult:
                         res_a.criterion_sum, float("inf")))
     checks.append(Check("gauge-cauchy-gap", res_a.cauchy_gap, 1e-12))
     # preset B: a synthetic contracting system on the fractional orbit
-    grid = data.fractional_grid_deep
-    x = GridFunction.identity(grid)
-    sys_b = TwoByTwoSystem(a=1.0 + 0.5 * x, b=x * (1.0 / 3.0),
-                           c=GridFunction.constant(grid, 0.0),
-                           d=1.0 + 0.25 * x * x)
+    sys_b = _contracting_system(data.fractional_grid_deep)
     res_b = resolvent(sys_b)
     checks.append(Check("fractional-converged",
                         1.0 if res_b.converged else 0.0, 0.5, at_least=True))
@@ -518,9 +521,7 @@ def criterion_darboux(data: SuiteData) -> CriterionResult:
     checks = []
     grid = data.fractional_grid_shallow
     x = GridFunction.identity(grid)
-    sys = TwoByTwoSystem(a=1.0 + 0.5 * x, b=x * (1.0 / 3.0),
-                         c=GridFunction.constant(grid, 0.0),
-                         d=1.0 + 0.25 * x * x)
+    sys = _contracting_system(grid)
     psi, phi = solve_system(sys, (1.0, 0.5), resolvent(sys))
     # regular gauge
     D = ((2.0 + x, x), (0.5 * x, 1.0 + x))
@@ -586,15 +587,12 @@ def criterion_covariance(data: SuiteData) -> CriterionResult:
     worst_unitary = _fold(0.0, np.abs(ip_x - ip_y)
                           / np.fmax(1e-300, np.abs(ip_x)))
     lvl0_y = transport_level(sc.levels[0], ch, target)
-    # eigen residual comparison on a deliberately imperfect eigenpair,
-    # so both residuals sit well above rounding noise
-    noise = _poly_fn(grid, (1.0, -0.7, 0.3))
-    psi_pert = xs * (1.0 + 1e-6 * noise)
-    pair_x = EigenPair(psi=psi_pert, value=-sc.constants[0], level=1)
+    # eigen residual comparison on a deliberately imperfect eigenpair:
+    # the 1e-6 perturbation, not rounding, sets both residuals
+    pair_x = _perturbed_kernel_pair(sc, 1e-6)
     r_x = eigen_residual(sc.levels[1], pair_x)
     lvl1_y = transport_level(sc.levels[1], ch, target)
-    pair_y = EigenPair(psi=transport_function(psi_pert, ch, target),
-                       value=-sc.constants[0], level=1)
+    pair_y = replace(pair_x, psi=transport_function(pair_x.psi, ch, target))
     r_y = eigen_residual(lvl1_y, pair_y)
     ratio = max(r_x / r_y, r_y / r_x)
     verdict = equivalence_obstruction(linear_map(0.7, domain=(-1.0, 1.0)),
@@ -608,6 +606,13 @@ def criterion_covariance(data: SuiteData) -> CriterionResult:
               1.0 if verdict["verdict"] == "not_equivalent" else 0.0, 0.5,
               at_least=True),
     ])
+
+
+def _perturbed_kernel_pair(sc, size: float) -> EigenPair:
+    """The kernel pair with psi scaled by 1 + size (1 - 0.7x + 0.3x^2)."""
+    pair = sc.kernel_pair()
+    noise = _poly_fn(sc.grid, (1.0, -0.7, 0.3))
+    return replace(pair, psi=pair.psi * (1.0 + size * noise))
 
 
 # ---------------------------------------------------------------------------

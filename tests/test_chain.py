@@ -10,9 +10,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taucalc import (GROUP, SEMIGROUP, EigenPair, GridFunction, apply_A,
-                     apply_Astar, build_grid, chain_eigenvalues,
-                     eigen_residual_norm, factorization_residual,
+from taucalc import (GROUP, INTERVAL, SEMIGROUP, EigenPair, GridFunction,
+                     apply_A, apply_Astar, build_grid, chain_eigenvalues,
+                     eigen_residual, factorization_residual,
                      from_coefficients, lift, linear_map, particular_gauge_xi,
                      shift, solve_step_constant, to_coefficients)
 from taucalc import chain
@@ -21,8 +21,8 @@ from taucalc.cli import _preset_chain
 from taucalc.hilbert import weighted_grid
 from taucalc.validation import SuiteData
 from taucalc.errors import (InconsistentWeights, NonPositiveFactor,
-                            RiccatiBlowup, SingularLimit, ZeroAlpha,
-                            ZeroDivisor)
+                            PositivityWarning, RiccatiBlowup, SingularLimit,
+                            ZeroAlpha, ZeroDivisor)
 
 from eigen_oracle import golub_kahan_eigenvalues, one_pass_gram_eigenvalues
 from recursion_oracle import coefficient_ratio_loop, gauge_xi_loop
@@ -66,14 +66,72 @@ def test_solve_step_constant_rejects_wrong_gauge(cg):
 
 
 def test_kernel_pair_and_lift(cg):
-    # the norm leaves out each branch's end indices: the base row of the
+    # the residual leaves out each branch's base row: the base row of the
     # truncated orbit is a boundary row
     pair = cg.kernel_pair()
     lvl = cg.levels[pair.level]
-    assert eigen_residual_norm(lvl, pair) < 1e-10
+    assert eigen_residual(lvl, pair) < 1e-10
     lifted = lift(pair, lvl)
     assert lifted.level == pair.level + 1
-    assert eigen_residual_norm(cg.levels[lifted.level], lifted) < 1e-8
+    assert eigen_residual(cg.levels[lifted.level], lifted) < 1e-8
+
+
+def test_lifted_kernel_pairs_are_eigenpairs(cg):
+    # x^s lifted through levels 1-6: the base row, where T* truncates,
+    # carried 0.347 down to 7.2e-9 of row-scaled error before it was
+    # left out
+    pair = cg.kernel_pair()
+    for k in range(pair.level, 6):
+        assert eigen_residual(cg.levels[k], pair) < 1e-14
+        pair = lift(pair, cg.levels[k])
+    assert eigen_residual(cg.levels[pair.level], pair) < 1e-14
+
+
+@pytest.mark.parametrize("q", [0.8, 0.9, 0.97])
+def test_qhahn_polynomials_are_eigenpairs(q):
+    sc = qhahn_chain(q=q, depth=4000, n_levels=4)
+    for n in range(1, 5):
+        pair = EigenPair(psi=sc.sample(sc.polynomial(n)),
+                         value=sc.eigenvalue(n), level=0)
+        assert eigen_residual(sc.levels[0], pair) < 1e-14
+
+
+def _planted_residuals(monkeypatch, level, pair, offset):
+    """eigen_residual of ``pair`` with 1e12 planted in A*A psi at
+    ``offset`` points into each branch, one branch at a time, and
+    without it."""
+    out = []
+    for s in level.grid.slices:
+        def planted(lvl, fn, at=s.start + offset):
+            got = apply_Astar(lvl, fn)
+            vals = got.flat.copy()
+            vals[at] += 1e12
+            return GridFunction(lvl.grid, vals, got.flat_valid)
+
+        with monkeypatch.context() as m:
+            m.setattr(chain, "apply_Astar", planted)
+            out.append(eigen_residual(level, pair))
+    return eigen_residual(level, pair), out
+
+
+@pytest.mark.parametrize("mode", [SEMIGROUP, INTERVAL, GROUP])
+def test_eigen_residual_skips_each_branchs_base_row(monkeypatch, cg, qh,
+                                                    mode):
+    # an error planted at a branch's first point is not read, one planted
+    # at its second point is; a group branch's first point is its deepest
+    # backward one, which T* leaves invalid
+    if mode == SEMIGROUP:
+        pair = cg.kernel_pair()
+        level = cg.levels[pair.level]
+    else:
+        level = qh.levels[0] if mode == INTERVAL else _xi_test_level(GROUP)
+        pair = EigenPair(psi=GridFunction.identity(level.grid), value=1.0,
+                         level=0)
+    assert len(level.grid.slices) == (2 if mode == INTERVAL else 1)
+    clean, first = _planted_residuals(monkeypatch, level, pair, 0)
+    assert first == [clean] * len(first)
+    clean, second = _planted_residuals(monkeypatch, level, pair, 1)
+    assert clean < 1.0 < min(second)
 
 
 def descend(pair, level):
@@ -865,7 +923,8 @@ def test_eigen_solve_refuses_complex_level_data(complex_xi_levels, field):
     # each field the factor reads, alone complex
     lvl = complex_xi_levels[0]
     if field == "rho":
-        lvl = replace(lvl, w=weighted_grid(lvl.w.rho * (1.0 + 0.1j)))
+        with pytest.warns(PositivityWarning):
+            lvl = replace(lvl, w=weighted_grid(lvl.w.rho * (1.0 + 0.1j)))
     else:
         lvl = replace(lvl, **{field: getattr(lvl, field) * (1.0 + 0.1j)})
     with pytest.raises(NonPositiveFactor, match="real level data"):

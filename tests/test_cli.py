@@ -154,10 +154,14 @@ def test_grid_preset_writes_the_chain_preset_grid(tmp_path, monkeypatch,
             == json.loads(json.dumps(grid_diagnostics(grid))))
 
 
-@pytest.mark.parametrize("command", ["grid", "chain"])
-def test_unknown_preset_exit_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, presets", [
+    ("grid", "qhahn, constant-gauge, fractional or linear"),
+    ("chain", "qhahn, constant-gauge or fractional"),
+], ids=["grid", "chain"])
+def test_unknown_preset_exit_2(tmp_path, capsys, command, presets):
     assert run(command, "--preset", "bogus", "--out", str(tmp_path / "o")) == 2
-    assert "unknown preset 'bogus'" in capsys.readouterr().err
+    assert (f"unknown preset 'bogus' (expected {presets})"
+            in capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
 
 
@@ -233,6 +237,15 @@ def test_chain_missing_seed_exit_2(tmp_path, capsys):
     })
     assert run("chain", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", ["16", "24"])
+def test_kernel_route_residual_at_rounding(tmp_path, depth):
+    # the kernel pair's base row, where T* truncates, is not read
+    assert run("chain", "--preset", "constant-gauge", "--depth", depth,
+               "--out", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["residuals"]["eigen_kernel_route"] < 1e-14
 
 
 def test_chain_determinism(tmp_path):

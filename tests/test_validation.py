@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from taucalc.chain import eigen_residual
 from taucalc.validation import (CRITERIA, Check, CriterionResult, SuiteData,
+                                _perturbed_kernel_pair,
                                 _spot_perturbed_residual, format_report,
                                 run_criteria)
 
@@ -56,3 +58,12 @@ def test_pearson_perturbation_detector_can_fail():
     level = SuiteData().qhahn.levels[0]
     assert _spot_perturbed_residual(level, 1.0 + 1e-3) >= 1e-4
     assert _spot_perturbed_residual(level, 1.0) < 1e-4
+
+
+def test_covariance_eigen_pair_reads_its_perturbation():
+    # the eigen-residual ratio compares the 1e-6 perturbation on both
+    # sides, not rounding or the base row's truncation
+    sc = SuiteData().constant_gauge
+    level = sc.levels[1]
+    assert (eigen_residual(level, _perturbed_kernel_pair(sc, 1e-6))
+            >= 100.0 * eigen_residual(level, _perturbed_kernel_pair(sc, 0.0)))
