@@ -559,6 +559,42 @@ def _dlar1v():
     return _lapack_function("dlar1v", _DLAR1V_SIGNATURE)
 
 
+@functools.cache
+def _cython_lapack():
+    """scipy's compiled ``scipy.linalg.cython_lapack``, loaded from its own
+    file so that ``scipy/linalg/__init__.py``, which imports some 300
+    modules (75 of them scipy's) and about 25 MB the eigen-solve does not
+    use, never runs.  A scipy without the file raises ImportError naming
+    it.
+    """
+    import importlib.machinery
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    name = "scipy.linalg.cython_lapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    paths = [Path(root, "linalg", "cython_lapack" + suffix)
+             for root in (spec.submodule_search_locations if spec else ())
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"no compiled {name}: none of "
+                          f"{[str(p) for p in paths]} exists", name=name)
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    # the module enters itself in sys.modules as it runs; taken out again,
+    # a later import of scipy.linalg loads the file the usual way and binds
+    # it to the package, and gets this same object: Cython makes a module
+    # once per process
+    sys.modules.pop(name, None)
+    return module
+
+
 def _lapack_function(name: str, signature: str):
     """LAPACK's ``name`` as a ctypes function of one address per argument.
 
@@ -568,9 +604,7 @@ def _lapack_function(name: str, signature: str):
     """
     import ctypes
 
-    from scipy.linalg.cython_lapack import __pyx_capi__
-
-    capsule = __pyx_capi__[name]
+    capsule = _cython_lapack().__pyx_capi__[name]
     api = ctypes.pythonapi
     c_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", api))(capsule)

@@ -526,6 +526,13 @@ def _coincident_pairs(pts_a: np.ndarray, pts_b: np.ndarray, limit: float,
 
 def _check_disjoint(pts_a: np.ndarray, pts_b: np.ndarray, limit: float,
                     delta_tol: float) -> None:
+    """Refuse orbits with a pair :func:`_coincident_pairs` finds.  Orbits
+    on opposite sides of the limit (a q-Hahn interval, say) are not
+    searched: there |a_i - b_j| = da_i + db_j, never below 1e-8 (da_i +
+    db_j)."""
+    if (pts_a.max() <= limit <= pts_b.min()
+            or pts_b.max() <= limit <= pts_a.min()):
+        return
     i, j = _coincident_pairs(pts_a, pts_b, limit, delta_tol)
     if len(i):
         raise CoincidentOrbits(f"orbit point {pts_a[i[0]]} of base a "

@@ -48,6 +48,19 @@ def _live(grid: OrbitGrid, mask: np.ndarray) -> np.ndarray:
     return live
 
 
+def _unbroken(grid: OrbitGrid, mask: np.ndarray,
+              live: np.ndarray) -> np.ndarray:
+    """The live points after the last masked live point of their branch:
+    a suffix product or sum from the deepest valid point reads, at n,
+    every live point at or after n, so these are the only points where
+    it reads no masked cell."""
+    holes = live & ~mask
+    if not holes.any():   # then the live points are the points of mask
+        return mask
+    at = np.arange(grid.size)
+    return live & (at > grid.branch_max(np.where(holes, at, -1)))
+
+
 def _entry_max(m: np.ndarray) -> np.ndarray:
     """The largest entry modulus of each matrix of an (N, 2, 2) stack or
     of each row [a, b, c, d] of an (N, 4) one.  The moduli are laid out
@@ -238,23 +251,30 @@ def solve_system(sys: TwoByTwoSystem, boundary,
     leaves a residual of about u kappa(Lambda_inf), so it refuses
     condition numbers above about 1e6 with SingularResolvent, long before
     the determinant gate (which would allow kappa up to about 1e14).
+    Lambda_inf(x) is a product over x and every deeper live point, so the
+    solution is valid only where none of them is masked, and the branch's
+    largest entry modulus is taken over those points alone.
     """
     if res is None:
         res = resolvent(sys)
     b0, b1 = np.asarray(boundary).reshape(2)
     grid = sys.grid
     mats = res.flat
-    mask = sys.valid_mask()
+    valid = sys.valid_mask()
+    mask = _unbroken(grid, valid, _live(grid, valid))
     big = _entry_max(mats)
     e = np.frexp(big)[1]
     (a, b), (c, d) = ldexp(mats, -e[:, None, None]).transpose(1, 2, 0)
-    det = a * d - b * c
-    size = np.ldexp(grid.branch_max(big), -e)
+    size = np.ldexp(grid.branch_max(np.where(mask, big, 0.0)), -e)
     scale = np.where(size > 0.0, size, 1.0)
+    # a product through a masked cell may hold inf or nan: its arithmetic
+    # is discarded
+    with np.errstate(invalid="ignore"):
+        det = a * d - b * c
+        # adj(M) (b0, b1) / det M; masked points are left 0
+        num = np.stack([d * b0 - b * b1, a * b1 - c * b0])
     if np.any(np.abs(det[mask]) < 1e-14 * scale[mask] ** 2):
         raise SingularResolvent("resolvent is singular at a grid point")
-    # adj(M) (b0, b1) / det M; masked points are left 0
-    num = np.stack([d * b0 - b * b1, a * b1 - c * b0])
     sol = np.divide(num, det, out=np.zeros_like(num), where=mask)
     sol = ldexp(sol, -e)
     psi = GridFunction.fresh(grid, sol[0], mask, label="psi")
@@ -453,9 +473,10 @@ class RiccatiSolution:
 
 class _Family(NamedTuple):
     """The t-independent part of the solution family through ``u0``: the
-    flat indices ``at`` of the live points (up to the deepest point of
-    each branch where u0 and both denominators are valid), the mask of
-    every member, and E and S on the live points."""
+    flat indices ``at`` of the points where every member is valid (from
+    the deepest point of each branch where u0 and both denominators are
+    valid back to the first masked point before it), that mask, and E and
+    S on those points."""
 
     u0: GridFunction
     at: np.ndarray
@@ -481,11 +502,11 @@ def _family(sys: TwoByTwoSystem, u0: GridFunction) -> _Family:
     den_d = sys.d - b_u0_tau      # -b u0(tau x) + d
     grid = sys.grid
     mask = den_a.flat_valid & den_d.flat_valid & u0.flat_valid
-    live = grid.suffix_scan(np.logical_or, mask)
-    points_per_branch = np.add.reduceat(live, [s.start for s in grid.slices])
+    valid = _unbroken(grid, mask, grid.suffix_scan(np.logical_or, mask))
+    points_per_branch = np.add.reduceat(valid, [s.start for s in grid.slices])
     if np.any(points_per_branch < 3):
         raise GridMismatch("orbit too short for the solution family")
-    at = np.flatnonzero(live)
+    at = np.flatnonzero(valid)
     av, dv, bv = den_a.flat[at], den_d.flat[at], sys.b.flat[at]
     # each denominator is judged at each point against the moduli of its
     # two terms there, so no common scale of a, b, c, d moves the verdict
@@ -502,7 +523,7 @@ def _family(sys: TwoByTwoSystem, u0: GridFunction) -> _Family:
     weighted = np.zeros(grid.size, np.result_type(bv, av, E))
     weighted[at] = (bv / av) * E
     S = grid.suffix_scan(np.add, weighted)[at]
-    fam = _Family(u0, at, mask & live, E, S, np.abs(S))
+    fam = _Family(u0, at, valid, E, S, np.abs(S))
     for arr in fam[1:]:
         arr.setflags(write=False)
     # the system is frozen; the slot is its one piece of derived state
@@ -519,10 +540,12 @@ def general_solution(sys: TwoByTwoSystem, u0: GridFunction,
     t = 0 returns u0 itself and the transforms compose additively in t.
     u0 must solve the homographic recursion to 1e-10 (scale-relative),
     and each denominator must exceed 1e-14 times the sum of its two
-    terms' moduli at every live point.  The parts that do not depend on
-    t are formed once per (system, u0) and kept on the system; each call
-    checks t against the poles of the family and forms u^t and its
-    residual.
+    terms' moduli at every point of the family.  E and S at x are formed
+    from x and every deeper point, so a member is valid only at the
+    points with no masked point between them and the deepest valid one
+    of their branch.  The parts that do not depend on t are formed once
+    per (system, u0) and kept on the system; each call checks t against
+    the poles of the family and forms u^t and its residual.
     """
     fam = _family(sys, u0)
     den = 1.0 - t * fam.S

@@ -70,10 +70,10 @@ def test_kernel_pair_and_lift(cg):
     # truncated orbit is a boundary row
     pair = cg.kernel_pair()
     lvl = cg.levels[pair.level]
-    assert eigen_residual(lvl, pair) < 1e-10
+    assert eigen_residual(lvl, pair) < 1e-12
     lifted = lift(pair, lvl)
     assert lifted.level == pair.level + 1
-    assert eigen_residual(cg.levels[lifted.level], lifted) < 1e-8
+    assert eigen_residual(cg.levels[lifted.level], lifted) < 1e-12
 
 
 def test_lifted_kernel_pairs_are_eigenpairs(cg):

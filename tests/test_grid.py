@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taucalc import GROUP, INTERVAL, SEMIGROUP, build_grid
 from taucalc import cli, scenarios, validation
@@ -212,6 +214,29 @@ def test_coincident_pairs_match_all_pairs_on_planted_hits():
         hits += assert_same_pairs(pts_a, rng.permutation(pts_b), limit)
         hits += assert_same_pairs(pts_b, pts_a, limit)
     assert hits > 100
+
+
+@settings(max_examples=80, deadline=None)
+@given(limit=st.sampled_from([0.0, 1.0, -0.3]),
+       q=st.tuples(st.floats(0.5, 0.97), st.floats(0.5, 0.97)),
+       n=st.tuples(st.integers(1, 200), st.integers(1, 200)),
+       sides=st.tuples(st.sampled_from([-1.0, 1.0]),
+                       st.sampled_from([-1.0, 1.0])),
+       copies=st.integers(0, 4), on_limit=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_disjointness_check_matches_the_full_search(limit, q, n, sides,
+                                                    copies, on_limit, seed):
+    # orbits on opposite sides of the limit are not searched; copies of
+    # a-points among the b-points put coincident pairs on one side, and
+    # a point on the limit itself lies on both sides
+    rng = np.random.default_rng(seed)
+    pts_a, pts_b = (limit + side * rng.uniform(0.5, 3.0) * qk ** np.arange(nk)
+                    for side, qk, nk in zip(sides, q, n))
+    if on_limit:
+        pts_a, pts_b = np.append(pts_a, limit), np.append(pts_b, limit)
+    pick = rng.choice(len(pts_a), size=min(copies, len(pts_a)), replace=False)
+    pts_b = rng.permutation(np.concatenate([pts_b, pts_a[pick]]))
+    assert_same_pairs(pts_a, pts_b, limit)
 
 
 def test_coincident_pairs_skip_unresolvable_tail():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -673,3 +675,90 @@ def test_family_gate_verdicts_do_not_depend_on_the_input_scale(
         # E and S are ratios of the scaled entries: the members agree bit
         # for bit
         assert np.array_equal(member(2.0 ** k).u.flat, member(1.0).u.flat)
+
+
+# -- masked cells are never read ---------------------------------------------
+
+POISONS = [np.nan, np.inf, -np.inf, 1e300]
+
+
+def poisoned_inputs(grid, seed, where, holes, fill):
+    """The inputs of the masked calls from one seed, with ``holes`` masked
+    in the entries named by ``where`` (one of a, b, c, d of both systems,
+    or u: u0, psi and phi) and ``fill`` written there; ``fill=None`` keeps
+    the values.  ``family`` is the system u0 solves, ``boundary`` a
+    near-identity one whose resolvent stays well conditioned."""
+    rng = np.random.default_rng(seed)
+    a, b, d, u0 = (rng.uniform(0.5, 2.0, (4, grid.size))
+                   * rng.choice([-1.0, 1.0], (4, 1)))
+    c = np.where(grid.has_next, grid.shifted(u0, 1) * (b * u0 + a) - d * u0,
+                 0.0)
+    near = np.eye(2).reshape(4, 1) + 0.3 * rng.uniform(-1, 1, (4, grid.size))
+    psi, phi = rng.uniform(-1.5, 1.5, (2, grid.size))
+    mask = np.ones(grid.size, dtype=bool)
+    mask[holes] = False
+
+    def fn(values, name):
+        if name != where:
+            return GridFunction(grid, values)
+        values = np.array(values)
+        if fill is not None:
+            values[holes] = fill
+        return GridFunction(grid, values, mask)
+
+    return SimpleNamespace(
+        family=TwoByTwoSystem(*map(fn, (a, b, c, d), "abcd")),
+        boundary=TwoByTwoSystem(*map(fn, near, "abcd")),
+        u0=fn(u0, "u"), psi=fn(psi, "u"), phi=fn(phi, "u"))
+
+
+def observed(call):
+    """Each output of ``call()`` read on its valid window (values and
+    mask) or as a scalar; the type of the CalculusError it raises."""
+    try:
+        out = call()
+    except CalculusError as exc:
+        return type(exc)
+    return [(f.flat[f.flat_valid], f.flat_valid)
+            if isinstance(f, GridFunction) else f for f in out]
+
+
+MASKED_CALLS = {
+    "general_solution": lambda x, t: (
+        lambda s: (s.u, s.residual))(general_solution(x.family, x.u0, t)),
+    "solve_system": lambda x, t: solve_system(x.boundary, (1.0, 0.5)),
+    "rhom_residual": lambda x, t: (rhom_residual(x.family, x.u0),),
+    "step_residual": lambda x, t: (step_residual(x.boundary, x.psi, x.phi),),
+}
+
+
+# the resolvent's products through a masked cell, which no valid output
+# reads, may warn of the nan or the overflow they form
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(call=st.sampled_from(sorted(MASKED_CALLS)),
+       kind=st.sampled_from(sorted(GRIDS)), seed=st.integers(0, 2 ** 32 - 1),
+       where=st.sampled_from("abcdu"), count=st.integers(1, 3),
+       fill=st.sampled_from(POISONS), t=st.floats(-3.0, 3.0))
+def test_masked_cells_are_never_read(call, kind, seed, where, count, fill, t):
+    # an output valid at x reads valid cells alone: NaN, inf or 1e300 in a
+    # masked cell leaves every valid output and scalar as it was, and the
+    # call raises where it raised before and nowhere else
+    grid = GRIDS[kind]
+    holes = np.random.default_rng(seed + 1).choice(grid.size, count,
+                                                   replace=False)
+    run = MASKED_CALLS[call]
+    want = observed(lambda: run(poisoned_inputs(grid, seed, where, holes,
+                                                None), t))
+    got = observed(lambda: run(poisoned_inputs(grid, seed, where, holes,
+                                               fill), t))
+    if isinstance(got, type) or isinstance(want, type):
+        assert got is want
+        return
+    for g, w in zip(got, want, strict=True):
+        if isinstance(g, tuple):
+            assert np.array_equal(g[1], w[1])
+            assert np.array_equal(g[0], w[0], equal_nan=True)
+        else:
+            assert g == w or np.isnan(g) and np.isnan(w)

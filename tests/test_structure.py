@@ -2,6 +2,7 @@
 
 import ast
 import ctypes
+import importlib.machinery
 import subprocess
 import sys
 from collections import Counter
@@ -133,6 +134,105 @@ def test_cli_import_leaves_scipy_unloaded(src_env):
     out = subprocess.run([sys.executable, "-c", code], env=src_env,
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+EIGEN_RUN = """\
+import sys
+from taucalc import chain
+from taucalc.scenarios import qhahn_chain
+{before}
+values = chain.chain_eigenvalues(qhahn_chain(depth=60, n_levels=1).levels[0],
+                                 count=3)
+print(values.tobytes().hex(), "scipy.linalg" in sys.modules)
+{after}
+"""
+
+
+def eigen_run(src_env, before="", after=""):
+    """The lines a child interpreter prints: the eigenvalues of a q-Hahn
+    level as hex and whether scipy.linalg was loaded after the solve, run
+    between ``before`` and ``after``, then what ``after`` prints."""
+    code = EIGEN_RUN.format(before=before, after=after)
+    return subprocess.run([sys.executable, "-c", code], env=src_env,
+                          check=True, capture_output=True,
+                          text=True).stdout.split()
+
+
+def test_eigen_solve_leaves_scipy_linalg_unloaded(src_env):
+    # the eigen-solve loads scipy's compiled cython_lapack from its own
+    # file; scipy.linalg, imported later, binds that same module
+    after = ("import scipy.linalg\n"
+             "print(scipy.linalg.cython_lapack.__pyx_capi__"
+             " is chain._cython_lapack().__pyx_capi__)")
+    assert eigen_run(src_env, after=after)[1:] == ["False", "True"]
+
+
+def test_eigen_solve_reads_the_same_lapack_after_scipy_linalg(src_env):
+    alone, loaded = eigen_run(src_env), eigen_run(src_env, "import scipy.linalg")
+    assert loaded == [alone[0], "True"]
+
+
+def test_eigen_solve_names_a_missing_lapack_extension(monkeypatch):
+    # nothing else is tried: the error names the module and the files
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                        [".missing.so"])
+    monkeypatch.delitem(sys.modules, "scipy.linalg.cython_lapack",
+                        raising=False)
+    chain._cython_lapack.cache_clear()
+    try:
+        with pytest.raises(ImportError,
+                           match=r"scipy\.linalg\.cython_lapack: .*"
+                                 r"cython_lapack\.missing\.so") as exc:
+            chain._cython_lapack()
+        assert exc.value.name == "scipy.linalg.cython_lapack"
+    finally:
+        chain._cython_lapack.cache_clear()
+
+
+def scipy_linalg_imports(path):
+    """Line of every import of scipy.linalg or a module under it, by an
+    import statement or by a call of ``import_module`` or ``__import__``
+    with the module's name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Call) and node.args
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in ("import_module", "__import__")):
+            names = [getattr(node.args[0], "value", None)]
+        else:
+            continue
+        if any(isinstance(n, str) and (n + ".").startswith("scipy.linalg.")
+               for n in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_scipy_linalg_import():
+    # scipy.linalg's package imports some 85 modules and 24 MB; the
+    # eigen-solve loads the one extension it needs from its own file
+    assert [(p.name, line) for p in SOURCES
+            for line in scipy_linalg_imports(p)] == []
+
+
+def test_scipy_linalg_rule_sees_its_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    for code, hits in (
+            ("from scipy.linalg.cython_lapack import __pyx_capi__", [1]),
+            ("import scipy.linalg as la", [1]),
+            ("from scipy import linalg", [1]),
+            ("import importlib\nm = importlib.import_module('scipy.linalg')",
+             [2]),
+            ("m = __import__('scipy.linalg.cython_lapack')", [1]),
+            ("import scipy\nfrom scipy import special", []),
+            ("import scipy.linalgebra", []),
+            ("name = 'scipy.linalg.cython_lapack'", []),
+            ("from .linalg import solve", [])):
+        path.write_text(code + "\n")
+        assert scipy_linalg_imports(path) == hits
 
 
 def name_uses(path, name):

@@ -4,7 +4,7 @@ import pytest
 
 from taucalc.chain import eigen_residual
 from taucalc.validation import (CRITERIA, Check, CriterionResult, SuiteData,
-                                _perturbed_kernel_pair,
+                                _perturbed_kernel_pair, criterion_eigen_chain,
                                 _spot_perturbed_residual, format_report,
                                 run_criteria)
 
@@ -67,3 +67,16 @@ def test_covariance_eigen_pair_reads_its_perturbation():
     level = sc.levels[1]
     assert (eigen_residual(level, _perturbed_kernel_pair(sc, 1e-6))
             >= 100.0 * eigen_residual(level, _perturbed_kernel_pair(sc, 0.0)))
+
+
+def test_eigen_chain_gate_refuses_a_perturbed_kernel_pair(monkeypatch):
+    # psi off by 1e-6 relative reads 9.6e-9 against the lifted-residual
+    # gate, which the exact pair (5e-16) passes
+    data = SuiteData()
+    sc = data.constant_gauge
+    assert criterion_eigen_chain(data).passed
+    pair = _perturbed_kernel_pair(sc, 1e-6)
+    monkeypatch.setattr(type(sc), "kernel_pair", lambda self: pair)
+    checks = {c.name: c for c in criterion_eigen_chain(data).checks}
+    assert not checks["lifted-residual"].passed
+    assert checks["eigenvalue-tracking"].passed
