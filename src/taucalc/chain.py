@@ -504,9 +504,9 @@ def _assemble_factor(level: ChainLevel) -> tuple[np.ndarray, np.ndarray]:
     with alpha[r] on column r and beta[r] on column r+1.  When g = 0
     nothing is projected and each branch stays a square block; the limit
     column of G is then empty.  A level with complex data raises
-    NonPositiveFactor: its weights are not positive.  A masked-out value
-    is read as it stands but at a branch's last point, and a NaN or inf
-    passes the sign gates; :func:`chain_eigenvalues` refuses both.
+    NonPositiveFactor: its weights are not positive.  A masked-out value,
+    but eta, h and phi at a branch's last point, is read as it stands and
+    a NaN or inf passes the sign gates; :func:`chain_eigenvalues` refuses both.
     """
     fields = (level.w.rho, level.eta, level.h, level.phi, level.f)
     if any(np.iscomplexobj(fn.flat) for fn in fields):
@@ -708,8 +708,9 @@ def _gram_eigenvalues(alpha: np.ndarray, beta: np.ndarray,
     lo, hi = np.maximum(w - werr, 0.0).tolist(), (w + werr).tolist()
     for j in range(k):
         lam, corr = float(w[j]), None
+        ints[9] = 0   # R = 0: dlar1v picks the twist; later steps keep it
         for _ in range(_RQ_STEPS):
-            reals[4], ints[9] = lam, 0      # R = 0: dlar1v picks the twist
+            reals[4] = lam
             rayleigh()
             # a step past the bracket is cut at its end; max and min keep
             # a NaN correction, which ends the walk, as does a cut to 0
@@ -755,14 +756,16 @@ def chain_eigenvalues(level: ChainLevel, count: int | None = None) -> np.ndarray
     blocks are genuine and bisected like the rest.
     """
     alpha, beta = _assemble_factor(level)
-    last = ~level.grid.has_next
+    last = ~level.grid.has_next   # where eta, h and phi have a stand-in
     for name, fn in (("rho", level.w.rho), ("eta", level.eta),
                      ("h", level.h), ("phi", level.phi)):
-        if not (fn.flat_valid | last).all():
-            pos = level.grid.locate(int(np.argmin(fn.flat_valid | last)))[1]
+        ok = fn.flat_valid | (last & (name != "rho"))
+        if not ok.all():
+            pos = level.grid.locate(int(np.argmin(ok)))[1]
             raise NonPositiveFactor(
                 "eigen-solve needs finite level data, valid at every point "
-                f"but a branch's last: {name} is masked out at index {pos}")
+                "(eta, h and phi may miss a branch's last): "
+                f"{name} is masked out at index {pos}")
     total = level.grid.size
     count = total if count is None else min(count, total)
     if count < 1:

@@ -40,20 +40,14 @@ _RECURSION_TOL = 1e-10
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def _live(grid: OrbitGrid, mask: np.ndarray) -> np.ndarray:
-    """True up to and including the deepest valid point of each branch."""
+def _tail(grid: OrbitGrid, mask: np.ndarray) -> np.ndarray:
+    """The points a suffix product or sum may read: on each branch, from
+    the deepest valid point back to just after the last masked point
+    before it.  A suffix from the deepest valid point reads, at n, every
+    point from n to there, so on the tail it reads no masked cell."""
     live = grid.suffix_scan(np.logical_or, mask)
     if not live[[s.start for s in grid.slices]].all():
         raise GridMismatch("system has no valid points on a branch")
-    return live
-
-
-def _unbroken(grid: OrbitGrid, mask: np.ndarray,
-              live: np.ndarray) -> np.ndarray:
-    """The live points after the last masked live point of their branch:
-    a suffix product or sum from the deepest valid point reads, at n,
-    every live point at or after n, so these are the only points where
-    it reads no masked cell."""
     holes = live & ~mask
     if not holes.any():   # then the live points are the points of mask
         return mask
@@ -143,13 +137,15 @@ class ResolventResult:
 
     ``flat[k]`` approximates the product Lambda(tau^N x) ... Lambda(x_k)
     at flat grid index k, i.e. the resolvent evaluated at that point, and
-    ``matrices[i]`` is the read-only view of branch i.  ``criterion_sum``
+    ``matrices[i]`` is the read-only view of branch i.  ``valid`` marks
+    the tail (see :func:`_tail`); ``flat`` is I off it.  ``criterion_sum``
     is the scalar convergence functional sum |delta_n| *
     ||LambdaTilde(tau^n x)|| (max-norm).
     """
 
     grid: OrbitGrid
     flat: np.ndarray
+    valid: np.ndarray
     converged: bool
     criterion_sum: float
     steps: int
@@ -157,6 +153,7 @@ class ResolventResult:
 
     def __post_init__(self) -> None:
         self.flat.setflags(write=False)
+        self.valid.setflags(write=False)
 
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
@@ -195,34 +192,38 @@ def resolvent(sys: TwoByTwoSystem) -> ResolventResult:
     valid point x_last of each branch, come from
     :meth:`OrbitGrid.suffix_products`, the grid's one 2x2 walk run inward:
     a log-depth doubling scan whose power-of-two scale is kept exactly, so
-    a product overflows only if it is itself out of range.  Past x_last
-    the resolvent is I.  Partial products at the branch base are
-    monitored for a Cauchy gap (max-norm difference of the last three),
-    and the scalar criterion sum |delta| * ||LambdaTilde|| is reported;
-    ``converged`` needs a finite criterion and a gap below 1e-12.
-    Nothing is raised on failure — callers decide.
+    a product overflows only if it is itself out of range.  Off the tail
+    of the system's mask (see :func:`_tail`) the resolvent is I.  Partial
+    products at each branch's first tail point are monitored for a Cauchy
+    gap (max-norm difference of the last three), and the scalar criterion
+    sum |delta| * ||LambdaTilde|| is reported; ``converged`` needs a
+    finite criterion and a gap below 1e-12.  Nothing is raised on
+    failure — callers decide.
     """
     grid = sys.grid
     lam, valid = sys.entry_arrays(), sys.valid_mask()
     criterion = _criterion_sum(grid, lam, valid)
-    live = _live(grid, valid)
-    lam[~live] = np.eye(2)
+    tail = _tail(grid, valid)
+    lam[~tail] = np.eye(2)
     full = grid.suffix_products(lam)
-    # Cauchy gap of the base-point partial products P_k = Lambda(x_k) ...
-    # Lambda(x_0): peel the deepest left factors off P_last to recover
-    # P_{last-1} and P_{last-2}, on branches with three factors or more
-    starts = np.array([s.start for s in grid.slices])
-    deep = starts + np.add.reduceat(live, starts) - 1
-    far = deep - starts >= 2
-    p_full, last = full[starts[far]], deep[far]
+    # Cauchy gap of the partial products P_k = Lambda(x_k) ... Lambda(x_0)
+    # from each branch's first tail point x_0, on tails of three points or
+    # more: peel the deepest left factors off P_last to recover P_{last-1}
+    # and P_{last-2}
+    first, last = np.array([(s.start + tail[s].argmax(),
+                             s.stop - 1 - tail[s][::-1].argmax())
+                            for s in grid.slices]).T
+    far = last - first >= 2
+    p_full, last = full[first[far]], last[far]
     inv_last, inv_next = _inverse_or_identity(lam[np.stack([last, last - 1])])
     drop1 = inv_last @ p_full
     drop2 = inv_next @ drop1
     gap = float(np.max(np.abs([p_full - drop1, drop1 - drop2]), initial=0.0))
     converged = bool(np.isfinite(criterion)) and gap < _CAUCHY_TOL
-    return ResolventResult(grid=grid, flat=full, converged=converged,
-                           criterion_sum=criterion,
-                           steps=int(np.count_nonzero(live)), cauchy_gap=gap)
+    full[~tail] = np.eye(2)
+    return ResolventResult(grid=grid, flat=full, valid=tail,
+                           converged=converged, criterion_sum=criterion,
+                           steps=int(np.count_nonzero(tail)), cauchy_gap=gap)
 
 
 def _inverse_or_identity(m: np.ndarray) -> np.ndarray:
@@ -251,28 +252,25 @@ def solve_system(sys: TwoByTwoSystem, boundary,
     leaves a residual of about u kappa(Lambda_inf), so it refuses
     condition numbers above about 1e6 with SingularResolvent, long before
     the determinant gate (which would allow kappa up to about 1e14).
-    Lambda_inf(x) is a product over x and every deeper live point, so the
-    solution is valid only where none of them is masked, and the branch's
-    largest entry modulus is taken over those points alone.
+    The solution is valid on ``res.valid``, where Lambda_inf(x) reads no
+    masked cell, and the branch's largest entry modulus is taken over
+    those points alone; a ``res`` of another grid raises GridMismatch.
     """
+    grid = sys.grid
     if res is None:
         res = resolvent(sys)
+    elif res.grid is not grid:
+        raise GridMismatch("resolvent was built on another grid")
     b0, b1 = np.asarray(boundary).reshape(2)
-    grid = sys.grid
-    mats = res.flat
-    valid = sys.valid_mask()
-    mask = _unbroken(grid, valid, _live(grid, valid))
+    mats, mask = res.flat, res.valid
     big = _entry_max(mats)
     e = np.frexp(big)[1]
     (a, b), (c, d) = ldexp(mats, -e[:, None, None]).transpose(1, 2, 0)
     size = np.ldexp(grid.branch_max(np.where(mask, big, 0.0)), -e)
     scale = np.where(size > 0.0, size, 1.0)
-    # a product through a masked cell may hold inf or nan: its arithmetic
-    # is discarded
-    with np.errstate(invalid="ignore"):
-        det = a * d - b * c
-        # adj(M) (b0, b1) / det M; masked points are left 0
-        num = np.stack([d * b0 - b * b1, a * b1 - c * b0])
+    det = a * d - b * c
+    # adj(M) (b0, b1) / det M; points off the tail are left 0
+    num = np.stack([d * b0 - b * b1, a * b1 - c * b0])
     if np.any(np.abs(det[mask]) < 1e-14 * scale[mask] ** 2):
         raise SingularResolvent("resolvent is singular at a grid point")
     sol = np.divide(num, det, out=np.zeros_like(num), where=mask)
@@ -326,8 +324,8 @@ def triangular_resolvent(sys: TwoByTwoSystem) -> ResolventResult:
         raise NotTriangular("closed-form resolvent needs c = 0")
     grid = sys.grid
     valid = sys.valid_mask()
-    live = _live(grid, valid)
-    av, dv = sys.a.flat[live], sys.d.flat[live]
+    tail = _tail(grid, valid)
+    av, dv = sys.a.flat[tail], sys.d.flat[tail]
     if np.any(np.abs(av) < ZERO_TOL) or np.any(np.abs(dv) < ZERO_TOL):
         raise ZeroDivisor("diagonal entry vanishes on the orbit")
     if (np.iscomplexobj(av) or np.iscomplexobj(dv)
@@ -335,25 +333,25 @@ def triangular_resolvent(sys: TwoByTwoSystem) -> ResolventResult:
         raise NonPositiveFactor(
             "closed-form resolvent needs positive diagonal entries")
     # ln prod_{m>=n} a[m] = integral of ln(a)/(t - tau t) from limit to x_n;
-    # past the deepest valid point every term is the empty sum 0
+    # off the tail every term is the empty sum 0
     log_a, log_d = np.zeros(grid.size), np.zeros(grid.size)
-    log_a[live], log_d[live] = np.log(av), np.log(dv)
+    log_a[tail], log_d[tail] = np.log(av), np.log(dv)
     a_inf = np.exp(grid.suffix_scan(np.add, log_a))
     d_inf = np.exp(grid.suffix_scan(np.add, log_d))
     ratio = grid.suffix_scan(np.add, log_a - log_d)
     corner = np.zeros_like(sys.b.flat)
-    corner[live] = sys.b.flat[live] / av * np.exp(ratio)[live]
+    corner[tail] = sys.b.flat[tail] / av * np.exp(ratio)[tail]
     F = d_inf * grid.suffix_scan(np.add, corner)
     full = np.zeros((grid.size, 2, 2), F.dtype)
     full[:, 0, 0] = full[:, 1, 1] = 1.0
-    full[live, 0, 0] = a_inf[live]
-    full[live, 0, 1] = F[live]
-    full[live, 1, 1] = d_inf[live]
+    full[tail, 0, 0] = a_inf[tail]
+    full[tail, 0, 1] = F[tail]
+    full[tail, 1, 1] = d_inf[tail]
     lam = sys.entry_arrays()
     lam[:, 1, 0] = 0.0   # c is zero up to the check above: left out
-    return ResolventResult(grid=grid, flat=full, converged=True,
+    return ResolventResult(grid=grid, flat=full, valid=tail, converged=True,
                            criterion_sum=_criterion_sum(grid, lam, valid),
-                           steps=int(np.count_nonzero(live)), cauchy_gap=0.0)
+                           steps=int(np.count_nonzero(tail)), cauchy_gap=0.0)
 
 
 def _as_matrix_fn(D, grid: OrbitGrid):
@@ -473,10 +471,9 @@ class RiccatiSolution:
 
 class _Family(NamedTuple):
     """The t-independent part of the solution family through ``u0``: the
-    flat indices ``at`` of the points where every member is valid (from
-    the deepest point of each branch where u0 and both denominators are
-    valid back to the first masked point before it), that mask, and E and
-    S on those points."""
+    flat indices ``at`` of the points where every member is valid (the
+    tail of the mask where u0 and both denominators are valid, see
+    :func:`_tail`), that mask, and E and S on those points."""
 
     u0: GridFunction
     at: np.ndarray
@@ -502,7 +499,7 @@ def _family(sys: TwoByTwoSystem, u0: GridFunction) -> _Family:
     den_d = sys.d - b_u0_tau      # -b u0(tau x) + d
     grid = sys.grid
     mask = den_a.flat_valid & den_d.flat_valid & u0.flat_valid
-    valid = _unbroken(grid, mask, grid.suffix_scan(np.logical_or, mask))
+    valid = _tail(grid, mask)
     points_per_branch = np.add.reduceat(valid, [s.start for s in grid.slices])
     if np.any(points_per_branch < 3):
         raise GridMismatch("orbit too short for the solution family")

@@ -20,9 +20,10 @@ from taucalc.chain import CoefficientTriple, _assemble_factor, make_level
 from taucalc.cli import _preset_chain
 from taucalc.hilbert import weighted_grid
 from taucalc.validation import SuiteData
-from taucalc.errors import (InconsistentWeights, NonPositiveFactor,
-                            PositivityWarning, RiccatiBlowup, SingularLimit,
-                            ZeroAlpha, ZeroDivisor)
+from taucalc.errors import (CalculusError, InconsistentWeights,
+                            NonPositiveFactor, PositivityWarning,
+                            RiccatiBlowup, SingularLimit, ZeroAlpha,
+                            ZeroDivisor)
 
 from eigen_oracle import golub_kahan_eigenvalues, one_pass_gram_eigenvalues
 from recursion_oracle import coefficient_ratio_loop, gauge_xi_loop
@@ -710,10 +711,44 @@ def test_eigen_solve_refuses_masked_level_data(qh, field):
     with pytest.raises(NonPositiveFactor,
                        match=f": {field} is masked out at index 10$"):
         chain_eigenvalues(_masked_at(lvl, field, 10, 5.0), count=3)
-    # masked out only at each branch's last point, the level is solved
-    for end in np.flatnonzero(~lvl.grid.has_next):
+    # masked out only at each branch's last point, the level is solved,
+    # but for rho: the last row's weight has no stand-in
+    ends = np.flatnonzero(~lvl.grid.has_next)
+    for end in ends:
         lvl = _masked_at(lvl, field, end)
-    assert chain_eigenvalues(lvl, count=3).shape == (3,)
+    if field == "rho":
+        pos = lvl.grid.locate(int(ends[0]))[1]
+        with pytest.raises(NonPositiveFactor,
+                           match=f": rho is masked out at index {pos}$"):
+            chain_eigenvalues(lvl, count=3)
+    else:
+        assert chain_eigenvalues(lvl, count=3).shape == (3,)
+
+
+# weighted_grid forms delta * rho in every cell, 0 * inf at a branch's
+# last one, and then discards the masked cells
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("field", ["rho", "eta", "h", "f", "phi"])
+def test_eigen_solve_never_reads_a_masked_cell(qh, field):
+    # a cell masked out at an interior point, at a branch's last point or
+    # at the point before it leaves the spectrum as it was, whatever it
+    # holds, or the solve raises the same error whatever it holds
+    def solved(level):
+        try:
+            return chain_eigenvalues(level, count=3)
+        except CalculusError as exc:
+            return type(exc)
+
+    lvl = qh.levels[0]
+    ends = np.flatnonzero(~lvl.grid.has_next)
+    for n in (10, *ends, *(ends - 1)):
+        want = solved(_masked_at(lvl, field, n))
+        for fill in (np.nan, np.inf, -np.inf, 1e300, -5.0, 0.0, 3.0):
+            got = solved(_masked_at(lvl, field, n, fill))
+            if isinstance(want, type):
+                assert got is want, (n, fill)
+            else:
+                assert np.array_equal(got, want), (n, fill)
 
 
 def test_fractional_chain_rejects_eigen_solve():

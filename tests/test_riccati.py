@@ -13,9 +13,10 @@ from taucalc import (GROUP, INTERVAL, GridFunction, SEMIGROUP,
 from taucalc.calculus import deltas_fn
 from taucalc.chain import CoefficientTriple, to_coefficients
 from taucalc.errors import (CalculusError, DegenerateQuadruple,
-                            DegenerateSystem, NonPositiveFactor, NotTriangular,
-                            ParticularNotSolution, SingularGauge,
-                            SingularResolvent, ZeroAlpha, ZeroDivisor)
+                            DegenerateSystem, GridMismatch, NonPositiveFactor,
+                            NotTriangular, ParticularNotSolution,
+                            SingularGauge, SingularResolvent, ZeroAlpha,
+                            ZeroDivisor)
 from taucalc.riccati import (rhom_residual, step_residual,
                              system_from_second_order)
 from taucalc.scenarios import (constant_gauge_chain, gauge_riccati_system,
@@ -640,6 +641,20 @@ def test_recursion_check_refuses_before_the_determinant_gate():
     with pytest.raises(SingularResolvent, match="one-step recursion"):
         solve_system(sys, (1.0, 0.5), res)
 
+
+def test_solve_system_refuses_a_resolvent_of_another_grid():
+    # two gauge systems of 31 points on two grids: the other grid's
+    # products once ended in a misleading SingularResolvent
+    def system(b):
+        return singular_darboux(gauge_riccati_system(constant_gauge_chain(
+            q=0.5, b=b, c0=0.375 * b, depth=30, n_levels=1).levels[0]),
+            0.0, -1.0)
+
+    sys_a, sys_b = system(1.0), system(2.0)
+    assert sys_a.grid.size == sys_b.grid.size == 31
+    with pytest.raises(GridMismatch, match="another grid"):
+        solve_system(sys_a, (1.0, 0.5), resolvent(sys_b))
+
 # a + b u0 (or d - b u0(tau x)) is ``gap`` times half the sum of its terms'
 # moduli at one point; u0 is 1e6 next to it, which keeps the step matrix
 # there regular (its determinant is (a + b u0)(d - b u0(tau x)))
@@ -687,7 +702,8 @@ def poisoned_inputs(grid, seed, where, holes, fill):
     in the entries named by ``where`` (one of a, b, c, d of both systems,
     or u: u0, psi and phi) and ``fill`` written there; ``fill=None`` keeps
     the values.  ``family`` is the system u0 solves, ``boundary`` a
-    near-identity one whose resolvent stays well conditioned."""
+    near-identity one whose resolvent stays well conditioned and
+    ``triangular`` the same with c = 0."""
     rng = np.random.default_rng(seed)
     a, b, d, u0 = (rng.uniform(0.5, 2.0, (4, grid.size))
                    * rng.choice([-1.0, 1.0], (4, 1)))
@@ -709,6 +725,8 @@ def poisoned_inputs(grid, seed, where, holes, fill):
     return SimpleNamespace(
         family=TwoByTwoSystem(*map(fn, (a, b, c, d), "abcd")),
         boundary=TwoByTwoSystem(*map(fn, near, "abcd")),
+        triangular=TwoByTwoSystem(*map(fn, (near[0], near[1], 0 * near[2],
+                                            near[3]), "abcd")),
         u0=fn(u0, "u"), psi=fn(psi, "u"), phi=fn(phi, "u"))
 
 
@@ -723,20 +741,25 @@ def observed(call):
             if isinstance(f, GridFunction) else f for f in out]
 
 
+def on_tail(res):
+    """A resolvent's products on its valid tail and its scalars."""
+    return ((res.flat[res.valid], res.valid), res.cauchy_gap, res.converged,
+            res.steps, res.criterion_sum)
+
+
 MASKED_CALLS = {
     "general_solution": lambda x, t: (
         lambda s: (s.u, s.residual))(general_solution(x.family, x.u0, t)),
     "solve_system": lambda x, t: solve_system(x.boundary, (1.0, 0.5)),
     "rhom_residual": lambda x, t: (rhom_residual(x.family, x.u0),),
     "step_residual": lambda x, t: (step_residual(x.boundary, x.psi, x.phi),),
+    "resolvent": lambda x, t: on_tail(resolvent(x.boundary)),
+    "triangular_resolvent": lambda x, t: on_tail(
+        triangular_resolvent(x.triangular)),
 }
 
 
-# the resolvent's products through a masked cell, which no valid output
-# reads, may warn of the nan or the overflow they form
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
-                            "ignore:overflow:RuntimeWarning")
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(call=st.sampled_from(sorted(MASKED_CALLS)),
        kind=st.sampled_from(sorted(GRIDS)), seed=st.integers(0, 2 ** 32 - 1),
        where=st.sampled_from("abcdu"), count=st.integers(1, 3),

@@ -428,12 +428,28 @@ FREEZE_ALLOWED = {
 }
 
 
-def freeze_sites(path):
-    """(file, enclosing class and function, dotted) of every ``setflags``
-    call and every assignment to ``flags.writeable``."""
+def scoped_sites(path, hit):
+    """(file, enclosing class and function, dotted) of every node for
+    which ``hit(node)`` holds."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = []
 
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, *FUNCTIONS)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if hit(child):
+                found.append((path.name, scope))
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def freeze_sites(path):
+    """(file, enclosing class and function, dotted) of every ``setflags``
+    call and every assignment to ``flags.writeable``."""
     def freezes(node):
         if isinstance(node, ast.Call):
             return getattr(node.func, "attr", None) == "setflags"
@@ -441,17 +457,7 @@ def freeze_sites(path):
                    else [getattr(node, "target", None)])
         return any(getattr(t, "attr", None) == "writeable" for t in targets)
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, *FUNCTIONS)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if freezes(child):
-                found.append((path.name, scope))
-            visit(child, scope)
-
-    visit(tree, None)
-    return found
+    return scoped_sites(path, freezes)
 
 
 def test_arrays_are_frozen_in_gridfn():
@@ -474,6 +480,43 @@ def test_freeze_rule_sees_setflags_and_writeable(tmp_path):
             ("def f(g, a):\n    return GridFunction.fresh(g, a)", [])):
         path.write_text(code + "\n")
         assert freeze_sites(path) == hits
+
+
+# riccati's one tail rule: the points a suffix product or sum may read
+# start from the live scan, the mask of points with a valid point at or
+# after them on their branch, which only the tail helper runs
+def live_scan_sites(path):
+    """(file, enclosing class and function, dotted) of every
+    ``suffix_scan`` call whose first argument is ``logical_or``."""
+    def live_scan(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "suffix_scan"
+                and bool(node.args)
+                and (getattr(node.args[0], "attr", None)
+                     or getattr(node.args[0], "id", None)) == "logical_or")
+
+    return scoped_sites(path, live_scan)
+
+
+def test_live_scan_runs_in_the_tail_helper_alone():
+    sites = [site for path in SOURCES for site in live_scan_sites(path)]
+    assert sites == [("riccati.py", "_tail")]
+
+
+def test_live_scan_rule_sees_its_calls(tmp_path):
+    path = tmp_path / "mod.py"
+    for code, hits in (
+            ("live = grid.suffix_scan(np.logical_or, m)", [("mod.py", None)]),
+            ("def f(g, m):\n    return g.suffix_scan(logical_or, m)",
+             [("mod.py", "f")]),
+            ("class C:\n    def m(self, v):\n"
+             "        return self.grid.suffix_scan(np.logical_or, v[0])",
+             [("mod.py", "C.m")]),
+            ("def f(g, m):\n    return g.suffix_scan(np.logical_and, m)", []),
+            ("def f(g, m):\n    return g.suffix_scan(np.add, m)", []),
+            ("def f(m):\n    return np.logical_or.accumulate(m)", [])):
+        path.write_text(code + "\n")
+        assert live_scan_sites(path) == hits
 
 
 # a defaulted tolerance nothing sets is a constant of the method, not a
