@@ -128,7 +128,7 @@ def tau_integral(f: GridFunction, check_tail: bool = True):
         total = sums[0]
     if grid.mode == GROUP and check_tail:
         # Backward tail sits at the start of the branch.
-        tail = np.abs(grid.deltas[:3] * v[..., :3])
+        tail = np.abs(terms[..., :3])
         if (tail > _TAIL_TOL * _column(np.fmax(1.0, f.max_abs()))).any():
             raise TailNotConverged(f"backward tail terms {tail} too large")
     return total[()]

@@ -57,8 +57,6 @@ _RQ_WIDTH = 16
 # the pointwise step constants must agree to this, relative to the
 # constituent-term magnitude
 _STEP_CONSTANT_TOL = 1e-8
-# indices at each branch end where a banded product is left invalid
-_BAND_MARGIN = 2
 # random probe functions per factorization-postulate check
 _PROBES = 6
 # scale-relative residual of xi's recursion read backward
@@ -105,7 +103,8 @@ class EigenPair:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientTriple:
-    """Coefficients of the three-point equation alpha T + beta + gamma T^-1."""
+    """Coefficients of the three-point equation alpha T + beta + gamma T^-1,
+    each valid where its own mask holds."""
 
     alpha: GridFunction
     beta: GridFunction
@@ -286,58 +285,50 @@ def solve_step_constant(level: ChainLevel, h_next: GridFunction,
     return c
 
 
-def bands_AstarA(level: ChainLevel):
-    """Flat (sub, diag, super) bands of A*A from the closed band formulas."""
-    grid = level.grid
-    Bv, ev, hv, pv = (fn.flat for fn in (level.B, level.eta, level.h, level.phi))
-    d = grid.deltas
-    n = grid.neighbour_index(1)
-    m = grid.interior_index()
-    sub, diag, sup = np.zeros((3, grid.size), np.result_type(Bv, ev, hv, pv))
-    # entries masked out of the level may hold inf/nan; their band
-    # entries are discarded with the mask
-    with np.errstate(invalid="ignore", over="ignore"):
-        diag[n] = ev[n] * pv[n] ** 2
-        diag[m] += Bv[m] * hv[m - 1] ** 2 / (d[m] * d[m - 1])
-        sup[n] = -ev[n] * pv[n] * hv[n] / d[n]
-        sub[m] = -Bv[m] * hv[m - 1] * pv[m - 1] / d[m]
-    return sub, diag, sup
+def bands_AAstar(level: ChainLevel) -> CoefficientTriple:
+    """The three-point form of A A*, from the closed band formulas.
 
-
-def bands_AAstar(level: ChainLevel):
-    """Flat (sub, diag, super) bands of A A* from the closed band formulas."""
-    grid = level.grid
-    Bv, ev, hv, pv = (fn.flat for fn in (level.B, level.eta, level.h, level.phi))
+    alpha and beta are valid two or more points before a branch's end,
+    where phi, eta and h are valid and B, eta and phi one point ahead;
+    gamma at the interior points where phi and B are valid and h one
+    point back.
+    """
+    grid, fns = level.grid, (level.B, level.eta, level.h, level.phi)
+    Bv, ev, hv, pv = (fn.flat for fn in fns)
+    mB, me, mh, mp = (fn.flat_valid for fn in fns)
+    bands = np.zeros((3, grid.size), np.result_type(Bv, ev, hv, pv))
+    valid = np.zeros(bands.shape, dtype=bool)
+    sup, diag, sub = bands
     d = grid.deltas
     n = grid.neighbour_index(2)
     m = grid.interior_index()
-    sub, diag, sup = np.zeros((3, grid.size), np.result_type(Bv, ev, hv, pv))
-    # entries masked out of the level may hold inf/nan; their band
-    # entries are discarded with the mask
+    # entries masked out of the level may hold inf/nan; so do the band
+    # entries that read them, which are masked out with them
     with np.errstate(invalid="ignore", over="ignore"):
         diag[n] = pv[n] ** 2 * ev[n] + hv[n] ** 2 * Bv[n + 1] / (d[n] * d[n + 1])
         sup[n] = -(hv[n] / d[n]) * ev[n + 1] * pv[n + 1]
         sub[m] = -pv[m] * hv[m - 1] * Bv[m] / d[m]
-    return sub, diag, sup
+    valid[:2, n] = (mp & me & mh)[n] & (mB & me & mp)[n + 1]
+    valid[2, m] = (mp & mB)[m] & mh[m - 1]
+    return CoefficientTriple(*map(GridFunction.fresh, [grid] * 3, bands, valid,
+                                  ("alpha", "beta", "gamma")))
 
 
-def tridiag_apply(bands, psi: GridFunction) -> GridFunction:
-    """Apply flat (sub, diag, super) bands to psi within each branch.
-
-    The result is valid where psi and its branch neighbours are, at
-    least ``_BAND_MARGIN`` indices away from both branch ends.
-    """
-    sub, diag, sup = bands
+def tridiag_apply(coef: CoefficientTriple, psi: GridFunction) -> GridFunction:
+    """Apply alpha T + beta + gamma T^-1 (``coef.value`` left out) to psi
+    within each branch: valid where psi, its two branch neighbours and
+    all three coefficients are."""
+    coef.beta.check_same_grid(psi)
     grid = psi.grid
     p, pm = psi.flat, psi.flat_valid
-    # the bands are 0 wherever a neighbour leaves the branch; masked-out
-    # entries may hold inf/nan, their arithmetic is discarded
+    # masked-out entries may hold inf/nan, their arithmetic is discarded
     with np.errstate(invalid="ignore", over="ignore"):
-        out = diag * p
-        out += sup * grid.shifted(p, 1)
-        out += sub * grid.shifted(p, -1)
-    mask = pm & grid.shifted(pm, 1) & grid.shifted(pm, -1)
-    mask &= grid.interior(_BAND_MARGIN)
+        out = coef.beta.flat * p
+        out += coef.alpha.flat * grid.shifted(p, 1)
+        out += coef.gamma.flat * grid.shifted(p, -1)
+    mask = (pm & grid.shifted(pm, 1) & grid.shifted(pm, -1)
+            & coef.alpha.flat_valid & coef.beta.flat_valid
+            & coef.gamma.flat_valid)
     return GridFunction.fresh(grid, out, mask)
 
 
@@ -358,31 +349,41 @@ def factorization_residual(level: ChainLevel, level_next: ChainLevel,
     lhs_op = apply_A(level, apply_Astar(level, psi))
     rhs_op = d * apply_Astar(level_next, apply_A(level_next, psi)) + c * psi
     lhs_bd = tridiag_apply(bands_AAstar(level), psi)
-    rhs_bd = tridiag_apply(bands_AstarA(level_next), psi) * d + c * psi
+    rhs_bd = tridiag_apply(to_coefficients(level_next), psi) * d + c * psi
     scale = joint_scale(lhs_op, rhs_op)
     gaps = [max_abs_diff(a, b) / scale for a, b in (
         (lhs_op, rhs_op), (lhs_bd, rhs_bd), (lhs_op, lhs_bd), (rhs_op, rhs_bd))]
-    # like max, a NaN gap is passed over
-    return float(np.fmax.reduce(np.ravel(gaps), initial=0.0))
+    # a NaN gap is kept, so that it fails every gate
+    return float(np.max(gaps, initial=0.0))
 
 
 def to_coefficients(level: ChainLevel, value: complex = 0.0) -> CoefficientTriple:
-    """Expand A*A into the three-point form alpha T + beta + gamma T^-1."""
-    sub, diag, sup = bands_AstarA(level)
-    grid = level.grid
-    mB, me, mh, mp = (fn.flat_valid for fn in (level.B, level.eta, level.h,
-                                               level.phi))
+    """Expand A*A into the three-point form alpha T + beta + gamma T^-1.
+
+    beta and gamma are valid at the interior points where B, eta, h and
+    phi are valid and h and phi one point back; alpha at the points with
+    a successor where eta, phi and h are valid.
+    """
+    grid, fns = level.grid, (level.B, level.eta, level.h, level.phi)
+    Bv, ev, hv, pv = (fn.flat for fn in fns)
+    mB, me, mh, mp = (fn.flat_valid for fn in fns)
+    bands = np.zeros((3, grid.size), np.result_type(Bv, ev, hv, pv))
+    valid = np.zeros(bands.shape, dtype=bool)
+    sup, diag, sub = bands
+    d = grid.deltas
     n = grid.neighbour_index(1)
     m = grid.interior_index()
-    interior = np.zeros(grid.size, dtype=bool)
-    interior[m] = mB[m] & me[m] & mh[m] & mh[m - 1] & mp[m] & mp[m - 1]
-    edge = np.zeros(grid.size, dtype=bool)
-    edge[n] = me[n] & mp[n] & mh[n]
-    return CoefficientTriple(
-        alpha=GridFunction.fresh(grid, sup, edge, label="alpha"),
-        beta=GridFunction.fresh(grid, diag, interior, label="beta"),
-        gamma=GridFunction.fresh(grid, sub, interior, label="gamma"),
-        value=value)
+    # entries masked out of the level may hold inf/nan; so do the band
+    # entries that read them, which are masked out with them
+    with np.errstate(invalid="ignore", over="ignore"):
+        diag[n] = ev[n] * pv[n] ** 2
+        diag[m] += Bv[m] * hv[m - 1] ** 2 / (d[m] * d[m - 1])
+        sup[n] = -ev[n] * pv[n] * hv[n] / d[n]
+        sub[m] = -Bv[m] * hv[m - 1] * pv[m - 1] / d[m]
+    valid[1:, m] = (mB & me & mh & mp)[m] & (mh & mp)[m - 1]
+    valid[0, n] = (me & mp & mh)[n]
+    return CoefficientTriple(*map(GridFunction.fresh, [grid] * 3, bands, valid,
+                                  ("alpha", "beta", "gamma")), value)
 
 
 def from_coefficients(coef: CoefficientTriple, h0: GridFunction,
@@ -451,23 +452,23 @@ def eigen_residual(level: ChainLevel, pair: EigenPair) -> float:
     row is normalized by its own band magnitude: the result is the max
     of |(A*A psi - lambda psi)[n]| / (rowscale[n] * sup|psi|).
 
-    Only rows with a predecessor on their branch are read.  T* truncates
-    at a branch's first row, where an eigenfunction of the untruncated
-    orbit does not satisfy the equation; A's forward difference already
-    leaves the last row out.  A group branch needs no special case: its
-    first index is its deepest backward point, which T* leaves invalid.
+    Only the interior rows where beta of :func:`to_coefficients` is valid
+    are read.  T* truncates at a branch's first row, where an eigenfunction
+    of the untruncated orbit does not satisfy the equation; A's forward
+    difference already leaves the last row out, and a group branch's first
+    row, its deepest backward point, is left out like any other.
     """
     lhs = apply_Astar(level, apply_A(level, pair.psi))
     res = lhs - pair.value * pair.psi
     psi_max = pair.psi.max_abs()
     if psi_max == 0.0:
         raise ZeroDivisor("zero eigenfunction")
-    m = res.flat_valid & level.grid.neighbour_mask(-1)
+    coef = to_coefficients(level)
+    m = res.flat_valid & coef.beta.flat_valid
     if not m.any():
         return 0.0
-    sub, diag, sup = bands_AstarA(level)
-    rowscale = (np.abs(sub) + np.abs(diag) + np.abs(sup)
-                + abs(pair.value) + 1.0)
+    rowscale = (np.abs(coef.gamma.flat) + np.abs(coef.beta.flat)
+                + np.abs(coef.alpha.flat) + abs(pair.value) + 1.0)
     return float(np.max(np.abs(res.flat[m]) / rowscale[m])) / psi_max
 
 
@@ -838,7 +839,7 @@ def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0
 __all__ = [
     "ChainLevel", "EigenPair", "CoefficientTriple", "make_level",
     "apply_A", "apply_Astar", "advance_level", "build_chain",
-    "solve_step_constant", "bands_AstarA", "bands_AAstar", "tridiag_apply",
+    "solve_step_constant", "bands_AAstar", "tridiag_apply",
     "factorization_residual", "to_coefficients",
     "from_coefficients", "lift", "eigen_residual", "chain_eigenvalues",
     "particular_gauge_xi",

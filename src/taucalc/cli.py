@@ -325,14 +325,14 @@ def _residual_table(levels, scenario=None) -> dict:
     for level in levels:
         res = float(pearson_residual(level.B, level.eta, level.w))
         residuals[f"pearson_shift_level_{level.k}"] = res
-        if res > PEARSON_GATE:
+        if not res <= PEARSON_GATE:   # a nan residual fails too
             raise _ResidualFailure(
                 f"pearson residual {res:.3e} at level {level.k} "
                 f"exceeds {PEARSON_GATE:g}")
     for lo, hi in zip(levels, levels[1:]):
         worst = factorization_residual(lo, hi, rng=lo.k)
         residuals[f"factorization_level_{lo.k}_{hi.k}"] = float(worst)
-        if worst > FACTORIZATION_GATE:
+        if not worst <= FACTORIZATION_GATE:
             raise _ResidualFailure(
                 f"factorization residual {worst:.3e} between levels "
                 f"{lo.k} and {hi.k} exceeds {FACTORIZATION_GATE:g}")

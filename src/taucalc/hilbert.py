@@ -57,7 +57,8 @@ def weighted_grid(rho: GridFunction, warn: bool = True) -> WeightedGrid:
     """
     grid = rho.grid
     v, m = rho.flat, rho.flat_valid
-    terms = grid.deltas * v
+    # delta*rho only where rho is valid: a masked cell may hold inf or nan
+    terms = np.multiply(grid.deltas, v, where=m, out=np.zeros_like(v))
     tol = _POSITIVITY_TOL * np.fmax(
         1.0, grid.branch_max(np.where(m, np.abs(v), 0.0)))
     bad = ((grid.measure_sign * terms.real < -tol)

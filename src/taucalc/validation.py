@@ -19,8 +19,8 @@ import numpy as np
 from .calculus import (dtau_inverse_fn, shift, tau_antiderivative,
                        tau_derivative, tau_integral)
 from .chain import (EigenPair, apply_A, apply_Astar, bands_AAstar,
-                    bands_AstarA, chain_eigenvalues, eigen_residual,
-                    factorization_residual, lift, tridiag_apply)
+                    chain_eigenvalues, eigen_residual, factorization_residual,
+                    lift, to_coefficients, tridiag_apply)
 from .covariance import (equivalence_obstruction, ln_change, transport_function,
                          transport_grid, transport_level, transport_weight)
 from .errors import PositivityWarning
@@ -362,7 +362,7 @@ def criterion_factorization(data: SuiteData) -> CriterionResult:
             lhs_op = apply_A(lvl, apply_Astar(lvl, psi))
             lhs_bd = tridiag_apply(bands_AAstar(lvl), psi)
             rhs_op = apply_Astar(nxt, apply_A(nxt, psi))
-            rhs_bd = tridiag_apply(bands_AstarA(nxt), psi)
+            rhs_bd = tridiag_apply(to_coefficients(nxt), psi)
             scale = joint_scale(lhs_op, rhs_op)
             worst_paths = _fold(worst_paths,
                                 [max_abs_diff(lhs_op, lhs_bd) / scale,

@@ -21,8 +21,8 @@ import numpy as np
 
 from taucalc.calculus import (dtau_inverse_fn, shift, tau_antiderivative,
                               tau_derivative, tau_integral)
-from taucalc.chain import (apply_A, apply_Astar, bands_AAstar, bands_AstarA,
-                           tridiag_apply)
+from taucalc.chain import (apply_A, apply_Astar, bands_AAstar,
+                           to_coefficients, tridiag_apply)
 from taucalc.covariance import (ln_change, transport_function, transport_grid,
                                 transport_weight)
 from taucalc.grid import INTERVAL, build_grid
@@ -184,7 +184,7 @@ def factorization_residual_loop(level, level_next, rng=None):
     rng = np.random.default_rng(rng)
     c, d = level.c, level.d
     bands_lhs = bands_AAstar(level)
-    bands_rhs = bands_AstarA(level_next)
+    bands_rhs = to_coefficients(level_next)
     worst = 0.0
     for _ in range(PROBES):
         psi = GridFunction(level.grid,

@@ -18,6 +18,7 @@ from taucalc import (GROUP, INTERVAL, SEMIGROUP, EigenPair, GridFunction,
 from taucalc import chain
 from taucalc.chain import CoefficientTriple, _assemble_factor, make_level
 from taucalc.cli import _preset_chain
+from taucalc.gridfn import joint_scale, max_abs_diff
 from taucalc.hilbert import weighted_grid
 from taucalc.validation import SuiteData
 from taucalc.errors import (CalculusError, InconsistentWeights,
@@ -26,6 +27,7 @@ from taucalc.errors import (CalculusError, InconsistentWeights,
                             ZeroDivisor)
 
 from eigen_oracle import golub_kahan_eigenvalues, one_pass_gram_eigenvalues
+from masked_cells import assert_never_read, masked, poison_points
 from recursion_oracle import coefficient_ratio_loop, gauge_xi_loop
 from taucalc.scenarios import constant_gauge_chain, fractional_chain, qhahn_chain
 
@@ -406,7 +408,7 @@ def test_library_results_reach_the_constructor_read_only(qh, monkeypatch):
             system, GridFunction.constant(grid, 0.0), 0.5).u,
         "apply_A": apply_A(lvl, psi),
         "apply_Astar": apply_Astar(lvl, psi),
-        "tridiag_apply": chain.tridiag_apply(chain.bands_AstarA(lvl), psi),
+        "tridiag_apply": chain.tridiag_apply(chain.to_coefficients(lvl), psi),
         "mu_from_rho": mu_from_rho(lvl.w),
         "adjoint_shift": adjoint_shift(psi, lvl.w),
         "weight_from_pearson": weight_from_pearson(lvl.B, lvl.eta).rho,
@@ -691,12 +693,8 @@ def test_eigen_solve_refuses_non_finite_level_data(qh, field, value):
 def _masked_at(lvl, field, n, value=None):
     """``lvl`` with ``field`` masked out at flat index ``n`` (and set to
     ``value`` there, if given)."""
-    fn = lvl.w.rho if field == "rho" else getattr(lvl, field)
-    values, valid = fn.flat.copy(), fn.flat_valid.copy()
-    valid[n] = False
-    if value is not None:
-        values[n] = value
-    bad = GridFunction(lvl.grid, values, valid)
+    bad = masked(lvl.w.rho if field == "rho" else getattr(lvl, field), n,
+                 value)
     return (replace(lvl, w=weighted_grid(bad)) if field == "rho"
             else replace(lvl, **{field: bad}))
 
@@ -725,9 +723,6 @@ def test_eigen_solve_refuses_masked_level_data(qh, field):
         assert chain_eigenvalues(lvl, count=3).shape == (3,)
 
 
-# weighted_grid forms delta * rho in every cell, 0 * inf at a branch's
-# last one, and then discards the masked cells
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("field", ["rho", "eta", "h", "f", "phi"])
 def test_eigen_solve_never_reads_a_masked_cell(qh, field):
     # a cell masked out at an interior point, at a branch's last point or
@@ -749,6 +744,48 @@ def test_eigen_solve_never_reads_a_masked_cell(qh, field):
                 assert got is want, (n, fill)
             else:
                 assert np.array_equal(got, want), (n, fill)
+
+
+@pytest.fixture(scope="module")
+def postulate_pairs():
+    return [qhahn_chain(q=0.9, depth=60, n_levels=2).levels,
+            constant_gauge_chain(q=0.7, depth=40, n_levels=2).levels]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["level", "next"])
+@pytest.mark.parametrize("field", ["B", "eta", "h", "f", "phi"])
+def test_factorization_residual_never_reads_a_masked_cell(postulate_pairs,
+                                                          field, which):
+    # both paths of the postulate check, operators and three-point forms,
+    # leave out what reads a masked cell of either level
+    for pair in postulate_pairs:
+        def residual(bad):
+            levels = list(pair)
+            levels[which] = replace(pair[which], **{field: bad})
+            return factorization_residual(*levels, rng=0)
+
+        assert_never_read(residual, getattr(pair[which], field),
+                          poison_points(pair[0].grid))
+
+
+@pytest.mark.parametrize("preset", ["qhahn", "constant-gauge", "fractional"])
+def test_band_path_checks_the_postulate_on_every_level_pair(preset):
+    # the three-point forms of A_k A_k* and A_{k+1}* A_{k+1} are valid
+    # together on every row where both operator products are but each
+    # branch's first, and meet there
+    levels = _preset_chain(preset, None).levels
+    for lo, hi in zip(levels, levels[1:]):
+        grid = lo.grid
+        psi = GridFunction(grid, np.random.default_rng(lo.k).standard_normal(
+            grid.size)).window(5)
+        lhs = chain.tridiag_apply(chain.bands_AAstar(lo), psi)
+        rhs = (chain.tridiag_apply(to_coefficients(hi), psi) * lo.d
+               + lo.c * psi)
+        ops = (apply_A(lo, apply_Astar(lo, psi)).flat_valid
+               & apply_Astar(hi, apply_A(hi, psi)).flat_valid)
+        assert np.array_equal(lhs.flat_valid & rhs.flat_valid,
+                              ops & grid.neighbour_mask(-1))
+        assert max_abs_diff(lhs, rhs) / joint_scale(lhs, rhs) < 1e-13
 
 
 def test_fractional_chain_rejects_eigen_solve():

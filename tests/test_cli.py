@@ -228,6 +228,17 @@ def test_chain_step_h_reaches_the_next_level(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("residual", ["pearson_residual",
+                                      "factorization_residual"])
+def test_chain_nan_residual_exit_3(tmp_path, capsys, monkeypatch, residual):
+    # a NaN residual fails its gate; it is not passed over
+    monkeypatch.setattr(cli, residual, lambda *args, **kwargs: float("nan"))
+    assert run("chain", "--preset", "qhahn", "--depth", "40",
+               "--out", str(tmp_path / "o")) == 3
+    assert "residual nan" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_chain_missing_seed_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "map": {"kind": "linear", "q": 0.5},

@@ -11,6 +11,8 @@ from taucalc.maps import TauMap
 from taucalc.hilbert import pearson_residual
 from taucalc.scenarios import constant_gauge_chain
 
+from masked_cells import assert_never_read, poison_points
+
 
 def exp_change(source):
     """kappa = exp, the inverse of ln_change."""
@@ -73,6 +75,14 @@ def test_transport_is_unitary(transported, scenario):
                       transport_function(psi, ch, target), w_t,
                       check_tail=False)
     assert b == pytest.approx(a, rel=1e-10)
+
+
+def test_transport_function_never_reads_a_masked_cell(ln_transported,
+                                                     scenario):
+    ch, target = ln_transported
+    assert_never_read(lambda bad: transport_function(bad, ch, target),
+                      GridFunction.from_callable(scenario.grid, np.cos),
+                      poison_points(scenario.grid))
 
 
 def test_transported_pearson_consistent(transported, scenario):

@@ -12,6 +12,7 @@ from taucalc.calculus import deltas_fn
 from taucalc.errors import (GridMismatch, PositivityWarning, ZeroDivisor,
                             ZeroWeight)
 
+from masked_cells import assert_never_read, poison_points
 from recursion_oracle import mobius_weight, pearson_weight_loop
 from taucalc.covariance import transport_level
 from taucalc.hilbert import adjoint_shift, mu_from_rho
@@ -253,6 +254,34 @@ def test_weight_reports_the_pole_a_walk_meets_first():
         weight_from_pearson(*p)
     with pytest.raises(ZeroDivisor, match=f"eta vanishes .* index {k0 - 2}$"):
         mobius_weight(*p)
+
+
+@pytest.mark.parametrize("field", ["B", "eta"])
+@pytest.mark.parametrize("kind", sorted(PARITY_GRIDS))
+def test_weight_never_reads_a_masked_cell(kind, field):
+    grid = PARITY_GRIDS[kind]()
+    B, eta = (GridFunction(grid, v) for v in
+              np.random.default_rng(7).uniform(0.5, 2.0, (2, grid.size)))
+
+    def weight(bad):
+        w = weight_from_pearson(*((bad, eta) if field == "B" else (B, bad)))
+        return w.rho, w.positivity
+
+    assert_never_read(weight, B if field == "B" else eta, poison_points(grid))
+
+
+@pytest.mark.parametrize("check_tail", [True, False])
+@pytest.mark.parametrize("kind", sorted(PARITY_GRIDS))
+def test_inner_product_never_reads_a_masked_weight_cell(kind, check_tail):
+    # the tail check of a group branch's backward end included
+    grid = PARITY_GRIDS[kind]()
+    phi = GridFunction.from_callable(grid, lambda x: 1.0 / (1.0 + x ** 4))
+    psi = GridFunction.from_callable(grid, lambda x: x / (1.0 + x ** 4))
+    rho = GridFunction(grid, np.random.default_rng(8).uniform(0.5, 2.0,
+                                                              grid.size))
+    assert_never_read(lambda bad: inner_product(
+        phi, psi, weighted_grid(bad, warn=False), check_tail), rho,
+        poison_points(grid))
 
 
 def reference_rho(B, eta, dps=40):

@@ -785,3 +785,27 @@ def test_masked_cells_are_never_read(call, kind, seed, where, count, fill, t):
             assert np.array_equal(g[0], w[0], equal_nan=True)
         else:
             assert g == w or np.isnan(g) and np.isnan(w)
+
+
+@pytest.mark.parametrize("kind", sorted(GRIDS))
+def test_resolvent_and_family_match_the_references_across_a_hole(kind):
+    # one masked point inside each branch: the products, steps and gap and
+    # the family members are formed on the tail behind it alone, as the
+    # per-point references form them
+    grid = GRIDS[kind]
+    holes = [s.start + (s.stop - s.start) // 2 for s in grid.slices]
+    sys = poisoned_inputs(grid, 7, "a", holes, None).boundary
+    res = resolvent(sys)
+    want, steps, gap = sequential_resolvent(sys)
+    exact = np.array([S.tolist() for S in mp_suffix_products(sys)],
+                     dtype=complex)
+    assert res.steps == steps < grid.size - len(holes)
+    assert not res.valid[holes].any()
+    for ref in (want, exact):
+        assert np.all(np.abs(res.flat - ref) <= 1e-13 * np.abs(ref).max())
+    assert res.cauchy_gap == pytest.approx(gap, rel=1e-6, abs=1e-12)
+    x = poisoned_inputs(grid, 7, "u", holes, None)
+    for t in (0.0, 0.5, -1.5):
+        got = general_solution(x.family, x.u0, t)
+        assert not got.u.flat_valid[holes].any()
+        assert_same_member(got, reference_general_solution(x.family, x.u0, t))

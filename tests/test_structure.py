@@ -46,8 +46,6 @@ PUBLIC_WITHOUT_CALLER = {
         "reserved: the paper's first-order solutions in a criterion",
     ("calculus.py", "solve_linear_first_order"):
         "reserved: the paper's first-order solutions in a criterion",
-    ("chain.py", "to_coefficients"):
-        "reserved: a second eigen-solve path through the three-point equation",
     ("riccati.py", "system_from_second_order"):
         "reserved: a second eigen-solve path through the three-point equation",
     ("covariance.py", "affine_change"):
