@@ -2,8 +2,8 @@
 
 from .calculus import (shift, solve_linear_first_order, tau_antiderivative,
                        tau_derivative, tau_exponential, tau_integral)
-from .chain import (ChainLevel, CoefficientTriple, EigenPair, apply_A,
-                    apply_Astar, build_chain, chain_eigenvalues,
+from .chain import (ChainLevel, CoefficientTriple, EigenPair, PostulateGaps,
+                    apply_A, apply_Astar, build_chain, chain_eigenvalues,
                     eigen_residual, factorization_residual,
                     from_coefficients, lift, make_level, particular_gauge_xi,
                     solve_step_constant, to_coefficients)
@@ -36,7 +36,7 @@ __all__ = [
     "pearson_residual", "inner_product", "norm",
     "ChainLevel", "EigenPair", "CoefficientTriple", "make_level",
     "build_chain", "apply_A", "apply_Astar", "lift",
-    "eigen_residual", "factorization_residual",
+    "eigen_residual", "factorization_residual", "PostulateGaps",
     "from_coefficients", "to_coefficients", "solve_step_constant",
     "chain_eigenvalues", "particular_gauge_xi",
     "TwoByTwoSystem", "ResolventResult", "system_from_second_order",

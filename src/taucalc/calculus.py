@@ -84,16 +84,29 @@ def _column(x) -> np.ndarray:
     return np.asarray(x)[..., None]
 
 
-def _branch_integral(terms: np.ndarray, scale) -> np.ndarray:
-    """Row sums of one branch's terms.  With a ``scale`` (a column, one
-    per row), the last three terms of every row must stay below
-    _TAIL_TOL * scale."""
-    if scale is not None:
-        tail = np.abs(terms[..., -3:])
-        if (tail > _TAIL_TOL * scale).any():
+def _orbit_terms(f: GridFunction, check_tail: bool) -> np.ndarray:
+    """The terms delta_n f[n] of an orbit sum, 0 where f is masked out or
+    x_n has no successor.  With ``check_tail``, each branch's last three
+    terms must stay below _TAIL_TOL times max(1, the largest valid |f| on
+    the branch), each row of a probe block against its own scale."""
+    grid = f.grid
+    v, m = f.flat, f.flat_valid
+    # the terms are C-ordered, so each row of a block sums as it would alone
+    terms = np.multiply(grid.deltas, v, where=m & grid.has_next,
+                        out=np.zeros_like(v))
+    if check_tail:
+        starts = np.array([s.start for s in grid.slices])
+        limit = _TAIL_TOL * np.fmax(1.0, np.maximum.reduceat(
+            np.where(m, np.abs(v), 0.0), starts, axis=-1))[..., None]
+        # (branch, term): a branch's last three terms, 2 to 4 points before
+        # its end; a shorter branch reads its first point more than once
+        last = np.maximum(np.array([s.stop for s in grid.slices])[:, None]
+                          - [4, 3, 2], starts[:, None])
+        tail = np.abs(terms[..., last])
+        if (tail > limit).any():
             raise TailNotConverged(f"last tail terms {tail} exceed "
-                                   f"{_TAIL_TOL}*scale={_TAIL_TOL * scale}")
-    return terms.sum(axis=-1)
+                                   f"{_TAIL_TOL}*scale={limit}")
+    return terms
 
 
 def tau_integral(f: GridFunction, check_tail: bool = True):
@@ -101,26 +114,16 @@ def tau_integral(f: GridFunction, check_tail: bool = True):
 
     Semigroup: integral from the limit to the base.  Interval: integral
     over [a, b] as orbit(b) minus orbit(a).  Group: two-sided sum.
-    The masked terms delta_n f[n] are formed once over the flat grid;
-    each branch sums its own, the last point excluded, and checks its
-    tail against the largest valid |f| on it.  A probe block gives one
-    integral per row, each row's tail checked against its own scale;
-    TailNotConverged is raised if any row fails.
+    The masked terms delta_n f[n] are formed once over the flat grid
+    (see :func:`_orbit_terms`, which checks their tail); each branch sums
+    its own, the last point excluded.  A probe block gives one integral
+    per row; TailNotConverged is raised if any row fails its check.
     """
     grid = f.grid
     if grid.mode not in (SEMIGROUP, GROUP, INTERVAL):
         raise GridMismatch(f"unsupported grid mode {grid.mode}")
-    v, m = f.flat, f.flat_valid
-    # delta is 0 at each branch end, and those terms are never summed;
-    # the terms are C-ordered, so each row of a block sums as it would alone
-    terms = np.multiply(grid.deltas, v, where=m, out=np.zeros_like(v))
-    if check_tail:
-        scales = np.fmax(1.0, np.maximum.reduceat(
-            np.where(m, np.abs(v), 0.0), [s.start for s in grid.slices],
-            axis=-1))
-    sums = [_branch_integral(terms[..., s.start:s.stop - 1],
-                             scales[..., i:i + 1] if check_tail else None)
-            for i, s in enumerate(grid.slices)]
+    terms = _orbit_terms(f, check_tail)
+    sums = [terms[..., s.start:s.stop - 1].sum(axis=-1) for s in grid.slices]
     if grid.mode == INTERVAL:
         ia, ib = (grid.branches.index(grid.branch(r)) for r in ("a", "b"))
         total = sums[ib] - sums[ia]
@@ -143,19 +146,11 @@ def _suffix_valid(f: GridFunction) -> np.ndarray:
 def tau_antiderivative(f: GridFunction, check_tail: bool = True) -> GridFunction:
     """Per-branch suffix sums: out[n] = integral of f from the limit to x_n.
 
-    A probe block checks each row's tail against that row's own scale."""
+    The terms and their tail check are those of :func:`tau_integral`."""
     grid = f.grid
-    terms = np.multiply(grid.deltas, f.flat, where=grid.has_next,
-                        out=np.zeros_like(f.flat))
-    if check_tail:
-        limit = _TAIL_TOL * _column(np.fmax(1.0, f.max_abs()))
-        for s in grid.slices:
-            tail = np.abs(terms[..., s][..., -4:-1])
-            if s.stop - s.start >= 4 and (tail > limit).any():
-                raise TailNotConverged(f"antiderivative tail terms {tail} too large")
     # out[n] = sum_{m>=n} terms[m], summed tail-first for accuracy.
-    return GridFunction.fresh(grid, grid.suffix_scan(np.add, terms),
-                              _suffix_valid(f),
+    out = grid.suffix_scan(np.add, _orbit_terms(f, check_tail))
+    return GridFunction.fresh(grid, out, _suffix_valid(f),
                               label=f"int({f.label})" if f.label else "")
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,7 +110,17 @@ class CoefficientTriple:
     alpha: GridFunction
     beta: GridFunction
     gamma: GridFunction
-    value: complex = 0.0
+
+
+class PostulateGaps(NamedTuple):
+    """Worst scaled gaps of the postulate check over its probes: each side
+    by the operators against the other, the same by the three-point forms,
+    and each side by the operators against its three-point form."""
+
+    operators: float
+    bands: float
+    left_paths: float
+    right_paths: float
 
 
 def make_level(B: GridFunction, eta: GridFunction, h: GridFunction,
@@ -315,9 +326,8 @@ def bands_AAstar(level: ChainLevel) -> CoefficientTriple:
 
 
 def tridiag_apply(coef: CoefficientTriple, psi: GridFunction) -> GridFunction:
-    """Apply alpha T + beta + gamma T^-1 (``coef.value`` left out) to psi
-    within each branch: valid where psi, its two branch neighbours and
-    all three coefficients are."""
+    """Apply alpha T + beta + gamma T^-1 to psi within each branch: valid
+    where psi, its two branch neighbours and all three coefficients are."""
     coef.beta.check_same_grid(psi)
     grid = psi.grid
     p, pm = psi.flat, psi.flat_valid
@@ -333,14 +343,14 @@ def tridiag_apply(coef: CoefficientTriple, psi: GridFunction) -> GridFunction:
 
 
 def factorization_residual(level: ChainLevel, level_next: ChainLevel,
-                           rng=None) -> float:
+                           rng=None) -> PostulateGaps:
     """Check the postulate A_k A_k* = d A_{k+1}* A_{k+1} + c on
     ``_PROBES`` random probes, drawn as one (``_PROBES``, N) block.
 
     Two independent evaluation paths are used: operator application via
     the weighted adjoints, and the explicit three-band expansions; the
-    paths must agree with each other as well.  Returns the worst
-    probe's largest scaled gap.
+    paths must agree with each other as well.  Returns the four gaps,
+    each the worst probe's, scaled by the operator path's sides.
     """
     rng = np.random.default_rng(rng)
     c, d = level.c, level.d
@@ -351,13 +361,14 @@ def factorization_residual(level: ChainLevel, level_next: ChainLevel,
     lhs_bd = tridiag_apply(bands_AAstar(level), psi)
     rhs_bd = tridiag_apply(to_coefficients(level_next), psi) * d + c * psi
     scale = joint_scale(lhs_op, rhs_op)
-    gaps = [max_abs_diff(a, b) / scale for a, b in (
-        (lhs_op, rhs_op), (lhs_bd, rhs_bd), (lhs_op, lhs_bd), (rhs_op, rhs_bd))]
+    pairs = ((lhs_op, rhs_op), (lhs_bd, rhs_bd), (lhs_op, lhs_bd),
+             (rhs_op, rhs_bd))
     # a NaN gap is kept, so that it fails every gate
-    return float(np.max(gaps, initial=0.0))
+    return PostulateGaps(*(float(np.max(max_abs_diff(a, b) / scale,
+                                        initial=0.0)) for a, b in pairs))
 
 
-def to_coefficients(level: ChainLevel, value: complex = 0.0) -> CoefficientTriple:
+def to_coefficients(level: ChainLevel) -> CoefficientTriple:
     """Expand A*A into the three-point form alpha T + beta + gamma T^-1.
 
     beta and gamma are valid at the interior points where B, eta, h and
@@ -383,7 +394,7 @@ def to_coefficients(level: ChainLevel, value: complex = 0.0) -> CoefficientTripl
     valid[1:, m] = (mB & me & mh & mp)[m] & (mh & mp)[m - 1]
     valid[0, n] = (me & mp & mh)[n]
     return CoefficientTriple(*map(GridFunction.fresh, [grid] * 3, bands, valid,
-                                  ("alpha", "beta", "gamma")), value)
+                                  ("alpha", "beta", "gamma")))
 
 
 def from_coefficients(coef: CoefficientTriple, h0: GridFunction,
@@ -837,8 +848,8 @@ def particular_gauge_xi(level: ChainLevel, d: complex, xi0: float = 1.0
 
 
 __all__ = [
-    "ChainLevel", "EigenPair", "CoefficientTriple", "make_level",
-    "apply_A", "apply_Astar", "advance_level", "build_chain",
+    "ChainLevel", "EigenPair", "CoefficientTriple", "PostulateGaps",
+    "make_level", "apply_A", "apply_Astar", "advance_level", "build_chain",
     "solve_step_constant", "bands_AAstar", "tridiag_apply",
     "factorization_residual", "to_coefficients",
     "from_coefficients", "lift", "eigen_residual", "chain_eigenvalues",

@@ -254,14 +254,14 @@ def _check_top(config: dict) -> dict:
 
 
 def _level0_from_config(grid, spec):
-    coeff_keys = {"alpha", "beta", "gamma", "lambda", "h0", "seed"}
+    coeff_keys = {"alpha", "beta", "gamma", "h0", "seed"}
     direct_keys = {"B0", "eta0", "h0", "f0"}
     if not isinstance(spec, dict):
         raise ConfigError("level0 spec must be a JSON object")
     if "alpha" in spec:
         spec = _take(spec, {"alpha": _REQUIRED, "beta": _REQUIRED,
-                            "gamma": _REQUIRED, "lambda": 0.0,
-                            "h0": "1", "seed": None}, "level0 coefficient spec")
+                            "gamma": _REQUIRED, "h0": "1", "seed": None},
+                     "level0 coefficient spec")
         if spec["seed"] is None:
             raise ConfigError(
                 "coefficient input needs the ratio seed 'seed' "
@@ -277,8 +277,7 @@ def _level0_from_config(grid, spec):
         coef = CoefficientTriple(
             alpha=_grid_fn(grid, spec["alpha"], "alpha"),
             beta=_grid_fn(grid, spec["beta"], "beta"),
-            gamma=_grid_fn(grid, spec["gamma"], "gamma"),
-            value=_real(spec["lambda"], "level0 lambda"))
+            gamma=_grid_fn(grid, spec["gamma"], "gamma"))
         h0 = _grid_fn(grid, spec["h0"], "h0")
         return from_coefficients(coef, h0, seed)
     if set(spec) <= direct_keys:
@@ -330,8 +329,8 @@ def _residual_table(levels, scenario=None) -> dict:
                 f"pearson residual {res:.3e} at level {level.k} "
                 f"exceeds {PEARSON_GATE:g}")
     for lo, hi in zip(levels, levels[1:]):
-        worst = factorization_residual(lo, hi, rng=lo.k)
-        residuals[f"factorization_level_{lo.k}_{hi.k}"] = float(worst)
+        worst = float(np.max(factorization_residual(lo, hi, rng=lo.k)))
+        residuals[f"factorization_level_{lo.k}_{hi.k}"] = worst
         if not worst <= FACTORIZATION_GATE:
             raise _ResidualFailure(
                 f"factorization residual {worst:.3e} between levels "

@@ -160,15 +160,14 @@ class ResolventResult:
         return tuple(self.flat[s] for s in self.grid.slices)
 
 
-def system_from_second_order(coef) -> TwoByTwoSystem:
+def system_from_second_order(coef, lam: complex) -> TwoByTwoSystem:
     """The step system whose first component solves the three-point equation.
 
-    Lambda = [[(lambda - beta)/alpha, -gamma/alpha], [1, 0]], so that
+    Lambda = [[(lam - beta)/alpha, -gamma/alpha], [1, 0]], so that
     T psi paired with psi reproduces alpha T psi + beta psi + gamma
-    T^{-1} psi = lambda psi one orbit step at a time.
+    T^{-1} psi = lam psi one orbit step at a time.
     """
     alpha, beta, gamma = coef.alpha, coef.beta, coef.gamma
-    lam = coef.value
     # |alpha| is judged at each point against |alpha| + |beta| + |gamma|
     # there (the valid ones), so neither the size nor the growth of the
     # coefficients along the orbit moves the verdict

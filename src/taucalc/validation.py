@@ -18,9 +18,8 @@ import numpy as np
 
 from .calculus import (dtau_inverse_fn, shift, tau_antiderivative,
                        tau_derivative, tau_integral)
-from .chain import (EigenPair, apply_A, apply_Astar, bands_AAstar,
-                    chain_eigenvalues, eigen_residual, factorization_residual,
-                    lift, to_coefficients, tridiag_apply)
+from .chain import (EigenPair, chain_eigenvalues, eigen_residual,
+                    factorization_residual, lift)
 from .covariance import (equivalence_obstruction, ln_change, transport_function,
                          transport_grid, transport_level, transport_weight)
 from .errors import PositivityWarning
@@ -148,8 +147,8 @@ def _poly_fn(grid, coeffs) -> GridFunction:
 
 
 def _fold(worst: float, values) -> float:
-    """max(worst, *values), passing over NaN as ``max`` does."""
-    return float(np.fmax.reduce(np.ravel(values), initial=worst))
+    """max(worst, *values), NaN if any is NaN, so that it fails its check."""
+    return float(np.max(np.ravel(values), initial=worst))
 
 
 # ---------------------------------------------------------------------------
@@ -348,25 +347,16 @@ def _spot_perturbed_residual(lvl, factor: float) -> float:
 # ---------------------------------------------------------------------------
 
 def criterion_factorization(data: SuiteData) -> CriterionResult:
-    rng = np.random.default_rng(404)
     worst_post = 0.0
     worst_paths = 0.0
     for sc in (data.qhahn, data.constant_gauge):
         for k in range(5):
-            lvl, nxt = sc.levels[k], sc.levels[k + 1]
-            worst_post = max(worst_post,
-                             factorization_residual(lvl, nxt, rng=1000 + k))
-            # three probes, one block
-            psi = GridFunction.fresh(lvl.grid, rng.standard_normal(
-                (3, lvl.grid.size))).window(5)
-            lhs_op = apply_A(lvl, apply_Astar(lvl, psi))
-            lhs_bd = tridiag_apply(bands_AAstar(lvl), psi)
-            rhs_op = apply_Astar(nxt, apply_A(nxt, psi))
-            rhs_bd = tridiag_apply(to_coefficients(nxt), psi)
-            scale = joint_scale(lhs_op, rhs_op)
+            gaps = factorization_residual(sc.levels[k], sc.levels[k + 1],
+                                          rng=1000 + k)
+            worst_post = _fold(worst_post, gaps)
+            # each side by the operators against its three-point form
             worst_paths = _fold(worst_paths,
-                                [max_abs_diff(lhs_op, lhs_bd) / scale,
-                                 max_abs_diff(rhs_op, rhs_bd) / scale])
+                                [gaps.left_paths, gaps.right_paths])
     return _result("factorization", [
         Check("postulate-residual", worst_post, 1e-9),
         Check("two-path-agreement", worst_paths, 1e-11),
@@ -384,11 +374,11 @@ def criterion_eigen_chain(data: SuiteData) -> CriterionResult:
     worst_track = 0.0
     for k in range(1, 6):
         pair = lift(pair, sc.levels[k])
-        worst_res = max(worst_res,
-                        eigen_residual(sc.levels[pair.level], pair))
+        worst_res = _fold(worst_res,
+                          eigen_residual(sc.levels[pair.level], pair))
         pred = sc.eigenvalue_after_lifts(k)
-        worst_track = max(worst_track,
-                          abs(pair.value - pred) / abs(pred))
+        worst_track = _fold(worst_track,
+                            abs(pair.value - pred) / abs(pred))
     # an exact pair leaves rounding alone, a few ulps of each row's scale
     # (5e-16 through the five lifts); a relative error eps in psi reads
     # about 1e-2 eps (9.6e-9 at eps = 1e-6).  The gate sits three decades
@@ -410,7 +400,7 @@ def criterion_cross_method(data: SuiteData) -> CriterionResult:
     for n in range(4):
         pred = sc.eigenvalue(n)
         denom = abs(pred) if pred != 0.0 else abs(sc.eigenvalue(1))
-        worst = max(worst, abs(float(numeric[n]) - pred) / denom)
+        worst = _fold(worst, abs(float(numeric[n]) - pred) / denom)
     return _result("cross-method", [Check("spectrum-agreement", worst, 1e-6)])
 
 
@@ -546,7 +536,7 @@ def criterion_darboux(data: SuiteData) -> CriterionResult:
     for entry in raw.tilde():
         v, m = entry.values[0], entry.valid[0]
         idx = np.nonzero(m)[0]
-        raw_blowup = max(raw_blowup, abs(v[idx[-1]]))
+        raw_blowup = _fold(raw_blowup, abs(v[idx[-1]]))
     checks.append(Check("unregularized-blowup", raw_blowup, 1e6,
                         at_least=True))
     reg = singular_darboux(raw, 0.0, -1.0)
@@ -557,7 +547,7 @@ def criterion_darboux(data: SuiteData) -> CriterionResult:
         idx = np.nonzero(m)[0]
         last, prev = v[idx[-1]], v[idx[-2]]
         finite = finite and bool(np.isfinite(last)) and bool(np.isfinite(prev))
-        worst_tail = max(worst_tail, abs(last - prev) / (1.0 + abs(last)))
+        worst_tail = _fold(worst_tail, abs(last - prev) / (1.0 + abs(last)))
     checks.append(Check("regularized-finite", 1.0 if finite else 0.0, 0.5,
                         at_least=True))
     checks.append(Check("regularized-limit-gap", worst_tail, 1e-6))
@@ -630,15 +620,15 @@ def criterion_closed_forms(data: SuiteData) -> CriterionResult:
         tau = sc.grid.tau
         for x0 in np.linspace(0.05, 0.95, 7):
             for k in (0, 1, 2, 3, 5, 8):
-                worst_iter = max(worst_iter, abs(
+                worst_iter = _fold(worst_iter, abs(
                     iterate(tau, float(x0), k) - float(sc.iterate_closed(x0, k))))
             direct = ((tau(x0) - tau(tau(x0))) / (x0 - tau(x0)))
-            worst_deriv = max(worst_deriv,
-                              abs(direct - float(sc.orbit_derivative_closed(x0))))
+            worst_deriv = _fold(worst_deriv, abs(
+                direct - float(sc.orbit_derivative_closed(x0))))
             for k in (1, 2, 4):
                 y = iterate(tau, float(x0), k)
                 direct = (tau(y) - tau(tau(y))) / (y - tau(y))
-                worst_deriv = max(worst_deriv, abs(
+                worst_deriv = _fold(worst_deriv, abs(
                     direct - float(sc.orbit_derivative_at_iterate(x0, k))))
     # squared kernel state times weight vs the double infinite product
     sc = data.constant_gauge

@@ -180,12 +180,13 @@ def covariance_unitary_worst(sc):
 
 
 def factorization_residual_loop(level, level_next, rng=None):
-    """The postulate residual of ``factorization_residual``, probe by probe."""
+    """The four postulate gaps of ``factorization_residual``, in its order,
+    probe by probe."""
     rng = np.random.default_rng(rng)
     c, d = level.c, level.d
     bands_lhs = bands_AAstar(level)
     bands_rhs = to_coefficients(level_next)
-    worst = 0.0
+    worst = [0.0] * 4
     for _ in range(PROBES):
         psi = GridFunction(level.grid,
                            rng.standard_normal(level.grid.size)).window(5)
@@ -194,9 +195,9 @@ def factorization_residual_loop(level, level_next, rng=None):
         lhs_bd = tridiag_apply(bands_lhs, psi)
         rhs_bd = tridiag_apply(bands_rhs, psi) * d + c * psi
         scale = joint_scale(lhs_op, rhs_op)
-        worst = max(worst,
-                    max_abs_diff(lhs_op, rhs_op) / scale,
-                    max_abs_diff(lhs_bd, rhs_bd) / scale,
-                    max_abs_diff(lhs_op, lhs_bd) / scale,
-                    max_abs_diff(rhs_op, rhs_bd) / scale)
-    return worst
+        gaps = (max_abs_diff(lhs_op, rhs_op) / scale,
+                max_abs_diff(lhs_bd, rhs_bd) / scale,
+                max_abs_diff(lhs_op, lhs_bd) / scale,
+                max_abs_diff(rhs_op, rhs_bd) / scale)
+        worst = [max(w, g) for w, g in zip(worst, gaps)]
+    return tuple(worst)

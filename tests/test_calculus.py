@@ -12,6 +12,7 @@ from taucalc.hilbert import adjoint_shift
 from taucalc.errors import TailNotConverged
 from taucalc.gridfn import max_abs_diff
 
+from masked_cells import assert_never_read, poison_points
 from qcalc_oracle import horner, jackson_integral_exact, q_derivative
 
 coeff_lists = st.lists(
@@ -229,6 +230,17 @@ def test_fused_derivative_is_the_composed_one_bit_for_bit(make_grid):
         assert fused.flat.tobytes() == composed.flat.tobytes()
         assert np.array_equal(fused.flat_valid, composed.flat_valid)
         assert fused.label == label
+
+
+@pytest.mark.parametrize("check_tail", [True, False])
+@pytest.mark.parametrize("op", [tau_integral, tau_antiderivative],
+                         ids=["integral", "antiderivative"])
+def test_orbit_sums_never_read_a_masked_cell(op, check_tail):
+    # the tail check included: a masked cell among a branch's last three
+    # terms is neither summed nor judged
+    grid = build_grid(linear_map(0.7), INTERVAL, (0.5, 1.0), max_depth=400)
+    f = GridFunction.from_callable(grid, lambda x: 1.0 + x)
+    assert_never_read(lambda bad: op(bad, check_tail), f, poison_points(grid))
 
 
 def test_integral_tail_is_judged_per_branch():

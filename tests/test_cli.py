@@ -453,11 +453,10 @@ def test_mistyped_config_value_exit_2(tmp_path, capsys, edits):
     assert not (tmp_path / "o").exists()
 
 
-# d, lambda and seed are real numbers: the chain is computed and written
-# in real arithmetic, so a complex string is a config error, not a value
-# whose imaginary part is dropped
+# d and seed are real numbers: the chain is computed and written in real
+# arithmetic, so a complex string is a config error, not a value whose
+# imaginary part is dropped
 @pytest.mark.parametrize("key, context", [("d", "chain step d"),
-                                          ("lambda", "level0 lambda"),
                                           ("seed", "level0 seed")])
 def test_complex_config_value_exit_2(tmp_path, capsys, key, context):
     config = json.loads(json.dumps(CHAIN_CONFIGS["xi"]))
@@ -470,6 +469,19 @@ def test_complex_config_value_exit_2(tmp_path, capsys, key, context):
     assert run("chain", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err == (
         f"config error: {context} must be a number, got '1+0.5j'\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_lambda_coefficient_key_exit_2(tmp_path, capsys):
+    # the chain is built from alpha, beta and gamma alone; an eigenvalue
+    # lambda would change nothing, so the key is refused, not ignored
+    config = json.loads(json.dumps(CHAIN_CONFIGS["xi"]))
+    config["level0"] = {"alpha": "1", "beta": "-2", "gamma": "1",
+                        "seed": 0.5, "lambda": 3.5}
+    cfg = write_config(tmp_path, config)
+    assert run("chain", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == ("config error: unknown key(s) in "
+                                       "level0 coefficient spec: lambda\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -399,8 +399,8 @@ def test_second_order_gate_accepts_coefficients_growing_toward_the_limit():
     # alpha grows like 1/delta^2 toward the limit (to about 2e28 here);
     # alpha = 5 at the base is not "vanishing" next to beta and gamma there
     sc = qhahn_chain(q=0.8, depth=140)
-    coef = to_coefficients(sc.levels[0], sc.eigenvalue(1))
-    assert system_from_second_order(coef).grid is sc.grid
+    coef = to_coefficients(sc.levels[0])
+    assert system_from_second_order(coef, sc.eigenvalue(1)).grid is sc.grid
 
 
 def test_second_order_gate_refuses_a_vanishing_alpha():
@@ -408,7 +408,7 @@ def test_second_order_gate_refuses_a_vanishing_alpha():
     coef = CoefficientTriple(*(GridFunction.from_callable(grid, fn) for fn in (
         lambda x: x - 0.25, lambda x: -3.0 + 0 * x, lambda x: 1.0 + 0 * x)))
     with pytest.raises(ZeroAlpha):
-        system_from_second_order(coef)
+        system_from_second_order(coef, 0.0)
 
 
 def _outcome(call):
@@ -465,7 +465,7 @@ def test_gate_verdicts_do_not_depend_on_the_input_scale(seed, k, gap, wide_k):
 
     def second_order(scale):
         return system_from_second_order(CoefficientTriple(
-            *(GridFunction(grid, scale * row) for row in coef)))
+            *(GridFunction(grid, scale * row) for row in coef)), 0.0)
 
     for build in (gauge, second_order):
         verdict = _outcome(lambda: build(1.0))

@@ -300,7 +300,7 @@ def test_eigen_solve_refuses_a_binding_of_another_signature(monkeypatch,
 # per-branch loops that remain outside grid.py; a new orbit recursion goes
 # through OrbitGrid.suffix_scan, outward_scan or the one 2x2 walk
 # (mobius_scan, suffix_products) instead of its own loop
-BRANCH_LOOPS_ALLOWED = {("calculus.py", "tau_antiderivative")}
+BRANCH_LOOPS_ALLOWED = set()
 
 
 def branch_loops(path):

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from taucalc import chain, validation
 from taucalc.chain import eigen_residual
 from taucalc.validation import (CRITERIA, Check, CriterionResult, SuiteData,
                                 _perturbed_kernel_pair, criterion_eigen_chain,
@@ -80,3 +83,43 @@ def test_eigen_chain_gate_refuses_a_perturbed_kernel_pair(monkeypatch):
     checks = {c.name: c for c in criterion_eigen_chain(data).checks}
     assert not checks["lifted-residual"].passed
     assert checks["eigenvalue-tracking"].passed
+
+
+def _nan(value):
+    return np.asarray(value) * np.nan
+
+
+@pytest.mark.parametrize("name, module, attr, poison", [
+    ("calculus", validation, "max_abs_diff", _nan),
+    ("q-oracle", validation, "max_abs_diff", _nan),
+    ("adjoints", validation, "max_abs_diff", _nan),
+    ("factorization", chain, "max_abs_diff", _nan),
+    ("eigen-chain", validation, "lift",
+     lambda pair: replace(pair, value=math.nan)),
+    ("cross-method", validation, "chain_eigenvalues", _nan),
+    ("closed-forms", validation, "iterate", _nan),
+], ids=["calculus", "q-oracle", "adjoints", "factorization", "eigen-chain",
+        "cross-method", "closed-forms"])
+def test_a_nan_gap_fails_its_criterion(monkeypatch, name, module, attr,
+                                       poison):
+    # a measured gap that reads NaN is not passed over by the worst-case fold
+    fn = getattr(module, attr)
+    monkeypatch.setattr(module, attr,
+                        lambda *args, **kwargs: poison(fn(*args, **kwargs)))
+    with np.errstate(invalid="ignore"):
+        result, = run_criteria([name])
+    assert not result.passed
+
+
+def test_factorization_criterion_checks_each_level_pair_once(monkeypatch):
+    # both checks read one postulate report per level pair: each pair's
+    # three-point forms are built once, 10 pairs in all
+    calls = {"bands_AAstar": 0, "to_coefficients": 0}
+    for name in calls:
+        def spy(level, _fn=getattr(chain, name), _name=name):
+            calls[_name] += 1
+            return _fn(level)
+        monkeypatch.setattr(chain, name, spy)
+        monkeypatch.setattr(validation, name, spy, raising=False)
+    assert run_criteria(["factorization"])[0].passed
+    assert calls == {"bands_AAstar": 10, "to_coefficients": 10}
