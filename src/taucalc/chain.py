@@ -47,12 +47,17 @@ _DLARRB_SIGNATURE = ("void (int *, d *, d *, int *, int *, d *, d *, int *, "
 _DLAR1V_SIGNATURE = ("void (int *, int *, int *, d *, d *, d *, d *, d *, "
                      "d *, d *, d *, int *, int *, d *, d *, int *, int *, "
                      "d *, d *, d *, d *)")
-# first bisection's relative half-width: enough to isolate an eigenvalue
-_COARSE_RTOL = 1e-3
+# C signature of dlaneg(N, D, LLD, SIGMA, PIVMIN, R), which returns the
+# Sturm count of L D L^T - SIGMA
+_DLANEG_SIGNATURE = "int (int *, d *, d *, d *, d *, int *)"
+# shared Sturm pass's bracket width relative to its upper end: the Rayleigh
+# walk, cut at the bracket, converges from anywhere inside it
+_COARSE_RTOL = 0.25
 # Rayleigh steps stop below this relative correction: the next is rounding
 _RQ_RTOL = 1e-8
-# Rayleigh steps per eigenvalue at most: from isolation it takes two or three
-_RQ_STEPS = 4
+# Rayleigh steps per eigenvalue at most: from a bracket of relative width
+# 1/4 it takes three or four
+_RQ_STEPS = 8
 # last bisection's half-width in corr^2/lambda: slack for gaps below lambda
 _RQ_WIDTH = 16
 # the pointwise step constants must agree to this, relative to the
@@ -572,6 +577,13 @@ def _dlar1v():
 
 
 @functools.cache
+def _dlaneg():
+    """LAPACK's dlaneg as a ctypes function of 6 addresses returning an
+    int, built once."""
+    return _lapack_function("dlaneg", _DLANEG_SIGNATURE)
+
+
+@functools.cache
 def _cython_lapack():
     """scipy's compiled ``scipy.linalg.cython_lapack``, loaded from its own
     file so that ``scipy/linalg/__init__.py``, which imports some 300
@@ -612,7 +624,7 @@ def _lapack_function(name: str, signature: str):
 
     It comes from scipy's table of Cython LAPACK functions, so nothing is
     compiled; the addresses are passed unchecked, so the capsule's C
-    signature must be ``signature``.
+    signature must be ``signature``, whose result is void or int.
     """
     import ctypes
 
@@ -628,8 +640,58 @@ def _lapack_function(name: str, signature: str):
     address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
                                 ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))(capsule, c_name)
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * signature.count("*"))(
-        address)
+    restype = {"void": None, "int": ctypes.c_int}[signature.split(" ", 1)[0]]
+    return ctypes.CFUNCTYPE(restype,
+                            *[ctypes.c_void_p] * signature.count("*"))(address)
+
+
+def _sturm_brackets(count, k: int, pivmin: float,
+                    spdiam: float) -> tuple[list[float], list[float]]:
+    """Brackets [lo[j], hi[j]] of eigenvalues 2..k+1 of a positive
+    semidefinite L D L^T, with count(lo[j]) < j + 2 <= count(hi[j]), from
+    one shared set of its Sturm counts: ``count(sigma)`` is the number of
+    eigenvalues below sigma.
+
+    Counts at sigma = 2, 4, 8, ... bracket every index from lo = 0 until
+    k + 1 eigenvalues lie below sigma, or sigma passes SPDIAM, which
+    bounds them all.  Then one count at a time, at the midpoint of the
+    first bracket still wider than ``_COARSE_RTOL`` of its upper end,
+    splits that bracket and every bracket equal to it.  Every end is a
+    point already counted, so no other bracket holds the midpoint: each
+    count narrows every index it can.
+    As in dlarrb, a bracket stops at a width of 2 PIVMIN, and its own
+    midpoint is counted at most log2(SPDIAM / PIVMIN) + 2 times.  The
+    ends are dyadic numbers of a few bits.
+    """
+    import math
+
+    lo, hi = [0.0] * k, [math.inf] * k
+    sigma, j = 2.0, 0   # j: the first index with no upper end yet
+    while j < k:
+        below = count(sigma)
+        top = k if below > k or sigma > spdiam else max(below - 1, j)
+        hi[j:top] = [sigma] * (top - j)
+        lo[top:] = [sigma] * (k - top)
+        sigma, j = 2.0 * sigma, top
+    maxitr = int(math.log2(spdiam + pivmin) - math.log2(pivmin)) + 2
+    j, steps = 0, 0   # j: the first bracket that may still be too wide
+    while j < k:
+        left, right = lo[j], hi[j]
+        if (right - left <= max(_COARSE_RTOL * right, 2 * pivmin)
+                or steps == maxitr):
+            j, steps = j + 1, 0
+            continue
+        mid = 0.5 * (left + right)
+        below = count(mid)
+        steps += 1
+        i = j
+        while i < k and lo[i] == left and hi[i] == right:
+            if i + 2 <= below:
+                hi[i] = mid
+            else:
+                lo[i] = mid
+            i += 1
+    return lo, hi
 
 
 def _gram_eigenvalues(alpha: np.ndarray, beta: np.ndarray,
@@ -640,35 +702,38 @@ def _gram_eigenvalues(alpha: np.ndarray, beta: np.ndarray,
     G is the m x (m+1) upper bidiagonal with diagonal alpha and
     superdiagonal beta.  B^T B = L D L^T with D = (alpha^2, 0) and
     off-diagonal products LLD = beta^2: no subtraction or division, so
-    dlarrb's dstqds Sturm counts resolve each eigenvalue to a few ulps of
-    itself.  Eigenvalue 1 is an exact zero (B has rank at most m) and is
-    skipped.  Three passes over that L D L^T find the rest:
+    its dstqds Sturm counts (LAPACK's dlaneg, which dlarrb calls) resolve
+    each eigenvalue to a few ulps of itself.  Eigenvalue 1 is an exact
+    zero (B has rank at most m) and is skipped.  Three passes over that
+    L D L^T find the rest:
 
-    1. dlarrb bisects every interval from [0, 2], doubled until it
-       brackets its index, to a half-width of ``_COARSE_RTOL`` relative,
-       which isolates each eigenvalue;
+    1. one shared set of dlaneg counts brackets every eigenvalue to a
+       width of ``_COARSE_RTOL`` of its upper end
+       (:func:`_sturm_brackets`);
     2. dlar1v's Rayleigh-quotient corrections on twisted factorizations
-       (L = beta/alpha, LD = alpha beta) move each midpoint until one
-       falls below ``_RQ_RTOL`` of lambda.  A step that would leave the
-       eigenvalue's coarse bracket is cut at the bracket's end, so an
+       (L = beta/alpha, LD = alpha beta) move each bracket's midpoint
+       until one falls below ``_RQ_RTOL`` of lambda.  A step that would
+       leave the eigenvalue's bracket is cut at the bracket's end, so an
        eigenvalue close to an end (lambda_1, just above 1, of a converged
        q-Hahn chain) is reached from there; a NaN correction (an
        alpha = 0 makes L infinite) or a cut to 0 ends the walk;
-    3. dlarrb bisects again from the walk's end, with a half-width of
+    3. dlarrb bisects from the walk's end, with a half-width of
        ``_RQ_WIDTH`` corr^2/lambda for the last step corr, as cut (a step
        leaves an error of order corr^2/gap), at least 4 eps lambda and
-       at least PIVMIN; an eigenvalue without a step restarts from its
-       coarse bracket.
+       at least PIVMIN; an eigenvalue without a step starts from its
+       bracket of pass 1.
 
     dlarrb widens every start interval until it brackets its index and
     stops at a half-width of 2 eps relative, the relative accuracy of a
     bisection in sigma = sqrt(lambda), so each value returned is
     bracketed by dlarrb's own Sturm counts as in a bisection from [0, 2]:
-    a poor start costs sweeps, not accuracy.  Pass 1 takes about a
-    dozen Sturm sweeps of the factor, pass 2 two or three dlar1v calls,
-    pass 3 a few sweeps, against about 40 sweeps for one bisection from
-    [0, 2] to 2 eps.  PIVMIN is dlarre's choice; SPDIAM, a bound on the
-    Gershgorin discs, only caps the number of steps.
+    a poor start costs sweeps, not accuracy.  With k = 3 on a converged
+    q-Hahn orbit, pass 1 takes 11 counts, pass 2 three or four dlar1v
+    calls per eigenvalue and pass 3 a few sweeps each, against about 40
+    sweeps each for one bisection from [0, 2] to 2 eps.  PIVMIN
+    is dlarre's choice; SPDIAM = (max|alpha| + max|beta|)^2 bounds every
+    eigenvalue and caps the number of steps.  A factor whose SPDIAM
+    overflows is refused.
     """
     n = alpha.size + 1
     if not (beta.size == alpha.size and 0 <= k < n):
@@ -677,7 +742,10 @@ def _gram_eigenvalues(alpha: np.ndarray, beta: np.ndarray,
     with np.errstate(over="ignore"):
         dd = np.append(np.square(alpha, dtype=np.float64), 0.0)
         lld = np.square(beta, dtype=np.float64)
-    if not (np.isfinite(dd).all() and np.isfinite(lld).all()):
+        spdiam = (np.abs(alpha).max(initial=0.0)
+                  + np.abs(beta).max(initial=0.0)) ** 2
+    if not (np.isfinite(dd).all() and np.isfinite(lld).all()
+            and np.isfinite(spdiam)):
         raise NonPositiveFactor("eigen-solve needs finite level data and a "
                                 "factor whose squares do not overflow")
     if k == 0:
@@ -692,17 +760,17 @@ def _gram_eigenvalues(alpha: np.ndarray, beta: np.ndarray,
         ld = np.multiply(alpha, beta, dtype=np.float64)
     eps = np.finfo(float).eps
     pivmin = np.finfo(float).tiny * max(1.0, lld.max())
-    spdiam = (np.abs(alpha).max() + np.abs(beta).max()) ** 2
     # ints: N, IFIRST, ILAST, OFFSET, TWIST, INFO of dlarrb, whose W, WGAP
     # and WERR hold entries IFIRST - OFFSET .. ILAST - OFFSET, that is
     # 1..k; then B1, WANTNC, NEGCNT, R and ISUPPZ(2) of dlar1v, which
-    # takes N and BN from the first and fifth
+    # takes N and BN from the first and fifth, as dlaneg takes N and R
     ints = np.array([n, 2, k + 1, 1, n, 0, 1, 0, 0, 0, 0, 0], dtype=np.intc)
     # reals: RTOL1, RTOL2, PIVMIN, SPDIAM; then LAMBDA, GAPTOL (0: the
-    # whole vector), ZTZ, MINGMA, NRMINV, RESID, RQCORR of dlar1v
-    reals = np.array([0.0, _COARSE_RTOL, pivmin, spdiam,
-                      0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    w, werr, wgap = np.ones(k), np.ones(k), np.zeros(k)
+    # whole vector), ZTZ, MINGMA, NRMINV, RESID, RQCORR of dlar1v; then
+    # SIGMA of dlaneg
+    reals = np.array([0.0, 2 * eps, pivmin, spdiam,
+                      0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    w, werr, wgap = np.empty(k), np.empty(k), np.zeros(k)
     z, work = np.empty(n), np.empty(4 * n)
     iwork = np.empty(2 * n, dtype=np.intc)
     i = (ints.ctypes.data + ints.itemsize * np.arange(ints.size)).tolist()
@@ -715,11 +783,16 @@ def _gram_eigenvalues(alpha: np.ndarray, beta: np.ndarray,
         _dlar1v(), i[0], i[6], i[4], r[4], dd.ctypes.data, el.ctypes.data,
         ld.ctypes.data, lld.ctypes.data, r[2], r[5], z.ctypes.data, i[7],
         i[8], r[6], r[7], i[9], i[10], r[8], r[9], r[10], work.ctypes.data)
-    bisect()
-    # eigenvalues past the first are positive
-    lo, hi = np.maximum(w - werr, 0.0).tolist(), (w + werr).tolist()
+    negcount = functools.partial(_dlaneg(), i[0], dd.ctypes.data,
+                                 lld.ctypes.data, r[11], r[2], i[4])
+
+    def count(sigma):
+        reals[11] = sigma
+        return negcount()
+
+    lo, hi = _sturm_brackets(count, k, pivmin, float(spdiam))
     for j in range(k):
-        lam, corr = float(w[j]), None
+        lam, corr = 0.5 * (lo[j] + hi[j]), None
         ints[9] = 0   # R = 0: dlar1v picks the twist; later steps keep it
         for _ in range(_RQ_STEPS):
             reals[4] = lam
@@ -732,11 +805,9 @@ def _gram_eigenvalues(alpha: np.ndarray, beta: np.ndarray,
             lam, corr = cut, cut - lam
             if abs(corr) <= _RQ_RTOL * lam:
                 break
-        if corr is not None:
-            w[j] = lam
-            werr[j] = max(_RQ_WIDTH * corr * corr / lam, 4 * eps * lam,
-                          pivmin)
-    reals[1] = 2 * eps
+        w[j] = lam
+        werr[j] = (hi[j] - lam if corr is None else
+                   max(_RQ_WIDTH * corr * corr / lam, 4 * eps * lam, pivmin))
     bisect()
     return w
 
@@ -749,11 +820,12 @@ def chain_eigenvalues(level: ChainLevel, count: int | None = None) -> np.ndarray
     upper bidiagonal (see :func:`_assemble_factor`).  With B = [G; 0] of
     order m+1 they are eigenvalues of B^T B = G^T G, found in O(m) per
     eigenvalue on B^T B's L D L^T form, whose entries are the squares of
-    G's (see :func:`_gram_eigenvalues`): LAPACK's dlarrb bisects each
-    eigenvalue coarsely, dlar1v's Rayleigh-quotient steps converge it,
-    and a last dlarrb bisection from there brackets it to 2 eps, in
-    about half the time of one bisection from [0, 2] (four eigenvalues at
-    N = 2,046: 1.5 against 2.8 ms on a shared 2-core x86-64 machine).
+    G's (see :func:`_gram_eigenvalues`): one shared set of Sturm counts
+    (LAPACK's dlaneg) brackets every eigenvalue coarsely, dlar1v's
+    Rayleigh-quotient steps converge each, and a last dlarrb bisection
+    from there brackets it to 2 eps, in about a third of the time of one
+    bisection from [0, 2] (four eigenvalues at N = 2,046: 0.86 against
+    2.7 ms on a shared 2-core x86-64 machine).
     Bisection on that representation resolves every eigenvalue to a few
     ulps relative to itself (Demmel & Kahan 1990), so small eigenvalues
     keep their relative accuracy however large lambda_max grows with the
@@ -765,8 +837,19 @@ def chain_eigenvalues(level: ChainLevel, count: int | None = None) -> np.ndarray
     ``count - 1`` eigenvalues are bisected.  With square per-branch
     blocks it stands for the empty limit column and is dropped; the
     ``count`` after it are bisected, so near-zero kernel values of the
-    blocks are genuine and bisected like the rest.
+    blocks are genuine and bisected like the rest.  A ``count`` that is
+    not an integer (a bool included) raises TypeError.
     """
+    if count is not None:
+        import operator
+
+        try:
+            if isinstance(count, bool):
+                raise TypeError
+            count = operator.index(count)
+        except TypeError:
+            raise TypeError(f"count must be an integer or None, not "
+                            f"{count!r}") from None
     alpha, beta = _assemble_factor(level)
     last = ~level.grid.has_next   # where eta, h and phi have a stand-in
     for name, fn in (("rho", level.w.rho), ("eta", level.eta),

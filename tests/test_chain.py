@@ -26,7 +26,8 @@ from taucalc.errors import (CalculusError, InconsistentWeights,
                             RiccatiBlowup, SingularLimit, ZeroAlpha,
                             ZeroDivisor)
 
-from eigen_oracle import golub_kahan_eigenvalues, one_pass_gram_eigenvalues
+from eigen_oracle import (bracketed_gram_eigenvalues, golub_kahan_eigenvalues,
+                          one_pass_gram_eigenvalues)
 from masked_cells import assert_never_read, masked, poison_points
 from recursion_oracle import coefficient_ratio_loop, gauge_xi_loop
 from taucalc.scenarios import constant_gauge_chain, fractional_chain, qhahn_chain
@@ -364,6 +365,16 @@ def test_chain_eigenvalues_counts(qh):
         chain_eigenvalues(lvl, count=0)
 
 
+@pytest.mark.parametrize("count", [2.5, True], ids=["float", "bool"])
+def test_chain_eigenvalues_count_must_be_an_integer(qh, count):
+    # 2.5 reached np.ones(1.5) and numpy's TypeError, which names no
+    # argument; True was read as 1
+    with pytest.raises(TypeError, match=r"^count must be an integer or None"):
+        chain_eigenvalues(qh.levels[0], count=count)
+    assert np.array_equal(chain_eigenvalues(qh.levels[0], count=np.int64(3)),
+                          chain_eigenvalues(qh.levels[0], count=3))
+
+
 # levels whose factor is m x (m+1): the limit column is projected out
 KERNEL_LEVELS = {
     "interval": lambda: qhahn_chain(depth=60, n_levels=1).levels[0],
@@ -427,13 +438,15 @@ def test_library_results_reach_the_constructor_read_only(qh, monkeypatch):
 
 
 def spy_lapack(monkeypatch, binding, record):
-    """Append ``record(addresses)`` after every call of ``chain.<binding>``."""
+    """Append ``record(addresses)`` after every call of ``chain.<binding>``,
+    whose result it passes on."""
     calls = []
     lapack = getattr(chain, binding)()
 
     def spy(*args):
-        lapack(*args)
+        out = lapack(*args)
         calls.append(record(args))
+        return out
 
     monkeypatch.setattr(chain, binding, lambda: spy)
     return calls
@@ -452,11 +465,18 @@ def spy_rayleigh(monkeypatch):
                       ctypes.c_double.from_address(args[19]).value)
 
 
+def spy_count(monkeypatch):
+    """Record the shift SIGMA, the fourth address, of every dlaneg call."""
+    return spy_lapack(monkeypatch, "_dlaneg", lambda args:
+                      ctypes.c_double.from_address(args[3]).value)
+
+
 @pytest.mark.parametrize("make", KERNEL_LEVELS.values(), ids=KERNEL_LEVELS)
 def test_structural_kernel_zero_is_exact_and_not_bisected(make, monkeypatch):
     lvl = make()
     calls = spy_bisection(monkeypatch)
     steps = spy_rayleigh(monkeypatch)
+    counts = spy_count(monkeypatch)
     lams = chain_eigenvalues(lvl, count=4)
     assert lams[0] == 0.0 and lams[1] > 0.0
     # index 1 of the order-(m+1) Gram matrix B^T B, the kernel, is skipped
@@ -464,8 +484,9 @@ def test_structural_kernel_zero_is_exact_and_not_bisected(make, monkeypatch):
     assert calls and set(calls) == {(lvl.grid.size, 2, 4)}
     calls.clear()
     steps.clear()
+    counts.clear()
     assert np.array_equal(chain_eigenvalues(lvl, count=1), [0.0])
-    assert calls == [] and steps == []
+    assert calls == [] and steps == [] and counts == []
 
 
 def test_decoupled_kernel_values_are_still_bisected(qh, monkeypatch):
@@ -478,6 +499,66 @@ def test_decoupled_kernel_values_are_still_bisected(qh, monkeypatch):
     [(order, first, last)] = set(calls)
     m = order - 1
     assert (first, last) == (2, m + 1) and lams.size == m
+
+
+def test_decoupled_kernel_values_share_one_bracket_down_to_pivmin(
+        qh, monkeypatch):
+    # the two near-zero kernel values of the blocks share the bracket
+    # [0, 2]; it is halved down to the 2 PIVMIN floor, in fewer counts than
+    # dlarrb's iteration cap allows one index
+    flat = decoupled_level(qh.levels[0])
+    alpha, beta = _assemble_factor(flat)
+    pivmin = np.finfo(float).tiny * max(1.0, np.max(beta ** 2))
+    spdiam = (np.abs(alpha).max() + np.abs(beta).max()) ** 2
+    maxitr = int(math.log2(spdiam + pivmin) - math.log2(pivmin)) + 2
+    sigmas = spy_count(monkeypatch)
+    lams = chain_eigenvalues(flat, count=2)
+    assert sigmas[0] == 2.0 and len(sigmas) - 1 <= maxitr
+    assert min(sigmas) <= 2 * pivmin and np.all(lams <= 2 * pivmin)
+    assert_bisections_agree(lams, one_pass_gram_eigenvalues(alpha, beta, 2),
+                            beta)
+
+
+def test_eigen_solve_counts_from_two_by_doubling(monkeypatch):
+    # lambda_1..3 of the converged q = 0.93 orbit are about 1, 4 and 9:
+    # counts at 2, 4, 8 and 16 bracket them all, and a few midpoints
+    # narrow the brackets to a quarter of their upper ends
+    lvl = qhahn_chain(q=0.93, depth=4000, n_levels=1).levels[0]
+    sigmas = spy_count(monkeypatch)
+    chain_eigenvalues(lvl, count=4)
+    assert sigmas[:4] == [2.0, 4.0, 8.0, 16.0] and len(sigmas) <= 16
+
+
+def double_block_factor():
+    """(alpha, beta) of G = [G1 0 0; 0 G1 0]: two copies of a square upper
+    bidiagonal G1 and an empty last column, so that every eigenvalue of
+    B^T B but its zero is double."""
+    d1 = np.array([1.0, 3.0, 0.5, 2.0, 7.0])
+    e1 = np.array([0.4, 1.5, 2.5, 0.3])
+    return (np.concatenate([d1, d1]),
+            np.concatenate([e1, [0.0], e1, [0.0]]))
+
+
+def test_double_eigenvalues_are_each_bracketed_and_returned():
+    alpha, beta = double_block_factor()
+    m = alpha.size
+    got = chain._gram_eigenvalues(alpha, beta, m)
+    want = golub_kahan_eigenvalues(alpha, beta, m, m)
+    assert_solves_agree(got, want, beta)
+    assert_bisections_agree(got[0::2], got[1::2], beta)
+    # the shared pass on the exact spectrum: each count splits every
+    # bracket equal to the one it halves, so a pair keeps one bracket
+    pivmin = np.finfo(float).tiny * max(1.0, np.max(beta ** 2))
+    spdiam = (alpha.max() + beta.max()) ** 2
+
+    def count(sigma):
+        return int(np.sum(np.concatenate([[0.0], want]) < sigma))
+
+    lo, hi = chain._sturm_brackets(count, m, pivmin, spdiam)
+    for j in range(m):
+        assert count(lo[j]) < j + 2 <= count(hi[j])
+        assert hi[j] - lo[j] <= max(chain._COARSE_RTOL * hi[j], 2 * pivmin)
+    assert lo[0::2] == lo[1::2] and hi[0::2] == hi[1::2]
 
 
 def sturm_count(sq, x):
@@ -629,23 +710,26 @@ def test_refused_rayleigh_steps_leave_one_bisection(monkeypatch):
     # but e_N (of beta[-1]^2 = 100, the largest, left out) is twisted above
     # it, so dlar1v's vector below the twist runs through 0 * inf and each
     # correction is NaN: every step is refused, and the last bisection
-    # starts from the first one's intervals.  Their ends are dyadic numbers
-    # of a few bits, so W -+ WERR gives them back exactly, and the result
-    # is the one-pass bisection from [0, 2] bit for bit
+    # starts from the shared Sturm pass's brackets.  Their ends are dyadic
+    # numbers of a few bits, so W -+ WERR gives them back exactly, and the
+    # result is dlarrb's bisection from those brackets bit for bit
     alpha = np.array([1.0, 2.0, 1.0, 3.0, 0.0])
     beta = np.array([0.5, 1.0, 2.0, 0.7, 10.0])
     steps = spy_rayleigh(monkeypatch)
     got = chain._gram_eigenvalues(alpha, beta, 4)
     assert len(steps) == 4 and np.isnan(steps).all()
-    assert np.array_equal(got, one_pass_gram_eigenvalues(alpha, beta, 4))
+    assert np.array_equal(got, bracketed_gram_eigenvalues(alpha, beta, 4))
+    assert_bisections_agree(got, one_pass_gram_eigenvalues(alpha, beta, 4),
+                            beta)
 
 
 @pytest.mark.parametrize("q", [0.9, 0.93, 0.95])
 def test_overshooting_rayleigh_step_is_cut_at_its_bracket(q, monkeypatch):
     # lambda_1 of a converged q-Hahn orbit lies just above 1, the left end
-    # of its coarse bracket [1, 1 + 2^-9]: the first step from the midpoint
-    # overshoots below 1.  Cut at that end, the walk goes on from 1.0, so
-    # dlar1v is called again at another lambda
+    # of its bracket [1, 1.25] from the shared Sturm pass: a step from near
+    # it overshoots below 1.  Cut at that end, the walk goes on from 1.0,
+    # so dlar1v is called at lambda = 1.0, which no step from the midpoint
+    # 1.125 lands on exactly
     alpha, beta = _assemble_factor(
         qhahn_chain(q=q, depth=4000, n_levels=1).levels[0])
     # LAMBDA is the fourth address
@@ -653,7 +737,7 @@ def test_overshooting_rayleigh_step_is_cut_at_its_bracket(q, monkeypatch):
                         ctypes.c_double.from_address(args[3]).value)
     got = chain._gram_eigenvalues(alpha, beta, 3)
     first = [lam for lam in shifts if lam < 2.0]
-    assert len(first) >= 2 and first[1] == 1.0 != first[0]
+    assert len(first) >= 2 and first[0] == 1.125 and first[-1] == 1.0
     assert_bisections_agree(got, one_pass_gram_eigenvalues(alpha, beta, 3),
                             beta)
 
@@ -688,6 +772,18 @@ def test_eigen_solve_refuses_non_finite_level_data(qh, field, value):
         for count in (1, 2):
             with pytest.raises(NonPositiveFactor, match="finite level data"):
                 chain_eigenvalues(lvl, count=count)
+
+
+def test_eigen_solve_refuses_a_factor_whose_spdiam_overflows():
+    # every square is finite, but SPDIAM = (max|alpha| + max|beta|)^2 is
+    # not: with no finite bound on the eigenvalues, dlarrb widened its
+    # start interval without end
+    alpha = np.array([1e154, 1e154, 3.0])
+    beta = np.array([1e154, 1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPositiveFactor, match="do not overflow$"):
+            chain._gram_eigenvalues(alpha, beta, 3)
 
 
 def _masked_at(lvl, field, n, value=None):

@@ -262,12 +262,13 @@ def test_name_rule_sees_eigvalsh_tridiagonal(tmp_path):
         assert name_uses(path, "eigvalsh_tridiagonal") == hits
 
 
-@pytest.mark.parametrize("name, addresses", [
-    pytest.param("dlarrb", 17, id="dlarrb"),
-    pytest.param("dlar1v", 21, id="dlar1v"),
+@pytest.mark.parametrize("name, restype, addresses", [
+    pytest.param("dlarrb", None, 17, id="dlarrb"),
+    pytest.param("dlar1v", None, 21, id="dlar1v"),
+    pytest.param("dlaneg", ctypes.c_int, 6, id="dlaneg"),
 ])
 def test_eigen_solve_builds_its_lapack_binding_once(monkeypatch, name,
-                                                    addresses):
+                                                    restype, addresses):
     level = qhahn_chain(depth=60, n_levels=1).levels[0]
     built, cfunctype = [], ctypes.CFUNCTYPE
     monkeypatch.setattr(ctypes, "CFUNCTYPE",
@@ -277,17 +278,22 @@ def test_eigen_solve_builds_its_lapack_binding_once(monkeypatch, name,
     first = chain_eigenvalues(level, count=3)
     assert np.array_equal(chain_eigenvalues(level, count=3), first)
     # other modules imported on the first call make prototypes of their own
-    prototype = (None, *[ctypes.c_void_p] * addresses)
+    prototype = (restype, *[ctypes.c_void_p] * addresses)
     assert built.count(prototype) == 1 and binding.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("name", ["dlarrb", "dlar1v"])
+@pytest.mark.parametrize("name, signature", [
+    pytest.param("dlarrb", "void (int *, d *)", id="dlarrb"),
+    pytest.param("dlar1v", "void (int *, d *)", id="dlar1v"),
+    # dlaneg's arguments, with no result
+    pytest.param("dlaneg", "void (int *, d *, d *, d *, d *, int *)",
+                 id="dlaneg"),
+])
 def test_eigen_solve_refuses_a_binding_of_another_signature(monkeypatch,
-                                                           name):
+                                                           name, signature):
     # the addresses are passed unchecked, so the C signature is checked
     # when the binding is built
-    monkeypatch.setattr(chain, f"_{name.upper()}_SIGNATURE",
-                        "void (int *, d *)")
+    monkeypatch.setattr(chain, f"_{name.upper()}_SIGNATURE", signature)
     binding = getattr(chain, f"_{name}")
     binding.cache_clear()
     try:
